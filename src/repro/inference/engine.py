@@ -26,6 +26,7 @@ the plan's pinned MAE contract against the float64 reference model.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -58,7 +59,8 @@ class InferenceEngine:
     ``max_cached_capacities`` bounds how many batch-capacity workspaces
     stay resident (least-recently-used eviction); powers-of-two rounding
     means even a fully ragged caller compiles at most
-    ``log2(max_batch)`` of them.
+    ``log2(max_batch)`` of them.  ``predict`` is thread-safe: calls
+    share the scratch, so they run one at a time.
     """
 
     def __init__(self, plan: InferencePlan, max_cached_capacities: int = 8):
@@ -69,6 +71,9 @@ class InferenceEngine:
         self.plan = plan
         self.max_cached_capacities = int(max_cached_capacities)
         self._workspaces: "OrderedDict[int, _Workspace]" = OrderedDict()
+        # Serving workers share one engine; two calls writing the same
+        # scratch at once would hand each other's rows back.
+        self._lock = threading.Lock()
         self._scratch_allocations = 0
         self._scratch_bytes = 0
         self._predict_calls = 0
@@ -282,17 +287,18 @@ class InferenceEngine:
                 f"expected input shape (n, {', '.join(map(str, self.plan.input_shape))}), "
                 f"got {x.shape}"
             )
-        self._predict_calls += 1
         total = x.shape[0]
         out = np.empty((total,) + self.plan.output_shape, dtype=np.float64)
-        for start in range(0, total, batch_size):
-            stop = min(start + batch_size, total)
-            n = stop - start
-            workspace = self._workspace_for(n)
-            workspace.xin[:n] = x[start:stop]  # float64 -> float32 cast
-            for step in workspace.steps:
-                step(n)
-            out[start:stop] = workspace.result[:n]  # float32 -> float64
+        with self._lock:
+            self._predict_calls += 1
+            for start in range(0, total, batch_size):
+                stop = min(start + batch_size, total)
+                n = stop - start
+                workspace = self._workspace_for(n)
+                workspace.xin[:n] = x[start:stop]  # float64 -> float32 cast
+                for step in workspace.steps:
+                    step(n)
+                out[start:stop] = workspace.result[:n]  # float32 -> float64
         return out
 
     def __call__(self, x: np.ndarray) -> np.ndarray:

@@ -27,6 +27,11 @@ There is no other outcome and no hang: the chaos tests drive the service
 with malformed spectra, slow analyzers, OOD floods and burst load
 concurrently and assert exactly this.
 
+Every request takes one pipeline: a worker dequeues a batch, applies
+every defence per row, dispatches the surviving rows to the backend in
+one call, and resolves each row by one rule (:func:`row_outcome`).  An
+unbatched service is the same pipeline with batches of one.
+
 Two opt-in control layers ride on the same contract:
 
 * **Micro-batching** (pass ``batching=BatchingPolicy(...)``): workers
@@ -34,10 +39,10 @@ Two opt-in control layers ride on the same contract:
   when the batch fills *or* an adaptive max-wait expires — with every
   defence re-applied per row: deadlines are re-checked at batch drain
   (an expired request gets ``deadline_exceeded``, never a stale answer),
-  validation failures reject only their own row, and a failed batch call
-  falls back to single-row retries so one poisoned request cannot take
-  down its batchmates.  Coalescing never changes answers: the batch
-  analyzer contract (see
+  validation failures reject only their own row, and a failed
+  multi-row call falls back to single-row retries so one poisoned
+  request cannot take down its batchmates.  Coalescing never changes
+  answers: the batch analyzer contract (see
   :func:`~repro.serving.batching.batch_analyzer_from_model`) keeps a
   row's output byte-identical however it was batched.
 * **Brownout degradation** (pass ``governor=BrownoutGovernor(...)``):
@@ -234,6 +239,13 @@ _SHUTDOWN = object()
 # swap_analyzer sentinel: "leave the uncertainty gate as it is".
 _KEEP = object()
 
+# The drain policy of a service built without batching=: one row per
+# dispatch, and the coalescing hold never waits.
+_UNBATCHED = BatchingPolicy(max_batch=1, max_wait_s=0.0)
+
+# Row outcomes in which the backend answered: finite and within budget.
+_ANSWERED = ("abstained", "completed")
+
 
 def _outcome_label(result) -> str:
     """The metric/span outcome label for a terminal result."""
@@ -242,6 +254,25 @@ def _outcome_label(result) -> str:
     if isinstance(result, Abstained):
         return "abstained"
     return result.reason
+
+
+def row_outcome(finite: bool, late: bool, abstain: bool) -> str:
+    """The terminal outcome of one row the backend answered.
+
+    Precedence is nonfinite → late → abstain → complete: a non-finite
+    answer is never served, a correct but late one is never handed back,
+    an answer the uncertainty gate distrusts abstains, and only then does
+    the row complete.  ``abstained`` and ``completed`` both mean the
+    backend answered finite and in budget — what the circuit breaker
+    counts as a healthy dispatch.
+    """
+    if not finite:
+        return "nonfinite_output"
+    if late:
+        return "deadline_exceeded"
+    if abstain:
+        return "abstained"
+    return "completed"
 
 
 class AnalysisService:
@@ -260,9 +291,11 @@ class AnalysisService:
     ``registry``/``tracer``: per-outcome request counters and latency
     histograms, queue-depth and in-flight gauges (all labeled
     ``service=name``), and a per-request span chain ``serving.submit →
-    serving.queue → serving.analyze → serving.resolve`` sharing one
-    ``trace_id`` (exposed as ``PendingRequest.trace_id``).  Disabling the
-    registry/tracer reduces every instrumentation point to one branch.
+    serving.queue → serving.resolve`` sharing one ``trace_id`` (exposed
+    as ``PendingRequest.trace_id``), plus one ``serving.batch`` span per
+    backend dispatch carrying its ``batch_size``, ``first_request_id``
+    and ``analyzer_seconds``.  Disabling the registry/tracer reduces
+    every instrumentation point to one branch.
     """
 
     def __init__(
@@ -316,10 +349,6 @@ class AnalysisService:
             if (expected_length is None and input_shape is not None
                     and len(input_shape) == 1):
                 expected_length = int(input_shape[0])
-
-            def analyzer(row, _batch=batch_analyzer):  # noqa: F811
-                return _batch(np.asarray(row, dtype=np.float64)[None, :])[0]
-
         if batch_analyzer is not None and batching is None:
             batching = BatchingPolicy()
         self.validate_at_admission = bool(validate_at_admission)
@@ -333,6 +362,7 @@ class AnalysisService:
         self.clock = clock
         self.name = str(name)
         self.batching = batching
+        self._policy = batching if batching is not None else _UNBATCHED
         self.batch_analyzer = batch_analyzer
         self.governor = governor
         # Shadow tap: called as tap(data, value) after every *served*
@@ -364,9 +394,7 @@ class AnalysisService:
         self._m_inflight = self.registry.gauge(
             "serving_inflight_requests", "requests currently in a worker"
         )
-        self._m_batches = self.registry.counter(
-            "serving_batches_total", "batched analyzer dispatches"
-        )
+        # Its count is the number of successful batched dispatches.
         self._m_batch_size = self.registry.histogram(
             "serving_batch_size",
             "requests coalesced per batched dispatch",
@@ -395,7 +423,6 @@ class AnalysisService:
         self._b_submitted = self._m_submitted.labels(service=self.name)
         self._b_queue_depth = self._m_queue_depth.labels(service=self.name)
         self._b_inflight = self._m_inflight.labels(service=self.name)
-        self._b_batches = self._m_batches.labels(service=self.name)
         self._b_batch_size = self._m_batch_size.labels(service=self.name)
         self._b_brownout = self._m_brownout.labels(service=self.name)
         self._b_swaps = self._m_swaps.labels(service=self.name)
@@ -452,10 +479,9 @@ class AnalysisService:
         if self._running:
             raise RuntimeError("service already running")
         self._running = True
-        target = self._worker_batched if self.batching is not None else self._worker
         self._threads = [
             threading.Thread(
-                target=target, name=f"analysis-worker-{i}", daemon=True
+                target=self._worker, name=f"analysis-worker-{i}", daemon=True
             )
             for i in range(self.workers)
         ]
@@ -489,34 +515,14 @@ class AnalysisService:
             if item is _SHUTDOWN:
                 continue
             self._b_queue_depth.dec()
-            if item._queue_span is not None:
-                item._queue_span.end(status="error: shutdown")
-            self._finish(
-                item,
-                Rejected(
-                    reason="shutdown",
-                    request_id=item.request_id,
-                    latency_s=item.latency(),
-                ),
-                parent_span=item._queue_span,
-            )
+            self._refuse(item, "shutdown")
         # A worker that outlived its join timeout (analyzer hung) may
         # still hold requests in flight; refuse them too.  resolve() is
         # first-wins, so if the worker eventually finishes, its late
         # result is simply dropped.
         for request in list(self._pending):
             if not request.resolved:
-                if request._queue_span is not None:
-                    request._queue_span.end(status="error: shutdown")
-                self._finish(
-                    request,
-                    Rejected(
-                        reason="shutdown",
-                        request_id=request.request_id,
-                        latency_s=request.latency(),
-                    ),
-                    parent_span=request._queue_span,
-                )
+                self._refuse(request, "shutdown")
 
     def __enter__(self) -> "AnalysisService":
         return self.start()
@@ -638,7 +644,8 @@ class AnalysisService:
 
     def analyze(self, intensities, deadline_s: Optional[float] = None,
                 priority: int = 0):
-        """Submit and wait; returns a :class:`Completed` or :class:`Rejected`."""
+        """Submit and wait; returns a :class:`Completed`, :class:`Rejected`
+        or :class:`Abstained`."""
         return self.submit(
             intensities, deadline_s=deadline_s, priority=priority
         ).result()
@@ -671,7 +678,7 @@ class AnalysisService:
             }
         base["latency_s"] = latency
         if self.batching is not None:
-            batches = self._b_batches.value()
+            batches = self._m_batch_size.count(service=self.name)
             requests = self._m_batch_size.sum(service=self.name)
             base["batching"] = {
                 "batches": batches,
@@ -756,57 +763,50 @@ class AnalysisService:
     # -- workers -----------------------------------------------------------
 
     def _worker(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _SHUTDOWN:
-                return
-            try:
-                self._handle(item)
-            except Exception as error:  # a defence itself failed: refuse,
-                # never let a worker thread die and strand the queue.
-                self._finish(
-                    item,
-                    Rejected(
-                        reason="internal_error",
-                        request_id=item.request_id,
-                        latency_s=item.latency(),
-                        detail={"error": f"{type(error).__name__}: {error}"},
-                    ),
-                )
-
-    def _worker_batched(self) -> None:
-        """Batched worker loop: coalesce, dispatch, repeat.
+        """Worker loop: coalesce a batch, process it, repeat.
 
         Consumes exactly one shutdown marker before exiting, whether it
         arrives between batches or mid-drain.
         """
         while True:
-            item = self._queue.get()
-            if item is _SHUTDOWN:
+            first = self._queue.get()
+            if first is _SHUTDOWN:
                 return
+            batch = [first]
             keep_running = True
             try:
-                keep_running = self._drain_and_process(item)
-            except Exception:  # pragma: no cover - _process_batch contains
-                pass  # its own failures; this is the worker-survival net.
+                keep_running = self._drain(batch)
+                self._process_batch(batch)
+            except Exception as error:  # a defence itself failed: refuse
+                # what this worker dequeued, and never let it die and
+                # strand the queue.
+                for request in batch:
+                    if not request.resolved:
+                        self._refuse(
+                            request,
+                            "internal_error",
+                            error=f"{type(error).__name__}: {error}",
+                        )
             if not keep_running:
                 return
 
-    def _drain_and_process(self, first: PendingRequest) -> bool:
-        """Coalesce a batch starting at ``first``, then process it.
+    def _drain(self, batch: List[PendingRequest]) -> bool:
+        """Coalesce queued requests onto ``batch`` (holding its first).
 
-        Returns ``False`` when a shutdown marker was consumed during the
-        drain — the worker must exit after finishing this batch.
+        Appends in place, so whatever this worker dequeued is in
+        ``batch`` even if the drain fails.  Returns ``False`` when a
+        shutdown marker was consumed — the worker must exit after
+        finishing this batch.
         """
         self._b_queue_depth.dec()
-        keep_running = True
-        batch = [first]
-        growth = 1.0
+        cap = self._policy.max_batch
         if self.governor is not None:
             self._observe_governor()
-            growth = self.governor.active.batch_growth
-        cap = self.batching.cap_for(growth)
-        hold_until = float(self.clock()) + self.batching.wait_for(
+            if self.batching is not None:
+                cap = self._policy.cap_for(self.governor.active.batch_growth)
+        if cap == 1:  # a batch of one is full at its first request
+            return True
+        hold_until = float(self.clock()) + self._policy.wait_for(
             self._queue.qsize(), self.queue_size
         )
         while len(batch) < cap:
@@ -821,70 +821,33 @@ class AnalysisService:
             except queue.Empty:
                 break
             if item is _SHUTDOWN:
-                keep_running = False
-                break
+                return False
             self._b_queue_depth.dec()
             batch.append(item)
-        try:
-            self._process_batch(batch)
-        except Exception as error:  # a defence itself failed: refuse all.
-            for request in batch:
-                if not request.resolved:
-                    self._finish(
-                        request,
-                        Rejected(
-                            reason="internal_error",
-                            request_id=request.request_id,
-                            latency_s=request.latency(),
-                            detail={
-                                "error": f"{type(error).__name__}: {error}"
-                            },
-                        ),
-                    )
-        return keep_running
+        return True
 
     def _process_batch(self, batch: List[PendingRequest]) -> None:
         """Run one coalesced batch with every defence applied per row."""
         self._b_inflight.inc()
         try:
-            live = []
+            now = float(self.clock())
+            admitted = []
             for request in batch:
                 if request._queue_span is not None:
                     request._queue_span.end()
-                if not request.resolved:  # else: caller gave up in queue
-                    live.append(request)
-            if not live:
-                return
-            # Deadline re-check at drain: an expired request is refused
-            # here, never given a stale (or late) answer.
-            now = float(self.clock())
-            admitted = []
-            for request in live:
+                if request.resolved:  # caller gave up while queued
+                    continue
+                # Deadline re-check at drain: an expired request is
+                # refused here, never given a stale (or late) answer.
                 if now >= request.deadline_at:
-                    self._finish(
-                        request,
-                        Rejected(
-                            reason="deadline_expired_in_queue",
-                            request_id=request.request_id,
-                            latency_s=request.latency(),
-                        ),
-                        parent_span=request._queue_span,
-                    )
+                    self._refuse(request, "deadline_expired_in_queue")
                 else:
                     admitted.append(request)
             if not admitted:
                 return
             if not self.breaker.allow():
                 for request in admitted:
-                    self._finish(
-                        request,
-                        Rejected(
-                            reason="circuit_open",
-                            request_id=request.request_id,
-                            latency_s=request.latency(),
-                        ),
-                        parent_span=request._queue_span,
-                    )
+                    self._refuse(request, "circuit_open")
                 return
             # Per-row validation gate: a malformed spectrum rejects only
             # its own request, never its batchmates.  Rows validated at
@@ -895,23 +858,12 @@ class AnalysisService:
                     valid.append((request, request.data))
                     continue
                 try:
-                    data = self._validate(request.data)
+                    valid.append((request, self._validate(request.data)))
                 except ValidationError as error:
-                    self._finish(
-                        request,
-                        Rejected(
-                            reason="invalid_input",
-                            request_id=request.request_id,
-                            latency_s=request.latency(),
-                            detail={"error": str(error)},
-                        ),
-                        parent_span=request._queue_span,
-                    )
-                else:
-                    valid.append((request, data))
+                    self._refuse(request, "invalid_input", error=str(error))
             if not valid:
-                # Bad input is the callers' fault; release the breaker's
-                # half-open probe slot exactly as the single path does.
+                # Bad input is the callers' fault, not the backend's: a
+                # success, which also releases a half-open probe slot.
                 self.breaker.record_success()
                 return
             batch_span = self.tracer.start_span(
@@ -922,196 +874,157 @@ class AnalysisService:
                     "first_request_id": valid[0][0].request_id,
                 },
             )
-            matrix = np.stack([data for _, data in valid])
-            started = float(self.clock())
-            assessment = None
             try:
-                if self.uncertainty is not None:
-                    assessment = self._assess(
-                        matrix, batch_span, valid[0][0].request_id
-                    )
-                    values = np.asarray(assessment.mean, dtype=np.float64)
-                else:
-                    values = np.asarray(
-                        self._call_batch_analyzer(matrix), dtype=np.float64
-                    )
-                if values.shape[0] != len(valid):
-                    raise RuntimeError(
-                        f"batch analyzer returned {values.shape[0]} rows "
-                        f"for {len(valid)} inputs"
-                    )
+                values, seconds, assessment = self._call_backend(
+                    valid, batch_span
+                )
             except Exception as error:
-                batch_span.set_attribute("fallback", True)
+                batch_span.set_attribute("fallback", len(valid) > 1)
                 batch_span.end(status=f"error: {type(error).__name__}")
-                self._batch_fallback(valid, error)
-                return
-            elapsed = float(self.clock()) - started
-            per_request_s = elapsed / len(valid)
-            self._b_batches.inc()
-            self._b_batch_size.observe(len(valid))
-            finite_rows = np.isfinite(values.reshape(len(valid), -1)).all(
-                axis=1
-            )
-            # The batch is the breaker's unit of work.  A backend that
-            # answered with at least one finite row is alive; one that
-            # raised or returned nothing finite counts as a failure.
-            if finite_rows.any():
-                self.breaker.record_success()
-            else:
-                self.breaker.record_failure()
-            batch_span.set_attribute("analyzer_seconds", elapsed)
-            batch_span.end()
-            end = float(self.clock())
-            for index, (request, _) in enumerate(valid):
-                if not finite_rows[index]:
-                    self._finish(
-                        request,
-                        Rejected(
-                            reason="nonfinite_output",
-                            request_id=request.request_id,
-                            latency_s=request.latency(),
-                        ),
-                        parent_span=request._queue_span,
-                    )
-                elif end >= request.deadline_at:
-                    # Correct but too late — never a deadline-violating
-                    # answer.
-                    self._finish(
-                        request,
-                        Rejected(
-                            reason="deadline_exceeded",
-                            request_id=request.request_id,
-                            latency_s=request.latency(),
-                            detail={"analyzer_seconds": per_request_s},
-                        ),
-                        parent_span=request._queue_span,
-                    )
-                elif assessment is not None and assessment.abstain[index]:
-                    # Per-row abstention: one OOD spectrum refuses only
-                    # itself, never its batchmates.
-                    self._finish(
-                        request,
-                        self._abstained(request, assessment, index),
-                        parent_span=request._queue_span,
-                    )
+                if len(valid) > 1:
+                    results, answered = self._batch_fallback(valid, error)
                 else:
-                    self._finish(
-                        request,
-                        Completed(
-                            value=values[index].copy(),
-                            request_id=request.request_id,
-                            analyzer_seconds=per_request_s,
-                            latency_s=request.latency(),
-                        ),
-                        parent_span=request._queue_span,
-                    )
+                    # A lone row has no batchmates to protect; retrying
+                    # it would only call a failing backend twice.
+                    request = valid[0][0]
+                    results = [(request, self._analyzer_error(request, error))]
+                    answered = False
+            else:
+                if self.batching is not None:  # stats()["batching"] only
+                    self._b_batch_size.observe(len(valid))
+                batch_span.set_attribute("analyzer_seconds", sum(seconds))
+                batch_span.end()
+                results, answered = self._row_results(
+                    valid, values, seconds, assessment
+                )
+            self._resolve(results, answered)
         finally:
             self._b_inflight.dec()
 
-    def _batch_fallback(self, valid, batch_error: Exception) -> None:
-        """Single-row retries after a failed batch call.
+    def _call_backend(self, rows, span):
+        """One backend call over validated ``(request, data)`` rows.
+
+        Returns ``(values, seconds, assessment)``: the answers, one row
+        per input; each row's analyzer seconds; and the uncertainty
+        gate's assessment, or ``None`` when ungated.  Without a batched
+        backend the single-request analyzer runs once per row on that
+        row alone — the bytes it would return unbatched — and a
+        ``(value, seconds)`` analyzer's own timing is kept per row.
+        """
+        gate = self.uncertainty
+        batch_analyzer = self.batch_analyzer
+        if gate is None and batch_analyzer is None:
+            analyzer = self.analyzer
+            answers, seconds = [], []
+            for _, data in rows:
+                started = float(self.clock())
+                value = analyzer(data)
+                if isinstance(value, tuple) and len(value) == 2:
+                    value, reported = value
+                    seconds.append(float(reported))
+                else:
+                    seconds.append(float(self.clock()) - started)
+                answers.append(value)
+            return np.array(answers, dtype=np.float64), seconds, None
+        matrix = np.array([data for _, data in rows])
+        started = float(self.clock())
+        assessment = None
+        if gate is not None:
+            assessment = self._assess(
+                gate, matrix, span, rows[0][0].request_id
+            )
+            values = np.asarray(assessment.mean, dtype=np.float64)
+        else:
+            values = np.asarray(batch_analyzer(matrix), dtype=np.float64)
+        if values.shape[0] != len(rows):
+            raise RuntimeError(
+                f"batch analyzer returned {values.shape[0]} rows "
+                f"for {len(rows)} inputs"
+            )
+        share = (float(self.clock()) - started) / len(rows)
+        return values, [share] * len(rows), assessment
+
+    def _row_results(self, rows, values, seconds, assessment):
+        """Each dispatched row's terminal result, by :func:`row_outcome`.
+
+        Returns ``(results, answered)``: ``(request, result)`` pairs and
+        whether any row came back finite and within its deadline.
+        """
+        now = float(self.clock())
+        all_finite = bool(np.isfinite(values).all())
+        results, answered = [], False
+        for index, (request, _) in enumerate(rows):
+            outcome = row_outcome(
+                all_finite or bool(np.isfinite(values[index]).all()),
+                now >= request.deadline_at,
+                assessment is not None and bool(assessment.abstain[index]),
+            )
+            answered = answered or outcome in _ANSWERED
+            if outcome == "completed":
+                result = Completed(
+                    value=values[index].copy(),
+                    request_id=request.request_id,
+                    analyzer_seconds=seconds[index],
+                    latency_s=request.latency(),
+                )
+            elif outcome == "abstained":
+                result = self._abstained(request, assessment, index)
+            else:
+                result = Rejected(
+                    reason=outcome,
+                    request_id=request.request_id,
+                    latency_s=request.latency(),
+                    detail={"analyzer_seconds": seconds[index]},
+                )
+            results.append((request, result))
+        return results, answered
+
+    def _batch_fallback(self, valid, batch_error: Exception):
+        """Single-row retries after a failed multi-row batch call.
 
         One poisoned request must not take down its batchmates: each row
-        is retried alone (through the same batch analyzer, so answers
-        stay byte-identical) and only its own failure rejects it.  The
-        breaker records one outcome for the whole episode — success if
-        any row came back, failure if the backend refused them all.
+        is retried alone (through the same backend, so answers stay
+        byte-identical) and only its own failure rejects it.  Returns
+        ``(results, answered)`` for the whole episode, which the breaker
+        records as one dispatch.
         """
-        any_ok = False
-        for request, data in valid:
+        results, answered = [], False
+        for row in valid:
+            request = row[0]
             if request.resolved:
                 continue
-            started = float(self.clock())
-            assessment = None
             try:
-                if self.uncertainty is not None:
-                    assessment = self._assess(
-                        data[np.newaxis, :],
-                        request._queue_span,
-                        request.request_id,
-                    )
-                    row = np.asarray(assessment.mean[0], dtype=np.float64)
-                else:
-                    row = np.asarray(
-                        self._call_batch_analyzer(data[np.newaxis, ...])[0],
-                        dtype=np.float64,
-                    )
+                values, seconds, assessment = self._call_backend(
+                    [row], request._queue_span
+                )
             except Exception as error:
-                self._finish(
+                results.append((
                     request,
-                    Rejected(
-                        reason="analyzer_error",
-                        request_id=request.request_id,
-                        latency_s=request.latency(),
-                        detail={
-                            "error": f"{type(error).__name__}: {error}",
-                            "batch_error": (
-                                f"{type(batch_error).__name__}: {batch_error}"
-                            ),
-                        },
-                    ),
-                    parent_span=request._queue_span,
-                )
+                    self._analyzer_error(request, error, batch_error),
+                ))
                 continue
-            seconds = float(self.clock()) - started
-            if not np.isfinite(row).all():
-                self._finish(
-                    request,
-                    Rejected(
-                        reason="nonfinite_output",
-                        request_id=request.request_id,
-                        latency_s=request.latency(),
-                    ),
-                    parent_span=request._queue_span,
-                )
-                continue
-            any_ok = True
-            if float(self.clock()) >= request.deadline_at:
-                self._finish(
-                    request,
-                    Rejected(
-                        reason="deadline_exceeded",
-                        request_id=request.request_id,
-                        latency_s=request.latency(),
-                        detail={"analyzer_seconds": seconds},
-                    ),
-                    parent_span=request._queue_span,
-                )
-                continue
-            if assessment is not None and assessment.abstain[0]:
-                self._finish(
-                    request,
-                    self._abstained(request, assessment, 0),
-                    parent_span=request._queue_span,
-                )
-                continue
-            self._finish(
-                request,
-                Completed(
-                    value=row.copy(),
-                    request_id=request.request_id,
-                    analyzer_seconds=seconds,
-                    latency_s=request.latency(),
-                ),
-                parent_span=request._queue_span,
+            row_results, row_answered = self._row_results(
+                [row], values, seconds, assessment
             )
-        if any_ok:
+            results.extend(row_results)
+            answered = answered or row_answered
+        return results, answered
+
+    def _resolve(self, results, answered: bool) -> None:
+        """Record one dispatch with the breaker, then resolve its rows.
+
+        The dispatch is the breaker's unit of work: healthy iff at least
+        one row came back finite and within its deadline, so a backend
+        that raises, answers non-finite, or is chronically slow trips it
+        alike.  Recording before any caller is released keeps the
+        breaker current for whatever that caller submits next.
+        """
+        if answered:
             self.breaker.record_success()
         else:
             self.breaker.record_failure()
-
-    def _call_batch_analyzer(self, matrix: np.ndarray):
-        """Dispatch one (n, features) matrix to the batched backend."""
-        if self.batch_analyzer is not None:
-            return self.batch_analyzer(matrix)
-        # No batched backend given: map the single-request analyzer.
-        rows = []
-        for row in matrix:
-            value = self.analyzer(row)
-            if isinstance(value, tuple) and len(value) == 2:
-                value = value[0]
-            rows.append(np.asarray(value, dtype=np.float64))
-        return np.stack(rows)
+        for request, result in results:
+            self._finish(request, result, parent_span=request._queue_span)
 
     # -- brownout ----------------------------------------------------------
 
@@ -1151,166 +1064,14 @@ class AnalysisService:
         )
         span.end()
 
-    def _handle(self, request: PendingRequest) -> None:
-        self._b_queue_depth.dec()
-        queue_span = request._queue_span
-        if queue_span is not None:
-            queue_span.end()
-        if request.resolved:  # caller gave up while we were queued
-            return
-        if self.governor is not None:
-            self._observe_governor()
-        self._b_inflight.inc()
-        try:
-            self._handle_admitted(request, queue_span)
-        finally:
-            self._b_inflight.dec()
-
-    def _handle_admitted(self, request: PendingRequest, queue_span) -> None:
-        now = float(self.clock())
-        if now >= request.deadline_at:
-            self._finish(
-                request,
-                Rejected(
-                    reason="deadline_expired_in_queue",
-                    request_id=request.request_id,
-                    latency_s=request.latency(),
-                ),
-                parent_span=queue_span,
-            )
-            return
-        if not self.breaker.allow():
-            self._finish(
-                request,
-                Rejected(
-                    reason="circuit_open",
-                    request_id=request.request_id,
-                    latency_s=request.latency(),
-                ),
-                parent_span=queue_span,
-            )
-            return
-        analyze_span = self.tracer.start_span(
-            "serving.analyze",
-            parent=queue_span,
-            attributes={"request_id": request.request_id},
-        )
-        try:
-            data = (
-                request.data if request.prevalidated
-                else self._validate(request.data)
-            )
-        except ValidationError as error:
-            # Bad input is the caller's fault, not the analyzer's: it must
-            # not push the breaker toward open.
-            self.breaker.record_success()
-            analyze_span.end(status="error: invalid_input")
-            self._finish(
-                request,
-                Rejected(
-                    reason="invalid_input",
-                    request_id=request.request_id,
-                    latency_s=request.latency(),
-                    detail={"error": str(error)},
-                ),
-                parent_span=analyze_span,
-            )
-            return
-        started = float(self.clock())
-        assessment = None
-        try:
-            if self.uncertainty is not None:
-                assessment = self._assess(
-                    data[np.newaxis, :], analyze_span, request.request_id
-                )
-                value = assessment.mean[0]
-                analyzer_seconds = float(self.clock()) - started
-            else:
-                value, analyzer_seconds = self._call_analyzer(data, started)
-        except Exception as error:
-            self.breaker.record_failure()
-            analyze_span.end(status=f"error: {type(error).__name__}")
-            self._finish(
-                request,
-                Rejected(
-                    reason="analyzer_error",
-                    request_id=request.request_id,
-                    latency_s=request.latency(),
-                    detail={"error": f"{type(error).__name__}: {error}"},
-                ),
-                parent_span=analyze_span,
-            )
-            return
-        analyze_span.set_attribute("analyzer_seconds", analyzer_seconds)
-        value = np.asarray(value, dtype=np.float64)
-        if not np.isfinite(value).all():
-            self.breaker.record_failure()
-            analyze_span.end(status="error: nonfinite_output")
-            self._finish(
-                request,
-                Rejected(
-                    reason="nonfinite_output",
-                    request_id=request.request_id,
-                    latency_s=request.latency(),
-                ),
-                parent_span=analyze_span,
-            )
-            return
-        if float(self.clock()) >= request.deadline_at:
-            # Correct but too late; a chronically slow backend should trip
-            # the breaker just like a failing one.
-            self.breaker.record_failure()
-            analyze_span.end(status="error: deadline_exceeded")
-            self._finish(
-                request,
-                Rejected(
-                    reason="deadline_exceeded",
-                    request_id=request.request_id,
-                    latency_s=request.latency(),
-                    detail={"analyzer_seconds": analyzer_seconds},
-                ),
-                parent_span=analyze_span,
-            )
-            return
-        # The backend answered with something finite and in budget: a
-        # healthy episode for the breaker even if the gate now abstains —
-        # abstention is the *gate* distrusting the answer, not the
-        # backend failing to produce one.
-        self.breaker.record_success()
-        if assessment is not None and assessment.abstain[0]:
-            analyze_span.set_attribute("outcome", "abstained")
-            analyze_span.end()
-            self._finish(
-                request,
-                self._abstained(request, assessment, 0),
-                parent_span=analyze_span,
-            )
-            return
-        analyze_span.end()
-        self._finish(
-            request,
-            Completed(
-                value=value,
-                request_id=request.request_id,
-                analyzer_seconds=analyzer_seconds,
-                latency_s=request.latency(),
-            ),
-            parent_span=analyze_span,
-        )
-
     def _validate(self, data) -> np.ndarray:
         if self.validator is not None:
             return self.validator(data)
         return validate_spectrum(data, length=self.expected_length)
 
-    def _call_analyzer(self, data: np.ndarray, started: float):
-        result = self.analyzer(data)
-        if isinstance(result, tuple) and len(result) == 2:
-            return result[0], float(result[1])
-        return result, float(self.clock()) - started
-
-    def _assess(self, matrix: np.ndarray, parent_span, first_request_id: int):
-        """Run the uncertainty gate under its own span."""
+    def _assess(self, gate, matrix: np.ndarray, parent_span,
+                first_request_id: int):
+        """Run the uncertainty ``gate`` under its own span."""
         span = self.tracer.start_span(
             "serving.uncertainty",
             parent=parent_span,
@@ -1321,7 +1082,7 @@ class AnalysisService:
             },
         )
         try:
-            assessment = self.uncertainty.assess(matrix)
+            assessment = gate.assess(matrix)
         except Exception as error:
             span.end(status=f"error: {type(error).__name__}")
             raise
@@ -1343,6 +1104,41 @@ class AnalysisService:
         )
 
     # -- bookkeeping -------------------------------------------------------
+
+    def _analyzer_error(self, request: PendingRequest, error: Exception,
+                        batch_error: Optional[Exception] = None) -> Rejected:
+        """The ``Rejected`` for a row the backend raised on."""
+        detail = {"error": f"{type(error).__name__}: {error}"}
+        if batch_error is not None:
+            detail["batch_error"] = (
+                f"{type(batch_error).__name__}: {batch_error}"
+            )
+        return Rejected(
+            reason="analyzer_error",
+            request_id=request.request_id,
+            latency_s=request.latency(),
+            detail=detail,
+        )
+
+    def _refuse(self, request: PendingRequest, reason: str, **detail) -> None:
+        """Resolve a dequeued request as ``Rejected(reason)``.
+
+        Ends its queue span first (a no-op once the drain has ended it)
+        and parents the resolve span on it, keeping the trace chain.
+        """
+        queue_span = request._queue_span
+        if queue_span is not None:
+            queue_span.end(status=f"error: {reason}")
+        self._finish(
+            request,
+            Rejected(
+                reason=reason,
+                request_id=request.request_id,
+                latency_s=request.latency(),
+                detail=detail,
+            ),
+            parent_span=queue_span,
+        )
 
     def _finish(self, request: PendingRequest, result, parent_span=None) -> None:
         """Resolve under a ``serving.resolve`` span closing the trace chain."""

@@ -1,5 +1,8 @@
 """Unit tests for the engine: scratch reuse, workspace cache, contracts."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,34 @@ class TestCorrectness:
         _, plan, x = setup
         with pytest.raises(ValueError, match="batch_size"):
             InferenceEngine(plan).predict(x, batch_size=0)
+
+    def test_concurrent_callers_get_their_own_rows(self, setup):
+        """Threads sharing one engine (a multi-worker service) share its
+        scratch; no caller may get another caller's rows back."""
+        _, plan, x = setup
+        engine = InferenceEngine(plan)
+        expected = [engine.predict(x[i:i + 4]) for i in range(0, 32, 4)]
+        mismatches = []
+
+        def caller(i):
+            for _ in range(50):
+                out = engine.predict(x[4 * i:4 * i + 4])
+                if not np.array_equal(out, expected[i]):
+                    mismatches.append(i)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not mismatches
 
 
 class TestScratchReuse:

@@ -7,14 +7,31 @@ import numpy as np
 import pytest
 
 from repro.serving import (
+    Abstained,
     AnalysisService,
+    BatchingPolicy,
+    BrownoutGovernor,
     CircuitBreaker,
     Completed,
     Rejected,
 )
 from repro.serving.circuit import CLOSED, OPEN
+from repro.serving.service import row_outcome
+from repro.uncertainty import (
+    AbstentionPolicy,
+    ConformalCalibrator,
+    UncertaintyGate,
+    UncertainPrediction,
+)
 
 LENGTH = 8
+
+# Both drain modes: an unbatched service serves batches of one.
+BOTH_MODES = pytest.mark.parametrize(
+    "batching",
+    [None, BatchingPolicy(max_batch=4)],
+    ids=["unbatched", "batched"],
+)
 
 
 def _spectrum(value=1.0):
@@ -65,11 +82,14 @@ class TestHappyPath:
         assert result.latency_s >= 0.0
         assert np.isfinite(result.value).all()
 
-    def test_tuple_protocol_analyzer(self):
+    @BOTH_MODES
+    def test_tuple_protocol_analyzer(self, batching):
         def timed(data):
             return data + 1.0, 0.25
 
-        with AnalysisService(timed, expected_length=LENGTH) as service:
+        with AnalysisService(
+            timed, expected_length=LENGTH, batching=batching
+        ) as service:
             result = service.analyze(_spectrum())
         assert result.ok
         assert result.analyzer_seconds == 0.25
@@ -326,6 +346,152 @@ class TestCircuitIntegration:
             assert result.ok
             assert breaker.state == CLOSED
             assert service.analyze(_spectrum()).ok
+
+
+class _FakeClock:
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+
+class _RecordingBreaker(CircuitBreaker):
+    """A breaker that never opens and logs every outcome it is told."""
+
+    def __init__(self):
+        super().__init__(failure_threshold=100)
+        self.records = []
+
+    def record_success(self):
+        self.records.append("success")
+        super().record_success()
+
+    def record_failure(self):
+        self.records.append("failure")
+        super().record_failure()
+
+
+class _DoublingPredictor:
+    def predict(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        return UncertainPrediction(mean=x * 2.0, std=np.ones_like(x))
+
+
+def _uncalibrated_gate():
+    """A gate with no calibration data: it abstains on every row."""
+    return UncertaintyGate(
+        _DoublingPredictor(),
+        ConformalCalibrator(),
+        policy=AbstentionPolicy(max_width=1.0),
+    )
+
+
+class _WorkerFaultGovernor(BrownoutGovernor):
+    """Samples normally at admission, raises on the worker side."""
+
+    def maybe_observe(self, *args, **kwargs):
+        if threading.current_thread().name.startswith("analysis-worker"):
+            raise RuntimeError("governor fault")
+        return super().maybe_observe(*args, **kwargs)
+
+
+class TestOnePipeline:
+    """One drain for every service: contracts hold alike in both modes."""
+
+    @pytest.mark.parametrize("finite, late, abstain, expected", [
+        (False, False, False, "nonfinite_output"),
+        (False, True, False, "nonfinite_output"),
+        (False, True, True, "nonfinite_output"),
+        (True, True, False, "deadline_exceeded"),
+        (True, True, True, "deadline_exceeded"),
+        (True, False, True, "abstained"),
+        (True, False, False, "completed"),
+    ])
+    def test_row_outcome_precedence(self, finite, late, abstain, expected):
+        assert row_outcome(finite, late, abstain) == expected
+
+    @BOTH_MODES
+    @pytest.mark.parametrize("case, outcome, record", [
+        ("invalid", "invalid_input", "success"),
+        ("analyzer_error", "analyzer_error", "failure"),
+        ("nonfinite", "nonfinite_output", "failure"),
+        ("late", "deadline_exceeded", "failure"),
+        ("abstained", "abstained", "success"),
+        ("ok", "completed", "success"),
+    ])
+    def test_breaker_records_one_outcome_per_dispatch(
+        self, batching, case, outcome, record
+    ):
+        """A dispatch is healthy iff a row came back finite and in time;
+        a dispatch of only invalid rows never reached the backend."""
+        clock = _FakeClock()
+
+        def analyzer(data):
+            if case == "analyzer_error":
+                raise RuntimeError("backend down")
+            if case == "nonfinite":
+                return np.full(LENGTH, np.nan)
+            if case == "late":
+                clock.now += 10.0  # correct, but past the 1 s deadline
+            return data * 2.0
+
+        breaker = _RecordingBreaker()
+        service = AnalysisService(
+            analyzer,
+            expected_length=LENGTH,
+            breaker=breaker,
+            clock=clock,
+            batching=batching,
+            uncertainty=_uncalibrated_gate() if case == "abstained" else None,
+        )
+        payload = np.full(LENGTH, np.nan) if case == "invalid" else _spectrum()
+        with service:
+            result = service.submit(payload).result(timeout=5.0)
+        if result.ok:
+            label = "completed"
+        elif isinstance(result, Abstained):
+            label = "abstained"
+        else:
+            label = result.reason
+        assert label == outcome
+        assert breaker.records == [record]
+
+    def test_lone_failing_request_calls_the_backend_once(self):
+        calls = []
+
+        def failing(matrix):
+            calls.append(len(matrix))
+            raise RuntimeError("backend down")
+
+        with AnalysisService(
+            _double,
+            expected_length=LENGTH,
+            batching=BatchingPolicy(max_batch=4, max_wait_s=0.001),
+            batch_analyzer=failing,
+        ) as service:
+            result = service.analyze(_spectrum())
+        assert result.reason == "analyzer_error"
+        assert calls == [1]
+
+    @BOTH_MODES
+    def test_worker_side_fault_refuses_promptly(self, batching):
+        """A defence failing on the worker must refuse what the worker
+        dequeued at once, not strand it until the caller times out."""
+        with AnalysisService(
+            _double,
+            expected_length=LENGTH,
+            batching=batching,
+            governor=_WorkerFaultGovernor(sample_interval_s=0.0),
+        ) as service:
+            for _ in range(2):  # the worker survives the first fault
+                started = time.monotonic()
+                result = service.submit(_spectrum(), deadline_s=1.0).result(
+                    timeout=3.0
+                )
+                assert time.monotonic() - started < 0.5
+                assert result.reason == "internal_error"
+                assert "governor fault" in result.detail["error"]
 
 
 class TestAdaptationHooks:

@@ -24,9 +24,9 @@ def make_service(analyzer=None, **kwargs):
 
 
 class TestTraceChain:
-    def test_completed_request_links_all_four_spans(self):
+    def test_completed_request_links_its_three_spans(self):
         """Acceptance: one served request's trace links
-        submit → queue → analyze → resolve."""
+        submit → queue → resolve; its dispatch is a serving.batch span."""
         tracer = Tracer()
         service = make_service(tracer=tracer)
         with service:
@@ -37,23 +37,25 @@ class TestTraceChain:
 
         spans = tracer.trace(request.trace_id)
         assert [s.name for s in spans] == [
-            "serving.submit", "serving.queue",
-            "serving.analyze", "serving.resolve",
+            "serving.submit", "serving.queue", "serving.resolve",
         ]
         by_name = {s.name: s for s in spans}
         # One shared trace, each span parented on the previous link.
         assert by_name["serving.submit"].parent_id is None
         assert (by_name["serving.queue"].parent_id
                 == by_name["serving.submit"].span_id)
-        assert (by_name["serving.analyze"].parent_id
-                == by_name["serving.queue"].span_id)
         assert (by_name["serving.resolve"].parent_id
-                == by_name["serving.analyze"].span_id)
+                == by_name["serving.queue"].span_id)
         for span in spans:
             assert span.ended
             assert span.status == "ok"
         assert by_name["serving.resolve"].attributes["outcome"] == "completed"
-        assert "analyzer_seconds" in by_name["serving.analyze"].attributes
+        batches = [s for s in tracer.finished_spans()
+                   if s.name == "serving.batch"]
+        assert len(batches) == 1
+        assert batches[0].attributes["batch_size"] == 1
+        assert batches[0].attributes["first_request_id"] == request.request_id
+        assert "analyzer_seconds" in batches[0].attributes
 
     def test_rejected_request_trace_marks_the_failed_stage(self):
         tracer = Tracer()
@@ -62,9 +64,14 @@ class TestTraceChain:
             request = service.submit(np.ones(LENGTH + 3))  # wrong length
             result = request.result(timeout=5.0)
         assert not result.ok
-        spans = {s.name: s for s in tracer.trace(request.trace_id)}
-        assert spans["serving.analyze"].status == "error: invalid_input"
-        assert spans["serving.resolve"].attributes["outcome"] == "invalid_input"
+        spans = tracer.trace(request.trace_id)
+        assert [s.name for s in spans] == [
+            "serving.submit", "serving.queue", "serving.resolve",
+        ]
+        assert spans[-1].attributes["outcome"] == "invalid_input"
+        # Refused before dispatch: no backend call was traced.
+        assert not [s for s in tracer.finished_spans()
+                    if s.name == "serving.batch"]
 
     def test_queue_full_trace_ends_at_submit(self):
         tracer = Tracer()
