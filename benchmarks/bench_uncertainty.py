@@ -21,6 +21,7 @@ import pytest
 from repro.adaptation.scenarios import scenario_grid, shifted_ms_simulator
 from repro.compute.cache import ArtifactCache
 from repro.compute.executor import ParallelExecutor
+from repro.ms.simulator import MassSpectrometerSimulator
 from repro.uncertainty import (
     AbstentionPolicy,
     ConformalCalibrator,
@@ -28,7 +29,6 @@ from repro.uncertainty import (
     UncertaintyGate,
     train_ensemble,
 )
-from repro.uncertainty.predictors import _build_simulator
 
 from conftest import print_table, scale, write_results
 
@@ -59,7 +59,9 @@ def rig(tmp_path_factory):
         executor=ParallelExecutor(backend="thread", max_workers=4),
         cache=cache,
     )
-    simulator = _build_simulator(spec)
+    simulator = MassSpectrometerSimulator.from_spec(
+        spec.axis, spec.characteristics
+    )
     n_calibration = scale(192, 1000)
     calibration_x, calibration_y = simulator.generate_dataset(
         spec.compounds, n_calibration, np.random.default_rng(101)

@@ -26,7 +26,6 @@ to pick its recalibration strategy.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -38,9 +37,22 @@ from repro.adaptation.strategies import (
     AdaptationContext,
     adapt,
 )
-from repro.compute.cache import ArtifactCache, canonical_blob
+from repro.compute.cache import (
+    ArtifactCache,
+    derived_seed,
+    get_or_compute,
+    get_or_compute_row,
+)
+from repro.nn.serialization import weights_from_arrays, weights_to_arrays
 
-__all__ = ["MatrixSpec", "MatrixResult", "DriftMatrix", "run_cell"]
+__all__ = [
+    "MatrixSpec",
+    "MatrixResult",
+    "DriftMatrix",
+    "cell_config",
+    "model_config",
+    "run_cell",
+]
 
 
 @dataclass(frozen=True)
@@ -66,6 +78,11 @@ class MatrixSpec:
         for label in ("n_train", "n_small", "n_eval", "epochs"):
             if getattr(self, label) < 1:
                 raise ValueError(f"{label} must be >= 1")
+        if not self.hidden_units or any(u < 1 for u in self.hidden_units):
+            raise ValueError(
+                f"hidden_units must be a non-empty positive unit stack, "
+                f"got {self.hidden_units!r}"
+            )
 
     def as_config(self) -> dict:
         config = dataclasses.asdict(self)
@@ -91,33 +108,39 @@ class MatrixSpec:
         return cls(**config)
 
 
-def _derived_seed(tag: str, *configs: dict) -> int:
-    """A stable 31-bit seed from canonical config content.
-
-    Seeds must depend only on *what* is being generated, never on cell
-    scheduling, so every backend and every resumed run draws the same
-    streams.
-    """
-    blob = canonical_blob({"tag": tag, "configs": list(configs)})
-    return int.from_bytes(hashlib.sha256(blob).digest()[:4], "big") % (2**31)
-
-
-def _build_simulator(spec: MatrixSpec, scenario: Optional[DriftScenario]):
-    from repro.ms.compounds import default_library
-    from repro.ms.instrument import InstrumentCharacteristics
+def _simulator(spec: MatrixSpec, scenario: Optional[DriftScenario]):
+    """The spec's instrument, drifted by ``scenario`` (None = nominal)."""
     from repro.ms.simulator import MassSpectrometerSimulator
-    from repro.ms.spectrum import MzAxis
 
-    characteristics = InstrumentCharacteristics(
-        **(spec.characteristics or {})
+    simulator = MassSpectrometerSimulator.from_spec(
+        spec.axis, spec.characteristics
     )
-    start, stop, step = spec.axis
-    simulator = MassSpectrometerSimulator(
-        characteristics, MzAxis(start, stop, step), default_library()
-    )
-    if scenario is not None and not scenario.is_identity:
-        simulator = shifted_ms_simulator(simulator, scenario)
-    return simulator
+    if scenario is None or scenario.is_identity:
+        return simulator
+    return shifted_ms_simulator(simulator, scenario)
+
+
+def model_config(
+    spec: MatrixSpec, scenario: Optional[DriftScenario]
+) -> dict:
+    """The canonical config one trained model's cached weights are keyed by."""
+    return {
+        "kind": "drift_matrix_model",
+        "spec": spec.as_config(),
+        "scenario": scenario.as_config() if scenario is not None else None,
+    }
+
+
+def cell_config(
+    spec: MatrixSpec, scenario: DriftScenario, strategy: str
+) -> dict:
+    """The canonical config one cell's cached row is keyed by."""
+    return {
+        "kind": "drift_matrix_cell",
+        "spec": spec.as_config(),
+        "scenario": scenario.as_config(),
+        "strategy": strategy,
+    }
 
 
 def _train_model(
@@ -132,30 +155,19 @@ def _train_model(
     are cached as arrays keyed by the full generating config.
     """
     from repro.core.topologies import mlp_topology
+    from repro.ms.spectrum import MzAxis
 
-    scenario_config = scenario.as_config() if scenario is not None else None
-    config = {
-        "kind": "drift_matrix_model",
-        "spec": spec.as_config(),
-        "scenario": scenario_config,
-    }
+    config = model_config(spec, scenario)
     topology = mlp_topology(len(spec.compounds), hidden_units=spec.hidden_units)
-
-    def input_length() -> int:
-        start, stop, step = spec.axis
-        from repro.ms.spectrum import MzAxis
-
-        return MzAxis(start, stop, step).size
+    input_shape = (MzAxis(*spec.axis).size,)
 
     def train() -> List[np.ndarray]:
         from repro.nn.optimizers import Adam
 
-        simulator = _build_simulator(spec, scenario)
-        rng = np.random.default_rng(
-            _derived_seed("train", config)
-        )
+        simulator = _simulator(spec, scenario)
+        rng = np.random.default_rng(derived_seed("train", config))
         x, y = simulator.generate_dataset(spec.compounds, spec.n_train, rng)
-        model = topology.build((input_length(),), seed=spec.seed)
+        model = topology.build(input_shape, seed=spec.seed)
         model.compile(Adam(0.006), "mae")
         model.fit(
             x, y, epochs=spec.epochs, batch_size=64, seed=spec.seed,
@@ -163,18 +175,11 @@ def _train_model(
         )
         return model.get_weights()
 
-    if cache is None:
-        weights = train()
-    else:
-        arrays, _, _ = cache.get_or_create(
-            config,
-            lambda: {
-                f"w{i:04d}": w for i, w in enumerate(train())
-            },
-        )
-        weights = [arrays[k] for k in sorted(arrays)]
-    model = topology.build((input_length(),), seed=spec.seed)
-    model.set_weights(weights)
+    arrays, _, _ = get_or_compute(
+        cache, config, lambda: weights_to_arrays(train())
+    )
+    model = topology.build(input_shape, seed=spec.seed)
+    model.set_weights(weights_from_arrays(arrays))
     return model
 
 
@@ -192,31 +197,26 @@ def run_cell(payload: dict, rng=None) -> dict:
     cache_root = payload.get("cache_root")
     cache = ArtifactCache(cache_root) if cache_root else None
 
-    cell_config = {
-        "kind": "drift_matrix_cell",
-        "spec": spec.as_config(),
-        "scenario": scenario.as_config(),
-        "strategy": strategy,
-    }
+    config = cell_config(spec, scenario, strategy)
 
     def compute() -> dict:
         base_model = _train_model(spec, None, cache)
-        shifted = _build_simulator(spec, scenario)
-        base = _build_simulator(spec, None)
+        shifted = _simulator(spec, scenario)
+        base = _simulator(spec, None)
         eval_rng = np.random.default_rng(
-            _derived_seed("eval", cell_config["spec"], scenario.as_config())
+            derived_seed("eval", config["spec"], config["scenario"])
         )
         eval_x, eval_y = shifted.generate_dataset(
             spec.compounds, spec.n_eval, eval_rng
         )
         small_rng = np.random.default_rng(
-            _derived_seed("small", cell_config["spec"], scenario.as_config())
+            derived_seed("small", config["spec"], config["scenario"])
         )
         small_x, small_y = shifted.generate_dataset(
             spec.compounds, spec.n_small, small_rng
         )
         reference_rng = np.random.default_rng(
-            _derived_seed("reference", cell_config["spec"])
+            derived_seed("reference", config["spec"])
         )
         reference_x, _ = base.generate_dataset(
             spec.compounds, spec.n_small, reference_rng
@@ -248,15 +248,7 @@ def run_cell(payload: dict, rng=None) -> dict:
             "detail": predictor.detail,
         }
 
-    if cache is None:
-        row = compute()
-        row["cache_hit"] = False
-        return row
-    row, key, hit = cache.get_or_create_json(cell_config, compute)
-    row = dict(row)
-    row["cache_key"] = key
-    row["cache_hit"] = bool(hit)
-    return row
+    return get_or_compute_row(cache, config, compute)
 
 
 @dataclass

@@ -304,6 +304,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 def _cmd_uncertainty(args: argparse.Namespace) -> int:
     import numpy as np
 
+    from repro.ms.simulator import MassSpectrometerSimulator
     from repro.uncertainty import (
         AbstentionPolicy,
         ConformalCalibrator,
@@ -311,7 +312,6 @@ def _cmd_uncertainty(args: argparse.Namespace) -> int:
         UncertaintyGate,
         train_ensemble,
     )
-    from repro.uncertainty.predictors import _build_simulator
 
     compounds = tuple(c for c in args.compounds.split(",") if c)
     spec = EnsembleSpec(
@@ -324,7 +324,9 @@ def _cmd_uncertainty(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     predictor = train_ensemble(spec)
-    simulator = _build_simulator(spec)
+    simulator = MassSpectrometerSimulator.from_spec(
+        spec.axis, spec.characteristics
+    )
     cal_x, cal_y = simulator.generate_dataset(
         compounds, max(64, args.n // 4), np.random.default_rng(args.seed + 1)
     )

@@ -22,6 +22,9 @@ Guarantees:
   entry just written.
 * **Observability** — hit/miss/eviction/corrupt counters and a byte-size
   gauge on the global registry, mirrored in per-instance :meth:`stats`.
+
+Seeded cells draw every stream from :func:`derived_seed` and cache through
+:func:`get_or_compute` / :func:`get_or_compute_row` (``cache=None`` computes).
 """
 
 from __future__ import annotations
@@ -44,7 +47,10 @@ from repro.storage.integrity import (
     wrap,
 )
 
-__all__ = ["CACHE_FORMAT_VERSION", "canonical_blob", "canonical_key", "ArtifactCache"]
+__all__ = [
+    "CACHE_FORMAT_VERSION", "canonical_blob", "canonical_key", "derived_seed",
+    "ArtifactCache", "get_or_compute", "get_or_compute_row",
+]
 
 # Bump when the on-disk entry layout (not the envelope) changes; part of
 # the key, so old-format entries simply miss instead of misparsing.
@@ -86,6 +92,17 @@ def canonical_blob(config: Mapping) -> bytes:
 def canonical_key(config: Mapping) -> str:
     """SHA-256 hex digest of the canonical config blob."""
     return hashlib.sha256(canonical_blob(config)).hexdigest()
+
+
+def derived_seed(tag: str, *configs: Mapping) -> int:
+    """A stable 31-bit seed from canonical config content.
+
+    Seeds depend only on *what* is generated, never on scheduling, so
+    every backend and every resumed run draws identical streams; ``tag``
+    separates the streams one config feeds (dataset draw, weight init).
+    """
+    blob = canonical_blob({"tag": tag, "configs": list(configs)})
+    return int.from_bytes(hashlib.sha256(blob).digest()[:4], "big") % (2**31)
 
 
 class ArtifactCache:
@@ -354,6 +371,37 @@ class ArtifactCache:
             total -= stat.st_size
             self.evictions += 1
             self._m_evictions.inc()
+
+
+def get_or_compute(
+    cache: Optional[ArtifactCache],
+    config: Mapping,
+    producer: Callable[[], Mapping[str, np.ndarray]],
+) -> Tuple[Dict[str, np.ndarray], str, bool]:
+    """:meth:`ArtifactCache.get_or_create` that also takes no cache.
+
+    ``cache=None`` runs ``producer()`` directly and reports ``hit=False``;
+    the key is the config's canonical key either way.
+    """
+    if cache is None:
+        return dict(producer()), canonical_key(config), False
+    return cache.get_or_create(config, producer)
+
+
+def get_or_compute_row(
+    cache: Optional[ArtifactCache],
+    config: Mapping,
+    producer: Callable[[], dict],
+) -> dict:
+    """One cell's JSON result row, tagged with where it came from.
+
+    The row gains ``cache_hit`` and, when cached, ``cache_key``;
+    ``cache=None`` computes it directly.
+    """
+    if cache is None:
+        return {**producer(), "cache_hit": False}
+    row, key, hit = cache.get_or_create_json(config, producer)
+    return {**row, "cache_key": key, "cache_hit": hit}
 
 
 def _jsonable(config: Mapping) -> dict:

@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.compute.cache import ArtifactCache, canonical_key
+from repro.compute.cache import ArtifactCache, get_or_compute
 
 __all__ = [
     "ms_dataset_config",
@@ -119,10 +119,7 @@ def generate_ms_dataset(
         )
         return {"x": x, "y": y}
 
-    if cache is None:
-        arrays = produce()
-        return arrays["x"], arrays["y"], {"key": canonical_key(config), "hit": False}
-    arrays, key, hit = cache.get_or_create(config, produce)
+    arrays, key, hit = get_or_compute(cache, config, produce)
     return arrays["x"], arrays["y"], {"key": key, "hit": hit}
 
 
@@ -149,8 +146,5 @@ def generate_nmr_dataset(
         )
         return {"x": x, "y": y}
 
-    if cache is None:
-        arrays = produce()
-        return arrays["x"], arrays["y"], {"key": canonical_key(config), "hit": False}
-    arrays, key, hit = cache.get_or_create(config, produce)
+    arrays, key, hit = get_or_compute(cache, config, produce)
     return arrays["x"], arrays["y"], {"key": key, "hit": hit}

@@ -39,6 +39,18 @@ class MassSpectrometerSimulator:
         self.axis = axis
         self.library = library if library is not None else default_library()
 
+    @classmethod
+    def from_spec(
+        cls, axis: Sequence[float], characteristics: Optional[Mapping] = None
+    ) -> "MassSpectrometerSimulator":
+        """The simulator a campaign spec describes: ``axis`` is ``(start,
+        stop, step)``, ``characteristics`` overrides instrument defaults."""
+        start, stop, step = axis
+        return cls(
+            InstrumentCharacteristics(**(characteristics or {})),
+            MzAxis(start, stop, step),
+        )
+
     # -- single-spectrum API -------------------------------------------------
 
     def render(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import json
 import os
-from typing import Dict, Union
+from typing import Dict, List, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -27,6 +27,8 @@ __all__ = [
     "load_model",
     "model_to_dict",
     "model_from_dict",
+    "weights_to_arrays",
+    "weights_from_arrays",
 ]
 
 
@@ -63,6 +65,17 @@ def clone_model(model: Sequential, seed: int = 0) -> Sequential:
     return clone
 
 
+def weights_to_arrays(weights: Sequence[np.ndarray]) -> Dict[str, np.ndarray]:
+    """``{"w0000": w0, ...}``: the one weight encoding of model files,
+    checkpoints and cached cell weights."""
+    return {f"w{i:04d}": weight for i, weight in enumerate(weights)}
+
+
+def weights_from_arrays(arrays: Mapping[str, np.ndarray]) -> List[np.ndarray]:
+    """Inverse of :func:`weights_to_arrays`; other names are skipped."""
+    return [arrays[name] for name in sorted(arrays) if name.startswith("w")]
+
+
 def atomic_savez(
     path: Union[str, os.PathLike],
     arrays: Dict[str, np.ndarray],
@@ -94,8 +107,7 @@ def save_model(model: Sequential, path: Union[str, os.PathLike]) -> str:
     arrays = {"__config__": np.frombuffer(
         json.dumps(model_to_dict(model)).encode("utf-8"), dtype=np.uint8
     )}
-    for i, weight in enumerate(model.get_weights()):
-        arrays[f"w{i:04d}"] = weight
+    arrays.update(weights_to_arrays(model.get_weights()))
     return atomic_savez(path, arrays)
 
 
@@ -103,8 +115,7 @@ def load_model(path: Union[str, os.PathLike]) -> Sequential:
     """Load a model saved by :func:`save_model`."""
     with np.load(os.fspath(path)) as data:
         config = json.loads(bytes(data["__config__"].tobytes()).decode("utf-8"))
-        keys = sorted(k for k in data.files if k.startswith("w"))
-        weights = [data[k] for k in keys]
+        weights = weights_from_arrays(data)
     model = model_from_dict(config)
     model.set_weights(weights)
     return model

@@ -35,13 +35,17 @@ byte-identical to an uninterrupted one.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.compute.cache import ArtifactCache, canonical_blob, canonical_key
+from repro.compute.cache import (
+    ArtifactCache,
+    canonical_key,
+    derived_seed,
+    get_or_compute_row,
+)
 from repro.compute.datasets import generate_ms_dataset
 
 __all__ = [
@@ -202,39 +206,16 @@ def cell_config(spec: CampaignSpec, cell: CampaignCell) -> dict:
     }
 
 
-def _derived_seed(tag: str, *configs: dict) -> int:
-    """A stable 31-bit seed from canonical config content.
-
-    Seeds depend only on *what* is generated, never on scheduling, so
-    every backend and every resumed run draws identical streams.
-    """
-    blob = canonical_blob({"tag": tag, "configs": list(configs)})
-    return int.from_bytes(hashlib.sha256(blob).digest()[:4], "big") % (2**31)
-
-
-def _build_simulator(spec: CampaignSpec):
-    from repro.ms.compounds import default_library
-    from repro.ms.instrument import InstrumentCharacteristics
-    from repro.ms.simulator import MassSpectrometerSimulator
-    from repro.ms.spectrum import MzAxis
-
-    characteristics = InstrumentCharacteristics(**(spec.characteristics or {}))
-    start, stop, step = spec.axis
-    return MassSpectrometerSimulator(
-        characteristics, MzAxis(start, stop, step), default_library()
-    )
-
-
 def train_dataset_seed(spec: CampaignSpec, n_train: int) -> int:
     """Seed of the shared training dataset for one sample-size column."""
-    return _derived_seed(
+    return derived_seed(
         "campaign_train", spec.dataset_surface(), {"n": int(n_train)}
     )
 
 
 def eval_dataset_seed(spec: CampaignSpec) -> int:
     """Seed of the single evaluation dataset every cell scores against."""
-    return _derived_seed("campaign_eval", spec.dataset_surface())
+    return derived_seed("campaign_eval", spec.dataset_surface())
 
 
 def campaign_datasets(
@@ -250,7 +231,11 @@ def campaign_datasets(
     the task pipe — and every cell that shares ``n_train`` shares one
     artifact.
     """
-    simulator = _build_simulator(spec)
+    from repro.ms.simulator import MassSpectrometerSimulator
+
+    simulator = MassSpectrometerSimulator.from_spec(
+        spec.axis, spec.characteristics
+    )
     train_x, train_y, train_info = generate_ms_dataset(
         simulator, list(spec.compounds), n_train,
         train_dataset_seed(spec, n_train), cache=cache,
@@ -281,7 +266,6 @@ def run_campaign_cell(payload: dict, rng=None) -> dict:
     )
     cache_root = payload.get("cache_root")
     cache = ArtifactCache(cache_root) if cache_root else None
-    config = cell_config(spec, cell)
 
     def compute() -> dict:
         from repro.core.topologies import mlp_topology
@@ -319,15 +303,7 @@ def run_campaign_cell(payload: dict, rng=None) -> dict:
             "dataset_key": train_info["key"],
         }
 
-    if cache is None:
-        row = compute()
-        row["cache_hit"] = False
-        return row
-    row, key, hit = cache.get_or_create_json(config, compute)
-    row = dict(row)
-    row["cache_key"] = key
-    row["cache_hit"] = bool(hit)
-    return row
+    return get_or_compute_row(cache, cell_config(spec, cell), compute)
 
 
 @dataclass
@@ -376,49 +352,29 @@ class CampaignReport:
         Each point averages the metric over the topology axis, matching
         the paper's per-activation accuracy-vs-training-set-size curves.
         """
-        sizes = list(self.spec.sample_sizes)
-        index = {n: i for i, n in enumerate(sizes)}
-        sums: Dict[str, List[float]] = {}
-        counts: Dict[str, List[int]] = {}
-        for row in self.rows:
-            activation_id = f"{row['activation']}-{row['output_activation']}"
-            if activation_id not in sums:
-                sums[activation_id] = [0.0] * len(sizes)
-                counts[activation_id] = [0] * len(sizes)
-            i = index[int(row["n_train"])]
-            sums[activation_id][i] += float(row[metric])
-            counts[activation_id][i] += 1
-        return {
-            activation_id: [
-                (sums[activation_id][i] / counts[activation_id][i])
-                if counts[activation_id][i] else None
-                for i in range(len(sizes))
-            ]
-            for activation_id in sums
-        }
+        return self._surface(
+            lambda row: f"{row['activation']}-{row['output_activation']}",
+            metric,
+        )
 
     def topology_surface(self, metric: str = "mae") -> Dict[str, List[Optional[float]]]:
         """Fig-6 surface: ``{topology_id: [metric per sample size]}``,
         averaged over the activation axis."""
-        sizes = list(self.spec.sample_sizes)
+        return self._surface(
+            lambda row: "x".join(str(u) for u in row["hidden_units"]), metric
+        )
+
+    def _surface(self, group, metric: str) -> Dict[str, List[Optional[float]]]:
+        """``{group(row): [mean metric per sample size, None if no row]}``."""
+        sizes = self.spec.sample_sizes
         index = {n: i for i, n in enumerate(sizes)}
-        sums: Dict[str, List[float]] = {}
-        counts: Dict[str, List[int]] = {}
+        values: Dict[str, List[List[float]]] = {}
         for row in self.rows:
-            topology_id = "x".join(str(u) for u in row["hidden_units"])
-            if topology_id not in sums:
-                sums[topology_id] = [0.0] * len(sizes)
-                counts[topology_id] = [0] * len(sizes)
-            i = index[int(row["n_train"])]
-            sums[topology_id][i] += float(row[metric])
-            counts[topology_id][i] += 1
+            column = values.setdefault(group(row), [[] for _ in sizes])
+            column[index[int(row["n_train"])]].append(float(row[metric]))
         return {
-            topology_id: [
-                (sums[topology_id][i] / counts[topology_id][i])
-                if counts[topology_id][i] else None
-                for i in range(len(sizes))
-            ]
-            for topology_id in sums
+            name: [sum(cell) / len(cell) if cell else None for cell in column]
+            for name, column in values.items()
         }
 
     def best_cell(self, metric: str = "mae") -> dict:

@@ -29,7 +29,9 @@ import numpy as np
 
 from repro.nn.model import Sequential
 from repro.nn.optimizers import Optimizer, get_optimizer
-from repro.nn.serialization import model_from_dict, model_to_dict
+from repro.nn.serialization import (
+    model_from_dict, model_to_dict, weights_from_arrays, weights_to_arrays,
+)
 from repro.nn.training import Callback
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.runtime import get_registry
@@ -216,8 +218,7 @@ class CheckpointManager:
             "__config__": _json_array(model_to_dict(model)),
             "__state__": _json_array(dict(state or {})),
         }
-        for i, weight in enumerate(model.get_weights()):
-            arrays[f"w{i:04d}"] = weight
+        arrays.update(weights_to_arrays(model.get_weights()))
         if optimizer is not None:
             opt_state = optimizer.get_state()
             arrays["__optimizer__"] = _json_array(
@@ -331,8 +332,7 @@ class CheckpointManager:
         state = (
             _json_load(arrays["__state__"]) if "__state__" in arrays else {}
         )
-        weight_keys = sorted(k for k in arrays if k.startswith("w"))
-        weights = [arrays[k] for k in weight_keys]
+        weights = weights_from_arrays(arrays)
         optimizer = None
         if "__optimizer__" in arrays:
             payload = _json_load(arrays["__optimizer__"])

@@ -28,13 +28,13 @@ resume from cache after an interruption.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.compute.cache import ArtifactCache, canonical_blob
+from repro.compute.cache import ArtifactCache, derived_seed, get_or_compute
+from repro.nn.serialization import weights_from_arrays, weights_to_arrays
 
 __all__ = [
     "UncertainPrediction",
@@ -43,6 +43,7 @@ __all__ = [
     "EnsembleSpec",
     "train_ensemble",
     "train_member",
+    "member_config",
 ]
 
 
@@ -197,9 +198,14 @@ class EnsembleSpec:
             raise ValueError("compounds must be non-empty")
         if self.n_members < 2:
             raise ValueError(f"n_members must be >= 2, got {self.n_members}")
-        for label in ("n_train", "epochs"):
+        for label in ("n_train", "epochs", "batch_size"):
             if getattr(self, label) < 1:
                 raise ValueError(f"{label} must be >= 1")
+        if not self.hidden_units or any(u < 1 for u in self.hidden_units):
+            raise ValueError(
+                f"hidden_units must be a non-empty positive unit stack, "
+                f"got {self.hidden_units!r}"
+            )
 
     def as_config(self) -> dict:
         config = dataclasses.asdict(self)
@@ -223,31 +229,8 @@ class EnsembleSpec:
         return MzAxis(start, stop, step).size
 
 
-def _derived_seed(tag: str, *configs: dict) -> int:
-    """A stable 31-bit seed from canonical config content.
-
-    Seeds must depend only on *what* is being trained, never on task
-    scheduling, so every backend and every resumed run draws the same
-    streams (same rule as :mod:`repro.adaptation.matrix`).
-    """
-    blob = canonical_blob({"tag": tag, "configs": list(configs)})
-    return int.from_bytes(hashlib.sha256(blob).digest()[:4], "big") % (2**31)
-
-
-def _build_simulator(spec: EnsembleSpec):
-    from repro.ms.compounds import default_library
-    from repro.ms.instrument import InstrumentCharacteristics
-    from repro.ms.simulator import MassSpectrometerSimulator
-    from repro.ms.spectrum import MzAxis
-
-    characteristics = InstrumentCharacteristics(**(spec.characteristics or {}))
-    start, stop, step = spec.axis
-    return MassSpectrometerSimulator(
-        characteristics, MzAxis(start, stop, step), default_library()
-    )
-
-
-def _member_config(spec: EnsembleSpec, member: int) -> dict:
+def member_config(spec: EnsembleSpec, member: int) -> dict:
+    """The canonical config one member's cached weights are keyed by."""
     return {
         "kind": "uncertainty_ensemble_member",
         "spec": spec.as_config(),
@@ -265,12 +248,15 @@ def _build_member(spec: EnsembleSpec, member_seed: int):
 
 
 def _train_member_weights(spec: EnsembleSpec, member: int) -> List[np.ndarray]:
+    from repro.ms.simulator import MassSpectrometerSimulator
     from repro.nn.optimizers import Adam
 
-    config = _member_config(spec, member)
-    member_seed = _derived_seed("member", config)
-    simulator = _build_simulator(spec)
-    rng = np.random.default_rng(_derived_seed("dataset", config))
+    config = member_config(spec, member)
+    member_seed = derived_seed("member", config)
+    simulator = MassSpectrometerSimulator.from_spec(
+        spec.axis, spec.characteristics
+    )
+    rng = np.random.default_rng(derived_seed("dataset", config))
     x, y = simulator.generate_dataset(spec.compounds, spec.n_train, rng)
     model = _build_member(spec, member_seed)
     model.compile(Adam(spec.learning_rate), "mae")
@@ -292,24 +278,18 @@ def train_member(payload: dict, rng=None) -> dict:
     spec = EnsembleSpec.from_config(payload["spec"])
     member = int(payload["member"])
     cache_root = payload.get("cache_root")
-    config = _member_config(spec, member)
-    if cache_root is None:
-        weights = _train_member_weights(spec, member)
-        hit = False
-    else:
-        cache = ArtifactCache(cache_root)
-        arrays, _, hit = cache.get_or_create(
-            config,
-            lambda: {
-                f"w{i:04d}": w
-                for i, w in enumerate(_train_member_weights(spec, member))
-            },
-        )
-        weights = [arrays[k] for k in sorted(arrays)]
+    cache = ArtifactCache(cache_root) if cache_root else None
+    arrays, _, hit = get_or_compute(
+        cache,
+        member_config(spec, member),
+        lambda: weights_to_arrays(_train_member_weights(spec, member)),
+    )
     return {
         "member": member,
-        "weights": [np.asarray(w, dtype=np.float64) for w in weights],
-        "cache_hit": bool(hit),
+        "weights": [
+            np.asarray(w, dtype=np.float64) for w in weights_from_arrays(arrays)
+        ],
+        "cache_hit": hit,
     }
 
 
@@ -345,8 +325,8 @@ def train_ensemble(
         )
     members = []
     for outcome in outcomes:
-        config = _member_config(spec, outcome["member"])
-        model = _build_member(spec, _derived_seed("member", config))
+        config = member_config(spec, outcome["member"])
+        model = _build_member(spec, derived_seed("member", config))
         model.set_weights(outcome["weights"])
         members.append(model)
     return EnsemblePredictor(members)

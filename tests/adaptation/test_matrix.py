@@ -40,11 +40,18 @@ class TestSpec:
         )
         assert MatrixSpec.from_config(spec.as_config()) == spec
 
-    def test_validation(self):
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            pytest.param({"compounds": ()}, id="no_compounds"),
+            pytest.param({"n_eval": 0}, id="n_eval_0"),
+            pytest.param({"hidden_units": (0,)}, id="zero_units"),
+            pytest.param({"hidden_units": ()}, id="empty_stack"),
+        ],
+    )
+    def test_validation(self, overrides):
         with pytest.raises(ValueError):
-            MatrixSpec(compounds=())
-        with pytest.raises(ValueError):
-            MatrixSpec(compounds=("H2",), n_eval=0)
+            MatrixSpec(**{"compounds": ("H2",), **overrides})
 
 
 class TestConstruction:

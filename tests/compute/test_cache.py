@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.compute import ArtifactCache, canonical_blob, canonical_key
+from repro.compute.cache import get_or_compute, get_or_compute_row
 from repro.observability.runtime import scoped
 
 
@@ -101,6 +102,42 @@ class TestGetOrCreate:
         _, meta = cache.get(key)
         assert meta["config"] == {"kind": "demo", "n": 4}
         assert meta["source"] == "test"
+
+
+class TestCacheOptional:
+    """``cache=None`` computes directly: same value, ``hit`` False, no files."""
+
+    @pytest.mark.parametrize("cached", [True, False], ids=["cache", "none"])
+    def test_arrays(self, tmp_path, monkeypatch, cached):
+        monkeypatch.chdir(tmp_path)
+        config = {"kind": "demo", "seed": 1}
+        cache = ArtifactCache(tmp_path / "cache") if cached else None
+        first, key1, hit1 = get_or_compute(cache, config, lambda: _arrays(1))
+        second, key2, hit2 = get_or_compute(cache, config, lambda: _arrays(1))
+        assert key1 == key2 == canonical_key(config)
+        assert (hit1, hit2) == (False, cached)
+        for arrays in (first, second):
+            for name, expected in _arrays(1).items():
+                np.testing.assert_array_equal(arrays[name], expected)
+        if not cached:
+            assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cached", [True, False], ids=["cache", "none"])
+    def test_rows(self, tmp_path, monkeypatch, cached):
+        monkeypatch.chdir(tmp_path)
+        config = {"kind": "demo_cell", "n": 3}
+        cache = ArtifactCache(tmp_path / "cache") if cached else None
+        first = get_or_compute_row(cache, config, lambda: {"mae": 0.25, "n": 3})
+        second = get_or_compute_row(cache, config, lambda: {"mae": 0.25, "n": 3})
+        assert (first["cache_hit"], second["cache_hit"]) == (False, cached)
+        for row in (first, second):
+            assert {k: row[k] for k in ("mae", "n")} == {"mae": 0.25, "n": 3}
+        if cached:
+            assert first["cache_key"] == second["cache_key"]
+            assert first["cache_key"] == canonical_key(config)
+        else:
+            assert "cache_key" not in first
+            assert list(tmp_path.iterdir()) == []
 
 
 class TestCorruption:

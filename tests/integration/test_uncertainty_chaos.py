@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.ms.simulator import MassSpectrometerSimulator
 from repro.serving import Abstained, AnalysisService, BatchingPolicy, Completed
 from repro.uncertainty import (
     AbstentionPolicy,
@@ -30,7 +31,6 @@ from repro.uncertainty import (
     MCDropoutPredictor,
     UncertaintyGate,
 )
-from repro.uncertainty.predictors import _build_simulator
 
 SPEC = EnsembleSpec(
     compounds=("H2", "N2"),
@@ -48,7 +48,9 @@ N_NOISE = 24
 
 @pytest.fixture(scope="module")
 def gated_rig():
-    simulator = _build_simulator(SPEC)
+    simulator = MassSpectrometerSimulator.from_spec(
+        SPEC.axis, SPEC.characteristics
+    )
     train_x, train_y = simulator.generate_dataset(
         SPEC.compounds, SPEC.n_train, np.random.default_rng(SPEC.seed)
     )

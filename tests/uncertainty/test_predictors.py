@@ -142,13 +142,20 @@ class TestMCDropoutPredictor:
 
 
 class TestEnsembleSpec:
-    def test_validation(self):
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            pytest.param({"compounds": ()}, id="no_compounds"),
+            pytest.param({"n_members": 1}, id="one_member"),
+            pytest.param({"epochs": 0}, id="epochs_0"),
+            pytest.param({"batch_size": 0}, id="batch_size_0"),
+            pytest.param({"hidden_units": (0,)}, id="zero_units"),
+            pytest.param({"hidden_units": ()}, id="empty_stack"),
+        ],
+    )
+    def test_validation(self, overrides):
         with pytest.raises(ValueError):
-            EnsembleSpec(compounds=())
-        with pytest.raises(ValueError):
-            EnsembleSpec(compounds=("H2",), n_members=1)
-        with pytest.raises(ValueError):
-            EnsembleSpec(compounds=("H2",), epochs=0)
+            EnsembleSpec(**{"compounds": ("H2",), **overrides})
 
     def test_config_round_trip(self):
         assert EnsembleSpec.from_config(SPEC.as_config()) == SPEC
