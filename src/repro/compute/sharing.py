@@ -4,9 +4,10 @@ The profiled failure mode of the old executor was payload transfer: every
 task of a sweep carried its own pickled copy of the training arrays
 through the process pool's pipe, so a 4-topology sweep shipped the same
 spectra four times and the workers spent their warm-up deserializing
-instead of computing (``compute_scaling.json`` recorded a 0.63x
-*slowdown*).  This module replaces the per-task copy with a
-publish-once / map-many protocol:
+instead of computing (the process backend ran at 0.63x the serial
+speed; the ``ms_campaign`` workload of ``benchmarks/e2e`` measures the
+executor's phases as ``compute.*``).  This module replaces the per-task
+copy with a publish-once / map-many protocol:
 
 * :func:`share_array` writes an array once, as a plain ``.npy`` file named
   by the SHA-256 of its bytes (publish is an atomic rename, concurrent
