@@ -22,7 +22,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nmr.lineshapes import pseudo_voigt, pseudo_voigt_with_phase
+from repro.nmr.lineshapes import pseudo_voigt_table
 
 __all__ = [
     "ChemicalShiftAxis",
@@ -123,17 +123,19 @@ class PureComponentModel:
                 f"peak_shifts needs {len(self.peaks)} entries, "
                 f"got {len(peak_shifts)}"
             )
-        grid = axis.values()
+        centers = np.array([peak.center for peak in self.peaks]) + shift
+        if peak_shifts is not None:
+            centers = centers + np.asarray(peak_shifts, dtype=np.float64)
+        table = pseudo_voigt_table(
+            axis.values(),
+            centers,
+            np.array([peak.fwhm for peak in self.peaks]) * broadening,
+            np.array([peak.eta for peak in self.peaks]),
+            np.full(len(self.peaks), float(phase)),
+        )
         out = np.zeros(axis.points)
-        for i, peak in enumerate(self.peaks):
-            extra = peak_shifts[i] if peak_shifts is not None else 0.0
-            out += peak.area * pseudo_voigt_with_phase(
-                grid,
-                peak.center + shift + extra,
-                peak.fwhm * broadening,
-                peak.eta,
-                phase,
-            )
+        for peak, line in zip(self.peaks, table):
+            out += peak.area * line
         return concentration * out
 
     @property

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from repro.nmr.acquisition import VirtualNMRSpectrometer
 from repro.nmr.hard_model import mndpa_reaction_models
@@ -84,11 +85,77 @@ class TestFitting:
         result = IHMAnalysis(MODELS).analyze(MODELS.mixture_spectrum(CONC))
         assert result.elapsed_seconds > 0
         assert result.n_function_evaluations >= 1
+        assert 1 <= result.n_jacobian_evaluations <= result.n_function_evaluations
         assert result.residual_norm >= 0
 
     def test_wrong_length_spectrum_rejected(self):
         with pytest.raises(ValueError, match="expected"):
             IHMAnalysis(MODELS).analyze(np.zeros(100))
+
+
+FREEDOMS = [(True, True), (True, False), (False, True), (False, False)]
+
+
+def _benchtop_spectra(n):
+    """``n`` seeded benchtop spectra at seeded concentrations."""
+    rng = np.random.default_rng(11)
+    spectra = []
+    for seed in range(n):
+        conc = dict(zip(MODELS.names, rng.uniform(0.02, 0.5, size=len(MODELS))))
+        spectrometer = VirtualNMRSpectrometer.benchtop(MODELS, seed=seed)
+        spectra.append(spectrometer.acquire(conc).intensities)
+    return spectra
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("fit_shifts,fit_broadening", FREEDOMS)
+    def test_matches_central_differences(self, fit_shifts, fit_broadening):
+        ihm = IHMAnalysis(
+            MODELS, fit_shifts=fit_shifts, fit_broadening=fit_broadening
+        )
+        data = _benchtop_spectra(1)[0]
+        k = len(MODELS)
+        rng = np.random.default_rng(int(fit_shifts) * 2 + int(fit_broadening))
+        for _ in range(3):
+            parts = [rng.uniform(0.05, 0.5, size=k)]
+            if fit_shifts:
+                parts.append(rng.uniform(-ihm.max_shift, ihm.max_shift, size=k))
+            if fit_broadening:
+                parts.append(rng.uniform(*ihm.broadening_bounds, size=k))
+            x = np.concatenate(parts)
+            analytic = ihm._jacobian(x, data)
+            numeric = np.empty_like(analytic)
+            for i in range(x.size):
+                step = np.zeros_like(x)
+                step[i] = 1e-6 * max(abs(x[i]), 1e-2)
+                numeric[:, i] = (
+                    ihm._residuals(x + step, data) - ihm._residuals(x - step, data)
+                ) / (2.0 * step[i])
+            error = np.abs(analytic - numeric).max(axis=0)
+            assert np.all(error <= 1e-6 * np.abs(numeric).max(axis=0))
+
+    def test_fit_agrees_with_finite_difference_fit(self):
+        ihm = IHMAnalysis(MODELS)
+        k = len(MODELS)
+        lower = np.concatenate(
+            [np.zeros(k), np.full(k, -ihm.max_shift),
+             np.full(k, ihm.broadening_bounds[0])]
+        )
+        upper = np.concatenate(
+            [np.full(k, ihm.max_concentration), np.full(k, ihm.max_shift),
+             np.full(k, ihm.broadening_bounds[1])]
+        )
+        for data in _benchtop_spectra(20):
+            x0 = np.concatenate(
+                [ihm._linear_warm_start(data), np.zeros(k), np.ones(k)]
+            )
+            reference = least_squares(
+                ihm._residuals, x0, jac="2-point", bounds=(lower, upper),
+                args=(data,), method="trf", xtol=1e-10, ftol=1e-10,
+                max_nfev=200,
+            )
+            fitted = ihm.analyze(data).concentration_vector(MODELS.names)
+            np.testing.assert_allclose(fitted, reference.x[:k], rtol=0, atol=1e-5)
 
 
 class TestBatch:

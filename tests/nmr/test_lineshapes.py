@@ -9,6 +9,7 @@ from repro.nmr.lineshapes import (
     gaussian,
     lorentzian,
     pseudo_voigt,
+    pseudo_voigt_table,
     pseudo_voigt_with_phase,
 )
 
@@ -85,6 +86,42 @@ class TestDispersion:
         y0 = pseudo_voigt_with_phase(grid, 0.0, 1.0, 1.0, 0.0)
         y1 = pseudo_voigt_with_phase(grid, 0.0, 1.0, 1.0, 0.5)
         assert y1.max() < y0.max()
+
+
+class TestTable:
+    GRID = np.linspace(-1.0, 1.0, 401)
+    CENTERS = np.array([-0.2, 0.05, 0.3])
+    FWHMS = np.array([0.1, 0.25, 0.06])
+
+    @pytest.mark.parametrize("eta", [0.0, 0.7, 1.0, np.array([0.0, 0.5, 1.0])])
+    def test_rows_match_single_lines(self, eta):
+        phases = np.array([0.0, 0.2, -0.1])
+        table = pseudo_voigt_table(self.GRID, self.CENTERS, self.FWHMS, eta, phases)
+        etas = np.broadcast_to(eta, self.CENTERS.shape)
+        for row, c, w, e, p in zip(table, self.CENTERS, self.FWHMS, etas, phases):
+            np.testing.assert_array_equal(
+                row, pseudo_voigt_with_phase(self.GRID, c, w, e, p)
+            )
+
+    @pytest.mark.parametrize("eta", [0.0, 0.7, 1.0, np.array([0.0, 0.5, 1.0])])
+    @pytest.mark.parametrize("phases", [None, np.array([0.3, -0.2, 0.1])])
+    def test_derivatives_match_central_differences(self, eta, phases):
+        table, d_center, d_fwhm = pseudo_voigt_table(
+            self.GRID, self.CENTERS, self.FWHMS, eta, phases, derivatives=True
+        )
+        np.testing.assert_array_equal(
+            table, pseudo_voigt_table(self.GRID, self.CENTERS, self.FWHMS, eta, phases)
+        )
+        h = 1e-7
+        for analytic, centers, fwhms in (
+            (d_center, (self.CENTERS + h, self.CENTERS - h), (self.FWHMS,) * 2),
+            (d_fwhm, (self.CENTERS,) * 2, (self.FWHMS + h, self.FWHMS - h)),
+        ):
+            plus = pseudo_voigt_table(self.GRID, centers[0], fwhms[0], eta, phases)
+            minus = pseudo_voigt_table(self.GRID, centers[1], fwhms[1], eta, phases)
+            numeric = (plus - minus) / (2.0 * h)
+            scale = np.abs(numeric).max(axis=1, keepdims=True)
+            assert np.all(np.abs(analytic - numeric) <= 1e-6 * scale)
 
 
 class TestValidation:
