@@ -2,9 +2,12 @@
 
 Layers follow a two-phase lifecycle: they are constructed with
 hyperparameters only, then ``build(input_shape, rng)`` allocates weights
-once the input shape is known (shapes exclude the batch axis).  ``forward``
-caches whatever ``backward`` needs; ``backward`` fills ``self.grads`` and
-returns the gradient with respect to the layer input.
+once the input shape is known (shapes exclude the batch axis).
+``forward(training=True)`` caches whatever ``backward`` needs;
+``forward(training=False)`` stores nothing, so inference keeps no
+activations and concurrent inference calls share no state.  ``backward``
+takes the cache (clearing it), fills ``self.grads`` and returns the
+gradient with respect to the layer input.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ class Layer:
         # name -> gradient array; populated by backward().
         self.grads: Dict[str, np.ndarray] = {}
         self.trainable = True
+        # What backward() reads; set by forward(training=True) only and
+        # released by the backward() that consumes it.
+        self._cache = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -68,6 +74,16 @@ class Layer:
     def __repr__(self) -> str:
         shape = self.output_shape if self.built else "unbuilt"
         return f"<{self.name} output_shape={shape} params={self.count_params()}>"
+
+    def _take_cache(self):
+        """Return and clear what the last ``forward(training=True)`` stored."""
+        cache, self._cache = self._cache, None
+        if cache is None:
+            raise RuntimeError(
+                f"{self.name}.backward() needs a preceding "
+                "forward(x, training=True); inference forwards keep nothing"
+            )
+        return cache
 
     def _check_built(self) -> None:
         if not self.built:

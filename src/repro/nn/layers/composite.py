@@ -29,7 +29,6 @@ class ResidualDense(Layer):
         super().__init__()
         self.activation = get_activation(activation)
         self.kernel_initializer = get_initializer(kernel_initializer)
-        self._cache = None
 
     def build(self, input_shape, rng):
         if len(input_shape) != 1:
@@ -43,11 +42,12 @@ class ResidualDense(Layer):
         self._check_built()
         z = x @ self.params["W"] + self.params["b"]
         h = self.activation.forward(z)
-        self._cache = (x, z, h)
+        if training:
+            self._cache = (x, z, h)
         return h + x
 
     def backward(self, grad):
-        x, z, h = self._cache
+        x, z, h = self._take_cache()
         dh = self.activation.backward(grad, z, h)
         self.grads["W"] = x.T @ dh
         self.grads["b"] = dh.sum(axis=0)
@@ -78,7 +78,6 @@ class HighwayDense(Layer):
         self.activation = get_activation(activation)
         self.kernel_initializer = get_initializer(kernel_initializer)
         self.transform_bias = float(transform_bias)
-        self._cache = None
 
     def build(self, input_shape, rng):
         if len(input_shape) != 1:
@@ -96,11 +95,12 @@ class HighwayDense(Layer):
         h = self.activation.forward(z_h)
         z_t = x @ self.params["W_t"] + self.params["b_t"]
         t = sigmoid.forward(z_t)
-        self._cache = (x, z_h, h, t)
+        if training:
+            self._cache = (x, z_h, h, t)
         return t * h + (1.0 - t) * x
 
     def backward(self, grad):
-        x, z_h, h, t = self._cache
+        x, z_h, h, t = self._take_cache()
         dh = grad * t
         dt = grad * (h - x)
         dz_h = self.activation.backward(dh, z_h, h)

@@ -57,7 +57,6 @@ class _WindowedLayer(Layer):
         self.padding = padding
         self._pad = (0, 0)
         self._windows = None  # (out_length, kernel) gather indices
-        self._cache = None
 
     def _prepare_indices(self, length: int) -> None:
         if self.padding == "same":
@@ -152,14 +151,17 @@ class Conv1D(_WindowedLayer):
         if self.use_bias:
             z = z + self.params["b"]
         y = self.activation.forward(z)
-        self._cache = (x.shape[1], cols.shape, cols2, z, y)
+        if training:
+            self._cache = (x.shape[1], cols.shape, cols2, z, y)
         return y
 
     def backward(self, grad):
-        length, cols_shape, cols2, z, y = self._cache
+        length, cols_shape, cols2, z, y = self._take_cache()
         dz = self.activation.backward(grad, z, y)  # (N, out_L, F)
         dz2 = dz.reshape(-1, self.filters)
         self.grads["W"] = (cols2.T @ dz2).reshape(self.params["W"].shape)
+        # Free the im2col buffer before dcols, which is as large.
+        del cols2, z, y
         if self.use_bias:
             self.grads["b"] = dz2.sum(axis=0)
         w2 = self.params["W"].reshape(-1, self.filters)
@@ -235,13 +237,15 @@ class LocallyConnected1D(_WindowedLayer):
         if self.use_bias:
             z = z + self.params["b"]
         y = self.activation.forward(z)
-        self._cache = (x.shape[1], cols.shape, flat, z, y)
+        if training:
+            self._cache = (x.shape[1], cols.shape, flat, z, y)
         return y
 
     def backward(self, grad):
-        length, cols_shape, flat, z, y = self._cache
+        length, cols_shape, flat, z, y = self._take_cache()
         dz = self.activation.backward(grad, z, y)  # (N, out_L, F)
         self.grads["W"] = np.einsum("nlk,nlf->lkf", flat, dz)
+        del flat, z, y  # as in Conv1D: free im2col before dflat
         if self.use_bias:
             self.grads["b"] = dz.sum(axis=0)
         dflat = np.einsum("nlf,lkf->nlk", dz, self.params["W"])

@@ -37,7 +37,6 @@ class Dense(Layer):
         self.kernel_initializer = get_initializer(kernel_initializer)
         self.bias_initializer = get_initializer(bias_initializer)
         self.use_bias = bool(use_bias)
-        self._cache = None
 
     def compute_output_shape(self, input_shape):
         return tuple(input_shape[:-1]) + (self.units,)
@@ -55,11 +54,12 @@ class Dense(Layer):
         if self.use_bias:
             z = z + self.params["b"]
         y = self.activation.forward(z)
-        self._cache = (x, z, y)
+        if training:
+            self._cache = (x, z, y)
         return y
 
     def backward(self, grad):
-        x, z, y = self._cache
+        x, z, y = self._take_cache()
         dz = self.activation.backward(grad, z, y)
         # Collapse any leading axes into one batch axis for the weight grads.
         x2 = x.reshape(-1, x.shape[-1])
@@ -82,20 +82,17 @@ class Dense(Layer):
 class Flatten(Layer):
     """Flatten all non-batch axes into one."""
 
-    def __init__(self):
-        super().__init__()
-        self._in_shape = None
-
     def compute_output_shape(self, input_shape):
         return (int(np.prod(input_shape)),)
 
     def forward(self, x, training=False):
         self._check_built()
-        self._in_shape = x.shape
+        if training:
+            self._cache = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad):
-        return grad.reshape(self._in_shape)
+        return grad.reshape(self._take_cache())
 
 
 class Reshape(Layer):
@@ -110,7 +107,6 @@ class Reshape(Layer):
         self.target_shape = tuple(int(d) for d in target_shape)
         if list(self.target_shape).count(-1) > 1:
             raise ValueError("at most one axis of target_shape may be -1")
-        self._in_shape = None
 
     def compute_output_shape(self, input_shape):
         total = int(np.prod(input_shape))
@@ -128,11 +124,12 @@ class Reshape(Layer):
 
     def forward(self, x, training=False):
         self._check_built()
-        self._in_shape = x.shape
+        if training:
+            self._cache = x.shape
         return x.reshape((x.shape[0],) + self.output_shape)
 
     def backward(self, grad):
-        return grad.reshape(self._in_shape)
+        return grad.reshape(self._take_cache())
 
     def get_config(self):
         return {"target_shape": list(self.target_shape)}
@@ -151,7 +148,9 @@ class Dropout(Layer):
 
     def forward(self, x, training=False):
         self._check_built()
-        if not training or self.rate == 0.0:
+        if not training:
+            return x
+        if self.rate == 0.0:
             self._mask = None
             return x
         keep = 1.0 - self.rate
@@ -159,9 +158,10 @@ class Dropout(Layer):
         return x * self._mask
 
     def backward(self, grad):
-        if self._mask is None:
+        mask, self._mask = self._mask, None
+        if mask is None:
             return grad
-        return grad * self._mask
+        return grad * mask
 
     def get_config(self):
         return {"rate": self.rate}
@@ -173,16 +173,16 @@ class ActivationLayer(Layer):
     def __init__(self, activation):
         super().__init__()
         self.activation = get_activation(activation)
-        self._cache = None
 
     def forward(self, x, training=False):
         self._check_built()
         y = self.activation.forward(x)
-        self._cache = (x, y)
+        if training:
+            self._cache = (x, y)
         return y
 
     def backward(self, grad):
-        x, y = self._cache
+        x, y = self._take_cache()
         return self.activation.backward(grad, x, y)
 
     def get_config(self):

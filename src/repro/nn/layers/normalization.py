@@ -28,7 +28,6 @@ class BatchNorm(Layer):
         self.epsilon = float(epsilon)
         self.running_mean: np.ndarray = None
         self.running_var: np.ndarray = None
-        self._cache = None
 
     def build(self, input_shape, rng):
         features = input_shape[-1]
@@ -60,12 +59,13 @@ class BatchNorm(Layer):
         return y
 
     def backward(self, grad):
-        if self._cache is None:
+        cache, self._cache = self._cache, None
+        if cache is None:
             # Inference-mode backward: running statistics are constants.
             return grad * self.params["gamma"] / np.sqrt(
                 self.running_var + self.epsilon
             )
-        x_hat, inv_std, n, axes = self._cache
+        x_hat, inv_std, n, axes = cache
         gamma = self.params["gamma"]
         self.grads["gamma"] = np.sum(grad * x_hat, axis=axes)
         self.grads["beta"] = np.sum(grad, axis=axes)

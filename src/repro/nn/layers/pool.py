@@ -19,7 +19,6 @@ class _Pool1D(Layer):
         if self.strides <= 0:
             raise ValueError(f"strides must be positive, got {self.strides}")
         self._windows = None
-        self._cache = None
 
     def compute_output_shape(self, input_shape):
         if len(input_shape) != 2:
@@ -61,14 +60,15 @@ class MaxPool1D(_Pool1D):
         self._check_built()
         win = self._gather(x)
         y = win.max(axis=2)
-        # One-hot argmax mask; ties broadcast the gradient to the first max.
-        mask = win == y[:, :, None, :]
-        first = np.cumsum(mask, axis=2) == 1
-        self._cache = (x.shape, mask & first)
+        if training:
+            # One-hot argmax mask; ties broadcast the gradient to the first max.
+            mask = win == y[:, :, None, :]
+            first = np.cumsum(mask, axis=2) == 1
+            self._cache = (x.shape, mask & first)
         return y
 
     def backward(self, grad):
-        x_shape, mask = self._cache
+        x_shape, mask = self._take_cache()
         dwin = mask * grad[:, :, None, :]
         return self._scatter(dwin, x_shape[1], x_shape[0], x_shape[2])
 
@@ -77,11 +77,12 @@ class AvgPool1D(_Pool1D):
     def forward(self, x, training=False):
         self._check_built()
         win = self._gather(x)
-        self._cache = x.shape
+        if training:
+            self._cache = x.shape
         return win.mean(axis=2)
 
     def backward(self, grad):
-        x_shape = self._cache
+        x_shape = self._take_cache()
         dwin = np.broadcast_to(
             grad[:, :, None, :] / self.pool_size,
             (grad.shape[0], grad.shape[1], self.pool_size, grad.shape[2]),
@@ -92,10 +93,6 @@ class AvgPool1D(_Pool1D):
 class GlobalAvgPool1D(Layer):
     """Average over the length axis: (N, L, C) -> (N, C)."""
 
-    def __init__(self):
-        super().__init__()
-        self._in_shape = None
-
     def compute_output_shape(self, input_shape):
         if len(input_shape) != 2:
             raise ValueError(f"expected (length, channels), got {input_shape}")
@@ -103,11 +100,12 @@ class GlobalAvgPool1D(Layer):
 
     def forward(self, x, training=False):
         self._check_built()
-        self._in_shape = x.shape
+        if training:
+            self._cache = x.shape
         return x.mean(axis=1)
 
     def backward(self, grad):
-        n, length, channels = self._in_shape
+        n, length, channels = self._take_cache()
         return np.broadcast_to(
             grad[:, None, :] / length, (n, length, channels)
         ).copy()

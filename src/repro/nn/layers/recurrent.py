@@ -45,7 +45,6 @@ class LSTM(Layer):
         self.recurrent_initializer = get_initializer(recurrent_initializer)
         self.bias_initializer = get_initializer(bias_initializer)
         self.unit_forget_bias = bool(unit_forget_bias)
-        self._cache = None
 
     def compute_output_shape(self, input_shape):
         if len(input_shape) != 2:
@@ -101,14 +100,16 @@ class LSTM(Layer):
             tc = tanh.forward(c)
             h = o * tc
             outputs[:, t, :] = h
-            steps.append((i, f, g, o, c_prev, c, tc))
-        self._cache = (x, steps, outputs)
+            if training:
+                steps.append((i, f, g, o, c_prev, c, tc))
+        if training:
+            self._cache = (x, steps, outputs)
         if self.return_sequences:
             return outputs
         return outputs[:, -1, :]
 
     def backward(self, grad):
-        x, steps, outputs = self._cache
+        x, steps, outputs = self._take_cache()
         n, timesteps, features = x.shape
         u = self.units
         w, u_mat = self.params["W"], self.params["U"]

@@ -57,6 +57,15 @@ class TestSplit:
         b_train, _ = ds.split(0.5, np.random.default_rng(3))
         np.testing.assert_array_equal(a_train.x, b_train.x)
 
+    def test_split_is_one_shuffled_copy(self):
+        ds = _dataset(30)
+        train, test = ds.split(0.8, np.random.default_rng(4))
+        order = np.random.default_rng(4).permutation(30)
+        np.testing.assert_array_equal(train.x, ds.x[order[:24]])
+        np.testing.assert_array_equal(test.y, ds.y[order[24:]])
+        assert np.shares_memory(train.x.base, test.x)
+        assert not np.shares_memory(train.x, ds.x)
+
     def test_split_fraction_validation(self):
         with pytest.raises(ValueError):
             _dataset().split(0.0)

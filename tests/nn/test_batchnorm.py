@@ -63,11 +63,11 @@ class TestForward:
 
 class TestBackward:
     def test_gradients_training_mode(self):
-        check_layer_gradients(BatchNorm(), (8, 5), seed=50, training=True,
+        check_layer_gradients(BatchNorm(), (8, 5), seed=50,
                               atol=1e-5, rtol=1e-3)
 
     def test_gradients_3d_training_mode(self):
-        check_layer_gradients(BatchNorm(), (4, 6, 3), seed=51, training=True,
+        check_layer_gradients(BatchNorm(), (4, 6, 3), seed=51,
                               atol=1e-5, rtol=1e-3)
 
     def test_inference_backward_is_elementwise(self):

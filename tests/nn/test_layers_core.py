@@ -67,7 +67,7 @@ class TestFlatten:
         layer = Flatten()
         layer.build((7, 3), np.random.default_rng(0))
         x = np.random.default_rng(0).normal(size=(2, 7, 3))
-        layer.forward(x)
+        layer.forward(x, training=True)
         grad = layer.backward(np.ones((2, 21)))
         assert grad.shape == (2, 7, 3)
 
@@ -75,7 +75,7 @@ class TestFlatten:
         layer = Flatten()
         layer.build((4, 2), np.random.default_rng(0))
         x = np.random.default_rng(1).normal(size=(3, 4, 2))
-        y = layer.forward(x)
+        y = layer.forward(x, training=True)
         np.testing.assert_array_equal(layer.backward(y), x)
 
 
@@ -103,7 +103,7 @@ class TestReshape:
         layer = Reshape((3, 4))
         layer.build((12,), np.random.default_rng(0))
         x = np.random.default_rng(0).normal(size=(2, 12))
-        y = layer.forward(x)
+        y = layer.forward(x, training=True)
         assert y.shape == (2, 3, 4)
         np.testing.assert_array_equal(layer.backward(y), x)
 

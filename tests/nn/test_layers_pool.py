@@ -26,7 +26,7 @@ class TestMaxPool1D:
         layer = MaxPool1D(pool_size=2)
         layer.build((4, 1), np.random.default_rng(0))
         x = np.array([1.0, 3.0, 5.0, 2.0]).reshape(1, 4, 1)
-        layer.forward(x)
+        layer.forward(x, training=True)
         grad = layer.backward(np.array([10.0, 20.0]).reshape(1, 2, 1))
         np.testing.assert_array_equal(grad.ravel(), [0.0, 10.0, 20.0, 0.0])
 
@@ -34,7 +34,7 @@ class TestMaxPool1D:
         layer = MaxPool1D(pool_size=2)
         layer.build((2, 1), np.random.default_rng(0))
         x = np.array([4.0, 4.0]).reshape(1, 2, 1)
-        layer.forward(x)
+        layer.forward(x, training=True)
         grad = layer.backward(np.ones((1, 1, 1)))
         np.testing.assert_array_equal(grad.ravel(), [1.0, 0.0])
 
@@ -61,7 +61,7 @@ class TestAvgPool1D:
         layer = AvgPool1D(pool_size=2)
         layer.build((4, 1), np.random.default_rng(0))
         x = np.ones((1, 4, 1))
-        layer.forward(x)
+        layer.forward(x, training=True)
         grad = layer.backward(np.array([2.0, 4.0]).reshape(1, 2, 1))
         np.testing.assert_array_equal(grad.ravel(), [1.0, 1.0, 2.0, 2.0])
 
