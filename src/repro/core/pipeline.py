@@ -235,21 +235,26 @@ class MSToolchain:
         from repro.nn.optimizers import Adam
 
         model.compile(Adam(learning_rate), "mae")
-        callbacks = []
-        if patience is not None:
-            callbacks.append(
-                EarlyStopping(patience=patience, restore_best_weights=True)
-            )
+        stopper = (
+            EarlyStopping(patience=patience, restore_best_weights=True)
+            if patience is not None else None
+        )
         history = model.fit(
             train.x,
             train.y,
             epochs=epochs,
             batch_size=batch_size,
             validation_data=(validation.x, validation.y),
-            callbacks=callbacks,
+            callbacks=[stopper] if stopper is not None else [],
             seed=seed,
         )
-        validation_mae = model.evaluate(validation.x, validation.y)
+        # fit already evaluated the validation rows after every epoch; the
+        # model ends with the best epoch's weights when they were restored,
+        # else with the last epoch's.
+        if stopper is not None and stopper.best_epoch > 0:
+            validation_mae = stopper.best_value
+        else:
+            validation_mae = history["val_loss"][-1]
         parents = [dataset_artifact] if dataset_artifact is not None else []
         artifact = self.provenance.record(
             "network",

@@ -10,8 +10,8 @@ the way an embedded runtime would:
   (power-of-two rounded) batch size walks the plan and binds each fused
   op to preallocated float32 scratch buffers and an execution closure;
 * **allocate nothing afterwards** — every kernel writes through ``out=``
-  /in-place ufuncs into that scratch (``np.take`` for the precomputed
-  im2col gather, one GEMM per conv/dense, fused bias-add + activation
+  /in-place ufuncs into that scratch (the im2col gather copies a strided
+  window view, one GEMM per conv/dense, fused bias-add + activation
   epilogues), so a steady-state ``predict`` performs zero array
   allocations beyond the float64 result it hands back;
 * **slice, don't recompile** — a batch of ``n`` runs on ``[:n]`` views
@@ -34,11 +34,43 @@ import numpy as np
 
 from repro.nn.activations import _SELU_ALPHA as SELU_ALPHA
 from repro.nn.activations import _SELU_SCALE as SELU_SCALE
-from repro.inference.plan import AccuracyContractError, InferencePlan
+from repro.inference.plan import AccuracyContractError, FusedOp, InferencePlan
+from repro.nn.layers.windows import im2col, window_indices
 
 __all__ = ["InferenceEngine"]
 
 _Step = Callable[[int], None]
+
+
+def _window_grid(op: FusedOp) -> Tuple[int, int]:
+    """(kernel, stride) of a windowed op, read back from ``op.windows``.
+
+    The engine gathers through strided views, so it accepts only the
+    regular grid ``freeze`` writes: ``out_length`` windows, every
+    ``stride`` rows from row 0, covering the (padded) input.
+    """
+    length = op.in_shape[0] + op.pad[0] + op.pad[1]
+    out_length = op.out_shape[0]
+    windows = op.windows
+    if windows is None or windows.ndim != 2 or windows.shape[0] != out_length:
+        raise ValueError(f"{op.name}: plan has no ({out_length}, kernel) windows")
+    kernel = windows.shape[1]
+    # A single window never steps; use the smallest stride that yields one.
+    stride = (
+        int(windows[1, 0] - windows[0, 0]) if out_length > 1
+        else length - kernel + 1
+    )
+    if (
+        kernel < 1
+        or stride < 1
+        or (length - kernel) // stride + 1 != out_length
+        or not np.array_equal(windows, window_indices(out_length, kernel, stride))
+    ):
+        raise ValueError(
+            f"{op.name}: windows are not a regular kernel-{kernel} grid "
+            f"over {length} rows"
+        )
+    return kernel, stride
 
 
 class _Workspace:
@@ -181,7 +213,7 @@ class InferenceEngine:
             elif op.kind == "conv1d":
                 length, channels = op.in_shape
                 out_length, filters = op.out_shape
-                kernel = op.windows.shape[1]
+                kernel, stride = _window_grid(op)
                 source = current
                 if op.pad != (0, 0):
                     lo, hi = op.pad
@@ -196,9 +228,9 @@ class InferenceEngine:
                 cols = self._alloc((capacity, out_length, kernel, channels))
                 z = self._alloc((capacity,) + op.out_shape)
                 def step(n: int, x=source, cols=cols, z=z, W=op.weight,
-                         b=op.bias, idx=op.windows, oL=out_length,
+                         b=op.bias, k=kernel, s=stride, oL=out_length,
                          kc=kernel * channels, F=filters) -> None:
-                    np.take(x[:n], idx, axis=1, out=cols[:n])
+                    im2col(x[:n], k, s, out=cols[:n])
                     a = cols[:n].reshape(n * oL, kc)
                     out = z[:n].reshape(n * oL, F)
                     np.matmul(a, W, out=out)
@@ -209,13 +241,13 @@ class InferenceEngine:
             elif op.kind == "local1d":
                 length, channels = op.in_shape
                 out_length, filters = op.out_shape
-                kernel = op.windows.shape[1]
+                kernel, stride = _window_grid(op)
                 cols = self._alloc((capacity, out_length, kernel, channels))
                 z = self._alloc((capacity,) + op.out_shape)
                 def step(n: int, x=current, cols=cols, z=z, W=op.weight,
-                         b=op.bias, idx=op.windows, oL=out_length,
+                         b=op.bias, k=kernel, s=stride, oL=out_length,
                          kc=kernel * channels) -> None:
-                    np.take(x[:n], idx, axis=1, out=cols[:n])
+                    im2col(x[:n], k, s, out=cols[:n])
                     flat = cols[:n].reshape(n, oL, kc)
                     np.einsum("nlk,lkf->nlf", flat, W, out=z[:n])
                     if b is not None:
@@ -224,13 +256,13 @@ class InferenceEngine:
 
             elif op.kind in ("maxpool", "avgpool"):
                 out_length, channels = op.out_shape
-                pool = op.windows.shape[1]
+                pool, stride = _window_grid(op)
                 win = self._alloc((capacity, out_length, pool, channels))
                 z = self._alloc((capacity,) + op.out_shape)
                 reducer = np.max if op.kind == "maxpool" else np.mean
-                def step(n: int, x=current, win=win, z=z, idx=op.windows,
+                def step(n: int, x=current, win=win, z=z, k=pool, s=stride,
                          reduce=reducer) -> None:
-                    np.take(x[:n], idx, axis=1, out=win[:n])
+                    im2col(x[:n], k, s, out=win[:n])
                     reduce(win[:n], axis=2, out=z[:n])
                 ws.steps.append(step)
 

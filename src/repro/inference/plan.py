@@ -15,8 +15,9 @@ that away once, ahead of time:
   standalone :class:`~repro.nn.layers.core.ActivationLayer` behind a
   linear conv/dense folds into it, ``Dropout`` disappears, and runs of
   ``Reshape``/``Flatten`` collapse into a single zero-cost view;
-* the im2col gather indices of every windowed op are precomputed from
-  the model's built shapes, so execution never re-derives an index plan.
+* every windowed op records its im2col gather indices, built from the
+  model's output length, kernel and stride; the engine reads its window
+  kernel and stride back from them (and refuses any other index table).
 
 The result is an *immutable* :class:`InferencePlan` — every array is
 marked read-only — that :class:`~repro.inference.engine.InferenceEngine`
@@ -54,6 +55,7 @@ from repro.nn.layers import (
     MaxPool1D,
     Reshape,
 )
+from repro.nn.layers.windows import window_indices
 
 __all__ = [
     "PLAN_FORMAT_VERSION",
@@ -411,7 +413,9 @@ def freeze(
                     activation=layer.activation.name,
                     weight=weight,
                     bias=bias,
-                    windows=layer._windows.astype(np.int64),
+                    windows=window_indices(
+                        out_shape[0], layer.kernel_size, layer.strides
+                    ),
                     pad=layer._pad,
                     flops=cost.flops,
                     param_bytes=wbytes + (4 * bias.size if bias is not None else 0),
@@ -427,7 +431,9 @@ def freeze(
                     name=layer.name,
                     in_shape=shape,
                     out_shape=out_shape,
-                    windows=layer._windows.astype(np.int64),
+                    windows=window_indices(
+                        out_shape[0], layer.pool_size, layer.strides
+                    ),
                     flops=cost.flops,
                     activation_bytes=cost.activation_bytes,
                 )

@@ -19,6 +19,7 @@ import numpy as np
 from repro.nn.activations import get_activation
 from repro.nn.initializers import get_initializer
 from repro.nn.layers.base import Layer
+from repro.nn.layers.windows import col2im, im2col
 
 __all__ = ["Conv1D", "LocallyConnected1D"]
 
@@ -56,40 +57,19 @@ class _WindowedLayer(Layer):
         self.strides = int(strides)
         self.padding = padding
         self._pad = (0, 0)
-        self._windows = None  # (out_length, kernel) gather indices
-
-    def _prepare_indices(self, length: int) -> None:
-        if self.padding == "same":
-            self._pad = _same_padding(length, self.kernel_size, self.strides)
-        out_length = _conv_output_length(
-            length, self.kernel_size, self.strides, self.padding
-        )
-        starts = np.arange(out_length) * self.strides
-        self._windows = starts[:, None] + np.arange(self.kernel_size)[None, :]
 
     def _im2col(self, x: np.ndarray) -> np.ndarray:
-        """(N, L, C) -> (N, out_L, kernel, C)."""
+        """(N, L, C) -> C-contiguous (N, out_L, kernel, C)."""
         if self._pad != (0, 0):
             x = np.pad(x, ((0, 0), self._pad, (0, 0)))
-        return x[:, self._windows, :]
+        return im2col(x, self.kernel_size, self.strides)
 
     def _col2im(self, dcols: np.ndarray, length: int) -> np.ndarray:
-        """Scatter-add (N, out_L, kernel, C) back to (N, L, C).
-
-        Instead of one unbuffered ``np.add.at`` (which degenerates to a
-        per-element loop), accumulate one vectorized add per kernel offset:
-        for a fixed offset the window start positions are strictly
-        increasing, so fancy-index ``+=`` has no collisions.
-        """
-        padded_length = length + self._pad[0] + self._pad[1]
-        dx = np.zeros(
-            (dcols.shape[0], padded_length, dcols.shape[-1]), dtype=dcols.dtype
-        )
-        starts = self._windows[:, 0]
-        for offset in range(self.kernel_size):
-            dx[:, starts + offset, :] += dcols[:, :, offset, :]
+        """Scatter-add (N, out_L, kernel, C) back to (N, L, C)."""
+        lo, hi = self._pad
+        dx = col2im(dcols, lo + length + hi, self.strides)
         if self._pad != (0, 0):
-            dx = dx[:, self._pad[0] : padded_length - self._pad[1], :]
+            dx = dx[:, lo : lo + length, :]
         return dx
 
 
@@ -131,7 +111,8 @@ class Conv1D(_WindowedLayer):
 
     def build(self, input_shape, rng):
         length, channels = input_shape
-        self._prepare_indices(length)
+        if self.padding == "same":
+            self._pad = _same_padding(length, self.kernel_size, self.strides)
         self.params["W"] = self.kernel_initializer(
             (self.kernel_size, channels, self.filters), rng
         )
@@ -141,10 +122,11 @@ class Conv1D(_WindowedLayer):
 
     def forward(self, x, training=False):
         self._check_built()
-        cols = self._im2col(x)  # (N, out_L, K, C), C-contiguous
+        cols = self._im2col(x)  # (N, out_L, K, C)
         n, out_length = cols.shape[0], cols.shape[1]
-        # Flatten to one big GEMM: (N*out_L, K*C) @ (K*C, F).  All reshapes
-        # below are views, so the matmul runs without extra copies.
+        # Flatten to one big GEMM: (N*out_L, K*C) @ (K*C, F).  cols is
+        # C-contiguous, so every reshape below is a view and the matmul
+        # runs without a second copy of the im2col.
         cols2 = cols.reshape(n * out_length, -1)
         w2 = self.params["W"].reshape(-1, self.filters)
         z = (cols2 @ w2).reshape(n, out_length, self.filters)
@@ -220,8 +202,9 @@ class LocallyConnected1D(_WindowedLayer):
 
     def build(self, input_shape, rng):
         length, channels = input_shape
-        self._prepare_indices(length)
-        out_length = self._windows.shape[0]
+        out_length = _conv_output_length(
+            length, self.kernel_size, self.strides, "valid"
+        )
         self.params["W"] = self.kernel_initializer(
             (out_length, self.kernel_size * channels, self.filters), rng
         )

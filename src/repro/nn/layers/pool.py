@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.layers.base import Layer
+from repro.nn.layers.windows import col2im, im2col
 
 __all__ = ["MaxPool1D", "AvgPool1D", "GlobalAvgPool1D"]
 
@@ -18,7 +19,6 @@ class _Pool1D(Layer):
         self.strides = int(strides) if strides is not None else self.pool_size
         if self.strides <= 0:
             raise ValueError(f"strides must be positive, got {self.strides}")
-        self._windows = None
 
     def compute_output_shape(self, input_shape):
         if len(input_shape) != 2:
@@ -31,26 +31,6 @@ class _Pool1D(Layer):
             )
         return (out, channels)
 
-    def build(self, input_shape, rng):
-        length = input_shape[0]
-        out = (length - self.pool_size) // self.strides + 1
-        starts = np.arange(out) * self.strides
-        self._windows = starts[:, None] + np.arange(self.pool_size)[None, :]
-        super().build(input_shape, rng)
-
-    def _gather(self, x):
-        """(N, L, C) -> (N, out_L, pool, C)."""
-        return x[:, self._windows, :]
-
-    def _scatter(self, dwin, length, n, channels):
-        # One vectorized add per pool offset (collision-free for fixed
-        # offset) instead of a slow unbuffered np.add.at.
-        dx = np.zeros((n, length, channels), dtype=dwin.dtype)
-        starts = self._windows[:, 0]
-        for offset in range(self.pool_size):
-            dx[:, starts + offset, :] += dwin[:, :, offset, :]
-        return dx
-
     def get_config(self):
         return {"pool_size": self.pool_size, "strides": self.strides}
 
@@ -58,36 +38,35 @@ class _Pool1D(Layer):
 class MaxPool1D(_Pool1D):
     def forward(self, x, training=False):
         self._check_built()
-        win = self._gather(x)
+        win = im2col(x, self.pool_size, self.strides)
         y = win.max(axis=2)
         if training:
             # One-hot argmax mask; ties broadcast the gradient to the first max.
             mask = win == y[:, :, None, :]
             first = np.cumsum(mask, axis=2) == 1
-            self._cache = (x.shape, mask & first)
+            self._cache = (x.shape[1], mask & first)
         return y
 
     def backward(self, grad):
-        x_shape, mask = self._take_cache()
-        dwin = mask * grad[:, :, None, :]
-        return self._scatter(dwin, x_shape[1], x_shape[0], x_shape[2])
+        length, mask = self._take_cache()
+        return col2im(mask * grad[:, :, None, :], length, self.strides)
 
 
 class AvgPool1D(_Pool1D):
     def forward(self, x, training=False):
         self._check_built()
-        win = self._gather(x)
+        win = im2col(x, self.pool_size, self.strides)
         if training:
-            self._cache = x.shape
+            self._cache = x.shape[1]
         return win.mean(axis=2)
 
     def backward(self, grad):
-        x_shape = self._take_cache()
+        length = self._take_cache()
         dwin = np.broadcast_to(
             grad[:, :, None, :] / self.pool_size,
             (grad.shape[0], grad.shape[1], self.pool_size, grad.shape[2]),
         )
-        return self._scatter(np.ascontiguousarray(dwin), x_shape[1], x_shape[0], x_shape[2])
+        return col2im(dwin, length, self.strides)
 
 
 class GlobalAvgPool1D(Layer):

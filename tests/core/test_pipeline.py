@@ -81,6 +81,42 @@ class TestSteps:
         # Full lineage network -> dataset -> simulator -> measurements.
         assert chain.provenance.ancestors(n_id) == [d_id, s_id, m_id]
 
+    @pytest.mark.parametrize("patience", [None, 1, 8])
+    def test_validation_mae_is_the_final_weights_loss(
+        self, chain, reference, patience
+    ):
+        """The reported MAE is what evaluating the returned model gives,
+        taken from fit's own per-epoch validation pass.  At this rate the
+        best epoch (8) is not the last (10), so patience restores it."""
+        measurements, m_id = reference
+        simulator, _, s_id = chain.build_simulator(measurements, m_id)
+        dataset, _ = chain.generate_training_data(
+            simulator, 256, np.random.default_rng(1), s_id
+        )
+        model, history, val_mae, _ = chain.train_network(
+            dataset,
+            topology=mlp_topology(len(TASK), hidden_units=(16,)),
+            epochs=10,
+            seed=3,
+            patience=patience,
+            learning_rate=0.1,
+        )
+        _, validation = dataset.split(0.8, np.random.default_rng(3))
+        assert val_mae == model.evaluate(validation.x, validation.y)
+        if patience is None:
+            assert val_mae == history["val_loss"][-1]
+        else:
+            assert val_mae == min(history["val_loss"]) != history["val_loss"][-1]
+
+    def test_empty_validation_split_rejected(self, chain, reference):
+        measurements, m_id = reference
+        simulator, _, s_id = chain.build_simulator(measurements, m_id)
+        dataset, _ = chain.generate_training_data(
+            simulator, 2, np.random.default_rng(0), s_id
+        )
+        with pytest.raises(ValueError, match="empty side"):
+            chain.train_network(dataset, epochs=1)
+
     def test_lineage_report_readable(self, chain, reference):
         measurements, m_id = reference
         report = chain.provenance.lineage_report(m_id)

@@ -1,5 +1,7 @@
 """Unit tests for the engine: scratch reuse, workspace cache, contracts."""
 
+import dataclasses
+import hashlib
 import sys
 import threading
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.core import nmr_conv_topology, table1_topology
 from repro.inference import AccuracyContractError, InferenceEngine, freeze
 
 
@@ -168,3 +171,80 @@ class TestAccuracyContract:
         tight = freeze(model, dtype="int8", contract=1e-12)
         with pytest.raises(AccuracyContractError, match="drifted"):
             InferenceEngine(tight).ensure_accuracy(model, x)
+
+
+class TestOutputBytesArePinned:
+    """sha256 of predict outputs, captured while the engine gathered with
+    ``np.take`` over the plan's index table (numpy 2.4, OpenBLAS, x86-64)."""
+
+    PINNED = {
+        ("table1", "float32", False): {
+            1: "5aa6a3f72776602fab569b8d8c4133ec79c848e8e659867f7322416c2b9e2197",
+            3: "ad8cf5b3f5db9f937b814aeb0f2dbbac768611e86da1554a54e0abb1d8be6182",
+            32: "b147fcdeed56396c7090ed5f54d7c90ff983e21ff534bbb476b8a5b0d76cd860",
+        },
+        ("table1", "int8", True): {
+            1: "4b29ec738cba372940046b9db723bc6ccad8a5b73476f69a3ca0741e641ffdab",
+            3: "d2875e658021cc1b4d3e916ee4a0ad3d255f858162fd0bb9d35dfd2665e559ec",
+            32: "4beaab241d3844e80343f365b139e6c1d69de0062f04ac3444fceef8eb3bb20f",
+        },
+        ("nmr_conv", "float32", False): {
+            1: "366ae493e6ba872173209ac3072f77cfdc32c7c189cdcaf3391bc4ee9a8f442f",
+            3: "832a034de81c3d864761fbae568237359ec0ee2c39aa285ec6a6a4c6cc48a764",
+            32: "5775f6e1715d87c0c7c5ee9cfd7740d4662769110203f7d2373e97d8a9fbb1db",
+        },
+    }
+    MODELS = {
+        "table1": (lambda: table1_topology(4), 246),
+        "nmr_conv": (nmr_conv_topology, 1700),
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_batches_1_3_32(self, key):
+        name, dtype, per_channel = key
+        topology, length = self.MODELS[name]
+        model = topology().build((length,), seed=0)
+        engine = InferenceEngine(
+            freeze(model, dtype=dtype, per_channel=per_channel)
+        )
+        x = np.random.default_rng(5).random((32, length))
+        for n, digest in self.PINNED[key].items():
+            out = engine.predict(x[:n])
+            assert hashlib.sha256(out.tobytes()).hexdigest() == digest, n
+
+
+class TestWindowsAreAGrid:
+    """The engine gathers through strided views, so a plan's windows must
+    be the regular grid freeze writes; anything else is refused."""
+
+    def _with_windows(self, plan, kind, windows):
+        ops = [
+            dataclasses.replace(op, windows=windows(op.windows))
+            if op.kind == kind else op
+            for op in plan.ops
+        ]
+        return dataclasses.replace(plan, ops=ops)
+
+    @pytest.mark.parametrize("kind", ["conv1d", "maxpool"])
+    @pytest.mark.parametrize("corrupt", [
+        lambda w: w[:, ::-1],                   # reversed within a window
+        lambda w: w + 1,                        # grid not starting at row 0
+        lambda w: np.vstack([w[:1], w[2:], w[-1:] + 2]),  # uneven starts
+        lambda w: w[:-1],                       # too few windows
+        lambda w: w * 40,                       # reads past the input
+    ])
+    def test_irregular_windows_refused_at_compile(self, setup, kind, corrupt):
+        _, plan, x = setup
+        engine = InferenceEngine(self._with_windows(plan, kind, corrupt))
+        with pytest.raises(ValueError, match="windows"):
+            engine.predict(x[:2])
+        assert engine.stats()["cached_capacities"] == []
+
+    def test_single_window_plan_runs(self):
+        model = nn.Sequential([
+            nn.Reshape((-1, 1)), nn.Conv1D(2, 5, strides=4), nn.Flatten(),
+        ])
+        model.build((7,), seed=0)
+        x = np.random.default_rng(0).random((3, 7))
+        out = InferenceEngine(freeze(model)).predict(x)
+        np.testing.assert_allclose(out, model.predict(x), atol=1e-6)

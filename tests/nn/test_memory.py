@@ -8,6 +8,7 @@ concurrent predictions on one model share no layer state.
 
 import hashlib
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -67,7 +68,7 @@ MODELS = {
 
 
 class TestNothingRetained:
-    """Only what build() allocated (index tables) stays on a layer."""
+    """Only what build() allocated stays on a layer."""
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_after_train_on_batch_and_predict(self, name):
@@ -156,6 +157,45 @@ class TestTrainingBytesArePinned:
         model.fit(x, y, epochs=2, batch_size=32, seed=0)
         assert _digest(model.get_weights()) == weights_sha
         assert _digest([model.predict(x)]) == predict_sha
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakIsOneIm2col:
+    """The Table-1 CNN on the 491-point axis peaks near its largest im2col.
+
+    The advanced-index gather laid its im2col out as (out_L, K, N, C), so
+    the GEMM's reshape copied it a second time: predict(103) peaked at
+    2.3x its 62.2 MB im2col (143.9 MB) and train_on_batch(64) at 100.3 MB.
+    """
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        model = table1_topology(4).build((491,), seed=0)
+        model.compile(nn.Adam(0.003), "mae")
+        return model
+
+    def test_predict(self, model):
+        x = np.random.default_rng(4).random((103, 491))
+        largest = max(
+            x.shape[0] * layer.output_shape[0] * layer.kernel_size
+            * layer.input_shape[1] * 8
+            for layer in model.layers if isinstance(layer, nn.Conv1D)
+        )
+        assert largest == 62_212_000
+        assert _traced_peak(lambda: model.predict(x)) <= 1.4 * largest
+
+    def test_train_on_batch(self, model):
+        rng = np.random.default_rng(5)
+        x, y = rng.random((64, 491)), rng.dirichlet(np.ones(4), size=64)
+        assert _traced_peak(lambda: model.train_on_batch(x, y)) < 90e6
 
 
 class TestConcurrentPredict:
