@@ -8,9 +8,11 @@ example walks both halves of :mod:`repro.compute`:
 1. generate a simulated MS dataset through an
    :class:`~repro.compute.cache.ArtifactCache` twice — the first call
    renders, the second is a checksummed read of the same bytes;
-2. train the same topology sweep on the ``serial`` and ``process``
-   backends of a :class:`~repro.compute.executor.ParallelExecutor` and
-   verify the models, metrics and ``select_best`` winner are identical;
+2. train the same topology sweep in-process (``executor=None``, the
+   reference) and on the ``serial`` and ``process`` backends of a
+   :class:`~repro.compute.executor.ParallelExecutor`, and verify the
+   weights, optimizer state, metrics and ``select_best`` winner are
+   identical;
 3. re-run the sweep with a seeded
    :class:`~repro.reliability.faults.FaultInjector` killing a subset of
    training tasks: the sweep completes, the dead topologies land in
@@ -62,8 +64,9 @@ def main():
               f"({cold_s / warm_s:.0f}x faster, identical bytes)")
         print(f"    stats: {cache.stats()}")
 
-        # 2 -- the executor: serial vs process, byte-identical.
-        print("[2] training sweep on serial vs process backends ...")
+        # 2 -- the executor: in-process vs serial vs process, byte-identical.
+        print("[2] training sweep in-process vs serial and process "
+              "backends ...")
         dataset = SpectraDataset(x, y, tuple(COMPOUNDS))
         topologies = [
             mlp_topology(len(COMPOUNDS), hidden_units=(32,)),
@@ -71,24 +74,43 @@ def main():
             mlp_topology(len(COMPOUNDS), hidden_units=(32, 16)),
         ]
         config = TrainingConfig(epochs=3, batch_size=64, patience=None)
-        winners = {}
-        for backend in ("serial", "process"):
-            executor = ParallelExecutor(backend=backend, max_workers=2)
+        services = {}
+        for backend in ("in-process", "serial", "process"):
+            executor = (
+                None if backend == "in-process"
+                else ParallelExecutor(backend=backend, max_workers=2)
+            )
             service = TrainingService(config, executor=executor)
             start = time.perf_counter()
-            service.train_all(topologies, dataset, sweep_name=backend)
+            service.train_all(topologies, dataset)
             elapsed = time.perf_counter() - start
             best = service.select_best()
-            winners[backend] = best
-            print(f"    {backend:8s}: {elapsed:6.2f} s, best "
+            services[backend] = service
+            print(f"    {backend:10s}: {elapsed:6.2f} s, best "
                   f"{best.topology_name} (val_mae "
                   f"{best.metrics['val_mae']:.5f})")
-        assert (
-            winners["serial"].topology_name
-            == winners["process"].topology_name
-        )
-        assert winners["serial"].metrics == winners["process"].metrics
-        print("    -> identical metrics and winner on both backends")
+            if executor is not None:
+                executor.close()
+        reference = services.pop("in-process")
+        for service in services.values():
+            assert (
+                service.select_best().topology_name
+                == reference.select_best().topology_name
+            )
+            for run, ref in zip(service.runs, reference.runs):
+                assert run.metrics == ref.metrics
+                for got, want in zip(
+                    run.model.get_weights(), ref.model.get_weights()
+                ):
+                    assert np.array_equal(got, want)
+                got = run.model.optimizer.get_state()
+                want = ref.model.optimizer.get_state()
+                assert got["iterations"] == want["iterations"]
+                for slot, entries in want["slots"].items():
+                    for key, value in entries.items():
+                        assert np.array_equal(got["slots"][slot][key], value)
+        print("    -> identical weights, optimizer state, metrics and "
+              "winner on every path")
 
         # 3 -- chaos: a fault injector kills tasks; the sweep survives.
         print("[3] sweep with injected worker crashes ...")

@@ -8,32 +8,38 @@ trained networks ..., the selection of the best-performing networks, based
 on selectable quality criteria and the export of analysis data to
 spreadsheet applications."
 
+Every topology trains through one function, :func:`_train_topology`: build
+(or continue a resumed model), attach early stopping and the divergence
+sentinel, fit, score.  An in-process sweep calls it directly; with a
+:class:`~repro.compute.executor.ParallelExecutor` the service fans the same
+calls out over the executor's backend with ``map_tasks``.  One
+reload-or-train decision runs before it and one finish step after it
+(rollback provenance, final snapshot, ``network`` record, sweep state), so
+serial/thread/process sweeps produce byte-identical models, optimizer
+state, metrics and :meth:`TrainingService.select_best` outcomes.
+
 Because the process runs without user interaction, it must also survive
 without one: given a :class:`~repro.reliability.checkpoint.CheckpointManager`
-the service checkpoints every topology as it trains, and
-``train_all(resume=True)`` restarts a killed sweep from the last completed
-topology/epoch — completed topologies are reloaded (same final metrics as
-an uninterrupted run), a half-trained topology resumes from its last
-checkpointed epoch with restored optimizer state.  Every checkpoint and
-resume event is recorded in the :class:`ProvenanceTracker`.
+``train_all(resume=True)`` reloads every topology whose final snapshot
+landed (same final metrics as an uninterrupted run).  The deliberate
+differences between the two modes:
 
-With an :class:`~repro.compute.executor.ParallelExecutor` the service fans
-candidate training out over the executor's backend instead of looping:
-each topology trains as one task with the same per-topology seed the
-serial path uses, so serial/thread/process sweeps produce byte-identical
-models, metrics and :meth:`TrainingService.select_best` outcomes.  A task
-that dies (worker crash, injected fault) becomes a typed
-:class:`FailedRun` in :attr:`TrainingService.failures` — recorded in
-provenance and metrics, never lost, never fatal to the sweep.  In
-parallel mode per-epoch checkpointing and mid-topology resume are
-disabled (only the final scored snapshot is saved); completed-topology
-skip on ``resume=True`` still works.
+* in-process, a topology is checkpointed every epoch, a half-trained one
+  resumes from its last checkpointed epoch with restored optimizer state,
+  and an exception propagates to the caller;
+* with an executor, only the final scored snapshot is saved, and a task
+  that dies (worker crash, injected fault) becomes a typed
+  :class:`FailedRun` in :attr:`TrainingService.failures` — recorded in
+  provenance and metrics, never fatal to the sweep.
+
+Every checkpoint, resume and rollback event is recorded in the
+:class:`ProvenanceTracker`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -43,6 +49,7 @@ from repro.core.topologies import TopologySpec
 from repro.db.provenance import ProvenanceTracker
 from repro.nn.metrics import mean_absolute_error, mean_squared_error, r2_score
 from repro.nn.model import Sequential
+from repro.nn.optimizers import get_optimizer
 from repro.nn.sentinel import DivergenceSentinel
 from repro.nn.training import EarlyStopping
 from repro.observability.runtime import counter as _counter
@@ -113,45 +120,50 @@ class FailedRun:
     attempts: int = 1
 
 
-def _train_candidate(payload: dict, rng: np.random.Generator) -> dict:
-    """Executor task: train and score one topology (worker-side).
+def _train_topology(payload: dict, rng: Optional[np.random.Generator]) -> dict:
+    """Train and score one topology; the only training path of a sweep.
 
-    Module-level and driven only by picklable payload data so the process
-    backend can ship it to a worker.  Mirrors the serial ``_train_one``
-    path for a fresh (non-resumed) topology — same build seed, callbacks
-    and scoring — which is what makes serial and parallel sweeps
-    byte-identical.  The executor-provided ``rng`` is unused: training
-    determinism comes from the config seed, exactly as in serial mode.
+    Module-level, with a picklable payload and result, so the process
+    backend can run it in a worker.  ``payload["model"]`` is a resumed
+    model to continue from ``payload["initial_epoch"]``, or ``None`` to
+    build the topology fresh; ``payload["checkpoint"]`` is the in-process
+    per-epoch :class:`Checkpoint` callback, or ``None``.  The
+    executor-provided ``rng`` is unused: training determinism comes from
+    the config seed on every path.
     """
-    config = payload["config"]
-    spec = TopologySpec.from_json(payload["topology_json"])
-    train_x, train_y = payload["train_x"], payload["train_y"]
-    model = spec.build(train_x.shape[1:], seed=config["seed"])
-    model.compile(config["optimizer"], config["loss"])
+    config: TrainingConfig = payload["config"]
+    train_x, val_x, val_y = payload["train_x"], payload["val_x"], payload["val_y"]
+    model = payload["model"]
+    if model is None:
+        model = payload["topology"].build(train_x.shape[1:], seed=config.seed)
+        model.compile(config.optimizer, config.loss)
     callbacks = []
-    if config["patience"] is not None:
+    if config.patience is not None:
         callbacks.append(
-            EarlyStopping(patience=config["patience"], restore_best_weights=True)
+            EarlyStopping(patience=config.patience, restore_best_weights=True)
         )
     sentinel: Optional[DivergenceSentinel] = None
-    if config["sentinel"]:
-        sentinel = DivergenceSentinel(max_rollbacks=config["sentinel_max_rollbacks"])
+    if config.sentinel:
+        sentinel = DivergenceSentinel(max_rollbacks=config.sentinel_max_rollbacks)
         callbacks.append(sentinel)
+    if payload["checkpoint"] is not None:
+        callbacks.append(payload["checkpoint"])
     history = model.fit(
         train_x,
-        train_y,
-        epochs=config["epochs"],
-        batch_size=config["batch_size"],
-        validation_data=(payload["val_x"], payload["val_y"]),
+        payload["train_y"],
+        epochs=config.epochs,
+        batch_size=config.batch_size,
+        validation_data=(val_x, val_y),
         callbacks=callbacks,
-        seed=config["seed"],
-        clip_norm=config["clip_norm"],
+        seed=config.seed,
+        initial_epoch=payload["initial_epoch"],
+        clip_norm=config.clip_norm,
     )
-    predictions = model.predict(payload["val_x"])
+    predictions = model.predict(val_x)
     metrics = {
-        "val_mae": mean_absolute_error(predictions, payload["val_y"]),
-        "val_mse": mean_squared_error(predictions, payload["val_y"]),
-        "val_r2": r2_score(predictions, payload["val_y"]),
+        "val_mae": mean_absolute_error(predictions, val_y),
+        "val_mse": mean_squared_error(predictions, val_y),
+        "val_r2": r2_score(predictions, val_y),
     }
     if payload["eval_x"] is not None:
         measured = model.predict(payload["eval_x"])
@@ -159,17 +171,11 @@ def _train_candidate(payload: dict, rng: np.random.Generator) -> dict:
         metrics["measured_mse"] = mean_squared_error(measured, payload["eval_y"])
     return {
         "weights": model.get_weights(),
+        "optimizer": model.optimizer.get_config(),
+        "optimizer_state": model.optimizer.get_state(),
         "metrics": metrics,
-        "epochs_run": len(history.epochs),
-        "rollbacks": sentinel.rollbacks if sentinel is not None else 0,
-        "rollback_events": [
-            {
-                "epoch": event.epoch,
-                "reason": event.reason,
-                "new_learning_rate": event.new_learning_rate,
-            }
-            for event in (sentinel.events if sentinel is not None else [])
-        ],
+        "epochs_run": payload["initial_epoch"] + len(history.epochs),
+        "rollback_events": sentinel.events if sentinel is not None else [],
     }
 
 
@@ -218,7 +224,6 @@ class TrainingService:
         dataset_artifact: Optional[int] = None,
         progress: Optional[Callable[[str], None]] = None,
         resume: bool = False,
-        checkpoint_every: int = 1,
         sweep_name: str = "sweep",
     ) -> List[TrainingRun]:
         """Train every topology without user interaction.
@@ -228,10 +233,11 @@ class TrainingService:
 
         ``resume=True`` (requires a :class:`CheckpointManager`) reloads
         topologies that already completed in a previous invocation —
-        reproducing their recorded metrics exactly — and resumes a
-        half-trained topology from its last checkpointed epoch.  Note that
-        mid-topology resume restarts the early-stopping patience window at
-        the resume point; kill/resume between topologies is bit-exact.
+        reproducing their recorded metrics exactly — and, in-process,
+        resumes a half-trained topology from its last checkpointed epoch.
+        Note that mid-topology resume restarts the early-stopping patience
+        window at the resume point; kill/resume between topologies is
+        bit-exact.
         """
         if not topologies:
             raise ValueError("topologies must be non-empty")
@@ -260,168 +266,155 @@ class TrainingService:
             if stored is not None:
                 sweep_state = stored
         completed: Dict[str, dict] = dict(sweep_state.get("completed", {}))
-
-        topologies_counter = _counter(
-            "training_topologies_total", "topology runs by disposition"
-        )
-        with get_tracer().start_span(
-            "train.sweep",
-            attributes={"sweep": sweep_name, "topologies": len(topologies)},
-        ) as sweep_span:
-            if self.executor is not None:
-                sweep_span.set_attribute("backend", self.executor.backend)
-                self._train_all_parallel(
-                    topologies, train, validation, evaluation_data,
-                    dataset_artifact, progress, resume, sweep_name,
-                    sweep_state, completed, topologies_counter, sweep_span,
-                )
-                return self.runs
-            for topology in topologies:
-                checkpoint_name = f"{sweep_name}-{topology.name}"
-                if resume and topology.name in completed:
-                    try:
-                        run = self._reload_completed(
-                            topology, checkpoint_name, completed[topology.name],
-                            dataset_artifact, progress,
-                        )
-                    except CorruptArtifactError:
-                        # Every generation of the finished topology failed
-                        # verification (all quarantined): retrain it.
-                        completed.pop(topology.name, None)
-                    else:
-                        topologies_counter.inc(disposition="reloaded")
-                        self.runs.append(run)
-                        continue
-                with get_tracer().start_span(
-                    "train.topology",
-                    parent=sweep_span,
-                    attributes={"topology": topology.name},
-                ) as topology_span:
-                    run = self._train_one(
-                        topology,
-                        checkpoint_name,
-                        train,
-                        validation,
-                        evaluation_data,
-                        dataset_artifact,
-                        progress,
-                        resume=resume,
-                        checkpoint_every=checkpoint_every,
-                    )
-                    topology_span.set_attribute("epochs_run", run.epochs_run)
-                    topology_span.set_attribute("rollbacks", run.rollbacks)
-                topologies_counter.inc(
-                    disposition="resumed" if run.resumed else "trained"
-                )
-                self.runs.append(run)
-                if self.checkpoints is not None:
-                    completed[topology.name] = {
-                        "metrics": run.metrics,
-                        "epochs_run": run.epochs_run,
-                    }
-                    sweep_state["completed"] = completed
-                    self.checkpoints.save_state(sweep_name, sweep_state)
-        return self.runs
-
-    # -- parallel sweep ----------------------------------------------------
-
-    def _train_all_parallel(
-        self,
-        topologies: Sequence[TopologySpec],
-        train: SpectraDataset,
-        validation: SpectraDataset,
-        evaluation_data: Optional[SpectraDataset],
-        dataset_artifact: Optional[int],
-        progress: Optional[Callable[[str], None]],
-        resume: bool,
-        sweep_name: str,
-        sweep_state: Dict[str, object],
-        completed: Dict[str, dict],
-        topologies_counter,
-        sweep_span,
-    ) -> None:
-        """Fan candidate training out over the executor.
-
-        Phase 1 reloads topologies a previous invocation completed (same
-        semantics as the serial path); phase 2 trains the rest as one
-        executor wave.  Results are consumed in input order, so
-        ``self.runs`` ordering — and therefore ``select_best``
-        tie-breaking — matches the serial path exactly.
-        """
-        to_train: List[TopologySpec] = []
-        for topology in topologies:
-            if resume and topology.name in completed:
-                checkpoint_name = f"{sweep_name}-{topology.name}"
-                try:
-                    run = self._reload_completed(
-                        topology, checkpoint_name, completed[topology.name],
-                        dataset_artifact, progress,
-                    )
-                except CorruptArtifactError:
-                    completed.pop(topology.name, None)
-                else:
-                    topologies_counter.inc(disposition="reloaded")
-                    self.runs.append(run)
-                    continue
-            to_train.append(topology)
-        if not to_train:
-            return
-        if progress is not None:
-            progress(
-                f"training {len(to_train)} topologies on the "
-                f"{self.executor.backend} backend"
-            )
-        config = self.config
-        payload_config = {
-            "epochs": config.epochs,
-            "batch_size": config.batch_size,
-            "optimizer": config.optimizer,
-            "loss": config.loss,
-            "patience": config.patience,
-            "seed": config.seed,
-            "clip_norm": config.clip_norm,
-            "sentinel": config.sentinel,
-            "sentinel_max_rollbacks": config.sentinel_max_rollbacks,
-        }
-        # Publish the dataset once per sweep instead of once per payload:
-        # on the process backend every topology's payload carries tiny
-        # SharedArrayRef handles and workers resolve them into read-only
-        # memory maps; on serial/thread this is a pass-through.
-        shared = {
+        arrays = {
             "train_x": train.x,
             "train_y": train.y,
             "val_x": validation.x,
             "val_y": validation.y,
         }
         if evaluation_data is not None:
-            shared["eval_x"] = evaluation_data.x
-            shared["eval_y"] = evaluation_data.y
-        handles = self.executor.scatter(shared)
-        payloads = [
-            {
-                "topology_json": topology.to_json(),
-                "config": payload_config,
-                "eval_x": None,
-                "eval_y": None,
-                **handles,
-            }
-            for topology in to_train
-        ]
-        results = self.executor.map_tasks(
-            _train_candidate, payloads, label=f"train.{sweep_name}"
+            arrays["eval_x"] = evaluation_data.x
+            arrays["eval_y"] = evaluation_data.y
+
+        topologies_counter = _counter(
+            "training_topologies_total", "topology runs by disposition"
         )
-        n_failed = 0
-        for topology, result in zip(to_train, results):
-            if isinstance(result, TaskFailure):
+
+        def finish(topology: TopologySpec, result: dict, resumed: bool):
+            for event in result["rollback_events"]:
+                self._record_event(
+                    "divergence_rollback",
+                    {
+                        "topology": topology.name,
+                        "epoch": event.epoch,
+                        "reason": event.reason,
+                        "new_learning_rate": event.new_learning_rate,
+                    },
+                    dataset_artifact,
+                )
+            model = topology.build(train.input_shape, seed=config.seed)
+            model.compile(get_optimizer(result["optimizer"]), config.loss)
+            model.set_weights(result["weights"])
+            model.optimizer.set_state(result["optimizer_state"])
+            metrics, epochs_run = result["metrics"], result["epochs_run"]
+            if self.checkpoints is not None:
+                # Final snapshot carries the (possibly best-weights-restored)
+                # model so a later resume reloads exactly what was scored.
+                self.checkpoints.save(
+                    f"{sweep_name}-{topology.name}",
+                    model,
+                    state={
+                        "epoch": epochs_run,
+                        "completed": True,
+                        "metrics": metrics,
+                    },
+                )
+            run = TrainingRun(
+                topology_name=topology.name,
+                model=model,
+                metrics=metrics,
+                epochs_run=epochs_run,
+                artifact_id=self._record_network(
+                    topology.name, metrics, dataset_artifact
+                ),
+                resumed=resumed,
+                rollbacks=len(result["rollback_events"]),
+            )
+            topologies_counter.inc(disposition="resumed" if resumed else "trained")
+            self.runs.append(run)
+            if self.checkpoints is not None:
+                completed[topology.name] = {
+                    "metrics": metrics,
+                    "epochs_run": epochs_run,
+                }
+                sweep_state["completed"] = completed
+                self.checkpoints.save_state(sweep_name, sweep_state)
+            return run
+
+        with get_tracer().start_span(
+            "train.sweep",
+            attributes={"sweep": sweep_name, "topologies": len(topologies)},
+        ) as sweep_span:
+            queued: List[Tuple[TopologySpec, dict]] = []
+            for topology in topologies:
+                checkpoint_name = f"{sweep_name}-{topology.name}"
+                start = self._reload_or_resume(
+                    topology, checkpoint_name, completed, resume,
+                    dataset_artifact, progress,
+                )
+                if isinstance(start, TrainingRun):
+                    topologies_counter.inc(disposition="reloaded")
+                    self.runs.append(start)
+                    continue
+                model, initial_epoch = start
+                if progress is not None:
+                    verb = (
+                        f"resuming from epoch {initial_epoch}"
+                        if initial_epoch else "training"
+                    )
+                    progress(f"{verb} {topology.name}")
+                payload = {
+                    "topology": topology,
+                    "config": config,
+                    "model": model,
+                    "initial_epoch": initial_epoch,
+                    "checkpoint": None,
+                    "eval_x": None,
+                    "eval_y": None,
+                }
+                if self.executor is not None:
+                    queued.append((topology, payload))
+                    continue
+                if self.checkpoints is not None:
+                    payload["checkpoint"] = Checkpoint(
+                        self.checkpoints,
+                        checkpoint_name,
+                        on_save=lambda path, epoch: self._record_event(
+                            "checkpoint",
+                            {"topology": topology.name, "epoch": epoch},
+                            dataset_artifact,
+                        ),
+                    )
+                with get_tracer().start_span(
+                    "train.topology",
+                    parent=sweep_span,
+                    attributes={"topology": topology.name},
+                ) as topology_span:
+                    run = finish(
+                        topology,
+                        _train_topology({**payload, **arrays}, None),
+                        resumed=initial_epoch > 0,
+                    )
+                    topology_span.set_attribute("epochs_run", run.epochs_run)
+                    topology_span.set_attribute("rollbacks", run.rollbacks)
+            if not queued:
+                return self.runs
+            sweep_span.set_attribute("backend", self.executor.backend)
+            # Publish the dataset once per sweep instead of once per payload:
+            # on the process backend every payload carries tiny
+            # SharedArrayRef handles that workers resolve into read-only
+            # memory maps; on serial/thread this is a pass-through.
+            handles = self.executor.scatter(arrays)
+            results = self.executor.map_tasks(
+                _train_topology,
+                [{**payload, **handles} for _, payload in queued],
+                label=f"train.{sweep_name}",
+            )
+            n_failed = 0
+            for (topology, _), result in zip(queued, results):
+                if not isinstance(result, TaskFailure):
+                    finish(topology, result, resumed=False)
+                    continue
                 n_failed += 1
                 topologies_counter.inc(disposition="failed")
-                failure = FailedRun(
-                    topology_name=topology.name,
-                    error_type=result.error_type,
-                    message=result.message,
-                    attempts=result.attempts,
+                self.failures.append(
+                    FailedRun(
+                        topology_name=topology.name,
+                        error_type=result.error_type,
+                        message=result.message,
+                        attempts=result.attempts,
+                    )
                 )
-                self.failures.append(failure)
                 self._record_event(
                     "topology_failed",
                     {
@@ -437,232 +430,76 @@ class TrainingService:
                         f"failed {topology.name}: "
                         f"{result.error_type}: {result.message}"
                     )
-                continue
-            model = topology.build(train.input_shape, seed=config.seed)
-            model.compile(config.optimizer, config.loss)
-            model.set_weights(result["weights"])
-            metrics = {k: float(v) for k, v in result["metrics"].items()}
-            for event in result["rollback_events"]:
-                self._record_event(
-                    "divergence_rollback",
-                    {"topology": topology.name, **event},
-                    dataset_artifact,
-                )
-            if self.checkpoints is not None:
-                self.checkpoints.save(
-                    f"{sweep_name}-{topology.name}",
-                    model,
-                    state={
-                        "epoch": result["epochs_run"],
-                        "completed": True,
-                        "metrics": metrics,
-                    },
-                )
-            artifact_id = self._record_network(
-                topology.name, metrics, dataset_artifact
-            )
-            topologies_counter.inc(disposition="trained")
-            self.runs.append(
-                TrainingRun(
-                    topology_name=topology.name,
-                    model=model,
-                    metrics=metrics,
-                    epochs_run=int(result["epochs_run"]),
-                    artifact_id=artifact_id,
-                    rollbacks=int(result["rollbacks"]),
-                )
-            )
-            if self.checkpoints is not None:
-                completed[topology.name] = {
-                    "metrics": metrics,
-                    "epochs_run": int(result["epochs_run"]),
-                }
-                sweep_state["completed"] = completed
-                self.checkpoints.save_state(sweep_name, sweep_state)
-        sweep_span.set_attribute("failed", n_failed)
+            sweep_span.set_attribute("failed", n_failed)
+        return self.runs
 
     # -- one topology ------------------------------------------------------
 
-    def _train_one(
+    def _reload_or_resume(
         self,
         topology: TopologySpec,
         checkpoint_name: str,
-        train: SpectraDataset,
-        validation: SpectraDataset,
-        evaluation_data: Optional[SpectraDataset],
-        dataset_artifact: Optional[int],
-        progress: Optional[Callable[[str], None]],
+        completed: Dict[str, dict],
         resume: bool,
-        checkpoint_every: int,
-    ) -> TrainingRun:
-        config = self.config
-        initial_epoch = 0
-        model: Optional[Sequential] = None
-        if resume and self.checkpoints is not None and self.checkpoints.exists(
-            checkpoint_name
-        ):
-            try:
-                data = self.checkpoints.load(checkpoint_name, seed=config.seed)
-            except CorruptArtifactError as error:
-                # No generation verified (all quarantined by the manager):
-                # train from scratch rather than resuming from bad bytes.
-                self._record_event(
-                    "checkpoint_unreadable",
-                    {"topology": topology.name, "error": str(error)},
-                    dataset_artifact,
-                )
-                data = None
-            saved_epoch = int(data.state.get("epoch", 0)) if data else 0
-            if data is not None and data.state.get("completed"):
-                # Crash landed between the final snapshot and the sweep
-                # state update; the checkpoint already holds the scored model.
-                return self._reload_completed(
-                    topology,
-                    checkpoint_name,
-                    {"metrics": data.state["metrics"], "epochs_run": saved_epoch},
-                    dataset_artifact,
-                    progress,
-                )
-            if data is not None and 0 < saved_epoch < config.epochs:
-                model = data.model
-                model.compile(data.optimizer or config.optimizer, config.loss)
-                initial_epoch = saved_epoch
-                self._record_event(
-                    "resume",
-                    {"topology": topology.name, "epoch": saved_epoch},
-                    dataset_artifact,
-                )
-        if progress is not None:
-            verb = f"resuming from epoch {initial_epoch}" if initial_epoch else "training"
-            progress(f"{verb} {topology.name}")
-        if model is None:
-            model = topology.build(train.input_shape, seed=config.seed)
-            model.compile(config.optimizer, config.loss)
-        callbacks = []
-        if config.patience is not None:
-            callbacks.append(
-                EarlyStopping(patience=config.patience, restore_best_weights=True)
-            )
-        sentinel: Optional[DivergenceSentinel] = None
-        if config.sentinel:
-            sentinel = DivergenceSentinel(
-                max_rollbacks=config.sentinel_max_rollbacks,
-                manager=self.checkpoints,
-                checkpoint_name=(
-                    checkpoint_name if self.checkpoints is not None else None
-                ),
-            )
-            callbacks.append(sentinel)
-        if self.checkpoints is not None:
-            callbacks.append(
-                Checkpoint(
-                    self.checkpoints,
-                    checkpoint_name,
-                    every=checkpoint_every,
-                    on_save=lambda path, epoch: self._record_event(
-                        "checkpoint",
-                        {"topology": topology.name, "epoch": epoch},
-                        dataset_artifact,
-                    ),
-                )
-            )
-        history = model.fit(
-            train.x,
-            train.y,
-            epochs=config.epochs,
-            batch_size=config.batch_size,
-            validation_data=(validation.x, validation.y),
-            callbacks=callbacks,
-            seed=config.seed,
-            initial_epoch=initial_epoch,
-            clip_norm=config.clip_norm,
-        )
-        if sentinel is not None and sentinel.triggered:
-            for event in sentinel.events:
-                self._record_event(
-                    "divergence_rollback",
-                    {
-                        "topology": topology.name,
-                        "epoch": event.epoch,
-                        "reason": event.reason,
-                        "new_learning_rate": event.new_learning_rate,
-                    },
-                    dataset_artifact,
-                )
-        epochs_run = initial_epoch + len(history.epochs)
-        metrics = self._score(model, validation, evaluation_data)
-        if self.checkpoints is not None:
-            # Final snapshot carries the (possibly best-weights-restored)
-            # model so a later resume reloads exactly what was scored.
-            self.checkpoints.save(
-                checkpoint_name,
-                model,
-                state={
-                    "epoch": epochs_run,
-                    "completed": True,
-                    "metrics": metrics,
-                },
-            )
-        artifact_id = self._record_network(topology.name, metrics, dataset_artifact)
-        return TrainingRun(
-            topology_name=topology.name,
-            model=model,
-            metrics=metrics,
-            epochs_run=epochs_run,
-            artifact_id=artifact_id,
-            resumed=initial_epoch > 0,
-            rollbacks=sentinel.rollbacks if sentinel is not None else 0,
-        )
-
-    def _reload_completed(
-        self,
-        topology: TopologySpec,
-        checkpoint_name: str,
-        record: dict,
         dataset_artifact: Optional[int],
         progress: Optional[Callable[[str], None]],
-    ) -> TrainingRun:
-        """Skip a topology the previous invocation finished."""
-        if progress is not None:
-            progress(f"skipping completed {topology.name}")
-        data = self.checkpoints.load(checkpoint_name, seed=self.config.seed)
-        metrics = {k: float(v) for k, v in record["metrics"].items()}
+    ) -> Union[TrainingRun, Tuple[Optional[Sequential], int]]:
+        """Decide where a topology starts, before any training.
+
+        Returns the reloaded :class:`TrainingRun` of a topology whose final
+        snapshot landed — whether or not its sweep-state entry did — or
+        ``(model, initial_epoch)``: a resumed in-process model and its
+        checkpointed epoch, else ``(None, 0)`` to train from scratch.
+        """
+        if not resume or not self.checkpoints.exists(checkpoint_name):
+            return None, 0
+        try:
+            data = self.checkpoints.load(checkpoint_name, seed=self.config.seed)
+        except CorruptArtifactError as error:
+            # No generation verified (all quarantined by the manager):
+            # train from scratch rather than resuming from bad bytes.
+            self._record_event(
+                "checkpoint_unreadable",
+                {"topology": topology.name, "error": str(error)},
+                dataset_artifact,
+            )
+            completed.pop(topology.name, None)
+            return None, 0
+        saved_epoch = int(data.state.get("epoch", 0))
+        record = completed.get(topology.name)
+        if record is None and data.state.get("completed"):
+            # Crash landed between the final snapshot and the sweep
+            # state update; the checkpoint already holds the scored model.
+            record = {"metrics": data.state["metrics"], "epochs_run": saved_epoch}
+        if record is not None:
+            if progress is not None:
+                progress(f"skipping completed {topology.name}")
+            metrics = {k: float(v) for k, v in record["metrics"].items()}
+            self._record_event(
+                "resume",
+                {"topology": topology.name, "skipped_completed": True},
+                dataset_artifact,
+            )
+            return TrainingRun(
+                topology_name=topology.name,
+                model=data.model,
+                metrics=metrics,
+                epochs_run=int(record.get("epochs_run", 0)),
+                artifact_id=self._record_network(
+                    topology.name, metrics, dataset_artifact
+                ),
+                resumed=True,
+            )
+        if self.executor is not None or not 0 < saved_epoch < self.config.epochs:
+            return None, 0
+        model = data.model
+        model.compile(data.optimizer or self.config.optimizer, self.config.loss)
         self._record_event(
             "resume",
-            {"topology": topology.name, "skipped_completed": True},
+            {"topology": topology.name, "epoch": saved_epoch},
             dataset_artifact,
         )
-        artifact_id = self._record_network(topology.name, metrics, dataset_artifact)
-        return TrainingRun(
-            topology_name=topology.name,
-            model=data.model,
-            metrics=metrics,
-            epochs_run=int(record.get("epochs_run", 0)),
-            artifact_id=artifact_id,
-            resumed=True,
-        )
-
-    def _score(
-        self,
-        model: Sequential,
-        validation: SpectraDataset,
-        evaluation_data: Optional[SpectraDataset],
-    ) -> Dict[str, float]:
-        predictions = model.predict(validation.x)
-        metrics = {
-            "val_mae": mean_absolute_error(predictions, validation.y),
-            "val_mse": mean_squared_error(predictions, validation.y),
-            "val_r2": r2_score(predictions, validation.y),
-        }
-        if evaluation_data is not None:
-            measured = model.predict(evaluation_data.x)
-            metrics["measured_mae"] = mean_absolute_error(
-                measured, evaluation_data.y
-            )
-            metrics["measured_mse"] = mean_squared_error(
-                measured, evaluation_data.y
-            )
-        return metrics
+        return model, saved_epoch
 
     # -- provenance --------------------------------------------------------
 

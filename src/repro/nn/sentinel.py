@@ -11,10 +11,9 @@ watches every batch for the three signatures of divergence — non-finite
 loss, non-finite gradients, runaway loss growth against a smoothed
 baseline — and on trigger:
 
-1. rolls the model back to the last-good state (the most recent
-   :class:`~repro.reliability.checkpoint.CheckpointManager` checkpoint if
-   one is wired in, else an in-memory snapshot refreshed every healthy
-   epoch),
+1. rolls the model back to the last-good state: weights and optimizer
+   state snapshotted in memory at the start of training and at the end of
+   every epoch whose metrics are all finite,
 2. halves the learning rate (down to ``min_lr``),
 3. asks the training loop to discard and re-run the epoch.
 
@@ -79,10 +78,6 @@ class DivergenceSentinel(Callback):
     max_rollbacks:
         Consecutive-trigger budget; exceeded → :class:`DivergenceError`.
         A healthy completed epoch resets the budget.
-    manager / checkpoint_name:
-        Optional :class:`~repro.reliability.checkpoint.CheckpointManager`
-        and entry name; when the named checkpoint exists, rollback restores
-        it (weights + optimizer state) instead of the in-memory snapshot.
     """
 
     def __init__(
@@ -94,8 +89,6 @@ class DivergenceSentinel(Callback):
         lr_factor: float = 0.5,
         min_lr: float = 1e-6,
         max_rollbacks: int = 5,
-        manager=None,
-        checkpoint_name: Optional[str] = None,
     ):
         if loss_growth_factor is not None and loss_growth_factor <= 1.0:
             raise ValueError("loss_growth_factor must exceed 1.0")
@@ -111,8 +104,6 @@ class DivergenceSentinel(Callback):
             raise ValueError("min_lr must be positive")
         if max_rollbacks < 1:
             raise ValueError("max_rollbacks must be >= 1")
-        if (manager is None) != (checkpoint_name is None):
-            raise ValueError("manager and checkpoint_name go together")
         self.loss_growth_factor = (
             float(loss_growth_factor) if loss_growth_factor is not None else None
         )
@@ -124,14 +115,11 @@ class DivergenceSentinel(Callback):
         self.lr_factor = float(lr_factor)
         self.min_lr = float(min_lr)
         self.max_rollbacks = int(max_rollbacks)
-        self.manager = manager
-        self.checkpoint_name = checkpoint_name
         self.events: List[SentinelEvent] = []
         self.rollbacks = 0
         self._consecutive_rollbacks = 0
         self._ewma: Optional[float] = None
         self._healthy_batches = 0
-        self._epochs_completed = 0
         self._snapshot = None
         self._abort_epoch = False
 
@@ -148,7 +136,6 @@ class DivergenceSentinel(Callback):
         self._ewma = None
         self._healthy_batches = 0
         self._abort_epoch = False
-        self._epochs_completed = 0
         self._take_snapshot()
 
     def on_batch_end(self, epoch, batch, loss):
@@ -171,7 +158,6 @@ class DivergenceSentinel(Callback):
         if all(np.isfinite(v) for v in metrics.values()):
             self._take_snapshot()
             self._consecutive_rollbacks = 0
-            self._epochs_completed += 1
 
     # -- detection ---------------------------------------------------------
 
@@ -249,21 +235,6 @@ class DivergenceSentinel(Callback):
         self._abort_epoch = True
 
     def _restore_last_good(self):
-        # The on-disk checkpoint is only trusted once an epoch completed in
-        # *this* run (so the entry was written by this run's Checkpoint
-        # callback, not left over from an older sweep under the same name).
-        if (
-            self.manager is not None
-            and self.checkpoint_name is not None
-            and self._epochs_completed > 0
-            and self.manager.exists(self.checkpoint_name)
-        ):
-            data = self.manager.load(self.checkpoint_name)
-            self.model.set_weights(data.model.get_weights())
-            optimizer = getattr(self.model, "optimizer", None)
-            if optimizer is not None and data.optimizer is not None:
-                optimizer.set_state(data.optimizer.get_state())
-            return
         weights, opt_state = self._snapshot
         self.model.set_weights(weights)
         optimizer = getattr(self.model, "optimizer", None)

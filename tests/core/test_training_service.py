@@ -1,8 +1,12 @@
 """Unit tests for the unattended training service."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from repro.compute import BACKENDS, ParallelExecutor
 from repro.core.datasets import SpectraDataset
 from repro.core.topologies import TopologySpec, mlp_topology
 from repro.core.training_service import TrainingConfig, TrainingService
@@ -197,12 +201,50 @@ class TestDivergenceSentinelInSweep:
         runs = service.train_all(_specs()[:1], _dataset())
         assert runs[0].rollbacks == 0
 
-    def test_clip_norm_flows_through_to_the_optimizer(self):
+    @pytest.mark.parametrize("backend", [None, *BACKENDS])
+    def test_clip_norm_flows_through_to_the_optimizer(self, backend):
+        """Every path hands back the trained optimizer, not a fresh one."""
+        executor = (
+            ParallelExecutor(backend=backend, max_workers=2)
+            if backend is not None else None
+        )
         service = TrainingService(
-            TrainingConfig(epochs=1, clip_norm=2.5)
+            TrainingConfig(
+                epochs=3, batch_size=16, patience=None, seed=1, clip_norm=2.5
+            ),
+            executor=executor,
         )
         runs = service.train_all(_specs()[:1], _dataset())
-        assert runs[0].model.optimizer.clipnorm == 2.5
+        optimizer = runs[0].model.optimizer
+        assert optimizer.clipnorm == 2.5
+        # 96 training rows in batches of 16, for 3 epochs.
+        assert optimizer.iterations == 18
+        if executor is not None:
+            executor.close()
+
+    def test_provenance_sequence_is_pinned(self, tmp_path):
+        """The in-process event stream of a seeded, checkpointed sweep whose
+        first topology rolls back in epoch 2: every checkpoint, rollback and
+        network record in order (numpy 2.4, OpenBLAS, x86-64)."""
+        from repro.reliability.checkpoint import CheckpointManager
+
+        provenance = ProvenanceTracker()
+        service = TrainingService(
+            TrainingConfig(epochs=4, batch_size=16, patience=None, seed=3),
+            provenance=provenance,
+            checkpoints=CheckpointManager(tmp_path),
+        )
+        poisoned = _poisoned_spec()
+        poisoned.poison_at_batch = 10
+        service.train_all([poisoned] + _specs(), _dataset())
+        sequence = [(doc["kind"], doc["metadata"]) for doc in provenance.find()]
+        assert [kind for kind, _ in sequence].count("divergence_rollback") == 1
+        digest = hashlib.sha256(
+            json.dumps(sequence, sort_keys=True).encode("utf-8")
+        ).hexdigest()
+        assert digest == (
+            "9edcda85d6e337c683decd84ccc01598098e09f5cc1493b14bb506629d9350a4"
+        )
 
 
 class TestConfigRobustnessFields:
