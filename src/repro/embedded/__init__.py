@@ -8,6 +8,12 @@ by the *actual* per-layer FLOP/byte counts of the built network
 boards' public specifications.  The model reproduces the shape of Table 2:
 GPUs ~5-7x faster and ~5-6x more energy-efficient than the CPUs at similar
 ~5 W power, and performance scaling with CUDA-core count.
+
+The deployed form of a model is its frozen
+:class:`~repro.inference.plan.InferencePlan`: :func:`export_for_embedded`
+writes the float32 plan and a manifest priced from its fused ops, and
+:func:`~repro.embedded.quantization.quantize_tensor` is the int8
+quantizer ``freeze(dtype="int8")`` compiles with.
 """
 
 from repro.embedded.platforms import (
@@ -19,12 +25,7 @@ from repro.embedded.platforms import (
     TABLE2_PLATFORMS,
 )
 from repro.embedded.cost_model import CostEstimate, InferenceCostModel
-from repro.embedded.deployment import DeployedModel, export_for_embedded
-from repro.embedded.quantization import (
-    QuantizationReport,
-    QuantizedModel,
-    quantize_weights,
-)
+from repro.embedded.deployment import export_for_embedded
 from repro.embedded.overlays import (
     FGPU_SOFT_GPU,
     FGPU_SPECIALIZED,
@@ -36,13 +37,10 @@ from repro.embedded.overlays import (
 
 __all__ = [
     "CostEstimate",
-    "DeployedModel",
     "FGPU_SOFT_GPU",
     "FGPU_SPECIALIZED",
     "InferenceCostModel",
     "OverlaySpec",
-    "QuantizationReport",
-    "QuantizedModel",
     "VCGRA_OVERLAY",
     "ZYNQ_ARM_A9",
     "estimate_overlay_speedup",
@@ -53,5 +51,4 @@ __all__ = [
     "PlatformSpec",
     "TABLE2_PLATFORMS",
     "export_for_embedded",
-    "quantize_weights",
 ]

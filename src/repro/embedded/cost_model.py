@@ -1,7 +1,8 @@
 """Roofline-style inference cost model.
 
-For each layer of a built network the model takes the exact FLOP and byte
-counts from :mod:`repro.nn.flops` and charges, per batch,
+For each layer of a built network (exact FLOP and byte counts from
+:mod:`repro.nn.flops`) or each fused op of a frozen plan, one roofline
+loop charges, per batch,
 
     time_layer = max(compute_time, memory_time) + kernel_overhead
 
@@ -59,18 +60,12 @@ class InferenceCostModel:
     def __init__(self, platform: PlatformSpec):
         self.platform = platform
 
-    def estimate(
-        self,
-        model: Sequential,
-        n_samples: int,
-        batch_size: int = 128,
-    ) -> CostEstimate:
-        """Cost of pushing ``n_samples`` spectra through ``model``."""
+    def _price(self, rows, n_samples: int, batch_size: int) -> CostEstimate:
+        """The roofline over ``(name, flops, param_bytes, activation_bytes)`` rows."""
         if n_samples <= 0:
             raise ValueError("n_samples must be positive")
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        costs = count_model_flops(model)
         platform = self.platform
         n_batches = -(-n_samples // batch_size)  # ceil
 
@@ -78,29 +73,42 @@ class InferenceCostModel:
         bytes_per_second = platform.effective_bandwidth_gbs * 1e9
         overhead_s = platform.kernel_overhead_us * 1e-6
 
-        per_layer: Dict[str, float] = {}
+        per_row: Dict[str, float] = {}
         total = 0.0
-        for i, cost in enumerate(costs):
-            if cost.flops == 0 and cost.activation_bytes == 0:
-                continue  # reshape/flatten are free views
-            compute_time = cost.flops * batch_size * compute_per_flop
+        for name, flops, param_bytes, activation_bytes in rows:
+            compute_time = flops * batch_size * compute_per_flop
             # Weights stream once per batch; activations per sample.
-            traffic = cost.param_bytes + cost.activation_bytes * batch_size
+            traffic = param_bytes + activation_bytes * batch_size
             memory_time = traffic / bytes_per_second
-            layer_time = (max(compute_time, memory_time) + overhead_s) * n_batches
-            per_layer[f"{i}:{cost.layer_name}"] = layer_time
-            total += layer_time
+            seconds = (max(compute_time, memory_time) + overhead_s) * n_batches
+            per_row[name] = seconds
+            total += seconds
 
-        energy = platform.active_power_w * total
         return CostEstimate(
             platform=platform.name,
             n_samples=n_samples,
             batch_size=batch_size,
             execution_time_s=total,
             power_w=platform.active_power_w,
-            energy_j=energy,
-            per_layer_seconds=per_layer,
+            energy_j=platform.active_power_w * total,
+            per_layer_seconds=per_row,
         )
+
+    def estimate(
+        self,
+        model: Sequential,
+        n_samples: int,
+        batch_size: int = 128,
+    ) -> CostEstimate:
+        """Cost of pushing ``n_samples`` spectra through ``model``, per layer."""
+        rows = [
+            (f"{i}:{cost.layer_name}", cost.flops, cost.param_bytes,
+             cost.activation_bytes)
+            for i, cost in enumerate(count_model_flops(model))
+            # Zero-FLOP, zero-activation layers (reshape/flatten) are free views.
+            if cost.flops or cost.activation_bytes
+        ]
+        return self._price(rows, n_samples, batch_size)
 
     def estimate_plan(
         self,
@@ -125,39 +133,12 @@ class InferenceCostModel:
         ``name``, ``flops``, ``param_bytes``, ``activation_bytes``), so
         this module keeps importing nothing above :mod:`repro.nn`.
         """
-        if n_samples <= 0:
-            raise ValueError("n_samples must be positive")
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        platform = self.platform
-        n_batches = -(-n_samples // batch_size)  # ceil
-
-        compute_per_flop = 1.0 / (platform.effective_gflops * 1e9)
-        bytes_per_second = platform.effective_bandwidth_gbs * 1e9
-        overhead_s = platform.kernel_overhead_us * 1e-6
-
-        per_op: Dict[str, float] = {}
-        total = 0.0
-        for i, op in enumerate(plan.ops):
-            if op.kind == "view":
-                continue  # reshape/flatten are free views
-            compute_time = op.flops * batch_size * compute_per_flop
-            traffic = op.param_bytes + op.activation_bytes * batch_size
-            memory_time = traffic / bytes_per_second
-            op_time = (max(compute_time, memory_time) + overhead_s) * n_batches
-            per_op[f"{i}:{op.name}"] = op_time
-            total += op_time
-
-        energy = platform.active_power_w * total
-        return CostEstimate(
-            platform=platform.name,
-            n_samples=n_samples,
-            batch_size=batch_size,
-            execution_time_s=total,
-            power_w=platform.active_power_w,
-            energy_j=energy,
-            per_layer_seconds=per_op,
-        )
+        rows = [
+            (f"{i}:{op.name}", op.flops, op.param_bytes, op.activation_bytes)
+            for i, op in enumerate(plan.ops)
+            if op.kind != "view"  # reshape/flatten are free views
+        ]
+        return self._price(rows, n_samples, batch_size)
 
     def compare_to(
         self, other: "InferenceCostModel", model: Sequential, n_samples: int,

@@ -1,76 +1,26 @@
 """Model export for embedded targets.
 
 The paper's backend tooling includes "a tool to export the desired ANN for
-use on embedded platforms".  Export here means: weights cast to float32
-(the deployment precision of the Jetson TensorFlow runtime), an
-architecture manifest, the exact FLOP budget, and predicted Table-2-style
-costs for each registered platform.  :class:`DeployedModel` also *runs*
-inference in float32 so the numerical effect of the precision drop can be
-validated against the float64 development model.
+use on embedded platforms".  The exported artifact is the frozen float32
+:class:`~repro.inference.plan.InferencePlan` — the plan the engine runs,
+in the checksummed plan envelope — plus a manifest: the architecture,
+the exact FLOP budget, the float32 and int8 plans' weight bytes, and
+Table-2 costs for each registered platform priced from the plan's fused
+ops.  The float64 training checkpoint is not part of the package.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
-import numpy as np
-
-from repro.nn.flops import count_model_flops
 from repro.nn.model import Sequential
-from repro.nn.serialization import model_to_dict, save_model
-from repro.embedded.cost_model import CostEstimate, InferenceCostModel
-from repro.embedded.platforms import TABLE2_PLATFORMS, PlatformSpec
+from repro.nn.serialization import model_to_dict
+from repro.embedded.cost_model import InferenceCostModel
+from repro.embedded.platforms import TABLE2_PLATFORMS
 
-__all__ = ["DeployedModel", "export_for_embedded"]
-
-
-class DeployedModel:
-    """A model running at deployment (float32) precision."""
-
-    def __init__(self, model: Sequential):
-        if not model.built:
-            raise ValueError("only built models can be deployed")
-        self.model = model
-        self._float32_weights = [
-            w.astype(np.float32) for w in model.get_weights()
-        ]
-
-    def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Inference with float32 weights and inputs.
-
-        The computation itself runs through the float64 kernels after a
-        float32 round-trip of weights and inputs — this bounds the
-        quantization effect without a second kernel implementation.
-        """
-        original = self.model.get_weights()
-        try:
-            self.model.set_weights([w.astype(np.float64) for w in self._float32_weights])
-            x32 = np.asarray(x, dtype=np.float32).astype(np.float64)
-            return self.model.predict(x32, batch_size=batch_size)
-        finally:
-            self.model.set_weights(original)
-
-    def precision_loss(self, x: np.ndarray) -> float:
-        """Max |float64 prediction - float32 prediction| over a batch."""
-        full = self.model.predict(x)
-        deployed = self.predict(x)
-        return float(np.max(np.abs(full - deployed)))
-
-    def estimate_costs(
-        self,
-        n_samples: int,
-        batch_size: int = 128,
-        platforms: Optional[Dict[str, PlatformSpec]] = None,
-    ) -> Dict[str, CostEstimate]:
-        """Predicted execution cost on each platform (Table 2 rows)."""
-        platforms = platforms if platforms is not None else TABLE2_PLATFORMS
-        return {
-            key: InferenceCostModel(spec).estimate(self.model, n_samples, batch_size)
-            for key, spec in platforms.items()
-        }
+__all__ = ["export_for_embedded"]
 
 
 def export_for_embedded(
@@ -79,36 +29,38 @@ def export_for_embedded(
     dataset_size: int = 21_600,
     batch_size: int = 128,
 ) -> Dict[str, str]:
-    """Write a deployment package: weights, manifest, predicted costs.
+    """Write a deployment package: the frozen plan and its manifest.
 
-    Returns the paths written.  ``dataset_size`` defaults to the paper's
-    21 600-sample evaluation set.
+    Returns the paths written (``plan``, ``manifest``).  ``dataset_size``
+    defaults to the paper's 21 600-sample evaluation set.  A model with a
+    layer that has no fused kernel (LSTM, BatchNorm) raises
+    :class:`~repro.inference.plan.UnsupportedLayerError`.
     """
+    from repro.inference import freeze, save_plan  # lazy: inference imports us
+
+    plan = freeze(model)
+    int8_plan = freeze(model, dtype="int8")
     directory = os.fspath(directory)
     os.makedirs(directory, exist_ok=True)
-    weights_path = save_model(model, os.path.join(directory, "model.npz"))
-
-    deployed = DeployedModel(model)
-    costs = deployed.estimate_costs(dataset_size, batch_size)
-    flops = count_model_flops(model)
-    from repro.embedded.quantization import quantize_weights
-
-    int8_tensors, scales = quantize_weights(model)
+    plan_path = save_plan(plan, os.path.join(directory, "model.plan"))
     manifest = {
         "architecture": model_to_dict(model),
         "parameters": model.count_params(),
-        "flops_per_sample": int(sum(c.flops for c in flops)),
-        "weight_bytes_float32": int(sum(c.param_bytes for c in flops)),
-        "weight_bytes_int8": int(
-            sum(t.size for t in int8_tensors) + 4 * len(scales)
-        ),
+        "flops_per_sample": int(plan.total_flops),
+        "weight_bytes_float32": int(plan.weight_bytes),
+        "weight_bytes_int8": int(int8_plan.weight_bytes),
         "evaluation": {
             "dataset_size": dataset_size,
             "batch_size": batch_size,
-            "platforms": {key: est.row() for key, est in costs.items()},
+            "platforms": {
+                key: InferenceCostModel(spec)
+                .estimate_plan(plan, dataset_size, batch_size)
+                .row()
+                for key, spec in TABLE2_PLATFORMS.items()
+            },
         },
     }
     manifest_path = os.path.join(directory, "manifest.json")
     with open(manifest_path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2)
-    return {"weights": weights_path, "manifest": manifest_path}
+    return {"plan": plan_path, "manifest": manifest_path}

@@ -2,19 +2,13 @@
 
 The paper's §IV argues that overlay architectures win by "tailor[ing] the
 processing elements to specific operations and number formats".  The
-natural first number-format step below float32 is symmetric per-tensor
-int8: this module quantizes a trained model's weights to int8 (with one
-float scale per weight tensor), measures the induced accuracy loss, and
-reports the 4x weight-memory saving that matters on bandwidth-starved
-embedded fabrics.
-
-Quantized inference here is *simulated*: weights are rounded to the int8
-grid and dequantized back to float for execution, which reproduces the
-rounding error exactly while reusing the float kernels (the standard
-"fake quantization" evaluation approach).  The *compiled* consumer of
-this module is :mod:`repro.inference`, which freezes the quantized
-payload into an :class:`~repro.inference.plan.InferencePlan` and ships
-the int8 tensors + scales to disk.
+natural first number-format step below float32 is symmetric int8: this
+module quantizes one weight tensor to int8 with a float scale per tensor
+(or per output channel), the 4x weight-memory saving that matters on
+bandwidth-starved embedded fabrics.  Its consumer is
+:func:`repro.inference.freeze`, which compiles the int8 payload into an
+:class:`~repro.inference.plan.InferencePlan`, records the calibrated
+accuracy cost and ships the int8 tensors + scales to disk.
 
 Scale semantics: ``scale == 0.0`` marks a tensor (or, per-channel, a
 channel) that was identically zero — dequantization multiplies by 0.0
@@ -33,20 +27,11 @@ quantization a no-op.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
-from repro.nn.metrics import mean_absolute_error
-from repro.nn.model import Sequential
-
-__all__ = [
-    "QuantizationReport",
-    "quantize_tensor",
-    "quantize_weights",
-    "QuantizedModel",
-]
+__all__ = ["quantize_tensor"]
 
 _INT8_MAX = 127
 
@@ -79,83 +64,3 @@ def quantize_tensor(
     quantized = np.clip(np.round(weight / scale), -_INT8_MAX, _INT8_MAX)
     return quantized.astype(np.int8), scale
 
-
-# Backwards-compatible per-tensor alias (pre-per-channel callers).
-def _quantize_tensor(weight: np.ndarray) -> Tuple[np.ndarray, float]:
-    return quantize_tensor(weight, per_channel=False)
-
-
-def quantize_weights(
-    model: Sequential, per_channel: bool = False
-) -> Tuple[List[np.ndarray], List[Scale]]:
-    """Quantize every weight tensor of a built model.
-
-    Returns the int8 tensors and their scales (floats, or 1-D arrays for
-    per-channel ``ndim >= 2`` tensors), in ``get_weights`` order.
-    """
-    if not model.built:
-        raise ValueError("model must be built before quantization")
-    tensors: List[np.ndarray] = []
-    scales: List[Scale] = []
-    for weight in model.get_weights():
-        quantized, scale = quantize_tensor(weight, per_channel=per_channel)
-        tensors.append(quantized)
-        scales.append(scale)
-    return tensors, scales
-
-
-@dataclass(frozen=True)
-class QuantizationReport:
-    """Accuracy/size effect of int8 quantization on one model."""
-
-    float32_bytes: int
-    int8_bytes: int
-    prediction_mae: float  # |float model output - int8 model output|
-    worst_tensor_error: float  # max relative weight error over tensors
-
-    @property
-    def compression_ratio(self) -> float:
-        return self.float32_bytes / max(self.int8_bytes, 1)
-
-
-class QuantizedModel:
-    """A model executing with int8-rounded (dequantized) weights."""
-
-    def __init__(self, model: Sequential, per_channel: bool = False):
-        self.model = model
-        self.per_channel = bool(per_channel)
-        self._int8, self._scales = quantize_weights(model, per_channel=per_channel)
-        self._original = model.get_weights()
-
-    def dequantized_weights(self) -> List[np.ndarray]:
-        return [
-            tensor.astype(np.float64) * scale
-            for tensor, scale in zip(self._int8, self._scales)
-        ]
-
-    def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Inference with int8-rounded weights (fake quantization)."""
-        try:
-            self.model.set_weights(self.dequantized_weights())
-            return self.model.predict(x, batch_size=batch_size)
-        finally:
-            self.model.set_weights(self._original)
-
-    def report(self, x: np.ndarray) -> QuantizationReport:
-        """Quantify size savings and output perturbation on a batch."""
-        float_pred = self.model.predict(x)
-        int8_pred = self.predict(x)
-        worst = 0.0
-        for original, dequantized in zip(self._original, self.dequantized_weights()):
-            scale = float(np.max(np.abs(original)))
-            if scale == 0.0:
-                continue
-            worst = max(worst, float(np.max(np.abs(original - dequantized))) / scale)
-        n_params = sum(w.size for w in self._original)
-        n_scales = sum(int(np.size(scale)) for scale in self._scales)
-        return QuantizationReport(
-            float32_bytes=4 * n_params,
-            int8_bytes=1 * n_params + 4 * n_scales,
-            prediction_mae=mean_absolute_error(int8_pred, float_pred),
-            worst_tensor_error=worst,
-        )

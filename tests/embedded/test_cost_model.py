@@ -1,11 +1,16 @@
 """Unit tests for the inference cost model (Table 2 reproduction)."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.embedded.cost_model import InferenceCostModel
 from repro.embedded.platforms import TABLE2_PLATFORMS
+from repro.inference import freeze
+from tests.embedded.test_cost_model_batching import _small_net
 
 
 def table1_network(input_length=1000, outputs=14):
@@ -110,3 +115,77 @@ class TestTable2Shape:
         est = InferenceCostModel(TABLE2_PLATFORMS["nano_cpu"]).estimate(NET, 21_600)
         row = est.row()
         assert set(row) == {"execution_time_s", "power_w", "energy_j"}
+
+
+def _memory_bound_net():
+    model = nn.Sequential([nn.Dense(4096), nn.Dense(10)])
+    model.build((4096,), seed=0)
+    return model
+
+
+def cost_digest(estimates):
+    """sha256 over the exact bits of every float a list of estimates holds."""
+    record = [
+        [
+            est.platform, est.n_samples, est.batch_size,
+            est.execution_time_s.hex(), est.power_w.hex(), est.energy_j.hex(),
+            [[name, seconds.hex()] for name, seconds in est.per_layer_seconds.items()],
+        ]
+        for est in estimates
+    ]
+    return hashlib.sha256(json.dumps(record).encode("utf-8")).hexdigest()
+
+
+def _on_every_platform(price):
+    """``price(cost_model, batch_size)`` on every platform at batch 1 and 128."""
+    return [
+        price(InferenceCostModel(spec), batch_size)
+        for batch_size in (1, 128)
+        for spec in TABLE2_PLATFORMS.values()
+    ]
+
+
+class TestCostPins:
+    """Per-layer seconds and totals, pinned bit for bit.
+
+    Captured before ``estimate`` and ``estimate_plan`` shared one roofline
+    loop; any change to the arithmetic or the order of its operations
+    moves a digest.
+    """
+
+    ESTIMATE = {
+        "table1": "6050b34a64a6a1877b27ece33a45437eac84cafefe6c12988bdc3f9620634a45",
+        "small": "ba74bf643f1c9d6f6506fa7c5320703769da30b3edff6242f978790a18198361",
+        "memory_bound":
+            "c026c56769101b0fbcb2bf54528e6a7ba0ec7c05e184d1b70b79870b04301597",
+    }
+    PLANS = {
+        "float32": "45bd98b95db2b8ec932fc422c5556b31dd34faaf37eeaa4c38bf998428fbccac",
+        "int8": "c73fd6ea64a5c43de302a4dfd7755bcbe1ddd9a775d26822a051fbca800b872b",
+        "int8_per_channel":
+            "61a76cb9781b72dc83b8c259507d3e6979c9676df4282fb63dd05c7f33547ace",
+    }
+
+    @pytest.mark.parametrize(
+        "name, build",
+        [("table1", lambda: NET), ("small", _small_net),
+         ("memory_bound", _memory_bound_net)],
+    )
+    def test_estimate(self, name, build):
+        model = build()
+        estimates = _on_every_platform(
+            lambda cost, batch: cost.estimate(model, 21_600, batch)
+        )
+        assert cost_digest(estimates) == self.ESTIMATE[name]
+
+    @pytest.mark.parametrize(
+        "name, dtype, per_channel",
+        [("float32", "float32", False), ("int8", "int8", False),
+         ("int8_per_channel", "int8", True)],
+    )
+    def test_estimate_plan(self, name, dtype, per_channel):
+        plan = freeze(NET, dtype=dtype, per_channel=per_channel)
+        estimates = _on_every_platform(
+            lambda cost, batch: cost.estimate_plan(plan, 21_600, batch)
+        )
+        assert cost_digest(estimates) == self.PLANS[name]

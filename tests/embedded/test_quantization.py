@@ -1,15 +1,10 @@
 """Unit tests for int8 post-training quantization."""
 
 import numpy as np
-import pytest
 
 from repro import nn
-from repro.embedded.quantization import (
-    QuantizedModel,
-    _quantize_tensor,
-    quantize_tensor,
-    quantize_weights,
-)
+from repro.embedded.quantization import quantize_tensor
+from repro.inference import InferenceEngine, freeze
 
 
 def _trained_model(seed=0):
@@ -26,18 +21,30 @@ def _trained_model(seed=0):
     return model, x
 
 
+def _worst_tensor_error(model, plan):
+    """Max int8 rounding error of a plan's weights, relative to each peak."""
+    weights = [layer.params["W"] for layer in model.layers if "W" in layer.params]
+    quantized = [op for op in plan.ops if op.qweight is not None]
+    worst = 0.0
+    for weight, op in zip(weights, quantized):
+        dequantized = op.qweight.astype(np.float64) * op.qscale
+        error = np.max(np.abs(weight.reshape(op.qweight.shape) - dequantized))
+        worst = max(worst, float(error) / float(np.max(np.abs(weight))))
+    return worst
+
+
 class TestTensorQuantization:
     def test_roundtrip_error_bounded_by_half_step(self):
         rng = np.random.default_rng(0)
         weight = rng.normal(size=(20, 10))
-        quantized, scale = _quantize_tensor(weight)
+        quantized, scale = quantize_tensor(weight)
         dequantized = quantized.astype(np.float64) * scale
         assert np.max(np.abs(weight - dequantized)) <= scale / 2 + 1e-12
 
     def test_zero_tensor_records_zero_scale(self):
         # Regression: an all-zero tensor must record scale = 0.0
         # explicitly, not a fictitious 1.0 dynamic range.
-        quantized, scale = _quantize_tensor(np.zeros((3, 3)))
+        quantized, scale = quantize_tensor(np.zeros((3, 3)))
         assert np.all(quantized == 0)
         assert scale == 0.0
         np.testing.assert_array_equal(
@@ -46,13 +53,13 @@ class TestTensorQuantization:
 
     def test_int8_range_respected(self):
         weight = np.array([-10.0, 10.0, 0.1])
-        quantized, _ = _quantize_tensor(weight)
+        quantized, _ = quantize_tensor(weight)
         assert quantized.dtype == np.int8
         assert quantized.max() == 127 and quantized.min() == -127
 
     def test_scale_preserves_extremes(self):
         weight = np.array([-2.0, 0.5, 2.0])
-        quantized, scale = _quantize_tensor(weight)
+        quantized, scale = quantize_tensor(weight)
         np.testing.assert_allclose(quantized[[0, 2]] * scale, [-2.0, 2.0])
 
 
@@ -95,48 +102,40 @@ class TestPerChannelQuantization:
 
     def test_quantized_model_per_channel_report(self):
         model, x = _trained_model()
-        per_tensor = QuantizedModel(model).report(x[:32])
-        per_channel = QuantizedModel(model, per_channel=True).report(x[:32])
+        per_tensor = freeze(model, dtype="int8", calibration=x[:32])
+        per_channel = freeze(
+            model, dtype="int8", per_channel=True, calibration=x[:32]
+        )
         # Weight-level error shrinks (smaller per-channel steps); output
         # MAE stays within the same budget either way.
-        assert per_channel.worst_tensor_error <= per_tensor.worst_tensor_error + 1e-12
-        assert per_channel.prediction_mae < 0.02
+        assert _worst_tensor_error(model, per_channel) <= (
+            _worst_tensor_error(model, per_tensor) + 1e-12
+        )
+        assert per_tensor.calibration["mae_delta"] < 0.02
+        assert per_channel.calibration["mae_delta"] < 0.02
         # Per-channel pays a few extra scale floats, nothing more.
-        assert per_channel.int8_bytes >= per_tensor.int8_bytes
-        assert per_channel.compression_ratio > 3.0
+        assert per_channel.weight_bytes >= per_tensor.weight_bytes
+        assert freeze(model).weight_bytes > 3.0 * per_channel.weight_bytes
 
 
-class TestQuantizedModel:
-    def test_unbuilt_model_rejected(self):
-        with pytest.raises(ValueError, match="built"):
-            quantize_weights(nn.Sequential([nn.Dense(2)]))
-
+class TestInt8Plan:
     def test_prediction_close_to_float_model(self):
         model, x = _trained_model()
-        quantized = QuantizedModel(model)
-        float_pred = model.predict(x)
-        int8_pred = quantized.predict(x)
-        assert np.max(np.abs(float_pred - int8_pred)) < 0.05
-
-    def test_original_weights_restored_after_predict(self):
-        model, x = _trained_model()
-        before = [w.copy() for w in model.get_weights()]
-        QuantizedModel(model).predict(x)
-        for a, b in zip(before, model.get_weights()):
-            np.testing.assert_array_equal(a, b)
+        int8_pred = InferenceEngine(freeze(model, dtype="int8")).predict(x)
+        assert np.max(np.abs(model.predict(x) - int8_pred)) < 0.05
 
     def test_report_metrics(self):
         model, x = _trained_model()
-        report = QuantizedModel(model).report(x[:32])
-        n_params = model.count_params()
-        assert report.float32_bytes == 4 * n_params
-        assert report.int8_bytes < report.float32_bytes
-        assert report.compression_ratio > 3.5
-        assert 0 <= report.worst_tensor_error <= 0.01  # <= half an int8 step
-        assert report.prediction_mae < 0.02
+        float32 = freeze(model)
+        int8 = freeze(model, dtype="int8", calibration=x[:32])
+        assert float32.weight_bytes == 4 * model.count_params()
+        assert int8.weight_bytes < float32.weight_bytes
+        assert float32.weight_bytes > 3.5 * int8.weight_bytes
+        assert 0 <= _worst_tensor_error(model, int8) <= 0.01  # <= half an int8 step
+        assert int8.calibration["mae_delta"] < 0.02
 
     def test_quantization_is_deterministic(self):
         model, x = _trained_model()
-        a = QuantizedModel(model).predict(x)
-        b = QuantizedModel(model).predict(x)
-        np.testing.assert_array_equal(a, b)
+        a = InferenceEngine(freeze(model, dtype="int8")).predict(x)
+        b = InferenceEngine(freeze(model, dtype="int8")).predict(x)
+        assert a.tobytes() == b.tobytes()
