@@ -39,8 +39,9 @@ Subpackages:
   warm-pooled executor;
 * :mod:`repro.inference` — frozen inference engine: models compiled
   into immutable plans of fused, optionally int8-quantized kernels
-  with pinned accuracy contracts, shared by serving (``frozen=``) and
-  the embedded cost model.
+  with pinned accuracy contracts, shared by serving
+  (``batch_analyzer_from_model(model, frozen=...)``) and the embedded
+  cost model.
 """
 
 __version__ = "1.0.0"

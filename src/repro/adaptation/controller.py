@@ -543,7 +543,11 @@ class AdaptationController:
         return max(1, int(np.ceil(base / scale)))
 
     def _analyzers(self, model):
-        """(single, batched-or-None) analyzers over ``model``."""
+        """(single, batched-or-None) analyzers over ``model``.
+
+        The batched one is frozen to the dtype the service serves now,
+        so promote and rollback keep a frozen service on its engine.
+        """
 
         def analyzer(intensities):
             batch = np.asarray(intensities, dtype=np.float64)[np.newaxis, ...]
@@ -551,7 +555,11 @@ class AdaptationController:
 
         batched = None
         if self.service.batching is not None:
-            batched = batch_analyzer_from_model(model, validate=False)
+            batched = batch_analyzer_from_model(
+                model,
+                frozen=getattr(self.service.batch_analyzer, "frozen_dtype",
+                               None),
+            )
         return analyzer, batched
 
     def _set_state(self, state: str) -> None:

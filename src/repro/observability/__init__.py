@@ -18,9 +18,7 @@ standard pillars as a stdlib-only leaf:
   :class:`~repro.db.provenance.ProvenanceTracker` DAG;
 * :mod:`repro.observability.runtime` — the default-on process-global
   registry/tracer every instrumented subsystem falls back to, with
-  :func:`disable`/:func:`scoped` for isolation;
-* :mod:`repro.observability.instruments` — ``time_block`` /
-  ``track_inflight`` / ``timed`` helpers.
+  :func:`disable`/:func:`scoped` for isolation.
 
 Instrumentation is wired through ``nn.training``, ``core.training_service``,
 ``serving``, ``reliability.checkpoint``, ``reliability.retry``, ``db`` and
@@ -42,7 +40,6 @@ from repro.observability.export import (
     snapshot_to_provenance,
     text_dump,
 )
-from repro.observability.instruments import time_block, timed, track_inflight
 from repro.observability.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
@@ -91,7 +88,4 @@ __all__ = [
     "set_tracer",
     "snapshot_to_provenance",
     "text_dump",
-    "time_block",
-    "timed",
-    "track_inflight",
 ]

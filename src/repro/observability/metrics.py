@@ -23,11 +23,13 @@ registry's injectable ``clock`` so tests are deterministic.
 Hot paths that hit the same series repeatedly should bind it once with
 ``family.labels(service="x")`` — the returned child skips the per-call
 kwargs allocation and label-key sort, which is most of a labeled write's
-cost.
+cost.  The bound child holds the one write path per kind; a family's
+labeled write binds a child and calls it.
 
-Cost model: a disabled registry short-circuits every write at a single
-attribute check (no lock, no allocation), which is what keeps default-on
-instrumentation inside the serving layer's < 5% overhead budget.
+Cost model: a disabled registry short-circuits every bound write at a
+single attribute check (no lock, no allocation), which is what keeps
+default-on instrumentation inside the serving layer's < 5% overhead
+budget.
 Layering: this module imports only the standard library.
 """
 
@@ -197,13 +199,7 @@ class Counter(_Instrument):
         return _BoundCounter(self, _label_key(labels))
 
     def inc(self, amount: float = 1.0, **labels) -> None:
-        if not self._registry.enabled:
-            return
-        if amount < 0:
-            raise ValueError("counters only go up; use a Gauge")
-        key = _label_key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + float(amount)
+        self.labels(**labels).inc(amount)
 
     def value(self, **labels) -> float:
         with self._lock:
@@ -239,17 +235,10 @@ class Gauge(_Instrument):
         return _BoundGauge(self, _label_key(labels))
 
     def set(self, value: float, **labels) -> None:
-        if not self._registry.enabled:
-            return
-        with self._lock:
-            self._values[_label_key(labels)] = float(value)
+        self.labels(**labels).set(value)
 
     def inc(self, amount: float = 1.0, **labels) -> None:
-        if not self._registry.enabled:
-            return
-        key = _label_key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + float(amount)
+        self.labels(**labels).inc(amount)
 
     def dec(self, amount: float = 1.0, **labels) -> None:
         self.inc(-amount, **labels)
@@ -317,26 +306,11 @@ class Histogram(_Instrument):
         return _BoundHistogram(self, _label_key(labels))
 
     def observe(self, value: float, **labels) -> None:
-        if not self._registry.enabled:
-            return
-        value = float(value)
-        key = _label_key(labels)
-        index = bisect.bisect_left(self.buckets, value)
-        with self._lock:
-            series = self._series.get(key)
-            if series is None:
-                series = self._series[key] = _HistogramSeries(len(self.buckets))
-            series.bucket_counts[index] += 1
-            series.count += 1
-            series.sum += value
-            if value < series.min:
-                series.min = value
-            if value > series.max:
-                series.max = value
+        self.labels(**labels).observe(value)
 
     def time(self, **labels):
         """Context manager: observe the elapsed registry-clock time."""
-        return _HistogramTimer(self, labels)
+        return self.labels(**labels).time()
 
     # -- queries -----------------------------------------------------------
 
@@ -417,23 +391,6 @@ class Histogram(_Instrument):
             labels = entry["labels"]
             entry.update(self.percentiles(**labels))
         return out
-
-
-class _HistogramTimer:
-    __slots__ = ("_histogram", "_labels", "_start")
-
-    def __init__(self, histogram: Histogram, labels: Dict[str, object]):
-        self._histogram = histogram
-        self._labels = labels
-
-    def __enter__(self):
-        self._start = self._histogram._registry.clock()
-        return self
-
-    def __exit__(self, *exc_info):
-        self._histogram.observe(
-            self._histogram._registry.clock() - self._start, **self._labels
-        )
 
 
 class _BoundHistogramTimer:

@@ -8,8 +8,9 @@ hold under load and failure:
   :class:`CircuitBreaker` (closed → open after consecutive failures →
   half-open probes → closed) isolating a broken analyzer backend;
 * :mod:`repro.serving.service` — :class:`AnalysisService`, a thread-pool
-  frontend with a bounded request queue, per-request deadlines, admission
-  validation (via :mod:`repro.reliability.validation`), an output
+  frontend with a bounded request queue, per-request deadlines, one
+  per-row validation gate at drain (via
+  :mod:`repro.reliability.validation`), an output
   finiteness gate, explicit :class:`Rejected` results for every shed
   or failed request, and — with an
   :class:`~repro.uncertainty.policy.UncertaintyGate` installed —
@@ -24,8 +25,9 @@ hold under load and failure:
 Layering: ``serving`` sits above ``reliability`` and below nothing — it
 may be driven by any analyzer callable (ANN, IHM, or a
 :class:`~repro.reliability.degradation.GuardedAnalyzer` ladder).  The
-opt-in frozen path (``AnalysisService(frozen=...)`` /
-``batch_analyzer_from_model(..., frozen=...)``) reaches *down* into the
+opt-in frozen path
+(``AnalysisService(batch_analyzer=batch_analyzer_from_model(model,
+frozen=...))``) reaches *down* into the
 :mod:`repro.inference` leaf to compile the model once and serve batches
 from preallocated scratch; the reverse import never happens.
 """

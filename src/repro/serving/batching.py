@@ -32,6 +32,7 @@ batch it happened to ride in.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import time
@@ -319,9 +320,7 @@ class BrownoutGovernor:
         }
 
 
-def batch_analyzer_from_model(
-    model, validate: bool = False, frozen: Optional[str] = None
-) -> Callable:
+def batch_analyzer_from_model(model, frozen: Optional[str] = None) -> Callable:
     """A ``batch_analyzer(matrix) -> (n, outputs)`` over a Sequential.
 
     Pads a batch of one to two rows before the forward pass so every row
@@ -339,8 +338,11 @@ def batch_analyzer_from_model(
     a new model, probe it the way ``TestByteIdentity`` does before
     relying on it.
 
+    Rows are not validated here: the service validates each row once,
+    when a worker drains it, before it reaches this callable.
+
     ``frozen`` opts into the compiled inference path: ``"float32"`` or
-    ``"int8"`` (``True`` means ``"float32"``) freezes the model into an
+    ``"int8"`` freezes the model into an
     :class:`~repro.inference.plan.InferencePlan` and serves it through
     an :class:`~repro.inference.engine.InferenceEngine` — preallocated
     scratch, fused kernels, no per-layer allocation.  If the model has a
@@ -352,6 +354,7 @@ def batch_analyzer_from_model(
     change: the frozen path promises accuracy within the plan's pinned
     MAE budget versus the reference, not byte-identity with it.
     """
+    engine = None
     if frozen is not None:
         from repro.inference import (
             InferenceEngine,
@@ -359,38 +362,22 @@ def batch_analyzer_from_model(
             freeze,
         )
 
-        dtype = "float32" if frozen is True else str(frozen)
         try:
-            engine = InferenceEngine(freeze(model, dtype=dtype))
+            engine = InferenceEngine(freeze(model, dtype=frozen))
         except UnsupportedLayerError:
-            engine = None  # fall through to the reference path below
-        if engine is not None:
-            if validate:
-                from repro.reliability.validation import validate_batch
-
-            def frozen_batch_analyzer(matrix: np.ndarray) -> np.ndarray:
-                if validate:
-                    matrix = validate_batch(
-                        matrix, feature_shape=model.input_shape, field="x"
-                    )
-                else:
-                    matrix = np.asarray(matrix, dtype=np.float64)
-                if matrix.shape[0] == 1:
-                    padded = np.concatenate([matrix, matrix], axis=0)
-                    return engine.predict(padded)[:1]
-                return engine.predict(matrix)
-
-            frozen_batch_analyzer.engine = engine
-            frozen_batch_analyzer.frozen_dtype = dtype
-            return frozen_batch_analyzer
+            pass  # serve the reference path below
+    predict = (
+        engine.predict if engine is not None
+        else functools.partial(model.predict, validate=False)
+    )
 
     def batch_analyzer(matrix: np.ndarray) -> np.ndarray:
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.shape[0] == 1:
             padded = np.concatenate([matrix, matrix], axis=0)
-            return model.predict(padded, validate=validate)[:1]
-        return model.predict(matrix, validate=validate)
+            return predict(padded)[:1]
+        return predict(matrix)
 
-    batch_analyzer.engine = None
-    batch_analyzer.frozen_dtype = None
+    batch_analyzer.engine = engine
+    batch_analyzer.frozen_dtype = frozen if engine is not None else None
     return batch_analyzer

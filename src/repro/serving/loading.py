@@ -41,7 +41,7 @@ def analyzer_from_checkpoint(
     """An ``analyzer(intensities) -> estimate`` over a verified checkpoint.
 
     Returns ``(analyzer, expected_length)`` where ``expected_length`` is
-    the model's input length (for the service's admission gate), or
+    the model's input length (for the service's validation gate), or
     ``None`` for models with non-vector inputs.
     """
     data = load_verified_model(manager, name, seed=seed)

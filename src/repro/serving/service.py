@@ -6,9 +6,10 @@ that claim needs in production: a fixed pool of worker threads pulling
 from a *bounded* queue (back-pressure instead of unbounded memory growth),
 per-request deadlines enforced both in the queue and after the analyzer
 runs, a :class:`~repro.serving.circuit.CircuitBreaker` over the backend so
-a persistently failing analyzer is isolated instead of hammered, input
-validation gates at admission, and an output gate that guarantees a
-non-finite concentration is never handed to a caller.
+a persistently failing analyzer is isolated instead of hammered, one
+per-row input validation gate where a worker drains the queue, and an
+output gate that guarantees a non-finite concentration is never handed
+to a caller.
 
 Every request terminates in exactly one explicit result:
 
@@ -51,18 +52,17 @@ Two opt-in control layers ride on the same contract:
   deadlines, shed low-priority work — with hysteresis, surfaced in
   :meth:`AnalysisService.stats` and traced as ``serving.brownout`` span
   events.
-* **Frozen inference** (pass ``frozen="float32"`` or ``"int8"`` with a
-  built ``Sequential`` as the analyzer): the model is compiled once into
-  an :class:`~repro.inference.plan.InferencePlan` and batches execute in
-  the :class:`~repro.inference.engine.InferenceEngine`'s preallocated
-  scratch instead of the float64 layer-by-layer reference.  The contract
-  weakens from byte-identity to accuracy within the plan's pinned MAE
-  budget; models with plan-unsupported layers fall back to the reference
-  path automatically (``stats()["frozen"]`` reports the effective
-  dtype, ``None`` after fallback).  ``validate_at_admission=True``
-  additionally moves the per-row validation gate to ``submit()`` so the
-  batched drain skips the redundant re-validation (invalid rows are
-  still refused exactly once, just earlier).
+* **Frozen inference** (pass
+  ``batch_analyzer=batch_analyzer_from_model(model, frozen="float32")``
+  or ``"int8"``, with ``expected_length``): the model is compiled once
+  into an :class:`~repro.inference.plan.InferencePlan` and batches
+  execute in the :class:`~repro.inference.engine.InferenceEngine`'s
+  preallocated scratch instead of the float64 layer-by-layer reference.
+  The contract weakens from byte-identity to accuracy within the plan's
+  pinned MAE budget; models with plan-unsupported layers fall back to
+  the reference path automatically.  ``stats()["frozen"]`` reports the
+  live batch analyzer's effective dtype, ``None`` after fallback or
+  after a swap to an unfrozen backend.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ from repro.serving.batching import (
     BatchingPolicy,
     BrownoutGovernor,
     BrownoutTransition,
-    batch_analyzer_from_model,
 )
 from repro.serving.circuit import CircuitBreaker
 
@@ -174,9 +173,6 @@ class PendingRequest:
         self.data = data
         self.deadline_at = deadline_at
         self.priority = int(priority)
-        # True once the service validated `data` at admission; the drain
-        # paths then skip the redundant re-validation.
-        self.prevalidated = False
         self._clock = clock
         self._enqueued_at = float(clock())
         self._resolved_at: Optional[float] = None
@@ -281,7 +277,7 @@ class AnalysisService:
     ``analyzer`` follows the closed-loop protocol —
     ``analyzer(intensities) -> (estimate, seconds)`` — or returns the bare
     estimate (the service times it).  ``expected_length``, when given, is
-    enforced by the admission validator; pass a custom ``validator``
+    enforced by the per-row validator; pass a custom ``validator``
     (``data -> validated array``, raising
     :class:`~repro.reliability.validation.ValidationError`) for stricter
     gates.  All timing uses the injectable monotonic ``clock``.
@@ -314,10 +310,7 @@ class AnalysisService:
         batching: Optional[BatchingPolicy] = None,
         batch_analyzer: Optional[Callable] = None,
         governor: Optional[BrownoutGovernor] = None,
-        shadow_tap: Optional[Callable] = None,
         uncertainty=None,
-        frozen: Optional[str] = None,
-        validate_at_admission: bool = False,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -325,33 +318,8 @@ class AnalysisService:
             raise ValueError("queue_size must be >= 1")
         if default_deadline_s <= 0:
             raise ValueError("default_deadline_s must be positive")
-        # Frozen serving: `analyzer` is a built Sequential, compiled once
-        # into an InferencePlan and served through the InferenceEngine's
-        # preallocated-scratch batch path.  Falls back transparently to
-        # the reference float64 path when the model has a layer the plan
-        # compiler does not support (frozen_dtype stays None then).
-        self.frozen_dtype: Optional[str] = None
-        if frozen is not None:
-            if batch_analyzer is not None:
-                raise ValueError(
-                    "pass either frozen= or batch_analyzer=, not both"
-                )
-            model = analyzer
-            if not (hasattr(model, "predict")
-                    and getattr(model, "built", False)):
-                raise ValueError(
-                    "frozen= requires a built Sequential model as the "
-                    "analyzer"
-                )
-            batch_analyzer = batch_analyzer_from_model(model, frozen=frozen)
-            self.frozen_dtype = batch_analyzer.frozen_dtype
-            input_shape = getattr(model, "input_shape", None)
-            if (expected_length is None and input_shape is not None
-                    and len(input_shape) == 1):
-                expected_length = int(input_shape[0])
         if batch_analyzer is not None and batching is None:
             batching = BatchingPolicy()
-        self.validate_at_admission = bool(validate_at_admission)
         self.analyzer = analyzer
         self.workers = int(workers)
         self.queue_size = int(queue_size)
@@ -367,7 +335,7 @@ class AnalysisService:
         self.governor = governor
         # Shadow tap: called as tap(data, value) after every *served*
         # completion (see set_shadow_tap).  Never on rejections.
-        self.shadow_tap = shadow_tap
+        self.shadow_tap: Optional[Callable] = None
         # Uncertainty gate: any object with assess(matrix) -> Assessment
         # (see repro.uncertainty.policy.UncertaintyGate).  When set, it
         # replaces the analyzer as the prediction source and every row
@@ -461,7 +429,7 @@ class AnalysisService:
         :class:`~repro.reliability.checkpoint.CheckpointManager` verified
         path — checksum check, generational fallback, quarantine — so a
         bit-flipped artifact can never silently serve traffic.  The
-        admission gate's ``expected_length`` defaults to the model's own
+        validation gate's ``expected_length`` defaults to the model's own
         input length.
         """
         from repro.serving.loading import analyzer_from_checkpoint
@@ -595,28 +563,6 @@ class AnalysisService:
                 parent_span=submit_span,
             )
             return request
-        if self.validate_at_admission:
-            # Admission-time validation: the drain paths skip their
-            # per-row re-validation for prevalidated requests, so a row
-            # is gated exactly once either way.  Invalid input never
-            # even occupies a queue slot.
-            try:
-                request.data = self._validate(request.data)
-                request.prevalidated = True
-            except ValidationError as error:
-                submit_span.set_attribute("outcome", "invalid_input")
-                submit_span.end(status="error: invalid_input")
-                self._finish(
-                    request,
-                    Rejected(
-                        reason="invalid_input",
-                        request_id=request.request_id,
-                        latency_s=request.latency(),
-                        detail={"error": str(error)},
-                    ),
-                    parent_span=submit_span,
-                )
-                return request
         # The queue span must be attached before the enqueue: a worker can
         # dequeue the request before put_nowait even returns.
         request._queue_span = self.tracer.start_span(
@@ -661,7 +607,8 @@ class AnalysisService:
                 "abstentions": dict(self.abstentions),
                 "abstained": sum(self.abstentions.values()),
                 "circuit_state": self.breaker.state,
-                "frozen": self.frozen_dtype,
+                # Read from the live backend, so it follows swap_analyzer.
+                "frozen": getattr(self.batch_analyzer, "frozen_dtype", None),
             }
         if self.uncertainty is not None:
             base["abstention_rate"] = self.abstention_rate()
@@ -849,14 +796,10 @@ class AnalysisService:
                 for request in admitted:
                     self._refuse(request, "circuit_open")
                 return
-            # Per-row validation gate: a malformed spectrum rejects only
-            # its own request, never its batchmates.  Rows validated at
-            # admission are not re-gated here.
+            # Per-row validation gate, the only one: a malformed spectrum
+            # rejects only its own request, never its batchmates.
             valid = []
             for request in admitted:
-                if request.prevalidated:
-                    valid.append((request, request.data))
-                    continue
                 try:
                     valid.append((request, self._validate(request.data)))
                 except ValidationError as error:

@@ -19,7 +19,6 @@ abstains rather than serving a confident guess.
 from __future__ import annotations
 
 import threading
-from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -235,8 +234,10 @@ class UncertaintyGate:
 
     This is the object :class:`~repro.serving.service.AnalysisService`
     takes as its ``uncertainty=`` collaborator.  Besides assessing, it
-    keeps a rolling abstention-rate window (for brownout and stats) and
     optionally feeds every row's width into a :class:`WidthMonitor`.
+    The rolling abstention rate lives in the service
+    (:meth:`~repro.serving.service.AnalysisService.abstention_rate`),
+    which sees every row's final outcome, not just the gate's verdict.
     """
 
     def __init__(
@@ -245,17 +246,12 @@ class UncertaintyGate:
         calibrator: ConformalCalibrator,
         policy: Optional[AbstentionPolicy] = None,
         width_monitor: Optional[WidthMonitor] = None,
-        window: int = 64,
     ):
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
         self.predictor = predictor
         self.calibrator = calibrator
         self.policy = policy if policy is not None else AbstentionPolicy()
         self.width_monitor = width_monitor
         self.last_drift_status = None
-        self._decisions = deque(maxlen=int(window))
-        self._lock = threading.Lock()
 
     def assess(self, matrix: np.ndarray) -> Assessment:
         """Mean + interval + decision for every row of ``matrix``."""
@@ -267,15 +263,4 @@ class UncertaintyGate:
         if self.width_monitor is not None:
             for width in assessment.width:
                 self.last_drift_status = self.width_monitor.observe(width)
-        with self._lock:
-            self._decisions.extend(
-                bool(flag) for flag in assessment.abstain
-            )
         return assessment
-
-    def abstention_rate(self) -> Optional[float]:
-        """Fraction of recently assessed rows that abstained (None = no data)."""
-        with self._lock:
-            if not self._decisions:
-                return None
-            return float(sum(self._decisions)) / len(self._decisions)

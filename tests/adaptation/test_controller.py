@@ -14,6 +14,7 @@ from repro.core.topologies import mlp_topology
 from repro.nn.optimizers import Adam
 from repro.nn.serialization import clone_model
 from repro.reliability.checkpoint import CheckpointManager
+from repro.serving.batching import batch_analyzer_from_model
 from repro.serving.service import AnalysisService
 from repro.storage.promotion import PromotionJournal
 
@@ -244,6 +245,54 @@ class TestRollback:
         assert snapshot["state"] == "nominal"
         assert snapshot["last_decision"] is None
         assert snapshot["shadow"]["requests"] == 0
+
+
+class TestFrozenService:
+    """Promote and rollback keep a frozen service on its InferenceEngine."""
+
+    def _assert_frozen(self, service, model, x):
+        engine = service.batch_analyzer.engine
+        assert engine is not None
+        assert service.stats()["frozen"] == "float32"
+        served = np.stack(
+            [service.analyze(row, deadline_s=5.0).value for row in x[:10]]
+        )
+        reference = model.predict(x[:10], validate=False)
+        assert float(np.mean(np.abs(served - reference))) <= (
+            engine.plan.contract
+        )
+
+    def test_promote_and_rollback_keep_the_frozen_engine(self, tmp_path):
+        model, x, y = _trained_model()
+        batched = batch_analyzer_from_model(model, frozen="float32")
+        service = AnalysisService(
+            lambda row: batched(row[None, :])[0],
+            workers=2,
+            queue_size=32,
+            expected_length=N_FEATURES,
+            batch_analyzer=batched,
+        ).start()
+        controller = AdaptationController(
+            service,
+            model,
+            CheckpointManager(tmp_path / "ckpt"),
+            PromotionJournal(tmp_path / "promotion.jsonl"),
+            x[:40],
+            y[:40],
+            gate=PromotionGate(
+                min_shadow_requests=5, max_reference_mae_ratio=2.0
+            ),
+        )
+        try:
+            controller.start_shadow(clone_model(model, seed=1))
+            for row in x[:8]:
+                service.analyze(row, deadline_s=5.0)
+            assert _wait_state(controller, "watch")
+            self._assert_frozen(service, controller.model, x)
+            assert controller.observe(FakeStatus(True)) == "rolled_back"
+            self._assert_frozen(service, controller.model, x)
+        finally:
+            service.stop()
 
 
 class SeverityStatus:

@@ -11,6 +11,7 @@ Covers the three contracts the batched fast path must keep:
   hysteresis and the service honors each level's posture at admission.
 """
 
+import hashlib
 import threading
 import time
 
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.core import table1_topology
 from repro.observability import MetricsRegistry
 from repro.serving import (
     AnalysisService,
@@ -218,6 +220,64 @@ class TestByteIdentity:
         reference = batch_analyzer(spectra)
         lone = batch_analyzer(spectra[:1])
         assert lone[0].tobytes() == reference[0].tobytes()
+
+
+def _lstm_model():
+    model = nn.Sequential([nn.Reshape((-1, 1)), nn.LSTM(8), nn.Dense(4)])
+    return model.build((60,), seed=0)
+
+
+class TestBatchAnalyzerOutputPins:
+    """sha256 of ``batch_analyzer_from_model`` outputs at batch sizes 1, 3
+    and 32, captured while the reference and frozen paths were two
+    separate closures (numpy 2.4, OpenBLAS, x86-64).  A batch of one is
+    padded, so its digest differs from the engine's unpadded one."""
+
+    PINNED = {
+        ("table1", None): {
+            1: "9160c56b8d6422e9d24da51fa249d42bba652bd173d07ff375895b559c63cb2d",
+            3: "e0dc657b335c1cfd767a06e8a8f4d583e62c3e86902342d5a7965756bb023364",
+            32: "eed2f44b4ae780b6f4a1b67d890087092323e9a1affcb55c7093d490e6039ee9",
+        },
+        ("table1", "float32"): {
+            1: "23fa62174901b500977f1259cb697b93448da91442335c7da180bf9f94979b1f",
+            3: "ad8cf5b3f5db9f937b814aeb0f2dbbac768611e86da1554a54e0abb1d8be6182",
+            32: "b147fcdeed56396c7090ed5f54d7c90ff983e21ff534bbb476b8a5b0d76cd860",
+        },
+        ("table1", "int8"): {
+            1: "90792bfc876fdea63019432cec1aad7acace7018af0d1bd94d7b6bd9691c9ccd",
+            3: "95650fdf0f056b34005ada687e4c2b30a9ee6bac6d426f81e374ee4265c6bf13",
+            32: "b998e5ac04508e076f702a988bc84ef5bb2598a43681f736c35b37d77163387a",
+        },
+        # The LSTM cannot freeze: the reference fallback serves it.
+        ("lstm", "float32"): {
+            1: "10ac0c09c3d4c54cf12706618e246237c380920225e5355d0bfcdbd4cb18116d",
+            3: "162c7e7607879822403ebb8ae1ec01e8d48074b7012c4f3844922cf225589c0b",
+            32: "5c35485b8717cbbbf76d505f08a9b10f5bc77b7f379cb67ceeac7b125408dc91",
+        },
+    }
+    MODELS = {
+        "table1": (lambda: table1_topology(4).build((246,), seed=0), 246),
+        "lstm": (_lstm_model, 60),
+    }
+    DTYPES = {
+        ("table1", None): None,
+        ("table1", "float32"): "float32",
+        ("table1", "int8"): "int8",
+        ("lstm", "float32"): None,
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINNED, key=str))
+    def test_batches_1_3_32(self, key):
+        name, frozen = key
+        build, length = self.MODELS[name]
+        analyzer = batch_analyzer_from_model(build(), frozen=frozen)
+        assert analyzer.frozen_dtype == self.DTYPES[key]
+        assert (analyzer.engine is None) == (analyzer.frozen_dtype is None)
+        x = np.random.default_rng(5).random((32, length))
+        for n, digest in self.PINNED[key].items():
+            out = analyzer(x[:n])
+            assert hashlib.sha256(out.tobytes()).hexdigest() == digest, n
 
 
 class TestPerRowGating:

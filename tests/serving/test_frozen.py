@@ -1,9 +1,11 @@
 """Frozen inference through AnalysisService: wiring, validation, soak.
 
-Covers the opt-in compiled path (``frozen=``), the admission-time
-validation gate (``validate_at_admission=``), automatic fallback for
-plan-unsupported models, and the exactly-once / finiteness / accuracy
-contracts under burst overload.
+A frozen service is an ordinary batched service whose ``batch_analyzer``
+comes from ``batch_analyzer_from_model(model, frozen=...)``.  Covers that
+wiring, automatic fallback for plan-unsupported models, ``stats()``
+following the live backend across swaps, the one per-row validation
+gate at drain, and the exactly-once / finiteness / accuracy contracts
+under burst overload.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ from repro.serving import (
     BatchingPolicy,
     Completed,
     Rejected,
+    batch_analyzer_from_model,
 )
 
 LENGTH = 60
@@ -36,12 +39,18 @@ def _model(seed=0):
     return model
 
 
-def _service(model, **kwargs):
+def _service(model, frozen="float32", **kwargs):
     kwargs.setdefault("workers", 1)
     kwargs.setdefault("queue_size", 64)
     kwargs.setdefault("default_deadline_s", 30.0)
     kwargs.setdefault("registry", MetricsRegistry())
-    return AnalysisService(model, **kwargs)
+    batched = batch_analyzer_from_model(model, frozen=frozen)
+    return AnalysisService(
+        lambda row: batched(row[None, :])[0],
+        batch_analyzer=batched,
+        expected_length=LENGTH,
+        **kwargs,
+    )
 
 
 class TestFrozenWiring:
@@ -50,7 +59,7 @@ class TestFrozenWiring:
         rng = np.random.default_rng(0)
         spectra = rng.random((40, LENGTH))
         reference = model.predict(spectra, validate=False)
-        with _service(model, frozen="float32") as service:
+        with _service(model) as service:
             results = [service.analyze(row) for row in spectra]
             stats = service.stats()
         assert all(isinstance(r, Completed) for r in results)
@@ -70,19 +79,10 @@ class TestFrozenWiring:
         served = np.stack([r.value for r in results])
         assert float(np.mean(np.abs(served - reference))) <= 2e-2
 
-    def test_expected_length_derived_from_model(self):
-        service = _service(_model(), frozen="float32")
-        assert service.expected_length == LENGTH
-
-    def test_frozen_and_batch_analyzer_conflict(self):
-        with pytest.raises(ValueError, match="not both"):
-            _service(
-                _model(), frozen="float32", batch_analyzer=lambda m: m
-            )
-
     def test_frozen_requires_built_model(self):
-        with pytest.raises(ValueError, match="built Sequential"):
-            _service(lambda row: row, frozen="float32")
+        with pytest.raises(ValueError, match="built"):
+            batch_analyzer_from_model(nn.Sequential([nn.Dense(OUTPUTS)]),
+                                      frozen="float32")
 
     def test_unsupported_model_falls_back(self):
         model = nn.Sequential(
@@ -92,17 +92,31 @@ class TestFrozenWiring:
         rng = np.random.default_rng(2)
         spectra = rng.random((6, LENGTH))
         reference = model.predict(spectra, validate=False)
-        with _service(model, frozen="float32") as service:
+        with _service(model) as service:
             results = [service.analyze(row) for row in spectra]
             assert service.stats()["frozen"] is None
         # Fallback path is the reference analyzer: byte-identical.
         for row_result, expected in zip(results, reference):
             np.testing.assert_array_equal(row_result.value, expected)
 
+    def test_stats_frozen_follows_the_live_backend(self):
+        model = _model()
+        row = np.random.default_rng(6).random(LENGTH)
+        with _service(model) as service:
+            assert service.stats()["frozen"] == "float32"
+            reference = batch_analyzer_from_model(_model(seed=1))
+            service.swap_analyzer(service.analyzer, reference)
+            assert service.analyze(row).ok
+            assert service.stats()["frozen"] is None
+            service.swap_analyzer(
+                service.analyzer,
+                batch_analyzer_from_model(_model(seed=1), frozen="int8"),
+            )
+            assert service.stats()["frozen"] == "int8"
 
-class TestValidateAtAdmission:
-    @pytest.mark.parametrize("at_admission", [False, True])
-    def test_invalid_rows_caught_exactly_once(self, at_admission):
+
+class TestDrainValidation:
+    def test_invalid_rows_caught_exactly_once(self):
         model = _model()
         calls = []
 
@@ -115,9 +129,7 @@ class TestValidateAtAdmission:
         bad = np.full(LENGTH, np.nan)
         with _service(
             model,
-            frozen="float32",
             validator=counting_validator,
-            validate_at_admission=at_admission,
             batching=BatchingPolicy(max_batch=8, max_wait_s=0.0005),
         ) as service:
             results = [service.analyze(row) for row in good]
@@ -125,29 +137,8 @@ class TestValidateAtAdmission:
         assert all(r.ok for r in results)
         assert isinstance(bad_result, Rejected)
         assert bad_result.reason == "invalid_input"
-        # Every row — valid or not — passed the gate exactly once,
-        # wherever the gate sits.
+        # Every row — valid or not — passed the drain gate exactly once.
         assert len(calls) == 11
-
-    def test_invalid_row_rejected_before_queueing(self):
-        service = _service(
-            _model(), frozen="float32", validate_at_admission=True
-        )
-        with service:
-            request = service.submit(np.full(LENGTH, np.inf))
-            # Shed at admission: resolved before any worker touched it.
-            assert request.resolved
-            result = request.result(timeout=5.0)
-        assert result.reason == "invalid_input"
-        assert service.stats()["rejections"]["invalid_input"] == 1
-
-    def test_prevalidated_flag_set_on_admitted_requests(self):
-        with _service(
-            _model(), frozen="float32", validate_at_admission=True
-        ) as service:
-            request = service.submit(np.random.default_rng(4).random(LENGTH))
-            request.result(timeout=5.0)
-            assert request.prevalidated
 
 
 class TestFrozenOverloadSoak:
@@ -157,14 +148,10 @@ class TestFrozenOverloadSoak:
         n_burst = 300
         spectra = rng.random((n_burst, LENGTH))
         reference = model.predict(spectra, validate=False)
-        service = AnalysisService(
+        service = _service(
             model,
-            frozen="float32",
-            validate_at_admission=True,
             workers=2,
             queue_size=8,
-            default_deadline_s=30.0,
-            registry=MetricsRegistry(),
             batching=BatchingPolicy(max_batch=16, max_wait_s=0.0005),
         )
         with service:

@@ -177,22 +177,6 @@ class TestUncertaintyGate:
         assert assessment.abstain.tolist() == [False, True]
         np.testing.assert_allclose(assessment.mean[:, 0], matrix.sum(axis=1))
 
-    def test_abstention_rate_windows_recent_decisions(self):
-        gate = UncertaintyGate(
-            _SpreadPredictor(),
-            _calibrated(),
-            policy=AbstentionPolicy(max_width=1.0),
-            window=4,
-        )
-        assert gate.abstention_rate() is None
-        gate.assess(np.array([[0.1, 0.0], [0.1, 0.0]]))
-        assert gate.abstention_rate() == 0.0
-        gate.assess(np.array([[9.0, 0.0], [9.0, 0.0]]))
-        assert gate.abstention_rate() == 0.5
-        # Window of 4: two more abstentions evict the two served rows.
-        gate.assess(np.array([[9.0, 0.0], [9.0, 0.0]]))
-        assert gate.abstention_rate() == 1.0
-
     def test_width_monitor_is_fed_per_row(self):
         monitor = WidthMonitor(alarm_factor=2.0, smoothing=1.0, warmup=1)
         monitor.set_baseline([0.3])

@@ -167,6 +167,21 @@ class TestSinglePath:
             service.analyze(bad)  # rejected: says nothing about the model
             assert service.abstention_rate() == 1.0
 
+    def test_abstention_rate_windows_recent_answers(self):
+        with _service(
+            _analyzer, expected_length=LENGTH, uncertainty=_gate()
+        ) as service:
+            for _ in range(64):
+                service.analyze(_spectrum(0.1))
+            assert service.abstention_rate() == 0.0
+            for _ in range(32):
+                service.analyze(_spectrum(5.0))
+            assert service.abstention_rate() == 0.5
+            # A window of 64: 32 more abstentions evict the served rows.
+            for _ in range(32):
+                service.analyze(_spectrum(5.0))
+            assert service.abstention_rate() == 1.0
+
     def test_metrics_count_abstentions_by_reason(self):
         with scoped() as (registry, _):
             with AnalysisService(
