@@ -31,18 +31,22 @@ __all__ = [
 
 _SIGMA_PER_FWHM = 1.0 / 2.3548200450309493  # Gaussian sigma = FWHM * this
 
+# numpy's exp returns exactly 0.0 below about -745.13 (half the smallest
+# subnormal), so the kernel writes 0.0 at or below this without calling it.
+_EXP_UNDERFLOW = -746.0
+
 
 def fwhm_to_sigma(fwhm: float) -> float:
     """Gaussian sigma for a given full width at half maximum."""
     return fwhm * _SIGMA_PER_FWHM
 
 
-def _geometry(grid: np.ndarray, centers: np.ndarray, fwhms: np.ndarray):
-    """Offsets from each row's center, half widths and Lorentzian
-    denominators ``delta**2 + hwhm**2``, broadcast to ``rows x points``."""
-    delta = grid[None, :] - centers[:, None]
-    hwhm = 0.5 * fwhms[:, None]
-    return delta, hwhm, delta * delta + hwhm * hwhm
+def _combine(a: np.ndarray, wa, b: np.ndarray, wb) -> np.ndarray:
+    """``wa * a + wb * b``, written into ``a``; ``b`` is overwritten."""
+    a *= wa
+    b *= wb
+    a += b
+    return a
 
 
 def pseudo_voigt_table(
@@ -62,51 +66,92 @@ def pseudo_voigt_table(
     partial derivatives of every entry with respect to its row's center
     and its row's width, in closed form.
 
+    Every entry is computed by the expression in the comment beside it,
+    in that floating-point order, into arrays this call allocates (IHM
+    fits run on thread executors, so nothing is shared between calls).
+    ``exp`` runs only where the Gaussian exponent is above
+    ``_EXP_UNDERFLOW``; everywhere else it would return exactly 0.0.
+
     Inputs are trusted (positive widths, ``eta`` in [0, 1]); the
     single-line functions below validate theirs before calling this.
     """
-    delta, hwhm, denom = _geometry(grid, centers, fwhms)
     eta = np.asarray(eta, dtype=np.float64)
     if eta.ndim:
         eta = eta[:, None]
     lorentzian_only = bool(np.all(eta == 1.0))
     gaussian_only = bool(np.all(eta == 0.0))
-    lorentz = (hwhm / np.pi) / denom
-    if lorentzian_only:
-        absorptive = lorentz
-    else:
-        sigma = fwhm_to_sigma(1.0) * fwhms[:, None]
-        z = delta / sigma
-        gauss = np.exp(-0.5 * z * z) / (sigma * np.sqrt(2.0 * np.pi))
-        absorptive = gauss if gaussian_only else eta * lorentz + (1.0 - eta) * gauss
     phased = phases is not None and bool(np.any(phases))
     if phased:
-        dispersive = eta * (delta / np.pi) / denom
         cos = np.cos(phases)[:, None]
         sin = np.sin(phases)[:, None]
-        table = cos * absorptive + sin * dispersive
+    fwhms = fwhms[:, None]
+    hwhm = 0.5 * fwhms
+    hwhm2 = hwhm * hwhm
+
+    delta = grid[None, :] - centers[:, None]
+    denom = delta * delta
+    denom += hwhm2  # delta**2 + hwhm**2
+    lorentz = (hwhm / np.pi) / denom
+    if not lorentzian_only:
+        sigma = fwhm_to_sigma(1.0) * fwhms
+        z = delta / sigma
+        gauss = -0.5 * z
+        gauss *= z  # -0.5 * z * z
+        underflow = gauss <= _EXP_UNDERFLOW
+        np.exp(gauss, out=gauss, where=~underflow)
+        np.copyto(gauss, 0.0, where=underflow)
+        gauss /= sigma * np.sqrt(2.0 * np.pi)  # exp(...) / (sigma * sqrt(2 pi))
+
+    # The derivatives read lorentz, gauss and delta, which the table
+    # below then overwrites.
+    if derivatives:
+        # d/dc of 1/denom is 2*delta/denom**2; d/dhwhm is -2*hwhm/denom**2.
+        inv2 = denom * denom
+        np.divide(1.0, inv2, out=inv2)  # 1 / denom**2
+        d_center = 2.0 * delta
+        d_center /= denom
+        d_center *= lorentz  # lorentz * (2 * delta / denom)
+        width = delta * delta
+        width -= hwhm2
+        width *= inv2  # (delta**2 - hwhm**2) * inv2
+        d_fwhm = width / (2.0 * np.pi)
+        if not lorentzian_only:
+            g_center = gauss * z
+            g_center /= sigma  # gauss * z / sigma
+            g_fwhm = z * z
+            g_fwhm -= 1.0
+            g_fwhm *= gauss
+            g_fwhm /= fwhms  # gauss * (z * z - 1) / fwhm
+            if gaussian_only:
+                d_center, d_fwhm = g_center, g_fwhm
+            else:
+                d_center = _combine(d_center, eta, g_center, 1.0 - eta)
+                d_fwhm = _combine(d_fwhm, eta, g_fwhm, 1.0 - eta)
+        if phased:
+            width /= np.pi  # dispersive d/dc: (delta**2 - hwhm**2) * inv2 / pi
+            width *= eta
+            d_center = _combine(d_center, cos, width, sin)
+            disp_fwhm = delta * hwhm
+            np.negative(disp_fwhm, out=disp_fwhm)
+            disp_fwhm *= inv2
+            disp_fwhm /= np.pi  # -(delta * hwhm) * inv2 / pi
+            disp_fwhm *= eta
+            d_fwhm = _combine(d_fwhm, cos, disp_fwhm, sin)
+
+    if lorentzian_only:
+        table = lorentz
+    elif gaussian_only:
+        table = gauss
     else:
-        table = absorptive
+        table = _combine(lorentz, eta, gauss, 1.0 - eta)
+    if phased:
+        dispersive = delta
+        dispersive /= np.pi
+        dispersive *= eta
+        dispersive /= denom  # eta * (delta / pi) / denom
+        table = _combine(table, cos, dispersive, sin)
     if not derivatives:
         return table
-
-    # d/dc of 1/denom is 2*delta/denom**2; d/dhwhm is -2*hwhm/denom**2.
-    inv2 = 1.0 / (denom * denom)
-    d_center = lorentz * (2.0 * delta / denom)
-    d_fwhm = (delta * delta - hwhm * hwhm) * inv2 / (2.0 * np.pi)
-    if not lorentzian_only:
-        g_center = gauss * z / sigma
-        g_fwhm = gauss * (z * z - 1.0) / fwhms[:, None]
-        if gaussian_only:
-            d_center, d_fwhm = g_center, g_fwhm
-        else:
-            d_center = eta * d_center + (1.0 - eta) * g_center
-            d_fwhm = eta * d_fwhm + (1.0 - eta) * g_fwhm
-    if phased:
-        disp_center = (delta * delta - hwhm * hwhm) * inv2 / np.pi
-        disp_fwhm = -(delta * hwhm) * inv2 / np.pi
-        d_center = cos * d_center + sin * (eta * disp_center)
-        d_fwhm = cos * d_fwhm + sin * (eta * disp_fwhm)
     return table, d_center, d_fwhm
 
 
@@ -163,12 +208,9 @@ def dispersive_lorentzian(x: np.ndarray, center: float, fwhm: float) -> np.ndarr
     analyses underperform idealized ones.
     """
     _check_fwhm(fwhm)
-    x = np.asarray(x)
-    delta, _, denom = _geometry(
-        x.reshape(-1), np.array([center], dtype=np.float64),
-        np.array([fwhm], dtype=np.float64),
-    )
-    return ((delta / np.pi) / denom)[0].reshape(x.shape)
+    delta = np.asarray(x) - np.float64(center)
+    hwhm = 0.5 * np.float64(fwhm)
+    return (delta / np.pi) / (delta * delta + hwhm * hwhm)
 
 
 def pseudo_voigt_with_phase(

@@ -216,10 +216,13 @@ class NMRSpectrumSimulator:
             for j, peaks in enumerate(lines):
                 component = np.zeros(block.shape)
                 for peak, centers, fwhms in peaks:
-                    component += peak.area * pseudo_voigt_table(
+                    table = pseudo_voigt_table(
                         grid, centers[rows], fwhms[rows], peak.eta, phases[rows]
                     )
-                block += labels[rows, j : j + 1] * component
+                    table *= peak.area
+                    component += table
+                component *= labels[rows, j : j + 1]
+                block += component
             if with_noise:
                 if baseline_phases is not None:
                     block += self._baselines(grid, baseline_phases[rows])

@@ -7,7 +7,11 @@ once the input shape is known (shapes exclude the batch axis).
 ``forward(training=False)`` stores nothing, so inference keeps no
 activations and concurrent inference calls share no state.  ``backward``
 takes the cache (clearing it), fills ``self.grads`` and returns the
-gradient with respect to the layer input.
+gradient with respect to the layer input.  Layers with params also take
+``input_grad=False``: they then fill ``self.grads`` alone and return
+``None``, which is how :meth:`~repro.nn.model.Sequential.backward` calls
+the lowest layer it trains, since nothing reads that layer's input
+gradient.
 """
 
 from __future__ import annotations
@@ -57,6 +61,10 @@ class Layer:
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def clear_cache(self) -> None:
+        """Drop what the last ``forward(training=True)`` stored, unread."""
+        self._cache = None
 
     # -- bookkeeping -------------------------------------------------------
 

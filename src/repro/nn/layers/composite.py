@@ -40,17 +40,20 @@ class ResidualDense(Layer):
 
     def forward(self, x, training=False):
         self._check_built()
-        z = x @ self.params["W"] + self.params["b"]
+        z = x @ self.params["W"]
+        z += self.params["b"]
         h = self.activation.forward(z)
         if training:
             self._cache = (x, z, h)
         return h + x
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         x, z, h = self._take_cache()
         dh = self.activation.backward(grad, z, h)
         self.grads["W"] = x.T @ dh
         self.grads["b"] = dh.sum(axis=0)
+        if not input_grad:
+            return None
         return dh @ self.params["W"].T + grad
 
     def get_config(self):
@@ -91,15 +94,17 @@ class HighwayDense(Layer):
 
     def forward(self, x, training=False):
         self._check_built()
-        z_h = x @ self.params["W_h"] + self.params["b_h"]
+        z_h = x @ self.params["W_h"]
+        z_h += self.params["b_h"]
         h = self.activation.forward(z_h)
-        z_t = x @ self.params["W_t"] + self.params["b_t"]
+        z_t = x @ self.params["W_t"]
+        z_t += self.params["b_t"]
         t = sigmoid.forward(z_t)
         if training:
             self._cache = (x, z_h, h, t)
         return t * h + (1.0 - t) * x
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         x, z_h, h, t = self._take_cache()
         dh = grad * t
         dt = grad * (h - x)
@@ -109,6 +114,8 @@ class HighwayDense(Layer):
         self.grads["b_h"] = dz_h.sum(axis=0)
         self.grads["W_t"] = x.T @ dz_t
         self.grads["b_t"] = dz_t.sum(axis=0)
+        if not input_grad:
+            return None
         return (
             dz_h @ self.params["W_h"].T
             + dz_t @ self.params["W_t"].T

@@ -131,13 +131,13 @@ class Conv1D(_WindowedLayer):
         w2 = self.params["W"].reshape(-1, self.filters)
         z = (cols2 @ w2).reshape(n, out_length, self.filters)
         if self.use_bias:
-            z = z + self.params["b"]
+            z += self.params["b"]
         y = self.activation.forward(z)
         if training:
             self._cache = (x.shape[1], cols.shape, cols2, z, y)
         return y
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         length, cols_shape, cols2, z, y = self._take_cache()
         dz = self.activation.backward(grad, z, y)  # (N, out_L, F)
         dz2 = dz.reshape(-1, self.filters)
@@ -146,6 +146,8 @@ class Conv1D(_WindowedLayer):
         del cols2, z, y
         if self.use_bias:
             self.grads["b"] = dz2.sum(axis=0)
+        if not input_grad:
+            return None
         w2 = self.params["W"].reshape(-1, self.filters)
         dcols = (dz2 @ w2.T).reshape(cols_shape)  # (N, out_L, K, C)
         return self._col2im(dcols, length)
@@ -218,19 +220,21 @@ class LocallyConnected1D(_WindowedLayer):
         flat = cols.reshape(cols.shape[0], cols.shape[1], -1)  # (N, out_L, K*C)
         z = np.einsum("nlk,lkf->nlf", flat, self.params["W"])
         if self.use_bias:
-            z = z + self.params["b"]
+            z += self.params["b"]
         y = self.activation.forward(z)
         if training:
             self._cache = (x.shape[1], cols.shape, flat, z, y)
         return y
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         length, cols_shape, flat, z, y = self._take_cache()
         dz = self.activation.backward(grad, z, y)  # (N, out_L, F)
         self.grads["W"] = np.einsum("nlk,nlf->lkf", flat, dz)
         del flat, z, y  # as in Conv1D: free im2col before dflat
         if self.use_bias:
             self.grads["b"] = dz.sum(axis=0)
+        if not input_grad:
+            return None
         dflat = np.einsum("nlf,lkf->nlk", dz, self.params["W"])
         return self._col2im(dflat.reshape(cols_shape), length)
 

@@ -52,13 +52,13 @@ class Dense(Layer):
         self._check_built()
         z = x @ self.params["W"]
         if self.use_bias:
-            z = z + self.params["b"]
+            z += self.params["b"]
         y = self.activation.forward(z)
         if training:
             self._cache = (x, z, y)
         return y
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         x, z, y = self._take_cache()
         dz = self.activation.backward(grad, z, y)
         # Collapse any leading axes into one batch axis for the weight grads.
@@ -67,6 +67,8 @@ class Dense(Layer):
         self.grads["W"] = x2.T @ dz2
         if self.use_bias:
             self.grads["b"] = dz2.sum(axis=0)
+        if not input_grad:
+            return None
         return dz @ self.params["W"].T
 
     def get_config(self):
@@ -162,6 +164,9 @@ class Dropout(Layer):
         if mask is None:
             return grad
         return grad * mask
+
+    def clear_cache(self):
+        self._mask = None
 
     def get_config(self):
         return {"rate": self.rate}

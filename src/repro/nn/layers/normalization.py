@@ -58,10 +58,12 @@ class BatchNorm(Layer):
             self._cache = None
         return y
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         cache, self._cache = self._cache, None
         if cache is None:
             # Inference-mode backward: running statistics are constants.
+            if not input_grad:
+                return None
             return grad * self.params["gamma"] / np.sqrt(
                 self.running_var + self.epsilon
             )
@@ -69,6 +71,8 @@ class BatchNorm(Layer):
         gamma = self.params["gamma"]
         self.grads["gamma"] = np.sum(grad * x_hat, axis=axes)
         self.grads["beta"] = np.sum(grad, axis=axes)
+        if not input_grad:
+            return None
         # Standard batch-norm gradient through the batch statistics.
         dxhat = grad * gamma
         term1 = dxhat

@@ -87,7 +87,8 @@ class LSTM(Layer):
         outputs = np.empty((n, timesteps, u))
         # Hoist the input projection out of the time loop: x @ W for all
         # timesteps at once is one large matmul instead of T small ones.
-        xw = x @ self.params["W"] + self.params["b"]
+        xw = x @ self.params["W"]
+        xw += self.params["b"]
         for t in range(timesteps):
             z = xw[:, t, :] + h @ self.params["U"]
             zi, zf, zg, zo = self._split(z)
@@ -108,7 +109,7 @@ class LSTM(Layer):
             return outputs
         return outputs[:, -1, :]
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         x, steps, outputs = self._take_cache()
         n, timesteps, features = x.shape
         u = self.units
@@ -123,7 +124,7 @@ class LSTM(Layer):
         dw = np.zeros_like(w)
         du = np.zeros_like(u_mat)
         db = np.zeros_like(self.params["b"])
-        dx = np.zeros_like(x)
+        dx = np.zeros_like(x) if input_grad else None
         dh_next = np.zeros((n, u))
         dc_next = np.zeros((n, u))
 
@@ -150,7 +151,8 @@ class LSTM(Layer):
             dw += xt.T @ dz
             du += h_prev.T @ dz
             db += dz.sum(axis=0)
-            dx[:, t, :] = dz @ w.T
+            if input_grad:
+                dx[:, t, :] = dz @ w.T
             dh_next = dz @ u_mat.T
 
         self.grads["W"] = dw

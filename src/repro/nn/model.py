@@ -75,10 +75,24 @@ class Sequential:
             out = layer.forward(out, training=training)
         return out
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
+    def backward(self, grad: np.ndarray) -> None:
+        """Fill the grads of every layer from the loss gradient ``grad``.
+
+        Backpropagation stops at the lowest layer with trainable params:
+        it is called with ``input_grad=False``, since no layer reads that
+        gradient.  The layers below it (a Reshape, Dropout, frozen
+        layers) are not backpropagated; their caches are cleared.
+        """
+        lowest = next(
+            (i for i, layer in enumerate(self.layers) if layer.trainable and layer.params),
+            len(self.layers),
+        )
+        for i in range(len(self.layers) - 1, lowest, -1):
+            grad = self.layers[i].backward(grad)
+        if lowest < len(self.layers):
+            self.layers[lowest].backward(grad, input_grad=False)
+        for layer in self.layers[:lowest]:
+            layer.clear_cache()
 
     def predict(
         self, x: np.ndarray, batch_size: int = 256, validate: bool = True

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import nmr_conv_topology, table1_topology
+from repro.core import mlp_topology, nmr_conv_topology, table1_topology
+from repro.nn.layers import conv
 
 
 def _held_arrays(layer):
@@ -59,11 +60,26 @@ def _recurrent():
     ]).build((32,), seed=0)
 
 
+def _frozen_below():
+    """Reshape, Dropout and a frozen Dense below the lowest trained layer."""
+    model = nn.Sequential([
+        nn.Reshape((-1,)),
+        nn.Dropout(0.3, seed=0),
+        nn.Dense(8, activation="tanh"),
+        nn.Dense(8, activation="tanh"),
+        nn.Dense(3),
+    ]).build((32,), seed=0)
+    model.layers[2].trainable = False
+    return model
+
+
 MODELS = {
     "table1": lambda: table1_topology(4).build((246,), seed=0),
     "nmr_conv": lambda: nmr_conv_topology().build((270,), seed=0),
+    "mlp": lambda: mlp_topology(3, hidden_units=(16, 8)).build((32,), seed=0),
     "every_cached_layer": _every_cached_layer,
     "recurrent": _recurrent,
+    "frozen_below": _frozen_below,
 }
 
 
@@ -119,6 +135,62 @@ class TestBackwardNeedsATrainingForward:
         layer.backward(np.ones((2, 3)))
         with pytest.raises(RuntimeError, match="Dense"):
             layer.backward(np.ones((2, 3)))
+
+
+PARAMETRISED = {
+    "Dense": (lambda: nn.Dense(4, activation="tanh"), (6,)),
+    "Conv1D": (lambda: nn.Conv1D(3, 3, padding="same", activation="relu"), (10, 2)),
+    "LocallyConnected1D": (lambda: nn.LocallyConnected1D(3, 2, strides=2), (10, 2)),
+    "LSTM": (lambda: nn.LSTM(5, return_sequences=True), (4, 3)),
+    "BatchNorm": (lambda: nn.BatchNorm(), (6,)),
+    "ResidualDense": (lambda: nn.ResidualDense(activation="tanh"), (6,)),
+    "HighwayDense": (lambda: nn.HighwayDense(activation="tanh"), (6,)),
+}
+
+
+class TestBackwardStopsAtTheLowestTrainedLayer:
+    @pytest.mark.parametrize("name", sorted(PARAMETRISED))
+    def test_no_input_grad_fills_the_same_grads(self, name):
+        make, shape = PARAMETRISED[name]
+        layer = make()
+        layer.build(shape, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((5,) + shape)
+        grad = rng.standard_normal((5,) + layer.output_shape)
+        layer.forward(x, training=True)
+        assert layer.backward(grad, input_grad=True) is not None
+        grads = {key: value.tobytes() for key, value in layer.grads.items()}
+        layer.forward(x, training=True)
+        assert layer.backward(grad, input_grad=False) is None
+        assert layer._cache is None
+        assert {key: value.tobytes() for key, value in layer.grads.items()} == grads
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_lowest_input_gradient_is_never_computed(self, name, monkeypatch):
+        model = MODELS[name]()
+        model.compile(nn.Adam(0.003), "mse")
+        lowest = next(layer for layer in model.layers if layer.trainable and layer.params)
+        returned, scattered = [], []
+        backward, col2im = lowest.backward, conv.col2im
+
+        def spy_backward(*args, **kwargs):
+            returned.append(backward(*args, **kwargs))
+            return returned[-1]
+
+        def spy_col2im(*args):
+            scattered.append(args[0].shape)
+            return col2im(*args)
+
+        monkeypatch.setattr(lowest, "backward", spy_backward)
+        monkeypatch.setattr(conv, "col2im", spy_col2im)
+        rng = np.random.default_rng(1)
+        length = model.input_shape[0]
+        outputs = model.layers[-1].output_shape[-1]
+        model.train_on_batch(rng.random((16, length)), rng.random((16, outputs)))
+        assert len(returned) == 1 and returned[0] is None
+        windowed = [layer for layer in model.layers if isinstance(layer, conv._WindowedLayer)]
+        # Every windowed layer above the lowest one scatters its input gradient once.
+        assert len(scattered) == len(windowed) - (lowest in windowed)
 
 
 def _digest(arrays) -> str:
