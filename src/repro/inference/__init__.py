@@ -2,9 +2,9 @@
 
 ``freeze()`` compiles a built :class:`~repro.nn.model.Sequential` into an
 immutable :class:`InferencePlan` of fused ops (conv/dense + bias +
-activation, precomputed im2col index plans, float32 or calibrated
+activation, checked kernel/stride window geometry, float32 or calibrated
 symmetric int8 weights); :class:`InferenceEngine` executes plans inside
-preallocated scratch with a pinned per-dtype accuracy contract; the
+one preallocated workspace with a pinned per-dtype accuracy contract; the
 persistence helpers ship plans through the checksummed storage envelope.
 
 This package is a *leaf* over :mod:`repro.nn`, :mod:`repro.embedded` and

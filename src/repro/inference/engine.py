@@ -6,9 +6,10 @@ of megabytes of im2col buffers malloc'd, filled, and discarded per
 batch.  The engine executes an :class:`~repro.inference.plan.InferencePlan`
 the way an embedded runtime would:
 
-* **compile once per batch capacity** — the first call at a given
-  (power-of-two rounded) batch size walks the plan and binds each fused
-  op to preallocated float32 scratch buffers and an execution closure;
+* **one workspace** — the first call walks the plan and binds each fused
+  op to preallocated float32 scratch buffers and an execution closure,
+  sized for its batch rounded up to a power of two; a later, larger
+  batch drops that workspace and compiles one at its own power of two;
 * **allocate nothing afterwards** — every kernel writes through ``out=``
   /in-place ufuncs into that scratch (the im2col gather copies a strided
   window view, one GEMM per conv/dense, fused bias-add + activation
@@ -27,109 +28,67 @@ the plan's pinned MAE contract against the float64 reference model.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.nn.activations import _SELU_ALPHA as SELU_ALPHA
 from repro.nn.activations import _SELU_SCALE as SELU_SCALE
-from repro.inference.plan import AccuracyContractError, FusedOp, InferencePlan
-from repro.nn.layers.windows import im2col, window_indices
+from repro.inference.plan import AccuracyContractError, InferencePlan
+from repro.nn.layers.windows import im2col
 
 __all__ = ["InferenceEngine"]
 
 _Step = Callable[[int], None]
 
 
-def _window_grid(op: FusedOp) -> Tuple[int, int]:
-    """(kernel, stride) of a windowed op, read back from ``op.windows``.
-
-    The engine gathers through strided views, so it accepts only the
-    regular grid ``freeze`` writes: ``out_length`` windows, every
-    ``stride`` rows from row 0, covering the (padded) input.
-    """
-    length = op.in_shape[0] + op.pad[0] + op.pad[1]
-    out_length = op.out_shape[0]
-    windows = op.windows
-    if windows is None or windows.ndim != 2 or windows.shape[0] != out_length:
-        raise ValueError(f"{op.name}: plan has no ({out_length}, kernel) windows")
-    kernel = windows.shape[1]
-    # A single window never steps; use the smallest stride that yields one.
-    stride = (
-        int(windows[1, 0] - windows[0, 0]) if out_length > 1
-        else length - kernel + 1
-    )
-    if (
-        kernel < 1
-        or stride < 1
-        or (length - kernel) // stride + 1 != out_length
-        or not np.array_equal(windows, window_indices(out_length, kernel, stride))
-    ):
-        raise ValueError(
-            f"{op.name}: windows are not a regular kernel-{kernel} grid "
-            f"over {length} rows"
-        )
-    return kernel, stride
-
-
 class _Workspace:
     """Compiled steps + scratch for one batch capacity."""
 
-    __slots__ = ("capacity", "xin", "result", "steps")
+    __slots__ = ("capacity", "xin", "result", "steps", "nbytes")
 
     def __init__(self, capacity: int):
         self.capacity = capacity
         self.xin: Optional[np.ndarray] = None
         self.result: Optional[np.ndarray] = None
         self.steps: List[_Step] = []
+        self.nbytes = 0
 
 
 class InferenceEngine:
-    """Executes one :class:`InferencePlan` with reusable scratch buffers.
+    """Executes one :class:`InferencePlan` in one reusable workspace.
 
-    ``max_cached_capacities`` bounds how many batch-capacity workspaces
-    stay resident (least-recently-used eviction); powers-of-two rounding
-    means even a fully ragged caller compiles at most
-    ``log2(max_batch)`` of them.  ``predict`` is thread-safe: calls
-    share the scratch, so they run one at a time.
+    The workspace holds the largest batch seen so far, rounded up to a
+    power of two; smaller batches run in its leading rows.  ``predict``
+    is thread-safe: calls share the scratch, so they run one at a time.
     """
 
-    def __init__(self, plan: InferencePlan, max_cached_capacities: int = 8):
-        if max_cached_capacities < 1:
-            raise ValueError(
-                f"max_cached_capacities must be >= 1, got {max_cached_capacities}"
-            )
+    def __init__(self, plan: InferencePlan):
         self.plan = plan
-        self.max_cached_capacities = int(max_cached_capacities)
-        self._workspaces: "OrderedDict[int, _Workspace]" = OrderedDict()
+        self._workspace: Optional[_Workspace] = None
         # Serving workers share one engine; two calls writing the same
         # scratch at once would hand each other's rows back.
         self._lock = threading.Lock()
         self._scratch_allocations = 0
-        self._scratch_bytes = 0
         self._predict_calls = 0
-        self._cache_hits = 0
-        self._cache_misses = 0
 
     # -- scratch accounting ------------------------------------------------
 
-    def _alloc(self, shape: Tuple[int, ...]) -> np.ndarray:
-        """Allocate one zeroed float32 scratch buffer, counted in stats.
+    def _alloc(self, ws: _Workspace, shape: Tuple[int, ...]) -> np.ndarray:
+        """Allocate one zeroed ``(capacity, *shape)`` float32 buffer.
 
         Zero-filled so padded conv edges and never-written tail rows
         (beyond the live ``[:n]`` slice) hold defined values.
         """
-        buffer = np.zeros(shape, dtype=np.float32)
+        buffer = np.zeros((ws.capacity,) + shape, dtype=np.float32)
         self._scratch_allocations += 1
-        self._scratch_bytes += buffer.nbytes
+        ws.nbytes += buffer.nbytes
         return buffer
 
     # -- compilation -------------------------------------------------------
 
     def _compile_activation(
-        self, name: str, capacity: int, sample_shape: Tuple[int, ...],
-        target: np.ndarray,
+        self, name: str, ws: _Workspace, target: np.ndarray
     ) -> Optional[_Step]:
         """Bind an in-place activation epilogue over ``target[:n]``."""
         if name == "linear":
@@ -153,8 +112,9 @@ class InferenceEngine:
                 v += 1.0
                 v *= 0.5
             return step
+        sample_shape = target.shape[1:]
         if name == "selu":
-            t = self._alloc((capacity,) + sample_shape)
+            t = self._alloc(ws, sample_shape)
             def step(n: int, z=target, t=t) -> None:
                 v, u = z[:n], t[:n]
                 np.minimum(v, 0.0, out=u)
@@ -165,7 +125,7 @@ class InferenceEngine:
                 v *= SELU_SCALE
             return step
         if name == "softmax":
-            r = self._alloc((capacity,) + sample_shape[:-1] + (1,))
+            r = self._alloc(ws, sample_shape[:-1] + (1,))
             def step(n: int, z=target, r=r) -> None:
                 v, m = z[:n], r[:n]
                 np.max(v, axis=-1, keepdims=True, out=m)
@@ -180,7 +140,7 @@ class InferenceEngine:
         """Walk the plan once, binding scratch and kernels for ``capacity``."""
         plan = self.plan
         ws = _Workspace(capacity)
-        ws.xin = self._alloc((capacity,) + plan.input_shape)
+        ws.xin = self._alloc(ws, plan.input_shape)
         current = ws.xin  # full-capacity buffer holding the live value
 
         for op in plan.ops:
@@ -190,9 +150,7 @@ class InferenceEngine:
                 continue
 
             if op.kind == "activation":
-                step = self._compile_activation(
-                    op.activation, capacity, op.out_shape, current
-                )
+                step = self._compile_activation(op.activation, ws, current)
                 if step is not None:
                     ws.steps.append(step)
                 continue
@@ -200,7 +158,7 @@ class InferenceEngine:
             if op.kind == "dense":
                 features = op.in_shape[-1]
                 units = op.out_shape[-1]
-                z = self._alloc((capacity,) + op.out_shape)
+                z = self._alloc(ws, op.out_shape)
                 def step(n: int, x=current, z=z, W=op.weight, b=op.bias,
                          f=features, u=units) -> None:
                     a = x[:n].reshape(-1, f)
@@ -213,23 +171,20 @@ class InferenceEngine:
             elif op.kind == "conv1d":
                 length, channels = op.in_shape
                 out_length, filters = op.out_shape
-                kernel, stride = _window_grid(op)
                 source = current
                 if op.pad != (0, 0):
                     lo, hi = op.pad
-                    padded = self._alloc(
-                        (capacity, length + lo + hi, channels)
-                    )
+                    padded = self._alloc(ws, (length + lo + hi, channels))
                     def pad_step(n: int, x=current, p=padded, lo=lo,
                                  L=length) -> None:
                         p[:n, lo:lo + L, :] = x[:n]
                     ws.steps.append(pad_step)
                     source = padded
-                cols = self._alloc((capacity, out_length, kernel, channels))
-                z = self._alloc((capacity,) + op.out_shape)
+                cols = self._alloc(ws, (out_length, op.kernel, channels))
+                z = self._alloc(ws, op.out_shape)
                 def step(n: int, x=source, cols=cols, z=z, W=op.weight,
-                         b=op.bias, k=kernel, s=stride, oL=out_length,
-                         kc=kernel * channels, F=filters) -> None:
+                         b=op.bias, k=op.kernel, s=op.stride, oL=out_length,
+                         kc=op.kernel * channels, F=filters) -> None:
                     im2col(x[:n], k, s, out=cols[:n])
                     a = cols[:n].reshape(n * oL, kc)
                     out = z[:n].reshape(n * oL, F)
@@ -239,14 +194,13 @@ class InferenceEngine:
                 ws.steps.append(step)
 
             elif op.kind == "local1d":
-                length, channels = op.in_shape
-                out_length, filters = op.out_shape
-                kernel, stride = _window_grid(op)
-                cols = self._alloc((capacity, out_length, kernel, channels))
-                z = self._alloc((capacity,) + op.out_shape)
+                channels = op.in_shape[1]
+                out_length = op.out_shape[0]
+                cols = self._alloc(ws, (out_length, op.kernel, channels))
+                z = self._alloc(ws, op.out_shape)
                 def step(n: int, x=current, cols=cols, z=z, W=op.weight,
-                         b=op.bias, k=kernel, s=stride, oL=out_length,
-                         kc=kernel * channels) -> None:
+                         b=op.bias, k=op.kernel, s=op.stride, oL=out_length,
+                         kc=op.kernel * channels) -> None:
                     im2col(x[:n], k, s, out=cols[:n])
                     flat = cols[:n].reshape(n, oL, kc)
                     np.einsum("nlk,lkf->nlf", flat, W, out=z[:n])
@@ -256,18 +210,17 @@ class InferenceEngine:
 
             elif op.kind in ("maxpool", "avgpool"):
                 out_length, channels = op.out_shape
-                pool, stride = _window_grid(op)
-                win = self._alloc((capacity, out_length, pool, channels))
-                z = self._alloc((capacity,) + op.out_shape)
+                win = self._alloc(ws, (out_length, op.kernel, channels))
+                z = self._alloc(ws, op.out_shape)
                 reducer = np.max if op.kind == "maxpool" else np.mean
-                def step(n: int, x=current, win=win, z=z, k=pool, s=stride,
-                         reduce=reducer) -> None:
+                def step(n: int, x=current, win=win, z=z, k=op.kernel,
+                         s=op.stride, reduce=reducer) -> None:
                     im2col(x[:n], k, s, out=win[:n])
                     reduce(win[:n], axis=2, out=z[:n])
                 ws.steps.append(step)
 
             elif op.kind == "gap":
-                z = self._alloc((capacity,) + op.out_shape)
+                z = self._alloc(ws, op.out_shape)
                 def step(n: int, x=current, z=z) -> None:
                     np.mean(x[:n], axis=1, out=z[:n])
                 ws.steps.append(step)
@@ -275,32 +228,21 @@ class InferenceEngine:
             else:  # pragma: no cover - freeze() only emits known kinds
                 raise ValueError(f"unknown fused op kind {op.kind!r}")
 
+            current = z
             if op.kind in ("dense", "conv1d", "local1d"):
-                current = z
-                epilogue = self._compile_activation(
-                    op.activation, capacity, op.out_shape, z
-                )
+                epilogue = self._compile_activation(op.activation, ws, z)
                 if epilogue is not None:
                     ws.steps.append(epilogue)
-            else:
-                current = z
 
         ws.result = current.reshape((capacity,) + plan.output_shape)
         return ws
 
     def _workspace_for(self, n: int) -> _Workspace:
-        capacity = 1 << max(0, n - 1).bit_length()
-        workspace = self._workspaces.get(capacity)
-        if workspace is not None:
-            self._cache_hits += 1
-            self._workspaces.move_to_end(capacity)
-            return workspace
-        self._cache_misses += 1
-        workspace = self._compile(capacity)
-        self._workspaces[capacity] = workspace
-        while len(self._workspaces) > self.max_cached_capacities:
-            self._workspaces.popitem(last=False)
-        return workspace
+        """The workspace, recompiled at the next power of two if ``n`` outgrows it."""
+        if self._workspace is None or n > self._workspace.capacity:
+            self._workspace = None  # free the old scratch before allocating
+            self._workspace = self._compile(1 << (n - 1).bit_length())
+        return self._workspace
 
     # -- execution ---------------------------------------------------------
 
@@ -339,15 +281,15 @@ class InferenceEngine:
     # -- introspection and contracts ---------------------------------------
 
     def stats(self) -> Dict[str, object]:
+        """Counters; ``scratch_allocations`` counts every compile so far."""
+        workspace = self._workspace
         return {
             "plan": self.plan.name,
             "dtype": self.plan.dtype,
             "predict_calls": self._predict_calls,
+            "capacity": workspace.capacity if workspace else 0,
             "scratch_allocations": self._scratch_allocations,
-            "scratch_bytes": self._scratch_bytes,
-            "cached_capacities": sorted(self._workspaces),
-            "cache_hits": self._cache_hits,
-            "cache_misses": self._cache_misses,
+            "scratch_bytes": workspace.nbytes if workspace else 0,
         }
 
     def verify_against(self, model, x: np.ndarray) -> Dict[str, float]:

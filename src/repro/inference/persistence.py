@@ -9,7 +9,11 @@ flipped bit in a weight tensor is a silent accuracy bug at best; the
 envelope turns it into a loud :class:`CorruptArtifactError` at load.
 
 The payload is an in-memory ``.npz``: a ``__meta__`` JSON blob with the
-plan topology plus one array entry per op tensor.  int8 plans persist
+plan topology (format ``PLAN_FORMAT_VERSION``; each windowed op's kernel
+and stride are two integers there) plus one array entry per weight
+tensor.  Loading rebuilds every op through ``FusedOp``, so a meta whose
+geometry does not fit its shapes, or a plan of another format, is a
+:class:`CorruptArtifactError` rather than a plan.  int8 plans persist
 the *quantized* payload (int8 weights + scales, biases in float32) and
 rebuild the float32 execution weights at load — that is the 4x
 weight-size saving the paper's embedded story is about, carried all the
@@ -35,8 +39,8 @@ from repro.inference.plan import PLAN_FORMAT_VERSION, FusedOp, InferencePlan
 __all__ = ["save_plan", "load_plan", "inspect_plan", "verify_plan"]
 
 # Tensors persisted per op, keyed as op{index:03d}_{field}.
-_FLOAT32_FIELDS = ("weight", "bias", "windows")
-_INT8_FIELDS = ("qweight", "qscale", "bias", "windows")
+_FLOAT32_FIELDS = ("weight", "bias")
+_INT8_FIELDS = ("qweight", "qscale", "bias")
 
 
 def _op_key(index: int, field: str) -> str:
@@ -128,7 +132,8 @@ def load_plan(path: Union[str, os.PathLike]) -> InferencePlan:
                     activation=op_meta["activation"],
                     weight=weight,
                     bias=take("bias"),
-                    windows=take("windows"),
+                    kernel=int(op_meta["kernel"]),
+                    stride=int(op_meta["stride"]),
                     pad=tuple(op_meta["pad"]),
                     flops=int(op_meta["flops"]),
                     param_bytes=int(op_meta["param_bytes"]),
@@ -148,7 +153,7 @@ def load_plan(path: Union[str, os.PathLike]) -> InferencePlan:
             calibration=meta.get("calibration"),
             source_layers=tuple(meta.get("source_layers", ())),
         )
-    except (KeyError, TypeError, ValueError) as error:
+    except (IndexError, KeyError, TypeError, ValueError) as error:
         raise CorruptArtifactError(
             f"plan structure damaged in {os.fspath(path)}: {error}"
         ) from None

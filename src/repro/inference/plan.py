@@ -15,9 +15,10 @@ that away once, ahead of time:
   standalone :class:`~repro.nn.layers.core.ActivationLayer` behind a
   linear conv/dense folds into it, ``Dropout`` disappears, and runs of
   ``Reshape``/``Flatten`` collapse into a single zero-cost view;
-* every windowed op records its im2col gather indices, built from the
-  model's output length, kernel and stride; the engine reads its window
-  kernel and stride back from them (and refuses any other index table).
+* every windowed op records its kernel and stride, and refuses at
+  construction any pair that does not make exactly its output length
+  of windows inside its (padded) input, so a malformed plan cannot
+  exist, whether it comes from ``freeze`` or from disk.
 
 The result is an *immutable* :class:`InferencePlan` — every array is
 marked read-only — that :class:`~repro.inference.engine.InferenceEngine`
@@ -36,7 +37,7 @@ This subsystem is a leaf over :mod:`repro.nn`, :mod:`repro.embedded` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,7 +56,6 @@ from repro.nn.layers import (
     MaxPool1D,
     Reshape,
 )
-from repro.nn.layers.windows import window_indices
 
 __all__ = [
     "PLAN_FORMAT_VERSION",
@@ -67,7 +67,7 @@ __all__ = [
     "freeze",
 ]
 
-PLAN_FORMAT_VERSION = 1
+PLAN_FORMAT_VERSION = 2
 
 # Pinned per-dtype accuracy budget: the maximum tolerated mean-absolute
 # delta of plan output vs the float64 layer-by-layer reference.  These
@@ -79,6 +79,9 @@ _SUPPORTED_DTYPES = ("float32", "int8")
 # Kinds that produce values (and therefore can absorb a trailing
 # standalone activation into their epilogue).
 _FUSABLE_KINDS = ("dense", "conv1d", "local1d")
+
+# Kinds that gather kernel-wide windows every stride rows.
+_WINDOWED_KINDS = ("conv1d", "local1d", "maxpool", "avgpool")
 
 
 class UnsupportedLayerError(ValueError):
@@ -121,6 +124,11 @@ class FusedOp:
     float32 *execution* weight; on int8 plans ``qweight``/``qscale``
     carry the quantized payload it was dequantized from (what persists
     to disk and what the cost model charges for memory traffic).
+    Windowed kinds gather ``kernel`` rows every ``stride`` rows of the
+    input padded by ``pad``; other kinds leave both at 0.
+
+    Raises ``ValueError`` if a windowed op's geometry does not yield
+    exactly ``out_shape[0]`` windows inside its padded input.
     """
 
     kind: str
@@ -130,7 +138,8 @@ class FusedOp:
     activation: str = "linear"
     weight: Optional[np.ndarray] = None
     bias: Optional[np.ndarray] = None
-    windows: Optional[np.ndarray] = None
+    kernel: int = 0
+    stride: int = 0
     pad: Tuple[int, int] = (0, 0)
     flops: int = 0
     param_bytes: int = 0
@@ -139,11 +148,25 @@ class FusedOp:
     qscale: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        for attr in ("weight", "bias", "windows", "qweight", "qscale"):
+        for attr in ("weight", "bias", "qweight", "qscale"):
             object.__setattr__(self, attr, _readonly(getattr(self, attr)))
         object.__setattr__(self, "in_shape", tuple(int(d) for d in self.in_shape))
         object.__setattr__(self, "out_shape", tuple(int(d) for d in self.out_shape))
         object.__setattr__(self, "pad", tuple(int(p) for p in self.pad))
+        object.__setattr__(self, "kernel", int(self.kernel))
+        object.__setattr__(self, "stride", int(self.stride))
+        if self.kind in _WINDOWED_KINDS:
+            length = self.in_shape[0] + self.pad[0] + self.pad[1]
+            out_length = self.out_shape[0]
+            if (
+                not 1 <= self.kernel <= length
+                or self.stride < 1
+                or (length - self.kernel) // self.stride + 1 != out_length
+            ):
+                raise ValueError(
+                    f"{self.name}: kernel {self.kernel}, stride {self.stride} "
+                    f"do not make {out_length} windows over {length} rows"
+                )
 
     @property
     def is_view(self) -> bool:
@@ -157,6 +180,8 @@ class FusedOp:
             "in_shape": list(self.in_shape),
             "out_shape": list(self.out_shape),
             "activation": self.activation,
+            "kernel": self.kernel,
+            "stride": self.stride,
             "pad": list(self.pad),
             "flops": int(self.flops),
             "param_bytes": int(self.param_bytes),
@@ -293,21 +318,11 @@ def _try_fold_activation(ops: List[FusedOp], layer, cost) -> bool:
     producer = ops[-1]
     if producer.kind not in _FUSABLE_KINDS or producer.activation != "linear":
         return False
-    ops[-1] = FusedOp(
-        kind=producer.kind,
+    ops[-1] = replace(
+        producer,
         name=f"{producer.name}+{layer.activation.name}",
-        in_shape=producer.in_shape,
-        out_shape=producer.out_shape,
         activation=layer.activation.name,
-        weight=producer.weight,
-        bias=producer.bias,
-        windows=producer.windows,
-        pad=producer.pad,
         flops=producer.flops + cost.flops,
-        param_bytes=producer.param_bytes,
-        activation_bytes=producer.activation_bytes,
-        qweight=producer.qweight,
-        qscale=producer.qscale,
     )
     return True
 
@@ -413,9 +428,8 @@ def freeze(
                     activation=layer.activation.name,
                     weight=weight,
                     bias=bias,
-                    windows=window_indices(
-                        out_shape[0], layer.kernel_size, layer.strides
-                    ),
+                    kernel=layer.kernel_size,
+                    stride=layer.strides,
                     pad=layer._pad,
                     flops=cost.flops,
                     param_bytes=wbytes + (4 * bias.size if bias is not None else 0),
@@ -431,9 +445,8 @@ def freeze(
                     name=layer.name,
                     in_shape=shape,
                     out_shape=out_shape,
-                    windows=window_indices(
-                        out_shape[0], layer.pool_size, layer.strides
-                    ),
+                    kernel=layer.pool_size,
+                    stride=layer.strides,
                     flops=cost.flops,
                     activation_bytes=cost.activation_bytes,
                 )
@@ -469,17 +482,10 @@ def freeze(
     if calibration is not None:
         from repro.inference.engine import InferenceEngine  # lazy: no cycle
 
-        x = np.asarray(calibration, dtype=np.float64)
-        reference = model.predict(x, validate=False)
-        frozen_out = InferenceEngine(plan).predict(x)
-        delta = np.abs(frozen_out - reference)
+        report = InferenceEngine(plan).verify_against(model, calibration)
         object.__setattr__(
             plan,
             "calibration",
-            {
-                "n_samples": int(x.shape[0]),
-                "mae_delta": float(delta.mean()),
-                "max_abs_delta": float(delta.max()),
-            },
+            {key: report[key] for key in ("n_samples", "mae_delta", "max_abs_delta")},
         )
     return plan

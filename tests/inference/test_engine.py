@@ -1,4 +1,4 @@
-"""Unit tests for the engine: scratch reuse, workspace cache, contracts."""
+"""Unit tests for the engine: scratch reuse, workspace growth, contracts."""
 
 import dataclasses
 import hashlib
@@ -117,39 +117,45 @@ class TestScratchReuse:
         stats = engine.stats()
         assert stats["scratch_allocations"] == allocations
         assert stats["scratch_bytes"] == scratch_bytes
-        assert stats["cache_hits"] == 3
+        assert stats["capacity"] == 32
 
     def test_capacities_round_to_powers_of_two(self, setup):
         _, plan, x = setup
         engine = InferenceEngine(plan)
+        assert engine.stats()["capacity"] == 0
         engine.predict(x[:5])
-        assert engine.stats()["cached_capacities"] == [8]
+        assert engine.stats()["capacity"] == 8
 
     def test_ragged_batches_share_workspaces(self, setup):
+        """One workspace grows to the next power of two when a batch
+        outgrows it; smaller batches run in its leading rows."""
         _, plan, x = setup
         engine = InferenceEngine(plan)
-        for n in (3, 7, 8, 4):  # capacities 4, 8, 8, 4
+        seen = []
+        for n in (3, 7, 8, 4):
             engine.predict(x[:n])
-        stats = engine.stats()
-        assert stats["cached_capacities"] == [4, 8]
-        assert stats["cache_misses"] == 2
-        assert stats["cache_hits"] == 2
+            stats = engine.stats()
+            seen.append(tuple(stats[key] for key in (
+                "capacity", "scratch_allocations", "scratch_bytes")))
+        capacities, allocations, scratch_bytes = zip(*seen)
+        assert capacities == (4, 8, 8, 8)
+        # Allocations rise only when 7 outgrows the capacity-4 workspace,
+        # by one workspace's buffer count.
+        assert allocations == (allocations[0],) + (2 * allocations[0],) * 3
+        # Only the live workspace is held: the capacity-8 one, twice the rows.
+        assert scratch_bytes[1:] == (2 * scratch_bytes[0],) * 3
 
-    def test_lru_eviction_respects_cap(self, setup):
+    def test_refused_compile_holds_no_workspace(self, setup):
         _, plan, x = setup
-        engine = InferenceEngine(plan, max_cached_capacities=2)
-        engine.predict(x[:1])   # capacity 1
-        engine.predict(x[:2])   # capacity 2
-        engine.predict(x[:4])   # capacity 4 -> evicts 1 (least recent)
-        assert engine.stats()["cached_capacities"] == [2, 4]
-        misses = engine.stats()["cache_misses"]
-        engine.predict(x[:1])   # must recompile
-        assert engine.stats()["cache_misses"] == misses + 1
-
-    def test_invalid_cache_cap_rejected(self, setup):
-        _, plan, _ = setup
-        with pytest.raises(ValueError, match="max_cached_capacities"):
-            InferenceEngine(plan, max_cached_capacities=0)
+        ops = [
+            dataclasses.replace(op, activation="bogus") if op.kind == "dense"
+            else op for op in plan.ops
+        ]
+        engine = InferenceEngine(dataclasses.replace(plan, ops=ops))
+        with pytest.raises(ValueError, match="no in-place kernel"):
+            engine.predict(x[:2])
+        stats = engine.stats()
+        assert (stats["capacity"], stats["scratch_bytes"]) == (0, 0)
 
 
 class TestAccuracyContract:
@@ -199,8 +205,7 @@ class TestOutputBytesArePinned:
         "nmr_conv": (nmr_conv_topology, 1700),
     }
 
-    @pytest.mark.parametrize("key", sorted(PINNED))
-    def test_batches_1_3_32(self, key):
+    def _check(self, key, sizes):
         name, dtype, per_channel = key
         topology, length = self.MODELS[name]
         model = topology().build((length,), seed=0)
@@ -208,37 +213,45 @@ class TestOutputBytesArePinned:
             freeze(model, dtype=dtype, per_channel=per_channel)
         )
         x = np.random.default_rng(5).random((32, length))
-        for n, digest in self.PINNED[key].items():
+        for n in sizes:
             out = engine.predict(x[:n])
-            assert hashlib.sha256(out.tobytes()).hexdigest() == digest, n
+            digest = hashlib.sha256(out.tobytes()).hexdigest()
+            assert digest == self.PINNED[key][n], n
+
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_batches_1_3_32(self, key):
+        self._check(key, (1, 3, 32))
+
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_batches_32_3_1(self, key):
+        """Largest first: batches 3 and 1 run in the capacity-32 workspace."""
+        self._check(key, (32, 3, 1))
 
 
 class TestWindowsAreAGrid:
-    """The engine gathers through strided views, so a plan's windows must
-    be the regular grid freeze writes; anything else is refused."""
+    """The engine gathers through strided views, so a windowed op's kernel
+    and stride must make exactly its output length of windows inside its
+    padded input.  Plans arrive from disk, so ``FusedOp`` refuses any
+    other geometry when it is constructed."""
 
-    def _with_windows(self, plan, kind, windows):
-        ops = [
-            dataclasses.replace(op, windows=windows(op.windows))
-            if op.kind == kind else op
-            for op in plan.ops
-        ]
-        return dataclasses.replace(plan, ops=ops)
+    GEOMETRIES = {
+        "kernel-0": lambda op: {"kernel": 0},
+        "stride-0": lambda op: {"stride": 0},
+        "too-few-windows": lambda op: {"stride": op.stride + 1},
+        # Zero windows claimed, so only the kernel bound catches it.
+        "kernel-past-padded-input": lambda op: {
+            "kernel": op.in_shape[0] + sum(op.pad) + op.stride,
+            "out_shape": (0,) + op.out_shape[1:],
+        },
+    }
 
     @pytest.mark.parametrize("kind", ["conv1d", "maxpool"])
-    @pytest.mark.parametrize("corrupt", [
-        lambda w: w[:, ::-1],                   # reversed within a window
-        lambda w: w + 1,                        # grid not starting at row 0
-        lambda w: np.vstack([w[:1], w[2:], w[-1:] + 2]),  # uneven starts
-        lambda w: w[:-1],                       # too few windows
-        lambda w: w * 40,                       # reads past the input
-    ])
-    def test_irregular_windows_refused_at_compile(self, setup, kind, corrupt):
-        _, plan, x = setup
-        engine = InferenceEngine(self._with_windows(plan, kind, corrupt))
-        with pytest.raises(ValueError, match="windows"):
-            engine.predict(x[:2])
-        assert engine.stats()["cached_capacities"] == []
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    def test_bad_geometry_refused_at_construction(self, setup, kind, geometry):
+        _, plan, _ = setup
+        op = next(op for op in plan.ops if op.kind == kind)
+        with pytest.raises(ValueError, match="windows over"):
+            dataclasses.replace(op, **self.GEOMETRIES[geometry](op))
 
     def test_single_window_plan_runs(self):
         model = nn.Sequential([

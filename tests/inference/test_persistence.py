@@ -1,10 +1,14 @@
 """Plan persistence: envelope round-trips, corruption, introspection."""
 
+import io
+import json
+
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.inference import (
+    PLAN_FORMAT_VERSION,
     InferenceEngine,
     freeze,
     inspect_plan,
@@ -12,7 +16,11 @@ from repro.inference import (
     save_plan,
     verify_plan,
 )
-from repro.storage.integrity import CorruptArtifactError
+from repro.storage.integrity import (
+    CorruptArtifactError,
+    read_envelope,
+    write_envelope,
+)
 
 
 def _model(input_length=40):
@@ -70,8 +78,8 @@ class TestRoundTrip:
         int8_path = tmp_path / "int8.plan"
         save_plan(freeze(model), f32_path)
         save_plan(freeze(model, dtype="int8"), int8_path)
-        # Weight payload shrinks 4x; index plans (shared) dilute the
-        # whole-file ratio, but the int8 artifact must still be smaller.
+        # Weight payload shrinks 4x; float32 biases, scales and the meta
+        # dilute the whole-file ratio, but the int8 artifact is smaller.
         assert int8_path.stat().st_size < f32_path.stat().st_size
 
     def test_loaded_arrays_are_readonly(self, model, tmp_path):
@@ -97,6 +105,43 @@ class TestCorruption:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_plan(tmp_path / "nope.plan")
+
+    @staticmethod
+    def _resave_with_meta(path, edit):
+        """Re-envelope a saved plan after ``edit`` changes its meta."""
+        archive = np.load(io.BytesIO(read_envelope(path)))
+        arrays = {key: archive[key] for key in archive.files}
+        meta = json.loads(bytes(arrays.pop("__meta__")).decode("utf-8"))
+        edit(meta)
+        buffer = io.BytesIO()
+        np.savez(
+            buffer,
+            __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), np.uint8),
+            **arrays,
+        )
+        write_envelope(path, buffer.getvalue(), fsync=False)
+
+    def test_other_format_refused_naming_both_versions(self, model, tmp_path):
+        path = tmp_path / "v1.plan"
+        save_plan(freeze(model), path)
+        self._resave_with_meta(path, lambda meta: meta.update(format=1))
+        with pytest.raises(CorruptArtifactError) as excinfo:
+            load_plan(path)
+        assert "plan format 1" in str(excinfo.value)
+        assert f"version {PLAN_FORMAT_VERSION}" in str(excinfo.value)
+        assert PLAN_FORMAT_VERSION == 2
+
+    def test_hand_edited_geometry_refused(self, model, tmp_path):
+        path = tmp_path / "geometry.plan"
+        save_plan(freeze(model), path)
+
+        def widen_stride(meta):
+            conv = next(op for op in meta["ops"] if op["kind"] == "conv1d")
+            conv["stride"] += 1  # too few windows to fill out_shape
+
+        self._resave_with_meta(path, widen_stride)
+        with pytest.raises(CorruptArtifactError, match="windows over"):
+            load_plan(path)
 
 
 class TestIntrospection:

@@ -6,6 +6,7 @@ import pytest
 from repro import nn
 from repro.inference import (
     DEFAULT_CONTRACTS,
+    InferenceEngine,
     InferencePlan,
     UnsupportedLayerError,
     freeze,
@@ -95,11 +96,11 @@ class TestFreezeStructure:
     def test_conv_plan_carries_precomputed_windows(self):
         plan = freeze(_cnn())
         conv = next(op for op in plan.ops if op.kind == "conv1d")
-        assert conv.windows is not None
-        assert conv.windows.dtype == np.int64
-        assert conv.windows.shape[1] == 5  # kernel size
+        assert (conv.kernel, conv.stride) == (5, 2)
         pool = next(op for op in plan.ops if op.kind == "maxpool")
-        assert pool.windows.shape[1] == 2
+        assert (pool.kernel, pool.stride) == (2, 2)
+        dense = next(op for op in plan.ops if op.kind == "dense")
+        assert (dense.kernel, dense.stride) == (0, 0)
 
     def test_unsupported_layer_raises_typed_error(self):
         model = nn.Sequential([nn.Reshape((-1, 1)), nn.LSTM(4), nn.Dense(2)])
@@ -119,7 +120,7 @@ class TestPlanImmutability:
     def test_arrays_are_readonly(self):
         plan = freeze(_cnn())
         for op in plan.ops:
-            for tensor in (op.weight, op.bias, op.windows):
+            for tensor in (op.weight, op.bias):
                 if tensor is not None:
                     assert not tensor.flags.writeable
 
@@ -148,6 +149,16 @@ class TestContracts:
         assert plan.calibration["n_samples"] == 16
         assert plan.calibration["mae_delta"] <= plan.contract
         assert plan.calibration["max_abs_delta"] >= plan.calibration["mae_delta"]
+
+    @pytest.mark.parametrize("dtype", ["float32", "int8"])
+    def test_calibration_is_the_engines_verify_report(self, dtype):
+        model = _cnn()
+        x = np.random.default_rng(1).random((16, 40))
+        plan = freeze(model, dtype=dtype, calibration=x)
+        report = InferenceEngine(plan).verify_against(model, x)
+        assert plan.calibration == {
+            key: report[key] for key in ("n_samples", "mae_delta", "max_abs_delta")
+        }
 
 
 class TestQuantizedPlans:
