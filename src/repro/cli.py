@@ -7,8 +7,9 @@ source code; this module is that surface:
 * ``train``        — Tool 4: train a topology on a dataset file;
 * ``evaluate``     — Tool 4 backend: score a trained model on a dataset;
 * ``table2``       — predict embedded execution costs for a trained model;
-* ``freeze``       — compile a checkpoint into a frozen inference plan
-  envelope (float32 or calibrated int8), or inspect/verify one;
+* ``freeze``       — compile a model file (a ``train`` output or a
+  checkpoint generation) into a frozen inference plan envelope (float32
+  or calibrated int8), or inspect/verify one;
 * ``nmr-campaign`` — run the virtual NMR DoE campaign and save its spectra;
 * ``telemetry``    — render exported span/metric JSONL files (or a live
   instrumented demo workload) as a human-readable report;
@@ -18,13 +19,18 @@ source code; this module is that surface:
   Fig-5/Fig-6 campaign grid through the sweep orchestrator.
 
 Datasets are ``.npz`` files with arrays ``x``, ``y`` and a JSON-encoded
-``meta`` record.  Run ``python -m repro.cli <command> --help`` for options.
+``meta`` record.  Models are checksummed model files
+(:mod:`repro.nn.serialization`): ``train`` writes one, and ``evaluate``,
+``table2`` and ``freeze`` read either that or a ``CheckpointManager``
+generation (``<name>.gen-NNNNNN.ckpt``).  Run
+``python -m repro.cli <command> --help`` for options.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -183,10 +189,7 @@ def _cmd_freeze(args: argparse.Namespace) -> int:
     except UnsupportedLayerError as error:
         print(f"cannot freeze: {error}", file=sys.stderr)
         return 1
-    out = args.out
-    if out is None:
-        stem = args.model[:-4] if args.model.endswith(".npz") else args.model
-        out = stem + ".plan"
+    out = args.out or os.path.splitext(args.model)[0] + ".plan"
     path = save_plan(plan, out)
     print(plan.describe())
     if plan.calibration:
@@ -557,16 +560,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     frz = sub.add_parser(
         "freeze",
-        help="compile a checkpoint into a frozen inference plan "
+        help="compile a model file into a frozen inference plan "
         "(or --inspect/--verify an existing plan envelope)",
     )
     frz.add_argument(
         "model",
-        help="model checkpoint (.npz) to freeze; with --inspect/--verify, "
-        "an existing .plan envelope",
+        help="model file to freeze (a `train` output or a checkpoint "
+        "generation); with --inspect/--verify, an existing .plan envelope",
     )
     frz.add_argument(
-        "--out", default=None, help="plan output path (default: <model>.plan)"
+        "--out", default=None,
+        help="plan output path (default: the model path with its extension "
+        "replaced by .plan)",
     )
     frz.add_argument("--dtype", choices=["float32", "int8"], default="float32")
     frz.add_argument(

@@ -4,8 +4,10 @@ Every sweep and bench in this repo regenerates its simulated datasets from
 scratch, even though the generator is a pure function of (simulator
 characteristics, compound set, n, seed, normalization).  This module keys
 artifacts by a canonical SHA-256 over exactly that generating config and
-stores them as :mod:`repro.storage.integrity` checksummed envelopes, so a
-repeat generation is a verified read instead of a re-render.
+stores them as :mod:`repro.storage.integrity` archives (checksummed
+envelopes of named arrays plus a ``meta`` document, and a ``json``
+document for a JSON cell), so a repeat generation is a verified read
+instead of a re-render.
 
 Guarantees:
 
@@ -15,8 +17,8 @@ Guarantees:
   purpose, any parameter change misses.
 * **Verify-on-read** — entries are envelope-wrapped
   (magic + version + length + SHA-256); a corrupt entry is *quarantined*
-  (moved aside for post-mortem, never silently deleted), counted, and
-  treated as a miss so the caller regenerates.
+  (moved aside for post-mortem, never silently deleted or overwritten),
+  counted, and treated as a miss so the caller regenerates.
 * **Bounded size** — ``max_bytes`` enforces an LRU evict (recency is the
   entry's mtime, bumped on every hit), oldest-first, never evicting the
   entry just written.
@@ -30,7 +32,6 @@ Seeded cells draw every stream from :func:`derived_seed` and cache through
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 from pathlib import Path
@@ -42,9 +43,9 @@ from repro.observability.runtime import get_registry
 from repro.storage.integrity import (
     CorruptArtifactError,
     StorageError,
-    atomic_write_bytes,
-    unwrap,
-    wrap,
+    quarantine,
+    read_archive,
+    write_archive,
 )
 
 __all__ = [
@@ -57,7 +58,6 @@ __all__ = [
 CACHE_FORMAT_VERSION = 1
 
 _ENTRY_SUFFIX = ".npz.env"
-_META_KEY = "__meta__"
 
 
 def _canonical_default(value):
@@ -152,32 +152,47 @@ class ArtifactCache:
 
     # -- core get/put --------------------------------------------------------
 
-    def get(self, key: str) -> Optional[Tuple[Dict[str, np.ndarray], dict]]:
-        """Load and verify the entry for ``key``; None on miss.
+    def _read(
+        self, key: str, doc: str = "meta"
+    ) -> Optional[Tuple[Dict[str, np.ndarray], dict]]:
+        """``(arrays, docs)`` of the verified entry for ``key``; None on miss.
 
-        A corrupt entry is quarantined and reported as a miss, so the
-        caller's regenerate-then-put path heals the cache in place.
+        A corrupt entry, or one without the ``doc`` document (a JSON cell
+        key colliding with an array entry), is quarantined and reported
+        as a miss, so the caller's regenerate-then-put path heals the
+        cache in place.
         """
         path = self.path_for(key)
         try:
-            with open(path, "rb") as handle:
-                blob = handle.read()
+            arrays, docs = _read_entry(path, doc)
         except FileNotFoundError:
             self.misses += 1
             self._m_requests.inc(outcome="miss")
             return None
-        try:
-            payload = unwrap(blob, source=str(path))
-            arrays, meta = self._decode(payload)
-        except (StorageError, ValueError, KeyError) as error:
-            self._quarantine(path, error)
+        except StorageError:
+            self._quarantine(path)
             self.misses += 1
             self._m_requests.inc(outcome="corrupt")
             return None
         os.utime(path)  # bump LRU recency
         self.hits += 1
         self._m_requests.inc(outcome="hit")
-        return arrays, meta
+        return arrays, docs
+
+    def _write(
+        self, key: str, arrays: Mapping[str, np.ndarray], docs: Dict[str, dict]
+    ) -> Path:
+        path = self.path_for(key)
+        write_archive(path, arrays, docs, fsync=self.fsync)
+        self._evict(keep=path)
+        self._m_bytes.set(self.total_bytes())
+        return path
+
+    def get(self, key: str) -> Optional[Tuple[Dict[str, np.ndarray], dict]]:
+        """Load and verify the entry for ``key``: ``(arrays, meta)``, or
+        None on a miss (a corrupt entry is quarantined and misses)."""
+        entry = self._read(key)
+        return None if entry is None else (entry[0], entry[1]["meta"])
 
     def put(
         self,
@@ -188,14 +203,7 @@ class ArtifactCache:
         """Atomically publish an enveloped entry for ``key``; then evict."""
         if not arrays:
             raise ValueError("arrays must be non-empty")
-        if _META_KEY in arrays:
-            raise ValueError(f"array name {_META_KEY!r} is reserved")
-        path = self.path_for(key)
-        payload = self._encode(arrays, meta or {})
-        atomic_write_bytes(path, wrap(payload), fsync=self.fsync)
-        self._evict(keep=path)
-        self._m_bytes.set(self.total_bytes())
-        return path
+        return self._write(key, arrays, {"meta": meta or {}})
 
     def get_or_create(
         self,
@@ -213,10 +221,7 @@ class ArtifactCache:
         if cached is not None:
             return cached[0], key, True
         arrays = {name: np.asarray(value) for name, value in producer().items()}
-        entry_meta = {"config": _jsonable(config)}
-        if meta:
-            entry_meta.update(meta)
-        self.put(key, arrays, entry_meta)
+        self.put(key, arrays, _entry_meta(config, meta))
         return arrays, key, False
 
     def get_or_create_json(
@@ -228,37 +233,26 @@ class ArtifactCache:
         """:meth:`get_or_create` for small JSON payloads (scalar cells).
 
         Campaign cells (a drift-matrix MAE, a sweep score) are dicts, not
-        arrays; they ride the same enveloped entry format as a uint8 JSON
-        blob, so they get verify-on-read, quarantine-and-regenerate and
-        LRU bounding for free.  Returns ``(payload, key, hit)``.
+        arrays; they ride the same entry format as a ``json`` document
+        next to ``meta``, so they get verify-on-read,
+        quarantine-and-regenerate and LRU bounding for free.  A fresh
+        payload is returned as it reads back.  Returns
+        ``(payload, key, hit)``.
         """
-
-        def produce_arrays() -> Dict[str, np.ndarray]:
-            payload = producer()
-            if not isinstance(payload, dict):
-                raise TypeError(
-                    f"JSON cell producer must return a dict, "
-                    f"got {type(payload).__name__}"
-                )
-            blob = json.dumps(
-                payload, sort_keys=True, default=_canonical_default
-            ).encode("utf-8")
-            return {"__json__": np.frombuffer(blob, dtype=np.uint8)}
-
-        arrays, key, hit = self.get_or_create(
-            config, produce_arrays, meta=meta
-        )
-        try:
-            payload = json.loads(bytes(arrays["__json__"].tobytes()))
-        except (KeyError, ValueError) as error:
-            # A verified entry that is not a JSON cell (key collision with
-            # an array entry): treat as corrupt, heal by regenerating.
-            self._quarantine(self.path_for(key), error)
-            arrays, key, hit = self.get_or_create(
-                config, produce_arrays, meta=meta
+        key = canonical_key(config)
+        cached = self._read(key, doc="json")
+        if cached is not None:
+            return cached[1]["json"], key, True
+        payload = producer()
+        if not isinstance(payload, dict):
+            raise TypeError(
+                f"JSON cell producer must return a dict, "
+                f"got {type(payload).__name__}"
             )
-            payload = json.loads(bytes(arrays["__json__"].tobytes()))
-        return payload, key, hit
+        payload = _jsonable(payload)
+        docs = {"meta": _entry_meta(config, meta), "json": payload}
+        self._write(key, {}, docs)
+        return payload, key, False
 
     # -- maintenance ---------------------------------------------------------
 
@@ -271,12 +265,10 @@ class ArtifactCache:
         for path in self._entries():
             key = path.name[: -len(_ENTRY_SUFFIX)]
             try:
-                with open(path, "rb") as handle:
-                    payload = unwrap(handle.read(), source=str(path))
-                self._decode(payload)
+                _read_entry(path)
                 report[key] = "ok"
-            except (StorageError, ValueError, KeyError) as error:
-                self._quarantine(path, error)
+            except StorageError as error:
+                self._quarantine(path)
                 report[key] = f"corrupt: {error}"
         self._m_bytes.set(self.total_bytes())
         return report
@@ -327,34 +319,10 @@ class ArtifactCache:
 
     # -- internals -----------------------------------------------------------
 
-    @staticmethod
-    def _encode(arrays: Mapping[str, np.ndarray], meta: dict) -> bytes:
-        buffer = io.BytesIO()
-        meta_blob = np.frombuffer(
-            json.dumps(meta, default=_canonical_default).encode("utf-8"),
-            dtype=np.uint8,
-        )
-        np.savez(buffer, **{_META_KEY: meta_blob}, **dict(arrays))
-        return buffer.getvalue()
-
-    @staticmethod
-    def _decode(payload: bytes) -> Tuple[Dict[str, np.ndarray], dict]:
-        with np.load(io.BytesIO(payload)) as data:
-            meta = json.loads(bytes(data[_META_KEY].tobytes()).decode("utf-8"))
-            arrays = {
-                name: data[name] for name in data.files if name != _META_KEY
-            }
-        return arrays, meta
-
-    def _quarantine(self, path: Path, error: Exception) -> None:
+    def _quarantine(self, path: Path) -> None:
         self.corrupt += 1
         self._m_corrupt.inc()
-        self.quarantine_dir.mkdir(exist_ok=True)
-        target = self.quarantine_dir / path.name
-        try:
-            os.replace(path, target)
-        except FileNotFoundError:
-            pass
+        quarantine(path, self.quarantine_dir)
 
     def _evict(self, keep: Path) -> None:
         if self.max_bytes is None:
@@ -371,6 +339,16 @@ class ArtifactCache:
             total -= stat.st_size
             self.evictions += 1
             self._m_evictions.inc()
+
+
+def _read_entry(
+    path: Path, doc: str = "meta"
+) -> Tuple[Dict[str, np.ndarray], Dict[str, dict]]:
+    """A verified entry's ``(arrays, docs)``; one without ``doc`` is corrupt."""
+    arrays, docs = read_archive(path)
+    if doc not in docs:
+        raise CorruptArtifactError(f"cache entry {path} has no {doc!r} document")
+    return arrays, docs
 
 
 def get_or_compute(
@@ -404,6 +382,13 @@ def get_or_compute_row(
     return {**row, "cache_key": key, "cache_hit": hit}
 
 
-def _jsonable(config: Mapping) -> dict:
-    """A JSON-round-trippable copy of a config (for entry metadata)."""
-    return json.loads(json.dumps(dict(config), default=_canonical_default))
+def _jsonable(value: Mapping) -> dict:
+    """``value`` as it reads back from JSON (keys sorted, numpy coerced)."""
+    return json.loads(
+        json.dumps(dict(value), sort_keys=True, default=_canonical_default)
+    )
+
+
+def _entry_meta(config: Mapping, meta: Optional[dict]) -> dict:
+    """An entry's ``meta`` document: its config plus caller metadata."""
+    return {"config": _jsonable(config), **(meta or {})}

@@ -164,7 +164,6 @@ class ParallelExecutor:
         retries: int = 0,
         chaos: Optional[Callable[[int], None]] = None,
         seed: int = 0,
-        chunksize: Optional[int] = None,
     ):
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
@@ -172,8 +171,6 @@ class ParallelExecutor:
             raise ValueError("max_workers must be >= 1")
         if retries < 0:
             raise ValueError("retries must be >= 0")
-        if chunksize is not None and chunksize < 1:
-            raise ValueError("chunksize must be >= 1")
         self.backend = backend
         self.max_workers = (
             int(max_workers) if max_workers is not None
@@ -192,7 +189,6 @@ class ParallelExecutor:
         self.retry_policy = retry_policy
         self.chaos = chaos
         self.seed = int(seed)
-        self.chunksize = chunksize
         # Warm-pool state: one pool per executor lifetime, rebuilt only
         # after close() or a hard break.
         self._pool: Optional[concurrent.futures.Executor] = None
@@ -377,12 +373,9 @@ class ParallelExecutor:
             (index, payload, child)
             for index, (payload, child) in enumerate(zip(payloads, children))
         ]
-        size = self.chunksize
-        if size is None:
-            # Aim for ~4 chunks per worker: coarse enough to amortize
-            # dispatch, fine enough that one slow chunk cannot stall the
-            # wave's tail.
-            size = max(1, -(-len(items) // (self.max_workers * 4)))
+        # Aim for ~4 chunks per worker: coarse enough to amortize dispatch,
+        # fine enough that one slow chunk cannot stall the wave's tail.
+        size = max(1, -(-len(items) // (self.max_workers * 4)))
         return [items[i:i + size] for i in range(0, len(items), size)]
 
     def _run_wave(self, fn, payloads, children):

@@ -8,11 +8,12 @@ version, payload length, SHA-256, written atomically with fsync.  A
 flipped bit in a weight tensor is a silent accuracy bug at best; the
 envelope turns it into a loud :class:`CorruptArtifactError` at load.
 
-The payload is an in-memory ``.npz``: a ``__meta__`` JSON blob with the
-plan topology (format ``PLAN_FORMAT_VERSION``; each windowed op's kernel
-and stride are two integers there) plus one array entry per weight
-tensor.  Loading rebuilds every op through ``FusedOp``, so a meta whose
-geometry does not fit its shapes, or a plan of another format, is a
+The payload is a :func:`~repro.storage.integrity.write_archive` archive:
+a ``meta`` JSON document with the plan topology (format
+``PLAN_FORMAT_VERSION``; each windowed op's kernel and stride are two
+integers there) plus one array entry per weight tensor.  Loading
+rebuilds every op through ``FusedOp``, so a meta whose geometry does not
+fit its shapes, or a plan of another format, is a
 :class:`CorruptArtifactError` rather than a plan.  int8 plans persist
 the *quantized* payload (int8 weights + scales, biases in float32) and
 rebuild the float32 execution weights at load — that is the 4x
@@ -22,8 +23,6 @@ way to the artifact on disk.
 
 from __future__ import annotations
 
-import io
-import json
 import os
 from typing import Dict, Optional, Union
 
@@ -31,8 +30,8 @@ import numpy as np
 
 from repro.storage.integrity import (
     CorruptArtifactError,
-    read_envelope,
-    write_envelope,
+    read_archive,
+    write_archive,
 )
 from repro.inference.plan import PLAN_FORMAT_VERSION, FusedOp, InferencePlan
 
@@ -70,49 +69,35 @@ def save_plan(
         "source_layers": list(plan.source_layers),
         "ops": [op.meta() for op in plan.ops],
     }
-    buffer = io.BytesIO()
-    np.savez(
-        buffer,
-        __meta__=np.frombuffer(
-            json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
-        ),
-        **arrays,
-    )
-    return write_envelope(path, buffer.getvalue(), fsync=fsync)
+    write_archive(path, arrays, {"meta": meta}, fsync=fsync)
+    return os.fspath(path)
 
 
 def _load_payload(path: Union[str, os.PathLike]):
-    """Envelope-verified npz + parsed meta; typed errors on any damage."""
-    payload = read_envelope(path)
-    try:
-        archive = np.load(io.BytesIO(payload), allow_pickle=False)
-        meta = json.loads(bytes(archive["__meta__"]).decode("utf-8"))
-    except Exception as error:
-        raise CorruptArtifactError(
-            f"plan payload unreadable in {os.fspath(path)}: {error}"
-        ) from None
+    """Verified tensors + plan meta; typed errors on any damage."""
+    arrays, docs = read_archive(path)
+    meta = docs.get("meta", {})
     if meta.get("format") != PLAN_FORMAT_VERSION:
         raise CorruptArtifactError(
             f"plan format {meta.get('format')!r} in {os.fspath(path)} "
             f"(this build reads version {PLAN_FORMAT_VERSION})"
         )
-    return archive, meta
+    return arrays, meta
 
 
 def load_plan(path: Union[str, os.PathLike]) -> InferencePlan:
     """Load a plan envelope, rebuilding float32 execution weights.
 
     Raises :class:`~repro.storage.integrity.CorruptArtifactError` if the
-    envelope, the npz payload, or the plan structure is damaged.
+    envelope, the archive payload, or the plan structure is damaged.
     """
-    archive, meta = _load_payload(path)
+    arrays, meta = _load_payload(path)
     dtype = meta["dtype"]
     ops = []
     try:
         for index, op_meta in enumerate(meta["ops"]):
             def take(field: str) -> Optional[np.ndarray]:
-                key = _op_key(index, field)
-                return archive[key] if key in archive.files else None
+                return arrays.get(_op_key(index, field))
 
             qweight, qscale = take("qweight"), take("qscale")
             if dtype == "int8":
@@ -161,10 +146,8 @@ def load_plan(path: Union[str, os.PathLike]) -> InferencePlan:
 
 def inspect_plan(path: Union[str, os.PathLike]) -> Dict[str, object]:
     """Summarize a plan envelope without rebuilding execution weights."""
-    archive, meta = _load_payload(path)
-    tensor_bytes = sum(
-        int(archive[key].nbytes) for key in archive.files if key != "__meta__"
-    )
+    arrays, meta = _load_payload(path)
+    tensor_bytes = sum(int(array.nbytes) for array in arrays.values())
     return {
         "path": os.fspath(path),
         "name": meta["name"],

@@ -1,35 +1,48 @@
-"""Model save/load.
+"""Model save/load: the one model file layout.
 
-A model is stored as a single ``.npz`` archive containing a JSON
-architecture spec plus every weight array.  This plays the role of the
-paper's "tool to export the desired ANN for use on embedded platforms" and
-feeds the database-backed provenance tracking (models are artifacts like
-any other).
+A model file is a :mod:`repro.storage.integrity` archive — a checksummed
+envelope around named arrays and JSON documents — laid out as:
+
+* ``__config__`` — the architecture (:func:`model_to_dict`);
+* ``__state__`` — the writer's JSON state (``{}`` for a plain export);
+* ``w0000``, ``w0001``, ... — the weights (:func:`weights_to_arrays`);
+* with an optimizer, ``__optimizer__`` (its config and iteration count)
+  and one ``opt:<slot>:<layer>:<param>`` array per slot.
+
+:func:`save_model`/:func:`load_model` and
+:class:`~repro.reliability.checkpoint.CheckpointManager` generations share
+it, so every model file verifies on load and :func:`load_model` opens a
+checkpoint generation as readily as an export.  This plays the role of
+the paper's "tool to export the desired ANN for use on embedded
+platforms" and feeds the database-backed provenance tracking (models are
+artifacts like any other).
 """
 
 from __future__ import annotations
 
-import io
-import json
 import os
-from typing import Dict, List, Mapping, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.nn.layers import LAYER_REGISTRY
 from repro.nn.model import Sequential
-from repro.storage.integrity import atomic_write_bytes
+from repro.nn.optimizers import Optimizer, get_optimizer
+from repro.storage.integrity import read_archive, write_archive
 
 __all__ = [
-    "atomic_savez",
     "clone_model",
     "save_model",
     "load_model",
+    "model_archive",
+    "model_from_archive",
     "model_to_dict",
     "model_from_dict",
     "weights_to_arrays",
     "weights_from_arrays",
 ]
+
+_OPT_PREFIX = "opt:"
 
 
 def model_to_dict(model: Sequential) -> dict:
@@ -76,46 +89,64 @@ def weights_from_arrays(arrays: Mapping[str, np.ndarray]) -> List[np.ndarray]:
     return [arrays[name] for name in sorted(arrays) if name.startswith("w")]
 
 
-def atomic_savez(
-    path: Union[str, os.PathLike],
-    arrays: Dict[str, np.ndarray],
-    fsync: bool = True,
-) -> str:
-    """Write an ``.npz`` archive crash-safely (and, by default, durably).
+def model_archive(
+    model: Sequential,
+    state: Optional[dict] = None,
+    optimizer: Optional[Optimizer] = None,
+) -> Tuple[Dict[str, np.ndarray], Dict[str, dict]]:
+    """``(arrays, docs)`` of a model file, for
+    :func:`~repro.storage.integrity.write_archive`."""
+    arrays = weights_to_arrays(model.get_weights())
+    docs = {"config": model_to_dict(model), "state": dict(state or {})}
+    if optimizer is not None:
+        opt_state = optimizer.get_state()
+        docs["optimizer"] = {
+            "config": optimizer.get_config(),
+            "iterations": opt_state["iterations"],
+        }
+        for slot, entries in opt_state["slots"].items():
+            for (layer, param), value in entries.items():
+                arrays[f"{_OPT_PREFIX}{slot}:{layer}:{param}"] = value
+    return arrays, docs
 
-    The archive bytes are staged in memory and published through
-    :func:`repro.storage.integrity.atomic_write_bytes` — temp file, flush,
-    fsync, rename, directory fsync — so a crash mid-save never leaves a
-    truncated or corrupt file at ``path`` and an acknowledged save
-    survives power loss.  Readers observe either the previous complete
-    archive or the new one.
-    """
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
-    return atomic_write_bytes(path, buffer.getvalue(), fsync=fsync)
+
+def model_from_archive(
+    arrays: Mapping[str, np.ndarray], docs: Mapping[str, dict], seed: int = 0
+) -> Tuple[Sequential, dict, Optional[Optimizer]]:
+    """Inverse of :func:`model_archive`: ``(model, state, optimizer)``;
+    ``optimizer`` is None when the file carries none."""
+    model = model_from_dict(docs["config"], seed=seed)
+    model.set_weights(weights_from_arrays(arrays))
+    optimizer = None
+    if "optimizer" in docs:
+        optimizer = get_optimizer(docs["optimizer"]["config"])
+        slots: Dict[str, Dict[tuple, np.ndarray]] = {}
+        for key, value in arrays.items():
+            if key.startswith(_OPT_PREFIX):
+                slot, layer, param = key[len(_OPT_PREFIX):].split(":", 2)
+                slots.setdefault(slot, {})[(int(layer), param)] = value
+        optimizer.set_state(
+            {"iterations": docs["optimizer"]["iterations"], "slots": slots}
+        )
+    return model, docs["state"], optimizer
 
 
 def save_model(model: Sequential, path: Union[str, os.PathLike]) -> str:
-    """Save architecture + weights to ``path`` (a ``.npz`` file).
+    """Save architecture + weights to ``path`` as a model file.
 
-    The write is atomic (see :func:`atomic_savez`): an interrupted save
-    cannot corrupt an existing checkpoint at the same path.
+    ``.npz`` is appended to a path without that suffix.  The write is
+    atomic and checksummed: an interrupted save cannot corrupt an existing
+    file at the same path, and :func:`load_model` refuses damaged bytes.
     """
     path = os.fspath(path)
     if not path.endswith(".npz"):
         path += ".npz"
-    arrays = {"__config__": np.frombuffer(
-        json.dumps(model_to_dict(model)).encode("utf-8"), dtype=np.uint8
-    )}
-    arrays.update(weights_to_arrays(model.get_weights()))
-    return atomic_savez(path, arrays)
+    write_archive(path, *model_archive(model))
+    return path
 
 
 def load_model(path: Union[str, os.PathLike]) -> Sequential:
-    """Load a model saved by :func:`save_model`."""
-    with np.load(os.fspath(path)) as data:
-        config = json.loads(bytes(data["__config__"].tobytes()).decode("utf-8"))
-        weights = weights_from_arrays(data)
-    model = model_from_dict(config)
-    model.set_weights(weights)
-    return model
+    """Load a model file: a :func:`save_model` export or a checkpoint
+    generation.  Damaged bytes raise
+    :class:`~repro.storage.integrity.CorruptArtifactError`."""
+    return model_from_archive(*read_archive(path))[0]

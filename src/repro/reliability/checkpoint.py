@@ -4,8 +4,9 @@ The paper's Tool 4 runs "without user interaction" — which means nobody is
 watching when the process dies three topologies into a sweep, and nobody
 notices when the disk quietly returns different bytes than were written.
 A :class:`CheckpointManager` persists models (architecture + weights +
-optimizer state + a JSON state payload) as checksummed
-:mod:`repro.storage.integrity` envelopes, keeps the last N *generations*
+optimizer state + a JSON state payload) in the one model file layout of
+:mod:`repro.nn.serialization` — a checksummed
+:mod:`repro.storage.integrity` archive — keeps the last N *generations*
 per name, verifies every load, falls back to the newest generation that
 still verifies, and quarantines unreadable files instead of crashing on —
 or silently reusing — them.  The :class:`Checkpoint` callback snapshots a
@@ -17,35 +18,29 @@ state.
 
 from __future__ import annotations
 
-import io
-import itertools
 import json
 import os
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
-
-import numpy as np
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.nn.model import Sequential
-from repro.nn.optimizers import Optimizer, get_optimizer
-from repro.nn.serialization import (
-    model_from_dict, model_to_dict, weights_from_arrays, weights_to_arrays,
-)
+from repro.nn.optimizers import Optimizer
+from repro.nn.serialization import model_archive, model_from_archive
 from repro.nn.training import Callback
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.runtime import get_registry
 from repro.storage.integrity import (
     CorruptArtifactError,
-    SchemaVersionError,
+    StorageError,
     atomic_write_bytes,
-    read_envelope,
-    write_envelope,
+    quarantine,
+    read_archive,
+    write_archive,
 )
 
 __all__ = ["CheckpointData", "CheckpointManager", "Checkpoint"]
 
-_OPT_PREFIX = "opt:"
 QUARANTINE_DIR = "quarantine"
 _GENERATION_RE = re.compile(r"^(?P<name>.+)\.gen-(?P<generation>\d+)\.ckpt$")
 
@@ -65,7 +60,7 @@ class CheckpointManager:
     """Named, verified, generational training checkpoints in one directory.
 
     Three kinds of entries live side by side: model checkpoint generations
-    (``<name>.gen-<NNNNNN>.ckpt`` envelopes via :meth:`save`/:meth:`load`),
+    (``<name>.gen-<NNNNNN>.ckpt`` model files via :meth:`save`/:meth:`load`),
     small JSON state documents (``<name>.json`` via
     :meth:`save_state`/:meth:`load_state`, used e.g. for sweep progress)
     and a ``quarantine/`` subdirectory where files that fail verification
@@ -74,9 +69,7 @@ class CheckpointManager:
     ``generations`` bounds how many verified snapshots survive per name
     (oldest pruned first); ``on_event`` receives ``(kind, detail)`` for
     every ``"quarantine"`` and ``"fallback"`` so callers can log them to
-    provenance.  Legacy bare ``<name>.npz`` checkpoints written before the
-    envelope format are still readable (tried last, after every
-    generation).
+    provenance.
     """
 
     def __init__(
@@ -128,9 +121,6 @@ class CheckpointManager:
     def _generation_path(self, name: str, generation: int) -> str:
         return os.path.join(self.directory, f"{name}.gen-{generation:06d}.ckpt")
 
-    def _legacy_path(self, name: str) -> str:
-        return os.path.join(self.directory, f"{name}.npz")
-
     def generations_of(self, name: str) -> List[int]:
         """Generation numbers on disk for ``name``, oldest first."""
         self._check_name(name)
@@ -144,17 +134,10 @@ class CheckpointManager:
     def path(self, name: str) -> str:
         """Path of the newest generation (or where the first would go)."""
         generations = self.generations_of(name)
-        if generations:
-            return self._generation_path(name, generations[-1])
-        legacy = self._legacy_path(name)
-        if os.path.exists(legacy):
-            return legacy
-        return self._generation_path(name, 1)
+        return self._generation_path(name, generations[-1] if generations else 1)
 
     def exists(self, name: str) -> bool:
-        return bool(self.generations_of(name)) or os.path.exists(
-            self._legacy_path(name)
-        )
+        return bool(self.generations_of(name))
 
     def names(self) -> List[str]:
         found = set()
@@ -162,8 +145,6 @@ class CheckpointManager:
             match = _GENERATION_RE.match(entry)
             if match:
                 found.add(match.group("name"))
-            elif entry.endswith(".npz") and not entry.startswith(".tmp-"):
-                found.add(entry[:-4])
         return sorted(found)
 
     # -- quarantine ----------------------------------------------------------
@@ -178,25 +159,18 @@ class CheckpointManager:
             return []
         return sorted(os.listdir(self.quarantine_dir))
 
-    def _quarantine(self, path: str, reason: str) -> Optional[str]:
-        """Move an unreadable file aside (never delete it)."""
-        if not os.path.exists(path):
-            return None
-        os.makedirs(self.quarantine_dir, exist_ok=True)
-        base = os.path.basename(path)
-        for attempt in itertools.count():
-            suffix = "" if attempt == 0 else f".{attempt}"
-            destination = os.path.join(self.quarantine_dir, base + suffix)
-            if not os.path.exists(destination):
-                break
-        os.replace(path, destination)
+    def _quarantine(self, path: str, reason: str) -> None:
+        """Move an unreadable file aside (never delete it) and report it."""
+        destination = quarantine(path, self.quarantine_dir)
+        if destination is None:
+            return
         self._m_quarantines.inc()
         self._emit(
             "quarantine",
-            {"file": base, "quarantined_as": os.path.basename(destination),
+            {"file": os.path.basename(path),
+             "quarantined_as": os.path.basename(destination),
              "reason": reason},
         )
-        return destination
 
     # -- model checkpoints ---------------------------------------------------
 
@@ -206,51 +180,25 @@ class CheckpointManager:
         model: Sequential,
         state: Optional[dict] = None,
         optimizer: Optional[Optimizer] = None,
-        keep: Optional[int] = None,
     ) -> str:
-        """Persist a new generation; prunes old ones past the retention cap.
-
-        ``keep`` overrides the manager-wide ``generations`` retention for
-        this save (e.g. the :class:`Checkpoint` callback's ``keep=``).
-        """
+        """Persist a new generation; prunes old ones past ``generations``."""
         self._check_name(name)
-        arrays = {
-            "__config__": _json_array(model_to_dict(model)),
-            "__state__": _json_array(dict(state or {})),
-        }
-        arrays.update(weights_to_arrays(model.get_weights()))
-        if optimizer is not None:
-            opt_state = optimizer.get_state()
-            arrays["__optimizer__"] = _json_array(
-                {
-                    "config": optimizer.get_config(),
-                    "iterations": opt_state["iterations"],
-                }
-            )
-            for slot, entries in opt_state["slots"].items():
-                for (layer, param), value in entries.items():
-                    arrays[f"{_OPT_PREFIX}{slot}:{layer}:{param}"] = value
         generations = self.generations_of(name)
         generation = (generations[-1] + 1) if generations else 1
         target = self._generation_path(name, generation)
-        buffer = io.BytesIO()
-        np.savez(buffer, **arrays)
-        payload = buffer.getvalue()
         with self._m_save_seconds.time():
-            write_envelope(target, payload, fsync=self.fsync)
+            size = write_archive(
+                target, *model_archive(model, state, optimizer), fsync=self.fsync
+            )
         self._m_saves.inc()
-        self._m_bytes.inc(len(payload))
-        self.prune(name, keep=keep)
+        self._m_bytes.inc(size)
+        self.prune(name)
         return target
 
-    def prune(self, name: str, keep: Optional[int] = None) -> List[str]:
-        """Delete the oldest generations beyond the retention cap."""
-        limit = self.generations if keep is None else int(keep)
-        if limit < 1:
-            raise ValueError(f"keep must be >= 1, got {limit}")
-        generations = self.generations_of(name)
+    def prune(self, name: str) -> List[str]:
+        """Delete the oldest generations beyond ``generations``."""
         removed = []
-        for generation in generations[: max(len(generations) - limit, 0)]:
+        for generation in self.generations_of(name)[: -self.generations]:
             path = self._generation_path(name, generation)
             os.remove(path)
             removed.append(path)
@@ -259,103 +207,49 @@ class CheckpointManager:
     def load(self, name: str, seed: int = 0) -> CheckpointData:
         """Rebuild model/optimizer from the newest generation that verifies.
 
-        Generations are tried newest-first (then a legacy bare ``.npz`` if
-        present); each candidate that fails checksum/format verification is
-        moved to ``quarantine/`` and the next is tried.  Falling back past
-        the newest generation emits a ``"fallback"`` event.  Raises
+        Generations are tried newest-first; each candidate that fails
+        checksum/format verification is moved to ``quarantine/`` and the
+        next is tried.  Falling back past the newest generation emits a
+        ``"fallback"`` event.  Raises
         :class:`~repro.storage.integrity.CorruptArtifactError` only when no
         candidate verifies.
         """
-        candidates = self._candidates(name)
-        if not candidates:
+        generations = self.generations_of(name)[::-1]
+        if not generations:
             raise FileNotFoundError(f"no checkpoint named {name!r}")
         failures = []
-        for index, (generation, path) in enumerate(candidates):
+        for index, generation in enumerate(generations):
+            path = self._generation_path(name, generation)
             try:
-                arrays = self._read_arrays(path)
-            except (CorruptArtifactError, SchemaVersionError, OSError,
-                    ValueError, KeyError) as error:
+                arrays, docs = read_archive(path)
+            except (StorageError, OSError) as error:
                 reason = f"{type(error).__name__}: {error}"
                 failures.append(reason)
                 self._quarantine(path, reason)
                 continue
-            data = self._restore(arrays, seed=seed)
-            data.generation = generation
-            data.fell_back = index > 0
-            if data.fell_back:
+            model, state, optimizer = model_from_archive(arrays, docs, seed=seed)
+            fell_back = index > 0
+            if fell_back:
                 self._m_fallbacks.inc()
                 self._emit(
                     "fallback",
                     {"name": name, "generation": generation,
                      "skipped": index},
                 )
-            self._m_loads.inc(result="fallback" if data.fell_back else "ok")
-            return data
+            self._m_loads.inc(result="fallback" if fell_back else "ok")
+            return CheckpointData(
+                model=model, state=state, optimizer=optimizer,
+                generation=generation, fell_back=fell_back,
+            )
         self._m_loads.inc(result="corrupt")
         raise CorruptArtifactError(
             f"no verifiable checkpoint generation for {name!r}: "
             + "; ".join(failures)
         )
 
-    def _candidates(self, name: str) -> List[Tuple[Optional[int], str]]:
-        """(generation, path) pairs to try, newest first; legacy last."""
-        candidates: List[Tuple[Optional[int], str]] = [
-            (generation, self._generation_path(name, generation))
-            for generation in reversed(self.generations_of(name))
-        ]
-        legacy = self._legacy_path(name)
-        if os.path.exists(legacy):
-            candidates.append((None, legacy))
-        return candidates
-
-    @staticmethod
-    def _read_arrays(path: str) -> Dict[str, np.ndarray]:
-        if path.endswith(".ckpt"):
-            payload = read_envelope(path)
-            source: Union[str, io.BytesIO] = io.BytesIO(payload)
-        else:  # legacy bare .npz — no checksum, parse errors become typed
-            source = path
-        try:
-            with np.load(source, allow_pickle=False) as data:
-                return {key: data[key] for key in data.files}
-        except (CorruptArtifactError, SchemaVersionError):
-            raise
-        except Exception as error:
-            raise CorruptArtifactError(
-                f"unreadable checkpoint archive {path}: "
-                f"{type(error).__name__}: {error}"
-            ) from error
-
-    def _restore(self, arrays: Dict[str, np.ndarray], seed: int) -> CheckpointData:
-        config = _json_load(arrays["__config__"])
-        # Legacy save_model archives carry no state payload.
-        state = (
-            _json_load(arrays["__state__"]) if "__state__" in arrays else {}
-        )
-        weights = weights_from_arrays(arrays)
-        optimizer = None
-        if "__optimizer__" in arrays:
-            payload = _json_load(arrays["__optimizer__"])
-            optimizer = get_optimizer(payload["config"])
-            slots: Dict[str, Dict[tuple, np.ndarray]] = {}
-            for key in arrays:
-                if not key.startswith(_OPT_PREFIX):
-                    continue
-                slot, layer, param = key[len(_OPT_PREFIX):].split(":", 2)
-                slots.setdefault(slot, {})[(int(layer), param)] = arrays[key]
-            optimizer.set_state(
-                {"iterations": payload["iterations"], "slots": slots}
-            )
-        model = model_from_dict(config, seed=seed)
-        model.set_weights(weights)
-        return CheckpointData(model=model, state=state, optimizer=optimizer)
-
     def delete(self, name: str) -> None:
         for generation in self.generations_of(name):
             os.remove(self._generation_path(name, generation))
-        legacy = self._legacy_path(name)
-        if os.path.exists(legacy):
-            os.remove(legacy)
 
     # -- JSON state documents ------------------------------------------------
 
@@ -407,11 +301,7 @@ class Checkpoint(Callback):
     The snapshot carries ``{"epoch": n, "metrics": {...}}`` plus the live
     optimizer state, so a killed ``fit`` can be resumed bit-exactly with
     ``fit(..., initial_epoch=n)`` after restoring weights and optimizer.
-
-    ``keep`` bounds how many snapshot generations this callback retains
-    for its name, delegating to the manager's generation GC; the default
-    ``None`` adds no pruning of its own (the manager-wide retention still
-    applies), preserving the old callback's behaviour.
+    Retention is the manager's ``generations``.
     """
 
     def __init__(
@@ -419,20 +309,14 @@ class Checkpoint(Callback):
         manager: CheckpointManager,
         name: str,
         every: int = 1,
-        save_optimizer: bool = True,
         on_save=None,
-        keep: Optional[int] = None,
     ):
         if every < 1:
             raise ValueError(f"every must be >= 1, got {every}")
-        if keep is not None and keep < 1:
-            raise ValueError(f"keep must be >= 1, got {keep}")
         self.manager = manager
         self.checkpoint_name = name
         self.every = int(every)
-        self.save_optimizer = bool(save_optimizer)
         self.on_save = on_save  # called with (path, epoch) after each save
-        self.keep = keep
         self.last_saved_epoch: Optional[int] = None
 
     def on_epoch_end(self, epoch, metrics):
@@ -445,18 +329,8 @@ class Checkpoint(Callback):
                 "epoch": int(epoch),
                 "metrics": {k: float(v) for k, v in metrics.items()},
             },
-            optimizer=self.model.optimizer if self.save_optimizer else None,
-            keep=self.keep,
+            optimizer=self.model.optimizer,
         )
         self.last_saved_epoch = int(epoch)
         if self.on_save is not None:
             self.on_save(path, int(epoch))
-
-
-def _json_array(payload: dict) -> np.ndarray:
-    return np.frombuffer(json.dumps(payload, default=float).encode("utf-8"),
-                         dtype=np.uint8)
-
-
-def _json_load(array: np.ndarray) -> dict:
-    return json.loads(bytes(array.tobytes()).decode("utf-8"))

@@ -6,8 +6,10 @@ checkable instead of hopeful:
 
 * :mod:`repro.storage.integrity` — the checksummed, schema-versioned
   envelope format (magic + version + length + SHA-256), the
-  ``CorruptArtifactError``/``SchemaVersionError`` taxonomy, and fsync'd
-  atomic-write primitives every durable artifact goes through;
+  ``CorruptArtifactError``/``SchemaVersionError`` taxonomy, fsync'd
+  atomic-write primitives every durable artifact goes through, the one
+  archive codec (named arrays + JSON documents) behind models,
+  checkpoints, cache entries and plans, and the one quarantine rule;
 * :mod:`repro.storage.journal` — a checksummed append-only write-ahead
   journal with torn-tail recovery, backing
   :class:`~repro.db.document_store.DocumentStore` crash recovery;
@@ -16,7 +18,7 @@ checkable instead of hopeful:
   :class:`~repro.adaptation.controller.AdaptationController`.
 
 Layering: ``storage`` is a leaf below ``nn``, ``reliability``, ``db`` and
-``serving`` — it imports only the standard library.
+``serving`` — it imports only the standard library and NumPy.
 """
 
 from repro.storage.integrity import (
@@ -28,10 +30,13 @@ from repro.storage.integrity import (
     StorageError,
     atomic_write_bytes,
     fsync_directory,
+    quarantine,
+    read_archive,
     read_envelope,
     unwrap,
     verify_envelope,
     wrap,
+    write_archive,
     write_envelope,
 )
 from repro.storage.journal import Journal
@@ -49,9 +54,12 @@ __all__ = [
     "StorageError",
     "atomic_write_bytes",
     "fsync_directory",
+    "quarantine",
+    "read_archive",
     "read_envelope",
     "unwrap",
     "verify_envelope",
     "wrap",
+    "write_archive",
     "write_envelope",
 ]

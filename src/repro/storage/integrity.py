@@ -1,4 +1,4 @@
-"""Checksummed artifact envelopes and fsync'd atomic writes.
+"""Checksummed artifact envelopes, array archives and fsync'd atomic writes.
 
 The paper's Tool 4 leans on a provenance database and on checkpoints that
 outlive the process that wrote them.  Bytes on disk are only trustworthy
@@ -8,10 +8,18 @@ payload length and a SHA-256 digest over the payload — plus crash-safe
 write primitives (temp file, flush, fsync, rename, directory fsync) that
 every durable artifact in the repo goes through.
 
+Models, checkpoints, cache entries and frozen plans share one payload
+inside that envelope, the *archive*: an ``.npz`` of named arrays plus
+JSON documents, each stored as a uint8 entry ``__<name>__``
+(:func:`write_archive`/:func:`read_archive`).  Files that fail
+verification are moved aside by the one :func:`quarantine` rule, which
+never overwrites an earlier copy.
+
 Error taxonomy::
 
     StorageError
-    ├── CorruptArtifactError   # bad magic, truncation, checksum mismatch
+    ├── CorruptArtifactError   # bad magic, truncation, checksum mismatch,
+    │                          # unreadable archive payload
     └── SchemaVersionError     # well-formed envelope, unsupported version
 
 The module also hosts the storage fault hook: a
@@ -19,16 +27,22 @@ The module also hosts the storage fault hook: a
 itself here (see :func:`install_injector`) and the write primitives
 consult it at each step, so chaos tests can tear writes at a byte offset,
 skip the fsync/rename, flip bits or vanish files without monkeypatching.
-This module is a leaf: it imports only the standard library.
+This module is a leaf: it imports only the standard library and NumPy.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
+import json
 import os
+import re
 import struct
 import tempfile
-from typing import Optional, Union
+import zipfile
+from typing import Dict, Mapping, Optional, Tuple, Union
+
+import numpy as np
 
 __all__ = [
     "StorageError",
@@ -43,6 +57,9 @@ __all__ = [
     "write_envelope",
     "read_envelope",
     "verify_envelope",
+    "write_archive",
+    "read_archive",
+    "quarantine",
     "atomic_write_bytes",
     "fsync_directory",
     "install_injector",
@@ -55,6 +72,8 @@ FORMAT_VERSION = 1
 # magic (8s) | format version (u32) | payload length (u64) | sha256 (32s)
 _HEADER = struct.Struct("<8sIQ32s")
 HEADER_SIZE = _HEADER.size
+# Archive entries named like this hold JSON documents, not arrays.
+_DOC_NAME = re.compile(r"^__(.+)__$")
 
 
 class StorageError(Exception):
@@ -239,3 +258,96 @@ def verify_envelope(path: Union[str, os.PathLike]) -> int:
     Returns the payload size in bytes; raises the typed error otherwise.
     """
     return len(read_envelope(path))
+
+
+# -- array archives ----------------------------------------------------------
+
+def _encode_doc(value):
+    """JSON fallback: NumPy scalars and arrays become Python values."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON-serializable")
+
+
+def write_archive(
+    path: Union[str, os.PathLike],
+    arrays: Mapping[str, np.ndarray],
+    docs: Mapping[str, object],
+    fsync: bool = True,
+) -> int:
+    """Atomically publish named ``arrays`` and JSON ``docs`` in one envelope.
+
+    The payload is an ``.npz``; each document is stored as a uint8 entry
+    ``__<name>__`` next to the arrays, so array names of that form are
+    reserved and refused.  Returns the payload size in bytes.
+    """
+    entries: Dict[str, np.ndarray] = {}
+    for name, doc in docs.items():
+        blob = json.dumps(doc, sort_keys=True, default=_encode_doc)
+        entries[f"__{name}__"] = np.frombuffer(blob.encode("utf-8"), np.uint8)
+    for name, array in arrays.items():
+        if _DOC_NAME.match(name):
+            raise ValueError(f"array name {name!r} is reserved for documents")
+        entries[name] = array
+    buffer = io.BytesIO()
+    np.savez(buffer, **entries)
+    payload = buffer.getvalue()
+    write_envelope(path, payload, fsync=fsync)
+    return len(payload)
+
+
+def read_archive(
+    path: Union[str, os.PathLike],
+) -> Tuple[Dict[str, np.ndarray], Dict[str, object]]:
+    """Verify and decode a :func:`write_archive` file: ``(arrays, docs)``.
+
+    Damage anywhere — envelope, zip container, array headers or a JSON
+    document — raises :class:`CorruptArtifactError`; an envelope of
+    another format version raises :class:`SchemaVersionError`.
+    """
+    path = os.fspath(path)
+    payload = read_envelope(path)
+    arrays: Dict[str, np.ndarray] = {}
+    docs: Dict[str, object] = {}
+    try:
+        archive = np.load(io.BytesIO(payload), allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError("payload is not an npz archive")
+        with archive:
+            for name in archive.files:
+                match = _DOC_NAME.match(name)
+                if match:
+                    text = archive[name].tobytes().decode("utf-8")
+                    docs[match.group(1)] = json.loads(text)
+                else:
+                    arrays[name] = archive[name]
+    except (ValueError, OSError, EOFError, KeyError, zipfile.BadZipFile) as error:
+        raise CorruptArtifactError(
+            f"unreadable archive payload in {path}: "
+            f"{type(error).__name__}: {error}"
+        ) from error
+    return arrays, docs
+
+
+def quarantine(
+    path: Union[str, os.PathLike], directory: Union[str, os.PathLike]
+) -> Optional[str]:
+    """Move ``path`` into ``directory`` for post-mortem; never overwrites.
+
+    A name already taken in ``directory`` gets ``.1``, ``.2``, ... appended,
+    so a file corrupted twice leaves two copies.  Returns the new path, or
+    None when ``path`` is already gone.
+    """
+    path = os.fspath(path)
+    os.makedirs(directory, exist_ok=True)
+    base = os.path.basename(path)
+    destination = os.path.join(directory, base)
+    suffix = 0
+    while os.path.exists(destination):
+        suffix += 1
+        destination = os.path.join(directory, f"{base}.{suffix}")
+    try:
+        os.replace(path, destination)
+    except FileNotFoundError:
+        return None
+    return destination

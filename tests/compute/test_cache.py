@@ -1,5 +1,7 @@
 """Unit tests for the content-addressed artifact cache."""
 
+import io
+import json
 import os
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from repro.compute import ArtifactCache, canonical_blob, canonical_key
 from repro.compute.cache import get_or_compute, get_or_compute_row
 from repro.observability.runtime import scoped
+from repro.storage.integrity import write_envelope
 
 
 def _arrays(seed=0, size=64):
@@ -168,6 +171,19 @@ class TestCorruption:
         assert cache.get("k") is None
         assert cache.corrupt == 1
 
+    def test_same_key_corrupted_twice_keeps_both_copies(self, tmp_path):
+        cache = ArtifactCache(tmp_path / "cache")
+        for round_ in range(2):
+            cache.put("k", _arrays(seed=round_))
+            entry = cache.path_for("k")
+            entry.write_bytes(entry.read_bytes()[:10])
+            assert cache.get("k") is None
+        stats = cache.stats()
+        assert stats["quarantined"] == stats["corrupt"] == 2
+        assert sorted(p.name for p in cache.quarantine_dir.iterdir()) == [
+            entry.name, entry.name + ".1",
+        ]
+
     def test_verify_reports_and_quarantines(self, tmp_path):
         cache = ArtifactCache(tmp_path / "cache")
         cache.put("good", _arrays(seed=1))
@@ -181,6 +197,52 @@ class TestCorruption:
         assert report["bad"].startswith("corrupt:")
         assert not cache.path_for("bad").exists()
         assert (cache.quarantine_dir / entry.name).exists()
+
+
+def _write_parent_entry(path, arrays, meta):
+    """The entry encoding written before the shared archive codec,
+    inlined: a uint8 ``__meta__`` array beside the arrays."""
+    blob = json.dumps(meta).encode("utf-8")
+    buffer = io.BytesIO()
+    np.savez(buffer, __meta__=np.frombuffer(blob, dtype=np.uint8), **arrays)
+    write_envelope(path, buffer.getvalue())
+
+
+class TestParentLayout:
+    def test_parent_array_entry_reads_bit_equal(self, tmp_path):
+        cache = ArtifactCache(tmp_path / "cache")
+        config = {"kind": "demo", "seed": 4}
+        arrays = {**_arrays(seed=4), "w0000": np.arange(6, dtype=np.int32)}
+        meta = {"config": config, "source": "parent"}
+        _write_parent_entry(cache.path_for(canonical_key(config)), arrays, meta)
+
+        loaded, key, hit = cache.get_or_create(config, lambda: {})
+        assert hit is True
+        assert set(loaded) == set(arrays)
+        for name, array in arrays.items():
+            assert loaded[name].dtype == array.dtype
+            assert loaded[name].tobytes() == array.tobytes()
+        assert cache.get(key)[1] == meta
+
+    def test_parent_json_cell_reads_bit_equal(self, tmp_path):
+        cache = ArtifactCache(tmp_path / "cache")
+        config = {"kind": "demo_cell", "n": 3}
+        payload = {"mae": 0.1 + 0.2, "n": 3, "per": [1e-17, 2.5]}
+        cell = json.dumps(payload, sort_keys=True).encode("utf-8")
+        _write_parent_entry(
+            cache.path_for(canonical_key(config)),
+            {"__json__": np.frombuffer(cell, dtype=np.uint8)},
+            {"config": config},
+        )
+
+        def fail():
+            raise AssertionError("a parent-written cell must not recompute")
+
+        row, _, hit = cache.get_or_create_json(config, fail)
+        assert hit is True
+        assert row == payload
+        assert json.dumps(row, sort_keys=True).encode("utf-8") == cell
+        assert cache.stats()["entries"] == 1
 
 
 class TestEviction:

@@ -224,19 +224,21 @@ class TestWarmPool:
             starts = registry.counter("compute_pool_starts_total")
             assert starts.value(backend="thread") == 1
 
-    def test_bad_chunksize_rejected(self):
-        with pytest.raises(ValueError, match="chunksize"):
-            ParallelExecutor(chunksize=0)
-
-    def test_explicit_chunksize_keeps_determinism(self):
+    @pytest.mark.parametrize(
+        "max_workers, sizes",
+        [(1, [2, 2, 1]), (2, [1, 1, 1, 1, 1])],
+        ids=["one_worker", "two_workers"],
+    )
+    def test_chunk_size_keeps_determinism(self, max_workers, sizes):
+        payloads = [1.0, 2.0, 3.0, 4.0, 5.0]
         baseline = ParallelExecutor(backend="serial", seed=11)
-        expected = np.stack(baseline.map_tasks(_draw, [1.0, 2.0, 3.0, 4.0, 5.0]))
+        expected = np.stack(baseline.map_tasks(_draw, payloads))
         with ParallelExecutor(
-            backend="thread", max_workers=2, seed=11, chunksize=2
+            backend="thread", max_workers=max_workers, seed=11
         ) as executor:
-            chunked = np.stack(
-                executor.map_tasks(_draw, [1.0, 2.0, 3.0, 4.0, 5.0])
-            )
+            chunks = executor._chunks(payloads, range(len(payloads)))
+            assert [len(chunk) for chunk in chunks] == sizes
+            chunked = np.stack(executor.map_tasks(_draw, payloads))
         np.testing.assert_array_equal(chunked, expected)
 
 

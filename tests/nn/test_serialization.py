@@ -5,6 +5,8 @@ import pytest
 
 from repro import nn
 from repro.nn.serialization import model_from_dict, model_to_dict
+from repro.reliability.checkpoint import CheckpointManager
+from repro.storage.integrity import CorruptArtifactError
 
 
 def _model():
@@ -80,6 +82,27 @@ class TestFileRoundtrip:
         y = rng.dirichlet(np.ones(4), size=16)
         loss = reloaded.train_on_batch(x, y)
         assert np.isfinite(loss)
+
+
+class TestOneModelFile:
+    """Exports and checkpoint generations are one verified file layout."""
+
+    def test_load_model_reads_a_checkpoint_generation(self, tmp_path):
+        model = _model().compile(nn.Adam(0.01), "mae")
+        path = CheckpointManager(tmp_path).save(
+            "net", model, state={"epoch": 1}, optimizer=model.optimizer
+        )
+        reloaded = nn.load_model(path)
+        for a, b in zip(model.get_weights(), reloaded.get_weights()):
+            assert a.tobytes() == b.tobytes()
+
+    def test_damaged_model_file_refused(self, tmp_path):
+        path = nn.save_model(_model(), tmp_path / "model.npz")
+        blob = bytearray(open(path, "rb").read())
+        blob[len(blob) // 2] ^= 0xFF
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(CorruptArtifactError):
+            nn.load_model(path)
 
 
 class TestCrashSafeSave:

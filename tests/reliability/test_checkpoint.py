@@ -1,5 +1,6 @@
 """Unit tests for checkpoint save/load and the training callback."""
 
+import io
 import json
 import os
 
@@ -7,10 +8,9 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn.serialization import save_model
 from repro.reliability.checkpoint import Checkpoint, CheckpointManager
 from repro.reliability.storage_faults import bit_flip_file, truncate_file
-from repro.storage.integrity import CorruptArtifactError
+from repro.storage.integrity import CorruptArtifactError, write_envelope
 
 
 def _compiled_model(seed=0):
@@ -103,13 +103,6 @@ class TestGenerations:
         assert manager.generations_of("ck") == [4, 5]
         assert manager.load("ck").state["epoch"] == 4
 
-    def test_keep_overrides_manager_retention(self, tmp_path):
-        manager = CheckpointManager(tmp_path, generations=2)
-        model = _compiled_model()
-        for epoch in range(4):
-            manager.save("ck", model, state={"epoch": epoch}, keep=10)
-        assert manager.generations_of("ck") == [1, 2, 3, 4]
-
     def test_generations_validation(self, tmp_path):
         with pytest.raises(ValueError):
             CheckpointManager(tmp_path, generations=0)
@@ -123,16 +116,69 @@ class TestGenerations:
         assert not manager.exists("ck")
         assert manager.generations_of("ck") == []
 
-    def test_legacy_bare_npz_still_loads(self, tmp_path):
-        model = _compiled_model()
-        save_model(model, os.fspath(tmp_path / "old.npz"))
+    def test_bare_npz_is_not_a_checkpoint(self, tmp_path):
+        np.savez(tmp_path / "old.npz", w0000=np.zeros(3))
         manager = CheckpointManager(tmp_path)
-        assert manager.exists("old")
-        assert "old" in manager.names()
-        data = manager.load("old")
-        assert data.generation is None
+        assert not manager.exists("old")
+        assert manager.names() == []
+        with pytest.raises(FileNotFoundError):
+            manager.load("old")
+
+
+def _write_parent_layout(path, model, state, optimizer):
+    """The checkpoint encoding written before the shared archive codec,
+    inlined: separate uint8 JSON arrays next to the weights and slots."""
+
+    def json_array(payload):
+        blob = json.dumps(payload, default=float).encode("utf-8")
+        return np.frombuffer(blob, dtype=np.uint8)
+
+    arrays = {
+        "__config__": json_array(model.get_config()),
+        "__state__": json_array(state),
+    }
+    for i, weight in enumerate(model.get_weights()):
+        arrays[f"w{i:04d}"] = weight
+    opt_state = optimizer.get_state()
+    arrays["__optimizer__"] = json_array(
+        {"config": optimizer.get_config(),
+         "iterations": opt_state["iterations"]}
+    )
+    for slot, entries in opt_state["slots"].items():
+        for (layer, param), value in entries.items():
+            arrays[f"opt:{slot}:{layer}:{param}"] = value
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    write_envelope(path, buffer.getvalue())
+
+
+class TestParentLayout:
+    def test_parent_written_generation_loads_bit_equal(self, tmp_path):
+        model = _compiled_model()
+        x, y = _data()
+        model.fit(x, y, epochs=2, batch_size=16, seed=0)
+        state = {"epoch": 2, "metrics": {"loss": 0.125}}
+        manager = CheckpointManager(tmp_path)
+        _write_parent_layout(
+            manager._generation_path("ck", 1), model, state, model.optimizer
+        )
+
+        data = manager.load("ck")
+        assert data.generation == 1
+        assert data.state == state
         for a, b in zip(model.get_weights(), data.model.get_weights()):
-            assert np.array_equal(a, b)
+            assert a.tobytes() == b.tobytes()
+        assert data.optimizer.iterations == model.optimizer.iterations
+        original = model.optimizer.get_state()["slots"]
+        restored = data.optimizer.get_state()["slots"]
+        assert set(original) == set(restored)
+        for slot in original:
+            assert set(original[slot]) == set(restored[slot])
+            for key, value in original[slot].items():
+                assert value.tobytes() == restored[slot][key].tobytes()
+        reloaded = nn.load_model(manager.path("ck"))
+        for a, b in zip(model.get_weights(), reloaded.get_weights()):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestVerifyOnLoad:
@@ -279,15 +325,6 @@ class TestCheckpointCallback:
         state = manager.load("run").state
         assert "loss" in state["metrics"]
 
-    def test_keep_retention_prunes_via_manager_gc(self, tmp_path):
-        manager = CheckpointManager(tmp_path, generations=100)
-        model = _compiled_model()
-        x, y = _data()
-        model.fit(x, y, epochs=5, batch_size=16, seed=0,
-                  callbacks=[Checkpoint(manager, "run", keep=2)])
-        assert len(manager.generations_of("run")) == 2
-        assert manager.load("run").state["epoch"] == 5
-
     def test_keep_defaults_to_manager_retention(self, tmp_path):
         manager = CheckpointManager(tmp_path, generations=3)
         model = _compiled_model()
@@ -295,7 +332,3 @@ class TestCheckpointCallback:
         model.fit(x, y, epochs=5, batch_size=16, seed=0,
                   callbacks=[Checkpoint(manager, "run")])
         assert len(manager.generations_of("run")) == 3
-
-    def test_keep_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            Checkpoint(CheckpointManager(tmp_path), "run", keep=0)

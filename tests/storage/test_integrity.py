@@ -1,7 +1,10 @@
-"""Unit tests for the checksummed envelope format and atomic writes."""
+"""Unit tests for the checksummed envelope format, the archive codec,
+quarantine and atomic writes."""
 
+import io
 import os
 
+import numpy as np
 import pytest
 
 from repro.storage.integrity import (
@@ -11,10 +14,13 @@ from repro.storage.integrity import (
     CorruptArtifactError,
     SchemaVersionError,
     atomic_write_bytes,
+    quarantine,
+    read_archive,
     read_envelope,
     unwrap,
     verify_envelope,
     wrap,
+    write_archive,
     write_envelope,
 )
 
@@ -97,3 +103,104 @@ class TestAtomicWrite:
             atomic_write_bytes(target, object())
         assert target.read_bytes() == b"good"
         assert [p.name for p in tmp_path.iterdir()] == ["file.bin"]
+
+
+def _npz(**entries):
+    buffer = io.BytesIO()
+    np.savez(buffer, **entries)
+    return buffer.getvalue()
+
+
+def _doc(text):
+    return np.frombuffer(text, dtype=np.uint8)
+
+
+class TestArchive:
+    def test_arrays_and_docs_round_trip(self, tmp_path):
+        rng = np.random.default_rng(0)
+        arrays = {
+            "w0000": rng.random((3, 4)),
+            "opt:m:0:w": rng.random(5).astype(np.float32),
+            "op000_qweight": np.arange(-4, 4, dtype=np.int8),
+        }
+        docs = {
+            "meta": {"n": np.int64(3), "f": np.float32(0.5), "v": np.arange(2)},
+            "json": {"mae": 0.25, "nan": float("nan")},
+        }
+        path = tmp_path / "entry.npz.env"
+        size = write_archive(path, arrays, docs, fsync=False)
+        assert size == verify_envelope(path)
+        loaded, loaded_docs = read_archive(path)
+        assert set(loaded) == set(arrays)
+        for name, array in arrays.items():
+            assert loaded[name].dtype == array.dtype
+            assert loaded[name].tobytes() == array.tobytes()
+        assert loaded_docs["meta"] == {"n": 3, "f": 0.5, "v": [0, 1]}
+        assert loaded_docs["json"]["mae"] == 0.25
+        assert np.isnan(loaded_docs["json"]["nan"])
+
+    def test_docs_are_uint8_entries_beside_the_arrays(self, tmp_path):
+        path = tmp_path / "a.env"
+        write_archive(path, {"x": np.zeros(2)}, {"meta": {"b": 1, "a": 2}})
+        with np.load(io.BytesIO(read_envelope(path))) as archive:
+            assert sorted(archive.files) == ["__meta__", "x"]
+            assert archive["__meta__"].dtype == np.uint8
+            assert archive["__meta__"].tobytes() == b'{"a": 2, "b": 1}'
+
+    @pytest.mark.parametrize("name", ["__meta__", "__json__", "__x__"])
+    def test_doc_shaped_array_names_refused(self, tmp_path, name):
+        with pytest.raises(ValueError, match="reserved"):
+            write_archive(tmp_path / "a.env", {name: np.zeros(2)}, {})
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"not a zip at all",
+            _npz(x=np.arange(64.0))[:120],
+            _npz(x=np.arange(4.0))[22:],
+            b"\x93NUMPY" + b"\x00" * 40,
+            _npz(x=np.array([{"a": 1}], dtype=object)),
+            _npz(__meta__=_doc(b'{"unterminated": ')),
+            _npz(__meta__=_doc(b"\xff\xfe")),
+        ],
+        ids=["garbage", "truncated_zip", "headless_zip", "npy_header",
+             "pickled", "bad_json", "bad_utf8"],
+    )
+    def test_damaged_payload_is_typed(self, tmp_path, payload):
+        path = tmp_path / "a.env"
+        write_envelope(path, payload)
+        with pytest.raises(CorruptArtifactError, match="a.env"):
+            read_archive(path)
+
+    def test_envelope_damage_is_typed(self, tmp_path):
+        path = tmp_path / "a.env"
+        write_archive(path, {"x": np.zeros(8)}, {"meta": {}})
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptArtifactError, match="checksum"):
+            read_archive(path)
+        path.write_bytes(wrap(_npz(x=np.zeros(2)), version=FORMAT_VERSION + 1))
+        with pytest.raises(SchemaVersionError):
+            read_archive(path)
+
+
+class TestQuarantine:
+    def test_collisions_get_suffixes_and_nothing_is_overwritten(self, tmp_path):
+        holding = tmp_path / "quarantine"
+        moved = []
+        for round_ in range(3):
+            victim = tmp_path / "entry.env"
+            victim.write_bytes(f"copy {round_}".encode())
+            moved.append(quarantine(victim, holding))
+            assert not victim.exists()
+        assert [os.path.basename(p) for p in moved] == [
+            "entry.env", "entry.env.1", "entry.env.2",
+        ]
+        assert [open(p, "rb").read() for p in moved] == [
+            b"copy 0", b"copy 1", b"copy 2",
+        ]
+
+    def test_vanished_file_returns_none(self, tmp_path):
+        assert quarantine(tmp_path / "gone.env", tmp_path / "q") is None
