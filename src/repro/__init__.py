@@ -26,13 +26,10 @@ Subpackages:
   backends behind one deterministic ``map_tasks`` API) and the
   content-addressed, checksummed dataset/artifact cache;
 * :mod:`repro.adaptation` — drift resilience: the domain-shift scenario
-  matrix (shift axes x adaptation strategies, cache-resumable) and the
-  guarded online recalibration controller (shadow evaluation, promotion
-  gate, journaled rollback);
+  matrix (shift axes x adaptation strategies, cache-resumable);
 * :mod:`repro.uncertainty` — ensemble/MC-dropout mean + spread,
-  split-conformal prediction intervals, the serving abstention gate
-  ("I don't know" as a first-class outcome) and the width-greedy
-  acquisition planner closing the measurement loop;
+  split-conformal prediction intervals and the serving abstention gate
+  ("I don't know" as a first-class outcome);
 * :mod:`repro.orchestration` — the Fig-5/Fig-6 reproduction grid as one
   resumable campaign: canonical-config cells cached per-row, journaled
   progress with kill/resume to byte-identical reports, fan-out over the

@@ -1,11 +1,10 @@
-"""Sim-to-real adaptation: domain-shift scenarios, strategies, serving.
+"""Sim-to-real adaptation: domain-shift scenarios, strategies, the matrix.
 
 The paper's conclusion names the open lifecycle problem — systems must be
 "automatically and reliably adapted to perturbations or changes in
 parameters" in production — and three of the PAPERS.md related works show
 that simulated-trained models degrade *non-uniformly* under real-world
-shift.  This package turns that from an anecdote into a measured surface
-and a guarded serving behaviour:
+shift.  This package turns that from an anecdote into a measured surface:
 
 * :mod:`repro.adaptation.scenarios` — a parameterized domain-shift axis
   (sensitivity drift, noise family/scale, peak-shift severity, baseline
@@ -19,19 +18,9 @@ and a guarded serving behaviour:
   :class:`~repro.compute.executor.ParallelExecutor` with
   :class:`~repro.compute.cache.ArtifactCache`-keyed cells, so an
   interrupted campaign resumes from cache and every backend produces
-  byte-identical cells;
-* :mod:`repro.adaptation.controller` — guarded online recalibration in
-  serving: drift-severity-triggered candidates run in *shadow* (mirrored
-  requests, never served), pass a promotion gate or are rejected, and a
-  promoted model that regresses is rolled back to the prior verified
-  checkpoint byte-identically, with every transition journaled.
+  byte-identical cells.
 """
 
-from repro.adaptation.controller import (
-    AdaptationController,
-    PromotionGate,
-    ShadowStats,
-)
 from repro.adaptation.matrix import DriftMatrix, MatrixResult, MatrixSpec
 from repro.adaptation.scenarios import (
     DriftScenario,
@@ -48,14 +37,11 @@ from repro.adaptation.strategies import (
 
 __all__ = [
     "AdaptationContext",
-    "AdaptationController",
     "DriftMatrix",
     "DriftScenario",
     "MatrixResult",
     "MatrixSpec",
-    "PromotionGate",
     "STRATEGIES",
-    "ShadowStats",
     "adapt",
     "scenario_grid",
     "shift_characteristics",

@@ -58,40 +58,6 @@ class DriftStatus:
             return float("inf") if self.ewma_residual > 0 else 1.0
         return self.ewma_residual / self.baseline_residual
 
-    def clamped_severity(self, cap: float = 1e6) -> float:
-        """Severity as a *finite* float, safe for arithmetic consumers.
-
-        ``severity`` can legitimately be ``inf`` (zero baseline, see
-        above); code that scales cooldowns, budgets or backoffs by
-        severity must never let that propagate into its arithmetic.
-        ``inf`` clamps to ``cap``; a NaN (impossible from this class but
-        cheap to guard for duck-typed callers) reads as nominal ``1.0``.
-        """
-        severity = self.severity
-        if np.isnan(severity):
-            return 1.0
-        return float(min(severity, cap))
-
-    def to_record(self) -> dict:
-        """A JSON-portable encoding of this status.
-
-        ``severity`` can legitimately be ``inf`` (see above), and the
-        JSON ``Infinity`` token is a Python extension many parsers refuse
-        — so the record carries ``severity: null`` alongside
-        ``severity_finite: false`` in that case, and round-trips through
-        strict encoders (``json.dumps(..., allow_nan=False)``) unchanged.
-        """
-        severity = self.severity
-        finite = bool(np.isfinite(severity))
-        return {
-            "drifted": bool(self.drifted),
-            "ewma_residual": float(self.ewma_residual),
-            "baseline_residual": float(self.baseline_residual),
-            "observations": int(self.observations),
-            "severity": float(severity) if finite else None,
-            "severity_finite": finite,
-        }
-
 
 class DriftMonitor:
     """EWMA drift detector over plausibility residuals."""
@@ -111,7 +77,7 @@ class DriftMonitor:
         smoothed residual must rise before drift is declared; ``warmup``
         observations are collected before any alarm can fire.  ``name``
         labels this monitor's telemetry series."""
-        if alarm_factor <= 1.0:
+        if not alarm_factor > 1.0:  # also refuses NaN, which never alarms
             raise ValueError("alarm_factor must exceed 1.0")
         if not 0.0 < smoothing <= 1.0:
             raise ValueError("smoothing must be in (0, 1]")

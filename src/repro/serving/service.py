@@ -61,8 +61,8 @@ Two opt-in control layers ride on the same contract:
   The contract weakens from byte-identity to accuracy within the plan's
   pinned MAE budget; models with plan-unsupported layers fall back to
   the reference path automatically.  ``stats()["frozen"]`` reports the
-  live batch analyzer's effective dtype, ``None`` after fallback or
-  after a swap to an unfrozen backend.
+  batch analyzer's effective dtype, ``None`` after fallback or for an
+  unfrozen backend.
 """
 
 from __future__ import annotations
@@ -232,9 +232,6 @@ class PendingRequest:
 
 _SHUTDOWN = object()
 
-# swap_analyzer sentinel: "leave the uncertainty gate as it is".
-_KEEP = object()
-
 # The drain policy of a service built without batching=: one row per
 # dispatch, and the coalescing hold never waits.
 _UNBATCHED = BatchingPolicy(max_batch=1, max_wait_s=0.0)
@@ -333,15 +330,11 @@ class AnalysisService:
         self._policy = batching if batching is not None else _UNBATCHED
         self.batch_analyzer = batch_analyzer
         self.governor = governor
-        # Shadow tap: called as tap(data, value) after every *served*
-        # completion (see set_shadow_tap).  Never on rejections.
-        self.shadow_tap: Optional[Callable] = None
         # Uncertainty gate: any object with assess(matrix) -> Assessment
         # (see repro.uncertainty.policy.UncertaintyGate).  When set, it
         # replaces the analyzer as the prediction source and every row
         # gains a serve/abstain decision.
         self.uncertainty = uncertainty
-        self.model_swaps = 0
         if governor is not None and governor.on_transition is None:
             governor.on_transition = self._on_brownout
         self.registry = registry if registry is not None else get_registry()
@@ -371,13 +364,6 @@ class AnalysisService:
         self._m_brownout = self.registry.gauge(
             "serving_brownout_level", "current brownout degradation level"
         )
-        self._m_swaps = self.registry.counter(
-            "serving_model_swaps_total", "hot analyzer swaps"
-        )
-        self._m_tap_errors = self.registry.counter(
-            "serving_shadow_tap_errors_total",
-            "shadow tap invocations that raised (served result unaffected)",
-        )
         self._m_abstentions = self.registry.counter(
             "serving_abstentions_total",
             "requests refused by the uncertainty gate, by reason",
@@ -393,8 +379,6 @@ class AnalysisService:
         self._b_inflight = self._m_inflight.labels(service=self.name)
         self._b_batch_size = self._m_batch_size.labels(service=self.name)
         self._b_brownout = self._m_brownout.labels(service=self.name)
-        self._b_swaps = self._m_swaps.labels(service=self.name)
-        self._b_tap_errors = self._m_tap_errors.labels(service=self.name)
         self._b_abstain_rate = self._m_abstain_rate.labels(service=self.name)
         self._b_outcomes: Dict[str, tuple] = {}
         # Every live PendingRequest, so stop() can refuse whatever a hung
@@ -607,7 +591,7 @@ class AnalysisService:
                 "abstentions": dict(self.abstentions),
                 "abstained": sum(self.abstentions.values()),
                 "circuit_state": self.breaker.state,
-                # Read from the live backend, so it follows swap_analyzer.
+                # Read from the backend: None after a plan-compiler fallback.
                 "frozen": getattr(self.batch_analyzer, "frozen_dtype", None),
             }
         if self.uncertainty is not None:
@@ -635,8 +619,6 @@ class AnalysisService:
             }
         if self.governor is not None:
             base["brownout"] = self.governor.snapshot()
-        with self._stats_lock:
-            base["model_swaps"] = self.model_swaps
         return base
 
     def abstention_rate(self) -> Optional[float]:
@@ -654,58 +636,6 @@ class AnalysisService:
             if not self._answers:
                 return None
             return float(sum(self._answers)) / len(self._answers)
-
-    # -- adaptation hooks ---------------------------------------------------
-
-    def set_shadow_tap(self, tap: Optional[Callable]) -> None:
-        """Install (or clear, with ``None``) the shadow tap.
-
-        The tap is called as ``tap(data, value)`` — validated input,
-        served finite output — after every completion that *won* its
-        resolution, on the worker thread that served it.  It exists so an
-        adaptation controller can mirror live traffic onto a candidate
-        model without the candidate ever producing a served answer: a tap
-        that raises is counted (``serving_shadow_tap_errors_total``) and
-        swallowed, and the caller's :class:`Completed` was already
-        resolved before the tap ran, so no tap behaviour — slow, broken,
-        or poisoned — can change, delay-reject, or duplicate a result.
-        """
-        self.shadow_tap = tap
-
-    def swap_analyzer(
-        self,
-        analyzer: Callable,
-        batch_analyzer: Optional[Callable] = None,
-        uncertainty=_KEEP,
-    ) -> None:
-        """Hot-swap the backend model without a restart or a dropped request.
-
-        In-flight requests finish against whichever analyzer they already
-        dereferenced; everything dequeued after the swap is served by the
-        new one.  ``batch_analyzer`` *always* replaces the old batched
-        backend — passing ``None`` clears it rather than leaving a stale
-        batched path serving the previous model (the service then maps
-        the single-request analyzer over batches).
-
-        ``uncertainty`` defaults to *keep the current gate* (existing
-        callers — the adaptation controller included — are unaware of
-        gates).  Pass a new gate to swap it atomically with the model,
-        or ``None`` to remove gating.  A service serving through a gate
-        ignores the analyzers for predictions, so swapping the model
-        under an unchanged gate only affects the ungated fallback paths;
-        swap the gate too when its predictor should follow the model.
-        """
-        span = self.tracer.start_span(
-            "serving.swap", attributes={"service": self.name}
-        )
-        self.analyzer = analyzer
-        self.batch_analyzer = batch_analyzer
-        if uncertainty is not _KEEP:
-            self.uncertainty = uncertainty
-        with self._stats_lock:
-            self.model_swaps += 1
-        self._b_swaps.inc()
-        span.end()
 
     # -- workers -----------------------------------------------------------
 
@@ -1093,15 +1023,6 @@ class AnalysisService:
         )
         if request.resolve(result):
             span.end()
-            # Mirror the served (data, value) pair to the shadow tap.  The
-            # caller already has its answer; a failing tap is recorded and
-            # contained here, never surfaced as a serving outcome.
-            tap = self.shadow_tap
-            if tap is not None and result.ok:
-                try:
-                    tap(request.data, result.value)
-                except Exception:
-                    self._b_tap_errors.inc()
         else:
             span.end(status="error: already_resolved")
 

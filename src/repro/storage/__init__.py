@@ -12,10 +12,8 @@ checkable instead of hopeful:
   checkpoints, cache entries and plans, and the one quarantine rule;
 * :mod:`repro.storage.journal` — a checksummed append-only write-ahead
   journal with torn-tail recovery, backing
-  :class:`~repro.db.document_store.DocumentStore` crash recovery;
-* :mod:`repro.storage.promotion` — typed serving-model transition records
-  (shadow/promote/reject/rollback) on the journal, consumed by
-  :class:`~repro.adaptation.controller.AdaptationController`.
+  :class:`~repro.db.document_store.DocumentStore` crash recovery and the
+  campaign orchestrator's run log.
 
 Layering: ``storage`` is a leaf below ``nn``, ``reliability``, ``db`` and
 ``serving`` — it imports only the standard library and NumPy.
@@ -40,15 +38,12 @@ from repro.storage.integrity import (
     write_envelope,
 )
 from repro.storage.journal import Journal
-from repro.storage.promotion import PROMOTION_EVENTS, PromotionJournal
 
 __all__ = [
     "CorruptArtifactError",
     "FORMAT_VERSION",
     "Journal",
     "MAGIC",
-    "PROMOTION_EVENTS",
-    "PromotionJournal",
     "SchemaVersionError",
     "SimulatedCrash",
     "StorageError",

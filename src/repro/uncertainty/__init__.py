@@ -1,4 +1,4 @@
-"""Uncertainty quantification: spread, intervals, abstention, acquisition.
+"""Uncertainty quantification: spread, intervals, abstention.
 
 The subsystem that lets the stack say "I don't know": ensemble and
 MC-dropout predictors produce mean + spread
@@ -6,17 +6,10 @@ MC-dropout predictors produce mean + spread
 turns spread into finite-sample prediction intervals
 (:mod:`~repro.uncertainty.conformal`), an abstention policy + serving
 gate turn intervals into per-row serve/abstain decisions
-(:mod:`~repro.uncertainty.policy`), and an acquisition planner closes
-the loop by spending measurement budget where the intervals are widest
-(:mod:`~repro.uncertainty.planner`).
+(:mod:`~repro.uncertainty.policy`).
 """
 
 from repro.uncertainty.conformal import ConformalCalibrator
-from repro.uncertainty.planner import (
-    AcquisitionPlanner,
-    CampaignReport,
-    CampaignRound,
-)
 from repro.uncertainty.policy import (
     REASON_INTERVAL_TOO_WIDE,
     REASON_NONFINITE_INTERVAL,
@@ -24,7 +17,6 @@ from repro.uncertainty.policy import (
     AbstentionPolicy,
     Assessment,
     UncertaintyGate,
-    WidthMonitor,
 )
 from repro.uncertainty.predictors import (
     EnsemblePredictor,
@@ -46,11 +38,7 @@ __all__ = [
     "AbstentionPolicy",
     "Assessment",
     "UncertaintyGate",
-    "WidthMonitor",
     "REASON_UNCALIBRATED",
     "REASON_NONFINITE_INTERVAL",
     "REASON_INTERVAL_TOO_WIDE",
-    "AcquisitionPlanner",
-    "CampaignReport",
-    "CampaignRound",
 ]

@@ -46,7 +46,7 @@ class ConformalCalibrator:
     def __init__(self, alpha: float = 0.1, gamma: float = 1e-3):
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-        if gamma <= 0.0:
+        if not gamma > 0.0:  # also refuses NaN
             raise ValueError(f"gamma must be > 0, got {gamma}")
         self.alpha = float(alpha)
         self.gamma = float(gamma)

@@ -1,14 +1,11 @@
-"""Abstention policy, serving gate, and interval-width drift monitor.
+"""Abstention policy and the serving gate built on it.
 
 This is the decision layer between a calibrated predictor and the
 serving plane: :class:`AbstentionPolicy` turns per-row prediction
 intervals into serve/abstain decisions with machine-readable reasons,
 :class:`UncertaintyGate` packages predictor + calibrator + policy behind
 the single ``assess(matrix)`` call :class:`~repro.serving.service.AnalysisService`
-consumes, and :class:`WidthMonitor` tracks interval-width widening as an
-*early* drift signal — ensemble disagreement rises off-distribution
-before the residual EWMA of :class:`~repro.core.lifecycle.DriftMonitor`
-catches up, because width needs no labels and no plausibility model.
+consumes.
 
 The abstention contract: every row gets exactly one decision, a decision
 never raises, and anything the gate cannot vouch for — uncalibrated
@@ -18,7 +15,6 @@ abstains rather than serving a confident guess.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -34,7 +30,6 @@ __all__ = [
     "AbstentionPolicy",
     "Assessment",
     "UncertaintyGate",
-    "WidthMonitor",
 ]
 
 REASON_UNCALIBRATED = "uncalibrated"
@@ -85,13 +80,15 @@ class AbstentionPolicy:
         max_relative_width: Optional[float] = None,
         relative_floor: float = 1e-6,
     ):
-        if max_width is not None and max_width <= 0:
+        # ``not (x > 0)`` rather than ``x <= 0``: NaN must be refused too,
+        # or ``width > nan`` would silently never abstain.
+        if max_width is not None and not max_width > 0:
             raise ValueError(f"max_width must be > 0, got {max_width}")
-        if max_relative_width is not None and max_relative_width <= 0:
+        if max_relative_width is not None and not max_relative_width > 0:
             raise ValueError(
                 f"max_relative_width must be > 0, got {max_relative_width}"
             )
-        if relative_floor <= 0:
+        if not relative_floor > 0:
             raise ValueError(f"relative_floor must be > 0, got {relative_floor}")
         self.max_width = max_width
         self.max_relative_width = max_relative_width
@@ -150,92 +147,12 @@ class AbstentionPolicy:
         )
 
 
-class WidthMonitor:
-    """EWMA over interval widths; widening is an early drift signal.
-
-    The baseline is the typical width on in-distribution (calibration)
-    data, set once via :meth:`set_baseline`.  :meth:`observe` smooths the
-    live widths and emits a :class:`~repro.core.lifecycle.DriftStatus`,
-    so the output plugs into everything that already consumes drift
-    statuses — :class:`~repro.adaptation.controller.AdaptationController`
-    included — with width in the residual slots instead of plausibility
-    residual.
-    """
-
-    def __init__(
-        self,
-        alarm_factor: float = 2.0,
-        smoothing: float = 0.2,
-        warmup: int = 5,
-    ):
-        if alarm_factor <= 1.0:
-            raise ValueError("alarm_factor must exceed 1.0")
-        if not 0.0 < smoothing <= 1.0:
-            raise ValueError("smoothing must be in (0, 1]")
-        if warmup < 1:
-            raise ValueError("warmup must be >= 1")
-        self.alarm_factor = float(alarm_factor)
-        self.smoothing = float(smoothing)
-        self.warmup = int(warmup)
-        self.baseline_width: Optional[float] = None
-        self.skipped_nonfinite = 0
-        self._ewma: Optional[float] = None
-        self._count = 0
-        self._lock = threading.Lock()
-
-    def set_baseline(self, widths) -> float:
-        """Pin the in-distribution width baseline (median of a sample)."""
-        widths = np.asarray(widths, dtype=np.float64)
-        widths = widths[np.isfinite(widths)]
-        if widths.size == 0:
-            raise ValueError("baseline widths must contain finite values")
-        with self._lock:
-            self.baseline_width = float(np.median(widths))
-            self._ewma = None
-            self._count = 0
-        return self.baseline_width
-
-    def observe(self, width: float):
-        """Fold one row's interval width in; returns a ``DriftStatus``.
-
-        Non-finite widths (uncalibrated / overflowed intervals) are
-        counted and skipped rather than poisoning the EWMA — the
-        abstention path already refuses those rows.
-        """
-        from repro.core.lifecycle import DriftStatus
-
-        width = float(width)
-        with self._lock:
-            if not np.isfinite(width):
-                self.skipped_nonfinite += 1
-            else:
-                if self._ewma is None:
-                    self._ewma = width
-                else:
-                    self._ewma += self.smoothing * (width - self._ewma)
-                self._count += 1
-            baseline = self.baseline_width if self.baseline_width else 0.0
-            ewma = self._ewma if self._ewma is not None else 0.0
-            drifted = (
-                self._count >= self.warmup
-                and baseline > 0.0
-                and ewma > self.alarm_factor * baseline
-            )
-            return DriftStatus(
-                drifted=bool(drifted),
-                ewma_residual=float(ewma),
-                baseline_residual=float(baseline),
-                observations=int(self._count),
-            )
-
-
 class UncertaintyGate:
     """Predictor + calibrator + policy behind one ``assess`` call.
 
     This is the object :class:`~repro.serving.service.AnalysisService`
-    takes as its ``uncertainty=`` collaborator.  Besides assessing, it
-    optionally feeds every row's width into a :class:`WidthMonitor`.
-    The rolling abstention rate lives in the service
+    takes as its ``uncertainty=`` collaborator.  The rolling abstention
+    rate lives in the service
     (:meth:`~repro.serving.service.AnalysisService.abstention_rate`),
     which sees every row's final outcome, not just the gate's verdict.
     """
@@ -245,13 +162,10 @@ class UncertaintyGate:
         predictor,
         calibrator: ConformalCalibrator,
         policy: Optional[AbstentionPolicy] = None,
-        width_monitor: Optional[WidthMonitor] = None,
     ):
         self.predictor = predictor
         self.calibrator = calibrator
         self.policy = policy if policy is not None else AbstentionPolicy()
-        self.width_monitor = width_monitor
-        self.last_drift_status = None
 
     def assess(self, matrix: np.ndarray) -> Assessment:
         """Mean + interval + decision for every row of ``matrix``."""
@@ -259,8 +173,4 @@ class UncertaintyGate:
         if matrix.ndim != 2:
             raise ValueError(f"expected a 2-D batch, got shape {matrix.shape}")
         prediction = self.predictor.predict(matrix)
-        assessment = self.policy.assess(prediction, self.calibrator)
-        if self.width_monitor is not None:
-            for width in assessment.width:
-                self.last_drift_status = self.width_monitor.observe(width)
-        return assessment
+        return self.policy.assess(prediction, self.calibrator)

@@ -494,57 +494,67 @@ class TestOnePipeline:
                 assert "governor fault" in result.detail["error"]
 
 
-class TestAdaptationHooks:
-    def test_swap_analyzer_changes_served_values(self):
+class TestStatsShape:
+    """The key set of ``stats()`` is pinned: changing it is deliberate."""
+
+    BASE = {
+        "submitted",
+        "completed",
+        "rejections",
+        "abstentions",
+        "abstained",
+        "circuit_state",
+        "frozen",
+        "queue_depth",
+        "inflight",
+        "latency_s",
+    }
+    BATCHING = {
+        "batches",
+        "batched_requests",
+        "mean_batch_size",
+        "p50",
+        "p95",
+        "p99",
+    }
+
+    def test_unbatched_service(self):
         with AnalysisService(_double, expected_length=LENGTH) as service:
-            before = service.analyze(_spectrum(2.0))
-            np.testing.assert_allclose(before.value, np.full(LENGTH, 4.0))
-            service.swap_analyzer(lambda data: data * 3.0)
-            after = service.analyze(_spectrum(2.0))
-            np.testing.assert_allclose(after.value, np.full(LENGTH, 6.0))
+            assert service.analyze(_spectrum()).ok
             stats = service.stats()
-            assert stats["model_swaps"] == 1
+        assert set(stats) == self.BASE
+        assert stats["frozen"] is None
 
-    def test_shadow_tap_sees_every_completion(self):
-        seen = []
-        lock = threading.Lock()
+    def test_batched_gated_governed_service(self):
+        with AnalysisService(
+            _double,
+            expected_length=LENGTH,
+            batching=BatchingPolicy(max_batch=4),
+            uncertainty=_uncalibrated_gate(),
+            governor=BrownoutGovernor(),
+        ) as service:
+            assert isinstance(service.analyze(_spectrum()), Abstained)
+            stats = service.stats()
+        assert set(stats) == self.BASE | {
+            "abstention_rate", "batching", "brownout",
+        }
+        assert set(stats["batching"]) == self.BATCHING
 
-        def tap(data, value):
-            with lock:
-                seen.append((np.asarray(data).copy(), np.asarray(value).copy()))
+    def test_frozen_service(self):
+        from repro import nn
+        from repro.serving import batch_analyzer_from_model
 
-        with AnalysisService(_double, expected_length=LENGTH) as service:
-            service.set_shadow_tap(tap)
-            for value in (1.0, 2.0, 3.0):
-                result = service.analyze(_spectrum(value))
-                assert result.ok
-            service.set_shadow_tap(None)
-            service.analyze(_spectrum(9.0))
-        assert len(seen) == 3
-        for data, value in seen:
-            np.testing.assert_allclose(value, data * 2.0)
-
-    def test_tap_never_fires_for_rejections(self):
-        seen = []
-        with AnalysisService(_double, expected_length=LENGTH) as service:
-            service.set_shadow_tap(lambda data, value: seen.append(data))
-            bad = service.analyze(np.full(LENGTH + 3, 1.0))
-            assert isinstance(bad, Rejected)
-            good = service.analyze(_spectrum())
-            assert good.ok
-        assert len(seen) == 1
-
-    def test_raising_tap_cannot_break_serving(self):
-        from repro.observability import scoped
-
-        def poisoned_tap(data, value):
-            raise RuntimeError("tap exploded")
-
-        with scoped() as (registry, _):
-            with AnalysisService(_double, expected_length=LENGTH) as service:
-                service.set_shadow_tap(poisoned_tap)
-                results = [service.analyze(_spectrum(v)) for v in (1.0, 2.0)]
-            assert all(r.ok for r in results)
-            assert registry.counter("serving_shadow_tap_errors_total").value(
-                service="analysis"
-            ) == 2
+        model = nn.Sequential([nn.Dense(3)])
+        model.build((LENGTH,), seed=0)
+        batched = batch_analyzer_from_model(model, frozen="float32")
+        with AnalysisService(
+            lambda row: batched(row[None, :])[0],
+            expected_length=LENGTH,
+            batching=BatchingPolicy(max_batch=4),
+            batch_analyzer=batched,
+        ) as service:
+            assert service.analyze(_spectrum()).ok
+            stats = service.stats()
+        assert set(stats) == self.BASE | {"batching"}
+        assert set(stats["batching"]) == self.BATCHING
+        assert stats["frozen"] == "float32"

@@ -28,6 +28,10 @@ class TestConstruction:
             ConformalCalibrator(alpha=1.0)
         with pytest.raises(ValueError):
             ConformalCalibrator(gamma=0.0)
+        with pytest.raises(ValueError):
+            ConformalCalibrator(alpha=float("nan"))
+        with pytest.raises(ValueError):
+            ConformalCalibrator(gamma=float("nan"))
 
     def test_starts_uncalibrated(self):
         calibrator = ConformalCalibrator()

@@ -1,4 +1,4 @@
-"""Unit tests for the abstention policy, width monitor and serving gate."""
+"""Unit tests for the abstention policy and serving gate."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from repro.uncertainty import (
     ConformalCalibrator,
     UncertaintyGate,
     UncertainPrediction,
-    WidthMonitor,
 )
 
 
@@ -55,6 +54,10 @@ class TestAbstentionPolicy:
             AbstentionPolicy(max_relative_width=-1.0)
         with pytest.raises(ValueError):
             AbstentionPolicy(relative_floor=0.0)
+        # NaN compares False both ways: it must not slip past as "no bound".
+        for field in ("max_width", "max_relative_width", "relative_floor"):
+            with pytest.raises(ValueError):
+                AbstentionPolicy(**{field: float("nan")})
 
     def test_uncalibrated_abstains_everything(self):
         assessment = AbstentionPolicy().assess(
@@ -117,47 +120,6 @@ class TestAbstentionPolicy:
         np.testing.assert_allclose(upper, assessment.upper[0])
 
 
-class TestWidthMonitor:
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            WidthMonitor(alarm_factor=1.0)
-        with pytest.raises(ValueError):
-            WidthMonitor(smoothing=0.0)
-        with pytest.raises(ValueError):
-            WidthMonitor(warmup=0)
-
-    def test_baseline_requires_finite_widths(self):
-        with pytest.raises(ValueError):
-            WidthMonitor().set_baseline([np.inf, np.nan])
-
-    def test_widening_past_alarm_factor_drifts(self):
-        monitor = WidthMonitor(alarm_factor=2.0, smoothing=1.0, warmup=3)
-        assert monitor.set_baseline([1.0, 1.0, 1.2]) == pytest.approx(1.0)
-        for _ in range(2):
-            status = monitor.observe(5.0)
-            assert not status.drifted  # still warming up
-        status = monitor.observe(5.0)
-        assert status.drifted
-        assert status.ewma_residual == pytest.approx(5.0)
-        assert status.baseline_residual == pytest.approx(1.0)
-
-    def test_nominal_widths_never_alarm(self):
-        monitor = WidthMonitor(alarm_factor=2.0, warmup=2)
-        monitor.set_baseline([1.0])
-        for _ in range(10):
-            status = monitor.observe(1.1)
-        assert not status.drifted
-
-    def test_nonfinite_widths_are_skipped_not_folded(self):
-        monitor = WidthMonitor(warmup=1)
-        monitor.set_baseline([1.0])
-        monitor.observe(1.0)
-        status = monitor.observe(np.inf)
-        assert monitor.skipped_nonfinite == 1
-        assert np.isfinite(status.ewma_residual)
-        assert status.observations == 1
-
-
 class TestUncertaintyGate:
     def test_assess_requires_2d(self):
         gate = UncertaintyGate(_SpreadPredictor(), _calibrated())
@@ -176,17 +138,3 @@ class TestUncertaintyGate:
         assessment = gate.assess(matrix)
         assert assessment.abstain.tolist() == [False, True]
         np.testing.assert_allclose(assessment.mean[:, 0], matrix.sum(axis=1))
-
-    def test_width_monitor_is_fed_per_row(self):
-        monitor = WidthMonitor(alarm_factor=2.0, smoothing=1.0, warmup=1)
-        monitor.set_baseline([0.3])
-        gate = UncertaintyGate(
-            _SpreadPredictor(),
-            _calibrated(),
-            policy=AbstentionPolicy(max_width=1.0),
-            width_monitor=monitor,
-        )
-        gate.assess(np.array([[5.0, 0.0], [5.0, 0.0]]))
-        assert gate.last_drift_status is not None
-        assert gate.last_drift_status.drifted
-        assert gate.last_drift_status.observations == 2

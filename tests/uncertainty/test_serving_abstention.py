@@ -1,14 +1,10 @@
 """Abstained as a serving outcome: gate wiring through AnalysisService.
 
 Covers the single-request path, the per-row batched drain, metrics and
-exactly-once accounting, the swap_analyzer gate semantics (including a
-mid-flight swap), the brownout abstain-rate trigger, and the satellite
+exactly-once accounting, the brownout abstain-rate trigger, and the
 invariant that abstention never counts against the GuardedAnalyzer
 degradation ladder.
 """
-
-import math
-import threading
 
 import numpy as np
 import pytest
@@ -71,17 +67,6 @@ class SpreadPredictor:
         )
 
 
-class BlockingPredictor(SpreadPredictor):
-    def __init__(self, release, entered):
-        self.release = release
-        self.entered = entered
-
-    def predict(self, x):
-        self.entered.set()
-        self.release.wait(5.0)
-        return super().predict(x)
-
-
 def _calibrated(q_hat=1.0):
     calibrator = ConformalCalibrator(alpha=0.1)
     calibrator.q_hat = float(q_hat)
@@ -89,11 +74,11 @@ def _calibrated(q_hat=1.0):
     return calibrator
 
 
-def _gate(max_width=1.0, predictor=None, calibrator=None):
+def _gate(calibrator=None):
     return UncertaintyGate(
-        predictor if predictor is not None else SpreadPredictor(),
+        SpreadPredictor(),
         calibrator if calibrator is not None else _calibrated(),
-        policy=AbstentionPolicy(max_width=max_width),
+        policy=AbstentionPolicy(max_width=1.0),
     )
 
 
@@ -209,16 +194,6 @@ class TestSinglePath:
                 assert isinstance(service.analyze(_spectrum(5.0)), Abstained)
         assert breaker.state == CLOSED
 
-    def test_shadow_tap_never_fires_for_abstentions(self):
-        seen = []
-        with _service(
-            _analyzer, expected_length=LENGTH, uncertainty=_gate()
-        ) as service:
-            service.set_shadow_tap(lambda data, value: seen.append(value))
-            assert isinstance(service.analyze(_spectrum(5.0)), Abstained)
-            assert service.analyze(_spectrum(0.1)).ok
-        assert len(seen) == 1
-
     def test_raising_gate_is_contained_as_analyzer_error(self):
         class ExplodingGate:
             def assess(self, matrix):
@@ -288,65 +263,6 @@ class TestBatchedPath:
         )
 
 
-class TestSwapSemantics:
-    def test_swap_analyzer_keeps_the_gate_by_default(self):
-        with _service(
-            _analyzer, expected_length=LENGTH, uncertainty=_gate()
-        ) as service:
-            service.swap_analyzer(lambda data: np.array([7.0, 7.0]))
-            assert isinstance(service.analyze(_spectrum(5.0)), Abstained)
-
-    def test_swap_with_none_removes_gating(self):
-        with _service(
-            _analyzer, expected_length=LENGTH, uncertainty=_gate()
-        ) as service:
-            service.swap_analyzer(_analyzer, uncertainty=None)
-            result = service.analyze(_spectrum(5.0))
-            assert isinstance(result, Completed)
-            np.testing.assert_allclose(result.value, [-1.0, -1.0])
-
-    def test_swap_installs_a_new_gate_atomically(self):
-        permissive = _gate(max_width=1000.0)
-        with _service(
-            _analyzer, expected_length=LENGTH, uncertainty=_gate()
-        ) as service:
-            assert isinstance(service.analyze(_spectrum(5.0)), Abstained)
-            service.swap_analyzer(_analyzer, uncertainty=permissive)
-            assert service.analyze(_spectrum(5.0)).ok
-
-    def test_mid_flight_swap_resolves_every_request_exactly_once(self):
-        release = threading.Event()
-        entered = threading.Event()
-        gate = _gate(predictor=BlockingPredictor(release, entered))
-        service = _service(
-            _analyzer,
-            workers=1,
-            queue_size=8,
-            default_deadline_s=10.0,
-            expected_length=LENGTH,
-            uncertainty=gate,
-        )
-        with service:
-            pending = [service.submit(_spectrum(5.0)) for _ in range(4)]
-            # First request is blocked inside the gate; the rest queued.
-            assert entered.wait(5.0)
-            service.swap_analyzer(_analyzer, uncertainty=None)
-            release.set()
-            results = [p.result(timeout=5.0) for p in pending]
-            stats = service.stats()
-        # The in-flight request was assessed by the old gate (abstained);
-        # everything dequeued after the swap served through the analyzer.
-        assert isinstance(results[0], Abstained)
-        assert all(isinstance(r, Completed) for r in results[1:])
-        assert (
-            stats["completed"]
-            + stats["abstained"]
-            + sum(stats["rejections"].values())
-            == stats["submitted"]
-            == 4
-        )
-
-
 class TestBrownoutAbstainSignal:
     def test_abstain_surge_escalates_the_governor(self):
         governor = BrownoutGovernor(
@@ -411,16 +327,3 @@ class TestGuardedLadder:
         assert guard.calls == 0
         assert guard.degraded_steps == 0
         assert all(count == 0 for count in guard.tier_counts.values())
-
-    def test_removing_the_gate_hands_traffic_back_to_the_ladder(self):
-        guard = self._guard()
-        with _service(
-            guard, expected_length=LENGTH, uncertainty=_gate()
-        ) as service:
-            assert isinstance(service.analyze(_spectrum(5.0)), Abstained)
-            service.swap_analyzer(guard, uncertainty=None)
-            result = service.analyze(_spectrum(5.0))
-            assert isinstance(result, Completed)
-        assert guard.calls == 1
-        assert guard.tier_counts["primary"] == 1
-        assert guard.degraded_steps == 0
