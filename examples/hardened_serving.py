@@ -24,10 +24,10 @@ JSONL (render them with ``python -m repro.cli telemetry --spans ...``).
 With ``--batched`` the service additionally coalesces queued requests
 into batched forward passes (:class:`~repro.serving.BatchingPolicy`) and
 runs a :class:`~repro.serving.BrownoutGovernor`: under the burst in step
-3 the governor escalates through its degradation levels (grow batches →
-tighten deadlines → shed low-priority work) and the live transitions
-show up both on stdout and as ``serving.brownout`` spans in the
-telemetry dump.
+3 the governor escalates through its two degradation levels on queue
+fill (grow batches → tighten deadlines) and the live transitions show
+up both on stdout and as ``serving.brownout`` spans in the telemetry
+dump.
 
 Run:  python examples/hardened_serving.py [--batched] [--telemetry-dir DIR]
 """

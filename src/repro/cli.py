@@ -18,8 +18,11 @@ source code; this module is that surface:
 * ``sweep``        — plan, run (``--resume``-able) and report the
   Fig-5/Fig-6 campaign grid through the sweep orchestrator.
 
-Datasets are ``.npz`` files with arrays ``x``, ``y`` and a JSON-encoded
-``meta`` record.  Models are checksummed model files
+Datasets are checksummed archives
+(:func:`repro.storage.integrity.write_archive`) with arrays ``x``, ``y``
+and a JSON ``meta`` document; a damaged one raises
+:class:`~repro.storage.integrity.CorruptArtifactError`.  Models are
+checksummed model files
 (:mod:`repro.nn.serialization`): ``train`` writes one, and ``evaluate``,
 ``table2`` and ``freeze`` read either that or a ``CheckpointManager``
 generation (``<name>.gen-NNNNNN.ckpt``).  Run
@@ -40,15 +43,16 @@ __all__ = ["main", "build_parser"]
 
 
 def _save_dataset(path: str, x: np.ndarray, y: np.ndarray, meta: dict) -> None:
-    meta_blob = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    np.savez(path, x=x, y=y, meta=meta_blob)
+    from repro.storage.integrity import write_archive
+
+    write_archive(path, {"x": x, "y": y}, {"meta": meta})
 
 
 def _load_dataset(path: str):
-    with np.load(path) as data:
-        x, y = data["x"], data["y"]
-        meta = json.loads(bytes(data["meta"].tobytes()).decode("utf-8"))
-    return x, y, meta
+    from repro.storage.integrity import read_archive
+
+    arrays, docs = read_archive(path)
+    return arrays["x"], arrays["y"], docs["meta"]
 
 
 def _cmd_ms_generate(args: argparse.Namespace) -> int:

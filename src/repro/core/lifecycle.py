@@ -167,36 +167,6 @@ class DriftMonitor:
             self._alarmed = False
         return status
 
-    def snapshot(self) -> dict:
-        """The monitor's restorable observation state.
-
-        JSON-portable (the EWMA and baseline are finite by construction
-        — non-finite residuals never enter them), so it can ride a
-        checkpoint state payload or a journal record and survive a
-        process restart via :meth:`restore`.
-        """
-        return {
-            "ewma": self._ewma,
-            "count": self._count,
-            "skipped_nonfinite": self.skipped_nonfinite,
-            "baseline_residual": self.baseline_residual,
-            "alarmed": self._alarmed,
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        """Resume from a :meth:`snapshot` taken before a restart.
-
-        The baseline is restored too — it was established against the
-        simulator the *deployed* model was trained on, which need not
-        match whatever simulator this process was constructed with.
-        """
-        ewma = snapshot["ewma"]
-        self._ewma = None if ewma is None else float(ewma)
-        self._count = int(snapshot["count"])
-        self.skipped_nonfinite = int(snapshot["skipped_nonfinite"])
-        self.baseline_residual = float(snapshot["baseline_residual"])
-        self._alarmed = bool(snapshot.get("alarmed", False))
-
     def reset(self) -> None:
         """Clear the observation state (e.g. after recalibration)."""
         self._ewma = None

@@ -20,7 +20,7 @@ hold under load and failure:
   plane: :class:`BatchingPolicy` (adaptive coalescing: dispatch when the
   batch fills or a load-shrinking max-wait expires) and
   :class:`BrownoutGovernor` (declared degradation levels — grow batches,
-  tighten deadlines, shed low-priority work — walked with hysteresis).
+  tighten deadlines — walked with hysteresis over queue fill).
 
 Layering: ``serving`` sits above ``reliability`` and below nothing — it
 may be driven by any analyzer callable (ANN, IHM, or a

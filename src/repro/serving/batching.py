@@ -12,14 +12,14 @@ components the batched service mode runs on:
   queue fills a batch instantly, so holding adds latency for nothing,
   while an idle service dispatches a lone request after at most
   ``max_wait_s``.
-* :class:`BrownoutGovernor` — a load governor that watches queue depth
-  and completed-request p95 latency and walks the service through
-  declared :class:`BrownoutLevel` degradation steps (grow batches →
-  tighten admission deadlines → shed low-priority work) with hysteresis:
-  levels are entered immediately when a signal crosses its threshold and
-  left one step at a time only after the signals have stayed below the
-  exit threshold for a hold period, so the service does not flap at the
-  boundary.
+* :class:`BrownoutGovernor` — a load governor that watches queue fill
+  and walks the service through declared :class:`BrownoutLevel`
+  degradation steps (grow batches → tighten admission deadlines) with
+  hysteresis: levels are entered immediately when the fill crosses their
+  threshold and left one step at a time only after the fill has stayed
+  below the exit threshold for a hold period, so the service does not
+  flap at the boundary.  Queue fill is the governor's only signal, so
+  it behaves the same whether or not telemetry is enabled.
 
 :func:`batch_analyzer_from_model` builds the batched backend callable
 with the byte-identity guarantee the service's contract needs: BLAS
@@ -90,29 +90,17 @@ class BatchingPolicy:
 class BrownoutLevel:
     """One declared degradation step.
 
-    A level activates when queue fill reaches ``enter_fill``, *or*
-    completed-request p95 reaches ``enter_p95_s``, *or* the service's
-    rolling abstention rate reaches ``enter_abstain_rate`` (only
-    meaningful when an uncertainty gate is installed — a surging rate
-    means traffic has left the training distribution, and degrading
-    early keeps capacity for the rows the gate will still vouch for).
-    Its knobs state the full service posture at that level (levels do
-    not stack):
+    A level activates when queue fill reaches ``enter_fill``.  Its knobs
+    state the full service posture at that level (levels do not stack):
 
     * ``batch_growth`` — multiplier on ``BatchingPolicy.max_batch``;
-    * ``deadline_factor`` — multiplier on admission deadlines;
-    * ``min_priority`` — requests with a lower ``priority`` are refused
-      at admission as ``Rejected("brownout_shed")``; ``None`` sheds
-      nothing.
+    * ``deadline_factor`` — multiplier on admission deadlines.
     """
 
     name: str
     enter_fill: float = math.inf
-    enter_p95_s: float = math.inf
-    enter_abstain_rate: float = math.inf
     batch_growth: float = 1.0
     deadline_factor: float = 1.0
-    min_priority: Optional[int] = None
 
     def __post_init__(self):
         if self.batch_growth < 1.0:
@@ -133,25 +121,17 @@ class BrownoutTransition:
     from_level: int
     to_level: int
     queue_fill: float
-    p95_s: Optional[float]
-    abstain_rate: Optional[float] = None
 
 
 class BrownoutGovernor:
-    """Hysteretic level walker over queue depth, p95 latency and
-    abstention rate.
+    """Hysteretic level walker over queue fill.
 
-    ``observe(fill, p95_s, abstain_rate)`` is the only input; it returns
-    the current level index (0 = normal).  Escalation is immediate — the
-    highest level whose enter threshold is crossed wins.  De-escalation
-    is one level at a time and only after every signal has stayed below
-    ``hysteresis`` × the current level's enter thresholds for
-    ``hold_s`` seconds of the injectable ``clock``.
-
-    ``maybe_observe`` is the rate-limited form for hot paths: it samples
-    at most every ``sample_interval_s`` and takes a zero-argument
-    ``p95_fn`` so the (comparatively expensive) histogram read only
-    happens on actual samples.
+    ``observe(fill)`` is the only input; it returns the current level
+    index (0 = normal).  Escalation is immediate — the highest level
+    whose ``enter_fill`` is reached wins.  De-escalation is one level at
+    a time and only after the fill has stayed below ``hysteresis`` × the
+    current level's ``enter_fill`` for ``hold_s`` seconds of the
+    injectable ``clock``.
     """
 
     def __init__(
@@ -159,7 +139,6 @@ class BrownoutGovernor:
         levels: Optional[Sequence[BrownoutLevel]] = None,
         hysteresis: float = 0.75,
         hold_s: float = 0.25,
-        sample_interval_s: float = 0.02,
         clock: Callable[[], float] = time.monotonic,
         on_transition: Optional[Callable[[BrownoutTransition], None]] = None,
     ):
@@ -168,22 +147,20 @@ class BrownoutGovernor:
         )
         if not 0.0 < hysteresis <= 1.0:
             raise ValueError("hysteresis must be in (0, 1]")
-        if hold_s < 0 or sample_interval_s < 0:
-            raise ValueError("hold_s and sample_interval_s must be >= 0")
+        if hold_s < 0:
+            raise ValueError("hold_s must be >= 0")
         self.hysteresis = float(hysteresis)
         self.hold_s = float(hold_s)
-        self.sample_interval_s = float(sample_interval_s)
         self.clock = clock
         self.on_transition = on_transition
         self._lock = threading.Lock()
         self._level = 0
         self._below_since: Optional[float] = None
-        self._last_sample = -math.inf
         self.transitions: List[BrownoutTransition] = []
 
     @staticmethod
     def default_levels() -> List[BrownoutLevel]:
-        """The declared ladder from the design: grow → tighten → shed."""
+        """The declared ladder from the design: grow → tighten."""
         return [
             BrownoutLevel(
                 name="grow_batch", enter_fill=0.50, batch_growth=2.0
@@ -193,13 +170,6 @@ class BrownoutGovernor:
                 enter_fill=0.75,
                 batch_growth=2.0,
                 deadline_factor=0.5,
-            ),
-            BrownoutLevel(
-                name="shed_low_priority",
-                enter_fill=0.90,
-                batch_growth=2.0,
-                deadline_factor=0.5,
-                min_priority=0,
             ),
         ]
 
@@ -217,87 +187,40 @@ class BrownoutGovernor:
 
     # -- observation -------------------------------------------------------
 
-    def _target_for(self, fill: float, p95_s: Optional[float],
-                    abstain_rate: Optional[float]) -> int:
+    def _target_for(self, fill: float) -> int:
         target = 0
         for index, level in enumerate(self.levels[1:], start=1):
-            if (
-                fill >= level.enter_fill
-                or (p95_s is not None and p95_s >= level.enter_p95_s)
-                or (
-                    abstain_rate is not None
-                    and abstain_rate >= level.enter_abstain_rate
-                )
-            ):
+            if fill >= level.enter_fill:
                 target = index
         return target
 
-    def _calm_below(self, level_index: int, fill: float,
-                    p95_s: Optional[float],
-                    abstain_rate: Optional[float]) -> bool:
-        """Are all signals under the exit threshold of ``level_index``?"""
-        level = self.levels[level_index]
-        if math.isfinite(level.enter_fill):
-            if fill >= self.hysteresis * level.enter_fill:
-                return False
-        if math.isfinite(level.enter_p95_s) and p95_s is not None:
-            if p95_s >= self.hysteresis * level.enter_p95_s:
-                return False
-        if math.isfinite(level.enter_abstain_rate) and abstain_rate is not None:
-            if abstain_rate >= self.hysteresis * level.enter_abstain_rate:
-                return False
-        return True
+    def _calm_below(self, level_index: int, fill: float) -> bool:
+        """Is the fill under the exit threshold of ``level_index``?"""
+        return fill < self.hysteresis * self.levels[level_index].enter_fill
 
-    def observe(self, fill: float, p95_s: Optional[float] = None,
-                abstain_rate: Optional[float] = None) -> int:
+    def observe(self, fill: float) -> int:
         fill = float(fill)
         now = float(self.clock())
         with self._lock:
-            target = self._target_for(fill, p95_s, abstain_rate)
+            target = self._target_for(fill)
             if target > self._level:
-                self._shift(target, now, fill, p95_s, abstain_rate)
+                self._shift(target, now, fill)
             elif self._level > 0 and target < self._level:
-                if self._calm_below(self._level, fill, p95_s, abstain_rate):
+                if self._calm_below(self._level, fill):
                     if self._below_since is None:
                         self._below_since = now
                     elif now - self._below_since >= self.hold_s:
                         # One step down per hold period — no cliff dives.
-                        self._shift(
-                            self._level - 1, now, fill, p95_s, abstain_rate
-                        )
+                        self._shift(self._level - 1, now, fill)
                 else:
                     self._below_since = None
             else:
                 self._below_since = None
             return self._level
 
-    def maybe_observe(
-        self,
-        fill: float,
-        p95_fn: Optional[Callable[[], Optional[float]]] = None,
-        abstain_rate_fn: Optional[Callable[[], Optional[float]]] = None,
-    ) -> int:
-        now = float(self.clock())
-        with self._lock:
-            if now - self._last_sample < self.sample_interval_s:
-                return self._level
-            self._last_sample = now
-        p95_s = p95_fn() if p95_fn is not None else None
-        abstain_rate = (
-            abstain_rate_fn() if abstain_rate_fn is not None else None
-        )
-        return self.observe(fill, p95_s, abstain_rate)
-
-    def _shift(self, to_level: int, now: float, fill: float,
-               p95_s: Optional[float],
-               abstain_rate: Optional[float] = None) -> None:
+    def _shift(self, to_level: int, now: float, fill: float) -> None:
         transition = BrownoutTransition(
-            at=now,
-            from_level=self._level,
-            to_level=to_level,
-            queue_fill=fill,
-            p95_s=p95_s,
-            abstain_rate=abstain_rate,
+            at=now, from_level=self._level, to_level=to_level, queue_fill=fill
         )
         self.transitions.append(transition)
         self._level = to_level
@@ -314,7 +237,6 @@ class BrownoutGovernor:
             "level": level,
             "name": self.levels[level].name,
             "deadline_factor": self.levels[level].deadline_factor,
-            "min_priority": self.levels[level].min_priority,
             "batch_growth": self.levels[level].batch_growth,
             "transitions": transitions,
         }

@@ -17,7 +17,7 @@ Every request terminates in exactly one explicit result:
 * :class:`Rejected` — with a machine-readable ``reason`` naming which
   defence fired (``queue_full``, ``deadline_*``, ``circuit_open``,
   ``invalid_input``, ``analyzer_error``, ``nonfinite_output``,
-  ``brownout_shed``, ``shutdown``);
+  ``internal_error``, ``shutdown``);
 * :class:`Abstained` — only when an uncertainty gate is installed (pass
   ``uncertainty=UncertaintyGate(...)``): the input was valid and the
   backend healthy, but the calibrated prediction interval was too wide
@@ -47,11 +47,10 @@ Two opt-in control layers ride on the same contract:
   :func:`~repro.serving.batching.batch_analyzer_from_model`) keeps a
   row's output byte-identical however it was batched.
 * **Brownout degradation** (pass ``governor=BrownoutGovernor(...)``):
-  queue depth and completed-request p95 walk the service through
-  declared degradation levels — grow batches, tighten admission
-  deadlines, shed low-priority work — with hysteresis, surfaced in
-  :meth:`AnalysisService.stats` and traced as ``serving.brownout`` span
-  events.
+  queue fill walks the service through declared degradation levels —
+  grow batches, tighten admission deadlines — with hysteresis, surfaced
+  in :meth:`AnalysisService.stats` and traced as ``serving.brownout``
+  span events.
 * **Frozen inference** (pass
   ``batch_analyzer=batch_analyzer_from_model(model, frozen="float32")``
   or ``"int8"``, with ``expected_length``): the model is compiled once
@@ -72,7 +71,6 @@ import queue
 import threading
 import time
 import weakref
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -168,11 +166,10 @@ class PendingRequest:
     """
 
     def __init__(self, request_id: int, data, deadline_at: float, clock,
-                 on_resolve=None, priority: int = 0):
+                 on_resolve=None):
         self.request_id = request_id
         self.data = data
         self.deadline_at = deadline_at
-        self.priority = int(priority)
         self._clock = clock
         self._enqueued_at = float(clock())
         self._resolved_at: Optional[float] = None
@@ -368,10 +365,6 @@ class AnalysisService:
             "serving_abstentions_total",
             "requests refused by the uncertainty gate, by reason",
         )
-        self._m_abstain_rate = self.registry.gauge(
-            "serving_abstention_rate",
-            "abstained fraction of recently answered requests",
-        )
         # Bound series: the label sets are fixed per service instance, so
         # the hot path skips the per-call label-key computation.
         self._b_submitted = self._m_submitted.labels(service=self.name)
@@ -379,7 +372,6 @@ class AnalysisService:
         self._b_inflight = self._m_inflight.labels(service=self.name)
         self._b_batch_size = self._m_batch_size.labels(service=self.name)
         self._b_brownout = self._m_brownout.labels(service=self.name)
-        self._b_abstain_rate = self._m_abstain_rate.labels(service=self.name)
         self._b_outcomes: Dict[str, tuple] = {}
         # Every live PendingRequest, so stop() can refuse whatever a hung
         # worker leaves unresolved instead of stranding its caller.
@@ -393,10 +385,8 @@ class AnalysisService:
         self.completed = 0
         self.rejections: Dict[str, int] = {}
         self.abstentions: Dict[str, int] = {}
-        # Rolling serve/abstain window over *answered* requests (completed
-        # or abstained; queue-level refusals say nothing about the model).
-        # Feeds the brownout governor's abstain-rate trigger.
-        self._answers = deque(maxlen=64)
+        # Batches in a worker; stats() reads this, not the export gauge.
+        self._inflight = 0
 
     @classmethod
     def from_checkpoint(
@@ -484,17 +474,15 @@ class AnalysisService:
 
     # -- the public protocol ----------------------------------------------
 
-    def submit(self, intensities, deadline_s: Optional[float] = None,
-               priority: int = 0) -> PendingRequest:
+    def submit(self, intensities,
+               deadline_s: Optional[float] = None) -> PendingRequest:
         """Enqueue one spectrum; never blocks.
 
         Load shedding happens here: a full queue resolves the request
         immediately as ``Rejected("queue_full")`` instead of making the
         caller wait behind traffic that will miss its deadline anyway.
         Under brownout the admission deadline is tightened by the active
-        level's ``deadline_factor``, and at the deepest levels requests
-        whose ``priority`` falls below the level's ``min_priority`` are
-        refused outright as ``Rejected("brownout_shed")``.
+        level's ``deadline_factor``.
         """
         if not self._running:
             raise RuntimeError("service is not running; call start() first")
@@ -503,18 +491,15 @@ class AnalysisService:
         )
         if deadline_s <= 0:
             raise ValueError("deadline_s must be positive")
-        level = None
         if self.governor is not None:
             self._observe_governor()
-            level = self.governor.active
-            deadline_s *= level.deadline_factor
+            deadline_s *= self.governor.active.deadline_factor
         request = PendingRequest(
             request_id=next(self._ids),
             data=intensities,
             deadline_at=float(self.clock()) + deadline_s,
             clock=self.clock,
             on_resolve=self._record,
-            priority=priority,
         )
         self._pending.add(request)
         with self._stats_lock:
@@ -526,27 +511,6 @@ class AnalysisService:
                         "service": self.name},
         )
         request.trace_id = submit_span.trace_id or None
-        if (
-            level is not None
-            and level.min_priority is not None
-            and request.priority < level.min_priority
-        ):
-            submit_span.set_attribute("outcome", "brownout_shed")
-            submit_span.end(status="error: brownout_shed")
-            self._finish(
-                request,
-                Rejected(
-                    reason="brownout_shed",
-                    request_id=request.request_id,
-                    detail={
-                        "level": level.name,
-                        "min_priority": level.min_priority,
-                        "priority": request.priority,
-                    },
-                ),
-                parent_span=submit_span,
-            )
-            return request
         # The queue span must be attached before the enqueue: a worker can
         # dequeue the request before put_nowait even returns.
         request._queue_span = self.tracer.start_span(
@@ -572,32 +536,37 @@ class AnalysisService:
             submit_span.end()
         return request
 
-    def analyze(self, intensities, deadline_s: Optional[float] = None,
-                priority: int = 0):
+    def analyze(self, intensities, deadline_s: Optional[float] = None):
         """Submit and wait; returns a :class:`Completed`, :class:`Rejected`
         or :class:`Abstained`."""
-        return self.submit(
-            intensities, deadline_s=deadline_s, priority=priority
-        ).result()
+        return self.submit(intensities, deadline_s=deadline_s).result()
 
     def stats(self) -> Dict[str, object]:
-        """Counts plus live telemetry: queue depth, in-flight workers and
-        per-outcome p50/p95/p99 latencies from the shared histogram."""
+        """Counts, live queue depth and in-flight batches, and per-outcome
+        p50/p95/p99 latencies from the shared histogram.
+
+        With an uncertainty gate, ``abstention_rate`` is the abstained
+        fraction of every *answered* request so far (completed or
+        abstained; queue-level refusals say nothing about the model),
+        ``None`` before the first answer.
+        """
         with self._stats_lock:
+            abstained = sum(self.abstentions.values())
             base: Dict[str, object] = {
                 "submitted": self.submitted,
                 "completed": self.completed,
                 "rejections": dict(self.rejections),
                 "abstentions": dict(self.abstentions),
-                "abstained": sum(self.abstentions.values()),
+                "abstained": abstained,
                 "circuit_state": self.breaker.state,
                 # Read from the backend: None after a plan-compiler fallback.
                 "frozen": getattr(self.batch_analyzer, "frozen_dtype", None),
+                "queue_depth": self._queue.qsize(),
+                "inflight": self._inflight,
             }
+            answered = self.completed + abstained
         if self.uncertainty is not None:
-            base["abstention_rate"] = self.abstention_rate()
-        base["queue_depth"] = self._b_queue_depth.value()
-        base["inflight"] = self._b_inflight.value()
+            base["abstention_rate"] = abstained / answered if answered else None
         latency: Dict[str, Dict[str, object]] = {}
         for labels in self._m_latency.series_labels():
             if labels.get("service") != self.name:
@@ -620,22 +589,6 @@ class AnalysisService:
         if self.governor is not None:
             base["brownout"] = self.governor.snapshot()
         return base
-
-    def abstention_rate(self) -> Optional[float]:
-        """Abstained fraction of recently *answered* requests.
-
-        Queue-level refusals are excluded — they say nothing about the
-        model's confidence.  ``None`` until the first answer.  This is
-        the signal the brownout governor's ``enter_abstain_rate``
-        trigger consumes: a surging rate usually means the traffic has
-        left the training distribution, and shedding load will not fix
-        that — but it does stop the service burning batch capacity on
-        rows it will refuse anyway.
-        """
-        with self._stats_lock:
-            if not self._answers:
-                return None
-            return float(sum(self._answers)) / len(self._answers)
 
     # -- workers -----------------------------------------------------------
 
@@ -705,6 +658,8 @@ class AnalysisService:
 
     def _process_batch(self, batch: List[PendingRequest]) -> None:
         """Run one coalesced batch with every defence applied per row."""
+        with self._stats_lock:
+            self._inflight += 1
         self._b_inflight.inc()
         try:
             now = float(self.clock())
@@ -772,6 +727,8 @@ class AnalysisService:
                 )
             self._resolve(results, answered)
         finally:
+            with self._stats_lock:
+                self._inflight -= 1
             self._b_inflight.dec()
 
     def _call_backend(self, rows, span):
@@ -902,18 +859,7 @@ class AnalysisService:
     # -- brownout ----------------------------------------------------------
 
     def _observe_governor(self) -> int:
-        return self.governor.maybe_observe(
-            self._queue.qsize() / self.queue_size,
-            self._completed_p95,
-            abstain_rate_fn=(
-                self.abstention_rate if self.uncertainty is not None else None
-            ),
-        )
-
-    def _completed_p95(self) -> Optional[float]:
-        return self._m_latency.percentile(
-            95.0, outcome="completed", service=self.name
-        )
+        return self.governor.observe(self._queue.qsize() / self.queue_size)
 
     def _on_brownout(self, transition: BrownoutTransition) -> None:
         """Default governor callback: gauge + a span event per transition."""
@@ -932,7 +878,6 @@ class AnalysisService:
             {
                 "from": self.governor.levels[transition.from_level].name,
                 "to": self.governor.levels[transition.to_level].name,
-                "p95_s": transition.p95_s,
             },
         )
         span.end()
@@ -1032,17 +977,9 @@ class AnalysisService:
         with self._stats_lock:
             if isinstance(result, Completed):
                 self.completed += 1
-                self._answers.append(0)
-                self._b_abstain_rate.set(
-                    sum(self._answers) / len(self._answers)
-                )
             elif isinstance(result, Abstained):
                 self.abstentions[result.reason] = (
                     self.abstentions.get(result.reason, 0) + 1
-                )
-                self._answers.append(1)
-                self._b_abstain_rate.set(
-                    sum(self._answers) / len(self._answers)
                 )
                 self._m_abstentions.inc(
                     service=self.name, reason=result.reason

@@ -151,9 +151,8 @@ class UncertaintyGate:
     """Predictor + calibrator + policy behind one ``assess`` call.
 
     This is the object :class:`~repro.serving.service.AnalysisService`
-    takes as its ``uncertainty=`` collaborator.  The rolling abstention
-    rate lives in the service
-    (:meth:`~repro.serving.service.AnalysisService.abstention_rate`),
+    takes as its ``uncertainty=`` collaborator.  The abstention rate
+    lives in the service (``AnalysisService.stats()["abstention_rate"]``),
     which sees every row's final outcome, not just the gate's verdict.
     """
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.storage.integrity import CorruptArtifactError, read_archive
 
 
 @pytest.fixture()
@@ -21,17 +22,27 @@ def ms_dataset(tmp_path):
 
 class TestMsGenerate:
     def test_writes_dataset(self, ms_dataset):
-        with np.load(ms_dataset) as data:
-            assert data["x"].shape[0] == 200
-            assert data["y"].shape == (200, 3)
+        arrays, docs = read_archive(ms_dataset)
+        assert arrays["x"].shape[0] == 200
+        assert arrays["y"].shape == (200, 3)
+        assert docs["meta"]["compounds"] == ["N2", "O2", "Ar"]
 
     def test_seed_reproducibility(self, tmp_path):
         a, b = tmp_path / "a.npz", tmp_path / "b.npz"
         for path in (a, b):
             main(["ms-generate", "--n", "20", "--seed", "7",
                   "--mz-step", "0.5", "--out", str(path)])
-        with np.load(a) as da, np.load(b) as db:
-            np.testing.assert_array_equal(da["x"], db["x"])
+        np.testing.assert_array_equal(
+            read_archive(a)[0]["x"], read_archive(b)[0]["x"]
+        )
+
+    def test_damaged_dataset_is_refused(self, ms_dataset, tmp_path):
+        blob = bytearray(ms_dataset.read_bytes())
+        blob[len(blob) // 2] ^= 0x01
+        ms_dataset.write_bytes(bytes(blob))
+        with pytest.raises(CorruptArtifactError):
+            main(["train", "--data", str(ms_dataset), "--topology", "mlp",
+                  "--epochs", "1", "--out", str(tmp_path / "m.npz")])
 
 
 class TestTrainEvaluate:
@@ -103,9 +114,25 @@ class TestNmrCampaign:
         code = main(["nmr-campaign", "--spectra-per-plateau", "2",
                      "--out", str(path)])
         assert code == 0
-        with np.load(path) as data:
-            assert data["x"].shape == (54, 1700)  # 27 plateaus x 2
-            assert data["y"].shape == (54, 4)
+        arrays, _ = read_archive(path)
+        assert arrays["x"].shape == (54, 1700)  # 27 plateaus x 2
+        assert arrays["y"].shape == (54, 4)
+
+
+class TestUncertaintyDemo:
+    def test_demo_serves_or_abstains_every_request(self, capsys):
+        code = main(["uncertainty", "--demo", "--n", "64", "--epochs", "1",
+                     "--members", "2"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        summary = [line for line in lines if line.startswith("served:")]
+        assert len(summary) == 1
+        words = summary[0].split()
+        served = int(words[words.index("served:") + 1])
+        abstained = int(words[words.index("abstained:") + 1])
+        assert served + abstained == 16
+        assert "abstention rate: " in summary[0]
+        assert summary[0].endswith("%")
 
 
 class TestCache:

@@ -1,7 +1,5 @@
 """Unit tests for drift monitoring and recalibration."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -192,41 +190,6 @@ class TestNonFiniteGuard:
         monitor.observe(np.full(AXIS.size, np.nan))
         monitor.reset()
         assert monitor.skipped_nonfinite == 0
-
-
-class TestSnapshotRestore:
-    def test_round_trip_resumes_identically(self, simulator):
-        monitor = _monitor(simulator)
-        x, _ = simulator.generate_dataset(TASK, 10, np.random.default_rng(4))
-        for row in x[:6]:
-            monitor.observe(row)
-        snapshot = monitor.snapshot()
-
-        continued = [monitor.observe(row) for row in x[6:]]
-        # "Process restart": a fresh monitor restored from the snapshot
-        # must produce the same statuses for the same subsequent spectra.
-        reborn = _monitor(simulator)
-        reborn.restore(snapshot)
-        resumed = [reborn.observe(row) for row in x[6:]]
-        assert resumed == continued
-
-    def test_snapshot_is_json_portable(self, simulator):
-        monitor = _monitor(simulator)
-        x, _ = simulator.generate_dataset(TASK, 4, np.random.default_rng(5))
-        for row in x:
-            monitor.observe(row)
-        restored = json.loads(
-            json.dumps(monitor.snapshot(), allow_nan=False)
-        )
-        assert restored == monitor.snapshot()
-
-    def test_restore_carries_the_baseline(self, simulator):
-        monitor = _monitor(simulator)
-        snapshot = monitor.snapshot()
-        snapshot["baseline_residual"] = 0.123
-        reborn = _monitor(simulator)
-        reborn.restore(snapshot)
-        assert reborn.baseline_residual == pytest.approx(0.123)
 
 
 class TestTelemetry:

@@ -172,11 +172,11 @@ class TestOODFlood:
         with service:
             for row in in_dist[:6]:
                 service.analyze(row)
-            quiet = service.abstention_rate()
+            quiet = service.stats()["abstention_rate"]
             for row in noise[:12]:
                 result = service.analyze(row)
                 assert not isinstance(result, Completed)
-            surged = service.abstention_rate()
+            surged = service.stats()["abstention_rate"]
         assert quiet is not None and surged is not None
         assert surged > quiet
         assert surged >= 0.5

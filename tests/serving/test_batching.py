@@ -96,11 +96,10 @@ class TestBrownoutGovernor:
             BrownoutLevel(name="grow", enter_fill=0.5, batch_growth=2.0),
             BrownoutLevel(name="tighten", enter_fill=0.75,
                           deadline_factor=0.5),
-            BrownoutLevel(name="shed", enter_fill=0.9, min_priority=0),
+            BrownoutLevel(name="deepest", enter_fill=0.9, batch_growth=4.0),
         ]
         return BrownoutGovernor(
-            levels=levels, hysteresis=0.8, hold_s=hold_s,
-            sample_interval_s=0.0, clock=clock,
+            levels=levels, hysteresis=0.8, hold_s=hold_s, clock=clock,
         )
 
     def test_escalation_is_immediate_and_skips_levels(self, ):
@@ -140,34 +139,6 @@ class TestBrownoutGovernor:
         governor.observe(0.0)
         clock.advance(1.1)
         assert governor.observe(0.0) == 1
-
-    def test_p95_signal_escalates(self):
-        clock = FakeClock()
-        governor = BrownoutGovernor(
-            levels=[BrownoutLevel(name="slow", enter_p95_s=0.5)],
-            sample_interval_s=0.0, clock=clock,
-        )
-        assert governor.observe(0.0, p95_s=0.1) == 0
-        assert governor.observe(0.0, p95_s=0.6) == 1
-
-    def test_maybe_observe_rate_limits(self):
-        clock = FakeClock()
-        calls = []
-
-        def p95():
-            calls.append(1)
-            return 0.0
-
-        governor = BrownoutGovernor(
-            levels=[BrownoutLevel(name="x", enter_fill=0.5)],
-            sample_interval_s=1.0, clock=clock,
-        )
-        governor.maybe_observe(0.0, p95)
-        governor.maybe_observe(0.0, p95)
-        assert len(calls) == 1  # second sample suppressed
-        clock.advance(1.5)
-        governor.maybe_observe(0.0, p95)
-        assert len(calls) == 2
 
     def test_snapshot_reports_the_active_posture(self):
         clock = FakeClock()
@@ -462,7 +433,7 @@ class TestBrownoutIntegration:
         governor = BrownoutGovernor(
             levels=[BrownoutLevel(name="tighten", enter_fill=0.5,
                                   deadline_factor=0.5)],
-            hold_s=999.0, sample_interval_s=0.0,
+            hold_s=999.0,
         )
         governor.observe(0.9)  # force level 1; hold_s pins it there
         service = self._governed_service(governor)
@@ -472,49 +443,61 @@ class TestBrownoutIntegration:
             assert request.result(timeout=5.0).ok
         assert 0.0 < slack <= 5.0 + 0.1
 
-    def test_low_priority_shed_at_deepest_level(self):
-        governor = BrownoutGovernor(
-            levels=[BrownoutLevel(name="shed", enter_fill=0.5,
-                                  min_priority=0)],
-            hold_s=999.0, sample_interval_s=0.0,
-        )
-        governor.observe(0.9)
-        service = self._governed_service(governor)
-        with service:
-            background = service.analyze(np.ones(LENGTH), priority=-1)
-            foreground = service.analyze(np.ones(LENGTH), priority=0)
-        assert background.reason == "brownout_shed"
-        assert background.detail["level"] == "shed"
-        assert foreground.ok
-
     def test_transitions_surface_in_stats_and_spans(self):
+        """Queue fill alone drives the governor, so the same fill
+        sequence gives the same transitions with telemetry on or off."""
         from repro.observability import MetricsRegistry, Tracer
 
-        tracer = Tracer()
-        governor = BrownoutGovernor(
-            levels=[BrownoutLevel(name="grow", enter_fill=0.5,
-                                  batch_growth=2.0)],
-            hold_s=999.0, sample_interval_s=0.0,
-        )
-        service = self._governed_service(
-            governor, registry=MetricsRegistry(), tracer=tracer,
-            name="brownout-spans",
-        )
-        governor.observe(0.9)  # service installed its transition callback
-        with service:
-            assert service.analyze(np.ones(LENGTH)).ok
-            stats = service.stats()
-        assert stats["brownout"]["level"] == 1
-        assert stats["brownout"]["name"] == "grow"
-        assert stats["brownout"]["transitions"] == 1
-        brownout_spans = [
-            s for s in tracer.finished_spans() if s.name == "serving.brownout"
-        ]
-        assert len(brownout_spans) == 1
-        assert brownout_spans[0].attributes["to_level"] == 1
-        events = brownout_spans[0].events
-        assert events and events[0]["name"] == "brownout_transition"
-        assert events[0]["attributes"]["to"] == "grow"
+        for enabled in (True, False):
+            entered, release = threading.Event(), threading.Event()
+
+            def blocking(data):
+                entered.set()
+                release.wait(10.0)
+                return _double(data)
+
+            tracer = Tracer()
+            governor = BrownoutGovernor(
+                levels=[BrownoutLevel(name="grow", enter_fill=0.5,
+                                      batch_growth=2.0)],
+                hold_s=999.0,
+            )
+            service = AnalysisService(
+                blocking,
+                workers=1,
+                queue_size=4,
+                default_deadline_s=10.0,
+                expected_length=LENGTH,
+                governor=governor,
+                registry=MetricsRegistry(enabled=enabled),
+                tracer=tracer,
+                name="brownout-spans",
+            )
+            with service:
+                pending = [service.submit(np.ones(LENGTH))]
+                assert entered.wait(5.0)
+                # The worker is held: admissions see fills 0/4, 1/4 and
+                # 2/4, and only the last reaches the level's enter_fill.
+                pending += [service.submit(np.ones(LENGTH)) for _ in range(3)]
+                release.set()
+                assert all(p.result(timeout=5.0).ok for p in pending)
+                stats = service.stats()
+            assert [
+                (t.from_level, t.to_level, t.queue_fill)
+                for t in governor.transitions
+            ] == [(0, 1, 0.5)], f"registry enabled={enabled}"
+            assert stats["brownout"]["level"] == 1
+            assert stats["brownout"]["name"] == "grow"
+            assert stats["brownout"]["transitions"] == 1
+            brownout_spans = [
+                s for s in tracer.finished_spans()
+                if s.name == "serving.brownout"
+            ]
+            assert len(brownout_spans) == 1
+            assert brownout_spans[0].attributes["to_level"] == 1
+            events = brownout_spans[0].events
+            assert events and events[0]["name"] == "brownout_transition"
+            assert events[0]["attributes"]["to"] == "grow"
 
 
 class TestBatchedShutdown:
@@ -545,70 +528,3 @@ class TestBatchedShutdown:
             assert result.reason == "shutdown"
         release.set()
 
-
-class TestAbstainRateSignal:
-    """The governor's third trigger: the service's rolling abstention rate."""
-
-    def _governor(self, clock, hold_s=1.0):
-        levels = [
-            BrownoutLevel(
-                name="abstain_surge",
-                enter_abstain_rate=0.5,
-                batch_growth=2.0,
-            ),
-        ]
-        return BrownoutGovernor(
-            levels=levels, hysteresis=0.8, hold_s=hold_s,
-            sample_interval_s=0.0, clock=clock,
-        )
-
-    def test_abstain_rate_alone_escalates(self):
-        governor = self._governor(FakeClock())
-        assert governor.observe(0.0, None, 0.1) == 0
-        assert governor.observe(0.0, None, 0.6) == 1
-        transition = governor.transitions[0]
-        assert transition.abstain_rate == 0.6
-        assert transition.queue_fill == 0.0
-
-    def test_missing_rate_never_triggers_or_blocks_descent(self):
-        clock = FakeClock()
-        governor = self._governor(clock)
-        # No gate installed → abstain_rate is None → trigger inert.
-        assert governor.observe(0.0, None, None) == 0
-        governor.observe(0.0, None, 0.9)
-        assert governor.level == 1
-        # Rate signal disappears (gate removed): calm on the remaining
-        # signals de-escalates after the hold.
-        governor.observe(0.0, None, None)
-        clock.advance(1.5)
-        assert governor.observe(0.0, None, None) == 0
-
-    def test_descent_respects_abstain_hysteresis(self):
-        clock = FakeClock()
-        governor = self._governor(clock)
-        governor.observe(0.0, None, 0.9)
-        assert governor.level == 1
-        # Below enter (0.5) but above exit (0.8 * 0.5 = 0.4): stays put.
-        clock.advance(10.0)
-        assert governor.observe(0.0, None, 0.45) == 1
-        # Calm and held: one step down.
-        governor.observe(0.0, None, 0.1)
-        clock.advance(1.5)
-        assert governor.observe(0.0, None, 0.1) == 0
-
-    def test_two_argument_observe_stays_compatible(self):
-        governor = self._governor(FakeClock())
-        assert governor.observe(0.2) == 0
-        assert governor.observe(0.2, 0.01) == 0
-
-    def test_maybe_observe_samples_the_rate_lazily(self):
-        clock = FakeClock()
-        governor = self._governor(clock)
-        calls = []
-
-        def rate_fn():
-            calls.append(True)
-            return 0.9
-
-        assert governor.maybe_observe(0.0, abstain_rate_fn=rate_fn) == 1
-        assert len(calls) == 1

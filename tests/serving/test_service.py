@@ -390,10 +390,10 @@ def _uncalibrated_gate():
 class _WorkerFaultGovernor(BrownoutGovernor):
     """Samples normally at admission, raises on the worker side."""
 
-    def maybe_observe(self, *args, **kwargs):
+    def observe(self, fill):
         if threading.current_thread().name.startswith("analysis-worker"):
             raise RuntimeError("governor fault")
-        return super().maybe_observe(*args, **kwargs)
+        return super().observe(fill)
 
 
 class TestOnePipeline:
@@ -482,7 +482,7 @@ class TestOnePipeline:
             _double,
             expected_length=LENGTH,
             batching=batching,
-            governor=_WorkerFaultGovernor(sample_interval_s=0.0),
+            governor=_WorkerFaultGovernor(),
         ) as service:
             for _ in range(2):  # the worker survives the first fault
                 started = time.monotonic()

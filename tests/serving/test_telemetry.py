@@ -1,5 +1,6 @@
 """Serving telemetry: span chains, frozen latency, stats percentiles."""
 
+import threading
 import time
 
 import numpy as np
@@ -148,6 +149,30 @@ class TestStatsTelemetry:
         assert completed["count"] == 9
         assert 0 < completed["p50"] <= completed["p95"] <= completed["p99"]
         assert stats["latency_s"]["invalid_input"]["count"] == 1
+
+    def test_stats_reads_live_levels_with_telemetry_off(self):
+        """queue_depth and inflight are true counts, not gauge reads:
+        they hold with a disabled registry."""
+        entered, release = threading.Event(), threading.Event()
+
+        def blocking(data):
+            entered.set()
+            release.wait(10.0)
+            return np.array([float(np.mean(data))])
+
+        service = make_service(
+            blocking, registry=MetricsRegistry(enabled=False),
+            default_deadline_s=10.0,
+        )
+        with service:
+            pending = [service.submit(np.ones(LENGTH))]
+            assert entered.wait(5.0)  # the worker holds the first request
+            pending += [service.submit(np.ones(LENGTH)) for _ in range(4)]
+            stats = service.stats()
+            release.set()
+            assert all(p.result(timeout=5.0).ok for p in pending)
+        assert stats["queue_depth"] == 4
+        assert stats["inflight"] == 1
 
     def test_two_services_do_not_mix_series(self):
         registry = MetricsRegistry()

@@ -1,9 +1,8 @@
 """Abstained as a serving outcome: gate wiring through AnalysisService.
 
 Covers the single-request path, the per-row batched drain, metrics and
-exactly-once accounting, the brownout abstain-rate trigger, and the
-invariant that abstention never counts against the GuardedAnalyzer
-degradation ladder.
+exactly-once accounting, and the invariant that abstention never counts
+against the GuardedAnalyzer degradation ladder.
 """
 
 import numpy as np
@@ -15,8 +14,6 @@ from repro.serving import (
     Abstained,
     AnalysisService,
     BatchingPolicy,
-    BrownoutGovernor,
-    BrownoutLevel,
     CircuitBreaker,
     Completed,
 )
@@ -145,27 +142,12 @@ class TestSinglePath:
         with _service(
             _analyzer, expected_length=LENGTH, uncertainty=_gate()
         ) as service:
-            assert service.abstention_rate() is None
+            assert service.stats()["abstention_rate"] is None
             service.analyze(_spectrum(5.0))
             bad = _spectrum()
             bad[0] = np.inf
             service.analyze(bad)  # rejected: says nothing about the model
-            assert service.abstention_rate() == 1.0
-
-    def test_abstention_rate_windows_recent_answers(self):
-        with _service(
-            _analyzer, expected_length=LENGTH, uncertainty=_gate()
-        ) as service:
-            for _ in range(64):
-                service.analyze(_spectrum(0.1))
-            assert service.abstention_rate() == 0.0
-            for _ in range(32):
-                service.analyze(_spectrum(5.0))
-            assert service.abstention_rate() == 0.5
-            # A window of 64: 32 more abstentions evict the served rows.
-            for _ in range(32):
-                service.analyze(_spectrum(5.0))
-            assert service.abstention_rate() == 1.0
+            assert service.stats()["abstention_rate"] == 1.0
 
     def test_metrics_count_abstentions_by_reason(self):
         with scoped() as (registry, _):
@@ -178,9 +160,6 @@ class TestSinglePath:
             assert registry.counter("serving_abstentions_total").value(
                 service="analysis", reason=REASON_INTERVAL_TOO_WIDE
             ) == 2
-            assert registry.gauge("serving_abstention_rate").value(
-                service="analysis"
-            ) == pytest.approx(2 / 3)
 
     def test_abstention_never_trips_the_breaker(self):
         breaker = CircuitBreaker(failure_threshold=2)
@@ -261,48 +240,6 @@ class TestBatchedPath:
             == stats["submitted"]
             == 30
         )
-
-
-class TestBrownoutAbstainSignal:
-    def test_abstain_surge_escalates_the_governor(self):
-        governor = BrownoutGovernor(
-            levels=[
-                BrownoutLevel(
-                    name="abstain_surge",
-                    enter_abstain_rate=0.5,
-                    batch_growth=2.0,
-                ),
-            ],
-            sample_interval_s=0.0,
-            hold_s=60.0,  # never de-escalate during the test
-        )
-        with _service(
-            _analyzer,
-            expected_length=LENGTH,
-            governor=governor,
-            uncertainty=_gate(),
-        ) as service:
-            for _ in range(4):
-                service.analyze(_spectrum(5.0))
-            # The next admission samples the surged rate and escalates.
-            service.analyze(_spectrum(5.0))
-            assert governor.level == 1
-        transition = governor.transitions[0]
-        assert transition.abstain_rate == pytest.approx(1.0)
-
-    def test_no_gate_means_no_abstain_signal(self):
-        governor = BrownoutGovernor(
-            levels=[
-                BrownoutLevel(name="abstain_surge", enter_abstain_rate=0.5),
-            ],
-            sample_interval_s=0.0,
-        )
-        with _service(
-            _analyzer, expected_length=LENGTH, governor=governor
-        ) as service:
-            for _ in range(5):
-                service.analyze(_spectrum(0.1))
-            assert governor.level == 0
 
 
 class TestGuardedLadder:
