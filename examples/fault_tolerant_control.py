@@ -9,13 +9,16 @@ saturates the detector, kills channels (NaN), adds spikes and baseline
 jumps, and the control loop keeps holding its setpoint anyway:
 
 * a :class:`RetryPolicy` re-acquires dropped scans within the control
-  period (and holds the actuator if the instrument stays dead);
-* a :class:`GuardedAnalyzer` gates non-finite or implausible spectra away
-  from the ANN (which would otherwise feed garbage estimates to the
-  controller) and degrades primary ANN -> hold-last-good -> IHM fallback
-  -> safe hold.  The plausibility gate is calibrated from the training
-  spectra: max-intensity and edge-baseline envelopes catch spikes and
-  baseline jumps; mild saturation passes as tolerable corruption.
+  period;
+* a plausibility gate in front of the ANN raises on implausible spectra,
+  which would otherwise feed garbage estimates to the controller.  The
+  gate is calibrated from the training spectra: max-intensity and
+  edge-baseline envelopes catch spikes and baseline jumps; mild
+  saturation passes as tolerable corruption;
+* the loop's one degradation rule does the rest: a blind period — scan
+  lost after retries, non-finite scan (never shown to the ANN), gate or
+  analyzer raised, non-finite estimate — holds the actuator instead of
+  updating the controller.
 
 Run:  python examples/fault_tolerant_control.py
 """
@@ -23,28 +26,16 @@ Run:  python examples/fault_tolerant_control.py
 import numpy as np
 
 from repro import nn
-from repro.core import (
-    ClosedLoopSimulation,
-    ann_analyzer,
-    ihm_analyzer,
-    nmr_conv_topology,
-)
+from repro.core import ClosedLoopSimulation, ann_analyzer, nmr_conv_topology
 from repro.nmr import (
     DoEPlan,
     FlowReactorExperiment,
-    IHMAnalysis,
     NMRSpectrumSimulator,
     ReactionKinetics,
     VirtualNMRSpectrometer,
     mndpa_reaction_models,
 )
-from repro.nmr.reaction import OBSERVED_COMPONENTS
-from repro.reliability import (
-    FaultConfig,
-    FaultInjector,
-    GuardedAnalyzer,
-    RetryPolicy,
-)
+from repro.reliability import FaultConfig, FaultInjector, RetryPolicy
 
 
 def train_analyzer_network(models, rng):
@@ -77,6 +68,17 @@ def plausibility_gate(x_train):
     return plausible
 
 
+def gated(analyzer, plausible):
+    """``analyzer``, raising on a scan the gate finds implausible."""
+
+    def analyze(data):
+        if not plausible(data):
+            raise ValueError("implausible scan")
+        return analyzer(data)
+
+    return analyze
+
+
 def main():
     rng = np.random.default_rng(0)
     models = mndpa_reaction_models()
@@ -89,19 +91,9 @@ def main():
     spectrometer = VirtualNMRSpectrometer.benchtop(models, seed=7)
     injector = FaultInjector(spectrometer, FaultConfig.all_faults(0.08), seed=3)
 
-    safe = np.zeros(len(OBSERVED_COMPONENTS))
-    safe[OBSERVED_COMPONENTS.index("MNDPA")] = target
-    guard = GuardedAnalyzer(
-        ann_analyzer(network),
-        safe_estimate=safe,
-        fallback=ihm_analyzer(
-            IHMAnalysis(models, fit_shifts=False, fit_broadening=False)
-        ),
-        checker=plausibility_gate(x_train),
-        hold_limit=2,
-    )
+    analyzer = gated(ann_analyzer(network), plausibility_gate(x_train))
     loop = ClosedLoopSimulation(
-        ReactionKinetics(), injector, guard, target_product=target,
+        ReactionKinetics(), injector, analyzer, target_product=target,
         retry_policy=RetryPolicy(max_attempts=4, base_delay=0.0,
                                  sleep=lambda s: None),
     )
@@ -121,12 +113,8 @@ def main():
     print(f"\ninstrument faults injected over {injector.scans} scans:")
     for kind, count in sorted(injector.fault_counts.items()):
         print(f"  {kind:>14s}: {count}")
-    print(f"\nsteps lost to the instrument even after retries: "
-          f"{loop.dropped_steps} (actuator held)")
-    print("analyzer tiers used:")
-    for tier, count in guard.tier_counts.items():
-        print(f"  {tier:>14s}: {count}")
-    print(f"degraded analyzer fraction: {guard.degraded_fraction:.1%}")
+    held = sum(step.degraded for step in trajectory)
+    print(f"\nblind periods (actuator held): {held} of {len(trajectory)}")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,9 @@ Subpackages:
   substitute);
 * :mod:`repro.embedded` — Jetson platform cost model (Table 2);
 * :mod:`repro.reliability` — fault injection, retrying acquisition,
-  checkpoint/resume training and graceful closed-loop degradation;
+  checkpoint/resume training and validation gates (the closed loop's one
+  degradation rule, holding the actuator when blind, lives in
+  :mod:`repro.core.closed_loop`);
 * :mod:`repro.storage` — checksummed envelopes, atomic writes and the
   append-only journal behind every durable artifact;
 * :mod:`repro.serving` — hardened concurrent analysis service with

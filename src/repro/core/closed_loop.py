@@ -11,6 +11,11 @@ callable) reading benchtop NMR spectra of the reactor output.
 Because the plant responds once per control period, an analyzer that takes
 longer than the period (IHM at commercial speed) forces a slower loop —
 the latency argument of §III.B.3 made operational.
+
+One degradation rule covers every bad period: when the loop is *blind* —
+the scan was lost, a scan intensity is not finite, the analyzer raised, or
+its estimate is not finite — the controller is not updated and the
+actuator holds its last value.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ from repro.reliability.faults import AcquisitionError
 from repro.reliability.retry import RetryPolicy
 
 __all__ = ["PIController", "ControlStep", "ClosedLoopSimulation"]
+
+_PRODUCT_INDEX = OBSERVED_COMPONENTS.index("MNDPA")
 
 
 @dataclass
@@ -75,8 +82,9 @@ class PIController:
 class ControlStep:
     """One sample of the closed-loop trajectory.
 
-    ``degraded`` marks steps where acquisition failed even after retries
-    and the controller held its last actuator value instead of updating.
+    ``degraded`` marks blind steps: the controller held its last actuator
+    value instead of updating, and ``estimated_product`` repeats the last
+    good estimate.
     """
 
     step: int
@@ -95,7 +103,9 @@ class ClosedLoopSimulation:
     benchtop spectrum each control period.
 
     ``analyzer(spectrum_intensities) -> (concentration_vector, seconds)``
-    where the vector follows :data:`OBSERVED_COMPONENTS` order.
+    where the vector follows :data:`OBSERVED_COMPONENTS` order.  An
+    analyzer that refuses a scan (e.g. a plausibility gate) raises; that
+    period is blind, like a lost scan.
     """
 
     def __init__(
@@ -122,19 +132,18 @@ class ClosedLoopSimulation:
         )
         self.disturbance = disturbance
         self.retry_policy = retry_policy
-        self.dropped_steps = 0
 
     def run(self, n_steps: int, rng: np.random.Generator) -> List[ControlStep]:
         """Simulate ``n_steps`` control periods; returns the trajectory.
 
         With a ``retry_policy``, a dropped scan is re-acquired within the
-        control period; if every attempt fails the controller performs a
-        safe actuator hold (no update) for that step and the step is marked
-        ``degraded``.  Without a policy, acquisition errors propagate.
+        control period; if every attempt fails the period is blind.
+        Without a policy, acquisition errors propagate.  A blind period
+        skips the controller update (the actuator holds) and is marked
+        ``degraded``.
         """
         if n_steps <= 0:
             raise ValueError("n_steps must be positive")
-        product_index = OBSERVED_COMPONENTS.index("MNDPA")
         residence = self.base_conditions.residence_time_s
         last_estimate = self.target_product
         trajectory: List[ControlStep] = []
@@ -145,35 +154,38 @@ class ClosedLoopSimulation:
             if self.disturbance is not None:
                 conditions = self.disturbance(step, conditions)
             outlet = self.kinetics.outlet_concentrations(conditions)
-            spectrum = self._acquire(outlet, rng)
-            if spectrum is None:
-                # Acquisition lost even after retries: hold the actuator.
-                self.dropped_steps += 1
-                trajectory.append(
-                    ControlStep(
-                        step=step,
-                        residence_time_s=conditions.residence_time_s,
-                        true_product=outlet["MNDPA"],
-                        estimated_product=float(last_estimate),
-                        analyzer_seconds=0.0,
-                        degraded=True,
-                    )
-                )
-                continue
-            estimate, seconds = self.analyzer(spectrum.intensities)
-            estimated_product = float(estimate[product_index])
-            last_estimate = estimated_product
-            residence = self.controller.update(estimated_product)
+            estimate = self._estimate(self._acquire(outlet, rng))
+            seconds = 0.0
+            if estimate is not None:
+                last_estimate, seconds = estimate
+                residence = self.controller.update(last_estimate)
             trajectory.append(
                 ControlStep(
                     step=step,
                     residence_time_s=conditions.residence_time_s,
                     true_product=outlet["MNDPA"],
-                    estimated_product=estimated_product,
-                    analyzer_seconds=float(seconds),
+                    estimated_product=last_estimate,
+                    analyzer_seconds=seconds,
+                    degraded=estimate is None,
                 )
             )
         return trajectory
+
+    def _estimate(self, spectrum):
+        """``(product estimate, analyzer seconds)``, or None when blind.
+
+        A non-finite scan is blind before it can reach the analyzer.
+        """
+        if spectrum is None or not np.isfinite(spectrum.intensities).all():
+            return None
+        try:
+            estimate, seconds = self.analyzer(spectrum.intensities)
+        except Exception:
+            return None
+        estimate = np.asarray(estimate, dtype=np.float64)
+        if not np.isfinite(estimate).all():
+            return None
+        return float(estimate[_PRODUCT_INDEX]), float(seconds)
 
     def _acquire(self, outlet, rng):
         """One spectrum, or None if acquisition failed after all retries."""

@@ -30,7 +30,11 @@ from repro.ms.simulator import MassSpectrometerSimulator
 from repro.ms.spectrum import MassSpectrum, MzAxis
 from repro.nn.model import Sequential
 from repro.nn.training import EarlyStopping, History
-from repro.reliability.retry import RetryPolicy, finite_intensities
+from repro.reliability.retry import (
+    RetryPolicy,
+    acquire_with_retry,
+    finite_intensities,
+)
 from repro.reliability.validation import validate_spectrum
 
 __all__ = ["MSToolchain", "ToolchainResult"]
@@ -104,8 +108,9 @@ class MSToolchain:
             for mixture in plan.mixtures:
                 for _ in range(samples_per_mixture):
                     measurements.append(
-                        retry_policy.call(
-                            self._checked_measurement, rig, mixture
+                        acquire_with_retry(
+                            rig.measure_mixture, mixture,
+                            policy=retry_policy, validate=finite_intensities,
                         )
                     )
         artifact = self.provenance.record(
@@ -117,18 +122,6 @@ class MSToolchain:
             },
         )
         return measurements, artifact
-
-    @staticmethod
-    def _checked_measurement(
-        rig: MassFlowControllerRig, mixture: Mapping[str, float]
-    ) -> Measurement:
-        """One sample; non-finite scans are failed acquisitions (retried)."""
-        from repro.reliability.faults import AcquisitionError
-
-        measurement = rig.measure_mixture(mixture)
-        if not finite_intensities(measurement):
-            raise AcquisitionError("scan contains non-finite intensities")
-        return measurement
 
     def build_simulator(
         self, measurements: Sequence[Measurement], measurements_artifact: int
@@ -266,54 +259,6 @@ class MSToolchain:
             parents=parents,
         )
         return model, history, validation_mae, artifact
-
-    def fine_tune_network(
-        self,
-        model: Sequential,
-        dataset: SpectraDataset,
-        epochs: int = 8,
-        batch_size: int = 32,
-        learning_rate: float = 0.002,
-        seed: int = 0,
-        dataset_artifact: Optional[int] = None,
-        parent_artifact: Optional[int] = None,
-    ) -> Tuple[Sequential, History, int]:
-        """Continue training a *copy* of ``model`` on a small dataset.
-
-        This is the cheap arm of in-lifecycle re-adaptation: instead of
-        re-running the whole characterize-simulate-train loop, the
-        deployed network is cloned (the serving weights are never touched
-        — the adaptation controller decides whether the tuned copy ever
-        serves) and nudged with a few epochs at a reduced learning rate
-        on the handful of labelled shifted-real measurements an operator
-        can actually afford.  Returns (tuned model, history, artifact id).
-        """
-        from repro.nn.optimizers import Adam
-        from repro.nn.serialization import clone_model
-
-        tuned = clone_model(model, seed=seed)
-        tuned.compile(Adam(learning_rate), "mae")
-        history = tuned.fit(
-            dataset.x,
-            dataset.y,
-            epochs=epochs,
-            batch_size=min(batch_size, len(dataset.x)),
-            seed=seed,
-        )
-        parents = [
-            parent for parent in (dataset_artifact, parent_artifact)
-            if parent is not None
-        ]
-        artifact = self.provenance.record(
-            "network_finetune",
-            {
-                "epochs_run": len(history.epochs),
-                "n_samples": len(dataset.x),
-                "learning_rate": learning_rate,
-            },
-            parents=parents,
-        )
-        return tuned, history, artifact
 
     def evaluate_on_measurements(
         self, model: Sequential, measurements: Sequence[Measurement]

@@ -2,22 +2,21 @@
 
 The paper's conclusion asks how these systems can run "automatically and
 reliably ... within the life cycle of a production".  This package answers
-with four cooperating pieces:
+with five cooperating pieces (the closed loop's own degradation rule —
+a blind control period holds the actuator — lives in
+:mod:`repro.core.closed_loop`):
 
 * :mod:`repro.reliability.faults` — a deterministic, seedable
   :class:`FaultInjector` that wraps any spectrum source and injects
   instrument fault models (dropped scans, detector saturation, dead
   channels, spikes, baseline jumps);
 * :mod:`repro.reliability.retry` — :class:`RetryPolicy` (bounded attempts,
-  exponential backoff, deterministic jitter, injectable sleep) and the
-  :func:`acquire_with_retry` helper used by the MS toolchain and closed
-  loop;
+  capped exponential backoff, seeded jitter, injectable sleep), used by
+  the closed loop, the MS toolchain (through :func:`acquire_with_retry`)
+  and the compute executor;
 * :mod:`repro.reliability.checkpoint` — :class:`CheckpointManager` and the
   :class:`Checkpoint` training callback, enabling
   ``TrainingService.train_all(resume=True)``;
-* :mod:`repro.reliability.degradation` — :class:`GuardedAnalyzer`, the
-  closed-loop degradation ladder (primary → hold-last-good → fallback →
-  safe estimate);
 * :mod:`repro.reliability.validation` — input validation gates (shape,
   dtype, finiteness, axis monotonicity, value range) with the structured
   :class:`ValidationError` taxonomy, applied at the ``Sequential.predict``
@@ -41,7 +40,6 @@ from repro.reliability.retry import (
     finite_intensities,
 )
 from repro.reliability.checkpoint import Checkpoint, CheckpointData, CheckpointManager
-from repro.reliability.degradation import DegradationEvent, GuardedAnalyzer
 from repro.reliability.storage_faults import (
     StorageFaultEvent,
     StorageFaultInjector,
@@ -69,12 +67,10 @@ __all__ = [
     "Checkpoint",
     "CheckpointData",
     "CheckpointManager",
-    "DegradationEvent",
     "DtypeError",
     "FaultConfig",
     "FaultEvent",
     "FaultInjector",
-    "GuardedAnalyzer",
     "MonotonicityError",
     "NonFiniteError",
     "RangeError",

@@ -6,9 +6,9 @@ life cycle of a production".  The simulators deliberately model a *static*
 instrument; real spectrometers drop scans, saturate their detectors, grow
 dead channels and jump their baselines.  :class:`FaultInjector` wraps any
 spectrum source and injects exactly those fault classes, seeded and fully
-logged, so recovery machinery (retry policies, degradation ladders,
-checkpointing) can be exercised in tests and benchmarks instead of waiting
-for hardware to misbehave.
+logged, so recovery machinery (retry policies, the closed loop's actuator
+hold, checkpointing) can be exercised in tests and benchmarks instead of
+waiting for hardware to misbehave.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ is injectable, so retry behaviour is exactly reproducible in tests.
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Tuple, Type
+from typing import Callable, Optional, Tuple, Type
 
 import numpy as np
 
@@ -32,24 +32,10 @@ class RetryExhaustedError(AcquisitionError):
 
 
 class RetryPolicy:
-    """Bounded retries with exponential backoff and seeded jitter.
+    """Bounded retries with capped exponential backoff and seeded jitter.
 
-    ``jitter_mode`` picks how the seeded jitter perturbs the backoff:
-
-    * ``"scaled"`` (the default) multiplies the raw exponential delay by
-      ``1 ± jitter`` — small symmetric noise around the schedule;
-    * ``"full"`` draws the delay uniformly from ``[0, raw]`` (AWS-style
-      full jitter).  Scaled jitter keeps concurrent workers that failed
-      together *clustered*: they all retry near the same instant and hit
-      the backend as a synchronized retry storm, wave after wave.  Full
-      jitter spreads the same workers across the whole backoff window,
-      so the recovering backend sees a trickle instead of spikes.
-
-    ``deadline_s`` is an optional total time budget per :meth:`call`,
-    measured by the injectable ``clock`` from the first attempt: once the
-    budget would be exhausted by the elapsed time plus the next backoff
-    delay, the policy stops retrying immediately instead of retrying past
-    the deadline (a retry whose result nobody will consume is pure load).
+    The delay before retry ``n`` is ``base_delay * backoff ** (n - 1)``,
+    scaled by ``1 ± jitter`` and then capped at ``max_delay``.
     """
 
     def __init__(
@@ -59,12 +45,9 @@ class RetryPolicy:
         backoff: float = 2.0,
         max_delay: float = 30.0,
         jitter: float = 0.1,
-        jitter_mode: str = "scaled",
         retry_on: Tuple[Type[BaseException], ...] = (AcquisitionError,),
         sleep: Callable[[float], None] = time.sleep,
         seed: int = 0,
-        deadline_s: Optional[float] = None,
-        clock: Callable[[], float] = time.monotonic,
         registry: Optional[MetricsRegistry] = None,
     ):
         if max_attempts < 1:
@@ -75,22 +58,13 @@ class RetryPolicy:
             raise ValueError("backoff must be >= 1.0")
         if not 0.0 <= jitter < 1.0:
             raise ValueError("jitter must be in [0, 1)")
-        if jitter_mode not in ("scaled", "full"):
-            raise ValueError(
-                f"jitter_mode must be 'scaled' or 'full', got {jitter_mode!r}"
-            )
-        if deadline_s is not None and deadline_s <= 0:
-            raise ValueError("deadline_s must be positive")
         self.max_attempts = int(max_attempts)
         self.base_delay = float(base_delay)
         self.backoff = float(backoff)
         self.max_delay = float(max_delay)
         self.jitter = float(jitter)
-        self.jitter_mode = str(jitter_mode)
         self.retry_on = tuple(retry_on)
         self.sleep = sleep
-        self.deadline_s = float(deadline_s) if deadline_s is not None else None
-        self.clock = clock
         self._rng = np.random.default_rng(seed)
         registry = registry if registry is not None else get_registry()
         self._m_attempts = registry.counter(
@@ -100,31 +74,26 @@ class RetryPolicy:
             "retry_retries_total", "attempts that were retries"
         )
         self._m_exhausted = registry.counter(
-            "retry_exhausted_total", "calls abandoned, by cause"
+            "retry_exhausted_total", "calls abandoned after the last attempt"
         )
         self.total_attempts = 0
         self.total_retries = 0
-        self.deadline_stops = 0
 
     def delay(self, attempt: int) -> float:
         """Backoff before retry number ``attempt`` (1-based), with jitter."""
         if attempt < 1:
             raise ValueError("attempt must be >= 1")
         raw = min(self.base_delay * self.backoff ** (attempt - 1), self.max_delay)
-        if self.jitter_mode == "full":
-            return float(self._rng.uniform(0.0, raw))
         if self.jitter == 0.0:
             return raw
-        return raw * (1.0 + self.jitter * float(self._rng.uniform(-1.0, 1.0)))
+        jittered = raw * (1.0 + self.jitter * float(self._rng.uniform(-1.0, 1.0)))
+        return min(jittered, self.max_delay)
 
     def call(self, fn: Callable, *args, **kwargs):
-        """Call ``fn`` under this policy; re-raise after the last attempt.
+        """Call ``fn`` under this policy.
 
-        Raises :class:`RetryExhaustedError` when the attempts are used up
-        *or* when ``deadline_s`` would be exceeded before the next retry
-        could even start.
+        Raises :class:`RetryExhaustedError` once the attempts are used up.
         """
-        start = self.clock()
         last_error: Optional[BaseException] = None
         for attempt in range(1, self.max_attempts + 1):
             self.total_attempts += 1
@@ -135,21 +104,10 @@ class RetryPolicy:
                 last_error = error
                 if attempt == self.max_attempts:
                     break
-                delay = self.delay(attempt)
-                if (
-                    self.deadline_s is not None
-                    and self.clock() - start + delay >= self.deadline_s
-                ):
-                    self.deadline_stops += 1
-                    self._m_exhausted.inc(cause="deadline")
-                    raise RetryExhaustedError(
-                        f"deadline budget of {self.deadline_s}s exhausted "
-                        f"after {attempt} attempt(s); last: {last_error}"
-                    ) from last_error
                 self.total_retries += 1
                 self._m_retries.inc()
-                self.sleep(delay)
-        self._m_exhausted.inc(cause="attempts")
+                self.sleep(self.delay(attempt))
+        self._m_exhausted.inc()
         raise RetryExhaustedError(
             f"{self.max_attempts} attempts failed; last: {last_error}"
         ) from last_error

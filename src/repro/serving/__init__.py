@@ -23,9 +23,8 @@ hold under load and failure:
   tighten deadlines — walked with hysteresis over queue fill).
 
 Layering: ``serving`` sits above ``reliability`` and below nothing — it
-may be driven by any analyzer callable (ANN, IHM, or a
-:class:`~repro.reliability.degradation.GuardedAnalyzer` ladder).  The
-opt-in frozen path
+may be driven by any analyzer callable (ANN, IHM, or a caller's
+wrapper around either).  The opt-in frozen path
 (``AnalysisService(batch_analyzer=batch_analyzer_from_model(model,
 frozen=...))``) reaches *down* into the
 :mod:`repro.inference` leaf to compile the model once and serve batches

@@ -135,9 +135,9 @@ class Abstained:
     ``value`` is the (finite) point prediction the service declined to
     serve, ``lower``/``upper`` the calibrated interval that was too wide,
     ``reason`` one of the gate's ``REASON_*`` constants.  Not a failure:
-    abstention never trips the circuit breaker and never counts against
-    a degradation ladder — but ``ok`` is ``False`` because the caller
-    did not get an answer it may act on.
+    abstention never trips the circuit breaker and never invokes the
+    analyzer — but ``ok`` is ``False`` because the caller did not get an
+    answer it may act on.
     """
 
     reason: str

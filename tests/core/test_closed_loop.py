@@ -1,5 +1,7 @@
 """Unit tests for closed-loop process control."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.nmr import (
     mndpa_reaction_models,
 )
 from repro.nmr.reaction import OBSERVED_COMPONENTS
+from repro.reliability import AcquisitionError, RetryPolicy
 
 MODELS = mndpa_reaction_models()
 
@@ -189,3 +192,81 @@ class TestClosedLoop:
         estimate, seconds = analyzer(np.zeros(1700))
         assert estimate.shape == (4,)
         assert seconds > 0
+
+
+class _RecordingController(PIController):
+    """A PI controller that logs its integral around every update."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.integrals = []  # (before, after) per update
+
+    def update(self, measurement, dt=1.0):
+        before = self._integral
+        output = super().update(measurement, dt)
+        self.integrals.append((before, self._integral))
+        return output
+
+
+class TestBlindPeriod:
+    """Period 1 of 3 is blind; it must hold the actuator, nothing more."""
+
+    @staticmethod
+    def _run(cause):
+        scans = []
+        seen = []
+
+        def acquire(outlet, rng=None):
+            scans.append(len(scans))
+            scan = len(scans) - 1
+            if cause == "lost" and scan in (1, 2):  # both attempts fail
+                raise AcquisitionError("scan lost")
+            intensities = np.ones(8)
+            if cause == "non_finite_scan" and scan == 1:
+                intensities[3] = np.nan
+            return SimpleNamespace(intensities=intensities)
+
+        def analyzer(intensities):
+            seen.append(intensities)
+            estimate = np.full(len(OBSERVED_COMPONENTS), 0.1)
+            if len(seen) == 2 and cause == "analyzer_raised":
+                raise ValueError("implausible scan")
+            if len(seen) == 2 and cause == "non_finite_estimate":
+                estimate[0] = np.inf
+            return estimate, 0.001
+
+        controller = _RecordingController(
+            kp=600.0, ki=150.0, setpoint=0.2, output_min=10.0,
+            output_max=600.0,
+        )
+        simulation = ClosedLoopSimulation(
+            ReactionKinetics(), SimpleNamespace(acquire=acquire), analyzer,
+            target_product=0.2, controller=controller,
+            retry_policy=RetryPolicy(
+                max_attempts=2, base_delay=0.0, sleep=lambda s: None
+            ),
+        )
+        trajectory = simulation.run(3, np.random.default_rng(0))
+        return trajectory, controller, seen
+
+    @pytest.mark.parametrize(
+        "cause",
+        ["lost", "non_finite_scan", "analyzer_raised", "non_finite_estimate"],
+    )
+    def test_blind_period_holds_the_actuator(self, cause):
+        trajectory, controller, seen = self._run(cause)
+        assert [step.degraded for step in trajectory] == [False, True, False]
+        # The blind period did not move the pump ...
+        assert trajectory[2].residence_time_s == trajectory[1].residence_time_s
+        assert trajectory[1].residence_time_s != trajectory[0].residence_time_s
+        # ... nor touch the integral: only periods 0 and 2 updated, and
+        # period 2 started from the integral period 0 left.
+        assert len(controller.integrals) == 2
+        assert controller.integrals[1][0] == controller.integrals[0][1]
+        assert controller.integrals[1][1] != controller.integrals[1][0]
+        assert trajectory[1].estimated_product == trajectory[0].estimated_product
+        assert trajectory[1].analyzer_seconds == 0.0
+        # A non-finite scan never reaches the analyzer.
+        assert all(np.isfinite(data).all() for data in seen)
+        expected_calls = 2 if cause in ("lost", "non_finite_scan") else 3
+        assert len(seen) == expected_calls

@@ -2,7 +2,7 @@
 
 With all fault classes active at well above 5% per scan, the MS toolchain
 must still characterize/train end to end, a 50-step closed NMR control
-loop must finish with the GuardedAnalyzer absorbing the bad scans, and a
+loop must finish with blind periods holding the actuator, and a
 killed training sweep must resume to the same metrics — no unhandled
 exception anywhere.
 """
@@ -23,11 +23,9 @@ from repro.nmr import (
     VirtualNMRSpectrometer,
     mndpa_reaction_models,
 )
-from repro.nmr.reaction import OBSERVED_COMPONENTS
 from repro.reliability import (
     FaultConfig,
     FaultInjector,
-    GuardedAnalyzer,
     RetryPolicy,
     acquire_with_retry,
     finite_intensities,
@@ -129,21 +127,14 @@ class TestChaoticClosedLoop:
         )
         ihm = IHMAnalysis(models, fit_shifts=False, fit_broadening=False)
         target = 0.15
-        safe = np.zeros(len(OBSERVED_COMPONENTS))
-        safe[OBSERVED_COMPONENTS.index("MNDPA")] = target
-        guard = GuardedAnalyzer(
-            ihm_analyzer(ihm), safe, fallback=ihm_analyzer(ihm), hold_limit=2
-        )
         simulation = ClosedLoopSimulation(
-            ReactionKinetics(), injector, guard,
+            ReactionKinetics(), injector, ihm_analyzer(ihm),
             target_product=target, retry_policy=_policy(max_attempts=4),
         )
         trajectory = simulation.run(50, np.random.default_rng(0))
 
         assert len(trajectory) == 50
-        assert guard.degraded_steps > 0
-        assert guard.calls + simulation.dropped_steps == 50
-        assert sum(step.degraded for step in trajectory) == simulation.dropped_steps
+        assert sum(step.degraded for step in trajectory) > 0
         assert injector.fault_counts.get("dropped_scan", 0) > 0
         # Despite the chaos the loop still holds the setpoint loosely.
         final = np.mean([s.true_product for s in trajectory[-10:]])

@@ -53,6 +53,7 @@ class TestRetryPolicy:
         with pytest.raises(RetryExhaustedError) as excinfo:
             policy.call(always_fails)
         assert isinstance(excinfo.value.__cause__, AcquisitionError)
+        assert "2 attempts failed" in str(excinfo.value)
 
     def test_non_retryable_errors_propagate_immediately(self):
         policy = RetryPolicy(max_attempts=5, sleep=lambda s: None)
@@ -78,54 +79,16 @@ class TestRetryPolicy:
         assert a != c
 
     def test_jitter_stays_within_band(self):
-        policy = RetryPolicy(base_delay=1.0, backoff=1.0, jitter=0.1, seed=0)
-        for attempt in range(1, 50):
-            assert 0.9 <= policy.delay(attempt) <= 1.1
-
-    def test_jitter_mode_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter_mode="lumpy")
-
-    def test_full_jitter_spans_the_whole_backoff_window(self):
-        policy = RetryPolicy(
-            base_delay=1.0, backoff=2.0, max_delay=8.0,
-            jitter_mode="full", seed=0,
-        )
-        for attempt in (1, 2, 3, 4):
-            raw = min(1.0 * 2.0 ** (attempt - 1), 8.0)
-            samples = [policy.delay(attempt) for _ in range(200)]
-            assert all(0.0 <= s <= raw for s in samples)
-            # Full jitter must actually use the low end of the window —
-            # scaled jitter never goes below raw * (1 - jitter).
-            assert min(samples) < 0.25 * raw
-
-    def test_full_jitter_is_deterministic_per_seed(self):
-        a = [RetryPolicy(jitter_mode="full", seed=3).delay(i)
-             for i in (1, 2, 3)]
-        b = [RetryPolicy(jitter_mode="full", seed=3).delay(i)
-             for i in (1, 2, 3)]
-        c = [RetryPolicy(jitter_mode="full", seed=4).delay(i)
-             for i in (1, 2, 3)]
-        assert a == b
-        assert a != c
-
-    def test_full_jitter_desynchronizes_concurrent_workers(self):
-        """The retry-storm scenario: workers that failed together must not
-        retry together.  Scaled jitter keeps their first-retry delays
-        within a 2*jitter band; full jitter spreads them."""
-        def first_delays(jitter_mode):
-            return [
-                RetryPolicy(
-                    base_delay=1.0, jitter=0.1, jitter_mode=jitter_mode,
-                    seed=worker,
-                ).delay(1)
-                for worker in range(16)
-            ]
-
-        scaled = first_delays("scaled")
-        full = first_delays("full")
-        assert max(scaled) - min(scaled) <= 0.2  # clustered: the storm
-        assert max(full) - min(full) > 0.5  # spread across the window
+        # Uncapped, the delay stays within raw * (1 ± jitter); at the cap,
+        # jitter may pull it down but never push it past max_delay.
+        cases = ((30.0, 0.1, 0.9, 1.1), (1.0, 0.5, 0.5, 1.0))
+        for max_delay, jitter, low, high in cases:
+            policy = RetryPolicy(
+                base_delay=1.0, backoff=1.0, max_delay=max_delay,
+                jitter=jitter, seed=0,
+            )
+            for attempt in range(1, 50):
+                assert low <= policy.delay(attempt) <= high
 
 
 class TestAcquireWithRetry:
@@ -180,87 +143,3 @@ class TestFiniteIntensities:
         bad = (MassSpectrum(axis, np.full(axis.size, np.nan)), {"A": 1.0})
         assert finite_intensities(good)
         assert not finite_intensities(bad)
-
-
-class TestDeadlineBudget:
-    """The retry loop must stop once the enclosing deadline is exhausted."""
-
-    @staticmethod
-    def _fake_time():
-        state = {"now": 0.0}
-
-        def clock():
-            return state["now"]
-
-        def sleep(seconds):
-            state["now"] += seconds
-
-        return state, clock, sleep
-
-    def test_deadline_s_must_be_positive(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(deadline_s=0.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(deadline_s=-1.0)
-
-    def test_stops_before_sleeping_past_the_deadline(self):
-        state, clock, sleep = self._fake_time()
-        calls = []
-
-        def always_fails():
-            calls.append(clock())
-            raise AcquisitionError("scan lost")
-
-        # Delays: 1s, 2s, 4s, ... — the third retry would start at t=3+4=7s,
-        # past the 5s budget, so the policy must stop after 3 attempts.
-        policy = RetryPolicy(
-            max_attempts=10, base_delay=1.0, backoff=2.0, jitter=0.0,
-            deadline_s=5.0, clock=clock, sleep=sleep,
-        )
-        with pytest.raises(RetryExhaustedError) as excinfo:
-            policy.call(always_fails)
-        assert "deadline budget" in str(excinfo.value)
-        assert len(calls) == 3
-        assert policy.deadline_stops == 1
-        # No sleep past the budget: the clock never exceeded it.
-        assert state["now"] <= 5.0
-
-    def test_chained_cause_preserves_last_error(self):
-        state, clock, sleep = self._fake_time()
-        policy = RetryPolicy(
-            max_attempts=10, base_delay=10.0, jitter=0.0,
-            deadline_s=5.0, clock=clock, sleep=sleep,
-        )
-
-        def fails():
-            raise AcquisitionError("detector offline")
-
-        with pytest.raises(RetryExhaustedError) as excinfo:
-            policy.call(fails)
-        assert isinstance(excinfo.value.__cause__, AcquisitionError)
-
-    def test_success_within_deadline_is_unaffected(self):
-        state, clock, sleep = self._fake_time()
-        attempts = {"n": 0}
-
-        def flaky():
-            attempts["n"] += 1
-            if attempts["n"] < 3:
-                raise AcquisitionError("transient")
-            return "scan"
-
-        policy = RetryPolicy(
-            max_attempts=5, base_delay=0.1, jitter=0.0,
-            deadline_s=60.0, clock=clock, sleep=sleep,
-        )
-        assert policy.call(flaky) == "scan"
-        assert policy.deadline_stops == 0
-
-    def test_no_deadline_behaves_as_before(self):
-        policy = RetryPolicy(
-            max_attempts=3, base_delay=0.0, sleep=lambda s: None
-        )
-        with pytest.raises(RetryExhaustedError) as excinfo:
-            policy.call(lambda: (_ for _ in ()).throw(AcquisitionError("x")))
-        assert "3 attempts failed" in str(excinfo.value)
-        assert policy.deadline_stops == 0

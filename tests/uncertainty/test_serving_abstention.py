@@ -1,15 +1,14 @@
 """Abstained as a serving outcome: gate wiring through AnalysisService.
 
 Covers the single-request path, the per-row batched drain, metrics and
-exactly-once accounting, and the invariant that abstention never counts
-against the GuardedAnalyzer degradation ladder.
+exactly-once accounting, and the invariant that a gated service never
+invokes the analyzer it wraps.
 """
 
 import numpy as np
 import pytest
 
 from repro.observability import MetricsRegistry, scoped
-from repro.reliability.degradation import GuardedAnalyzer
 from repro.serving import (
     Abstained,
     AnalysisService,
@@ -242,25 +241,22 @@ class TestBatchedPath:
         )
 
 
-class TestGuardedLadder:
-    """Satellite: abstention must never read as a degradation-tier failure."""
+class TestGatedAnalyzer:
+    """Satellite: the gate answers every request; the analyzer never runs."""
 
-    def _guard(self):
-        return GuardedAnalyzer(
-            primary=lambda data: (np.zeros(2), 0.0),
-            safe_estimate=np.zeros(2),
-        )
+    def test_gate_never_invokes_the_analyzer(self):
+        calls = []
 
-    def test_abstention_leaves_the_ladder_untouched(self):
-        guard = self._guard()
+        def counting_analyzer(data):
+            calls.append(data)
+            return np.zeros(2)
+
         with _service(
-            guard, expected_length=LENGTH, uncertainty=_gate()
+            counting_analyzer, expected_length=LENGTH, uncertainty=_gate()
         ) as service:
             for _ in range(3):
                 assert isinstance(service.analyze(_spectrum(5.0)), Abstained)
             assert service.analyze(_spectrum(0.1)).ok
-        # The gate answered every request; the guarded analyzer never ran,
-        # so no tier was consumed and nothing counted as degradation.
-        assert guard.calls == 0
-        assert guard.degraded_steps == 0
-        assert all(count == 0 for count in guard.tier_counts.values())
+        # Abstained and served rows alike were answered by the gate, so a
+        # fallback analyzer behind it is never consulted.
+        assert calls == []
