@@ -8,11 +8,11 @@ example walks both halves of :mod:`repro.compute`:
 1. generate a simulated MS dataset through an
    :class:`~repro.compute.cache.ArtifactCache` twice — the first call
    renders, the second is a checksummed read of the same bytes;
-2. train the same topology sweep in-process (``executor=None``, the
-   reference) and on the ``serial`` and ``process`` backends of a
-   :class:`~repro.compute.executor.ParallelExecutor`, and verify the
-   weights, optimizer state, metrics and ``select_best`` winner are
-   identical;
+2. train the same topology sweep on the service's default executor (one
+   serial worker, the reference) and on two-worker ``thread`` and
+   ``process`` :class:`~repro.compute.executor.ParallelExecutor` backends,
+   and verify the weights, optimizer state, metrics and ``select_best``
+   winner are identical;
 3. re-run the sweep with a seeded
    :class:`~repro.reliability.faults.FaultInjector` killing a subset of
    training tasks: the sweep completes, the dead topologies land in
@@ -64,9 +64,9 @@ def main():
               f"({cold_s / warm_s:.0f}x faster, identical bytes)")
         print(f"    stats: {cache.stats()}")
 
-        # 2 -- the executor: in-process vs serial vs process, byte-identical.
-        print("[2] training sweep in-process vs serial and process "
-              "backends ...")
+        # 2 -- the executor: default vs thread vs process, byte-identical.
+        print("[2] training sweep on the default executor vs thread and "
+              "process backends ...")
         dataset = SpectraDataset(x, y, tuple(COMPOUNDS))
         topologies = [
             mlp_topology(len(COMPOUNDS), hidden_units=(32,)),
@@ -75,9 +75,9 @@ def main():
         ]
         config = TrainingConfig(epochs=3, batch_size=64, patience=None)
         services = {}
-        for backend in ("in-process", "serial", "process"):
+        for backend in ("default", "thread", "process"):
             executor = (
-                None if backend == "in-process"
+                None if backend == "default"
                 else ParallelExecutor(backend=backend, max_workers=2)
             )
             service = TrainingService(config, executor=executor)
@@ -91,7 +91,7 @@ def main():
                   f"{best.metrics['val_mae']:.5f})")
             if executor is not None:
                 executor.close()
-        reference = services.pop("in-process")
+        reference = services.pop("default")
         for service in services.values():
             assert (
                 service.select_best().topology_name

@@ -8,38 +8,37 @@ trained networks ..., the selection of the best-performing networks, based
 on selectable quality criteria and the export of analysis data to
 spreadsheet applications."
 
-Every topology trains through one function, :func:`_train_topology`: build
-(or continue a resumed model), attach early stopping and the divergence
-sentinel, fit, score.  An in-process sweep calls it directly; with a
-:class:`~repro.compute.executor.ParallelExecutor` the service fans the same
-calls out over the executor's backend with ``map_tasks``.  One
-reload-or-train decision runs before it and one finish step after it
-(rollback provenance, final snapshot, ``network`` record, sweep state), so
-serial/thread/process sweeps produce byte-identical models, optimizer
-state, metrics and :meth:`TrainingService.select_best` outcomes.
+Every topology trains as one :func:`_train_topology` task on the service's
+:class:`~repro.compute.executor.ParallelExecutor` — one serial worker
+unless another executor is given: build, attach early stopping and the
+divergence sentinel, fit, score.  Tasks run in waves of
+``executor.max_workers``.  One reload decision runs before the waves and
+one finish step after each task (rollback provenance, final snapshot,
+``network`` record), so serial/thread/process sweeps produce
+byte-identical models, optimizer state, metrics and
+:meth:`TrainingService.select_best` outcomes.  A task that dies (worker
+crash, injected fault, an exception in training) becomes a typed
+:class:`FailedRun` in :attr:`TrainingService.failures` — recorded in
+provenance and metrics, never fatal to the sweep.
 
 Because the process runs without user interaction, it must also survive
-without one: given a :class:`~repro.reliability.checkpoint.CheckpointManager`
-``train_all(resume=True)`` reloads every topology whose final snapshot
-landed (same final metrics as an uninterrupted run).  The deliberate
-differences between the two modes:
+without one.  Given a
+:class:`~repro.reliability.checkpoint.CheckpointManager`, each wave's final
+snapshots are written before the next wave starts, and the topology is the
+unit of resume: its final snapshot, ``state={"completed": True,
+"metrics", "epoch"}``, is the one completion record.
+``train_all(resume=True)`` reloads every topology whose snapshot landed and
+retrains the rest from scratch, so a resumed sweep ends with exactly the
+metrics and weights of an uninterrupted one.
 
-* in-process, a topology is checkpointed every epoch, a half-trained one
-  resumes from its last checkpointed epoch with restored optimizer state,
-  and an exception propagates to the caller;
-* with an executor, only the final scored snapshot is saved, and a task
-  that dies (worker crash, injected fault) becomes a typed
-  :class:`FailedRun` in :attr:`TrainingService.failures` — recorded in
-  provenance and metrics, never fatal to the sweep.
-
-Every checkpoint, resume and rollback event is recorded in the
+Every resume, rollback and failure is recorded in the
 :class:`ProvenanceTracker`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -54,7 +53,7 @@ from repro.nn.sentinel import DivergenceSentinel
 from repro.nn.training import EarlyStopping
 from repro.observability.runtime import counter as _counter
 from repro.observability.runtime import get_tracer
-from repro.reliability.checkpoint import Checkpoint, CheckpointManager
+from repro.reliability.checkpoint import CheckpointManager
 from repro.storage.integrity import CorruptArtifactError
 
 __all__ = ["TrainingConfig", "TrainingRun", "FailedRun", "TrainingService"]
@@ -112,7 +111,7 @@ class TrainingRun:
 
 @dataclass(frozen=True)
 class FailedRun:
-    """A topology whose training task died in a parallel sweep."""
+    """A topology whose training task died."""
 
     topology_name: str
     error_type: str
@@ -121,22 +120,17 @@ class FailedRun:
 
 
 def _train_topology(payload: dict, rng: Optional[np.random.Generator]) -> dict:
-    """Train and score one topology; the only training path of a sweep.
+    """Build, train and score one topology; the only training path.
 
     Module-level, with a picklable payload and result, so the process
-    backend can run it in a worker.  ``payload["model"]`` is a resumed
-    model to continue from ``payload["initial_epoch"]``, or ``None`` to
-    build the topology fresh; ``payload["checkpoint"]`` is the in-process
-    per-epoch :class:`Checkpoint` callback, or ``None``.  The
-    executor-provided ``rng`` is unused: training determinism comes from
-    the config seed on every path.
+    backend can run it in a worker.  The executor-provided ``rng`` is
+    unused: training determinism comes from the config seed on every
+    backend.
     """
     config: TrainingConfig = payload["config"]
     train_x, val_x, val_y = payload["train_x"], payload["val_x"], payload["val_y"]
-    model = payload["model"]
-    if model is None:
-        model = payload["topology"].build(train_x.shape[1:], seed=config.seed)
-        model.compile(config.optimizer, config.loss)
+    model = payload["topology"].build(train_x.shape[1:], seed=config.seed)
+    model.compile(config.optimizer, config.loss)
     callbacks = []
     if config.patience is not None:
         callbacks.append(
@@ -146,8 +140,6 @@ def _train_topology(payload: dict, rng: Optional[np.random.Generator]) -> dict:
     if config.sentinel:
         sentinel = DivergenceSentinel(max_rollbacks=config.sentinel_max_rollbacks)
         callbacks.append(sentinel)
-    if payload["checkpoint"] is not None:
-        callbacks.append(payload["checkpoint"])
     history = model.fit(
         train_x,
         payload["train_y"],
@@ -156,7 +148,6 @@ def _train_topology(payload: dict, rng: Optional[np.random.Generator]) -> dict:
         validation_data=(val_x, val_y),
         callbacks=callbacks,
         seed=config.seed,
-        initial_epoch=payload["initial_epoch"],
         clip_norm=config.clip_norm,
     )
     predictions = model.predict(val_x)
@@ -174,7 +165,7 @@ def _train_topology(payload: dict, rng: Optional[np.random.Generator]) -> dict:
         "optimizer": model.optimizer.get_config(),
         "optimizer_state": model.optimizer.get_state(),
         "metrics": metrics,
-        "epochs_run": payload["initial_epoch"] + len(history.epochs),
+        "epochs_run": len(history.epochs),
         "rollback_events": sentinel.events if sentinel is not None else [],
     }
 
@@ -182,13 +173,13 @@ def _train_topology(payload: dict, rng: Optional[np.random.Generator]) -> dict:
 class TrainingService:
     """Trains a list of topologies on one dataset, records, ranks, exports.
 
-    With ``checkpoints`` set, every topology is snapshotted while it trains
-    and finalized when it completes, so a killed sweep can be picked up
-    with ``train_all(..., resume=True)``.
+    Topologies train as tasks on ``executor`` (default: one serial
+    worker), in waves of its ``max_workers``; failed tasks land in
+    :attr:`failures` instead of aborting the sweep.
 
-    With ``executor`` set, topologies train as parallel tasks on the
-    executor's backend; failed tasks land in :attr:`failures` instead of
-    aborting the sweep.
+    With ``checkpoints`` set, every topology's final snapshot is written
+    as its wave completes, so a killed sweep can be picked up with
+    ``train_all(..., resume=True)``.
     """
 
     def __init__(
@@ -201,7 +192,9 @@ class TrainingService:
         self.config = config
         self.provenance = provenance
         self.checkpoints = checkpoints
-        self.executor = executor
+        self.executor = (
+            executor if executor is not None else ParallelExecutor(max_workers=1)
+        )
         self.runs: List[TrainingRun] = []
         self.failures: List[FailedRun] = []
         if (
@@ -232,12 +225,9 @@ class TrainingService:
         (the paper's evaluation on real measurement series).
 
         ``resume=True`` (requires a :class:`CheckpointManager`) reloads
-        topologies that already completed in a previous invocation —
-        reproducing their recorded metrics exactly — and, in-process,
-        resumes a half-trained topology from its last checkpointed epoch.
-        Note that mid-topology resume restarts the early-stopping patience
-        window at the resume point; kill/resume between topologies is
-        bit-exact.
+        topologies whose final snapshot landed in a previous invocation —
+        reproducing their recorded metrics exactly — and trains the rest
+        from scratch.
         """
         if not topologies:
             raise ValueError("topologies must be non-empty")
@@ -246,26 +236,13 @@ class TrainingService:
         names = [t.name for t in topologies]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate topology names: {names}")
-        config = self.config
+        if self.checkpoints is not None:
+            for name in names:
+                self.checkpoints.check_name(f"{sweep_name}-{name}")
+        config, executor = self.config, self.executor
         train, validation = dataset.split(
             config.train_fraction, np.random.default_rng(config.seed)
         )
-        sweep_state: Dict[str, object] = {"completed": {}}
-        if self.checkpoints is not None and resume:
-            try:
-                stored = self.checkpoints.load_state(sweep_name)
-            except CorruptArtifactError as error:
-                # The corrupt sidecar is already quarantined; the sweep
-                # restarts from the per-topology checkpoints instead.
-                self._record_event(
-                    "sweep_state_corrupt",
-                    {"sweep": sweep_name, "error": str(error)},
-                    dataset_artifact,
-                )
-                stored = None
-            if stored is not None:
-                sweep_state = stored
-        completed: Dict[str, dict] = dict(sweep_state.get("completed", {}))
         arrays = {
             "train_x": train.x,
             "train_y": train.y,
@@ -275,41 +252,149 @@ class TrainingService:
         if evaluation_data is not None:
             arrays["eval_x"] = evaluation_data.x
             arrays["eval_y"] = evaluation_data.y
-
         topologies_counter = _counter(
             "training_topologies_total", "topology runs by disposition"
         )
 
-        def finish(topology: TopologySpec, result: dict, resumed: bool):
-            for event in result["rollback_events"]:
-                self._record_event(
-                    "divergence_rollback",
-                    {
-                        "topology": topology.name,
-                        "epoch": event.epoch,
-                        "reason": event.reason,
-                        "new_learning_rate": event.new_learning_rate,
-                    },
-                    dataset_artifact,
+        with get_tracer().start_span(
+            "train.sweep",
+            attributes={
+                "sweep": sweep_name,
+                "topologies": len(topologies),
+                "backend": executor.backend,
+            },
+        ) as sweep_span:
+            queued: List[TopologySpec] = []
+            for topology in topologies:
+                run = self._reload(
+                    topology, f"{sweep_name}-{topology.name}", resume,
+                    dataset_artifact, progress,
                 )
-            model = topology.build(train.input_shape, seed=config.seed)
-            model.compile(get_optimizer(result["optimizer"]), config.loss)
-            model.set_weights(result["weights"])
-            model.optimizer.set_state(result["optimizer_state"])
-            metrics, epochs_run = result["metrics"], result["epochs_run"]
-            if self.checkpoints is not None:
-                # Final snapshot carries the (possibly best-weights-restored)
-                # model so a later resume reloads exactly what was scored.
-                self.checkpoints.save(
-                    f"{sweep_name}-{topology.name}",
-                    model,
-                    state={
-                        "epoch": epochs_run,
-                        "completed": True,
-                        "metrics": metrics,
-                    },
+                if run is None:
+                    queued.append(topology)
+                    continue
+                topologies_counter.inc(disposition="reloaded")
+                self.runs.append(run)
+            if not queued:
+                return self.runs
+            # Publish the dataset once per sweep instead of once per payload:
+            # on the process backend every payload carries tiny
+            # SharedArrayRef handles that workers resolve into read-only
+            # memory maps; on serial/thread this is a pass-through.
+            shared = {"eval_x": None, "eval_y": None, **executor.scatter(arrays)}
+            n_failed = 0
+            wave_size = executor.max_workers
+            for start in range(0, len(queued), wave_size):
+                wave = queued[start:start + wave_size]
+                if progress is not None:
+                    for topology in wave:
+                        progress(f"training {topology.name}")
+                results = executor.map_tasks(
+                    _train_topology,
+                    [
+                        {"topology": topology, "config": config, **shared}
+                        for topology in wave
+                    ],
+                    label=f"train.{sweep_name}",
                 )
-            run = TrainingRun(
+                for topology, result in zip(wave, results):
+                    if isinstance(result, TaskFailure):
+                        n_failed += 1
+                        topologies_counter.inc(disposition="failed")
+                        self._fail(topology, result, dataset_artifact, progress)
+                    else:
+                        self._finish(
+                            topology, result, train.input_shape,
+                            f"{sweep_name}-{topology.name}", dataset_artifact,
+                        )
+                        topologies_counter.inc(disposition="trained")
+            sweep_span.set_attribute("failed", n_failed)
+        return self.runs
+
+    # -- one topology ------------------------------------------------------
+
+    def _reload(
+        self,
+        topology: TopologySpec,
+        checkpoint_name: str,
+        resume: bool,
+        dataset_artifact: Optional[int],
+        progress: Optional[Callable[[str], None]],
+    ) -> Optional[TrainingRun]:
+        """The run a previous invocation finished, or None to train it.
+
+        Only a final snapshot (``state["completed"]``) counts as finished;
+        a topology without one that verifies trains from scratch.
+        """
+        if not resume or not self.checkpoints.exists(checkpoint_name):
+            return None
+        try:
+            data = self.checkpoints.load(checkpoint_name, seed=self.config.seed)
+        except CorruptArtifactError as error:
+            # No generation verified (all quarantined by the manager):
+            # train from scratch rather than reloading bad bytes.
+            self._record_event(
+                "checkpoint_unreadable",
+                {"topology": topology.name, "error": str(error)},
+                dataset_artifact,
+            )
+            return None
+        if not data.state.get("completed"):
+            return None
+        if progress is not None:
+            progress(f"skipping completed {topology.name}")
+        metrics = {k: float(v) for k, v in data.state["metrics"].items()}
+        self._record_event(
+            "resume",
+            {"topology": topology.name, "skipped_completed": True},
+            dataset_artifact,
+        )
+        return TrainingRun(
+            topology_name=topology.name,
+            model=data.model,
+            metrics=metrics,
+            epochs_run=int(data.state.get("epoch", 0)),
+            artifact_id=self._record_network(
+                topology.name, metrics, dataset_artifact
+            ),
+            resumed=True,
+        )
+
+    def _finish(
+        self,
+        topology: TopologySpec,
+        result: dict,
+        input_shape,
+        checkpoint_name: str,
+        dataset_artifact: Optional[int],
+    ) -> None:
+        """Rebuild a trained task's model, snapshot it and record the run."""
+        for event in result["rollback_events"]:
+            self._record_event(
+                "divergence_rollback",
+                {
+                    "topology": topology.name,
+                    "epoch": event.epoch,
+                    "reason": event.reason,
+                    "new_learning_rate": event.new_learning_rate,
+                },
+                dataset_artifact,
+            )
+        model = topology.build(input_shape, seed=self.config.seed)
+        model.compile(get_optimizer(result["optimizer"]), self.config.loss)
+        model.set_weights(result["weights"])
+        model.optimizer.set_state(result["optimizer_state"])
+        metrics, epochs_run = result["metrics"], result["epochs_run"]
+        if self.checkpoints is not None:
+            # The final snapshot carries the (possibly best-weights-restored)
+            # model so a later resume reloads exactly what was scored.
+            self.checkpoints.save(
+                checkpoint_name,
+                model,
+                state={"epoch": epochs_run, "completed": True, "metrics": metrics},
+            )
+        self.runs.append(
+            TrainingRun(
                 topology_name=topology.name,
                 model=model,
                 metrics=metrics,
@@ -317,189 +402,41 @@ class TrainingService:
                 artifact_id=self._record_network(
                     topology.name, metrics, dataset_artifact
                 ),
-                resumed=resumed,
                 rollbacks=len(result["rollback_events"]),
             )
-            topologies_counter.inc(disposition="resumed" if resumed else "trained")
-            self.runs.append(run)
-            if self.checkpoints is not None:
-                completed[topology.name] = {
-                    "metrics": metrics,
-                    "epochs_run": epochs_run,
-                }
-                sweep_state["completed"] = completed
-                self.checkpoints.save_state(sweep_name, sweep_state)
-            return run
+        )
 
-        with get_tracer().start_span(
-            "train.sweep",
-            attributes={"sweep": sweep_name, "topologies": len(topologies)},
-        ) as sweep_span:
-            queued: List[Tuple[TopologySpec, dict]] = []
-            for topology in topologies:
-                checkpoint_name = f"{sweep_name}-{topology.name}"
-                start = self._reload_or_resume(
-                    topology, checkpoint_name, completed, resume,
-                    dataset_artifact, progress,
-                )
-                if isinstance(start, TrainingRun):
-                    topologies_counter.inc(disposition="reloaded")
-                    self.runs.append(start)
-                    continue
-                model, initial_epoch = start
-                if progress is not None:
-                    verb = (
-                        f"resuming from epoch {initial_epoch}"
-                        if initial_epoch else "training"
-                    )
-                    progress(f"{verb} {topology.name}")
-                payload = {
-                    "topology": topology,
-                    "config": config,
-                    "model": model,
-                    "initial_epoch": initial_epoch,
-                    "checkpoint": None,
-                    "eval_x": None,
-                    "eval_y": None,
-                }
-                if self.executor is not None:
-                    queued.append((topology, payload))
-                    continue
-                if self.checkpoints is not None:
-                    payload["checkpoint"] = Checkpoint(
-                        self.checkpoints,
-                        checkpoint_name,
-                        on_save=lambda path, epoch: self._record_event(
-                            "checkpoint",
-                            {"topology": topology.name, "epoch": epoch},
-                            dataset_artifact,
-                        ),
-                    )
-                with get_tracer().start_span(
-                    "train.topology",
-                    parent=sweep_span,
-                    attributes={"topology": topology.name},
-                ) as topology_span:
-                    run = finish(
-                        topology,
-                        _train_topology({**payload, **arrays}, None),
-                        resumed=initial_epoch > 0,
-                    )
-                    topology_span.set_attribute("epochs_run", run.epochs_run)
-                    topology_span.set_attribute("rollbacks", run.rollbacks)
-            if not queued:
-                return self.runs
-            sweep_span.set_attribute("backend", self.executor.backend)
-            # Publish the dataset once per sweep instead of once per payload:
-            # on the process backend every payload carries tiny
-            # SharedArrayRef handles that workers resolve into read-only
-            # memory maps; on serial/thread this is a pass-through.
-            handles = self.executor.scatter(arrays)
-            results = self.executor.map_tasks(
-                _train_topology,
-                [{**payload, **handles} for _, payload in queued],
-                label=f"train.{sweep_name}",
-            )
-            n_failed = 0
-            for (topology, _), result in zip(queued, results):
-                if not isinstance(result, TaskFailure):
-                    finish(topology, result, resumed=False)
-                    continue
-                n_failed += 1
-                topologies_counter.inc(disposition="failed")
-                self.failures.append(
-                    FailedRun(
-                        topology_name=topology.name,
-                        error_type=result.error_type,
-                        message=result.message,
-                        attempts=result.attempts,
-                    )
-                )
-                self._record_event(
-                    "topology_failed",
-                    {
-                        "topology": topology.name,
-                        "error_type": result.error_type,
-                        "message": result.message,
-                        "attempts": result.attempts,
-                    },
-                    dataset_artifact,
-                )
-                if progress is not None:
-                    progress(
-                        f"failed {topology.name}: "
-                        f"{result.error_type}: {result.message}"
-                    )
-            sweep_span.set_attribute("failed", n_failed)
-        return self.runs
-
-    # -- one topology ------------------------------------------------------
-
-    def _reload_or_resume(
+    def _fail(
         self,
         topology: TopologySpec,
-        checkpoint_name: str,
-        completed: Dict[str, dict],
-        resume: bool,
+        failure: TaskFailure,
         dataset_artifact: Optional[int],
         progress: Optional[Callable[[str], None]],
-    ) -> Union[TrainingRun, Tuple[Optional[Sequential], int]]:
-        """Decide where a topology starts, before any training.
-
-        Returns the reloaded :class:`TrainingRun` of a topology whose final
-        snapshot landed — whether or not its sweep-state entry did — or
-        ``(model, initial_epoch)``: a resumed in-process model and its
-        checkpointed epoch, else ``(None, 0)`` to train from scratch.
-        """
-        if not resume or not self.checkpoints.exists(checkpoint_name):
-            return None, 0
-        try:
-            data = self.checkpoints.load(checkpoint_name, seed=self.config.seed)
-        except CorruptArtifactError as error:
-            # No generation verified (all quarantined by the manager):
-            # train from scratch rather than resuming from bad bytes.
-            self._record_event(
-                "checkpoint_unreadable",
-                {"topology": topology.name, "error": str(error)},
-                dataset_artifact,
-            )
-            completed.pop(topology.name, None)
-            return None, 0
-        saved_epoch = int(data.state.get("epoch", 0))
-        record = completed.get(topology.name)
-        if record is None and data.state.get("completed"):
-            # Crash landed between the final snapshot and the sweep
-            # state update; the checkpoint already holds the scored model.
-            record = {"metrics": data.state["metrics"], "epochs_run": saved_epoch}
-        if record is not None:
-            if progress is not None:
-                progress(f"skipping completed {topology.name}")
-            metrics = {k: float(v) for k, v in record["metrics"].items()}
-            self._record_event(
-                "resume",
-                {"topology": topology.name, "skipped_completed": True},
-                dataset_artifact,
-            )
-            return TrainingRun(
+    ) -> None:
+        """Record a dead task as a :class:`FailedRun` and in provenance."""
+        self.failures.append(
+            FailedRun(
                 topology_name=topology.name,
-                model=data.model,
-                metrics=metrics,
-                epochs_run=int(record.get("epochs_run", 0)),
-                artifact_id=self._record_network(
-                    topology.name, metrics, dataset_artifact
-                ),
-                resumed=True,
+                error_type=failure.error_type,
+                message=failure.message,
+                attempts=failure.attempts,
             )
-        if self.executor is not None or not 0 < saved_epoch < self.config.epochs:
-            return None, 0
-        model = data.model
-        model.compile(data.optimizer or self.config.optimizer, self.config.loss)
+        )
         self._record_event(
-            "resume",
-            {"topology": topology.name, "epoch": saved_epoch},
+            "topology_failed",
+            {
+                "topology": topology.name,
+                "error_type": failure.error_type,
+                "message": failure.message,
+                "attempts": failure.attempts,
+            },
             dataset_artifact,
         )
-        return model, saved_epoch
+        if progress is not None:
+            progress(
+                f"failed {topology.name}: "
+                f"{failure.error_type}: {failure.message}"
+            )
 
     # -- provenance --------------------------------------------------------
 
@@ -527,11 +464,15 @@ class TrainingService:
     def select_best(self, criterion: str = "val_mae", mode: str = "min") -> TrainingRun:
         """Best run by a selectable quality criterion.
 
-        Raises a clear ``RuntimeError("no completed training runs")`` when
-        no run ever completed (empty or fully-failed sweep) instead of a
-        bare ``ValueError`` escaping from ``min()``, and ``KeyError`` when
-        runs exist but none recorded ``criterion``.
+        ``mode`` is ``"min"`` or ``"max"``; anything else raises
+        ``ValueError``.  Raises a clear ``RuntimeError("no completed
+        training runs")`` when no run ever completed (empty or
+        fully-failed sweep) instead of a bare ``ValueError`` escaping from
+        ``min()``, and ``KeyError`` when runs exist but none recorded
+        ``criterion``.
         """
+        if mode not in ("min", "max"):
+            raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
         if not self.runs:
             raise RuntimeError("no completed training runs")
         scored = [run for run in self.runs if criterion in run.metrics]

@@ -168,13 +168,9 @@ class Sequential:
         callbacks: Optional[Sequence[Callback]] = None,
         seed: Optional[int] = None,
         verbose: bool = False,
-        initial_epoch: int = 0,
         clip_norm: Optional[float] = None,
     ) -> History:
         """Standard epoch/mini-batch training loop; returns a History.
-
-        ``initial_epoch`` (with restored weights and optimizer state)
-        resumes a checkpointed run at epoch ``initial_epoch + 1``.
 
         ``clip_norm`` enables global gradient-norm clipping for this run:
         it sets the compiled optimizer's ``clipnorm`` so every batch's
@@ -197,7 +193,6 @@ class Sequential:
             callbacks=list(callbacks or []),
             seed=seed,
             verbose=verbose,
-            initial_epoch=initial_epoch,
         )
 
     def evaluate(self, x: np.ndarray, y: np.ndarray, batch_size: int = 256) -> float:

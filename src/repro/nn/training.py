@@ -204,23 +204,12 @@ def run_training_loop(
     callbacks: List[Callback],
     seed: Optional[int],
     verbose: bool,
-    initial_epoch: int = 0,
 ) -> History:
-    """Drive epochs/batches for ``Sequential.fit``.
-
-    ``initial_epoch`` resumes a checkpointed run: epochs 1..initial_epoch
-    are skipped, but their shuffle permutations are still drawn so the
-    remaining epochs see exactly the batches an uninterrupted run would
-    have seen (bit-exact resume given restored weights + optimizer state).
-    """
+    """Drive epochs/batches for ``Sequential.fit``."""
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if not 0 <= initial_epoch <= epochs:
-        raise ValueError(
-            f"initial_epoch must be in [0, {epochs}], got {initial_epoch}"
-        )
     if x.shape[0] != y.shape[0]:
         raise ValueError(
             f"x has {x.shape[0]} samples but y has {y.shape[0]}"
@@ -254,10 +243,7 @@ def run_training_loop(
     )
 
     n = x.shape[0]
-    if shuffle:
-        for _ in range(initial_epoch):
-            rng.permutation(n)
-    epoch = initial_epoch
+    epoch = 0
     while epoch < epochs:
         epoch += 1
         for callback in callbacks:

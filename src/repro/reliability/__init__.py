@@ -14,9 +14,10 @@ a blind control period holds the actuator — lives in
   capped exponential backoff, seeded jitter, injectable sleep), used by
   the closed loop, the MS toolchain (through :func:`acquire_with_retry`)
   and the compute executor;
-* :mod:`repro.reliability.checkpoint` — :class:`CheckpointManager` and the
-  :class:`Checkpoint` training callback, enabling
-  ``TrainingService.train_all(resume=True)``;
+* :mod:`repro.reliability.checkpoint` — :class:`CheckpointManager`:
+  verified, generational model snapshots; a training sweep's final
+  snapshot per topology is what ``TrainingService.train_all(resume=True)``
+  reloads;
 * :mod:`repro.reliability.validation` — input validation gates (shape,
   dtype, finiteness, axis monotonicity, value range) with the structured
   :class:`ValidationError` taxonomy, applied at the ``Sequential.predict``
@@ -39,7 +40,7 @@ from repro.reliability.retry import (
     acquire_with_retry,
     finite_intensities,
 )
-from repro.reliability.checkpoint import Checkpoint, CheckpointData, CheckpointManager
+from repro.reliability.checkpoint import CheckpointData, CheckpointManager
 from repro.reliability.storage_faults import (
     StorageFaultEvent,
     StorageFaultInjector,
@@ -64,7 +65,6 @@ from repro.reliability.validation import (
 
 __all__ = [
     "AcquisitionError",
-    "Checkpoint",
     "CheckpointData",
     "CheckpointManager",
     "DtypeError",

@@ -9,16 +9,15 @@ optimizer state + a JSON state payload) in the one model file layout of
 :mod:`repro.storage.integrity` archive — keeps the last N *generations*
 per name, verifies every load, falls back to the newest generation that
 still verifies, and quarantines unreadable files instead of crashing on —
-or silently reusing — them.  The :class:`Checkpoint` callback snapshots a
-model periodically during ``fit``;
-:class:`~repro.core.training_service.TrainingService` builds on both so
-``train_all(resume=True)`` restarts a killed sweep from the last verified
-state.
+or silently reusing — them.
+:class:`~repro.core.training_service.TrainingService` writes one final
+snapshot per topology, ``state={"completed": True, "metrics", "epoch"}``,
+so ``train_all(resume=True)`` reloads every finished topology of a killed
+sweep from its newest verified generation and retrains the rest.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from dataclasses import dataclass
@@ -27,19 +26,17 @@ from typing import Callable, Dict, List, Optional, Union
 from repro.nn.model import Sequential
 from repro.nn.optimizers import Optimizer
 from repro.nn.serialization import model_archive, model_from_archive
-from repro.nn.training import Callback
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.runtime import get_registry
 from repro.storage.integrity import (
     CorruptArtifactError,
     StorageError,
-    atomic_write_bytes,
     quarantine,
     read_archive,
     write_archive,
 )
 
-__all__ = ["CheckpointData", "CheckpointManager", "Checkpoint"]
+__all__ = ["CheckpointData", "CheckpointManager"]
 
 QUARANTINE_DIR = "quarantine"
 _GENERATION_RE = re.compile(r"^(?P<name>.+)\.gen-(?P<generation>\d+)\.ckpt$")
@@ -59,12 +56,10 @@ class CheckpointData:
 class CheckpointManager:
     """Named, verified, generational training checkpoints in one directory.
 
-    Three kinds of entries live side by side: model checkpoint generations
-    (``<name>.gen-<NNNNNN>.ckpt`` model files via :meth:`save`/:meth:`load`),
-    small JSON state documents (``<name>.json`` via
-    :meth:`save_state`/:meth:`load_state`, used e.g. for sweep progress)
-    and a ``quarantine/`` subdirectory where files that fail verification
-    are moved — never deleted — for post-mortem analysis.
+    Model checkpoint generations (``<name>.gen-<NNNNNN>.ckpt`` model files
+    via :meth:`save`/:meth:`load`) live next to a ``quarantine/``
+    subdirectory where files that fail verification are moved — never
+    deleted — for post-mortem analysis.
 
     ``generations`` bounds how many verified snapshots survive per name
     (oldest pruned first); ``on_event`` receives ``(kind, detail)`` for
@@ -123,7 +118,7 @@ class CheckpointManager:
 
     def generations_of(self, name: str) -> List[int]:
         """Generation numbers on disk for ``name``, oldest first."""
-        self._check_name(name)
+        self.check_name(name)
         found = []
         for entry in os.listdir(self.directory):
             match = _GENERATION_RE.match(entry)
@@ -182,7 +177,7 @@ class CheckpointManager:
         optimizer: Optional[Optimizer] = None,
     ) -> str:
         """Persist a new generation; prunes old ones past ``generations``."""
-        self._check_name(name)
+        self.check_name(name)
         generations = self.generations_of(name)
         generation = (generations[-1] + 1) if generations else 1
         target = self._generation_path(name, generation)
@@ -251,86 +246,8 @@ class CheckpointManager:
         for generation in self.generations_of(name):
             os.remove(self._generation_path(name, generation))
 
-    # -- JSON state documents ------------------------------------------------
-
-    def state_path(self, name: str) -> str:
-        self._check_name(name)
-        return os.path.join(self.directory, f"{name}.json")
-
-    def save_state(self, name: str, payload: dict) -> str:
-        """Atomically persist a small JSON document (sweep progress etc.)."""
-        target = self.state_path(name)
-        data = json.dumps(payload, default=float).encode("utf-8")
-        return atomic_write_bytes(target, data, fsync=self.fsync)
-
-    def load_state(self, name: str) -> Optional[dict]:
-        """The stored document, or None if it was never saved.
-
-        A sidecar that exists but does not parse (empty, truncated,
-        garbage) is quarantined and reported as a typed
-        :class:`~repro.storage.integrity.CorruptArtifactError` — callers
-        decide whether to start fresh, never a raw ``JSONDecodeError``.
-        """
-        target = self.state_path(name)
-        if not os.path.exists(target):
-            return None
-        try:
-            with open(target, "rb") as handle:
-                return json.loads(handle.read().decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as error:
-            reason = f"{type(error).__name__}: {error}"
-            self._quarantine(target, reason)
-            raise CorruptArtifactError(
-                f"corrupt state sidecar {target}: {reason}"
-            ) from error
-
-    def delete_state(self, name: str) -> None:
-        target = self.state_path(name)
-        if os.path.exists(target):
-            os.remove(target)
-
     @staticmethod
-    def _check_name(name: str) -> None:
+    def check_name(name: str) -> None:
+        """Raise ``ValueError`` unless ``name`` can name a checkpoint."""
         if not name or os.sep in name or (os.altsep and os.altsep in name):
             raise ValueError(f"invalid checkpoint name {name!r}")
-
-
-class Checkpoint(Callback):
-    """Training callback: snapshot the model every ``every`` epochs.
-
-    The snapshot carries ``{"epoch": n, "metrics": {...}}`` plus the live
-    optimizer state, so a killed ``fit`` can be resumed bit-exactly with
-    ``fit(..., initial_epoch=n)`` after restoring weights and optimizer.
-    Retention is the manager's ``generations``.
-    """
-
-    def __init__(
-        self,
-        manager: CheckpointManager,
-        name: str,
-        every: int = 1,
-        on_save=None,
-    ):
-        if every < 1:
-            raise ValueError(f"every must be >= 1, got {every}")
-        self.manager = manager
-        self.checkpoint_name = name
-        self.every = int(every)
-        self.on_save = on_save  # called with (path, epoch) after each save
-        self.last_saved_epoch: Optional[int] = None
-
-    def on_epoch_end(self, epoch, metrics):
-        if epoch % self.every != 0:
-            return
-        path = self.manager.save(
-            self.checkpoint_name,
-            self.model,
-            state={
-                "epoch": int(epoch),
-                "metrics": {k: float(v) for k, v in metrics.items()},
-            },
-            optimizer=self.model.optimizer,
-        )
-        self.last_saved_epoch = int(epoch)
-        if self.on_save is not None:
-            self.on_save(path, int(epoch))

@@ -4,7 +4,7 @@
 this module corrupts what the *disk* keeps.  A
 :class:`StorageFaultInjector` installs itself into
 :mod:`repro.storage.integrity` as a context manager, and every durable
-write in the repo (checkpoint envelopes, state sidecars, document-store
+write in the repo (checkpoint envelopes, cache entries, document-store
 snapshots, journal appends) consults it at each step of the
 write-flush-fsync-rename protocol.  Fault classes:
 

@@ -1,5 +1,7 @@
 """Parallel training sweeps must be byte-identical to serial ones."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -179,13 +181,15 @@ class TestParallelResume:
     def test_final_snapshot_without_sweep_entry_is_not_retrained(
         self, tmp_path
     ):
-        """A kill between a topology's final snapshot and its sweep-state
-        entry: the executor resume reloads the snapshot, as in-process does."""
+        """The final snapshot is the one completion record: no sweep-level
+        entry is needed for a resume to reload it without dispatching."""
         dataset = _dataset()
         manager = CheckpointManager(tmp_path)
         first = TrainingService(CONFIG, checkpoints=manager)
         first.train_all(TOPOLOGIES, dataset, sweep_name="demo")
-        manager.save_state("demo", {"completed": {}})
+        assert sorted(os.listdir(tmp_path)) == [
+            "demo-mlp_16.gen-000001.ckpt", "demo-mlp_8x8.gen-000001.ckpt",
+        ]
 
         dispatched = []
         executor = ParallelExecutor(backend="serial", chaos=dispatched.append)
@@ -197,3 +201,54 @@ class TestParallelResume:
         assert all(run.resumed for run in runs)
         for run, ref in zip(runs, first.runs):
             assert run.metrics == ref.metrics
+
+    def test_kill_in_second_wave_keeps_the_first_waves_snapshots(
+        self, tmp_path
+    ):
+        """Each wave's final snapshots land before the next wave starts, so
+        a kill at wave two loses nothing the first wave finished."""
+        dataset = _dataset()
+        topologies = TOPOLOGIES + [mlp_topology(3, hidden_units=(4,))]
+        uninterrupted = TrainingService(CONFIG)
+        uninterrupted.train_all(topologies, dataset)
+
+        class Killed(RuntimeError):
+            pass
+
+        def kill_at_wave_two(message):
+            if topologies[2].name in message:
+                raise Killed(message)
+
+        manager = CheckpointManager(tmp_path)
+        with ParallelExecutor(backend="thread", max_workers=2) as executor:
+            with pytest.raises(Killed):
+                TrainingService(
+                    CONFIG, checkpoints=manager, executor=executor
+                ).train_all(topologies, dataset, progress=kill_at_wave_two)
+            assert manager.names() == [
+                f"sweep-{topology.name}" for topology in topologies[:2]
+            ]
+            resumed = TrainingService(
+                CONFIG, checkpoints=manager, executor=executor
+            ).train_all(topologies, dataset, resume=True)
+        assert [run.resumed for run in resumed] == [True, True, False]
+        assert [run.topology_name for run in resumed] == [
+            topology.name for topology in topologies
+        ]
+        for run, ref in zip(resumed, uninterrupted.runs):
+            assert run.metrics == ref.metrics
+            for got, want in zip(
+                run.model.get_weights(), ref.model.get_weights()
+            ):
+                np.testing.assert_array_equal(got, want)
+
+    def test_invalid_checkpoint_name_rejected_before_dispatch(self, tmp_path):
+        dispatched = []
+        executor = ParallelExecutor(backend="serial", chaos=dispatched.append)
+        service = TrainingService(
+            CONFIG, checkpoints=CheckpointManager(tmp_path), executor=executor
+        )
+        with pytest.raises(ValueError, match="invalid checkpoint name"):
+            service.train_all(TOPOLOGIES, _dataset(), sweep_name="runs/a")
+        assert dispatched == []
+        assert service.runs == [] and service.failures == []

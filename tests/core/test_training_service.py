@@ -100,6 +100,12 @@ class TestSelectionAndExport:
             run.metrics["val_r2"] for run in service.runs
         )
 
+    def test_select_best_rejects_unknown_mode(self):
+        service = TrainingService(TrainingConfig(epochs=3))
+        service.train_all(_specs(), _dataset())
+        with pytest.raises(ValueError, match="mode"):
+            service.select_best("val_mae", mode="mni")
+
     def test_select_before_training_raises(self):
         with pytest.raises(RuntimeError):
             TrainingService().select_best()
@@ -223,9 +229,9 @@ class TestDivergenceSentinelInSweep:
             executor.close()
 
     def test_provenance_sequence_is_pinned(self, tmp_path):
-        """The in-process event stream of a seeded, checkpointed sweep whose
-        first topology rolls back in epoch 2: every checkpoint, rollback and
-        network record in order (numpy 2.4, OpenBLAS, x86-64)."""
+        """The event stream of a seeded, checkpointed sweep whose first
+        topology rolls back in epoch 2: every rollback and network record
+        in order (numpy 2.4, OpenBLAS, x86-64)."""
         from repro.reliability.checkpoint import CheckpointManager
 
         provenance = ProvenanceTracker()
@@ -243,7 +249,7 @@ class TestDivergenceSentinelInSweep:
             json.dumps(sequence, sort_keys=True).encode("utf-8")
         ).hexdigest()
         assert digest == (
-            "9edcda85d6e337c683decd84ccc01598098e09f5cc1493b14bb506629d9350a4"
+            "d9753e36b78b166b07a96bc6e07abc0fbc98610775f0f07fb725ffdcf4d35c12"
         )
 
 

@@ -145,49 +145,6 @@ class TestGrowthAndLimits:
         assert model.optimizer.learning_rate == pytest.approx(0.008)
 
 
-class TestCheckpointIntegration:
-    def test_rollback_restores_checkpointed_state(self, tmp_path):
-        """A per-epoch Checkpoint callback alongside holds the same
-        epoch-end state as the sentinel's snapshot, so a run with one
-        matches a run without it bit for bit, whichever epoch diverges."""
-        from repro.reliability.checkpoint import Checkpoint, CheckpointManager
-
-        def run(poison_epoch, extra):
-            x, y = _data()
-            model = _model(lr=0.01)
-            sentinel = DivergenceSentinel()
-            history = model.fit(
-                x, y, epochs=4, batch_size=16, seed=0,
-                callbacks=[PoisonWeights(epoch=poison_epoch, batch=1), sentinel]
-                + extra,
-            )
-            return model, sentinel, history
-
-        for poison_epoch in (1, 2, 3):
-            plain, plain_sentinel, plain_history = run(poison_epoch, [])
-            manager = CheckpointManager(tmp_path / str(poison_epoch))
-            checkpointed, sentinel, history = run(
-                poison_epoch, [Checkpoint(manager, "run")]
-            )
-            assert sentinel.rollbacks == plain_sentinel.rollbacks == 1
-            assert history.epochs == plain_history.epochs == [1, 2, 3, 4]
-            assert history["loss"] == plain_history["loss"]
-            for got, want in zip(
-                checkpointed.get_weights(), plain.get_weights()
-            ):
-                np.testing.assert_array_equal(got, want)
-            got = checkpointed.optimizer.get_state()
-            want = plain.optimizer.get_state()
-            assert got["iterations"] == want["iterations"]
-            for slot in ("m", "v"):
-                for key, value in want["slots"][slot].items():
-                    np.testing.assert_array_equal(got["slots"][slot][key], value)
-            assert (
-                checkpointed.optimizer.learning_rate
-                == plain.optimizer.learning_rate
-            )
-
-
 class TestFitClipNorm:
     def test_clip_norm_is_wired_to_the_optimizer(self):
         x, y = _data()

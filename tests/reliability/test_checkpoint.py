@@ -1,4 +1,4 @@
-"""Unit tests for checkpoint save/load and the training callback."""
+"""Unit tests for checkpoint save/load, generations and verify-on-load."""
 
 import io
 import json
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.reliability.checkpoint import Checkpoint, CheckpointManager
+from repro.reliability.checkpoint import CheckpointManager
 from repro.reliability.storage_faults import bit_flip_file, truncate_file
 from repro.storage.integrity import CorruptArtifactError, write_envelope
 
@@ -75,14 +75,6 @@ class TestCheckpointManager:
             manager.path("")
         with pytest.raises(ValueError):
             manager.path(f"evil{os.sep}name")
-
-    def test_json_state_round_trip(self, tmp_path):
-        manager = CheckpointManager(tmp_path)
-        assert manager.load_state("sweep") is None
-        manager.save_state("sweep", {"completed": {"mlp": {"val_mae": 0.1}}})
-        assert manager.load_state("sweep")["completed"]["mlp"]["val_mae"] == 0.1
-        manager.delete_state("sweep")
-        assert manager.load_state("sweep") is None
 
 
 class TestGenerations:
@@ -238,97 +230,3 @@ class TestVerifyOnLoad:
             with pytest.raises(CorruptArtifactError):
                 manager.load("ck")
         assert len(manager.quarantined()) == 2
-
-
-class TestCorruptStateSidecar:
-    @pytest.mark.parametrize(
-        "payload",
-        [b"", b'{"completed": {"mlp"', b"\x00\xffgarbage not json"],
-        ids=["empty", "truncated", "garbage"],
-    )
-    def test_corrupt_sidecar_quarantined_with_typed_error(
-        self, tmp_path, payload
-    ):
-        events = []
-        manager = CheckpointManager(
-            tmp_path, on_event=lambda kind, detail: events.append(kind)
-        )
-        (tmp_path / "sweep.json").write_bytes(payload)
-        with pytest.raises(CorruptArtifactError, match="sweep"):
-            manager.load_state("sweep")
-        assert events == ["quarantine"]
-        assert manager.quarantined() == ["sweep.json"]
-        # The quarantined bytes are preserved verbatim for post-mortem.
-        quarantined = tmp_path / "quarantine" / "sweep.json"
-        assert quarantined.read_bytes() == payload
-        # After quarantine the sidecar is simply absent.
-        assert manager.load_state("sweep") is None
-
-    def test_valid_sidecar_unaffected(self, tmp_path):
-        manager = CheckpointManager(tmp_path)
-        (tmp_path / "sweep.json").write_text(json.dumps({"ok": 1}))
-        assert manager.load_state("sweep") == {"ok": 1}
-
-
-class TestBitExactResume:
-    def test_resume_reproduces_uninterrupted_run(self, tmp_path):
-        """Restore weights + optimizer at epoch 3, finish to epoch 6, and
-        land on exactly the weights of an uninterrupted 6-epoch run."""
-        x, y = _data()
-        full = _compiled_model()
-        full.fit(x, y, epochs=6, batch_size=16, seed=0)
-
-        half = _compiled_model()
-        half.fit(x, y, epochs=3, batch_size=16, seed=0)
-        manager = CheckpointManager(tmp_path)
-        manager.save("half", half, state={"epoch": 3}, optimizer=half.optimizer)
-
-        data = manager.load("half")
-        data.model.compile(data.optimizer, "mse")
-        data.model.fit(x, y, epochs=6, batch_size=16, seed=0, initial_epoch=3)
-        for a, b in zip(full.get_weights(), data.model.get_weights()):
-            assert np.array_equal(a, b)
-
-    def test_initial_epoch_validation(self):
-        model = _compiled_model()
-        x, y = _data()
-        with pytest.raises(ValueError):
-            model.fit(x, y, epochs=2, initial_epoch=-1)
-        with pytest.raises(ValueError):
-            model.fit(x, y, epochs=2, initial_epoch=3)
-
-
-class TestCheckpointCallback:
-    def test_saves_every_n_epochs(self, tmp_path):
-        manager = CheckpointManager(tmp_path)
-        saves = []
-        callback = Checkpoint(
-            manager, "run", every=2, on_save=lambda path, epoch: saves.append(epoch)
-        )
-        model = _compiled_model()
-        x, y = _data()
-        model.fit(x, y, epochs=5, batch_size=16, seed=0, callbacks=[callback])
-        assert saves == [2, 4]
-        assert callback.last_saved_epoch == 4
-        assert manager.load("run").state["epoch"] == 4
-
-    def test_callback_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            Checkpoint(CheckpointManager(tmp_path), "run", every=0)
-
-    def test_checkpoint_includes_metrics(self, tmp_path):
-        manager = CheckpointManager(tmp_path)
-        model = _compiled_model()
-        x, y = _data()
-        model.fit(x, y, epochs=2, batch_size=16, seed=0,
-                  callbacks=[Checkpoint(manager, "run")])
-        state = manager.load("run").state
-        assert "loss" in state["metrics"]
-
-    def test_keep_defaults_to_manager_retention(self, tmp_path):
-        manager = CheckpointManager(tmp_path, generations=3)
-        model = _compiled_model()
-        x, y = _data()
-        model.fit(x, y, epochs=5, batch_size=16, seed=0,
-                  callbacks=[Checkpoint(manager, "run")])
-        assert len(manager.generations_of("run")) == 3

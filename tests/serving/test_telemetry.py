@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.observability import MetricsRegistry, Tracer
+from repro.observability.export import export_metrics_jsonl, read_jsonl
 from repro.serving import AnalysisService
 from repro.serving.service import PendingRequest
 
@@ -201,3 +202,50 @@ class TestStatsTelemetry:
         requests = registry.get("serving_requests_total")
         assert submitted.total() == 2
         assert requests.total() == 2
+
+
+class TestExportedAccounting:
+    def test_submitted_equals_resolved_from_exported_jsonl(self, tmp_path):
+        """Exactly-once accounting, checked from the exported file alone:
+        per service, serving_submitted_total is the sum of
+        serving_requests_total over every outcome."""
+        now = [0.0]
+
+        def late_on_marker(data):
+            if data[0] == 2.0:
+                now[0] += 10.0  # the backend answers long past the deadline
+            return np.array([float(np.mean(data))])
+
+        registry = MetricsRegistry()
+        service = make_service(
+            late_on_marker, registry=registry, clock=lambda: now[0], name="ms"
+        )
+        with service:
+            outcomes = [
+                service.submit(data, deadline_s=1.0).result(timeout=5.0)
+                for data in (
+                    np.ones(LENGTH), np.ones(LENGTH + 1), np.full(LENGTH, 2.0),
+                )
+            ]
+        assert [r.ok for r in outcomes] == [True, False, False]
+        assert [getattr(r, "reason", None) for r in outcomes[1:]] == [
+            "invalid_input", "deadline_exceeded",
+        ]
+
+        path = tmp_path / "metrics.jsonl"
+        export_metrics_jsonl(registry, path)
+        submitted, resolved = {}, {}
+        for record in read_jsonl(path):
+            service_label = record["labels"].get("service")
+            if record["name"] == "serving_submitted_total":
+                submitted[service_label] = record["value"]
+            elif record["name"] == "serving_requests_total":
+                resolved.setdefault(service_label, {})[
+                    record["labels"]["outcome"]
+                ] = record["value"]
+        assert submitted == {"ms": 3}
+        assert resolved == {"ms": {
+            "completed": 1, "invalid_input": 1, "deadline_exceeded": 1,
+        }}
+        for name, total in submitted.items():
+            assert total == sum(resolved[name].values())
