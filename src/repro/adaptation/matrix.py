@@ -11,9 +11,8 @@ one (and each trained model) in an
 * **Resumable** — an interrupted campaign re-run completes from cache;
   only the cells that never finished are recomputed.
 * **Byte-deterministic across backends** — cells consume only seeds
-  derived from the canonical content of their configs (the executor's
-  per-task rng is deliberately unused), so ``serial``/``thread``/
-  ``process`` produce identical surfaces.
+  derived from the canonical content of their configs, so ``serial``/
+  ``thread``/``process`` produce identical surfaces.
 * **Shared sub-artifacts** — the base model and the ensemble's
   drift-level members are cached as their own entries, so the expensive
   trainings happen once per campaign, not once per cell.
@@ -183,11 +182,10 @@ def _train_model(
     return model
 
 
-def run_cell(payload: dict, rng=None) -> dict:
+def run_cell(payload: dict) -> dict:
     """Compute one (scenario, strategy) cell; module-level for pickling.
 
-    ``rng`` (the executor's per-task generator) is intentionally unused:
-    every random draw comes from seeds derived from the cell's canonical
+    Every random draw comes from seeds derived from the cell's canonical
     config, which is what makes cells byte-identical across backends and
     across resumed runs.
     """

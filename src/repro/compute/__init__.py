@@ -6,11 +6,10 @@ whole topology tables swept over them.  This package makes those two hot
 paths scale with the hardware:
 
 * :mod:`repro.compute.executor` — :class:`ParallelExecutor`, one
-  ``map_tasks()`` API over ``serial``/``thread``/``process`` backends with
-  per-task :class:`numpy.random.SeedSequence`-spawned generators
-  (byte-identical results on every backend), typed :class:`TaskFailure`
-  containment and :class:`~repro.reliability.retry.RetryPolicy`-driven
-  re-attempts;
+  ``map_tasks()`` API running ``fn(payload)`` over ``serial``/``thread``/
+  ``process`` backends: results in payload order, seeds carried by the
+  payloads (byte-identical results on every backend), and typed
+  :class:`TaskFailure` containment — a sweep recovers by running again;
 * :mod:`repro.compute.cache` — :class:`ArtifactCache`, artifacts keyed by
   a canonical SHA-256 of their generating config, stored as
   :mod:`repro.storage.integrity` envelopes with verify-on-read, corrupt
@@ -42,7 +41,6 @@ from repro.compute.datasets import (
 from repro.compute.executor import (
     BACKENDS,
     ParallelExecutor,
-    TaskError,
     TaskFailure,
 )
 from repro.compute.sharing import (
@@ -58,7 +56,6 @@ __all__ = [
     "CACHE_FORMAT_VERSION",
     "ParallelExecutor",
     "SharedArrayRef",
-    "TaskError",
     "TaskFailure",
     "canonical_blob",
     "canonical_key",

@@ -194,6 +194,12 @@ class ArtifactCache:
         entry = self._read(key)
         return None if entry is None else (entry[0], entry[1]["meta"])
 
+    def get_json(self, key: str) -> Optional[dict]:
+        """The verified JSON payload stored under ``key``, or None on a miss
+        (a corrupt entry is quarantined and misses)."""
+        entry = self._read(key, doc="json")
+        return None if entry is None else entry[1]["json"]
+
     def put(
         self,
         key: str,
@@ -240,9 +246,9 @@ class ArtifactCache:
         ``(payload, key, hit)``.
         """
         key = canonical_key(config)
-        cached = self._read(key, doc="json")
+        cached = self.get_json(key)
         if cached is not None:
-            return cached[1]["json"], key, True
+            return cached, key, True
         payload = producer()
         if not isinstance(payload, dict):
             raise TypeError(

@@ -6,18 +6,19 @@ ran strictly serially.  :class:`ParallelExecutor` puts one ``map_tasks()``
 API in front of three interchangeable backends (``serial``, ``thread``,
 ``process``) with four guarantees the sweeps depend on:
 
-* **Determinism** — every task receives its own
-  :class:`numpy.random.Generator` spawned from one root
-  :class:`numpy.random.SeedSequence` by task index, so all three backends
-  produce byte-identical results for the same seed.  Scheduling order can
+* **Determinism** — results come back in payload order, and the
+  executor hands tasks no randomness of its own: every seed a task uses
+  is in its payload (sweeps derive them from their configs), so all
+  three backends produce byte-identical results.  Scheduling order can
   never leak into the data.
 * **Containment** — a task that raises is converted into a typed
   :class:`TaskFailure` in its result slot instead of killing the sweep;
   a hard worker death (e.g. a SIGKILL'd process breaking the pool) fails
   the affected tasks the same way and the broken pool is rebuilt on the
-  next call.  With a :class:`~repro.reliability.retry.RetryPolicy`
-  attached, failed tasks are re-attempted in the parent process under the
-  policy's backoff budget before being declared dead.
+  next call.  Nothing is re-attempted in the parent: a sweep recovers by
+  running again, which re-runs only its missing or failed tasks
+  (``train_all(resume=True)``, a resumed campaign, a cache-resumed
+  matrix or ensemble).
 * **Warm reuse** — the worker pool is built once per executor lifetime
   and reused across ``map_tasks`` calls, so a campaign of many waves pays
   process spawn-up exactly once (:attr:`pool_starts` counts rebuilds; the
@@ -25,8 +26,8 @@ API in front of three interchangeable backends (``serial``, ``thread``,
   zero pool-startup time).  ``close()`` — or the context-manager exit —
   releases the pool and any scattered arrays.  Tasks are dispatched in
   chunks (several tasks per pool submission) to amortize per-future
-  overhead; chunking never changes per-task seeds, so it is invisible in
-  the results.
+  overhead; chunking never changes a payload, so it is invisible in the
+  results.
 * **Observability** — each ``map_tasks`` call opens a ``compute.map`` span,
   feeds per-task timing histograms and outcome counters, and records a
   per-phase breakdown (pool startup / dispatch / task compute / result
@@ -41,11 +42,11 @@ handles that workers resolve into read-only memory maps (mapped once per
 worker, not once per task); on ``serial``/``thread`` the same call is a
 pass-through, so calling code stays backend-agnostic.
 
-Worker functions must have the signature ``fn(payload, rng)`` and — for
-the ``process`` backend — be importable module-level callables with
+Worker functions must have the signature ``fn(payload)`` and — for the
+``process`` backend — be importable module-level callables with
 picklable payloads and results.  An optional ``chaos`` hook (typically a
 :class:`~repro.reliability.faults.FaultInjector` wrapping a no-op source)
-is invoked with the task index before each attempt, which is how the
+is invoked with the task index before each task runs, which is how the
 chaos suite kills workers mid-sweep deterministically.
 """
 
@@ -56,16 +57,15 @@ import os
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.compute.sharing import resolve_refs, share_arrays
 from repro.observability.runtime import get_registry, get_tracer
-from repro.reliability.retry import RetryExhaustedError, RetryPolicy
 
-__all__ = ["BACKENDS", "TaskError", "TaskFailure", "ParallelExecutor"]
+__all__ = ["BACKENDS", "TaskFailure", "ParallelExecutor"]
 
 BACKENDS = ("serial", "thread", "process")
 
@@ -73,18 +73,9 @@ BACKENDS = ("serial", "thread", "process")
 _PHASES = ("pool_startup_s", "dispatch_s", "task_compute_s", "result_wait_s")
 
 
-class TaskError(RuntimeError):
-    """A task attempt failed inside a worker (original error re-packaged)."""
-
-    def __init__(self, error_type: str, message: str):
-        super().__init__(f"{error_type}: {message}")
-        self.error_type = error_type
-        self.error_message = message
-
-
 @dataclass(frozen=True)
 class TaskFailure:
-    """A task that stayed dead after every permitted attempt.
+    """A task that raised, or whose worker died.
 
     Occupies the task's slot in the ``map_tasks`` result list so callers
     keep positional alignment with their payloads; ``error_type`` names
@@ -95,28 +86,21 @@ class TaskFailure:
     label: str
     error_type: str
     message: str
-    attempts: int = 1
-    detail: dict = field(default_factory=dict)
 
 
-def _execute_task(fn, payload, seed_seq, index, chaos):
-    """Run one task attempt; never raises (returns a tagged outcome).
+def _execute_task(fn, payload, index, chaos):
+    """Run one task; never raises (returns a tagged outcome).
 
-    Module-level so the process backend can pickle it.  The per-task
-    generator is rebuilt from the spawned ``SeedSequence`` child here, in
-    the worker, so every backend (and every retry) sees the exact same
-    stream.  Scattered array handles are resolved into memory maps here
-    too, inside the containment boundary.  Exceptions are captured and
-    re-packaged — a raising task must cost one result slot, never the
-    pool.
+    Module-level so the process backend can pickle it.  Scattered array
+    handles are resolved into memory maps here, in the worker, inside the
+    containment boundary.  Exceptions are captured and re-packaged — a
+    raising task must cost one result slot, never the pool.
     """
     start = time.perf_counter()
     try:
         if chaos is not None:
             chaos(index)
-        payload = resolve_refs(payload)
-        rng = np.random.default_rng(seed_seq)
-        result = fn(payload, rng)
+        result = fn(resolve_refs(payload))
         return True, result, None, None, time.perf_counter() - start
     except Exception as error:  # noqa: BLE001 — containment is the contract
         return (
@@ -131,13 +115,13 @@ def _execute_task(fn, payload, seed_seq, index, chaos):
 def _execute_chunk(fn, items, chaos):
     """Run one chunk of tasks back-to-back in a single worker dispatch.
 
-    ``items`` is ``[(index, payload, seed_seq), ...]``; one outcome tuple
-    comes back per item, index-tagged so the parent can reassemble the
-    wave in payload order regardless of chunking.
+    ``items`` is ``[(index, payload), ...]``; one outcome tuple comes
+    back per item, index-tagged so the parent can reassemble the wave in
+    payload order regardless of chunking.
     """
     return [
-        (index, _execute_task(fn, payload, seed_seq, index, chaos))
-        for index, payload, seed_seq in items
+        (index, _execute_task(fn, payload, index, chaos))
+        for index, payload in items
     ]
 
 
@@ -160,35 +144,18 @@ class ParallelExecutor:
         self,
         backend: str = "serial",
         max_workers: Optional[int] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        retries: int = 0,
         chaos: Optional[Callable[[int], None]] = None,
-        seed: int = 0,
     ):
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
         self.backend = backend
         self.max_workers = (
             int(max_workers) if max_workers is not None
             else max(os.cpu_count() or 1, 1)
         )
-        if retry_policy is None and retries > 0:
-            # The wave execution was attempt #1; the policy governs only
-            # the in-parent re-attempts, so ``retries=2`` means three
-            # attempts total.
-            retry_policy = RetryPolicy(
-                max_attempts=retries,
-                base_delay=0.0,
-                jitter=0.0,
-                retry_on=(TaskError,),
-            )
-        self.retry_policy = retry_policy
         self.chaos = chaos
-        self.seed = int(seed)
         # Warm-pool state: one pool per executor lifetime, rebuilt only
         # after close() or a hard break.
         self._pool: Optional[concurrent.futures.Executor] = None
@@ -298,28 +265,23 @@ class ParallelExecutor:
         fn: Callable,
         payloads: Sequence,
         label: str = "map",
-        seed: Optional[int] = None,
     ) -> List:
-        """Run ``fn(payload, rng)`` over every payload; order-preserving.
+        """Run ``fn(payload)`` over every payload; order-preserving.
 
         Returns one entry per payload: the task's return value, or a
-        :class:`TaskFailure` if it failed every permitted attempt.  The
-        per-task ``rng`` is ``default_rng(SeedSequence(seed).spawn(n)[i])``
-        regardless of backend or chunking, so results are byte-identical
-        across ``serial``/``thread``/``process`` for a fixed seed.
+        :class:`TaskFailure` if it raised or its worker died.  A task's
+        result depends only on its payload, so results are byte-identical
+        across ``serial``/``thread``/``process`` and any chunking.
         """
         payloads = list(payloads)
         n = len(payloads)
-        root = np.random.SeedSequence(self.seed if seed is None else seed)
-        children = root.spawn(n) if n else []
         failures = 0
-        retried_ok = 0
         wall_start = time.perf_counter()
         with get_tracer().start_span(
             "compute.map",
             attributes={"backend": self.backend, "tasks": n, "label": label},
         ) as span:
-            outcomes, phases = self._run_wave(fn, payloads, children)
+            outcomes, phases = self._run_wave(fn, payloads)
             results: List = [None] * n
             for index, outcome in enumerate(outcomes):
                 ok, value, error_type, message, duration = outcome
@@ -329,25 +291,12 @@ class ParallelExecutor:
                     self._m_tasks.inc(backend=self.backend, outcome="ok")
                     results[index] = value
                     continue
-                value, attempts, recovered = self._retry_in_parent(
-                    fn, payloads[index], children[index], index,
-                    error_type, message,
+                failures += 1
+                self._m_tasks.inc(backend=self.backend, outcome="failed")
+                results[index] = TaskFailure(
+                    index=index, label=label,
+                    error_type=error_type, message=message,
                 )
-                if recovered:
-                    retried_ok += 1
-                    self._m_tasks.inc(backend=self.backend, outcome="retried_ok")
-                    results[index] = value
-                else:
-                    failures += 1
-                    self._m_tasks.inc(backend=self.backend, outcome="failed")
-                    error_type, message = value
-                    results[index] = TaskFailure(
-                        index=index,
-                        label=label,
-                        error_type=error_type,
-                        message=message,
-                        attempts=attempts,
-                    )
             stats: Dict[str, object] = {
                 "backend": self.backend,
                 "label": label,
@@ -362,23 +311,19 @@ class ParallelExecutor:
                 )
                 span.set_attribute(phase, float(stats[phase]))
             span.set_attribute("failures", failures)
-            span.set_attribute("retried_ok", retried_ok)
         return results
 
     # -- backend waves -------------------------------------------------------
 
-    def _chunks(self, payloads, children) -> List[List[tuple]]:
+    def _chunks(self, payloads) -> List[List[tuple]]:
         """Index-tagged task chunks; size amortizes dispatch overhead."""
-        items = [
-            (index, payload, child)
-            for index, (payload, child) in enumerate(zip(payloads, children))
-        ]
+        items = list(enumerate(payloads))
         # Aim for ~4 chunks per worker: coarse enough to amortize dispatch,
         # fine enough that one slow chunk cannot stall the wave's tail.
         size = max(1, -(-len(items) // (self.max_workers * 4)))
         return [items[i:i + size] for i in range(0, len(items), size)]
 
-    def _run_wave(self, fn, payloads, children):
+    def _run_wave(self, fn, payloads):
         """One parallel pass over all payloads.
 
         Returns ``(outcomes, phases)`` where ``outcomes[i]`` is task
@@ -389,11 +334,11 @@ class ParallelExecutor:
         phases = {phase: 0.0 for phase in _PHASES}
         if self.backend == "serial" or len(payloads) <= 1:
             return [
-                _execute_task(fn, payload, child, index, self.chaos)
-                for index, (payload, child) in enumerate(zip(payloads, children))
+                _execute_task(fn, payload, index, self.chaos)
+                for index, payload in enumerate(payloads)
             ], phases
         pool, phases["pool_startup_s"] = self._ensure_pool()
-        chunks = self._chunks(payloads, children)
+        chunks = self._chunks(payloads)
         dispatch_start = time.perf_counter()
         futures = [
             pool.submit(_execute_chunk, fn, chunk, self.chaos)
@@ -410,11 +355,10 @@ class ParallelExecutor:
             except BaseException as error:  # noqa: BLE001
                 # A hard worker death (broken pool, unpicklable result)
                 # must cost its chunk's tasks, not the sweep: report each
-                # like an in-task failure and let the retry path re-run
-                # them in-parent.
+                # like an in-task failure.
                 if isinstance(error, concurrent.futures.BrokenExecutor):
                     pool_broken = True
-                for index, _payload, _child in chunk:
+                for index, _payload in chunk:
                     outcomes[index] = (
                         False, None, type(error).__name__, str(error), 0.0
                     )
@@ -422,38 +366,6 @@ class ParallelExecutor:
         if pool_broken:
             self._discard_pool()
         return outcomes, phases
-
-    # -- retry path ----------------------------------------------------------
-
-    def _retry_in_parent(self, fn, payload, child, index, error_type, message):
-        """Re-attempt a failed task under the retry policy, in-process.
-
-        Retries run in the parent so a repeatedly crashing worker cannot
-        take the pool down again; determinism holds because the task rng
-        is rebuilt from the same SeedSequence child on every attempt.
-        Returns ``(value_or_error, attempts, recovered)``.
-        """
-        if self.retry_policy is None:
-            return (error_type, message), 1, False
-        attempts = [1]
-
-        def attempt():
-            attempts[0] += 1
-            ok, value, retry_type, retry_message, duration = _execute_task(
-                fn, payload, child, index, self.chaos
-            )
-            self._m_task_seconds.observe(duration, backend=self.backend)
-            if not ok:
-                raise TaskError(retry_type, retry_message)
-            return value
-
-        try:
-            return self.retry_policy.call(attempt), attempts[0], True
-        except RetryExhaustedError as error:
-            cause = error.__cause__
-            if isinstance(cause, TaskError):
-                return (cause.error_type, cause.error_message), attempts[0], False
-            return (error_type, message), attempts[0], False
 
     def __repr__(self) -> str:
         return (

@@ -116,16 +116,14 @@ class FailedRun:
     topology_name: str
     error_type: str
     message: str
-    attempts: int = 1
 
 
-def _train_topology(payload: dict, rng: Optional[np.random.Generator]) -> dict:
+def _train_topology(payload: dict) -> dict:
     """Build, train and score one topology; the only training path.
 
     Module-level, with a picklable payload and result, so the process
-    backend can run it in a worker.  The executor-provided ``rng`` is
-    unused: training determinism comes from the config seed on every
-    backend.
+    backend can run it in a worker.  Training determinism comes from the
+    config seed on every backend.
     """
     config: TrainingConfig = payload["config"]
     train_x, val_x, val_y = payload["train_x"], payload["val_x"], payload["val_y"]
@@ -419,7 +417,6 @@ class TrainingService:
                 topology_name=topology.name,
                 error_type=failure.error_type,
                 message=failure.message,
-                attempts=failure.attempts,
             )
         )
         self._record_event(
@@ -428,7 +425,6 @@ class TrainingService:
                 "topology": topology.name,
                 "error_type": failure.error_type,
                 "message": failure.message,
-                "attempts": failure.attempts,
             },
             dataset_artifact,
         )

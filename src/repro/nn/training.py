@@ -73,7 +73,13 @@ class History:
             self.history.setdefault(key, []).append(float(value))
 
     def best(self, metric: str = "val_loss", mode: str = "min") -> Tuple[int, float]:
-        """Return (epoch, value) of the best recorded value of ``metric``."""
+        """Return (epoch, value) of the best recorded value of ``metric``.
+
+        ``mode`` is ``"min"`` or ``"max"``; anything else raises
+        ``ValueError`` rather than silently meaning max.
+        """
+        if mode not in ("min", "max"):
+            raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
         values = self.history.get(metric)
         if not values:
             raise KeyError(f"metric {metric!r} was never recorded")

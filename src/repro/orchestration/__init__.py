@@ -7,17 +7,18 @@ turns that grid into a single supervised unit of experimentation:
 * :mod:`repro.orchestration.campaign` — :class:`CampaignSpec` pins the
   grid's full generating surface (canonical-config keyed, like
   ``MatrixSpec``); :func:`run_campaign_cell` computes one cell as a pure
-  function of config (executor rng deliberately unused → byte-identical
-  across backends and resumes) with its row cached under the cell
+  function of config (seeds derived from it → byte-identical across
+  backends and resumes) with its row cached under the cell
   config's canonical key; :class:`CampaignReport` aggregates the
   Fig-5/Fig-6 surfaces from rows in canonical grid order.
 * :mod:`repro.orchestration.orchestrator` — :class:`SweepOrchestrator`
   plans cells against the :class:`~repro.compute.cache.ArtifactCache`,
   pre-warms shared dataset artifacts in-parent, fans pending cells out
   over a warm-pooled :class:`~repro.compute.executor.ParallelExecutor`
-  in checkpointed waves, journals per-cell progress through the
-  :class:`~repro.storage.journal.Journal` WAL, and resumes a killed
-  campaign to a byte-identical report.
+  in waves of ``max_workers``, journals per-cell progress through the
+  :class:`~repro.storage.journal.Journal` WAL, and resumes a killed or
+  partly failed campaign to a byte-identical report — re-running is the
+  only retry.
 
 Layering: ``orchestration`` sits above ``compute``/``storage``/
 ``observability`` and imports ``core``/``nn``/``ms`` lazily inside cell

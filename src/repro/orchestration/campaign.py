@@ -14,10 +14,11 @@ of configuration*:
   :class:`~repro.compute.cache.ArtifactCache` instead of receiving them
   pickled per task;
 * model build/init/fit determinism comes from ``spec.seed`` exactly as in
-  the serial training paths;
-* the executor's per-task rng is deliberately unused, so cells are
-  byte-identical across ``serial``/``thread``/``process`` backends and
-  across killed-and-resumed runs.
+  the serial training paths.
+
+No other randomness reaches a cell, so cells are byte-identical across
+``serial``/``thread``/``process`` backends and across killed-and-resumed
+runs.
 
 :func:`run_campaign_cell` is the module-level executor task (picklable);
 each cell caches its result row under the canonical key of its cell
@@ -247,11 +248,10 @@ def campaign_datasets(
     return (train_x, train_y, train_info), (eval_x, eval_y, eval_info)
 
 
-def run_campaign_cell(payload: dict, rng=None) -> dict:
+def run_campaign_cell(payload: dict) -> dict:
     """Train and score one campaign cell; module-level for pickling.
 
-    ``rng`` (the executor's per-task generator) is intentionally unused:
-    every random draw comes from seeds derived from canonical config
+    Every random draw comes from seeds derived from canonical config
     content, which is what makes cells byte-identical across backends
     and across killed-and-resumed campaigns.  The result row is cached
     under the cell config's canonical key, so re-running a completed

@@ -5,11 +5,15 @@ into a supervised run:
 
 * **plan** — enumerate the grid in canonical order and probe the
   :class:`~repro.compute.cache.ArtifactCache` for each cell's canonical
-  key, so the operator sees exactly what a run will cost before paying;
+  key, so the operator sees exactly what a run will cost before paying.
+  A cell counts as cached only when its entry passes a verified read; a
+  corrupt entry is quarantined and the cell is pending again;
 * **run** — pre-warm the shared dataset artifacts in-parent (one
   generation per sample-size column, not one per worker), fan pending
   cells out over a :class:`~repro.compute.executor.ParallelExecutor` in
-  checkpointed waves, and append a journal record as each cell commits;
+  waves of ``executor.max_workers``, and append a journal record as each
+  cell commits.  A failed cell is journaled and left pending: running
+  again with ``resume=True`` is the retry;
 * **resume** — an interrupted campaign leaves a ``campaign_started``
   journal record without its ``campaign_completed``; reopening with
   ``resume=True`` replays the journal, re-plans against the cache (the
@@ -20,17 +24,19 @@ into a supervised run:
   :class:`CampaignInProgressError` so two operators cannot silently
   interleave runs.
 
-The final :class:`~repro.orchestration.campaign.CampaignReport` is
-rebuilt from cached rows in canonical grid order, so a
+The final :class:`~repro.orchestration.campaign.CampaignReport` is built
+from the verified cached rows plus the rows this run computed (each
+exactly as it reads back from the cache), in canonical grid order, so a
 killed-and-resumed campaign serializes byte-identically to an
-uninterrupted one — the acceptance contract the resume tests pin.
+uninterrupted one — the acceptance contract the resume tests pin.  The
+report never trains: a cell without a verified row is pending.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.compute.cache import ArtifactCache, canonical_key
 from repro.compute.executor import ParallelExecutor, TaskFailure
@@ -91,16 +97,12 @@ class SweepOrchestrator:
         cache: ArtifactCache,
         journal_path: Optional[str] = None,
         executor: Optional[ParallelExecutor] = None,
-        wave_size: Optional[int] = None,
         on_cell: Optional[Callable[[int, CampaignCell, dict], None]] = None,
     ):
-        if wave_size is not None and wave_size < 1:
-            raise ValueError("wave_size must be >= 1")
         self.spec = spec
         self.cache = cache
         self.journal_path = journal_path
         self.executor = executor
-        self.wave_size = wave_size
         # Parent-side hook fired after each newly computed cell commits
         # (tests use it to kill a run at a precise point in the grid).
         self.on_cell = on_cell
@@ -119,17 +121,27 @@ class SweepOrchestrator:
 
     def plan(self) -> List[dict]:
         """One entry per cell: id, canonical key, and cached state."""
-        entries = []
+        return [
+            {"cell_id": cell.cell_id, "key": key, "cached": row is not None}
+            for cell, key, row in self._scan()
+        ]
+
+    def _scan(self) -> List[Tuple[CampaignCell, str, Optional[dict]]]:
+        """``(cell, canonical key, verified cached row or None)`` per cell.
+
+        A cell is cached only if its entry reads back verified; a corrupt
+        entry is quarantined by that read, so the cell is pending and the
+        next run computes and journals it.  Cells with no entry are not
+        read.
+        """
+        scanned = []
         for cell in self.cells():
             key = canonical_key(cell_config(self.spec, cell))
-            entries.append(
-                {
-                    "cell_id": cell.cell_id,
-                    "key": key,
-                    "cached": self.cache.path_for(key).exists(),
-                }
+            exists = self.cache.path_for(key).exists()
+            scanned.append(
+                (cell, key, self.cache.get_json(key) if exists else None)
             )
-        return entries
+        return scanned
 
     # -- journal -------------------------------------------------------------
 
@@ -221,20 +233,16 @@ class SweepOrchestrator:
     def _run_cells(
         self, journal: Optional[Journal], max_cells: Optional[int]
     ) -> CampaignRunResult:
-        plan = self.plan()
-        cells = self.cells()
+        scanned = self._scan()
+        report_rows = [row for _cell, _key, row in scanned if row is not None]
         pending = [
             (index, cell)
-            for index, (cell, entry) in enumerate(zip(cells, plan))
-            if not entry["cached"]
+            for index, (cell, _key, row) in enumerate(scanned)
+            if row is None
         ]
         executor = self.executor if self.executor is not None else ParallelExecutor()
-        wave_size = (
-            self.wave_size if self.wave_size is not None
-            else max(1, executor.max_workers)
-        )
         result = CampaignRunResult(
-            report=None, cached=len(cells) - len(pending)
+            report=None, cached=len(scanned) - len(pending)
         )
         for _ in range(result.cached):
             self._m_cells.inc(outcome="cached")
@@ -242,13 +250,14 @@ class SweepOrchestrator:
         with get_tracer().start_span(
             "orchestration.campaign",
             attributes={
-                "cells": len(cells),
+                "cells": len(scanned),
                 "cached": result.cached,
                 "pending": len(pending),
                 "backend": executor.backend,
             },
         ) as span:
             scheduled = pending[:budget]
+            wave_size = executor.max_workers
             for start in range(0, len(scheduled), wave_size):
                 wave = scheduled[start:start + wave_size]
                 rows = executor.map_tasks(
@@ -264,7 +273,6 @@ class SweepOrchestrator:
                             "cell_id": cell.cell_id,
                             "error_type": row.error_type,
                             "message": row.message,
-                            "attempts": row.attempts,
                         }
                         result.failures.append(failure)
                         if journal is not None:
@@ -277,6 +285,7 @@ class SweepOrchestrator:
                             )
                         continue
                     result.computed += 1
+                    report_rows.append(row)
                     self._m_cells.inc(outcome="computed")
                     if journal is not None:
                         journal.append(
@@ -299,13 +308,15 @@ class SweepOrchestrator:
             if result.paused:
                 self._m_runs.inc(disposition="paused")
                 return result
-            result.report = self._build_report(result.failures)
+            result.report = CampaignReport.from_rows(
+                self.spec, report_rows, result.failures
+            )
             if journal is not None and result.failed == 0:
                 journal.append(
                     {
                         "event": "campaign_completed",
                         "campaign_key": self.spec.campaign_key(),
-                        "cells": len(cells),
+                        "cells": len(scanned),
                         "report_digest": canonical_key(
                             result.report.to_payload()
                         ),
@@ -332,39 +343,22 @@ class SweepOrchestrator:
             misses += (not train_info["hit"]) + (not eval_info["hit"])
         return misses
 
-    def _build_report(self, failures: List[dict]) -> CampaignReport:
-        """Rebuild the report purely from cached rows, in grid order.
-
-        Every completed cell replays as a verified cache hit here, which
-        is what makes the report byte-identical no matter how the
-        campaign was interrupted along the way.
-        """
-        failed_ids = {failure["cell_id"] for failure in failures}
-        rows = []
-        for cell in self.cells():
-            if cell.cell_id in failed_ids:
-                continue
-            key = canonical_key(cell_config(self.spec, cell))
-            if not self.cache.path_for(key).exists():
-                continue
-            rows.append(run_campaign_cell(self._payload(cell)))
-        return CampaignReport.from_rows(self.spec, rows, failures)
-
     def report(self, strict: bool = True) -> CampaignReport:
         """The aggregated surface of whatever the cache holds.
 
         ``strict=True`` (the default) refuses to summarize a partial
         campaign; pass ``strict=False`` to render work-in-progress.
         """
-        plan = self.plan()
-        missing = [entry["cell_id"] for entry in plan if not entry["cached"]]
+        scanned = self._scan()
+        missing = [cell.cell_id for cell, _key, row in scanned if row is None]
         if missing and strict:
             raise IncompleteCampaignError(
-                f"{len(missing)} of {len(plan)} cells have not completed "
+                f"{len(missing)} of {len(scanned)} cells have not completed "
                 f"(first missing: {missing[0]}); run the campaign or pass "
                 f"strict=False"
             )
-        return self._build_report([])
+        rows = [row for _cell, _key, row in scanned if row is not None]
+        return CampaignReport.from_rows(self.spec, rows)
 
     def to_status(self) -> dict:
         """JSON-ready plan summary for the CLI."""

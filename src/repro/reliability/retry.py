@@ -11,7 +11,7 @@ is injectable, so retry behaviour is exactly reproducible in tests.
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional, Tuple, Type
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -34,8 +34,10 @@ class RetryExhaustedError(AcquisitionError):
 class RetryPolicy:
     """Bounded retries with capped exponential backoff and seeded jitter.
 
-    The delay before retry ``n`` is ``base_delay * backoff ** (n - 1)``,
-    scaled by ``1 ± jitter`` and then capped at ``max_delay``.
+    Only :class:`~repro.reliability.faults.AcquisitionError` is retried;
+    any other exception propagates at once.  The delay before retry ``n``
+    is ``base_delay * backoff ** (n - 1)``, scaled by ``1 ± jitter`` and
+    then capped at ``max_delay``.
     """
 
     def __init__(
@@ -45,7 +47,6 @@ class RetryPolicy:
         backoff: float = 2.0,
         max_delay: float = 30.0,
         jitter: float = 0.1,
-        retry_on: Tuple[Type[BaseException], ...] = (AcquisitionError,),
         sleep: Callable[[float], None] = time.sleep,
         seed: int = 0,
         registry: Optional[MetricsRegistry] = None,
@@ -63,7 +64,6 @@ class RetryPolicy:
         self.backoff = float(backoff)
         self.max_delay = float(max_delay)
         self.jitter = float(jitter)
-        self.retry_on = tuple(retry_on)
         self.sleep = sleep
         self._rng = np.random.default_rng(seed)
         registry = registry if registry is not None else get_registry()
@@ -100,7 +100,7 @@ class RetryPolicy:
             self._m_attempts.inc()
             try:
                 return fn(*args, **kwargs)
-            except self.retry_on as error:
+            except AcquisitionError as error:
                 last_error = error
                 if attempt == self.max_attempts:
                     break

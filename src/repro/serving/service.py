@@ -385,8 +385,11 @@ class AnalysisService:
         self.completed = 0
         self.rejections: Dict[str, int] = {}
         self.abstentions: Dict[str, int] = {}
-        # Batches in a worker; stats() reads this, not the export gauge.
+        # Batches in a worker, and successful batched dispatches and their
+        # rows; stats() reads these, not the export gauge and histogram.
         self._inflight = 0
+        self._batches = 0
+        self._batched_rows = 0
 
     @classmethod
     def from_checkpoint(
@@ -549,6 +552,12 @@ class AnalysisService:
         fraction of every *answered* request so far (completed or
         abstained; queue-level refusals say nothing about the model),
         ``None`` before the first answer.
+
+        With batching, ``batching`` counts successful batched dispatches
+        (``batches``) and their rows (``batched_requests``) in the service
+        itself, so they hold with telemetry disabled; its batch-size
+        ``p50``/``p95``/``p99`` come from the exported histogram and are
+        ``None`` when the registry is disabled.
         """
         with self._stats_lock:
             abstained = sum(self.abstentions.values())
@@ -565,6 +574,7 @@ class AnalysisService:
                 "inflight": self._inflight,
             }
             answered = self.completed + abstained
+            batches, batched_rows = self._batches, self._batched_rows
         if self.uncertainty is not None:
             base["abstention_rate"] = abstained / answered if answered else None
         latency: Dict[str, Dict[str, object]] = {}
@@ -578,12 +588,10 @@ class AnalysisService:
             }
         base["latency_s"] = latency
         if self.batching is not None:
-            batches = self._m_batch_size.count(service=self.name)
-            requests = self._m_batch_size.sum(service=self.name)
             base["batching"] = {
                 "batches": batches,
-                "batched_requests": requests,
-                "mean_batch_size": (requests / batches) if batches else None,
+                "batched_requests": batched_rows,
+                "mean_batch_size": batched_rows / batches if batches else None,
                 **self._m_batch_size.percentiles(service=self.name),
             }
         if self.governor is not None:
@@ -718,8 +726,11 @@ class AnalysisService:
                     results = [(request, self._analyzer_error(request, error))]
                     answered = False
             else:
-                if self.batching is not None:  # stats()["batching"] only
+                if self.batching is not None:
                     self._b_batch_size.observe(len(valid))
+                    with self._stats_lock:
+                        self._batches += 1
+                        self._batched_rows += len(valid)
                 batch_span.set_attribute("analyzer_seconds", sum(seconds))
                 batch_span.end()
                 results, answered = self._row_results(

@@ -18,8 +18,7 @@ Two estimators, one contract (:class:`UncertainPrediction`):
 
 Ensemble training follows the :mod:`repro.adaptation.matrix` campaign
 idiom: every random draw comes from seeds derived from the canonical
-content of an :class:`EnsembleSpec`, the executor's per-task rng is
-deliberately unused, and each member's weights are their own
+content of an :class:`EnsembleSpec`, and each member's weights are their own
 :class:`~repro.compute.cache.ArtifactCache` entry — so campaigns are
 byte-identical across ``serial``/``thread``/``process`` backends and
 resume from cache after an interruption.
@@ -267,11 +266,10 @@ def _train_member_weights(spec: EnsembleSpec, member: int) -> List[np.ndarray]:
     return model.get_weights()
 
 
-def train_member(payload: dict, rng=None) -> dict:
+def train_member(payload: dict) -> dict:
     """Train (or reload) one ensemble member; module-level for pickling.
 
-    ``rng`` (the executor's per-task generator) is intentionally unused:
-    every random draw comes from seeds derived from the member's
+    Every random draw comes from seeds derived from the member's
     canonical config, which is what makes members byte-identical across
     backends and across resumed runs.
     """

@@ -12,7 +12,7 @@ from repro.compute import (
 )
 
 
-def _sum_shared(payload, rng):
+def _sum_shared(payload):
     """Executor task: sum the resolved shared array (module-level)."""
     return float(np.sum(payload["data"])) + payload["offset"]
 

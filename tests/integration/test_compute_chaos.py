@@ -5,7 +5,8 @@ is installed as the executor's per-task ``chaos`` hook, so a seeded subset
 of training tasks dies with :class:`AcquisitionError` exactly as a crashed
 worker would.  The sweep must complete, record every dead topology as a
 typed :class:`FailedRun` (and in provenance), and still select the best
-survivor.
+survivor.  Nothing is retried in the sweep itself: running it again with
+``resume=True`` trains exactly the topologies that died.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from repro.core.datasets import SpectraDataset
 from repro.core.topologies import mlp_topology
 from repro.core.training_service import TrainingConfig, TrainingService
 from repro.db.provenance import ProvenanceTracker
+from repro.reliability.checkpoint import CheckpointManager
 from repro.reliability.faults import FaultConfig, FaultInjector
 
 
@@ -35,7 +37,7 @@ TOPOLOGIES = [
 CONFIG = TrainingConfig(epochs=2, batch_size=16, patience=None, seed=1)
 
 
-def _chaos_executor(dropped_scan, seed=0, retries=0):
+def _chaos_executor(dropped_scan, seed=0):
     """Thread backend with one worker: tasks hit the shared injector in
     submission order, so a fixed seed gives a fixed failure set."""
     injector = FaultInjector(
@@ -43,9 +45,7 @@ def _chaos_executor(dropped_scan, seed=0, retries=0):
         FaultConfig(dropped_scan=dropped_scan),
         seed=seed,
     )
-    executor = ParallelExecutor(
-        backend="thread", max_workers=1, chaos=injector, retries=retries
-    )
+    executor = ParallelExecutor("thread", max_workers=1, chaos=injector)
     return executor, injector
 
 
@@ -107,24 +107,32 @@ class TestSweepSurvivesWorkerCrashes:
         with pytest.raises(RuntimeError, match="no completed training runs"):
             service.select_best()
 
-    def test_retries_recover_transient_crashes(self):
-        # dropped_scan=1.0 for the first wave only: a chaos hook that
-        # stops injecting after the first attempt per task models a
-        # crash-once worker; retries must recover every topology.
-        attempted = set()
+    def test_resume_retrains_crashed(self, tmp_path):
+        """Re-running with ``resume=True`` is the retry."""
+        dispatched = []
 
-        def crash_once(index):
-            if index not in attempted:
-                attempted.add(index)
-                raise RuntimeError(f"worker crashed on task {index}")
+        def crash_first_two(index):
+            dispatched.append(index)
+            if len(dispatched) <= 2:
+                raise RuntimeError("worker crashed")
 
-        executor = ParallelExecutor(
-            backend="thread", max_workers=1, chaos=crash_once, retries=1
+        dataset, manager = _dataset(), CheckpointManager(tmp_path / "ckpt")
+        executor = ParallelExecutor("thread", 1, chaos=crash_first_two)
+        first = TrainingService(CONFIG, checkpoints=manager, executor=executor)
+        first.train_all(TOPOLOGIES, dataset, sweep_name="chaos")
+        dead = {t.name for t in TOPOLOGIES[:2]}
+        assert {f.topology_name for f in first.failures} == dead
+        resumed = TrainingService(CONFIG, checkpoints=manager)
+        runs = resumed.train_all(
+            TOPOLOGIES, dataset, sweep_name="chaos", resume=True
         )
-        service = TrainingService(CONFIG, executor=executor)
-        runs = service.train_all(TOPOLOGIES, _dataset(), sweep_name="chaos")
-        assert service.failures == []
-        assert len(runs) == len(TOPOLOGIES)
+        assert resumed.failures == []
+        assert {r.topology_name for r in runs if not r.resumed} == dead
+        clean = TrainingService(CONFIG)
+        clean.train_all(TOPOLOGIES, dataset)
+        assert {r.topology_name: r.metrics for r in runs} == {
+            r.topology_name: r.metrics for r in clean.runs
+        }
 
     def test_chaos_run_results_match_clean_run_for_survivors(self):
         """A surviving topology's model must be unaffected by the chaos."""

@@ -46,6 +46,12 @@ class TestHistory:
         with pytest.raises(KeyError):
             History().best("val_loss")
 
+    def test_best_rejects_unknown_mode(self):
+        h = History()
+        h.record(1, {"val_loss": 1.0})
+        with pytest.raises(ValueError, match="mode"):
+            h.best("val_loss", mode="mni")
+
 
 class TestFitLoop:
     def test_history_contains_losses_and_timing(self):

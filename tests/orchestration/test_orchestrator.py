@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.compute import ArtifactCache
+from repro.compute import BACKENDS, ArtifactCache, ParallelExecutor
 from repro.observability.runtime import scoped
 from repro.orchestration import (
     CampaignInProgressError,
@@ -11,6 +11,8 @@ from repro.orchestration import (
     SweepOrchestrator,
     report_json,
 )
+from repro.reliability.storage_faults import bit_flip_file
+from repro.storage.journal import Journal
 
 SPEC = CampaignSpec(
     compounds=("N2", "O2"),
@@ -161,3 +163,45 @@ class TestReport:
         orchestrator = _orchestrator(cache, tmp_path)
         run_report = orchestrator.run().report
         assert report_json(orchestrator.report()) == report_json(run_report)
+
+
+def _corrupt_first_cell(orchestrator):
+    key = orchestrator.plan()[0]["key"]
+    bit_flip_file(str(orchestrator.cache.path_for(key)))
+
+
+class TestCorruptCell:
+    """A cached cell whose entry fails verification is pending again."""
+
+    def test_corrupt_cell_recomputed_and_journaled(self, cache, tmp_path):
+        first = _orchestrator(cache, tmp_path).run()
+        committed = []
+        orchestrator = _orchestrator(
+            cache, tmp_path, on_cell=lambda *args: committed.append(args[0])
+        )
+        _corrupt_first_cell(orchestrator)
+        second = orchestrator.run()
+        assert (second.computed, second.cached, committed) == (1, 1, [0])
+        assert report_json(second.report) == report_json(first.report)
+        records, _ = Journal(str(tmp_path / "campaign.journal")).replay()
+        assert [r["event"] for r in records].count("cell_completed") == 3
+
+    def test_strict_report_refuses_corrupt_cell(self, cache, tmp_path):
+        orchestrator = _orchestrator(cache, tmp_path)
+        orchestrator.run()
+        _corrupt_first_cell(orchestrator)
+        with pytest.raises(IncompleteCampaignError, match="1 of 2"):
+            orchestrator.report()
+
+
+def test_report_byte_identical_on_every_backend(tmp_path):
+    """Config seeds are the only source of randomness in a cell."""
+    reports = set()
+    for backend in BACKENDS:
+        with ParallelExecutor(backend, max_workers=2) as executor:
+            result = SweepOrchestrator(
+                SPEC, ArtifactCache(tmp_path / backend), executor=executor
+            ).run()
+        assert result.computed == 2
+        reports.add(report_json(result.report))
+    assert len(reports) == 1

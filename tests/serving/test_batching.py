@@ -403,6 +403,18 @@ class TestPerRowGating:
         assert stats["batching"]["batched_requests"] == 6
         assert stats["batching"]["mean_batch_size"] >= 1.0
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_batch_counts_do_not_depend_on_telemetry(self, enabled):
+        service = self._batched_service(
+            _double_batch, registry=MetricsRegistry(enabled=enabled)
+        )
+        with service:
+            for _ in range(10):
+                assert service.analyze(np.ones(LENGTH)).ok
+            batching = service.stats()["batching"]
+        assert (batching["batches"], batching["batched_requests"]) == (10, 10)
+        assert (batching["p50"] is None) == (not enabled)
+
     def test_batched_mode_without_batch_analyzer_maps_single(self):
         service = AnalysisService(
             _double,
