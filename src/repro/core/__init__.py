@@ -34,7 +34,6 @@ from repro.core.datasets import SpectraDataset
 from repro.core.augmentation import plateau_time_series, sliding_windows
 from repro.core.pipeline import MSToolchain, ToolchainResult
 from repro.core.training_service import TrainingConfig, TrainingService
-from repro.core.topology_search import ConvBlock, ExplorativeSearch, SearchResult
 from repro.core.evaluation import (
     evaluate_per_compound,
     measurements_to_arrays,
@@ -52,13 +51,10 @@ from repro.core.closed_loop import (
 __all__ = [
     "ClosedLoopSimulation",
     "ControlStep",
-    "ConvBlock",
     "DriftMonitor",
     "DriftStatus",
-    "ExplorativeSearch",
     "MSToolchain",
     "PIController",
-    "SearchResult",
     "ann_analyzer",
     "ihm_analyzer",
     "SpectraDataset",

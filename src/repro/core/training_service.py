@@ -63,10 +63,10 @@ __all__ = ["TrainingConfig", "TrainingRun", "FailedRun", "TrainingService"]
 class TrainingConfig:
     """Hyperparameters shared by every run of a service invocation.
 
-    ``clip_norm`` enables global gradient-norm clipping in every run.
-    ``sentinel=True`` (the default) attaches a
-    :class:`~repro.nn.sentinel.DivergenceSentinel` to every run, so a
-    topology whose training goes non-finite is rolled back to its
+    Every run trains with Adam.  ``clip_norm`` enables global
+    gradient-norm clipping in every run.  ``sentinel=True`` (the default)
+    attaches a :class:`~repro.nn.sentinel.DivergenceSentinel` to every
+    run, so a topology whose training goes non-finite is rolled back to its
     last-good state with a halved learning rate instead of finishing the
     sweep with NaN weights; ``sentinel_max_rollbacks`` bounds how often
     before the run is abandoned as diverged.
@@ -74,7 +74,6 @@ class TrainingConfig:
 
     epochs: int = 30
     batch_size: int = 64
-    optimizer: str = "adam"
     loss: str = "mae"
     train_fraction: float = 0.8
     patience: Optional[int] = 8
@@ -128,7 +127,7 @@ def _train_topology(payload: dict) -> dict:
     config: TrainingConfig = payload["config"]
     train_x, val_x, val_y = payload["train_x"], payload["val_x"], payload["val_y"]
     model = payload["topology"].build(train_x.shape[1:], seed=config.seed)
-    model.compile(config.optimizer, config.loss)
+    model.compile("adam", config.loss)
     callbacks = []
     if config.patience is not None:
         callbacks.append(

@@ -33,7 +33,7 @@ def export_for_embedded(
 
     Returns the paths written (``plan``, ``manifest``).  ``dataset_size``
     defaults to the paper's 21 600-sample evaluation set.  A model with a
-    layer that has no fused kernel (LSTM, BatchNorm) raises
+    layer that has no fused kernel (LSTM) raises
     :class:`~repro.inference.plan.UnsupportedLayerError`.
     """
     from repro.inference import freeze, save_plan  # lazy: inference imports us

@@ -344,7 +344,7 @@ def freeze(
     the pinned per-dtype accuracy budget (``DEFAULT_CONTRACTS``).
 
     Raises :class:`UnsupportedLayerError` on the first layer with no
-    fused kernel (LSTM, BatchNorm, the composite research blocks);
+    fused kernel (LSTM, the composite research blocks);
     callers wiring this into serving catch it and fall back to the
     reference path.
     """

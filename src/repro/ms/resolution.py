@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.ms.spectrum import MassSpectrum, MzAxis
 
-__all__ = ["resample_spectrum", "resample_batch"]
+__all__ = ["resample_spectrum"]
 
 
 def resample_spectrum(
@@ -36,23 +36,3 @@ def resample_spectrum(
                                   spectrum.axis.step)
     return MassSpectrum(target_axis, values, metadata)
 
-
-def resample_batch(
-    spectra: np.ndarray,
-    source_axis: MzAxis,
-    target_axis: MzAxis,
-    fill_value: float = 0.0,
-) -> np.ndarray:
-    """Vectorized resampling of an ``(n, grid)`` spectra matrix."""
-    spectra = np.asarray(spectra, dtype=np.float64)
-    if spectra.ndim != 2 or spectra.shape[1] != source_axis.size:
-        raise ValueError(
-            f"expected shape (n, {source_axis.size}), got {spectra.shape}"
-        )
-    source = source_axis.values()
-    target = target_axis.values()
-    out = np.empty((spectra.shape[0], target_axis.size))
-    for i in range(spectra.shape[0]):
-        out[i] = np.interp(target, source, spectra[i],
-                           left=fill_value, right=fill_value)
-    return out

@@ -23,7 +23,6 @@ __all__ = [
     "lorentzian",
     "gaussian",
     "pseudo_voigt",
-    "dispersive_lorentzian",
     "pseudo_voigt_with_phase",
     "pseudo_voigt_table",
     "fwhm_to_sigma",
@@ -195,22 +194,6 @@ def pseudo_voigt(
     Lorentzian; field inhomogeneity adds the Gaussian component.
     """
     return pseudo_voigt_with_phase(x, center, fwhm, eta)
-
-
-def dispersive_lorentzian(x: np.ndarray, center: float, fwhm: float) -> np.ndarray:
-    """The dispersive (imaginary) partner of the Lorentzian line.
-
-    D(x) = (1/pi) * (x-center) / ((x-center)^2 + hwhm^2)
-
-    A spectrum with an uncorrected phase error phi contains
-    ``cos(phi)*absorptive + sin(phi)*dispersive`` — an asymmetric line no
-    purely absorptive hard model can fit, which is one reason real IHM
-    analyses underperform idealized ones.
-    """
-    _check_fwhm(fwhm)
-    delta = np.asarray(x) - np.float64(center)
-    hwhm = 0.5 * np.float64(fwhm)
-    return (delta / np.pi) / (delta * delta + hwhm * hwhm)
 
 
 def pseudo_voigt_with_phase(

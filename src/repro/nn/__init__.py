@@ -10,7 +10,7 @@ paper uses:
 * activations: ReLU, SELU, softmax, linear, sigmoid, tanh;
 * losses: mean absolute error (the paper's training loss) and mean squared
   error (the paper's NMR comparison metric);
-* optimizers: SGD (with momentum), Adam and RMSprop;
+* optimizer: Adam;
 * a Keras-like :class:`Sequential` container with ``fit``/``predict``,
   callbacks, serialization and per-layer FLOP counting (used by the
   embedded-platform cost model of Table 2).
@@ -36,14 +36,12 @@ from repro.nn.initializers import (
     Initializer,
     LeCunNormal,
     Orthogonal,
-    RandomUniform,
     Zeros,
     get_initializer,
 )
 from repro.nn.layers import (
     ActivationLayer,
     AvgPool1D,
-    BatchNorm,
     Conv1D,
     Dense,
     Dropout,
@@ -66,11 +64,10 @@ from repro.nn.metrics import (
     root_mean_squared_error,
 )
 from repro.nn.model import Sequential
-from repro.nn.preprocessing import MinMaxScaler, StandardScaler, scaler_from_config
-from repro.nn.optimizers import SGD, Adam, Optimizer, RMSprop, get_optimizer
+from repro.nn.optimizers import Adam, Optimizer, get_optimizer
 from repro.nn.serialization import load_model, save_model
 from repro.nn.sentinel import DivergenceError, DivergenceSentinel, SentinelEvent
-from repro.nn.training import Callback, EarlyStopping, History, TrainingLogger
+from repro.nn.training import Callback, EarlyStopping, History
 from repro.nn.flops import count_model_flops, count_model_params, layer_flops
 
 __all__ = [
@@ -78,7 +75,6 @@ __all__ = [
     "ActivationLayer",
     "Adam",
     "AvgPool1D",
-    "BatchNorm",
     "Callback",
     "Constant",
     "Conv1D",
@@ -102,18 +98,12 @@ __all__ = [
     "MaxPool1D",
     "MeanAbsoluteError",
     "MeanSquaredError",
-    "MinMaxScaler",
     "Optimizer",
     "Orthogonal",
-    "RMSprop",
-    "RandomUniform",
     "Reshape",
     "ResidualDense",
-    "SGD",
     "SentinelEvent",
     "Sequential",
-    "StandardScaler",
-    "TrainingLogger",
     "Zeros",
     "count_model_flops",
     "count_model_params",
@@ -131,7 +121,6 @@ __all__ = [
     "relu",
     "root_mean_squared_error",
     "save_model",
-    "scaler_from_config",
     "selu",
     "sigmoid",
     "softmax",

@@ -14,7 +14,6 @@ __all__ = [
     "Initializer",
     "Zeros",
     "Constant",
-    "RandomUniform",
     "GlorotUniform",
     "HeNormal",
     "LeCunNormal",
@@ -68,22 +67,6 @@ class Constant(Initializer):
 
     def get_config(self):
         return {"name": self.name, "value": self.value}
-
-
-class RandomUniform(Initializer):
-    name = "random_uniform"
-
-    def __init__(self, low: float = -0.05, high: float = 0.05):
-        if high <= low:
-            raise ValueError(f"high ({high}) must exceed low ({low})")
-        self.low = float(low)
-        self.high = float(high)
-
-    def __call__(self, shape, rng):
-        return rng.uniform(self.low, self.high, size=shape)
-
-    def get_config(self):
-        return {"name": self.name, "low": self.low, "high": self.high}
 
 
 class GlorotUniform(Initializer):
@@ -148,7 +131,6 @@ _REGISTRY = {
     for cls in (
         Zeros,
         Constant,
-        RandomUniform,
         GlorotUniform,
         HeNormal,
         LeCunNormal,

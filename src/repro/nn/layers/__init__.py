@@ -6,12 +6,10 @@ from repro.nn.layers.conv import Conv1D, LocallyConnected1D
 from repro.nn.layers.pool import AvgPool1D, GlobalAvgPool1D, MaxPool1D
 from repro.nn.layers.recurrent import LSTM
 from repro.nn.layers.composite import HighwayDense, ResidualDense
-from repro.nn.layers.normalization import BatchNorm
 
 __all__ = [
     "ActivationLayer",
     "AvgPool1D",
-    "BatchNorm",
     "Conv1D",
     "Dense",
     "Dropout",
@@ -31,7 +29,6 @@ LAYER_REGISTRY = {
     for cls in (
         ActivationLayer,
         AvgPool1D,
-        BatchNorm,
         Conv1D,
         Dense,
         Dropout,

@@ -135,7 +135,7 @@ class Sequential:
         (``dtype="int8"``, optionally ``per_channel=True``).  Execute it
         with :class:`~repro.inference.engine.InferenceEngine`; raises
         :class:`~repro.inference.plan.UnsupportedLayerError` if a layer
-        has no fused kernel (LSTM, BatchNorm, composite blocks).
+        has no fused kernel (LSTM, composite blocks).
         """
         from repro.inference import freeze as freeze_plan
 

@@ -1,4 +1,4 @@
-"""Gradient-descent optimizers (SGD+momentum, Adam, RMSprop).
+"""Gradient-descent optimizer (Adam).
 
 Optimizers hold per-parameter state keyed by ``(layer_index, param_name)``
 so a single optimizer instance can drive a whole :class:`Sequential` model.
@@ -10,7 +10,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-__all__ = ["Optimizer", "SGD", "Adam", "RMSprop", "get_optimizer"]
+__all__ = ["Optimizer", "Adam", "get_optimizer"]
 
 ParamKey = Tuple[int, str]
 
@@ -47,7 +47,7 @@ class Optimizer:
         raise NotImplementedError
 
     def reset(self) -> None:
-        """Discard accumulated state (momentum, moments, step count)."""
+        """Discard accumulated state (moments, step count)."""
         self.iterations = 0
 
     def _slots(self) -> Dict[str, Dict[ParamKey, np.ndarray]]:
@@ -83,46 +83,6 @@ class Optimizer:
             "learning_rate": self.learning_rate,
             "clipnorm": self.clipnorm,
         }
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional (Nesterov) momentum."""
-
-    name = "sgd"
-
-    def __init__(self, learning_rate=0.01, momentum=0.0, nesterov=False, clipnorm=None):
-        super().__init__(learning_rate, clipnorm)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = float(momentum)
-        self.nesterov = bool(nesterov)
-        self._velocity: Dict[ParamKey, np.ndarray] = {}
-
-    def _slots(self):
-        return {"velocity": self._velocity}
-
-    def _update(self, key, param, grad):
-        if self.momentum == 0.0:
-            param -= self.learning_rate * grad
-            return
-        v = self._velocity.get(key)
-        if v is None:
-            v = np.zeros_like(param)
-        v = self.momentum * v - self.learning_rate * grad
-        self._velocity[key] = v
-        if self.nesterov:
-            param += self.momentum * v - self.learning_rate * grad
-        else:
-            param += v
-
-    def reset(self):
-        super().reset()
-        self._velocity.clear()
-
-    def get_config(self):
-        config = super().get_config()
-        config.update(momentum=self.momentum, nesterov=self.nesterov)
-        return config
 
 
 class Adam(Optimizer):
@@ -177,41 +137,7 @@ class Adam(Optimizer):
         return config
 
 
-class RMSprop(Optimizer):
-    """RMSprop: gradient scaling by a running mean of squared gradients."""
-
-    name = "rmsprop"
-
-    def __init__(self, learning_rate=0.001, rho=0.9, epsilon=1e-8, clipnorm=None):
-        super().__init__(learning_rate, clipnorm)
-        if not 0.0 <= rho < 1.0:
-            raise ValueError(f"rho must be in [0, 1), got {rho}")
-        self.rho = float(rho)
-        self.epsilon = float(epsilon)
-        self._sq: Dict[ParamKey, np.ndarray] = {}
-
-    def _slots(self):
-        return {"sq": self._sq}
-
-    def _update(self, key, param, grad):
-        sq = self._sq.get(key)
-        if sq is None:
-            sq = np.zeros_like(param)
-        sq = self.rho * sq + (1.0 - self.rho) * grad * grad
-        self._sq[key] = sq
-        param -= self.learning_rate * grad / (np.sqrt(sq) + self.epsilon)
-
-    def reset(self):
-        super().reset()
-        self._sq.clear()
-
-    def get_config(self):
-        config = super().get_config()
-        config.update(rho=self.rho, epsilon=self.epsilon)
-        return config
-
-
-_REGISTRY = {"sgd": SGD, "adam": Adam, "rmsprop": RMSprop}
+_REGISTRY = {"adam": Adam}
 
 
 def get_optimizer(spec) -> Optimizer:
@@ -219,14 +145,12 @@ def get_optimizer(spec) -> Optimizer:
     if isinstance(spec, Optimizer):
         return spec
     if isinstance(spec, str):
-        try:
-            return _REGISTRY[spec.lower()]()
-        except KeyError:
-            raise ValueError(
-                f"unknown optimizer {spec!r}; known: {sorted(_REGISTRY)}"
-            ) from None
-    if isinstance(spec, dict):
+        name, config = spec.lower(), {}
+    elif isinstance(spec, dict):
         config = dict(spec)
-        name = config.pop("name")
-        return _REGISTRY[name](**config)
-    raise TypeError(f"cannot resolve optimizer from {type(spec).__name__}")
+        name = config.pop("name", None)
+    else:
+        raise TypeError(f"cannot resolve optimizer from {type(spec).__name__}")
+    if name not in _REGISTRY:
+        raise ValueError(f"unknown optimizer {name!r}; known: {sorted(_REGISTRY)}")
+    return _REGISTRY[name](**config)

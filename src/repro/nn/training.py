@@ -29,7 +29,6 @@ __all__ = [
     "History",
     "Callback",
     "EarlyStopping",
-    "TrainingLogger",
     "logger",
     "run_training_loop",
 ]
@@ -178,25 +177,6 @@ class EarlyStopping(Callback):
     def on_train_end(self):
         if self.restore_best_weights and self._best_weights is not None:
             self.model.set_weights(self._best_weights)
-
-
-class TrainingLogger(Callback):
-    """Log one line per epoch (opt-in; fit(verbose=True) adds one too).
-
-    Lines go through the ``repro.training`` logger at INFO — the default
-    handler prints exactly the historical format to stdout; reconfigure
-    the logger's handlers to redirect or silence them.
-    """
-
-    def __init__(self, every: int = 1):
-        if every < 1:
-            raise ValueError(f"every must be >= 1, got {every}")
-        self.every = int(every)
-
-    def on_epoch_end(self, epoch, metrics):
-        if epoch % self.every == 0:
-            parts = ", ".join(f"{k}={v:.6f}" for k, v in metrics.items())
-            logger.info("epoch %4d: %s", epoch, parts)
 
 
 def run_training_loop(

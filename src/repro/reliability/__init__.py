@@ -21,7 +21,7 @@ a blind control period holds the actuator — lives in
 * :mod:`repro.reliability.validation` — input validation gates (shape,
   dtype, finiteness, axis monotonicity, value range) with the structured
   :class:`ValidationError` taxonomy, applied at the ``Sequential.predict``
-  boundary, MS toolchain ingestion and the preprocessing scalers;
+  boundary and MS toolchain ingestion;
 * :mod:`repro.reliability.storage_faults` — :class:`StorageFaultInjector`,
   the disk-side counterpart of :class:`FaultInjector`: torn writes and
   appends, bit flips, lost fsyncs/renames and vanishing files injected

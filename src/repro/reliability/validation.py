@@ -3,11 +3,12 @@
 NaNs are contagious: one dead detector channel that slips past ingestion
 shows up minutes later as a non-finite MAE, a runaway controller, or a
 checkpoint full of NaN weights — far from where it entered.  The gates in
-this module are applied at the three trust boundaries (``Sequential.
-predict``, :class:`~repro.core.pipeline.MSToolchain` ingestion, the
-:mod:`repro.nn.preprocessing` scalers) so garbage is rejected *at the
-boundary* with a :class:`ValidationError` subclass that names exactly what
-was wrong, instead of propagating silently into downstream numerics.
+this module are applied at the trust boundaries (``Sequential.predict``,
+:class:`~repro.core.pipeline.MSToolchain` ingestion, the
+:class:`~repro.serving.service.AnalysisService` admission gate) so garbage
+is rejected *at the boundary* with a :class:`ValidationError` subclass
+that names exactly what was wrong, instead of propagating silently into
+downstream numerics.
 
 This module deliberately imports nothing but NumPy, so every layer of the
 codebase (including :mod:`repro.nn`, which otherwise depends only on
@@ -34,7 +35,6 @@ __all__ = [
     "ensure_range",
     "validate_spectrum",
     "validate_batch",
-    "validate_predictions",
 ]
 
 
@@ -235,50 +235,4 @@ def validate_batch(
         expected = (None,) + tuple(int(d) for d in feature_shape)
         ensure_shape(array, shape=expected, field=field)
     ensure_finite(array, field=field)
-    return array
-
-
-def validate_predictions(
-    values,
-    *,
-    n_outputs: Optional[int] = None,
-    min_value: Optional[float] = 0.0,
-    max_value: Optional[float] = None,
-    tolerance: float = 1e-9,
-    field: str = "prediction",
-) -> np.ndarray:
-    """Gate for model *outputs*: numeric, 2-D (batch, outputs), finite,
-    physically plausible.
-
-    The output-side twin of :func:`validate_batch`, applied to candidate
-    models before they are trusted with traffic — a recalibrated network
-    whose predictions contain NaN (poisoned fine-tune data, diverged
-    optimizer) is rejected here with the same typed taxonomy the input
-    gates use.
-
-    Predictions are concentrations, and a negative concentration is
-    physically impossible — yet it is perfectly finite, so it used to
-    sail through this gate.  ``min_value`` (default ``0.0``) now raises
-    :class:`RangeError` for it; ``tolerance`` absorbs the last-ulp
-    negative dust a linear output head can emit for a true zero without
-    letting a genuinely negative prediction through.  Pass
-    ``min_value=None`` to disable the bound for signed outputs.
-    """
-    array = ensure_array(values, field=field)
-    ensure_shape(array, ndim=2, field=field)
-    if n_outputs is not None and array.shape[1] != n_outputs:
-        raise ShapeError(
-            f"expected {n_outputs} outputs per row, got {array.shape[1]}",
-            field=field,
-            detail={"expected": n_outputs, "outputs": int(array.shape[1])},
-        )
-    ensure_finite(array, field=field)
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-    ensure_range(
-        array,
-        min_value=None if min_value is None else min_value - tolerance,
-        max_value=None if max_value is None else max_value + tolerance,
-        field=field,
-    )
     return array

@@ -45,7 +45,7 @@ from repro.serving.circuit import (
     CircuitBreaker,
     CircuitTransition,
 )
-from repro.serving.loading import analyzer_from_checkpoint, load_verified_model
+from repro.serving.loading import analyzer_from_checkpoint
 from repro.serving.service import (
     Abstained,
     AnalysisService,
@@ -59,7 +59,6 @@ __all__ = [
     "AnalysisService",
     "analyzer_from_checkpoint",
     "batch_analyzer_from_model",
-    "load_verified_model",
     "BatchingPolicy",
     "BrownoutGovernor",
     "BrownoutLevel",

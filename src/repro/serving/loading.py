@@ -15,24 +15,9 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from repro.reliability.checkpoint import CheckpointData, CheckpointManager
+from repro.reliability.checkpoint import CheckpointManager
 
-__all__ = ["load_verified_model", "analyzer_from_checkpoint"]
-
-
-def load_verified_model(
-    manager: CheckpointManager, name: str, seed: int = 0
-) -> CheckpointData:
-    """Load a served model through checksum verification and fallback.
-
-    Thin veneer over :meth:`CheckpointManager.load` so serving call sites
-    read as intent: the returned :class:`CheckpointData` carries
-    ``generation`` and ``fell_back`` for the operator's logs.  Raises
-    :class:`~repro.storage.integrity.CorruptArtifactError` only if *no*
-    generation verifies (everything unreadable is quarantined, not
-    deleted).
-    """
-    return manager.load(name, seed=seed)
+__all__ = ["analyzer_from_checkpoint"]
 
 
 def analyzer_from_checkpoint(
@@ -42,10 +27,12 @@ def analyzer_from_checkpoint(
 
     Returns ``(analyzer, expected_length)`` where ``expected_length`` is
     the model's input length (for the service's validation gate), or
-    ``None`` for models with non-vector inputs.
+    ``None`` for models with non-vector inputs.  Raises
+    :class:`~repro.storage.integrity.CorruptArtifactError` only if *no*
+    generation verifies (everything unreadable is quarantined, not
+    deleted).
     """
-    data = load_verified_model(manager, name, seed=seed)
-    model = data.model
+    model = manager.load(name, seed=seed).model
 
     def analyzer(intensities) -> np.ndarray:
         batch = np.asarray(intensities, dtype=np.float64)[np.newaxis, ...]

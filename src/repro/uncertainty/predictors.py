@@ -114,9 +114,8 @@ class MCDropoutPredictor:
     """Mean + spread from T stochastic dropout passes through one model.
 
     Only :class:`~repro.nn.layers.core.Dropout` layers run in training
-    mode during the passes — normalization layers stay in inference mode
-    so their running statistics are never mutated by prediction.  Each
-    ``predict`` re-seeds every dropout layer per pass from a
+    mode during the passes; every other layer runs its inference forward.
+    Each ``predict`` re-seeds every dropout layer per pass from a
     ``SeedSequence`` tree rooted at ``seed``, then restores the layers'
     original generators, so calls are byte-repeatable and leave the
     model's training-time randomness untouched.

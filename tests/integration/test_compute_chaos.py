@@ -154,36 +154,3 @@ class TestSweepSurvivesWorkerCrashes:
             ):
                 np.testing.assert_array_equal(got, want)
 
-
-class TestSearchSurvivesWorkerCrashes:
-    def test_search_completes_and_skips_dead_candidates(self):
-        from repro.core.topology_search import ExplorativeSearch
-
-        rng = np.random.default_rng(0)
-        outputs, length = 3, 64
-        y = rng.dirichlet(np.ones(outputs), size=50)
-        x = y @ rng.random((outputs, length)) + 0.01 * rng.random((50, length))
-        dataset = SpectraDataset(
-            x, y, tuple(f"c{i}" for i in range(outputs))
-        )
-        injector = FaultInjector(
-            lambda index: np.zeros(4),
-            FaultConfig(dropped_scan=0.4),
-            seed=3,
-        )
-        executor = ParallelExecutor(
-            backend="thread", max_workers=1, chaos=injector
-        )
-        search = ExplorativeSearch(
-            n_outputs=outputs,
-            input_length=length,
-            target_mae=1e-9,  # unreachable: exercise the full loop
-            config=TrainingConfig(epochs=1, batch_size=16, patience=None),
-            max_rounds=2,
-            candidates_per_round=3,
-            executor=executor,
-        )
-        result = search.run(dataset)
-        assert injector.fault_counts.get("dropped_scan", 0) > 0
-        assert result.best_spec is not None
-        assert np.isfinite(result.best_metric)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.ms.compounds import default_library
 from repro.ms.instrument import InstrumentCharacteristics
-from repro.ms.resolution import resample_batch, resample_spectrum
+from repro.ms.resolution import resample_spectrum
 from repro.ms.simulator import MassSpectrometerSimulator
 from repro.ms.spectrum import MassSpectrum, MzAxis
 
@@ -52,18 +52,3 @@ class TestResampleSpectrum:
         peak_mz = coarse.mz[np.argmax(coarse.intensities)]
         assert peak_mz == pytest.approx(44.0, abs=0.2)
 
-
-class TestResampleBatch:
-    def test_batch_matches_single(self):
-        source = MzAxis(0.0, 10.0, 0.5)
-        target = MzAxis(0.0, 10.0, 0.3)
-        rng = np.random.default_rng(1)
-        batch = rng.random((4, source.size))
-        out = resample_batch(batch, source, target)
-        for i in range(4):
-            single = resample_spectrum(MassSpectrum(source, batch[i]), target)
-            np.testing.assert_allclose(out[i], single.intensities)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError, match="expected shape"):
-            resample_batch(np.zeros((4, 7)), MzAxis(0.0, 10.0, 0.5), MzAxis())

@@ -19,14 +19,6 @@ class TestBasic:
         w = init.Constant(2.5)((5,), RNG())
         assert np.all(w == 2.5)
 
-    def test_random_uniform_bounds(self):
-        w = init.RandomUniform(-0.1, 0.1)((1000,), RNG())
-        assert np.all(w >= -0.1) and np.all(w <= 0.1)
-
-    def test_random_uniform_rejects_inverted_bounds(self):
-        with pytest.raises(ValueError):
-            init.RandomUniform(1.0, -1.0)
-
 
 class TestVarianceScaling:
     def test_glorot_uniform_limit(self):

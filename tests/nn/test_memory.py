@@ -142,7 +142,6 @@ PARAMETRISED = {
     "Conv1D": (lambda: nn.Conv1D(3, 3, padding="same", activation="relu"), (10, 2)),
     "LocallyConnected1D": (lambda: nn.LocallyConnected1D(3, 2, strides=2), (10, 2)),
     "LSTM": (lambda: nn.LSTM(5, return_sequences=True), (4, 3)),
-    "BatchNorm": (lambda: nn.BatchNorm(), (6,)),
     "ResidualDense": (lambda: nn.ResidualDense(activation="tanh"), (6,)),
     "HighwayDense": (lambda: nn.HighwayDense(activation="tanh"), (6,)),
 }

@@ -43,9 +43,6 @@ def _model_for(layer_name):
     elif layer_name == "ActivationLayer":
         model = nn.Sequential([nn.ActivationLayer("softmax")])
         shape = (5,)
-    elif layer_name == "BatchNorm":
-        model = nn.Sequential([nn.BatchNorm(momentum=0.8)])
-        shape = (5,)
     elif layer_name == "HighwayDense":
         model = nn.Sequential([nn.HighwayDense("tanh", transform_bias=-1.0)])
         shape = (6,)

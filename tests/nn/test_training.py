@@ -92,13 +92,20 @@ class TestFitLoop:
         model.fit(x, y, epochs=60, batch_size=32, seed=0)
         assert model.evaluate(x, y) < 0.01
 
+    def test_verbose_fit_prints(self, capsys):
+        model = _regression_model()
+        x, y = _data(32)
+        model.fit(x, y, epochs=2, batch_size=16, verbose=True)
+        output = capsys.readouterr().out
+        assert "epoch    1/2" in output
+
 
 class TestEarlyStopping:
     def test_stops_when_no_improvement(self):
         model = _regression_model()
         x, y = _data()
         # Monitor a metric that barely moves with tiny lr -> stops early.
-        model.compile(nn.SGD(learning_rate=1e-12), "mse")
+        model.compile(nn.Adam(learning_rate=1e-12), "mse")
         es = EarlyStopping(monitor="val_loss", patience=2, min_delta=1e-3)
         h = model.fit(
             x, y, epochs=50, batch_size=32, validation_data=(x, y), callbacks=[es]
@@ -124,33 +131,6 @@ class TestEarlyStopping:
     def test_negative_patience_rejected(self):
         with pytest.raises(ValueError):
             EarlyStopping(patience=-1)
-
-
-class TestTrainingLogger:
-    def test_prints_every_nth_epoch(self, capsys):
-        from repro.nn.training import TrainingLogger
-
-        model = _regression_model()
-        x, y = _data(32)
-        model.fit(x, y, epochs=4, batch_size=16,
-                  callbacks=[TrainingLogger(every=2)])
-        output = capsys.readouterr().out
-        assert "epoch    2" in output
-        assert "epoch    4" in output
-        assert "epoch    1" not in output
-
-    def test_invalid_interval(self):
-        from repro.nn.training import TrainingLogger
-
-        with pytest.raises(ValueError):
-            TrainingLogger(every=0)
-
-    def test_verbose_fit_prints(self, capsys):
-        model = _regression_model()
-        x, y = _data(32)
-        model.fit(x, y, epochs=2, batch_size=16, verbose=True)
-        output = capsys.readouterr().out
-        assert "epoch    1/2" in output
 
 
 class TestCustomCallback:
