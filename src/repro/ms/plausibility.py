@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.optimize import nnls
 
 from repro.ms.simulator import MassSpectrometerSimulator
 from repro.ms.spectrum import MassSpectrum
@@ -70,17 +69,16 @@ class PlausibilityChecker:
         self._design = np.vstack([responses, artifact[None, :], constant[None, :]])
 
     def check(self, spectrum: Union[MassSpectrum, np.ndarray]) -> PlausibilityReport:
-        """Check one spectrum (raw intensities or a MassSpectrum)."""
-        data = (
-            spectrum.intensities
-            if isinstance(spectrum, MassSpectrum)
-            else np.asarray(spectrum, dtype=np.float64)
-        )
-        if data.shape != (self.simulator.axis.size,):
-            raise ValueError(
-                f"spectrum has shape {data.shape}, expected "
-                f"({self.simulator.axis.size},)"
-            )
+        """Check one spectrum (raw intensities or a MassSpectrum).
+
+        A spectrum of the wrong length or with a non-finite channel raises
+        a :class:`~repro.reliability.validation.ValidationError`.
+        """
+        from scipy.optimize import nnls
+
+        from repro.reliability.validation import validate_spectrum
+
+        data = validate_spectrum(spectrum, length=self.simulator.axis.size)
         total = float(np.abs(data).sum())
         if total <= 0:
             return PlausibilityReport(

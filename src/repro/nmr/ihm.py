@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Union
 
 import numpy as np
-from scipy.optimize import least_squares, nnls
 
 from repro.nmr.acquisition import NMRSpectrum
 from repro.nmr.hard_model import HardModelSet
@@ -95,8 +94,16 @@ class IHMAnalysis:
     # -- public API ---------------------------------------------------------
 
     def analyze(self, spectrum: Union[NMRSpectrum, np.ndarray]) -> IHMResult:
-        """Fit one mixture spectrum; returns concentrations per component."""
-        data = self._as_array(spectrum)
+        """Fit one mixture spectrum; returns concentrations per component.
+
+        A spectrum of the wrong length or with a non-finite point raises a
+        :class:`~repro.reliability.validation.ValidationError`.
+        """
+        from scipy.optimize import least_squares
+
+        from repro.reliability.validation import validate_spectrum
+
+        data = validate_spectrum(spectrum, length=self.models.axis.points)
         start = time.perf_counter()
         k = len(self.models)
 
@@ -152,17 +159,9 @@ class IHMAnalysis:
 
     # -- internals ------------------------------------------------------------
 
-    def _as_array(self, spectrum) -> np.ndarray:
-        data = spectrum.intensities if isinstance(spectrum, NMRSpectrum) else spectrum
-        data = np.asarray(data, dtype=np.float64)
-        if data.shape != (self.models.axis.points,):
-            raise ValueError(
-                f"spectrum has shape {data.shape}, expected "
-                f"({self.models.axis.points},)"
-            )
-        return data
-
     def _linear_warm_start(self, data: np.ndarray) -> np.ndarray:
+        from scipy.optimize import nnls
+
         coeffs, _ = nnls(self._unshifted.T, np.clip(data, 0.0, None))
         return np.clip(coeffs, 0.0, self.max_concentration)
 

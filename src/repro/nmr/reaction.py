@@ -28,7 +28,6 @@ from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from repro.nmr.acquisition import NMRSpectrum, VirtualNMRSpectrometer
 
@@ -88,6 +87,8 @@ class ReactionKinetics:
         self, conditions: ReactionConditions
     ) -> Dict[str, float]:
         """Steady-state outlet composition of the plug-flow reactor."""
+        from scipy.integrate import solve_ivp
+
         k1, k2 = self.rate_constants(conditions.temperature_c)
 
         def rhs(_t, y):

@@ -247,18 +247,17 @@ def batch_analyzer_from_model(model, frozen: Optional[str] = None) -> Callable:
 
     Pads a batch of one to two rows before the forward pass so every row
     takes BLAS's multi-row (gemm) kernel: single-row matmuls dispatch to
-    gemv, which differs in the last ulp, and the service's contract is
-    that a spectrum's answer is byte-identical no matter how it was
-    coalesced.
+    gemv, which differs in the last ulp.
 
     The remaining ingredient — row-wise results not depending on *how
     many* other rows share the gemm call — is a property of the BLAS
-    build and the layer shapes.  It holds for every shape this repo's
-    tests and benches exercise (asserted byte-for-byte there), but a
-    blocked/threaded kernel switch at some batch size can break it for
-    other shapes; if bit-reproducibility across batch sizes matters for
-    a new model, probe it the way ``TestByteIdentity`` does before
-    relying on it.
+    build and the layer shapes.  On the reference path it holds for the
+    shapes ``TestByteIdentity`` asserts byte for byte; other shapes can
+    move the last ulp (the Table-1 CNN does, by up to 8e-17), so probe a
+    new model the same way before relying on it.  On the frozen path the
+    promise is only the plan's contract: on serve_open's trained float32
+    Table-1 CNN at 500 points, 12 of 32 held-out rows answered alone
+    differed from the same rows in one 32-row batch, by up to 3e-8.
 
     Rows are not validated here: the service validates each row once,
     when a worker drains it, before it reaches this callable.

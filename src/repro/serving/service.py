@@ -42,10 +42,12 @@ Two opt-in control layers ride on the same contract:
   (an expired request gets ``deadline_exceeded``, never a stale answer),
   validation failures reject only their own row, and a failed
   multi-row call falls back to single-row retries so one poisoned
-  request cannot take down its batchmates.  Coalescing never changes
-  answers: the batch analyzer contract (see
-  :func:`~repro.serving.batching.batch_analyzer_from_model`) keeps a
-  row's output byte-identical however it was batched.
+  request cannot take down its batchmates.  How far coalescing may move
+  an answer is the batch analyzer's contract (see
+  :func:`~repro.serving.batching.batch_analyzer_from_model`): on the
+  reference path a row's output is byte-identical however it was
+  batched for the shapes ``TestByteIdentity`` pins; on the frozen path
+  it stays within the plan's contract.
 * **Brownout degradation** (pass ``governor=BrownoutGovernor(...)``):
   queue fill walks the service through declared degradation levels —
   grow batches, tighten admission deadlines — with hysteresis, surfaced

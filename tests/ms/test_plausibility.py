@@ -8,6 +8,7 @@ from repro.ms.instrument import InstrumentCharacteristics
 from repro.ms.plausibility import PlausibilityChecker
 from repro.ms.simulator import MassSpectrometerSimulator
 from repro.ms.spectrum import MzAxis
+from repro.reliability.validation import NonFiniteError
 
 TASK = DEFAULT_TASK_COMPOUNDS
 
@@ -75,6 +76,13 @@ class TestValidation:
     def test_wrong_length_rejected(self, checker):
         with pytest.raises(ValueError, match="expected"):
             checker.check(np.zeros(7))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_channel_rejected(self, checker, simulator, bad):
+        spectrum = np.ones(simulator.axis.size)
+        spectrum[3] = bad
+        with pytest.raises(NonFiniteError):
+            checker.check(spectrum)
 
     def test_batch_must_be_2d(self, checker, simulator):
         with pytest.raises(ValueError, match="2-D"):

@@ -7,6 +7,7 @@ from scipy.optimize import least_squares
 from repro.nmr.acquisition import VirtualNMRSpectrometer
 from repro.nmr.hard_model import mndpa_reaction_models
 from repro.nmr.ihm import IHMAnalysis
+from repro.reliability.validation import NonFiniteError
 
 MODELS = mndpa_reaction_models()
 CONC = {"p-toluidine": 0.25, "Li-toluidide": 0.15, "o-FNB": 0.35, "MNDPA": 0.08}
@@ -91,6 +92,13 @@ class TestFitting:
     def test_wrong_length_spectrum_rejected(self):
         with pytest.raises(ValueError, match="expected"):
             IHMAnalysis(MODELS).analyze(np.zeros(100))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_spectrum_rejected(self, bad):
+        spectrum = MODELS.mixture_spectrum(CONC)
+        spectrum[10] = bad
+        with pytest.raises(NonFiniteError):
+            IHMAnalysis(MODELS).analyze(spectrum)
 
 
 FREEDOMS = [(True, True), (True, False), (False, True), (False, False)]

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.core.topologies import table1_topology
 from repro.observability import MetricsRegistry
 from repro.reliability.validation import validate_spectrum
 from repro.serving import (
@@ -98,6 +99,21 @@ class TestFrozenWiring:
         # Fallback path is the reference analyzer: byte-identical.
         for row_result, expected in zip(results, reference):
             np.testing.assert_array_equal(row_result.value, expected)
+
+
+class TestFrozenCoalescing:
+    def test_row_alone_and_in_batch_agree_within_contract(self):
+        """On the frozen path a row's answer can depend on how many rows
+        share its batch, so the promise is the plan's contract, not
+        byte-identity.  Which bytes move depends on the BLAS build, so
+        none are asserted."""
+        model = table1_topology(4).build((500,), seed=0)
+        batched = batch_analyzer_from_model(model, frozen="float32")
+        rows = np.random.default_rng(6).random((32, 500))
+        alone = np.stack([batched(row[None, :])[0] for row in rows])
+        together = batched(rows)
+        contract = batched.engine.plan.contract
+        assert float(np.max(np.abs(alone - together))) <= contract
 
 
 class TestDrainValidation:
