@@ -46,10 +46,15 @@ class SpectraDataset:
     def input_shape(self) -> Tuple[int, ...]:
         return tuple(self.x.shape[1:])
 
-    def split(
+    def split_rows(
         self, train_fraction: float = 0.8, rng: Optional[np.random.Generator] = None
-    ) -> Tuple["SpectraDataset", "SpectraDataset"]:
-        """Shuffled train/test split (the paper uses 80 %/20 %)."""
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Shuffled train/test row indices (the paper uses 80 %/20 %).
+
+        One ``rng.permutation(len(self))`` draw: its first
+        ``round(train_fraction * n)`` entries are the train rows, the rest
+        the test rows.  Raises ``ValueError`` when either side is empty.
+        """
         if not 0.0 < train_fraction < 1.0:
             raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
         rng = rng if rng is not None else np.random.default_rng(0)
@@ -60,11 +65,20 @@ class SpectraDataset:
             raise ValueError(
                 f"split of {n} samples at {train_fraction} leaves an empty side"
             )
+        return order[:cut], order[cut:]
+
+    def split(
+        self, train_fraction: float = 0.8, rng: Optional[np.random.Generator] = None
+    ) -> Tuple["SpectraDataset", "SpectraDataset"]:
+        """The rows of :meth:`split_rows` as two datasets."""
+        train_rows, test_rows = self.split_rows(train_fraction, rng)
+        cut = len(train_rows)
         # One shuffled copy, cut into two row views, so the split is one
         # allocation.  Two copies (80 % and 20 %) fall under glibc's 32 MiB
         # mmap ceiling for 20 000 x 246 spectra; freeing them raises malloc's
         # mmap threshold, the next split lands on the heap and how much of
         # it stays resident depends on thread timing.
+        order = np.concatenate((train_rows, test_rows))
         x, y = self.x[order], self.y[order]
         return (
             SpectraDataset(x[:cut], y[:cut], self.output_names,

@@ -223,7 +223,7 @@ class MSToolchain:
         topology = topology if topology is not None else table1_topology(
             len(self.task_compounds)
         )
-        train, validation = dataset.split(train_fraction, np.random.default_rng(seed))
+        rows = dataset.split_rows(train_fraction, np.random.default_rng(seed))
         model = topology.build(dataset.input_shape, seed=seed)
         from repro.nn.optimizers import Adam
 
@@ -233,11 +233,11 @@ class MSToolchain:
             if patience is not None else None
         )
         history = model.fit(
-            train.x,
-            train.y,
+            dataset.x,
+            dataset.y,
             epochs=epochs,
             batch_size=batch_size,
-            validation_data=(validation.x, validation.y),
+            rows=rows,
             callbacks=[stopper] if stopper is not None else [],
             seed=seed,
         )

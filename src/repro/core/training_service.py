@@ -50,7 +50,7 @@ from repro.nn.metrics import mean_absolute_error, mean_squared_error, r2_score
 from repro.nn.model import Sequential
 from repro.nn.optimizers import get_optimizer
 from repro.nn.sentinel import DivergenceSentinel
-from repro.nn.training import EarlyStopping
+from repro.nn.training import EarlyStopping, predict_rows
 from repro.observability.runtime import counter as _counter
 from repro.observability.runtime import get_tracer
 from repro.reliability.checkpoint import CheckpointManager
@@ -125,8 +125,8 @@ def _train_topology(payload: dict) -> dict:
     config seed on every backend.
     """
     config: TrainingConfig = payload["config"]
-    train_x, val_x, val_y = payload["train_x"], payload["val_x"], payload["val_y"]
-    model = payload["topology"].build(train_x.shape[1:], seed=config.seed)
+    x, y, val_rows = payload["x"], payload["y"], payload["val_rows"]
+    model = payload["topology"].build(x.shape[1:], seed=config.seed)
     model.compile("adam", config.loss)
     callbacks = []
     if config.patience is not None:
@@ -138,16 +138,17 @@ def _train_topology(payload: dict) -> dict:
         sentinel = DivergenceSentinel(max_rollbacks=config.sentinel_max_rollbacks)
         callbacks.append(sentinel)
     history = model.fit(
-        train_x,
-        payload["train_y"],
+        x,
+        y,
         epochs=config.epochs,
         batch_size=config.batch_size,
-        validation_data=(val_x, val_y),
+        rows=(payload["train_rows"], val_rows),
         callbacks=callbacks,
         seed=config.seed,
         clip_norm=config.clip_norm,
     )
-    predictions = model.predict(val_x)
+    predictions = predict_rows(model, x, val_rows)
+    val_y = y[val_rows]
     metrics = {
         "val_mae": mean_absolute_error(predictions, val_y),
         "val_mse": mean_squared_error(predictions, val_y),
@@ -237,14 +238,14 @@ class TrainingService:
             for name in names:
                 self.checkpoints.check_name(f"{sweep_name}-{name}")
         config, executor = self.config, self.executor
-        train, validation = dataset.split(
+        train_rows, val_rows = dataset.split_rows(
             config.train_fraction, np.random.default_rng(config.seed)
         )
         arrays = {
-            "train_x": train.x,
-            "train_y": train.y,
-            "val_x": validation.x,
-            "val_y": validation.y,
+            "x": dataset.x,
+            "y": dataset.y,
+            "train_rows": train_rows,
+            "val_rows": val_rows,
         }
         if evaluation_data is not None:
             arrays["eval_x"] = evaluation_data.x
@@ -301,7 +302,7 @@ class TrainingService:
                         self._fail(topology, result, dataset_artifact, progress)
                     else:
                         self._finish(
-                            topology, result, train.input_shape,
+                            topology, result, dataset.input_shape,
                             f"{sweep_name}-{topology.name}", dataset_artifact,
                         )
                         topologies_counter.inc(disposition="trained")

@@ -169,13 +169,26 @@ class Sequential:
         seed: Optional[int] = None,
         verbose: bool = False,
         clip_norm: Optional[float] = None,
+        rows: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> History:
         """Standard epoch/mini-batch training loop; returns a History.
 
-        ``clip_norm`` enables global gradient-norm clipping for this run:
-        it sets the compiled optimizer's ``clipnorm`` so every batch's
-        gradients are rescaled when their global L2 norm exceeds it — the
-        first line of defence against training divergence.
+        ``rows=(train_rows, validation_rows)``, in place of
+        ``validation_data``, holds row indices into ``x`` and ``y``: the
+        model trains on ``x[train_rows]`` and validates on
+        ``x[validation_rows]`` without either subset ever being gathered
+        whole.  Each mini-batch is gathered by index and the validation
+        loss is predicted over 256-row chunks, so weights and history are
+        bit-equal to fitting the gathered subsets.  Both index arrays must
+        be non-empty (else ``ValueError``) and in ``[0, len(x))`` (else
+        ``IndexError``).
+
+        ``clip_norm`` enables global gradient-norm clipping: it sets the
+        compiled optimizer's ``clipnorm`` so every batch's gradients are
+        rescaled when their global L2 norm exceeds it — the first line of
+        defence against training divergence.  The setting stays on the
+        optimizer after this call returns, so later ``fit`` and
+        ``train_on_batch`` calls clip too until ``clipnorm`` is reset.
         """
         self._require_compiled()
         if clip_norm is not None:
@@ -193,6 +206,7 @@ class Sequential:
             callbacks=list(callbacks or []),
             seed=seed,
             verbose=verbose,
+            rows=rows,
         )
 
     def evaluate(self, x: np.ndarray, y: np.ndarray, batch_size: int = 256) -> float:

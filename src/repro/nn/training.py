@@ -30,6 +30,7 @@ __all__ = [
     "Callback",
     "EarlyStopping",
     "logger",
+    "predict_rows",
     "run_training_loop",
 ]
 
@@ -179,6 +180,39 @@ class EarlyStopping(Callback):
             self.model.set_weights(self._best_weights)
 
 
+def predict_rows(
+    model, x: np.ndarray, rows: np.ndarray, batch_size: int = 256
+) -> np.ndarray:
+    """``model.predict(x[rows])`` without gathering ``x[rows]`` whole.
+
+    Each ``batch_size``-row chunk of ``rows`` is gathered and predicted in
+    turn, the chunks ``predict`` itself forwards, so the result is
+    bit-equal to predicting the gathered rows.  ``rows`` must be non-empty.
+    """
+    return np.concatenate([
+        model.predict(x[rows[i : i + batch_size]], batch_size=batch_size)
+        for i in range(0, len(rows), batch_size)
+    ])
+
+
+def _checked_rows(side: str, rows, n: int) -> np.ndarray:
+    """``rows`` as a non-empty 1-D integer index array into ``n`` samples."""
+    rows = np.asarray(rows)
+    if rows.ndim != 1:
+        raise IndexError(f"{side} rows must be 1-D, got shape {rows.shape}")
+    if rows.size == 0:
+        raise ValueError(f"rows leave no {side} samples")
+    if not np.issubdtype(rows.dtype, np.integer):
+        raise IndexError(f"{side} rows must be integers, got dtype {rows.dtype}")
+    bad = (rows < 0) | (rows >= n)
+    if np.any(bad):
+        raise IndexError(
+            f"{side} rows {rows[bad][:5].tolist()} out of range for {n} "
+            f"samples (valid: [0, {n}))"
+        )
+    return rows
+
+
 def run_training_loop(
     model,
     x: np.ndarray,
@@ -190,8 +224,9 @@ def run_training_loop(
     callbacks: List[Callback],
     seed: Optional[int],
     verbose: bool,
+    rows: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> History:
-    """Drive epochs/batches for ``Sequential.fit``."""
+    """Drive epochs/batches for ``Sequential.fit`` (see it for ``rows``)."""
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if batch_size < 1:
@@ -202,6 +237,15 @@ def run_training_loop(
         )
     if x.shape[0] == 0:
         raise ValueError("cannot fit on an empty dataset")
+    validation_rows = None
+    if rows is None:
+        train_rows = np.arange(x.shape[0])
+    elif validation_data is not None:
+        raise ValueError("pass rows or validation_data, not both")
+    else:
+        train_rows, validation_rows = rows
+        train_rows = _checked_rows("train", train_rows, x.shape[0])
+        validation_rows = _checked_rows("validation", validation_rows, x.shape[0])
 
     rng = np.random.default_rng(seed)
     history = History()
@@ -228,7 +272,7 @@ def run_training_loop(
         "training_epoch_seconds", "wall-clock seconds per epoch"
     )
 
-    n = x.shape[0]
+    n = len(train_rows)
     epoch = 0
     while epoch < epochs:
         epoch += 1
@@ -242,7 +286,7 @@ def run_training_loop(
         epoch_loss = 0.0
         aborted = False
         for batch_index, i in enumerate(range(0, n, batch_size)):
-            batch = order[i : i + batch_size]
+            batch = train_rows[order[i : i + batch_size]]
             with tracer.start_span(
                 "train.batch", parent=epoch_span,
                 attributes={"batch": batch_index},
@@ -269,9 +313,13 @@ def run_training_loop(
             continue
         metrics = {"loss": epoch_loss / n}
         loss_gauge.set(metrics["loss"], split="train")
-        if validation_data is not None:
-            vx, vy = validation_data
-            metrics["val_loss"] = model.evaluate(vx, vy)
+        if validation_rows is not None:
+            metrics["val_loss"] = model.loss.value(
+                predict_rows(model, x, validation_rows), y[validation_rows]
+            )
+        elif validation_data is not None:
+            metrics["val_loss"] = model.evaluate(*validation_data)
+        if "val_loss" in metrics:
             loss_gauge.set(metrics["val_loss"], split="val")
         metrics["epoch_seconds"] = time.perf_counter() - start
         epoch_seconds.observe(metrics["epoch_seconds"])

@@ -76,6 +76,18 @@ class TestSplit:
         with pytest.raises(ValueError, match="empty"):
             _dataset(1).split(0.5)
 
+    def test_split_rows_are_splits_permutation(self):
+        train_rows, test_rows = _dataset(30).split_rows(0.8, np.random.default_rng(4))
+        order = np.random.default_rng(4).permutation(30)
+        np.testing.assert_array_equal(train_rows, order[:24])
+        np.testing.assert_array_equal(test_rows, order[24:])
+
+    def test_split_rows_refuses_an_empty_side(self):
+        with pytest.raises(ValueError, match="empty"):
+            _dataset(1).split_rows(0.5)
+        with pytest.raises(ValueError):
+            _dataset().split_rows(1.0)
+
     def test_subset_metadata_label(self):
         train, test = _dataset().split(0.8)
         assert train.metadata["subset"] == "train"

@@ -15,7 +15,15 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import mlp_topology, nmr_conv_topology, table1_topology
+from repro.core import (
+    MSToolchain,
+    SpectraDataset,
+    TrainingConfig,
+    TrainingService,
+    mlp_topology,
+    nmr_conv_topology,
+    table1_topology,
+)
 from repro.nn.layers import conv
 
 
@@ -267,6 +275,37 @@ class TestPeakIsOneIm2col:
         rng = np.random.default_rng(5)
         x, y = rng.random((64, 491)), rng.dirichlet(np.ones(4), size=64)
         assert _traced_peak(lambda: model.train_on_batch(x, y)) < 90e6
+
+
+class TestTrainingHoldsTheSetOnce:
+    """Both training callers read rows by index from the caller's set.
+
+    When they trained on ``SpectraDataset.split``'s shuffled copy, each
+    traced peak was at least ``dataset.x.nbytes`` (7.9 MB here).
+    """
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        rng = np.random.default_rng(6)
+        names = ("N2", "O2", "Ar", "CO2")
+        return SpectraDataset(
+            rng.random((4000, 246)), rng.dirichlet(np.ones(4), size=4000), names
+        )
+
+    def test_train_network(self, dataset):
+        toolchain = MSToolchain(dataset.output_names)
+        topology = mlp_topology(4, hidden_units=(16, 8))
+        peak = _traced_peak(lambda: toolchain.train_network(
+            dataset, topology=topology, epochs=2, patience=None
+        ))
+        assert peak < 0.25 * dataset.x.nbytes
+
+    def test_serial_train_all(self, dataset):
+        service = TrainingService(TrainingConfig(epochs=2, patience=None))
+        topology = mlp_topology(4, hidden_units=(16, 8))
+        peak = _traced_peak(lambda: service.train_all([topology], dataset))
+        assert not service.failures
+        assert peak < 0.25 * dataset.x.nbytes
 
 
 class TestConcurrentPredict:
