@@ -2,7 +2,7 @@
 """A tour of the observability layer on a train-then-serve cycle.
 
 Telemetry in this codebase is default-on: training loops, the serving
-service, checkpoints, retries, and the durable store all write into one
+service, the artifact cache, retries, and the durable store all write into one
 process-global :class:`~repro.observability.MetricsRegistry` and
 :class:`~repro.observability.Tracer` without any setup.  This example
 runs a tiny end-to-end cycle and then inspects what was collected:
@@ -10,7 +10,8 @@ runs a tiny end-to-end cycle and then inspects what was collected:
 1. train a small concentration network (``train.epoch``/``train.batch``
    spans, loss gauges, epoch timings);
 2. serve a handful of requests through :class:`~repro.serving.AnalysisService`
-   (submit → queue → analyze → resolve span chains, latency histograms);
+   (submit → queue → resolve span chains plus a ``serving.batch`` span per
+   analyzer call, latency histograms);
 3. print the combined text report with
    :func:`~repro.observability.text_dump`;
 4. persist the metrics snapshot as a provenance artifact with
@@ -50,7 +51,7 @@ def main():
     model.fit(x, y, epochs=4, batch_size=32, seed=0,
               validation_data=(x[:32], y[:32]))
 
-    # 2 -- serve: each request leaves a submit→queue→analyze→resolve chain.
+    # 2 -- serve: each request leaves a submit→queue→resolve chain.
     print("[2] serving 12 requests (plus one malformed) ...")
     service = AnalysisService(
         lambda data: model.predict(data[None, :], validate=False)[0],

@@ -13,10 +13,12 @@ example walks both halves of :mod:`repro.compute`:
    ``process`` :class:`~repro.compute.executor.ParallelExecutor` backends,
    and verify the weights, optimizer state, metrics and ``select_best``
    winner are identical;
-3. re-run the sweep with a seeded
+3. re-run the sweep over the cache with a seeded
    :class:`~repro.reliability.faults.FaultInjector` killing a subset of
    training tasks: the sweep completes, the dead topologies land in
    ``service.failures`` as typed records, and the survivors still rank.
+   Running it again without the injector is the retry: the survivors
+   come back from the cache and only the dead topologies train.
 
 Run:  python examples/parallel_sweep.py
 """
@@ -122,15 +124,30 @@ def main():
         executor = ParallelExecutor(
             backend="thread", max_workers=1, chaos=injector
         )
-        service = TrainingService(config, executor=executor)
+        service = TrainingService(config, cache=cache, executor=executor)
         service.train_all(topologies, dataset, sweep_name="chaos")
-        print(f"    survived: {[r.topology_name for r in service.runs]}")
+        survivors = [r.topology_name for r in service.runs]
+        dead = [f.topology_name for f in service.failures]
+        print(f"    survived: {survivors}")
         for failure in service.failures:
             print(f"    dead    : {failure.topology_name} "
                   f"({failure.error_type}: {failure.message})")
         if service.runs:
             best = service.select_best()
             print(f"    best survivor: {best.topology_name}")
+
+        # Re-running over the same cache is the retry.
+        retry = TrainingService(config, cache=cache)
+        runs = retry.train_all(topologies, dataset, sweep_name="chaos")
+        assert retry.failures == []
+        assert sorted(r.topology_name for r in runs if r.resumed) == sorted(
+            survivors
+        )
+        assert sorted(r.topology_name for r in runs if not r.resumed) == sorted(
+            dead
+        )
+        print(f"    retry   : reused {len(survivors)} from the cache, "
+              f"trained {len(dead)}")
         print("done.")
 
 

@@ -14,7 +14,7 @@ Subpackages:
   substitute);
 * :mod:`repro.embedded` — Jetson platform cost model (Table 2);
 * :mod:`repro.reliability` — fault injection, retrying acquisition,
-  checkpoint/resume training and validation gates (the closed loop's one
+  storage faults and validation gates (the closed loop's one
   degradation rule, holding the actuator when blind, lives in
   :mod:`repro.core.closed_loop`);
 * :mod:`repro.storage` — checksummed envelopes, atomic writes and the

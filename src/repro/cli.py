@@ -7,9 +7,9 @@ source code; this module is that surface:
 * ``train``        — Tool 4: train a topology on a dataset file;
 * ``evaluate``     — Tool 4 backend: score a trained model on a dataset;
 * ``table2``       — predict embedded execution costs for a trained model;
-* ``freeze``       — compile a model file (a ``train`` output or a
-  checkpoint generation) into a frozen inference plan envelope (float32
-  or calibrated int8), or inspect/verify one;
+* ``freeze``       — compile a model file (a ``train`` output) into a
+  frozen inference plan envelope (float32 or calibrated int8), or
+  inspect/verify one;
 * ``nmr-campaign`` — run the virtual NMR DoE campaign and save its spectra;
 * ``telemetry``    — render exported span/metric JSONL files (or a live
   instrumented demo workload) as a human-readable report;
@@ -24,8 +24,7 @@ and a JSON ``meta`` document; a damaged one raises
 :class:`~repro.storage.integrity.CorruptArtifactError`.  Models are
 checksummed model files
 (:mod:`repro.nn.serialization`): ``train`` writes one, and ``evaluate``,
-``table2`` and ``freeze`` read either that or a ``CheckpointManager``
-generation (``<name>.gen-NNNNNN.ckpt``).  Run
+``table2`` and ``freeze`` read it.  Run
 ``python -m repro.cli <command> --help`` for options.
 """
 
@@ -569,8 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     frz.add_argument(
         "model",
-        help="model file to freeze (a `train` output or a checkpoint "
-        "generation); with --inspect/--verify, an existing .plan envelope",
+        help="model file to freeze (a `train` output); with "
+        "--inspect/--verify, an existing .plan envelope",
     )
     frz.add_argument(
         "--out", default=None,

@@ -19,11 +19,11 @@ Guarantees:
   (magic + version + length + SHA-256); a corrupt entry is *quarantined*
   (moved aside for post-mortem, never silently deleted or overwritten),
   counted, and treated as a miss so the caller regenerates.
-* **Bounded size** — ``max_bytes`` enforces an LRU evict (recency is the
-  entry's mtime, bumped on every hit), oldest-first, never evicting the
-  entry just written.
-* **Observability** — hit/miss/eviction/corrupt counters and a byte-size
-  gauge on the global registry, mirrored in per-instance :meth:`stats`.
+* **Observability** — hit/miss/corrupt counters and a byte-size gauge on
+  the global registry, mirrored in per-instance :meth:`stats`.
+
+Nothing is evicted: an entry lives until :meth:`ArtifactCache.clear`, so a
+finished training topology or campaign cell is never silently lost.
 
 Seeded cells draw every stream from :func:`derived_seed` and cache through
 :func:`get_or_compute` / :func:`get_or_compute_row` (``cache=None`` computes).
@@ -106,30 +106,18 @@ def derived_seed(tag: str, *configs: Mapping) -> int:
 
 
 class ArtifactCache:
-    """Content-addressed, size-bounded, checksummed artifact store."""
+    """Content-addressed, checksummed artifact store."""
 
-    def __init__(
-        self,
-        root: Union[str, os.PathLike],
-        max_bytes: Optional[int] = None,
-        fsync: bool = True,
-    ):
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError("max_bytes must be positive")
+    def __init__(self, root: Union[str, os.PathLike], fsync: bool = True):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.max_bytes = max_bytes
         self.fsync = fsync
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
         self.corrupt = 0
         registry = get_registry()
         self._m_requests = registry.counter(
             "compute_cache_requests_total", "cache lookups by outcome"
-        )
-        self._m_evictions = registry.counter(
-            "compute_cache_evictions_total", "entries evicted by the LRU bound"
         )
         self._m_corrupt = registry.counter(
             "compute_cache_corrupt_total", "entries quarantined on failed verify"
@@ -174,7 +162,6 @@ class ArtifactCache:
             self.misses += 1
             self._m_requests.inc(outcome="corrupt")
             return None
-        os.utime(path)  # bump LRU recency
         self.hits += 1
         self._m_requests.inc(outcome="hit")
         return arrays, docs
@@ -184,7 +171,6 @@ class ArtifactCache:
     ) -> Path:
         path = self.path_for(key)
         write_archive(path, arrays, docs, fsync=self.fsync)
-        self._evict(keep=path)
         self._m_bytes.set(self.total_bytes())
         return path
 
@@ -206,7 +192,7 @@ class ArtifactCache:
         arrays: Mapping[str, np.ndarray],
         meta: Optional[dict] = None,
     ) -> Path:
-        """Atomically publish an enveloped entry for ``key``; then evict."""
+        """Atomically publish an enveloped entry for ``key``."""
         if not arrays:
             raise ValueError("arrays must be non-empty")
         return self._write(key, arrays, {"meta": meta or {}})
@@ -240,8 +226,8 @@ class ArtifactCache:
 
         Campaign cells (a drift-matrix MAE, a sweep score) are dicts, not
         arrays; they ride the same entry format as a ``json`` document
-        next to ``meta``, so they get verify-on-read,
-        quarantine-and-regenerate and LRU bounding for free.  A fresh
+        next to ``meta``, so they get verify-on-read and
+        quarantine-and-regenerate for free.  A fresh
         payload is returned as it reads back.  Returns
         ``(payload, key, hit)``.
         """
@@ -311,10 +297,8 @@ class ArtifactCache:
             "root": str(self.root),
             "entries": len(self._entries()),
             "total_bytes": self.total_bytes(),
-            "max_bytes": self.max_bytes,
             "hits": self.hits,
             "misses": self.misses,
-            "evictions": self.evictions,
             "corrupt": self.corrupt,
             "quarantined": (
                 len(list(self.quarantine_dir.iterdir()))
@@ -329,22 +313,6 @@ class ArtifactCache:
         self.corrupt += 1
         self._m_corrupt.inc()
         quarantine(path, self.quarantine_dir)
-
-    def _evict(self, keep: Path) -> None:
-        if self.max_bytes is None:
-            return
-        rows = [(path, path.stat()) for path in self._entries()]
-        total = sum(stat.st_size for _, stat in rows)
-        rows.sort(key=lambda item: item[1].st_mtime)
-        for path, stat in rows:
-            if total <= self.max_bytes:
-                break
-            if path == keep:
-                continue
-            path.unlink()
-            total -= stat.st_size
-            self.evictions += 1
-            self._m_evictions.inc()
 
 
 def _read_entry(

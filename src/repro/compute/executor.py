@@ -16,9 +16,8 @@ API in front of three interchangeable backends (``serial``, ``thread``,
   a hard worker death (e.g. a SIGKILL'd process breaking the pool) fails
   the affected tasks the same way and the broken pool is rebuilt on the
   next call.  Nothing is re-attempted in the parent: a sweep recovers by
-  running again, which re-runs only its missing or failed tasks
-  (``train_all(resume=True)``, a resumed campaign, a cache-resumed
-  matrix or ensemble).
+  running again, which re-runs only its missing or failed tasks (a
+  cache-resumed training sweep, campaign, matrix or ensemble).
 * **Warm reuse** — the worker pool is built once per executor lifetime
   and reused across ``map_tasks`` calls, so a campaign of many waves pays
   process spawn-up exactly once (:attr:`pool_starts` counts rebuilds; the

@@ -12,8 +12,8 @@ Every topology trains as one :func:`_train_topology` task on the service's
 :class:`~repro.compute.executor.ParallelExecutor` — one serial worker
 unless another executor is given: build, attach early stopping and the
 divergence sentinel, fit, score.  Tasks run in waves of
-``executor.max_workers``.  One reload decision runs before the waves and
-one finish step after each task (rollback provenance, final snapshot,
+``executor.max_workers``.  One reuse decision runs before the waves and
+one finish step after each task (rollback provenance, cache entry,
 ``network`` record), so serial/thread/process sweeps produce
 byte-identical models, optimizer state, metrics and
 :meth:`TrainingService.select_best` outcomes.  A task that dies (worker
@@ -22,14 +22,17 @@ crash, injected fault, an exception in training) becomes a typed
 provenance and metrics, never fatal to the sweep.
 
 Because the process runs without user interaction, it must also survive
-without one.  Given a
-:class:`~repro.reliability.checkpoint.CheckpointManager`, each wave's final
-snapshots are written before the next wave starts, and the topology is the
-unit of resume: its final snapshot, ``state={"completed": True,
-"metrics", "epoch"}``, is the one completion record.
-``train_all(resume=True)`` reloads every topology whose snapshot landed and
-retrains the rest from scratch, so a resumed sweep ends with exactly the
-metrics and weights of an uninterrupted one.
+without one.  Given an :class:`~repro.compute.cache.ArtifactCache` — the
+store campaign cells, drift-matrix models and ensemble members resume
+from — each wave's finished topologies are written before the next wave
+starts, keyed by content: the topology's name and layers, the
+:class:`TrainingConfig` and a digest of the training (and evaluation)
+data.  Every later sweep reuses each topology whose entry reads back
+verified and trains the rest, so re-running a killed sweep is the resume
+and ends with exactly the metrics and weights of an uninterrupted one.
+Other data or another config is another key: a finished result is only
+ever reused for the inputs that produced it.  A corrupt entry is
+quarantined by the cache and its topology retrains to the same bytes.
 
 Every resume, rollback and failure is recorded in the
 :class:`ProvenanceTracker`.
@@ -37,11 +40,15 @@ Every resume, rollback and failure is recorded in the
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.compute.cache import ArtifactCache, canonical_key
 from repro.compute.executor import ParallelExecutor, TaskFailure
 from repro.core.datasets import SpectraDataset
 from repro.core.topologies import TopologySpec
@@ -50,11 +57,10 @@ from repro.nn.metrics import mean_absolute_error, mean_squared_error, r2_score
 from repro.nn.model import Sequential
 from repro.nn.optimizers import get_optimizer
 from repro.nn.sentinel import DivergenceSentinel
+from repro.nn.serialization import weights_from_arrays, weights_to_arrays
 from repro.nn.training import EarlyStopping, predict_rows
 from repro.observability.runtime import counter as _counter
 from repro.observability.runtime import get_tracer
-from repro.reliability.checkpoint import CheckpointManager
-from repro.storage.integrity import CorruptArtifactError
 
 __all__ = ["TrainingConfig", "TrainingRun", "FailedRun", "TrainingService"]
 
@@ -168,6 +174,16 @@ def _train_topology(payload: dict) -> dict:
     }
 
 
+def _data_digest(arrays: Mapping[str, np.ndarray]) -> str:
+    """SHA-256 over the names, shapes, dtypes and bytes of ``arrays``."""
+    digest = hashlib.sha256()
+    for name in sorted(arrays):
+        array = np.ascontiguousarray(arrays[name])
+        digest.update(json.dumps([name, array.shape, array.dtype.str]).encode())
+        digest.update(array)
+    return digest.hexdigest()
+
+
 class TrainingService:
     """Trains a list of topologies on one dataset, records, ranks, exports.
 
@@ -175,37 +191,26 @@ class TrainingService:
     worker), in waves of its ``max_workers``; failed tasks land in
     :attr:`failures` instead of aborting the sweep.
 
-    With ``checkpoints`` set, every topology's final snapshot is written
-    as its wave completes, so a killed sweep can be picked up with
-    ``train_all(..., resume=True)``.
+    With ``cache`` set, every finished topology is stored as its wave
+    completes and every sweep reuses the topologies it finds there, so
+    running a killed sweep again resumes it.
     """
 
     def __init__(
         self,
         config: TrainingConfig = TrainingConfig(),
         provenance: Optional[ProvenanceTracker] = None,
-        checkpoints: Optional[CheckpointManager] = None,
+        cache: Optional[ArtifactCache] = None,
         executor: Optional[ParallelExecutor] = None,
     ):
         self.config = config
         self.provenance = provenance
-        self.checkpoints = checkpoints
+        self.cache = cache
         self.executor = (
             executor if executor is not None else ParallelExecutor(max_workers=1)
         )
         self.runs: List[TrainingRun] = []
         self.failures: List[FailedRun] = []
-        if (
-            provenance is not None
-            and checkpoints is not None
-            and checkpoints.on_event is None
-        ):
-            # Surface the manager's quarantine/fallback events as
-            # provenance artifacts so an audit sees every time persisted
-            # state failed verification or an older generation was used.
-            checkpoints.on_event = (
-                lambda kind, detail: provenance.record(kind, dict(detail))
-            )
 
     def train_all(
         self,
@@ -214,42 +219,42 @@ class TrainingService:
         evaluation_data: Optional[SpectraDataset] = None,
         dataset_artifact: Optional[int] = None,
         progress: Optional[Callable[[str], None]] = None,
-        resume: bool = False,
         sweep_name: str = "sweep",
     ) -> List[TrainingRun]:
         """Train every topology without user interaction.
 
         ``evaluation_data``, if given, is scored as ``measured_*`` metrics
-        (the paper's evaluation on real measurement series).
-
-        ``resume=True`` (requires a :class:`CheckpointManager`) reloads
-        topologies whose final snapshot landed in a previous invocation —
-        reproducing their recorded metrics exactly — and trains the rest
-        from scratch.
+        (the paper's evaluation on real measurement series).  With a
+        cache, a topology already trained on these inputs is reused —
+        with exactly its recorded weights and metrics — instead of
+        retrained.  ``sweep_name`` labels the sweep's span and tasks.
         """
         if not topologies:
             raise ValueError("topologies must be non-empty")
-        if resume and self.checkpoints is None:
-            raise ValueError("resume=True requires a CheckpointManager")
         names = [t.name for t in topologies]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate topology names: {names}")
-        if self.checkpoints is not None:
-            for name in names:
-                self.checkpoints.check_name(f"{sweep_name}-{name}")
         config, executor = self.config, self.executor
         train_rows, val_rows = dataset.split_rows(
             config.train_fraction, np.random.default_rng(config.seed)
         )
-        arrays = {
-            "x": dataset.x,
-            "y": dataset.y,
-            "train_rows": train_rows,
-            "val_rows": val_rows,
-        }
+        data = {"x": dataset.x, "y": dataset.y}
         if evaluation_data is not None:
-            arrays["eval_x"] = evaluation_data.x
-            arrays["eval_y"] = evaluation_data.y
+            data["eval_x"] = evaluation_data.x
+            data["eval_y"] = evaluation_data.y
+        keys: Dict[str, str] = {}
+        if self.cache is not None:
+            inputs = {
+                "kind": "training_run",
+                "config": dataclasses.asdict(config),
+                "data": _data_digest(data),
+            }
+            keys = {
+                t.name: canonical_key(
+                    {**inputs, "topology": {"name": t.name, "layers": t.layers}}
+                )
+                for t in topologies
+            }
         topologies_counter = _counter(
             "training_topologies_total", "topology runs by disposition"
         )
@@ -264,8 +269,8 @@ class TrainingService:
         ) as sweep_span:
             queued: List[TopologySpec] = []
             for topology in topologies:
-                run = self._reload(
-                    topology, f"{sweep_name}-{topology.name}", resume,
+                run = self._reuse(
+                    topology, keys.get(topology.name), dataset.input_shape,
                     dataset_artifact, progress,
                 )
                 if run is None:
@@ -279,7 +284,13 @@ class TrainingService:
             # on the process backend every payload carries tiny
             # SharedArrayRef handles that workers resolve into read-only
             # memory maps; on serial/thread this is a pass-through.
-            shared = {"eval_x": None, "eval_y": None, **executor.scatter(arrays)}
+            shared = {
+                "eval_x": None,
+                "eval_y": None,
+                **executor.scatter(
+                    {**data, "train_rows": train_rows, "val_rows": val_rows}
+                ),
+            }
             n_failed = 0
             wave_size = executor.max_workers
             for start in range(0, len(queued), wave_size):
@@ -303,7 +314,7 @@ class TrainingService:
                     else:
                         self._finish(
                             topology, result, dataset.input_shape,
-                            f"{sweep_name}-{topology.name}", dataset_artifact,
+                            keys.get(topology.name), dataset_artifact,
                         )
                         topologies_counter.inc(disposition="trained")
             sweep_span.set_attribute("failed", n_failed)
@@ -311,47 +322,43 @@ class TrainingService:
 
     # -- one topology ------------------------------------------------------
 
-    def _reload(
+    def _reuse(
         self,
         topology: TopologySpec,
-        checkpoint_name: str,
-        resume: bool,
+        key: Optional[str],
+        input_shape,
         dataset_artifact: Optional[int],
         progress: Optional[Callable[[str], None]],
     ) -> Optional[TrainingRun]:
-        """The run a previous invocation finished, or None to train it.
-
-        Only a final snapshot (``state["completed"]``) counts as finished;
-        a topology without one that verifies trains from scratch.
-        """
-        if not resume or not self.checkpoints.exists(checkpoint_name):
+        """The run an earlier sweep finished on these inputs, or None to
+        train it.  An entry that fails verification is quarantined by the
+        cache and trains from scratch."""
+        if key is None:
             return None
-        try:
-            data = self.checkpoints.load(checkpoint_name, seed=self.config.seed)
-        except CorruptArtifactError as error:
-            # No generation verified (all quarantined by the manager):
-            # train from scratch rather than reloading bad bytes.
+        corrupt = self.cache.corrupt
+        entry = self.cache.get(key)
+        if self.cache.corrupt > corrupt:
             self._record_event(
-                "checkpoint_unreadable",
-                {"topology": topology.name, "error": str(error)},
-                dataset_artifact,
+                "quarantine", {"topology": topology.name}, dataset_artifact
             )
+        if entry is None:
             return None
-        if not data.state.get("completed"):
-            return None
+        arrays, meta = entry
         if progress is not None:
             progress(f"skipping completed {topology.name}")
-        metrics = {k: float(v) for k, v in data.state["metrics"].items()}
+        metrics = {k: float(v) for k, v in meta["metrics"].items()}
         self._record_event(
             "resume",
             {"topology": topology.name, "skipped_completed": True},
             dataset_artifact,
         )
+        model = topology.build(input_shape, seed=self.config.seed)
+        model.set_weights(weights_from_arrays(arrays))
         return TrainingRun(
             topology_name=topology.name,
-            model=data.model,
+            model=model,
             metrics=metrics,
-            epochs_run=int(data.state.get("epoch", 0)),
+            epochs_run=int(meta["epochs_run"]),
             artifact_id=self._record_network(
                 topology.name, metrics, dataset_artifact
             ),
@@ -363,10 +370,10 @@ class TrainingService:
         topology: TopologySpec,
         result: dict,
         input_shape,
-        checkpoint_name: str,
+        key: Optional[str],
         dataset_artifact: Optional[int],
     ) -> None:
-        """Rebuild a trained task's model, snapshot it and record the run."""
+        """Rebuild a trained task's model, cache it and record the run."""
         for event in result["rollback_events"]:
             self._record_event(
                 "divergence_rollback",
@@ -383,13 +390,13 @@ class TrainingService:
         model.set_weights(result["weights"])
         model.optimizer.set_state(result["optimizer_state"])
         metrics, epochs_run = result["metrics"], result["epochs_run"]
-        if self.checkpoints is not None:
-            # The final snapshot carries the (possibly best-weights-restored)
-            # model so a later resume reloads exactly what was scored.
-            self.checkpoints.save(
-                checkpoint_name,
-                model,
-                state={"epoch": epochs_run, "completed": True, "metrics": metrics},
+        if key is not None:
+            # The (possibly best-weights-restored) weights that were scored,
+            # so a later sweep reuses exactly this result.
+            self.cache.put(
+                key,
+                weights_to_arrays(result["weights"]),
+                {"metrics": metrics, "epochs_run": epochs_run},
             )
         self.runs.append(
             TrainingRun(

@@ -1,4 +1,4 @@
-"""Plan persistence: frozen plans ship like checkpoints.
+"""Plan persistence: frozen plans ship like model files.
 
 A frozen plan is a deployment artifact — it leaves the training machine
 and lands on a serving host or an embedded target, so it travels inside

@@ -4,16 +4,14 @@ A model file is a :mod:`repro.storage.integrity` archive — a checksummed
 envelope around named arrays and JSON documents — laid out as:
 
 * ``__config__`` — the architecture (:func:`model_to_dict`);
-* ``__state__`` — the writer's JSON state (``{}`` for a plain export);
-* ``w0000``, ``w0001``, ... — the weights (:func:`weights_to_arrays`);
-* with an optimizer, ``__optimizer__`` (its config and iteration count)
-  and one ``opt:<slot>:<layer>:<param>`` array per slot.
+* ``__state__`` — always ``{}``, kept so older readers still open new
+  files;
+* ``w0000``, ``w0001``, ... — the weights (:func:`weights_to_arrays`).
 
-:func:`save_model`/:func:`load_model` and
-:class:`~repro.reliability.checkpoint.CheckpointManager` generations share
-it, so every model file verifies on load and :func:`load_model` opens a
-checkpoint generation as readily as an export.  This plays the role of
-the paper's "tool to export the desired ANN for use on embedded
+Every model file verifies on load, and :func:`load_model` ignores any
+other array or document, so files that also carry an optimizer
+(``__optimizer__`` and ``opt:*`` arrays) still load.  This plays the role
+of the paper's "tool to export the desired ANN for use on embedded
 platforms" and feeds the database-backed provenance tracking (models are
 artifacts like any other).
 """
@@ -21,13 +19,12 @@ artifacts like any other).
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.nn.layers import LAYER_REGISTRY
 from repro.nn.model import Sequential
-from repro.nn.optimizers import Optimizer, get_optimizer
 from repro.storage.integrity import read_archive, write_archive
 
 __all__ = [
@@ -41,9 +38,6 @@ __all__ = [
     "weights_to_arrays",
     "weights_from_arrays",
 ]
-
-_OPT_PREFIX = "opt:"
-
 
 def model_to_dict(model: Sequential) -> dict:
     """Architecture (not weights) as a JSON-serializable dict."""
@@ -79,8 +73,8 @@ def clone_model(model: Sequential, seed: int = 0) -> Sequential:
 
 
 def weights_to_arrays(weights: Sequence[np.ndarray]) -> Dict[str, np.ndarray]:
-    """``{"w0000": w0, ...}``: the one weight encoding of model files,
-    checkpoints and cached cell weights."""
+    """``{"w0000": w0, ...}``: the one weight encoding of model files and
+    cached weights."""
     return {f"w{i:04d}": weight for i, weight in enumerate(weights)}
 
 
@@ -91,44 +85,21 @@ def weights_from_arrays(arrays: Mapping[str, np.ndarray]) -> List[np.ndarray]:
 
 def model_archive(
     model: Sequential,
-    state: Optional[dict] = None,
-    optimizer: Optional[Optimizer] = None,
 ) -> Tuple[Dict[str, np.ndarray], Dict[str, dict]]:
     """``(arrays, docs)`` of a model file, for
     :func:`~repro.storage.integrity.write_archive`."""
     arrays = weights_to_arrays(model.get_weights())
-    docs = {"config": model_to_dict(model), "state": dict(state or {})}
-    if optimizer is not None:
-        opt_state = optimizer.get_state()
-        docs["optimizer"] = {
-            "config": optimizer.get_config(),
-            "iterations": opt_state["iterations"],
-        }
-        for slot, entries in opt_state["slots"].items():
-            for (layer, param), value in entries.items():
-                arrays[f"{_OPT_PREFIX}{slot}:{layer}:{param}"] = value
-    return arrays, docs
+    return arrays, {"config": model_to_dict(model), "state": {}}
 
 
 def model_from_archive(
     arrays: Mapping[str, np.ndarray], docs: Mapping[str, dict], seed: int = 0
-) -> Tuple[Sequential, dict, Optional[Optimizer]]:
-    """Inverse of :func:`model_archive`: ``(model, state, optimizer)``;
-    ``optimizer`` is None when the file carries none."""
+) -> Sequential:
+    """Inverse of :func:`model_archive`; other arrays and documents are
+    ignored."""
     model = model_from_dict(docs["config"], seed=seed)
     model.set_weights(weights_from_arrays(arrays))
-    optimizer = None
-    if "optimizer" in docs:
-        optimizer = get_optimizer(docs["optimizer"]["config"])
-        slots: Dict[str, Dict[tuple, np.ndarray]] = {}
-        for key, value in arrays.items():
-            if key.startswith(_OPT_PREFIX):
-                slot, layer, param = key[len(_OPT_PREFIX):].split(":", 2)
-                slots.setdefault(slot, {})[(int(layer), param)] = value
-        optimizer.set_state(
-            {"iterations": docs["optimizer"]["iterations"], "slots": slots}
-        )
-    return model, docs["state"], optimizer
+    return model
 
 
 def save_model(model: Sequential, path: Union[str, os.PathLike]) -> str:
@@ -146,7 +117,6 @@ def save_model(model: Sequential, path: Union[str, os.PathLike]) -> str:
 
 
 def load_model(path: Union[str, os.PathLike]) -> Sequential:
-    """Load a model file: a :func:`save_model` export or a checkpoint
-    generation.  Damaged bytes raise
+    """Load a :func:`save_model` file.  Damaged bytes raise
     :class:`~repro.storage.integrity.CorruptArtifactError`."""
-    return model_from_archive(*read_archive(path))[0]
+    return model_from_archive(*read_archive(path))

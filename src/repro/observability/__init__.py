@@ -21,7 +21,7 @@ standard pillars as a stdlib-only leaf:
   :func:`disable`/:func:`scoped` for isolation.
 
 Instrumentation is wired through ``nn.training``, ``core.training_service``,
-``serving``, ``reliability.checkpoint``, ``reliability.retry``, ``db`` and
+``serving``, ``compute.cache``, ``reliability.retry``, ``db`` and
 ``storage.journal``; every instrumented constructor accepts explicit
 ``registry=``/``tracer=`` overrides, and a disabled registry or tracer
 costs one branch per call site.

@@ -7,7 +7,7 @@ module is the metrics half of :mod:`repro.observability` — a
 :class:`MetricsRegistry` handing out three instrument kinds:
 
 * :class:`Counter` — monotonically increasing totals (requests served,
-  retries spent, checkpoints quarantined);
+  retries spent, cache entries quarantined);
 * :class:`Gauge` — point-in-time levels (queue depth, in-flight requests,
   current training loss);
 * :class:`Histogram` — fixed-bucket latency/size distributions with

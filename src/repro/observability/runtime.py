@@ -1,7 +1,7 @@
 """The process-global telemetry runtime: one registry, one tracer.
 
-Instrumented modules (training loop, serving frontend, checkpoint
-manager, journal, retry policy) default to the instruments returned here,
+Instrumented modules (training loop, serving frontend, artifact
+cache, journal, retry policy) default to the instruments returned here,
 so a plain ``python examples/hardened_serving.py`` collects telemetry
 with zero configuration — and every instrumented constructor also takes
 an explicit ``registry=``/``tracer=`` so tests and benchmarks can isolate

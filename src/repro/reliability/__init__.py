@@ -2,7 +2,7 @@
 
 The paper's conclusion asks how these systems can run "automatically and
 reliably ... within the life cycle of a production".  This package answers
-with five cooperating pieces (the closed loop's own degradation rule —
+with four cooperating pieces (the closed loop's own degradation rule —
 a blind control period holds the actuator — lives in
 :mod:`repro.core.closed_loop`):
 
@@ -14,10 +14,6 @@ a blind control period holds the actuator — lives in
   capped exponential backoff, seeded jitter, injectable sleep), used by
   the closed loop, the MS toolchain (through :func:`acquire_with_retry`)
   and the compute executor;
-* :mod:`repro.reliability.checkpoint` — :class:`CheckpointManager`:
-  verified, generational model snapshots; a training sweep's final
-  snapshot per topology is what ``TrainingService.train_all(resume=True)``
-  reloads;
 * :mod:`repro.reliability.validation` — input validation gates (shape,
   dtype, finiteness, axis monotonicity, value range) with the structured
   :class:`ValidationError` taxonomy, applied at the ``Sequential.predict``
@@ -40,7 +36,6 @@ from repro.reliability.retry import (
     acquire_with_retry,
     finite_intensities,
 )
-from repro.reliability.checkpoint import CheckpointData, CheckpointManager
 from repro.reliability.storage_faults import (
     StorageFaultEvent,
     StorageFaultInjector,
@@ -65,8 +60,6 @@ from repro.reliability.validation import (
 
 __all__ = [
     "AcquisitionError",
-    "CheckpointData",
-    "CheckpointManager",
     "DtypeError",
     "FaultConfig",
     "FaultEvent",

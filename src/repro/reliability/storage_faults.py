@@ -4,7 +4,7 @@
 this module corrupts what the *disk* keeps.  A
 :class:`StorageFaultInjector` installs itself into
 :mod:`repro.storage.integrity` as a context manager, and every durable
-write in the repo (checkpoint envelopes, cache entries, document-store
+write in the repo (model files, cache entries, document-store
 snapshots, journal appends) consults it at each step of the
 write-flush-fsync-rename protocol.  Fault classes:
 
@@ -74,11 +74,11 @@ def truncate_file(path: str, keep_bytes: int) -> None:
 class StorageFaultInjector:
     """Context manager that corrupts durable writes deterministically.
 
-    Example — tear the next checkpoint save 100 bytes in::
+    Example — tear the next cache entry 100 bytes in::
 
-        with StorageFaultInjector(torn_write_at=100, match=".ckpt"):
-            manager.save("run", model)   # "process" dies mid-write here
-        data = manager.load("run")       # recovery: previous generation
+        with StorageFaultInjector(torn_write_at=100, match=".npz.env"):
+            cache.put(key, arrays)       # "process" dies mid-write here
+        assert cache.get(key) is None    # recovery: a miss, recompute
 
     A :class:`~repro.storage.integrity.SimulatedCrash` that propagates to
     the ``with`` boundary is absorbed there — the simulated process died,

@@ -45,7 +45,6 @@ from repro.serving.circuit import (
     CircuitBreaker,
     CircuitTransition,
 )
-from repro.serving.loading import analyzer_from_checkpoint
 from repro.serving.service import (
     Abstained,
     AnalysisService,
@@ -57,7 +56,6 @@ from repro.serving.service import (
 __all__ = [
     "Abstained",
     "AnalysisService",
-    "analyzer_from_checkpoint",
     "batch_analyzer_from_model",
     "BatchingPolicy",
     "BrownoutGovernor",

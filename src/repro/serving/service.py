@@ -33,7 +33,7 @@ every defence per row, dispatches the surviving rows to the backend in
 one call, and resolves each row by one rule (:func:`row_outcome`).  An
 unbatched service is the same pipeline with batches of one.
 
-Two opt-in control layers ride on the same contract:
+Three opt-in control layers ride on the same contract:
 
 * **Micro-batching** (pass ``batching=BatchingPolicy(...)``): workers
   coalesce queued requests into one batched analyzer call — dispatching
@@ -392,33 +392,6 @@ class AnalysisService:
         self._inflight = 0
         self._batches = 0
         self._batched_rows = 0
-
-    @classmethod
-    def from_checkpoint(
-        cls,
-        manager,
-        name: str,
-        seed: int = 0,
-        expected_length: Optional[int] = None,
-        **kwargs,
-    ) -> "AnalysisService":
-        """Build a service over a verified checkpointed model.
-
-        The model comes off disk through the
-        :class:`~repro.reliability.checkpoint.CheckpointManager` verified
-        path — checksum check, generational fallback, quarantine — so a
-        bit-flipped artifact can never silently serve traffic.  The
-        validation gate's ``expected_length`` defaults to the model's own
-        input length.
-        """
-        from repro.serving.loading import analyzer_from_checkpoint
-
-        analyzer, model_length = analyzer_from_checkpoint(
-            manager, name, seed=seed
-        )
-        if expected_length is None:
-            expected_length = model_length
-        return cls(analyzer, expected_length=expected_length, **kwargs)
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -8,8 +8,8 @@ checkable instead of hopeful:
   envelope format (magic + version + length + SHA-256), the
   ``CorruptArtifactError``/``SchemaVersionError`` taxonomy, fsync'd
   atomic-write primitives every durable artifact goes through, the one
-  archive codec (named arrays + JSON documents) behind models,
-  checkpoints, cache entries and plans, and the one quarantine rule;
+  archive codec (named arrays + JSON documents) behind models, cache
+  entries and plans, and the one quarantine rule;
 * :mod:`repro.storage.journal` — a checksummed append-only write-ahead
   journal with torn-tail recovery, backing
   :class:`~repro.db.document_store.DocumentStore` crash recovery and the

@@ -1,14 +1,14 @@
 """Checksummed artifact envelopes, array archives and fsync'd atomic writes.
 
-The paper's Tool 4 leans on a provenance database and on checkpoints that
-outlive the process that wrote them.  Bytes on disk are only trustworthy
+The paper's Tool 4 leans on a provenance database and on trained models
+that outlive the process that wrote them.  Bytes on disk are only trustworthy
 if a reader can *prove* they are the bytes the writer meant: this leaf
 module defines a self-describing envelope format — magic, format version,
 payload length and a SHA-256 digest over the payload — plus crash-safe
 write primitives (temp file, flush, fsync, rename, directory fsync) that
 every durable artifact in the repo goes through.
 
-Models, checkpoints, cache entries and frozen plans share one payload
+Models, cache entries and frozen plans share one payload
 inside that envelope, the *archive*: an ``.npz`` of named arrays plus
 JSON documents, each stored as a uint8 entry ``__<name>__``
 (:func:`write_archive`/:func:`read_archive`).  Files that fail

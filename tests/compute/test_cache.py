@@ -2,7 +2,6 @@
 
 import io
 import json
-import os
 
 import numpy as np
 import pytest
@@ -243,49 +242,6 @@ class TestParentLayout:
         assert row == payload
         assert json.dumps(row, sort_keys=True).encode("utf-8") == cell
         assert cache.stats()["entries"] == 1
-
-
-class TestEviction:
-    def test_lru_evicts_oldest(self, tmp_path):
-        cache = ArtifactCache(tmp_path / "cache")
-        cache.put("a", _arrays(seed=1))
-        entry_size = cache.total_bytes()
-        cache.max_bytes = int(2.5 * entry_size)
-        os.utime(cache.path_for("a"), (1000, 1000))
-        cache.put("b", _arrays(seed=2))
-        os.utime(cache.path_for("b"), (2000, 2000))
-        cache.put("c", _arrays(seed=3))
-        assert cache.get("a") is None  # oldest evicted
-        assert cache.get("b") is not None
-        assert cache.get("c") is not None
-        assert cache.evictions == 1
-
-    def test_hit_refreshes_recency(self, tmp_path):
-        cache = ArtifactCache(tmp_path / "cache")
-        cache.put("a", _arrays(seed=1))
-        entry_size = cache.total_bytes()
-        cache.max_bytes = int(2.5 * entry_size)
-        os.utime(cache.path_for("a"), (1000, 1000))
-        cache.put("b", _arrays(seed=2))
-        os.utime(cache.path_for("b"), (2000, 2000))
-        assert cache.get("a") is not None  # bumps a's mtime to now
-        cache.put("c", _arrays(seed=3))
-        assert cache.get("a") is not None
-        assert cache.get("b") is None  # b became the LRU entry
-
-    def test_just_written_entry_never_evicted(self, tmp_path):
-        cache = ArtifactCache(tmp_path / "cache")
-        cache.put("a", _arrays(seed=1))
-        entry_size = cache.total_bytes()
-        # Bound far below one entry: the new entry must still survive.
-        cache.max_bytes = max(entry_size // 2, 1)
-        cache.put("b", _arrays(seed=2))
-        assert cache.get("b") is not None
-        assert cache.get("a") is None
-
-    def test_invalid_bound_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="max_bytes"):
-            ArtifactCache(tmp_path / "cache", max_bytes=0)
 
 
 class TestMaintenance:

@@ -1,16 +1,13 @@
 """Parallel training sweeps must be byte-identical to serial ones."""
 
-import os
-
 import numpy as np
 import pytest
 
-from repro.compute import BACKENDS, ParallelExecutor
+from repro.compute import BACKENDS, ArtifactCache, ParallelExecutor
 from repro.core.datasets import SpectraDataset
 from repro.core.topologies import mlp_topology
 from repro.core.training_service import TrainingConfig, TrainingService
 from repro.db.provenance import ProvenanceTracker
-from repro.reliability.checkpoint import CheckpointManager
 from tests.core.test_training_service import _poisoned_spec
 
 
@@ -58,9 +55,7 @@ def _sweep(config, dataset, directory, executor=None):
     service = TrainingService(
         config,
         provenance=provenance,
-        checkpoints=(
-            CheckpointManager(directory) if directory is not None else None
-        ),
+        cache=ArtifactCache(directory) if directory is not None else None,
         executor=executor,
     )
     service.train_all([_poisoned()] + TOPOLOGIES, dataset)
@@ -86,22 +81,22 @@ def _assert_same_optimizer(got, want):
 class TestBackendEquivalence:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize(
-        "checkpointed", [False, True], ids=["memory", "manager"]
+        "cached", [False, True], ids=["memory", "cache"]
     )
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_metrics_weights_and_selection_match_serial(
-        self, backend, case, checkpointed, tmp_path
+        self, backend, case, cached, tmp_path
     ):
         config = CASES[case]
         dataset = _dataset(informative=False)
         reference, reference_events = _sweep(
-            config, dataset, tmp_path / "ref" if checkpointed else None
+            config, dataset, tmp_path / "ref" if cached else None
         )
         with ParallelExecutor(backend=backend, max_workers=2) as executor:
             service, events = _sweep(
                 config,
                 dataset,
-                tmp_path / "par" if checkpointed else None,
+                tmp_path / "par" if cached else None,
                 executor=executor,
             )
         assert service.failures == []
@@ -158,22 +153,19 @@ class TestParallelProvenance:
 class TestParallelResume:
     def test_completed_topologies_skipped(self, tmp_path):
         dataset = _dataset()
-        manager = CheckpointManager(tmp_path / "ckpt")
         first = TrainingService(
             CONFIG,
-            checkpoints=manager,
+            cache=ArtifactCache(tmp_path / "cache"),
             executor=ParallelExecutor(backend="serial"),
         )
         first.train_all(TOPOLOGIES, dataset, sweep_name="demo")
 
         second = TrainingService(
             CONFIG,
-            checkpoints=CheckpointManager(tmp_path / "ckpt"),
+            cache=ArtifactCache(tmp_path / "cache"),
             executor=ParallelExecutor(backend="serial"),
         )
-        runs = second.train_all(
-            TOPOLOGIES, dataset, resume=True, sweep_name="demo"
-        )
+        runs = second.train_all(TOPOLOGIES, dataset, sweep_name="demo")
         assert all(run.resumed for run in runs)
         for run, ref in zip(runs, first.runs):
             assert run.metrics == ref.metrics
@@ -181,22 +173,19 @@ class TestParallelResume:
     def test_final_snapshot_without_sweep_entry_is_not_retrained(
         self, tmp_path
     ):
-        """The final snapshot is the one completion record: no sweep-level
-        entry is needed for a resume to reload it without dispatching."""
+        """One cache entry per topology is the one completion record: no
+        sweep-level entry is needed to reuse it without dispatching, and
+        the sweep's name is a label, not part of the key."""
         dataset = _dataset()
-        manager = CheckpointManager(tmp_path)
-        first = TrainingService(CONFIG, checkpoints=manager)
+        cache = ArtifactCache(tmp_path)
+        first = TrainingService(CONFIG, cache=cache)
         first.train_all(TOPOLOGIES, dataset, sweep_name="demo")
-        assert sorted(os.listdir(tmp_path)) == [
-            "demo-mlp_16.gen-000001.ckpt", "demo-mlp_8x8.gen-000001.ckpt",
-        ]
+        assert cache.stats()["entries"] == len(TOPOLOGIES)
 
         dispatched = []
         executor = ParallelExecutor(backend="serial", chaos=dispatched.append)
-        second = TrainingService(CONFIG, checkpoints=manager, executor=executor)
-        runs = second.train_all(
-            TOPOLOGIES, dataset, resume=True, sweep_name="demo"
-        )
+        second = TrainingService(CONFIG, cache=cache, executor=executor)
+        runs = second.train_all(TOPOLOGIES, dataset, sweep_name="renamed")
         assert dispatched == []
         assert all(run.resumed for run in runs)
         for run, ref in zip(runs, first.runs):
@@ -205,7 +194,7 @@ class TestParallelResume:
     def test_kill_in_second_wave_keeps_the_first_waves_snapshots(
         self, tmp_path
     ):
-        """Each wave's final snapshots land before the next wave starts, so
+        """Each wave's cache entries land before the next wave starts, so
         a kill at wave two loses nothing the first wave finished."""
         dataset = _dataset()
         topologies = TOPOLOGIES + [mlp_topology(3, hidden_units=(4,))]
@@ -219,18 +208,16 @@ class TestParallelResume:
             if topologies[2].name in message:
                 raise Killed(message)
 
-        manager = CheckpointManager(tmp_path)
+        cache = ArtifactCache(tmp_path)
         with ParallelExecutor(backend="thread", max_workers=2) as executor:
             with pytest.raises(Killed):
                 TrainingService(
-                    CONFIG, checkpoints=manager, executor=executor
+                    CONFIG, cache=cache, executor=executor
                 ).train_all(topologies, dataset, progress=kill_at_wave_two)
-            assert manager.names() == [
-                f"sweep-{topology.name}" for topology in topologies[:2]
-            ]
+            assert cache.stats()["entries"] == 2
             resumed = TrainingService(
-                CONFIG, checkpoints=manager, executor=executor
-            ).train_all(topologies, dataset, resume=True)
+                CONFIG, cache=cache, executor=executor
+            ).train_all(topologies, dataset)
         assert [run.resumed for run in resumed] == [True, True, False]
         assert [run.topology_name for run in resumed] == [
             topology.name for topology in topologies
@@ -241,14 +228,3 @@ class TestParallelResume:
                 run.model.get_weights(), ref.model.get_weights()
             ):
                 np.testing.assert_array_equal(got, want)
-
-    def test_invalid_checkpoint_name_rejected_before_dispatch(self, tmp_path):
-        dispatched = []
-        executor = ParallelExecutor(backend="serial", chaos=dispatched.append)
-        service = TrainingService(
-            CONFIG, checkpoints=CheckpointManager(tmp_path), executor=executor
-        )
-        with pytest.raises(ValueError, match="invalid checkpoint name"):
-            service.train_all(TOPOLOGIES, _dataset(), sweep_name="runs/a")
-        assert dispatched == []
-        assert service.runs == [] and service.failures == []

@@ -82,32 +82,6 @@ class TestTable2:
             assert name in output
 
 
-class TestFreezeCheckpoint:
-    def test_freezes_a_checkpoint_generation(self, tmp_path, capsys):
-        from repro import nn
-        from repro.inference import InferenceEngine, freeze, load_plan
-        from repro.reliability.checkpoint import CheckpointManager
-
-        model = nn.Sequential([
-            nn.Dense(8, activation="relu"),
-            nn.Dense(3, activation="softmax"),
-        ])
-        model.build((20,), seed=0)
-        model.compile(nn.Adam(0.01), "mae")
-        path = CheckpointManager(tmp_path).save(
-            "net", model, state={"epoch": 1}, optimizer=model.optimizer
-        )
-        assert path == str(tmp_path / "net.gen-000001.ckpt")
-
-        assert main(["freeze", path]) == 0
-        plan_path = tmp_path / "net.gen-000001.plan"
-        assert f"saved plan envelope to {plan_path}" in capsys.readouterr().out
-        x = np.random.default_rng(0).random((5, 20))
-        expected = InferenceEngine(freeze(model)).predict(x)
-        frozen = InferenceEngine(load_plan(plan_path)).predict(x)
-        assert frozen.tobytes() == expected.tobytes()
-
-
 class TestNmrCampaign:
     def test_campaign_written(self, tmp_path, capsys):
         path = tmp_path / "campaign.npz"

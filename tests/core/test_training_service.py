@@ -189,12 +189,12 @@ class TestDivergenceSentinelInSweep:
             "non-finite" in event["metadata"]["reason"] for event in events
         )
 
-    def test_sweep_with_checkpoints_and_injected_nan(self, tmp_path):
-        from repro.reliability.checkpoint import CheckpointManager
+    def test_sweep_with_cache_and_injected_nan(self, tmp_path):
+        from repro.compute import ArtifactCache
 
         service = TrainingService(
             TrainingConfig(epochs=4, batch_size=16, patience=None),
-            checkpoints=CheckpointManager(tmp_path),
+            cache=ArtifactCache(tmp_path),
         )
         runs = service.train_all([_poisoned_spec()], _dataset())
         assert runs[0].rollbacks >= 1
@@ -229,16 +229,16 @@ class TestDivergenceSentinelInSweep:
             executor.close()
 
     def test_provenance_sequence_is_pinned(self, tmp_path):
-        """The event stream of a seeded, checkpointed sweep whose first
+        """The event stream of a seeded, cached sweep whose first
         topology rolls back in epoch 2: every rollback and network record
         in order (numpy 2.4, OpenBLAS, x86-64)."""
-        from repro.reliability.checkpoint import CheckpointManager
+        from repro.compute import ArtifactCache
 
         provenance = ProvenanceTracker()
         service = TrainingService(
             TrainingConfig(epochs=4, batch_size=16, patience=None, seed=3),
             provenance=provenance,
-            checkpoints=CheckpointManager(tmp_path),
+            cache=ArtifactCache(tmp_path),
         )
         poisoned = _poisoned_spec()
         poisoned.poison_at_batch = 10

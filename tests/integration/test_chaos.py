@@ -147,7 +147,7 @@ class TestChaoticSweepResume:
     def test_killed_sweep_resumes_to_same_metrics(self, tmp_path):
         from repro.core.datasets import SpectraDataset
         from repro.core.training_service import TrainingConfig, TrainingService
-        from repro.reliability import CheckpointManager
+        from repro.compute import ArtifactCache
 
         rng = np.random.default_rng(0)
         x = rng.random((120, 12))
@@ -162,7 +162,7 @@ class TestChaoticSweepResume:
 
         baseline = TrainingService(config).train_all(specs, dataset)
 
-        manager = CheckpointManager(tmp_path)
+        cache = ArtifactCache(tmp_path)
 
         class Killed(RuntimeError):
             pass
@@ -172,12 +172,13 @@ class TestChaoticSweepResume:
                 raise Killed(message)
 
         with pytest.raises(Killed):
-            TrainingService(config, checkpoints=manager).train_all(
+            TrainingService(config, cache=cache).train_all(
                 specs, dataset, progress=kill
             )
-        resumed = TrainingService(config, checkpoints=manager).train_all(
-            specs, dataset, resume=True
+        resumed = TrainingService(config, cache=cache).train_all(
+            specs, dataset
         )
+        assert [run.resumed for run in resumed] == [True, False]
         assert [run.metrics for run in resumed] == [
             run.metrics for run in baseline
         ]

@@ -5,19 +5,19 @@ is installed as the executor's per-task ``chaos`` hook, so a seeded subset
 of training tasks dies with :class:`AcquisitionError` exactly as a crashed
 worker would.  The sweep must complete, record every dead topology as a
 typed :class:`FailedRun` (and in provenance), and still select the best
-survivor.  Nothing is retried in the sweep itself: running it again with
-``resume=True`` trains exactly the topologies that died.
+survivor.  Nothing is retried in the sweep itself: running it again over
+the same :class:`~repro.compute.cache.ArtifactCache` trains exactly the
+topologies that died.
 """
 
 import numpy as np
 import pytest
 
-from repro.compute import ParallelExecutor
+from repro.compute import ArtifactCache, ParallelExecutor
 from repro.core.datasets import SpectraDataset
 from repro.core.topologies import mlp_topology
 from repro.core.training_service import TrainingConfig, TrainingService
 from repro.db.provenance import ProvenanceTracker
-from repro.reliability.checkpoint import CheckpointManager
 from repro.reliability.faults import FaultConfig, FaultInjector
 
 
@@ -108,7 +108,7 @@ class TestSweepSurvivesWorkerCrashes:
             service.select_best()
 
     def test_resume_retrains_crashed(self, tmp_path):
-        """Re-running with ``resume=True`` is the retry."""
+        """Re-running over the same cache is the retry."""
         dispatched = []
 
         def crash_first_two(index):
@@ -116,16 +116,14 @@ class TestSweepSurvivesWorkerCrashes:
             if len(dispatched) <= 2:
                 raise RuntimeError("worker crashed")
 
-        dataset, manager = _dataset(), CheckpointManager(tmp_path / "ckpt")
+        dataset, cache = _dataset(), ArtifactCache(tmp_path / "cache")
         executor = ParallelExecutor("thread", 1, chaos=crash_first_two)
-        first = TrainingService(CONFIG, checkpoints=manager, executor=executor)
+        first = TrainingService(CONFIG, cache=cache, executor=executor)
         first.train_all(TOPOLOGIES, dataset, sweep_name="chaos")
         dead = {t.name for t in TOPOLOGIES[:2]}
         assert {f.topology_name for f in first.failures} == dead
-        resumed = TrainingService(CONFIG, checkpoints=manager)
-        runs = resumed.train_all(
-            TOPOLOGIES, dataset, sweep_name="chaos", resume=True
-        )
+        resumed = TrainingService(CONFIG, cache=cache)
+        runs = resumed.train_all(TOPOLOGIES, dataset, sweep_name="chaos")
         assert resumed.failures == []
         assert {r.topology_name for r in runs if not r.resumed} == dead
         clean = TrainingService(CONFIG)

@@ -1,12 +1,14 @@
 """Unit tests for model save/load."""
 
+import io
+import json
+
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.nn.serialization import model_from_dict, model_to_dict
-from repro.reliability.checkpoint import CheckpointManager
-from repro.storage.integrity import CorruptArtifactError
+from repro.storage.integrity import CorruptArtifactError, write_envelope
 
 
 def _model():
@@ -84,18 +86,58 @@ class TestFileRoundtrip:
         assert np.isfinite(loss)
 
 
-class TestOneModelFile:
-    """Exports and checkpoint generations are one verified file layout."""
+def _write_parent_layout(path, model, state, optimizer):
+    """A model file as older writers laid it out, inlined: separate uint8
+    JSON arrays next to the weights, a writer state, and an optimizer's
+    config and slots."""
 
-    def test_load_model_reads_a_checkpoint_generation(self, tmp_path):
-        model = _model().compile(nn.Adam(0.01), "mae")
-        path = CheckpointManager(tmp_path).save(
-            "net", model, state={"epoch": 1}, optimizer=model.optimizer
+    def json_array(payload):
+        blob = json.dumps(payload, default=float).encode("utf-8")
+        return np.frombuffer(blob, dtype=np.uint8)
+
+    arrays = {
+        "__config__": json_array(model.get_config()),
+        "__state__": json_array(state),
+    }
+    for i, weight in enumerate(model.get_weights()):
+        arrays[f"w{i:04d}"] = weight
+    opt_state = optimizer.get_state()
+    arrays["__optimizer__"] = json_array(
+        {"config": optimizer.get_config(),
+         "iterations": opt_state["iterations"]}
+    )
+    for slot, entries in opt_state["slots"].items():
+        for (layer, param), value in entries.items():
+            arrays[f"opt:{slot}:{layer}:{param}"] = value
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    write_envelope(path, buffer.getvalue())
+
+
+class TestParentLayout:
+    def test_load_model_reads_a_parent_layout_file_with_an_optimizer(
+        self, tmp_path
+    ):
+        model = nn.Sequential([nn.Dense(8, activation="relu"), nn.Dense(3)])
+        model.build((10,), seed=0)
+        model.compile(nn.Adam(0.01), "mse")
+        rng = np.random.default_rng(0)
+        model.fit(rng.random((64, 10)), rng.random((64, 3)), epochs=2,
+                  batch_size=16, seed=0)
+        path = tmp_path / "net.gen-000001.ckpt"
+        _write_parent_layout(
+            path, model, {"epoch": 2, "metrics": {"loss": 0.125}},
+            model.optimizer,
         )
         reloaded = nn.load_model(path)
+        assert len(reloaded.get_weights()) == len(model.get_weights())
         for a, b in zip(model.get_weights(), reloaded.get_weights()):
             assert a.tobytes() == b.tobytes()
+        x = rng.random((4, 10))
+        assert reloaded.predict(x).tobytes() == model.predict(x).tobytes()
 
+
+class TestOneModelFile:
     def test_damaged_model_file_refused(self, tmp_path):
         path = nn.save_model(_model(), tmp_path / "model.npz")
         blob = bytearray(open(path, "rb").read())

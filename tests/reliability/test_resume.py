@@ -1,17 +1,21 @@
-"""Kill/resume tests for the checkpointing TrainingService sweep.
+"""Kill/resume tests for the cache-backed TrainingService sweep.
 
-The topology is the unit of resume: a finished topology's final snapshot
-is reloaded, anything else retrains from scratch.
+The topology is the unit of resume: a topology whose cache entry reads
+back verified is reused, anything else trains from scratch.  Entries are
+keyed by the topology, the config and the data, so a re-run on other
+inputs never reuses a result those inputs did not produce.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.compute import ArtifactCache, ParallelExecutor
 from repro.core.datasets import SpectraDataset
 from repro.core.topologies import mlp_topology
 from repro.core.training_service import TrainingConfig, TrainingService
 from repro.db.provenance import ProvenanceTracker
-from repro.reliability.checkpoint import CheckpointManager
 
 
 class Boom(RuntimeError):
@@ -34,8 +38,23 @@ def _specs():
     ]
 
 
-def _config():
-    return TrainingConfig(epochs=4, batch_size=32, patience=None)
+def _config(**changes):
+    return dataclasses.replace(
+        TrainingConfig(epochs=4, batch_size=32, patience=None), **changes
+    )
+
+
+def _assert_same_runs(runs, reference):
+    assert [run.topology_name for run in runs] == [
+        run.topology_name for run in reference
+    ]
+    for run, ref in zip(runs, reference):
+        assert run.metrics == ref.metrics
+        assert run.epochs_run == ref.epochs_run
+        got, want = run.model.get_weights(), ref.model.get_weights()
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class _CrashOnRecord(ProvenanceTracker):
@@ -55,61 +74,103 @@ class _CrashOnRecord(ProvenanceTracker):
         return super().record(kind, metadata, parents=parents)
 
 
-class TestResumeValidation:
-    def test_resume_without_manager_raises(self):
-        with pytest.raises(ValueError, match="CheckpointManager"):
-            TrainingService(_config()).train_all(
-                _specs(), _dataset(), resume=True
-            )
+class TestSameInputsReuse:
+    def test_rerun_reuses_every_topology_bit_exact(self, tmp_path):
+        dataset = _dataset()
+        first = TrainingService(_config(), cache=ArtifactCache(tmp_path))
+        first_runs = first.train_all(_specs(), dataset)
+        assert not any(run.resumed for run in first_runs)
+
+        dispatched = []
+        again = TrainingService(
+            _config(),
+            cache=ArtifactCache(tmp_path),
+            executor=ParallelExecutor("serial", chaos=dispatched.append),
+        )
+        runs = again.train_all(_specs(), dataset)
+        assert dispatched == []
+        assert all(run.resumed for run in runs)
+        _assert_same_runs(runs, first_runs)
+
+
+class TestStaleResume:
+    """A cached result is reused only for the inputs that produced it."""
+
+    def test_other_dataset_retrains(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        TrainingService(_config(epochs=2), cache=cache).train_all(
+            _specs(), _dataset(seed=0)
+        )
+        other = _dataset(seed=1)
+        runs = TrainingService(_config(epochs=2), cache=cache).train_all(
+            _specs(), other
+        )
+        assert [run.resumed for run in runs] == [False, False]
+        fresh = TrainingService(_config(epochs=2)).train_all(_specs(), other)
+        _assert_same_runs(runs, fresh)
+
+    def test_other_epochs_retrains(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        dataset = _dataset()
+        TrainingService(_config(epochs=2), cache=cache).train_all(
+            _specs(), dataset
+        )
+        runs = TrainingService(_config(epochs=5), cache=cache).train_all(
+            _specs(), dataset
+        )
+        assert [run.resumed for run in runs] == [False, False]
+        assert [run.epochs_run for run in runs] == [5, 5]
+        fresh = TrainingService(_config(epochs=5)).train_all(_specs(), dataset)
+        _assert_same_runs(runs, fresh)
+
+    def test_other_evaluation_data_retrains(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        dataset = _dataset()
+        TrainingService(_config(), cache=cache).train_all(
+            _specs(), dataset, evaluation_data=_dataset(n=20, seed=2)
+        )
+        runs = TrainingService(_config(), cache=cache).train_all(
+            _specs(), dataset, evaluation_data=_dataset(n=20, seed=3)
+        )
+        assert [run.resumed for run in runs] == [False, False]
 
 
 class TestCrashBetweenTopologies:
     def test_resume_reproduces_uninterrupted_metrics(self, tmp_path):
         dataset = _dataset()
-        baseline = TrainingService(_config())
-        baseline_runs = baseline.train_all(_specs(), dataset)
+        baseline_runs = TrainingService(_config()).train_all(_specs(), dataset)
 
         # Crash after the first topology finishes, before the second starts.
-        manager = CheckpointManager(tmp_path)
+        cache = ArtifactCache(tmp_path)
 
         def kill_on_second(message):
             if "mlp_8x8" in message:
                 raise Boom("killed between topologies")
 
-        crashed = TrainingService(_config(), checkpoints=manager)
+        crashed = TrainingService(_config(), cache=cache)
         with pytest.raises(Boom):
-            crashed.train_all(
-                _specs(), dataset, progress=kill_on_second, resume=True
-            )
-        assert manager.load("sweep-mlp_16").state["completed"] is True
-        assert not manager.exists("sweep-mlp_8x8")
+            crashed.train_all(_specs(), dataset, progress=kill_on_second)
+        assert cache.stats()["entries"] == 1
 
-        resumed = TrainingService(_config(), checkpoints=manager)
-        resumed_runs = resumed.train_all(_specs(), dataset, resume=True)
-
-        assert [run.topology_name for run in resumed_runs] == [
-            run.topology_name for run in baseline_runs
-        ]
+        resumed_runs = TrainingService(_config(), cache=cache).train_all(
+            _specs(), dataset
+        )
         assert resumed_runs[0].resumed is True  # reloaded, not retrained
         assert resumed_runs[1].resumed is False  # trained from scratch
-        for resumed_run, baseline_run in zip(resumed_runs, baseline_runs):
-            assert resumed_run.metrics == baseline_run.metrics
-            for a, b in zip(
-                resumed_run.model.get_weights(), baseline_run.model.get_weights()
-            ):
-                assert np.array_equal(a, b)
+        _assert_same_runs(resumed_runs, baseline_runs)
 
     def test_resume_skips_completed_without_retraining(self, tmp_path):
         dataset = _dataset()
-        manager = CheckpointManager(tmp_path)
-        first = TrainingService(_config(), checkpoints=manager)
-        first_runs = first.train_all(_specs(), dataset)
+        cache = ArtifactCache(tmp_path)
+        first_runs = TrainingService(_config(), cache=cache).train_all(
+            _specs(), dataset
+        )
 
         messages = []
-        second = TrainingService(_config(), checkpoints=manager)
-        second_runs = second.train_all(
-            _specs(), dataset, progress=messages.append, resume=True
+        second_runs = TrainingService(_config(), cache=cache).train_all(
+            _specs(), dataset, progress=messages.append
         )
+        assert messages
         assert all("skipping completed" in message for message in messages)
         assert all(run.resumed for run in second_runs)
         for second_run, first_run in zip(second_runs, first_runs):
@@ -118,23 +179,26 @@ class TestCrashBetweenTopologies:
 
 class TestCrashMidTopology:
     def test_resume_events_recorded_in_provenance(self, tmp_path):
-        """Die after the final snapshot landed but before the network
-        record: the resume reloads the snapshot and says so."""
+        """Die after the cache entry landed but before the network
+        record: the re-run reuses the entry and says so."""
         dataset = _dataset()
         spec = _specs()[:1]
-        manager = CheckpointManager(tmp_path)
+        cache = ArtifactCache(tmp_path)
         tracker = _CrashOnRecord("network", at=1)
         with pytest.raises(Boom):
             TrainingService(
-                _config(), provenance=tracker, checkpoints=manager
+                _config(), provenance=tracker, cache=cache
             ).train_all(spec, dataset)
-        assert manager.load("sweep-mlp_16").state["completed"] is True
+        assert cache.stats()["entries"] == 1
 
         after = ProvenanceTracker()
         runs = TrainingService(
-            _config(), provenance=after, checkpoints=manager
-        ).train_all(spec, dataset, resume=True)
+            _config(), provenance=after, cache=cache
+        ).train_all(spec, dataset)
         assert runs[0].resumed is True
         counts = after.counts_by_kind()
         assert counts["resume"] == 1
         assert counts["network"] == 1
+        assert after.find(kind="resume")[0]["metadata"] == {
+            "topology": "mlp_16", "skipped_completed": True,
+        }
