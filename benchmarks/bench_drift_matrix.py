@@ -49,8 +49,8 @@ def _spec() -> MatrixSpec:
         hidden_units=(24,),
         # The ensemble hedges across drift levels it was told to expect.
         ensemble_member_scenarios=(
-            scenarios[len(scenarios) // 2].as_config(),
-            scenarios[-1].as_config(),
+            scenarios[len(scenarios) // 2],
+            scenarios[-1],
         ),
     )
 

@@ -13,6 +13,7 @@ shifted columns are recorded as the trend surface.  Finally it measures
 what the gate costs on top of a bare ensemble forward pass.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -127,7 +128,7 @@ def test_held_out_coverage_meets_the_floor(benchmark, rig):
     write_results(
         "uncertainty_coverage",
         {
-            "spec": spec.as_config(),
+            "spec": dataclasses.asdict(spec),
             "nominal_coverage": 1.0 - NOMINAL_ALPHA,
             "coverage_floor": COVERAGE_FLOOR,
             "held_out_coverage": float(coverage),

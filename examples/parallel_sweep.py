@@ -28,7 +28,7 @@ import time
 
 import numpy as np
 
-from repro.compute import ArtifactCache, ParallelExecutor
+from repro.compute import ArtifactCache, ParallelExecutor, generate_ms_dataset
 from repro.core.datasets import SpectraDataset
 from repro.core.topologies import mlp_topology
 from repro.core.training_service import TrainingConfig, TrainingService
@@ -51,13 +51,13 @@ def main():
         )
         cache = ArtifactCache(f"{root}/artifacts")
         start = time.perf_counter()
-        x, y = simulator.generate_dataset_cached(
-            COMPOUNDS, 3000, seed=0, cache=cache
+        x, y, _ = generate_ms_dataset(
+            simulator, COMPOUNDS, 3000, seed=0, cache=cache
         )
         cold_s = time.perf_counter() - start
         start = time.perf_counter()
-        x2, y2 = simulator.generate_dataset_cached(
-            COMPOUNDS, 3000, seed=0, cache=cache
+        x2, y2, _ = generate_ms_dataset(
+            simulator, COMPOUNDS, 3000, seed=0, cache=cache
         )
         warm_s = time.perf_counter() - start
         assert np.array_equal(x, x2) and np.array_equal(y, y2)

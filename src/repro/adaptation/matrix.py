@@ -24,7 +24,6 @@ to pick its recalibration strategy.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -69,7 +68,7 @@ class MatrixSpec:
     fine_tune_lr: float = 0.002
     hidden_units: Tuple[int, ...] = (32,)
     seed: int = 0
-    ensemble_member_scenarios: Tuple[dict, ...] = field(default_factory=tuple)
+    ensemble_member_scenarios: Tuple[DriftScenario, ...] = ()
 
     def __post_init__(self):
         if not self.compounds:
@@ -82,29 +81,12 @@ class MatrixSpec:
                 f"hidden_units must be a non-empty positive unit stack, "
                 f"got {self.hidden_units!r}"
             )
-
-    def as_config(self) -> dict:
-        config = dataclasses.asdict(self)
-        config["compounds"] = list(self.compounds)
-        config["axis"] = list(self.axis)
-        config["hidden_units"] = list(self.hidden_units)
-        config["ensemble_member_scenarios"] = [
-            dict(entry) for entry in self.ensemble_member_scenarios
-        ]
-        return config
-
-    @classmethod
-    def from_config(cls, config: dict) -> "MatrixSpec":
-        config = dict(config)
-        config["compounds"] = tuple(config["compounds"])
-        config["axis"] = tuple(config["axis"])
-        config["hidden_units"] = tuple(config["hidden_units"])
-        config["ensemble_member_scenarios"] = tuple(
-            dict(entry) for entry in config.get(
-                "ensemble_member_scenarios", ()
-            )
-        )
-        return cls(**config)
+        for entry in self.ensemble_member_scenarios:
+            if not isinstance(entry, DriftScenario):
+                raise ValueError(
+                    f"ensemble_member_scenarios entries must be "
+                    f"DriftScenario, got {type(entry).__name__}"
+                )
 
 
 def _simulator(spec: MatrixSpec, scenario: Optional[DriftScenario]):
@@ -123,11 +105,7 @@ def model_config(
     spec: MatrixSpec, scenario: Optional[DriftScenario]
 ) -> dict:
     """The canonical config one trained model's cached weights are keyed by."""
-    return {
-        "kind": "drift_matrix_model",
-        "spec": spec.as_config(),
-        "scenario": scenario.as_config() if scenario is not None else None,
-    }
+    return {"kind": "drift_matrix_model", "spec": spec, "scenario": scenario}
 
 
 def cell_config(
@@ -136,8 +114,8 @@ def cell_config(
     """The canonical config one cell's cached row is keyed by."""
     return {
         "kind": "drift_matrix_cell",
-        "spec": spec.as_config(),
-        "scenario": scenario.as_config(),
+        "spec": spec,
+        "scenario": scenario,
         "strategy": strategy,
     }
 
@@ -189,8 +167,8 @@ def run_cell(payload: dict) -> dict:
     config, which is what makes cells byte-identical across backends and
     across resumed runs.
     """
-    spec = MatrixSpec.from_config(payload["spec"])
-    scenario = DriftScenario(**payload["scenario"])
+    spec = payload["spec"]
+    scenario = payload["scenario"]
     strategy = payload["strategy"]
     cache_root = payload.get("cache_root")
     cache = ArtifactCache(cache_root) if cache_root else None
@@ -202,19 +180,19 @@ def run_cell(payload: dict) -> dict:
         shifted = _simulator(spec, scenario)
         base = _simulator(spec, None)
         eval_rng = np.random.default_rng(
-            derived_seed("eval", config["spec"], config["scenario"])
+            derived_seed("eval", spec, scenario)
         )
         eval_x, eval_y = shifted.generate_dataset(
             spec.compounds, spec.n_eval, eval_rng
         )
         small_rng = np.random.default_rng(
-            derived_seed("small", config["spec"], config["scenario"])
+            derived_seed("small", spec, scenario)
         )
         small_x, small_y = shifted.generate_dataset(
             spec.compounds, spec.n_small, small_rng
         )
         reference_rng = np.random.default_rng(
-            derived_seed("reference", config["spec"])
+            derived_seed("reference", spec)
         )
         reference_x, _ = base.generate_dataset(
             spec.compounds, spec.n_small, reference_rng
@@ -222,8 +200,8 @@ def run_cell(payload: dict) -> dict:
         members = []
         if strategy == "ensemble":
             members = [
-                _train_model(spec, DriftScenario(**entry), cache)
-                for entry in spec.ensemble_member_scenarios
+                _train_model(spec, member, cache)
+                for member in spec.ensemble_member_scenarios
             ]
         context = AdaptationContext(
             model=base_model,
@@ -321,11 +299,10 @@ class DriftMatrix:
 
     def payloads(self) -> List[dict]:
         cache_root = str(self.cache.root) if self.cache is not None else None
-        spec_config = self.spec.as_config()
         return [
             {
-                "spec": spec_config,
-                "scenario": scenario.as_config(),
+                "spec": self.spec,
+                "scenario": scenario,
                 "strategy": strategy,
                 "cache_root": cache_root,
             }

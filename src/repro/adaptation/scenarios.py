@@ -16,9 +16,9 @@ be applied to either simulator to manufacture a "shifted-real" instrument:
   :class:`~repro.nmr.simulator.NMRSpectrumSimulator` surface (broadening
   for sensitivity loss, noise sigma, shift sigma, baseline amplitude).
 
-Scenarios are plain frozen dataclasses with a canonical ``as_config()``
-so the matrix layer can key cached cells by scenario content through
-:func:`~repro.compute.cache.canonical_key`.
+Scenarios are plain frozen dataclasses, so the matrix layer keys cached
+cells by scenario content: :func:`~repro.compute.cache.canonical_key`
+encodes a scenario as its ``dataclasses.asdict``.
 """
 
 from __future__ import annotations
@@ -82,10 +82,6 @@ class DriftScenario:
             and self.peak_shift == 0.0
             and self.baseline_wander == 1.0
         )
-
-    def as_config(self) -> dict:
-        """Canonical dict for cache keys (field order never matters)."""
-        return dataclasses.asdict(self)
 
     def scaled(self, fraction: float, name: str = None) -> "DriftScenario":
         """The scenario at ``fraction`` of its severity (0 = identity)."""

@@ -437,7 +437,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         report_json,
     )
 
-    spec = _sweep_spec(args)
+    try:
+        spec = _sweep_spec(args)
+    except ValueError as error:
+        print(f"invalid sweep spec: {error}", file=sys.stderr)
+        return 2
     cache = ArtifactCache(args.cache_dir)
     orchestrator = SweepOrchestrator(
         spec, cache, journal_path=args.journal

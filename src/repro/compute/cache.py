@@ -31,6 +31,7 @@ Seeded cells draw every stream from :func:`derived_seed` and cache through
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -61,7 +62,13 @@ _ENTRY_SUFFIX = ".npz.env"
 
 
 def _canonical_default(value):
-    """Coerce non-JSON values deterministically (numpy scalars, arrays)."""
+    """Coerce non-JSON values deterministically (numpy, sets, dataclasses).
+
+    A dataclass instance (a frozen spec, scenario or cell) encodes as
+    ``dataclasses.asdict`` — its canonical form — so specs key directly.
+    """
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return dataclasses.asdict(value)
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.floating,)):
@@ -78,8 +85,8 @@ def _canonical_default(value):
 def canonical_blob(config: Mapping) -> bytes:
     """The canonical JSON bytes of a generating config.
 
-    Key order, tuple-vs-list and numpy scalar types never change the
-    bytes; any semantic difference does.
+    Key order, tuple-vs-list, numpy scalar types and a dataclass versus
+    its ``asdict`` never change the bytes; any semantic difference does.
     """
     return json.dumps(
         {"cache_format": CACHE_FORMAT_VERSION, "config": config},
@@ -359,7 +366,7 @@ def get_or_compute_row(
 def _jsonable(value: Mapping) -> dict:
     """``value`` as it reads back from JSON (keys sorted, numpy coerced)."""
     return json.loads(
-        json.dumps(dict(value), sort_keys=True, default=_canonical_default)
+        json.dumps(value, sort_keys=True, default=_canonical_default)
     )
 
 

@@ -40,7 +40,6 @@ Every resume, rollback and failure is recorded in the
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
@@ -246,7 +245,7 @@ class TrainingService:
         if self.cache is not None:
             inputs = {
                 "kind": "training_run",
-                "config": dataclasses.asdict(config),
+                "config": config,
                 "data": _data_digest(data),
             }
             keys = {

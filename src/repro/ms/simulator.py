@@ -136,30 +136,6 @@ class MassSpectrometerSimulator:
         self._finish(spectra, rng, with_noise, normalize)
         return spectra, labels
 
-    def generate_dataset_cached(
-        self,
-        compound_names: Sequence[str],
-        n: int,
-        seed: int,
-        cache,
-        normalize: str = "max",
-        with_noise: bool = True,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Seed-driven :meth:`generate_dataset` through an
-        :class:`~repro.compute.cache.ArtifactCache`.
-
-        The cache key is the canonical hash of (characteristics, axis,
-        compounds, n, seed, normalize, with_noise), so a repeat call with
-        an identical config is a checksummed read instead of a re-render.
-        """
-        from repro.compute.datasets import generate_ms_dataset
-
-        x, y, _ = generate_ms_dataset(
-            self, compound_names, n, seed, cache=cache,
-            normalize=normalize, with_noise=with_noise,
-        )
-        return x, y
-
     # -- internals -------------------------------------------------------------
 
     def _finish(

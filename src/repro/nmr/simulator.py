@@ -147,29 +147,6 @@ class NMRSpectrumSimulator:
             self._render_chunk(labels[start:stop], rng, with_noise, out[start:stop])
         return out, labels
 
-    def generate_dataset_cached(
-        self,
-        n: int,
-        seed: int,
-        cache,
-        with_noise: bool = True,
-        chunk_size: int = 2048,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Seed-driven :meth:`generate_dataset` through an
-        :class:`~repro.compute.cache.ArtifactCache`.
-
-        The cache key covers the full generating config (hard-model peak
-        tables, label ranges, noise parameters, n, seed, chunking), so a
-        repeat call with an identical config is a checksummed read.
-        """
-        from repro.compute.datasets import generate_nmr_dataset
-
-        x, y, _ = generate_nmr_dataset(
-            self, n, seed, cache=cache,
-            with_noise=with_noise, chunk_size=chunk_size,
-        )
-        return x, y
-
     def _render_chunk(
         self,
         labels: np.ndarray,

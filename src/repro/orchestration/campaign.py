@@ -85,6 +85,8 @@ class CampaignSpec:
     seed: int = 0
 
     def __post_init__(self):
+        from repro.nn.activations import get_activation
+
         if not self.compounds:
             raise ValueError("compounds must be non-empty")
         for label in ("activations", "sample_sizes", "topologies"):
@@ -96,6 +98,13 @@ class CampaignSpec:
                     f"activations entries must be (hidden, output) pairs, "
                     f"got {pair!r}"
                 )
+            for name in pair:
+                try:
+                    get_activation(name)
+                except (TypeError, ValueError) as error:
+                    raise ValueError(
+                        f"activations entry {pair!r}: {error}"
+                    ) from None
         for n in self.sample_sizes:
             if n < 1:
                 raise ValueError(f"sample_sizes must be >= 1, got {n}")
@@ -108,36 +117,9 @@ class CampaignSpec:
         if self.n_eval < 1 or self.epochs < 1 or self.batch_size < 1:
             raise ValueError("n_eval, epochs and batch_size must be >= 1")
 
-    def as_config(self) -> dict:
-        config = dataclasses.asdict(self)
-        config["compounds"] = list(self.compounds)
-        config["activations"] = [list(pair) for pair in self.activations]
-        config["sample_sizes"] = list(self.sample_sizes)
-        config["topologies"] = [list(stack) for stack in self.topologies]
-        config["axis"] = list(self.axis)
-        return config
-
-    @classmethod
-    def from_config(cls, config: dict) -> "CampaignSpec":
-        config = dict(config)
-        config["compounds"] = tuple(config["compounds"])
-        config["activations"] = tuple(
-            (str(hidden), str(output))
-            for hidden, output in config["activations"]
-        )
-        config["sample_sizes"] = tuple(
-            int(n) for n in config["sample_sizes"]
-        )
-        config["topologies"] = tuple(
-            tuple(int(units) for units in stack)
-            for stack in config["topologies"]
-        )
-        config["axis"] = tuple(config["axis"])
-        return cls(**config)
-
     def campaign_key(self) -> str:
         """Canonical identity of the whole campaign (journal guard)."""
-        return canonical_key({"kind": "campaign", "spec": self.as_config()})
+        return canonical_key({"kind": "campaign", "spec": self})
 
     def dataset_surface(self) -> dict:
         """The fields that determine dataset bytes — and nothing more.
@@ -189,22 +171,10 @@ class CampaignCell:
     def cell_id(self) -> str:
         return f"{self.activation_id}/n{self.n_train}/h{self.topology_id}"
 
-    def as_config(self) -> dict:
-        return {
-            "activation": self.activation,
-            "output_activation": self.output_activation,
-            "n_train": int(self.n_train),
-            "hidden_units": list(self.hidden_units),
-        }
-
 
 def cell_config(spec: CampaignSpec, cell: CampaignCell) -> dict:
     """The canonical config one cell's cached row is keyed by."""
-    return {
-        "kind": "campaign_cell",
-        "spec": spec.as_config(),
-        "cell": cell.as_config(),
-    }
+    return {"kind": "campaign_cell", "spec": spec, "cell": cell}
 
 
 def train_dataset_seed(spec: CampaignSpec, n_train: int) -> int:
@@ -257,13 +227,8 @@ def run_campaign_cell(payload: dict) -> dict:
     under the cell config's canonical key, so re-running a completed
     cell is a verified read.
     """
-    spec = CampaignSpec.from_config(payload["spec"])
-    cell = CampaignCell(
-        activation=payload["cell"]["activation"],
-        output_activation=payload["cell"]["output_activation"],
-        n_train=int(payload["cell"]["n_train"]),
-        hidden_units=tuple(payload["cell"]["hidden_units"]),
-    )
+    spec = payload["spec"]
+    cell = payload["cell"]
     cache_root = payload.get("cache_root")
     cache = ArtifactCache(cache_root) if cache_root else None
 
@@ -388,7 +353,7 @@ class CampaignReport:
         return {
             "kind": "campaign_report",
             "campaign_key": self.spec.campaign_key(),
-            "spec": self.spec.as_config(),
+            "spec": dataclasses.asdict(self.spec),
             "cells_total": len(self.spec.cells()),
             "cells_completed": len(self.rows),
             "rows": [dict(row) for row in self.rows],

@@ -178,8 +178,8 @@ class SweepOrchestrator:
 
     def _payload(self, cell: CampaignCell) -> dict:
         return {
-            "spec": self.spec.as_config(),
-            "cell": cell.as_config(),
+            "spec": self.spec,
+            "cell": cell,
             "cache_root": str(self.cache.root),
         }
 

@@ -273,10 +273,9 @@ class AnalysisService:
     ``analyzer`` follows the closed-loop protocol —
     ``analyzer(intensities) -> (estimate, seconds)`` — or returns the bare
     estimate (the service times it).  ``expected_length``, when given, is
-    enforced by the per-row validator; pass a custom ``validator``
-    (``data -> validated array``, raising
-    :class:`~repro.reliability.validation.ValidationError`) for stricter
-    gates.  All timing uses the injectable monotonic ``clock``.
+    enforced by the per-row
+    :func:`~repro.reliability.validation.validate_spectrum` gate.  All
+    timing uses the injectable monotonic ``clock``.
 
     Telemetry is default-on through the process-global registry/tracer
     (:mod:`repro.observability.runtime`) and fully injectable via
@@ -297,7 +296,6 @@ class AnalysisService:
         queue_size: int = 16,
         default_deadline_s: float = 1.0,
         expected_length: Optional[int] = None,
-        validator: Optional[Callable] = None,
         breaker: Optional[CircuitBreaker] = None,
         clock: Callable[[], float] = time.monotonic,
         name: str = "analysis",
@@ -321,7 +319,6 @@ class AnalysisService:
         self.queue_size = int(queue_size)
         self.default_deadline_s = float(default_deadline_s)
         self.expected_length = expected_length
-        self.validator = validator
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.clock = clock
         self.name = str(name)
@@ -669,9 +666,13 @@ class AnalysisService:
             valid = []
             for request in admitted:
                 try:
-                    valid.append((request, self._validate(request.data)))
+                    data = validate_spectrum(
+                        request.data, length=self.expected_length
+                    )
                 except ValidationError as error:
                     self._refuse(request, "invalid_input", error=str(error))
+                else:
+                    valid.append((request, data))
             if not valid:
                 # Bad input is the callers' fault, not the backend's: a
                 # success, which also releases a half-open probe slot.
@@ -867,11 +868,6 @@ class AnalysisService:
             },
         )
         span.end()
-
-    def _validate(self, data) -> np.ndarray:
-        if self.validator is not None:
-            return self.validator(data)
-        return validate_spectrum(data, length=self.expected_length)
 
     def _assess(self, gate, matrix: np.ndarray, parent_span,
                 first_request_id: int):

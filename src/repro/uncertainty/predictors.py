@@ -26,8 +26,7 @@ resume from cache after an interruption.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -205,21 +204,6 @@ class EnsembleSpec:
                 f"got {self.hidden_units!r}"
             )
 
-    def as_config(self) -> dict:
-        config = dataclasses.asdict(self)
-        config["compounds"] = list(self.compounds)
-        config["axis"] = list(self.axis)
-        config["hidden_units"] = list(self.hidden_units)
-        return config
-
-    @classmethod
-    def from_config(cls, config: dict) -> "EnsembleSpec":
-        config = dict(config)
-        config["compounds"] = tuple(config["compounds"])
-        config["axis"] = tuple(config["axis"])
-        config["hidden_units"] = tuple(config["hidden_units"])
-        return cls(**config)
-
     def input_length(self) -> int:
         from repro.ms.spectrum import MzAxis
 
@@ -231,7 +215,7 @@ def member_config(spec: EnsembleSpec, member: int) -> dict:
     """The canonical config one member's cached weights are keyed by."""
     return {
         "kind": "uncertainty_ensemble_member",
-        "spec": spec.as_config(),
+        "spec": spec,
         "member": int(member),
     }
 
@@ -272,7 +256,7 @@ def train_member(payload: dict) -> dict:
     canonical config, which is what makes members byte-identical across
     backends and across resumed runs.
     """
-    spec = EnsembleSpec.from_config(payload["spec"])
+    spec = payload["spec"]
     member = int(payload["member"])
     cache_root = payload.get("cache_root")
     cache = ArtifactCache(cache_root) if cache_root else None
@@ -308,7 +292,7 @@ def train_ensemble(
     executor = executor if executor is not None else ParallelExecutor()
     cache_root = str(cache.root) if cache is not None else None
     payloads = [
-        {"spec": spec.as_config(), "member": i, "cache_root": cache_root}
+        {"spec": spec, "member": i, "cache_root": cache_root}
         for i in range(spec.n_members)
     ]
     outcomes = executor.map_tasks(

@@ -1,12 +1,15 @@
 """Unit tests for the cache-resumable drift matrix."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.adaptation.matrix import DriftMatrix, MatrixSpec, run_cell
 from repro.adaptation.scenarios import DriftScenario, scenario_grid
-from repro.compute.cache import ArtifactCache
-from repro.compute.executor import ParallelExecutor
+from repro.compute.cache import ArtifactCache, canonical_blob
+from repro.compute.executor import BACKENDS, ParallelExecutor
 
 # Small enough to train in well under a second per model.
 SPEC = MatrixSpec(
@@ -32,13 +35,15 @@ def _matrix(cache=None, strategies=("none", "scaler_recal"), executor=None):
 
 class TestSpec:
     def test_config_round_trip(self):
+        # Payloads pickle the spec itself; its canonical form is asdict.
         spec = MatrixSpec(
             compounds=("H2", "N2"),
             ensemble_member_scenarios=(
-                DriftScenario(name="m", sensitivity_drift=0.1).as_config(),
+                DriftScenario(name="m", sensitivity_drift=0.1),
             ),
         )
-        assert MatrixSpec.from_config(spec.as_config()) == spec
+        assert pickle.loads(pickle.dumps(spec)) == spec
+        assert canonical_blob(spec) == canonical_blob(dataclasses.asdict(spec))
 
     @pytest.mark.parametrize(
         "overrides",
@@ -47,6 +52,10 @@ class TestSpec:
             pytest.param({"n_eval": 0}, id="n_eval_0"),
             pytest.param({"hidden_units": (0,)}, id="zero_units"),
             pytest.param({"hidden_units": ()}, id="empty_stack"),
+            pytest.param(
+                {"ensemble_member_scenarios": ({"name": "m"},)},
+                id="member_not_a_scenario",
+            ),
         ],
     )
     def test_validation(self, overrides):
@@ -107,12 +116,16 @@ class TestExecution:
         assert sum(hits.values()) == 1
 
     def test_byte_deterministic_across_backends(self, tmp_path):
-        serial = _matrix(cache=ArtifactCache(tmp_path / "a")).run()
-        threaded = _matrix(
-            cache=ArtifactCache(tmp_path / "b"),
-            executor=ParallelExecutor(backend="thread", max_workers=2),
-        ).run()
-        assert serial.surface() == threaded.surface()
+        # The process backend pickles MatrixSpec/DriftScenario payloads.
+        serial = _matrix(cache=ArtifactCache(tmp_path / "reference")).run()
+        for backend in BACKENDS:
+            with ParallelExecutor(backend=backend, max_workers=2) as executor:
+                other = _matrix(
+                    cache=ArtifactCache(tmp_path / backend),
+                    executor=executor,
+                ).run()
+            assert not other.failures, backend
+            assert other.rows == serial.rows, backend
 
     def test_best_strategy_and_payload(self, tmp_path):
         result = _matrix(cache=ArtifactCache(tmp_path)).run()

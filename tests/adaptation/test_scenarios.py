@@ -46,7 +46,7 @@ class TestDriftScenario:
         scenario = DriftScenario(
             name="d", sensitivity_drift=0.2, noise_scale=2.0, peak_shift=0.05
         )
-        assert DriftScenario(**scenario.as_config()) == scenario
+        assert DriftScenario(**dataclasses.asdict(scenario)) == scenario
 
     def test_scaled_interpolates_toward_identity(self):
         full = DriftScenario(

@@ -10,6 +10,8 @@ every result is drawn from a different stream: bump
 ``CACHE_FORMAT_VERSION`` deliberately instead.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.adaptation.matrix import MatrixSpec, model_config
@@ -73,9 +75,9 @@ def _campaign_dataset_config(n, seed):
 
 SEEDS = {
     "train": ((MODEL_CONFIG,), 90277457),
-    "eval": ((MATRIX.as_config(), SCENARIO.as_config()), 1681096591),
-    "small": ((MATRIX.as_config(), SCENARIO.as_config()), 1764004405),
-    "reference": ((MATRIX.as_config(),), 1398114028),
+    "eval": ((MATRIX, SCENARIO), 1681096591),
+    "small": ((MATRIX, SCENARIO), 1764004405),
+    "reference": ((MATRIX,), 1398114028),
     "member": ((MEMBER_CONFIG,), 1910644088),
     "dataset": ((MEMBER_CONFIG,), 916555613),
     "campaign_train": ((CAMPAIGN.dataset_surface(), {"n": 64}), 1307886257),
@@ -86,6 +88,19 @@ KEYS = {
     "drift_matrix_model": (
         MODEL_CONFIG,
         "f2b5907b124c4ca0384ab7496f68c1b82f50a9b7157c6c0c7401dd2f877d9150",
+    ),
+    "drift_matrix_member_model": (
+        model_config(
+            dataclasses.replace(
+                MATRIX, ensemble_member_scenarios=(SCENARIO,)
+            ),
+            SCENARIO,
+        ),
+        "7213794d437befd7d61771313d3d1d04af0931c167c0e3fe616d159bafbfffc9",
+    ),
+    "campaign": (
+        {"kind": "campaign", "spec": CAMPAIGN},
+        "5f0caddbaccbe0a1fd76fd4d482675edacfe19f1506bea76b8f88edd8ff85740",
     ),
     "drift_matrix_cell": (
         MATRIX_CELL_CONFIG,
@@ -123,6 +138,7 @@ def test_seed_per_tag(tag):
 def test_campaign_dataset_seeds_use_the_pinned_tags():
     assert train_dataset_seed(CAMPAIGN, 64) == SEEDS["campaign_train"][1]
     assert eval_dataset_seed(CAMPAIGN) == SEEDS["campaign_eval"][1]
+    assert CAMPAIGN.campaign_key() == KEYS["campaign"][1]
 
 
 @pytest.mark.parametrize("kind", sorted(KEYS))

@@ -57,8 +57,8 @@ class TestMsWrapper:
     def test_matches_direct_generation(self, tmp_path):
         simulator = _ms_simulator()
         cache = ArtifactCache(tmp_path / "cache")
-        x_cached, y_cached = simulator.generate_dataset_cached(
-            COMPOUNDS, 15, seed=3, cache=cache
+        x_cached, y_cached, _ = generate_ms_dataset(
+            simulator, COMPOUNDS, 15, seed=3, cache=cache
         )
         x_direct, y_direct = simulator.generate_dataset(
             COMPOUNDS, 15, np.random.default_rng(3)
@@ -101,8 +101,8 @@ class TestNmrWrapper:
     def test_matches_direct_generation(self, tmp_path):
         simulator = _nmr_simulator()
         cache = ArtifactCache(tmp_path / "cache")
-        x_cached, y_cached = simulator.generate_dataset_cached(
-            5, seed=4, cache=cache
+        x_cached, y_cached, _ = generate_nmr_dataset(
+            simulator, 5, seed=4, cache=cache
         )
         x_direct, y_direct = simulator.generate_dataset(
             5, np.random.default_rng(4)

@@ -250,6 +250,19 @@ class TestSweep:
         assert self._invoke("report", tmp_path, "--partial") == 0
         assert "1/2 cells" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("activations", ["foo:softmax", "relu"])
+    @pytest.mark.parametrize("action", ["plan", "run"])
+    def test_bad_activations_refused(self, action, activations, tmp_path,
+                                     capsys):
+        code = self._invoke(action, tmp_path, "--activations", activations)
+        assert code != 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid sweep spec: ")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "cache").exists()
+        assert not (tmp_path / "campaign.journal").exists()
+
     def test_report_renders_surfaces(self, tmp_path, capsys):
         self._invoke("run", tmp_path)
         capsys.readouterr()

@@ -1,9 +1,12 @@
 """Unit tests for the campaign spec, cells and report aggregation."""
 
+import dataclasses
 import json
+import pickle
 
 import pytest
 
+from repro.compute.cache import canonical_blob
 from repro.orchestration import CampaignReport, CampaignSpec
 
 
@@ -35,8 +38,10 @@ def _row(cell, mae):
 
 class TestSpec:
     def test_config_round_trip(self):
+        # Payloads pickle the spec itself; its canonical form is asdict.
         spec = _spec()
-        assert CampaignSpec.from_config(spec.as_config()) == spec
+        assert pickle.loads(pickle.dumps(spec)) == spec
+        assert canonical_blob(spec) == canonical_blob(dataclasses.asdict(spec))
 
     def test_campaign_key_is_content_addressed(self):
         assert _spec().campaign_key() == _spec().campaign_key()
@@ -70,6 +75,20 @@ class TestSpec:
     def test_invalid_specs_rejected(self, overrides):
         with pytest.raises(ValueError):
             _spec(**overrides)
+
+    @pytest.mark.parametrize(
+        "pair", [("foo", "softmax"), ("relu", "bogus"), ("relu", 3)]
+    )
+    def test_unknown_activation_rejected_naming_the_entry(self, pair):
+        with pytest.raises(ValueError, match="activations entry") as info:
+            _spec(activations=(("relu", "softmax"), pair))
+        assert repr(pair) in str(info.value)
+
+    def test_activation_aliases_accepted_as_given(self):
+        spec = _spec(activations=(("RELU", "sftm"), ("selu", "lin")))
+        # The spec keeps the strings it was given: they are its key.
+        assert spec.activations == (("RELU", "sftm"), ("selu", "lin"))
+        assert spec.cells()[0].cell_id.startswith("RELU-sftm/")
 
 
 class TestReport:

@@ -117,20 +117,23 @@ class TestFrozenCoalescing:
 
 
 class TestDrainValidation:
-    def test_invalid_rows_caught_exactly_once(self):
+    def test_invalid_rows_caught_exactly_once(self, monkeypatch):
         model = _model()
         calls = []
 
-        def counting_validator(data):
+        def counting_validator(data, **kwargs):
             calls.append(1)
-            return validate_spectrum(data, length=LENGTH)
+            return validate_spectrum(data, **kwargs)
+
+        monkeypatch.setattr(
+            "repro.serving.service.validate_spectrum", counting_validator
+        )
 
         rng = np.random.default_rng(3)
         good = rng.random((10, LENGTH))
         bad = np.full(LENGTH, np.nan)
         with _service(
             model,
-            validator=counting_validator,
             batching=BatchingPolicy(max_batch=8, max_wait_s=0.0005),
         ) as service:
             results = [service.analyze(row) for row in good]

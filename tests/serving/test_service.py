@@ -132,19 +132,6 @@ class TestInputGate:
                 assert service.analyze(bad).reason == "invalid_input"
         assert breaker.state == CLOSED
 
-    def test_custom_validator(self):
-        def only_positive(data):
-            from repro.reliability.validation import RangeError
-
-            data = np.asarray(data, dtype=np.float64)
-            if (data <= 0).any():
-                raise RangeError("non-positive channel", field="spectrum")
-            return data
-
-        with AnalysisService(_double, validator=only_positive) as service:
-            assert service.analyze(_spectrum(1.0)).ok
-            assert service.analyze(_spectrum(-1.0)).reason == "invalid_input"
-
 
 class TestOutputGate:
     def test_nonfinite_output_never_reaches_caller(self):

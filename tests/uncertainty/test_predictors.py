@@ -1,10 +1,13 @@
 """Unit tests for ensemble / MC-dropout mean + spread predictors."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.compute.cache import ArtifactCache
+from repro.compute.cache import ArtifactCache, canonical_blob
 from repro.compute.executor import ParallelExecutor
 from repro.uncertainty import (
     EnsemblePredictor,
@@ -158,7 +161,9 @@ class TestEnsembleSpec:
             EnsembleSpec(**{"compounds": ("H2",), **overrides})
 
     def test_config_round_trip(self):
-        assert EnsembleSpec.from_config(SPEC.as_config()) == SPEC
+        # Payloads pickle the spec itself; its canonical form is asdict.
+        assert pickle.loads(pickle.dumps(SPEC)) == SPEC
+        assert canonical_blob(SPEC) == canonical_blob(dataclasses.asdict(SPEC))
 
     def test_input_length_matches_axis(self):
         assert SPEC.input_length() == 99
@@ -193,7 +198,7 @@ class TestEnsembleCampaign:
         for member in range(SPEC.n_members):
             outcome = train_member(
                 {
-                    "spec": SPEC.as_config(),
+                    "spec": SPEC,
                     "member": member,
                     "cache_root": str(cache.root),
                 }
