@@ -8,8 +8,8 @@ write in the repo (model files, cache entries, document-store
 snapshots, journal appends) consults it at each step of the
 write-flush-fsync-rename protocol.  Fault classes:
 
-* ``torn_write_at`` — only the first N bytes of an atomic write reach the
-  temp file before a :class:`~repro.storage.integrity.SimulatedCrash`
+* ``torn_write_at`` — an atomic write's temp file is cut to its first N
+  bytes before a :class:`~repro.storage.integrity.SimulatedCrash`
   (kill -9 mid-write; temp debris is left behind, the target is not);
 * ``torn_append_at`` — a journal append commits only its first N bytes
   before the crash (the classic torn tail);
@@ -139,18 +139,17 @@ class StorageFaultInjector:
 
     # -- integrity-module hook protocol --------------------------------------
 
-    def filter_write(self, path: str, data: bytes) -> bytes:
-        if self.torn_write_at is not None and self._fire("torn_write", path):
-            cut = min(int(self.torn_write_at), len(data))
-            self._record("torn_write", path, offset=cut, dropped=len(data) - cut)
-            self._crash_path = path
-            return data[:cut]
-        return data
+    def torn_write_offset(self, path: str, size: int) -> Optional[int]:
+        """Where to tear a filled ``size``-byte write to ``path``, or None.
 
-    def after_write(self, path: str) -> None:
-        if getattr(self, "_crash_path", None) == path:
-            self._crash_path = None
-            raise SimulatedCrash(f"torn write: process killed mid-save of {path}")
+        The writer truncates its temp file there and raises
+        :class:`~repro.storage.integrity.SimulatedCrash`.
+        """
+        if self.torn_write_at is not None and self._fire("torn_write", path):
+            cut = min(int(self.torn_write_at), size)
+            self._record("torn_write", path, offset=cut, dropped=size - cut)
+            return cut
+        return None
 
     def filter_append(self, path: str, data: bytes) -> bytes:
         if self.torn_append_at is not None and self._fire("torn_append", path):

@@ -11,7 +11,8 @@ every durable artifact in the repo goes through.
 Models, cache entries and frozen plans share one payload
 inside that envelope, the *archive*: an ``.npz`` of named arrays plus
 JSON documents, each stored as a uint8 entry ``__<name>__``
-(:func:`write_archive`/:func:`read_archive`).  Files that fail
+(:func:`write_archive`/:func:`read_archive`), streamed through the file
+so neither side holds a copy of the payload.  Files that fail
 verification are moved aside by the one :func:`quarantine` rule, which
 never overwrites an earlier copy.
 
@@ -32,15 +33,16 @@ This module is a leaf: it imports only the standard library and NumPy.
 
 from __future__ import annotations
 
+import errno
 import hashlib
-import io
 import json
 import os
 import re
 import struct
-import tempfile
 import zipfile
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import (
+    BinaryIO, Callable, Dict, Mapping, Optional, Tuple, TypeVar, Union,
+)
 
 import numpy as np
 
@@ -74,6 +76,7 @@ _HEADER = struct.Struct("<8sIQ32s")
 HEADER_SIZE = _HEADER.size
 # Archive entries named like this hold JSON documents, not arrays.
 _DOC_NAME = re.compile(r"^__(.+)__$")
+_T = TypeVar("_T")
 
 
 class StorageError(Exception):
@@ -124,6 +127,60 @@ def active_injector():
 
 # -- envelope format ---------------------------------------------------------
 
+# Files are hashed and verified this many bytes at a time.
+_CHUNK = 1 << 20
+
+
+def _where(source: Optional[str]) -> str:
+    return f" in {source}" if source else ""
+
+
+def _check_header(header: bytes, where: str) -> Tuple[int, bytes]:
+    """The ``(length, digest)`` a header promises; typed error otherwise."""
+    if len(header) < HEADER_SIZE:
+        raise CorruptArtifactError(
+            f"envelope truncated{where}: {len(header)} bytes, "
+            f"header alone is {HEADER_SIZE}"
+        )
+    magic, version, length, digest = _HEADER.unpack(header[:HEADER_SIZE])
+    if magic != MAGIC:
+        raise CorruptArtifactError(f"bad magic {magic!r}{where}")
+    if version != FORMAT_VERSION:
+        raise SchemaVersionError(
+            f"unsupported envelope format version {version}{where} "
+            f"(this build reads version {FORMAT_VERSION})"
+        )
+    return length, digest
+
+
+def _check_payload(
+    length: int, digest: bytes, found: int, actual: bytes, where: str
+) -> None:
+    """Compare a payload's byte count and SHA-256 with its header's."""
+    if found != length:
+        raise CorruptArtifactError(
+            f"payload truncated{where}: header promises {length} bytes, "
+            f"found {found}"
+        )
+    if actual != digest:
+        raise CorruptArtifactError(f"payload checksum mismatch{where}")
+
+
+def _digest_to_end(handle) -> Tuple[int, bytes]:
+    """Byte count and SHA-256 of ``handle`` from its position to EOF,
+    read ``_CHUNK`` bytes at a time into one reused buffer."""
+    hasher = hashlib.sha256()
+    chunk = bytearray(_CHUNK)
+    view = memoryview(chunk)
+    total = 0
+    while True:
+        count = handle.readinto(chunk)
+        if not count:
+            return total, hasher.digest()
+        hasher.update(view[:count])
+        total += count
+
+
 def wrap(payload: bytes, version: int = FORMAT_VERSION) -> bytes:
     """Frame ``payload`` in a checksummed envelope."""
     payload = bytes(payload)
@@ -138,34 +195,65 @@ def unwrap(blob: bytes, source: Optional[str] = None) -> bytes:
     or a checksum mismatch, :class:`SchemaVersionError` on an unsupported
     format version.
     """
-    where = f" in {source}" if source else ""
-    if len(blob) < HEADER_SIZE:
-        raise CorruptArtifactError(
-            f"envelope truncated{where}: {len(blob)} bytes, "
-            f"header alone is {HEADER_SIZE}"
-        )
-    magic, version, length, digest = _HEADER.unpack(blob[:HEADER_SIZE])
-    if magic != MAGIC:
-        raise CorruptArtifactError(f"bad magic {magic!r}{where}")
-    if version != FORMAT_VERSION:
-        raise SchemaVersionError(
-            f"unsupported envelope format version {version}{where} "
-            f"(this build reads version {FORMAT_VERSION})"
-        )
+    where = _where(source)
+    length, digest = _check_header(blob[:HEADER_SIZE], where)
     payload = blob[HEADER_SIZE:]
-    if len(payload) != length:
-        raise CorruptArtifactError(
-            f"payload truncated{where}: header promises {length} bytes, "
-            f"found {len(payload)}"
-        )
-    if hashlib.sha256(payload).digest() != digest:
-        raise CorruptArtifactError(f"payload checksum mismatch{where}")
+    actual = hashlib.sha256(payload).digest()
+    _check_payload(length, digest, len(payload), actual, where)
     return payload
 
 
 def is_envelope(blob: bytes) -> bool:
     """True if ``blob`` starts with the envelope magic."""
     return blob[: len(MAGIC)] == MAGIC
+
+
+def _verify(handle, where: str) -> int:
+    """Check the envelope of a file opened at offset 0 in one chunked
+    pass; returns the payload length.  The payload is never held."""
+    length, digest = _check_header(handle.read(HEADER_SIZE), where)
+    found, actual = _digest_to_end(handle)
+    _check_payload(length, digest, found, actual, where)
+    return length
+
+
+class _Window:
+    """The file ``handle`` seen from byte ``offset`` on, as its own file.
+
+    zipfile records and seeks to absolute positions, so an ``.npz``
+    written or read through a window at the end of the envelope header
+    has the same bytes as one in a file of its own.  A
+    seek before the window raises ``OSError``, as it would before the
+    start of a real file.
+    """
+
+    def __init__(self, handle, offset: int):
+        self._handle = handle
+        self._offset = offset
+
+    def tell(self) -> int:
+        return self._handle.tell() - self._offset
+
+    def seek(self, position: int, whence: int = os.SEEK_SET) -> int:
+        if whence == os.SEEK_SET:
+            position += self._offset
+        else:
+            position += self._handle.seek(0, whence)
+        if position < self._offset:
+            raise OSError(errno.EINVAL, "seek before the start of the window")
+        return self._handle.seek(position) - self._offset
+
+    def seekable(self) -> bool:
+        return True
+
+    def read(self, size: int = -1) -> bytes:
+        return self._handle.read(size)
+
+    def write(self, data) -> int:
+        return self._handle.write(data)
+
+    def flush(self) -> None:
+        self._handle.flush()
 
 
 # -- crash-safe writes -------------------------------------------------------
@@ -181,44 +269,61 @@ def fsync_directory(directory: Union[str, os.PathLike]) -> None:
         os.close(fd)
 
 
-def _apply_umask_mode(tmp: str) -> None:
-    """Give a mkstemp file (0600) the permissions a plain open() would."""
-    umask = os.umask(0)
-    os.umask(umask)
-    os.chmod(tmp, 0o666 & ~umask)
+def _create_temp(directory: str) -> Tuple[int, str]:
+    """Open a new, randomly named temp file in ``directory``.
+
+    Mode 0666 goes through the kernel, which applies the process umask,
+    so the published file gets the permissions a plain ``open()`` would
+    give it without touching the umask other threads see.
+    """
+    while True:
+        tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+        try:
+            return os.open(tmp, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            continue
 
 
-def atomic_write_bytes(
-    path: Union[str, os.PathLike], data: bytes, fsync: bool = True
-) -> str:
-    """Publish ``data`` at ``path`` all-or-nothing.
+def _publish(
+    path: Union[str, os.PathLike], fill: Callable[[BinaryIO], _T], fsync: bool
+) -> _T:
+    """Publish the bytes ``fill(handle)`` writes at ``path``, all-or-nothing.
 
-    Writes to a temp file in the target directory, flushes, fsyncs, then
-    renames over ``path`` and fsyncs the directory — a crash at any point
-    leaves either the previous complete file or the new one, never a
-    mixture.  ``fsync=False`` trades the durability barrier for speed
-    (atomicity is preserved either way).
+    ``fill`` writes the whole file through ``handle`` (readable and
+    seekable, at offset 0).  Then: flush, fsync, rename over ``path``,
+    fsync the directory — a crash at any point leaves either the
+    previous complete file or the new one, never a mixture.
+    ``fsync=False`` drops both durability barriers, never atomicity.
+    Returns what ``fill`` returned.
+
+    Every fault-injector hook is consulted here.  A torn write truncates
+    the filled temp file at the injector's offset and raises
+    :class:`SimulatedCrash`, so its debris is the first bytes of the
+    file that would have been published.
     """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     injector = _injector
-    if injector is not None:
-        data = injector.filter_write(path, data)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    fd, tmp = _create_temp(directory)
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+        with os.fdopen(fd, "r+b") as handle:
+            result = fill(handle)
             handle.flush()
+            if injector is not None:
+                size = os.fstat(handle.fileno()).st_size
+                cut = injector.torn_write_offset(path, size)
+                if cut is not None:
+                    handle.truncate(cut)
+                    raise SimulatedCrash(
+                        f"torn write: process killed mid-save of {path}"
+                    )
             if fsync and not (injector is not None and injector.skip_fsync(path)):
                 os.fsync(handle.fileno())
-        if injector is not None:
-            injector.after_write(path)  # may raise SimulatedCrash
-        _apply_umask_mode(tmp)
         if injector is not None and injector.skip_rename(tmp, path):
             # Lost rename: the write happened but never got published —
             # readers keep seeing the previous version (stale but intact).
             os.remove(tmp)
-            return path
+            return result
         os.replace(tmp, path)
         if fsync and not (injector is not None and injector.skip_fsync(path)):
             fsync_directory(directory)
@@ -231,7 +336,19 @@ def atomic_write_bytes(
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
-    return path
+    return result
+
+
+def atomic_write_bytes(
+    path: Union[str, os.PathLike], data: bytes, fsync: bool = True
+) -> str:
+    """Publish ``data`` at ``path`` all-or-nothing (see :func:`_publish`).
+
+    ``fsync=False`` trades the durability barrier for speed (atomicity is
+    preserved either way).
+    """
+    _publish(path, lambda handle: handle.write(data), fsync)
+    return os.fspath(path)
 
 
 def write_envelope(
@@ -247,9 +364,13 @@ def write_envelope(
 def read_envelope(path: Union[str, os.PathLike]) -> bytes:
     """Read and verify an envelope file; returns the payload."""
     path = os.fspath(path)
+    where = _where(path)
     with open(path, "rb") as handle:
-        blob = handle.read()
-    return unwrap(blob, source=path)
+        length, digest = _check_header(handle.read(HEADER_SIZE), where)
+        payload = handle.read()
+    actual = hashlib.sha256(payload).digest()
+    _check_payload(length, digest, len(payload), actual, where)
+    return payload
 
 
 def verify_envelope(path: Union[str, os.PathLike]) -> int:
@@ -257,7 +378,9 @@ def verify_envelope(path: Union[str, os.PathLike]) -> int:
 
     Returns the payload size in bytes; raises the typed error otherwise.
     """
-    return len(read_envelope(path))
+    path = os.fspath(path)
+    with open(path, "rb") as handle:
+        return _verify(handle, _where(path))
 
 
 # -- array archives ----------------------------------------------------------
@@ -280,6 +403,13 @@ def write_archive(
     The payload is an ``.npz``; each document is stored as a uint8 entry
     ``__<name>__`` next to the arrays, so array names of that form are
     reserved and refused.  Returns the payload size in bytes.
+
+    The ``.npz`` streams straight into the temp file behind a zeroed
+    header.  zipfile seeks back to patch each member's local header, so
+    the payload is hashed afterwards, re-read from the file in chunks,
+    and the real header is written last.  The file's bytes are
+    ``wrap(<the same npz saved to memory>)``; no copy of the payload is
+    held.
     """
     entries: Dict[str, np.ndarray] = {}
     for name, doc in docs.items():
@@ -289,11 +419,17 @@ def write_archive(
         if _DOC_NAME.match(name):
             raise ValueError(f"array name {name!r} is reserved for documents")
         entries[name] = array
-    buffer = io.BytesIO()
-    np.savez(buffer, **entries)
-    payload = buffer.getvalue()
-    write_envelope(path, payload, fsync=fsync)
-    return len(payload)
+
+    def fill(handle: BinaryIO) -> int:
+        handle.write(bytes(HEADER_SIZE))
+        np.savez(_Window(handle, HEADER_SIZE), **entries)
+        handle.seek(HEADER_SIZE)
+        length, digest = _digest_to_end(handle)
+        handle.seek(0)
+        handle.write(_HEADER.pack(MAGIC, FORMAT_VERSION, length, digest))
+        return length
+
+    return _publish(path, fill, fsync)
 
 
 def read_archive(
@@ -304,28 +440,38 @@ def read_archive(
     Damage anywhere — envelope, zip container, array headers or a JSON
     document — raises :class:`CorruptArtifactError`; an envelope of
     another format version raises :class:`SchemaVersionError`.
+
+    One chunked pass verifies the envelope, then ``np.load`` parses the
+    payload through the same descriptor.  The open descriptor pins the
+    inode and artifacts are only published by rename, so the bytes
+    parsed are the bytes verified, and only the arrays themselves are
+    held.
     """
     path = os.fspath(path)
-    payload = read_envelope(path)
     arrays: Dict[str, np.ndarray] = {}
     docs: Dict[str, object] = {}
-    try:
-        archive = np.load(io.BytesIO(payload), allow_pickle=False)
-        if not isinstance(archive, np.lib.npyio.NpzFile):
-            raise ValueError("payload is not an npz archive")
-        with archive:
-            for name in archive.files:
-                match = _DOC_NAME.match(name)
-                if match:
-                    text = archive[name].tobytes().decode("utf-8")
-                    docs[match.group(1)] = json.loads(text)
-                else:
-                    arrays[name] = archive[name]
-    except (ValueError, OSError, EOFError, KeyError, zipfile.BadZipFile) as error:
-        raise CorruptArtifactError(
-            f"unreadable archive payload in {path}: "
-            f"{type(error).__name__}: {error}"
-        ) from error
+    with open(path, "rb") as handle:
+        _verify(handle, _where(path))
+        try:
+            handle.seek(HEADER_SIZE)
+            archive = np.load(_Window(handle, HEADER_SIZE), allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("payload is not an npz archive")
+            with archive:
+                for name in archive.files:
+                    match = _DOC_NAME.match(name)
+                    if match:
+                        text = archive[name].tobytes().decode("utf-8")
+                        docs[match.group(1)] = json.loads(text)
+                    else:
+                        arrays[name] = archive[name]
+        except (
+            ValueError, OSError, EOFError, KeyError, zipfile.BadZipFile
+        ) as error:
+            raise CorruptArtifactError(
+                f"unreadable archive payload in {path}: "
+                f"{type(error).__name__}: {error}"
+            ) from error
     return arrays, docs
 
 

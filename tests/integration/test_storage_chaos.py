@@ -24,6 +24,11 @@ from repro.reliability.storage_faults import (
     StorageFaultInjector,
     bit_flip_file,
 )
+from repro.storage.integrity import (
+    HEADER_SIZE,
+    CorruptArtifactError,
+    read_archive,
+)
 
 
 def _dataset(n=120, length=12, outputs=3, seed=0):
@@ -42,7 +47,9 @@ SPEC = [mlp_topology(3, hidden_units=(16,))]
 
 
 class TestCheckpointSaveChaos:
-    @pytest.mark.parametrize("torn_at", [0, 60, 500, 4000])
+    @pytest.mark.parametrize(
+        "torn_at", [0, HEADER_SIZE - 1, HEADER_SIZE, 60, 500, 4000]
+    )
     def test_kill_mid_checkpoint_save_resumes_from_verified(
         self, tmp_path, torn_at
     ):
@@ -94,6 +101,45 @@ class TestCheckpointSaveChaos:
         # The retrained entry replaced the corrupt one and verifies.
         again = TrainingService(_config(), cache=cache).train_all(SPEC, dataset)
         assert again[0].resumed is True
+
+
+class TestStreamedArchiveTears:
+    """``write_archive`` writes its envelope header last, after streaming
+    the payload and re-reading it for the digest.  A tear anywhere in the
+    file must still leave the previous version readable and the debris
+    typed-corrupt."""
+
+    ROWS, COLS = 400, 400  # a 1.28 MB float64 array
+
+    @pytest.mark.parametrize(
+        "torn_at",
+        [HEADER_SIZE - 1, HEADER_SIZE, HEADER_SIZE + 700_000],
+        ids=["inside_header", "header_end", "inside_array"],
+    )
+    def test_tear_keeps_previous_version(self, tmp_path, torn_at):
+        rng = np.random.default_rng(0)
+        old = rng.random((self.ROWS, self.COLS))
+        new = rng.random((self.ROWS, self.COLS))
+        cache = ArtifactCache(tmp_path, fsync=False)
+        path = cache.put("entry", {"x": old}, {"generation": 1})
+        size = path.stat().st_size
+        assert size >= 1_000_000
+        # The last offset lands in the array data, not in a zip header.
+        assert torn_at < size - 1_000
+
+        with StorageFaultInjector(torn_write_at=torn_at) as injector:
+            cache.put("entry", {"x": new}, {"generation": 2})
+        assert injector.events[0].detail == {
+            "offset": torn_at, "dropped": size - torn_at,
+        }
+
+        arrays, meta = cache.get("entry")
+        assert meta == {"generation": 1}
+        assert arrays["x"].tobytes() == old.tobytes()
+        (debris,) = tmp_path.glob(".tmp-*")
+        assert debris.stat().st_size == torn_at
+        with pytest.raises(CorruptArtifactError):
+            read_archive(debris)
 
 
 class TestJournalChaos:
