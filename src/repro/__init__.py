@@ -29,7 +29,7 @@ Subpackages:
   content-addressed, checksummed dataset/artifact cache;
 * :mod:`repro.adaptation` — drift resilience: the domain-shift scenario
   matrix (shift axes x adaptation strategies, cache-resumable);
-* :mod:`repro.uncertainty` — ensemble/MC-dropout mean + spread,
+* :mod:`repro.uncertainty` — deep-ensemble mean + spread,
   split-conformal prediction intervals and the serving abstention gate
   ("I don't know" as a first-class outcome);
 * :mod:`repro.orchestration` — the Fig-5/Fig-6 reproduction grid as one

@@ -364,12 +364,16 @@ def _cmd_uncertainty(args: argparse.Namespace) -> int:
     print()
     print("-- OOD abstention walkthrough "
           "(in-distribution vs noise spectra) --")
+    from repro.ms.plausibility import PlausibilityChecker
     from repro.serving import AnalysisService
 
     policy = AbstentionPolicy(
         max_width=4.0 * float(np.percentile(widths, 95))
     )
-    gate = UncertaintyGate(predictor, calibrator, policy)
+    gate = UncertaintyGate(
+        predictor, calibrator, policy,
+        plausibility=PlausibilityChecker(simulator, compounds),
+    )
     service = AnalysisService(
         analyzer=lambda data: predictor.predict_mean(data[np.newaxis, :])[0],
         workers=2,
@@ -653,8 +657,9 @@ def build_parser() -> argparse.ArgumentParser:
     uncertainty.add_argument("--seed", type=int, default=0)
     uncertainty.add_argument(
         "--demo", action="store_true",
-        help="serve in-distribution and noise spectra through a gated "
-             "AnalysisService and show Completed vs Abstained outcomes",
+        help="serve in-distribution and noise spectra through an "
+             "AnalysisService gated by interval width and the plausibility "
+             "check; show Completed vs Abstained outcomes",
     )
     uncertainty.set_defaults(func=_cmd_uncertainty)
 

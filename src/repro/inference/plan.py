@@ -13,8 +13,8 @@ that away once, ahead of time:
   execution weights exactly once at compile time);
 * conv/dense + bias + activation collapse into one fused op — a
   standalone :class:`~repro.nn.layers.core.ActivationLayer` behind a
-  linear conv/dense folds into it, ``Dropout`` disappears, and runs of
-  ``Reshape``/``Flatten`` collapse into a single zero-cost view;
+  linear conv/dense folds into it, and runs of ``Reshape``/``Flatten``
+  collapse into a single zero-cost view;
 * every windowed op records its kernel and stride, and refuses at
   construction any pair that does not make exactly its output length
   of windows inside its (padded) input, so a malformed plan cannot
@@ -49,7 +49,6 @@ from repro.nn.layers import (
     AvgPool1D,
     Conv1D,
     Dense,
-    Dropout,
     Flatten,
     GlobalAvgPool1D,
     LocallyConnected1D,
@@ -362,9 +361,7 @@ def freeze(
         source_layers.append(layer.name)
         out_shape = tuple(layer.output_shape)
         cost = layer_flops(layer)
-        if isinstance(layer, Dropout):
-            pass  # identity at inference time
-        elif isinstance(layer, (Reshape, Flatten)):
+        if isinstance(layer, (Reshape, Flatten)):
             _fold_view(ops, shape, out_shape, layer.name)
         elif isinstance(layer, ActivationLayer):
             if not _try_fold_activation(ops, layer, cost):

@@ -5,8 +5,8 @@ self-contained implementation that covers every architectural element the
 paper uses:
 
 * layers: ``Dense``, ``Conv1D``, ``LocallyConnected1D``, ``LSTM``,
-  ``MaxPool1D``, ``AvgPool1D``, ``Flatten``, ``Reshape``, ``Dropout`` and
-  standalone ``Activation`` layers;
+  ``MaxPool1D``, ``AvgPool1D``, ``Flatten``, ``Reshape`` and standalone
+  ``Activation`` layers;
 * activations: ReLU, SELU, softmax, linear, sigmoid, tanh;
 * losses: mean absolute error (the paper's training loss) and mean squared
   error (the paper's NMR comparison metric);
@@ -44,7 +44,6 @@ from repro.nn.layers import (
     AvgPool1D,
     Conv1D,
     Dense,
-    Dropout,
     Flatten,
     GlobalAvgPool1D,
     HighwayDense,
@@ -81,7 +80,6 @@ __all__ = [
     "Dense",
     "DivergenceError",
     "DivergenceSentinel",
-    "Dropout",
     "EarlyStopping",
     "Flatten",
     "GlobalAvgPool1D",

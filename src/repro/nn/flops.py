@@ -19,7 +19,6 @@ from repro.nn.layers import (
     AvgPool1D,
     Conv1D,
     Dense,
-    Dropout,
     Flatten,
     GlobalAvgPool1D,
     LocallyConnected1D,
@@ -109,7 +108,7 @@ def layer_flops(layer) -> LayerCost:
         flops = int(np.prod(layer.input_shape))
     elif isinstance(layer, ActivationLayer):
         flops = _ACTIVATION_FLOPS.get(layer.activation.name, 4) * out
-    elif isinstance(layer, (Flatten, Reshape, Dropout)):
+    elif isinstance(layer, (Flatten, Reshape)):
         flops = 0
         act_bytes = 0  # pure views at inference time
     else:

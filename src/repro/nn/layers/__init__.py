@@ -1,7 +1,7 @@
 """Neural-network layers (channels-last, batch-first)."""
 
 from repro.nn.layers.base import Layer
-from repro.nn.layers.core import ActivationLayer, Dense, Dropout, Flatten, Reshape
+from repro.nn.layers.core import ActivationLayer, Dense, Flatten, Reshape
 from repro.nn.layers.conv import Conv1D, LocallyConnected1D
 from repro.nn.layers.pool import AvgPool1D, GlobalAvgPool1D, MaxPool1D
 from repro.nn.layers.recurrent import LSTM
@@ -12,7 +12,6 @@ __all__ = [
     "AvgPool1D",
     "Conv1D",
     "Dense",
-    "Dropout",
     "Flatten",
     "GlobalAvgPool1D",
     "HighwayDense",
@@ -31,7 +30,6 @@ LAYER_REGISTRY = {
         AvgPool1D,
         Conv1D,
         Dense,
-        Dropout,
         Flatten,
         GlobalAvgPool1D,
         HighwayDense,

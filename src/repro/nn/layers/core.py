@@ -1,8 +1,6 @@
-"""Core layers: Dense, Flatten, Reshape, Dropout, ActivationLayer."""
+"""Core layers: Dense, Flatten, Reshape, ActivationLayer."""
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -10,7 +8,7 @@ from repro.nn.activations import get_activation
 from repro.nn.initializers import get_initializer
 from repro.nn.layers.base import Layer
 
-__all__ = ["Dense", "Flatten", "Reshape", "Dropout", "ActivationLayer"]
+__all__ = ["Dense", "Flatten", "Reshape", "ActivationLayer"]
 
 
 class Dense(Layer):
@@ -135,41 +133,6 @@ class Reshape(Layer):
 
     def get_config(self):
         return {"target_shape": list(self.target_shape)}
-
-
-class Dropout(Layer):
-    """Inverted dropout; identity at inference time."""
-
-    def __init__(self, rate: float, seed: Optional[int] = None):
-        super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"rate must be in [0, 1), got {rate}")
-        self.rate = float(rate)
-        self._rng = np.random.default_rng(seed)
-        self._mask = None
-
-    def forward(self, x, training=False):
-        self._check_built()
-        if not training:
-            return x
-        if self.rate == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad):
-        mask, self._mask = self._mask, None
-        if mask is None:
-            return grad
-        return grad * mask
-
-    def clear_cache(self):
-        self._mask = None
-
-    def get_config(self):
-        return {"rate": self.rate}
 
 
 class ActivationLayer(Layer):

@@ -80,7 +80,7 @@ class Sequential:
 
         Backpropagation stops at the lowest layer with trainable params:
         it is called with ``input_grad=False``, since no layer reads that
-        gradient.  The layers below it (a Reshape, Dropout, frozen
+        gradient.  The layers below it (a Reshape, frozen
         layers) are not backpropagated; their caches are cleared.
         """
         lowest = next(

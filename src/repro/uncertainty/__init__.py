@@ -1,16 +1,18 @@
 """Uncertainty quantification: spread, intervals, abstention.
 
-The subsystem that lets the stack say "I don't know": ensemble and
-MC-dropout predictors produce mean + spread
-(:mod:`~repro.uncertainty.predictors`), split-conformal calibration
-turns spread into finite-sample prediction intervals
-(:mod:`~repro.uncertainty.conformal`), an abstention policy + serving
-gate turn intervals into per-row serve/abstain decisions
+The subsystem that lets the stack say "I don't know": a deep ensemble
+produces mean + spread (:mod:`~repro.uncertainty.predictors`),
+split-conformal calibration turns spread into finite-sample prediction
+intervals (:mod:`~repro.uncertainty.conformal`), and an abstention
+policy + serving gate turn intervals — and, given an input check such as
+:class:`~repro.ms.plausibility.PlausibilityChecker`, the plausibility of
+the spectrum itself — into per-row serve/abstain decisions
 (:mod:`~repro.uncertainty.policy`).
 """
 
 from repro.uncertainty.conformal import ConformalCalibrator
 from repro.uncertainty.policy import (
+    REASON_IMPLAUSIBLE_INPUT,
     REASON_INTERVAL_TOO_WIDE,
     REASON_NONFINITE_INTERVAL,
     REASON_UNCALIBRATED,
@@ -21,7 +23,6 @@ from repro.uncertainty.policy import (
 from repro.uncertainty.predictors import (
     EnsemblePredictor,
     EnsembleSpec,
-    MCDropoutPredictor,
     UncertainPrediction,
     train_ensemble,
     train_member,
@@ -30,7 +31,6 @@ from repro.uncertainty.predictors import (
 __all__ = [
     "UncertainPrediction",
     "EnsemblePredictor",
-    "MCDropoutPredictor",
     "EnsembleSpec",
     "train_ensemble",
     "train_member",
@@ -40,5 +40,6 @@ __all__ = [
     "UncertaintyGate",
     "REASON_UNCALIBRATED",
     "REASON_NONFINITE_INTERVAL",
+    "REASON_IMPLAUSIBLE_INPUT",
     "REASON_INTERVAL_TOO_WIDE",
 ]

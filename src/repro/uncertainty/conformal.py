@@ -1,6 +1,6 @@
 """Split-conformal calibration: spread → finite-sample intervals.
 
-Raw ensemble/MC-dropout spread is a useful *ordering* of difficulty but
+Raw ensemble spread is a useful *ordering* of difficulty but
 carries no coverage promise.  Split conformal fixes that with one held
 out calibration set and no distributional assumptions: compute each
 calibration row's normalized nonconformity score
@@ -76,6 +76,13 @@ class ConformalCalibrator:
             )
         if not np.all(np.isfinite(y)):
             raise ValueError("calibration labels must be finite")
+        # One NaN score would make q_hat NaN: "calibrated", yet every
+        # later interval non-finite.
+        if not (
+            np.all(np.isfinite(prediction.mean))
+            and np.all(np.isfinite(prediction.std))
+        ):
+            raise ValueError("calibration predictions must be finite")
         n = prediction.n_rows
         if n < 1:
             raise ValueError("calibration set must be non-empty")

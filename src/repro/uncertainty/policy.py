@@ -9,13 +9,14 @@ consumes.
 
 The abstention contract: every row gets exactly one decision, a decision
 never raises, and anything the gate cannot vouch for — uncalibrated
-calibrator, non-finite interval, interval wider than the policy allows —
-abstains rather than serving a confident guess.
+calibrator, non-finite interval, an input its plausibility check cannot
+explain, interval wider than the policy allows — abstains rather than
+serving a confident guess.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.uncertainty.predictors import UncertainPrediction
 __all__ = [
     "REASON_UNCALIBRATED",
     "REASON_NONFINITE_INTERVAL",
+    "REASON_IMPLAUSIBLE_INPUT",
     "REASON_INTERVAL_TOO_WIDE",
     "AbstentionPolicy",
     "Assessment",
@@ -34,6 +36,7 @@ __all__ = [
 
 REASON_UNCALIBRATED = "uncalibrated"
 REASON_NONFINITE_INTERVAL = "nonfinite_interval"
+REASON_IMPLAUSIBLE_INPUT = "implausible_input"
 REASON_INTERVAL_TOO_WIDE = "interval_too_wide"
 
 
@@ -154,6 +157,17 @@ class UncertaintyGate:
     takes as its ``uncertainty=`` collaborator.  The abstention rate
     lives in the service (``AnalysisService.stats()["abstention_rate"]``),
     which sees every row's final outcome, not just the gate's verdict.
+
+    ``plausibility`` is an optional input check: any object whose
+    ``check_batch(matrix)`` returns one report with a ``plausible`` flag
+    per row — in practice a :class:`~repro.ms.plausibility.PlausibilityChecker`.
+    A network trained on simulated spectra has no meaningful output for
+    a spectrum the task's physics cannot explain, and its spread need not
+    say so, so such a row abstains as ``implausible_input``.  Reasons
+    take precedence in the order uncalibrated, non-finite interval,
+    implausible input, interval too wide; rows already abstaining for
+    one of the first two are not checked (the check refuses non-finite
+    channels by raising, and a decision never raises).
     """
 
     def __init__(
@@ -161,10 +175,12 @@ class UncertaintyGate:
         predictor,
         calibrator: ConformalCalibrator,
         policy: Optional[AbstentionPolicy] = None,
+        plausibility=None,
     ):
         self.predictor = predictor
         self.calibrator = calibrator
         self.policy = policy if policy is not None else AbstentionPolicy()
+        self.plausibility = plausibility
 
     def assess(self, matrix: np.ndarray) -> Assessment:
         """Mean + interval + decision for every row of ``matrix``."""
@@ -172,4 +188,19 @@ class UncertaintyGate:
         if matrix.ndim != 2:
             raise ValueError(f"expected a 2-D batch, got shape {matrix.shape}")
         prediction = self.predictor.predict(matrix)
-        return self.policy.assess(prediction, self.calibrator)
+        assessment = self.policy.assess(prediction, self.calibrator)
+        if self.plausibility is None:
+            return assessment
+        reasons = list(assessment.reasons)
+        rows = [
+            i for i, reason in enumerate(reasons)
+            if reason in (None, REASON_INTERVAL_TOO_WIDE)
+        ]
+        if not rows:
+            return assessment
+        abstain = assessment.abstain.copy()
+        for i, report in zip(rows, self.plausibility.check_batch(matrix[rows])):
+            if not report.plausible:
+                abstain[i] = True
+                reasons[i] = REASON_IMPLAUSIBLE_INPUT
+        return replace(assessment, abstain=abstain, reasons=tuple(reasons))

@@ -1,4 +1,4 @@
-"""Mean + spread predictors: deep ensembles and MC-dropout.
+"""Mean + spread predictor: the deep ensemble.
 
 The quantification networks in the paper emit point concentrations; this
 module wraps :class:`~repro.nn.model.Sequential` so every prediction
@@ -6,15 +6,11 @@ carries a *spread* alongside its mean.  Spread is the raw material the
 conformal calibrator (:mod:`repro.uncertainty.conformal`) turns into
 finite-sample intervals and the abstention policy turns into refusals.
 
-Two estimators, one contract (:class:`UncertainPrediction`):
-
-* :class:`EnsemblePredictor` — N independently trained members
-  (different derived seeds → different inits and dataset draws);
-  disagreement across members is the spread.
-* :class:`MCDropoutPredictor` — T stochastic forward passes through one
-  model with dropout forced on; disagreement across passes is the
-  spread.  Dropout layers are re-seeded per pass from a
-  ``SeedSequence`` tree so repeated calls are byte-identical.
+:class:`EnsemblePredictor` holds N independently trained members
+(different derived seeds → different inits and dataset draws);
+disagreement across members is the spread.  Spread alone does not flag
+spectra unlike anything the members were trained on — the gate's input
+check does (:class:`~repro.uncertainty.policy.UncertaintyGate`).
 
 Ensemble training follows the :mod:`repro.adaptation.matrix` campaign
 idiom: every random draw comes from seeds derived from the canonical
@@ -37,7 +33,6 @@ from repro.nn.serialization import weights_from_arrays, weights_to_arrays
 __all__ = [
     "UncertainPrediction",
     "EnsemblePredictor",
-    "MCDropoutPredictor",
     "EnsembleSpec",
     "train_ensemble",
     "train_member",
@@ -50,7 +45,7 @@ class UncertainPrediction:
     """A batch of predictions with per-output spread.
 
     ``mean`` and ``std`` are both ``(n_rows, n_outputs)`` float64; ``std``
-    is the population standard deviation across members/passes (zero for
+    is the population standard deviation across members (zero for
     a single member — such a predictor can never express doubt, which is
     why :class:`EnsemblePredictor` requires at least two).
     """
@@ -74,13 +69,6 @@ class UncertainPrediction:
         return int(self.mean.shape[0])
 
 
-def _stack_prediction(stack: np.ndarray) -> UncertainPrediction:
-    """Collapse a ``(members, rows, outputs)`` stack to mean + spread."""
-    mean = np.mean(stack, axis=0)
-    std = np.std(stack, axis=0)
-    return UncertainPrediction(mean=mean, std=std)
-
-
 class EnsemblePredictor:
     """Mean + spread from N independently trained models."""
 
@@ -102,70 +90,12 @@ class EnsemblePredictor:
         stack = np.stack(
             [member.predict(x, validate=False) for member in self.members]
         )
-        return _stack_prediction(stack)
+        return UncertainPrediction(
+            mean=np.mean(stack, axis=0), std=np.std(stack, axis=0)
+        )
 
     def predict_mean(self, x: np.ndarray) -> np.ndarray:
         """Point prediction only (drop the spread)."""
-        return self.predict(x).mean
-
-
-class MCDropoutPredictor:
-    """Mean + spread from T stochastic dropout passes through one model.
-
-    Only :class:`~repro.nn.layers.core.Dropout` layers run in training
-    mode during the passes; every other layer runs its inference forward.
-    Each ``predict`` re-seeds every dropout layer per pass from a
-    ``SeedSequence`` tree rooted at ``seed``, then restores the layers'
-    original generators, so calls are byte-repeatable and leave the
-    model's training-time randomness untouched.
-    """
-
-    def __init__(self, model, passes: int = 20, seed: int = 0):
-        from repro.nn.layers.core import Dropout
-
-        if passes < 2:
-            raise ValueError(f"passes must be >= 2, got {passes}")
-        self.model = model
-        self.passes = int(passes)
-        self.seed = int(seed)
-        self._dropout_layers = [
-            layer
-            for layer in model.layers
-            if isinstance(layer, Dropout) and layer.rate > 0.0
-        ]
-        if not self._dropout_layers:
-            raise ValueError(
-                "MC-dropout needs at least one Dropout layer with rate > 0; "
-                "this model has none, so its spread would always be zero"
-            )
-
-    def predict(self, x: np.ndarray) -> UncertainPrediction:
-        from repro.nn.layers.core import Dropout
-
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2:
-            raise ValueError(f"expected a 2-D batch, got shape {x.shape}")
-        saved = [(layer, layer._rng, layer._mask) for layer in self._dropout_layers]
-        pass_seeds = np.random.SeedSequence(self.seed).spawn(self.passes)
-        outputs = []
-        try:
-            for pass_seed in pass_seeds:
-                layer_seeds = pass_seed.spawn(len(self._dropout_layers))
-                for layer, layer_seed in zip(self._dropout_layers, layer_seeds):
-                    layer._rng = np.random.default_rng(layer_seed)
-                out = x
-                for layer in self.model.layers:
-                    out = layer.forward(
-                        out, training=isinstance(layer, Dropout)
-                    )
-                outputs.append(np.asarray(out, dtype=np.float64))
-        finally:
-            for layer, rng, mask in saved:
-                layer._rng = rng
-                layer._mask = mask
-        return _stack_prediction(np.stack(outputs))
-
-    def predict_mean(self, x: np.ndarray) -> np.ndarray:
         return self.predict(x).mean
 
 

@@ -52,16 +52,6 @@ class TestFreezeStructure:
         assert plan.fused_op_count == 2
         assert plan.source_layers == ("Dense", "Dense")
 
-    def test_dropout_disappears(self):
-        model = nn.Sequential(
-            [nn.Dense(8, activation="relu"), nn.Dropout(0.5), nn.Dense(3)]
-        )
-        model.build((10,), seed=0)
-        plan = freeze(model)
-        assert [op.kind for op in plan.ops] == ["dense", "dense"]
-        # ...but the layer is still recorded as a source.
-        assert len(plan.source_layers) == 3
-
     def test_standalone_activation_folds_into_linear_producer(self):
         model = nn.Sequential(
             [nn.Dense(8), nn.ActivationLayer("relu"), nn.Dense(3)]

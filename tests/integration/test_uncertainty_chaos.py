@@ -1,12 +1,14 @@
 """Chaos test: an OOD flood must be refused, never answered confidently.
 
-A real (small) MC-dropout predictor serves through the abstention gate
-under concurrent mixed traffic: in-distribution spectra from the
-simulator the model was trained on, interleaved with a flood of
-out-of-distribution noise spectra.  Dropout variance scales with
-activation magnitude, so structurally alien inputs inflate the
-calibrated interval past the policy bound while in-distribution rows
-stay narrow.  The acceptance invariants:
+The served predictor — a real (small) deep ensemble from
+``train_ensemble`` — sits behind the abstention gate under concurrent
+mixed traffic: in-distribution spectra from the simulator the members
+were trained on, interleaved with a flood of out-of-distribution noise
+spectra.  The members' spread alone does not separate the two (on this rig
+the width bound refuses none of the noise rows), so the gate also runs
+the paper's plausibility check: the task's simulated responses explain
+an in-distribution spectrum and leave large peaks of a noise spectrum
+unexplained.  The acceptance invariants:
 
 * no noise spectrum ever resolves as ``Completed`` — every one is
   ``Abstained`` (or rejected by an earlier defence), so the service
@@ -21,15 +23,16 @@ import threading
 import numpy as np
 import pytest
 
-from repro import nn
+from repro.ms.plausibility import PlausibilityChecker
 from repro.ms.simulator import MassSpectrometerSimulator
 from repro.serving import Abstained, AnalysisService, BatchingPolicy, Completed
 from repro.uncertainty import (
+    REASON_IMPLAUSIBLE_INPUT,
     AbstentionPolicy,
     ConformalCalibrator,
     EnsembleSpec,
-    MCDropoutPredictor,
     UncertaintyGate,
+    train_ensemble,
 )
 
 SPEC = EnsembleSpec(
@@ -51,23 +54,7 @@ def gated_rig():
     simulator = MassSpectrometerSimulator.from_spec(
         SPEC.axis, SPEC.characteristics
     )
-    train_x, train_y = simulator.generate_dataset(
-        SPEC.compounds, SPEC.n_train, np.random.default_rng(SPEC.seed)
-    )
-    model = nn.Sequential(
-        [nn.Dense(16, activation="relu"), nn.Dropout(0.3), nn.Dense(2)]
-    )
-    model.build((SPEC.input_length(),), seed=SPEC.seed)
-    model.compile(nn.Adam(SPEC.learning_rate), "mae")
-    model.fit(
-        train_x,
-        train_y,
-        epochs=SPEC.epochs,
-        batch_size=SPEC.batch_size,
-        seed=SPEC.seed,
-        verbose=False,
-    )
-    predictor = MCDropoutPredictor(model, passes=20, seed=7)
+    predictor = train_ensemble(SPEC)
     calibration_x, calibration_y = simulator.generate_dataset(
         SPEC.compounds, 96, np.random.default_rng(99)
     )
@@ -83,17 +70,20 @@ def gated_rig():
     noise_rng = np.random.default_rng(13)
     noise = noise_rng.random((N_NOISE, SPEC.input_length()))
     noise /= noise.max(axis=1, keepdims=True)
-    return predictor, calibrator, policy, in_dist, noise
+    checker = PlausibilityChecker(simulator, SPEC.compounds)
+    return predictor, calibrator, policy, checker, in_dist, noise
 
 
 def _gate(rig):
-    predictor, calibrator, policy, _, _ = rig
-    return UncertaintyGate(predictor, calibrator, policy=policy)
+    predictor, calibrator, policy, checker, _, _ = rig
+    return UncertaintyGate(
+        predictor, calibrator, policy=policy, plausibility=checker
+    )
 
 
 class TestOODFlood:
     def test_flood_abstains_and_accounting_is_exactly_once(self, gated_rig):
-        _, _, _, in_dist, noise = gated_rig
+        _, _, _, _, in_dist, noise = gated_rig
         service = AnalysisService(
             lambda data: np.zeros(len(SPEC.compounds)),
             workers=2,
@@ -135,7 +125,7 @@ class TestOODFlood:
         ]
         assert noise_abstained, "flood produced no Abstained results"
         for result in noise_abstained:
-            assert result.reason == "interval_too_wide"
+            assert result.reason == REASON_IMPLAUSIBLE_INPUT
             assert np.isfinite(result.value).all()
             lower, upper = result.interval
             assert (upper >= lower).all()
@@ -160,7 +150,7 @@ class TestOODFlood:
         assert all(r is not None for r in all_results)
 
     def test_flood_raises_the_abstention_rate_signal(self, gated_rig):
-        _, _, _, in_dist, noise = gated_rig
+        _, _, _, _, in_dist, noise = gated_rig
         service = AnalysisService(
             lambda data: np.zeros(len(SPEC.compounds)),
             workers=2,

@@ -1,4 +1,4 @@
-"""Unit + gradient tests for Dense, Flatten, Reshape, Dropout, ActivationLayer."""
+"""Unit + gradient tests for Dense, Flatten, Reshape, ActivationLayer."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.nn import (
     ActivationLayer,
     Dense,
-    Dropout,
     Flatten,
     Reshape,
 )
@@ -106,38 +105,6 @@ class TestReshape:
         y = layer.forward(x, training=True)
         assert y.shape == (2, 3, 4)
         np.testing.assert_array_equal(layer.backward(y), x)
-
-
-class TestDropout:
-    def test_identity_at_inference(self):
-        layer = Dropout(0.5, seed=0)
-        layer.build((10,), np.random.default_rng(0))
-        x = np.random.default_rng(1).normal(size=(4, 10))
-        np.testing.assert_array_equal(layer.forward(x, training=False), x)
-
-    def test_training_zeroes_and_rescales(self):
-        layer = Dropout(0.5, seed=0)
-        layer.build((1000,), np.random.default_rng(0))
-        x = np.ones((2, 1000))
-        y = layer.forward(x, training=True)
-        dropped = np.mean(y == 0)
-        assert 0.4 < dropped < 0.6
-        # Kept values are rescaled by 1/keep so the expectation is preserved.
-        np.testing.assert_allclose(y[y != 0], 2.0)
-
-    def test_backward_uses_same_mask(self):
-        layer = Dropout(0.3, seed=1)
-        layer.build((50,), np.random.default_rng(0))
-        x = np.ones((3, 50))
-        y = layer.forward(x, training=True)
-        grad = layer.backward(np.ones_like(y))
-        np.testing.assert_array_equal(grad == 0, y == 0)
-
-    def test_rate_validation(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
-        with pytest.raises(ValueError):
-            Dropout(-0.1)
 
 
 class TestActivationLayer:

@@ -37,9 +37,6 @@ def _model_for(layer_name):
     elif layer_name == "Reshape":
         model = nn.Sequential([nn.Reshape((3, 4))])
         shape = (12,)
-    elif layer_name == "Dropout":
-        model = nn.Sequential([nn.Dropout(0.3)])
-        shape = (10,)
     elif layer_name == "ActivationLayer":
         model = nn.Sequential([nn.ActivationLayer("softmax")])
         shape = (5,)

@@ -72,6 +72,24 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrator.calibrate(prediction, bad)
 
+    @pytest.mark.parametrize("field", ["mean", "std"])
+    def test_nonfinite_prediction_leaves_the_calibrator_uncalibrated(
+        self, field
+    ):
+        # One NaN among 9 rows at alpha=0.1 used to make q_hat NaN while
+        # is_calibrated read True, so every later row abstained as
+        # nonfinite_interval instead of uncalibrated.
+        prediction, y = _gaussian_case(9, seed=0)
+        poisoned = getattr(prediction, field).copy()
+        poisoned[4, 1] = np.nan
+        prediction = UncertainPrediction(
+            **{"mean": prediction.mean, "std": prediction.std, field: poisoned}
+        )
+        calibrator = ConformalCalibrator(alpha=0.1)
+        with pytest.raises(ValueError):
+            calibrator.calibrate(prediction, y)
+        assert not calibrator.is_calibrated
+
     def test_coverage_meets_the_finite_sample_guarantee(self):
         # Exchangeable calibration/test splits: empirical coverage on a
         # fresh draw should sit at or above 1 - alpha, modulo noise.

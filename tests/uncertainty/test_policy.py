@@ -1,9 +1,12 @@
 """Unit tests for the abstention policy and serving gate."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.uncertainty import (
+    REASON_IMPLAUSIBLE_INPUT,
     REASON_INTERVAL_TOO_WIDE,
     REASON_NONFINITE_INTERVAL,
     REASON_UNCALIBRATED,
@@ -44,6 +47,24 @@ class _SpreadPredictor:
             mean=np.stack([total, total], axis=1),
             std=np.stack([spread, spread], axis=1),
         )
+
+
+class _LastChannelCheck:
+    """Plausibility stub: a row is implausible when its last channel > 1.
+
+    Like :class:`~repro.ms.plausibility.PlausibilityChecker`, it raises
+    on a non-finite channel; it records every batch it was asked about.
+    """
+
+    def __init__(self):
+        self.checked = []
+
+    def check_batch(self, matrix):
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if not np.isfinite(matrix).all():
+            raise ValueError("non-finite channel")
+        self.checked.append(matrix.copy())
+        return [SimpleNamespace(plausible=row[-1] <= 1.0) for row in matrix]
 
 
 class TestAbstentionPolicy:
@@ -138,3 +159,69 @@ class TestUncertaintyGate:
         assessment = gate.assess(matrix)
         assert assessment.abstain.tolist() == [False, True]
         np.testing.assert_allclose(assessment.mean[:, 0], matrix.sum(axis=1))
+
+    def test_unchecked_gate_is_the_policy_verdict(self):
+        predictor, calibrator = _SpreadPredictor(), _calibrated(q_hat=1.0)
+        policy = AbstentionPolicy(max_width=1.0)
+        matrix = np.array(
+            [[0.1, 0.2, 0.3], [5.0, 0.0, 0.0], [0.3, 2.0, 0.0]]
+        )
+        gated = UncertaintyGate(predictor, calibrator, policy=policy)
+        expected = policy.assess(predictor.predict(matrix), calibrator)
+        assessment = gated.assess(matrix)
+        assert assessment.reasons == expected.reasons
+        for field in ("mean", "std", "lower", "upper", "width", "abstain"):
+            np.testing.assert_array_equal(
+                getattr(assessment, field), getattr(expected, field)
+            )
+
+    def test_implausible_rows_abstain_with_their_interval(self):
+        check = _LastChannelCheck()
+        gate = UncertaintyGate(
+            _SpreadPredictor(),
+            _calibrated(q_hat=1.0),
+            policy=AbstentionPolicy(max_width=1.0),
+            plausibility=check,
+        )
+        matrix = np.array(
+            [
+                [0.1, 0.0, 0.5],  # narrow, plausible
+                [0.1, 0.0, 2.0],  # narrow, implausible
+                [5.0, 0.0, 0.5],  # too wide, plausible
+                [5.0, 0.0, 2.0],  # too wide and implausible
+            ]
+        )
+        assessment = gate.assess(matrix)
+        assert assessment.reasons == (
+            None,
+            REASON_IMPLAUSIBLE_INPUT,
+            REASON_INTERVAL_TOO_WIDE,
+            REASON_IMPLAUSIBLE_INPUT,
+        )
+        assert assessment.abstain.tolist() == [False, True, True, True]
+        assert np.isfinite(assessment.lower).all()
+        np.testing.assert_allclose(assessment.mean[:, 0], matrix.sum(axis=1))
+        assert len(check.checked) == 1
+        np.testing.assert_array_equal(check.checked[0], matrix)
+
+    def test_nonfinite_row_is_not_checked_and_nothing_raises(self):
+        check = _LastChannelCheck()
+        gate = UncertaintyGate(
+            _SpreadPredictor(), _calibrated(), plausibility=check
+        )
+        matrix = np.array([[0.1, 0.0, 2.0], [0.1, np.nan, 0.5]])
+        assessment = gate.assess(matrix)
+        assert assessment.reasons == (
+            REASON_IMPLAUSIBLE_INPUT,
+            REASON_NONFINITE_INTERVAL,
+        )
+        np.testing.assert_array_equal(check.checked[0], matrix[:1])
+
+    def test_uncalibrated_gate_checks_nothing(self):
+        check = _LastChannelCheck()
+        gate = UncertaintyGate(
+            _SpreadPredictor(), ConformalCalibrator(), plausibility=check
+        )
+        assessment = gate.assess(np.array([[0.1, 0.0, 2.0]]))
+        assert assessment.reasons == (REASON_UNCALIBRATED,)
+        assert check.checked == []

@@ -1,4 +1,4 @@
-"""Unit tests for ensemble / MC-dropout mean + spread predictors."""
+"""Unit tests for the deep-ensemble mean + spread predictor."""
 
 import dataclasses
 import pickle
@@ -6,13 +6,11 @@ import pickle
 import numpy as np
 import pytest
 
-from repro import nn
 from repro.compute.cache import ArtifactCache, canonical_blob
 from repro.compute.executor import ParallelExecutor
 from repro.uncertainty import (
     EnsemblePredictor,
     EnsembleSpec,
-    MCDropoutPredictor,
     UncertainPrediction,
     train_ensemble,
     train_member,
@@ -40,14 +38,6 @@ class _Fixed:
 
     def predict(self, x, validate=True):
         return np.tile(self.output, (len(x), 1))
-
-
-def _dropout_model(seed=0, rate=0.4):
-    model = nn.Sequential(
-        [nn.Dense(8, activation="relu"), nn.Dropout(rate), nn.Dense(2)]
-    )
-    model.build((6,), seed=seed)
-    return model
 
 
 class TestUncertainPrediction:
@@ -87,61 +77,6 @@ class TestEnsemblePredictor:
     def test_identical_members_have_zero_spread(self):
         predictor = EnsemblePredictor([_Fixed([1.0, 1.0])] * 3)
         assert predictor.predict(np.zeros((2, 3))).std.max() == 0.0
-
-
-class TestMCDropoutPredictor:
-    def test_predict_is_byte_repeatable(self):
-        model = _dropout_model()
-        x = np.random.default_rng(0).random((5, 6))
-        first = MCDropoutPredictor(model, passes=6, seed=3).predict(x)
-        second = MCDropoutPredictor(model, passes=6, seed=3).predict(x)
-        assert (first.mean == second.mean).all()
-        assert (first.std == second.std).all()
-
-    def test_different_seeds_draw_different_masks(self):
-        model = _dropout_model()
-        x = np.random.default_rng(0).random((5, 6))
-        a = MCDropoutPredictor(model, passes=6, seed=0).predict(x)
-        b = MCDropoutPredictor(model, passes=6, seed=1).predict(x)
-        assert not (a.mean == b.mean).all()
-
-    def test_spread_is_nonzero(self):
-        model = _dropout_model()
-        x = np.random.default_rng(1).random((4, 6)) + 0.5
-        prediction = MCDropoutPredictor(model, passes=8, seed=0).predict(x)
-        assert prediction.std.max() > 0.0
-
-    def test_restores_layer_generators(self):
-        model = _dropout_model()
-        dropout = model.layers[1]
-        rng_before = dropout._rng
-        MCDropoutPredictor(model, passes=4, seed=0).predict(np.ones((2, 6)))
-        assert dropout._rng is rng_before
-        assert dropout._mask is None
-
-    def test_prediction_does_not_change_inference_output(self):
-        model = _dropout_model()
-        x = np.random.default_rng(2).random((3, 6))
-        before = model.predict(x, validate=False)
-        MCDropoutPredictor(model, passes=4, seed=0).predict(x)
-        after = model.predict(x, validate=False)
-        assert (before == after).all()
-
-    def test_requires_a_live_dropout_layer(self):
-        no_dropout = nn.Sequential([nn.Dense(2)])
-        no_dropout.build((6,), seed=0)
-        with pytest.raises(ValueError):
-            MCDropoutPredictor(no_dropout)
-        dead_rate = _dropout_model(rate=0.0)
-        with pytest.raises(ValueError):
-            MCDropoutPredictor(dead_rate)
-
-    def test_requires_two_passes_and_2d_input(self):
-        model = _dropout_model()
-        with pytest.raises(ValueError):
-            MCDropoutPredictor(model, passes=1)
-        with pytest.raises(ValueError):
-            MCDropoutPredictor(model, passes=4).predict(np.ones(6))
 
 
 class TestEnsembleSpec:

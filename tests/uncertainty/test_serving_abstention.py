@@ -5,6 +5,8 @@ exactly-once accounting, and the invariant that a gated service never
 invokes the analyzer it wraps.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.serving import (
 )
 from repro.serving.circuit import CLOSED
 from repro.uncertainty import (
+    REASON_IMPLAUSIBLE_INPUT,
     REASON_INTERVAL_TOO_WIDE,
     REASON_UNCALIBRATED,
     AbstentionPolicy,
@@ -63,6 +66,14 @@ class SpreadPredictor:
         )
 
 
+class LastChannelCheck:
+    """Plausibility stub: a spectrum whose last channel exceeds 1 is
+    implausible."""
+
+    def check_batch(self, matrix):
+        return [SimpleNamespace(plausible=row[-1] <= 1.0) for row in matrix]
+
+
 def _calibrated(q_hat=1.0):
     calibrator = ConformalCalibrator(alpha=0.1)
     calibrator.q_hat = float(q_hat)
@@ -70,11 +81,12 @@ def _calibrated(q_hat=1.0):
     return calibrator
 
 
-def _gate(calibrator=None):
+def _gate(calibrator=None, plausibility=None):
     return UncertaintyGate(
         SpreadPredictor(),
         calibrator if calibrator is not None else _calibrated(),
         policy=AbstentionPolicy(max_width=1.0),
+        plausibility=plausibility,
     )
 
 
@@ -149,16 +161,21 @@ class TestSinglePath:
             assert service.stats()["abstention_rate"] == 1.0
 
     def test_metrics_count_abstentions_by_reason(self):
+        gate = _gate(plausibility=LastChannelCheck())
         with scoped() as (registry, _):
             with AnalysisService(
-                _analyzer, expected_length=LENGTH, uncertainty=_gate()
+                _analyzer, expected_length=LENGTH, uncertainty=gate
             ) as service:
                 service.analyze(_spectrum(0.1))
                 service.analyze(_spectrum(5.0))
                 service.analyze(_spectrum(5.0))
-            assert registry.counter("serving_abstentions_total").value(
-                service="analysis", reason=REASON_INTERVAL_TOO_WIDE
-            ) == 2
+                service.analyze(_spectrum(0.1, fill=2.0))  # implausible
+            expected = {REASON_INTERVAL_TOO_WIDE: 2, REASON_IMPLAUSIBLE_INPUT: 1}
+            assert service.stats()["abstentions"] == expected
+            for reason, count in expected.items():
+                assert registry.counter("serving_abstentions_total").value(
+                    service="analysis", reason=reason
+                ) == count
 
     def test_abstention_never_trips_the_breaker(self):
         breaker = CircuitBreaker(failure_threshold=2)
