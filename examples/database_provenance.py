@@ -19,7 +19,7 @@ from repro.db import DocumentStore, ProvenanceTracker
 
 
 def main():
-    with tempfile.NamedTemporaryFile(suffix=".json") as handle:
+    with tempfile.NamedTemporaryFile(suffix=".db") as handle:
         store = DocumentStore(handle.name)
         tracker = ProvenanceTracker(store)
 
@@ -67,7 +67,7 @@ def main():
         selu_nets = tracker.find("network", activation="selu")
         print(f"\nnetworks using SELU: {[d['_id'] for d in selu_nets]}")
 
-        # Everything survives a round-trip through the JSON store.
+        # Everything survives a round-trip through the snapshot archive.
         store.save()
         reloaded = ProvenanceTracker(DocumentStore(handle.name))
         assert reloaded.ancestors(best) == tracker.ancestors(best)

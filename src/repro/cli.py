@@ -440,6 +440,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         SweepOrchestrator,
         report_json,
     )
+    from repro.storage.integrity import atomic_write_bytes
 
     try:
         spec = _sweep_spec(args)
@@ -481,8 +482,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                   "`repro sweep run --resume`")
             return 0
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(report_json(result.report))
+            atomic_write_bytes(
+                args.out, report_json(result.report).encode("utf-8")
+            )
             print(f"wrote campaign report to {args.out}")
         best = result.report.best_cell() if result.report.rows else None
         if best is not None:
@@ -520,8 +522,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             best = report.best_cell()
             print(f"best cell: {best['cell_id']}  mae {best['mae']:.6f}")
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(report_json(report))
+            atomic_write_bytes(args.out, report_json(report).encode("utf-8"))
             print(f"wrote campaign report to {args.out}")
         return 0
 

@@ -5,27 +5,32 @@ Documents are JSON-serializable dicts.  Each insert assigns a unique
 ``$gt``, ``$gte``, ``$lt``, ``$lte``, ``$in`` and ``$exists``; a bare value
 means ``$eq``.
 
-The store is in-memory with optional durable persistence.  A store opened
-with a ``path`` is *journaled*: every mutation is appended to a
-checksummed write-ahead journal (``<path>.journal``) before the call
-returns, and :meth:`DocumentStore.save`/:meth:`DocumentStore.compact`
-publish a checksummed snapshot atomically (fsync + rename) and reset the
-journal.  Reopening after a crash replays every committed journal record
-on top of the last snapshot and discards the torn tail of an interrupted
-append — at most the one in-flight record is lost.  Legacy plain-JSON
-snapshot files remain readable.
+The store is in-memory with optional durable persistence, in the two
+forms :mod:`repro.storage` has: a journal for the log, an archive for the
+state.  A store opened with a ``path`` is *journaled*: every mutation is
+appended to a checksummed write-ahead journal (``<path>.journal``)
+before it touches memory, so a mutation the journal refuses changes
+nothing.  :meth:`DocumentStore.save`/:meth:`DocumentStore.compact`
+publish the snapshot atomically (fsync + rename) as an archive holding
+one ``store`` document, then reset the journal.  Reopening after a crash
+replays every committed journal record on top of the last snapshot and
+discards the torn tail of an interrupted append — at most the one
+in-flight record is lost.  A file at the path that is not an archive is
+refused with :class:`~repro.storage.integrity.CorruptArtifactError`; an
+empty one is a new store.
 """
 
 from __future__ import annotations
 
 import copy
-import json
 import os
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Union
 
 from repro.observability.runtime import counter as _counter
 from repro.observability.runtime import histogram as _histogram
-from repro.storage.integrity import atomic_write_bytes, is_envelope, unwrap, wrap
+from repro.storage.integrity import (
+    CorruptArtifactError, read_archive, write_archive,
+)
 from repro.storage.journal import Journal
 
 __all__ = ["Collection", "DocumentStore"]
@@ -112,10 +117,10 @@ class Collection:
         if "_id" in doc:
             raise ValueError("documents must not carry a pre-set _id")
         doc_id = self._next_id
-        self._next_id += 1
         doc["_id"] = doc_id
+        self._emit({"op": "insert", "doc": doc})
         self._documents[doc_id] = doc
-        self._emit({"op": "insert", "doc": copy.deepcopy(doc)})
+        self._next_id += 1
         return doc_id
 
     def insert_many(self, documents) -> List[int]:
@@ -126,29 +131,23 @@ class Collection:
         doc = self.find_one(query)
         if doc is None:
             return False
-        stored = self._documents[doc["_id"]]
-        for key, value in changes.items():
-            if key == "_id":
-                raise ValueError("_id cannot be updated")
-            stored[key] = copy.deepcopy(value)
+        if "_id" in changes:
+            raise ValueError("_id cannot be updated")
         # Journal the resolved id, not the query: replay must not depend
         # on match order against documents inserted after this call.
-        self._emit(
-            {"op": "update", "id": doc["_id"],
-             "changes": copy.deepcopy(dict(changes))}
-        )
+        self._emit({"op": "update", "id": doc["_id"], "changes": dict(changes)})
+        self._apply_update(doc["_id"], changes)
         return True
 
     def delete(self, query: Mapping) -> int:
         """Delete all matching documents; returns the count removed."""
         ids = [doc["_id"] for doc in self.find(query)]
-        for doc_id in ids:
-            del self._documents[doc_id]
         if ids:
-            self._emit({"op": "delete", "ids": list(ids)})
+            self._emit({"op": "delete", "ids": ids})
+            self._apply_delete(ids)
         return len(ids)
 
-    # -- journal replay (bypasses journaling, applies committed records) ------
+    # -- applying journaled records (live writes and replay) -------------------
 
     def _apply_insert(self, doc: dict) -> None:
         doc = copy.deepcopy(dict(doc))
@@ -243,7 +242,6 @@ class DocumentStore:
         self.fsync = bool(fsync)
         self._collections: Dict[str, Collection] = {}
         self._journal: Optional[Journal] = None
-        self._replaying = False
         self.last_recovery: Dict[str, int] = {
             "replayed": 0, "discarded_records": 0, "discarded_bytes": 0,
         }
@@ -259,9 +257,8 @@ class DocumentStore:
     # -- journaling ----------------------------------------------------------
 
     def _record(self, collection_name: str, record: dict) -> None:
-        if self._journal is None or self._replaying:
-            return
-        self._journal.append({"c": collection_name, **record})
+        if self._journal is not None:
+            self._journal.append({"c": collection_name, **record})
 
     def _attach(self, collection: Collection) -> Collection:
         name = collection.name
@@ -277,8 +274,9 @@ class DocumentStore:
         return self._collections[name]
 
     def drop(self, name: str) -> None:
-        if self._collections.pop(name, None) is not None:
+        if name in self._collections:
             self._record(name, {"op": "drop"})
+            del self._collections[name]
 
     @property
     def collection_names(self) -> List[str]:
@@ -287,9 +285,10 @@ class DocumentStore:
     # -- durable persistence -------------------------------------------------
 
     def save(self, path: Optional[Union[str, os.PathLike]] = None) -> str:
-        """Publish a checksummed snapshot atomically and reset the journal.
+        """Publish the snapshot archive atomically and reset the journal.
 
-        Replaces the old truncate-in-place write: the snapshot is staged,
+        The snapshot is one ``store`` document in a
+        :func:`~repro.storage.integrity.write_archive` file, staged,
         fsynced and renamed into place, so a crash mid-save leaves the
         previous snapshot (plus the journal) fully intact.
         """
@@ -300,14 +299,11 @@ class DocumentStore:
             name: collection.to_dict()
             for name, collection in self._collections.items()
         }
-        data = json.dumps(payload, ensure_ascii=False, default=float).encode(
-            "utf-8"
-        )
         with _histogram(
             "store_snapshot_save_seconds",
             "document-store snapshot publish time (write + fsync + rename)",
         ).time():
-            atomic_write_bytes(target, wrap(data), fsync=self.fsync)
+            write_archive(target, {}, {"store": payload}, fsync=self.fsync)
         _counter(
             "store_snapshot_saves_total", "snapshots published atomically"
         ).inc()
@@ -339,12 +335,8 @@ class DocumentStore:
         )
         if journal.exists():
             records, stats = journal.replay()
-            self._replaying = True
-            try:
-                for record in records:
-                    self._apply(record)
-            finally:
-                self._replaying = False
+            for record in records:
+                self._apply(record)
         self.last_recovery = stats
         _counter(
             "store_replayed_records_total",
@@ -367,16 +359,13 @@ class DocumentStore:
         return dict(self.last_recovery)
 
     def _load_snapshot(self, source: str) -> None:
-        with open(source, "rb") as handle:
-            blob = handle.read()
-        if is_envelope(blob):
-            text = unwrap(blob, source=source).decode("utf-8")
-        else:  # legacy plain-JSON snapshot from before the envelope format
-            text = blob.decode("utf-8")
-        if not text.strip():
+        if os.path.getsize(source) == 0:
             # An empty file (e.g. a freshly created temp file) is a new store.
             return
-        payload = json.loads(text)
+        _, docs = read_archive(source)
+        if "store" not in docs:
+            raise CorruptArtifactError(f"no store document in {source}")
+        payload = docs["store"]
         self._collections = {
             name: self._attach(Collection.from_dict(data))
             for name, data in payload.items()

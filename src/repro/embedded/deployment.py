@@ -19,6 +19,7 @@ from repro.nn.model import Sequential
 from repro.nn.serialization import model_to_dict
 from repro.embedded.cost_model import InferenceCostModel
 from repro.embedded.platforms import TABLE2_PLATFORMS
+from repro.storage.integrity import atomic_write_bytes
 
 __all__ = ["export_for_embedded"]
 
@@ -60,7 +61,8 @@ def export_for_embedded(
             },
         },
     }
-    manifest_path = os.path.join(directory, "manifest.json")
-    with open(manifest_path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2)
+    manifest_path = atomic_write_bytes(
+        os.path.join(directory, "manifest.json"),
+        json.dumps(manifest, indent=2).encode("utf-8"),
+    )
     return {"plan": plan_path, "manifest": manifest_path}

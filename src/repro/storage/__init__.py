@@ -2,18 +2,20 @@
 
 The paper's closed-loop and provenance tooling assume state written
 yesterday is still trustworthy today; this package makes that assumption
-checkable instead of hopeful:
+checkable instead of hopeful.  Durable state takes exactly two forms,
+each with one job:
 
-* :mod:`repro.storage.integrity` — the checksummed, schema-versioned
-  envelope format (magic + version + length + SHA-256), the
-  ``CorruptArtifactError``/``SchemaVersionError`` taxonomy, fsync'd
-  atomic-write primitives every durable artifact goes through, the one
-  archive codec (named arrays + JSON documents) behind models, cache
-  entries and plans, and the one quarantine rule;
-* :mod:`repro.storage.journal` — a checksummed append-only write-ahead
-  journal with torn-tail recovery, backing
-  :class:`~repro.db.document_store.DocumentStore` crash recovery and the
-  campaign orchestrator's run log.
+* **archives** for state files — :mod:`repro.storage.integrity`: named
+  arrays plus JSON documents in a checksummed, schema-versioned envelope
+  (magic + version + length + SHA-256), published by fsync'd atomic
+  rename, behind models, cache entries, plans, CLI datasets and the
+  document-store snapshot; plus the
+  ``CorruptArtifactError``/``SchemaVersionError`` taxonomy, the raw-byte
+  publisher for reports and manifests, and the one quarantine rule;
+* **journals** for append logs — :mod:`repro.storage.journal`: a
+  checksummed append-only write-ahead log with torn-tail recovery,
+  backing :class:`~repro.db.document_store.DocumentStore` mutations and
+  the campaign orchestrator's run log.
 
 Layering: ``storage`` is a leaf below ``nn``, ``reliability``, ``db`` and
 ``serving`` — it imports only the standard library and NumPy.
@@ -30,12 +32,8 @@ from repro.storage.integrity import (
     fsync_directory,
     quarantine,
     read_archive,
-    read_envelope,
-    unwrap,
-    verify_envelope,
     wrap,
     write_archive,
-    write_envelope,
 )
 from repro.storage.journal import Journal
 
@@ -51,10 +49,6 @@ __all__ = [
     "fsync_directory",
     "quarantine",
     "read_archive",
-    "read_envelope",
-    "unwrap",
-    "verify_envelope",
     "wrap",
     "write_archive",
-    "write_envelope",
 ]

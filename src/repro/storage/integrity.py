@@ -1,20 +1,23 @@
-"""Checksummed artifact envelopes, array archives and fsync'd atomic writes.
+"""Checksummed archives, fsync'd atomic writes and the quarantine rule.
 
 The paper's Tool 4 leans on a provenance database and on trained models
 that outlive the process that wrote them.  Bytes on disk are only trustworthy
-if a reader can *prove* they are the bytes the writer meant: this leaf
-module defines a self-describing envelope format — magic, format version,
-payload length and a SHA-256 digest over the payload — plus crash-safe
-write primitives (temp file, flush, fsync, rename, directory fsync) that
-every durable artifact in the repo goes through.
+if a reader can *prove* they are the bytes the writer meant.  Durable
+state takes exactly two forms: state files are *archives* (this module)
+and append logs are journals (:mod:`repro.storage.journal`).
 
-Models, cache entries and frozen plans share one payload
-inside that envelope, the *archive*: an ``.npz`` of named arrays plus
-JSON documents, each stored as a uint8 entry ``__<name>__``
-(:func:`write_archive`/:func:`read_archive`), streamed through the file
-so neither side holds a copy of the payload.  Files that fail
-verification are moved aside by the one :func:`quarantine` rule, which
-never overwrites an earlier copy.
+An archive is an ``.npz`` of named arrays plus JSON documents, each
+document stored as a uint8 entry ``__<name>__``
+(:func:`write_archive`/:func:`read_archive`), framed in a self-describing
+envelope — magic, format version, payload length and a SHA-256 digest
+over the payload — and streamed through the file so neither side holds
+a copy of the payload.  Models, cache entries, frozen plans, CLI
+datasets and the document-store snapshot are all archives.  Every file
+is published by one crash-safe path (temp file, flush, fsync, rename,
+directory fsync); :func:`atomic_write_bytes` is that path for raw bytes
+such as JSON reports and manifests.  Files that fail verification are
+moved aside by the one :func:`quarantine` rule, which never overwrites
+an earlier copy.
 
 Error taxonomy::
 
@@ -55,10 +58,6 @@ __all__ = [
     "FORMAT_VERSION",
     "HEADER_SIZE",
     "wrap",
-    "unwrap",
-    "write_envelope",
-    "read_envelope",
-    "verify_envelope",
     "write_archive",
     "read_archive",
     "quarantine",
@@ -131,10 +130,6 @@ def active_injector():
 _CHUNK = 1 << 20
 
 
-def _where(source: Optional[str]) -> str:
-    return f" in {source}" if source else ""
-
-
 def _check_header(header: bytes, where: str) -> Tuple[int, bytes]:
     """The ``(length, digest)`` a header promises; typed error otherwise."""
     if len(header) < HEADER_SIZE:
@@ -182,30 +177,14 @@ def _digest_to_end(handle) -> Tuple[int, bytes]:
 
 
 def wrap(payload: bytes, version: int = FORMAT_VERSION) -> bytes:
-    """Frame ``payload`` in a checksummed envelope."""
+    """Frame ``payload`` in a checksummed envelope, in memory.
+
+    The reference framing: a :func:`write_archive` file's bytes are
+    ``wrap`` over the same ``.npz`` saved to memory.
+    """
     payload = bytes(payload)
     digest = hashlib.sha256(payload).digest()
     return _HEADER.pack(MAGIC, int(version), len(payload), digest) + payload
-
-
-def unwrap(blob: bytes, source: Optional[str] = None) -> bytes:
-    """Verify an envelope and return its payload.
-
-    Raises :class:`CorruptArtifactError` on a short/foreign/truncated blob
-    or a checksum mismatch, :class:`SchemaVersionError` on an unsupported
-    format version.
-    """
-    where = _where(source)
-    length, digest = _check_header(blob[:HEADER_SIZE], where)
-    payload = blob[HEADER_SIZE:]
-    actual = hashlib.sha256(payload).digest()
-    _check_payload(length, digest, len(payload), actual, where)
-    return payload
-
-
-def is_envelope(blob: bytes) -> bool:
-    """True if ``blob`` starts with the envelope magic."""
-    return blob[: len(MAGIC)] == MAGIC
 
 
 def _verify(handle, where: str) -> int:
@@ -351,38 +330,6 @@ def atomic_write_bytes(
     return os.fspath(path)
 
 
-def write_envelope(
-    path: Union[str, os.PathLike],
-    payload: bytes,
-    version: int = FORMAT_VERSION,
-    fsync: bool = True,
-) -> str:
-    """Atomically publish ``payload`` wrapped in a checksummed envelope."""
-    return atomic_write_bytes(path, wrap(payload, version=version), fsync=fsync)
-
-
-def read_envelope(path: Union[str, os.PathLike]) -> bytes:
-    """Read and verify an envelope file; returns the payload."""
-    path = os.fspath(path)
-    where = _where(path)
-    with open(path, "rb") as handle:
-        length, digest = _check_header(handle.read(HEADER_SIZE), where)
-        payload = handle.read()
-    actual = hashlib.sha256(payload).digest()
-    _check_payload(length, digest, len(payload), actual, where)
-    return payload
-
-
-def verify_envelope(path: Union[str, os.PathLike]) -> int:
-    """Verify an envelope file without keeping the payload.
-
-    Returns the payload size in bytes; raises the typed error otherwise.
-    """
-    path = os.fspath(path)
-    with open(path, "rb") as handle:
-        return _verify(handle, _where(path))
-
-
 # -- array archives ----------------------------------------------------------
 
 def _encode_doc(value):
@@ -451,7 +398,7 @@ def read_archive(
     arrays: Dict[str, np.ndarray] = {}
     docs: Dict[str, object] = {}
     with open(path, "rb") as handle:
-        _verify(handle, _where(path))
+        _verify(handle, f" in {path}")
         try:
             handle.seek(HEADER_SIZE)
             archive = np.load(_Window(handle, HEADER_SIZE), allow_pickle=False)

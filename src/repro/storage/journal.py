@@ -7,9 +7,14 @@ the torn tail a crash mid-append leaves behind.  Appends are flushed and
 fsynced before :meth:`Journal.append` returns, so a record the caller saw
 acknowledged survives power loss.
 
-The journal deliberately stays line-oriented JSON: it can be inspected
-with ``grep`` during an incident, and Python's ``json`` round-trips the
-NaN/Infinity floats that provenance metadata legitimately contains.
+The journal is the one durable form for append logs; state files are
+archives (:mod:`repro.storage.integrity`).  It deliberately stays
+line-oriented JSON: it can be inspected with ``grep`` during an
+incident, and Python's ``json`` round-trips the NaN/Infinity floats that
+provenance metadata legitimately contains.  NumPy values are encoded as
+in an archive document (``tolist()``), so an ``np.int64`` replays as an
+``int``; anything else that is not JSON raises ``TypeError`` before a
+byte is written.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.observability.runtime import counter as _counter
 from repro.observability.runtime import histogram as _histogram
-from repro.storage.integrity import active_injector
+from repro.storage.integrity import _encode_doc, active_injector
 
 __all__ = ["Journal"]
 
@@ -75,7 +80,7 @@ class Journal:
             "WAL append time including flush and fsync",
         ).time(fsync="on" if self.fsync else "off"):
             payload = json.dumps(
-                record, ensure_ascii=False, default=float
+                record, ensure_ascii=False, default=_encode_doc
             ).encode("utf-8")
             line = _checksum(payload).encode("ascii") + b" " + payload + b"\n"
             injector = active_injector()

@@ -17,27 +17,20 @@ probability >= ``1 - alpha`` — a finite-sample guarantee, not an
 asymptotic one.  ``gamma`` floors the spread so rows where members
 happen to agree exactly still get a nonzero-width interval.
 
-A fitted calibrator is an artifact like any other: :meth:`save` writes
-the checksummed :mod:`repro.storage.integrity` envelope atomically and
-optionally journals the event, :meth:`load` verifies on read and raises
-:class:`~repro.storage.integrity.CorruptArtifactError` on tampering.
+A calibrator is not durable state: it is refitted from its
+calibration set, and :meth:`report` is its JSON-friendly summary.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.storage.integrity import atomic_write_bytes, read_envelope, wrap
 from repro.uncertainty.predictors import UncertainPrediction
 
 __all__ = ["ConformalCalibrator"]
-
-_PAYLOAD_KIND = "conformal_calibrator"
-_PAYLOAD_VERSION = 1
 
 
 class ConformalCalibrator:
@@ -121,61 +114,6 @@ class ConformalCalibrator:
         lower, upper = self.interval(prediction)
         covered = np.all((y >= lower) & (y <= upper), axis=1)
         return float(np.mean(covered))
-
-    # -- persistence ---------------------------------------------------------
-
-    def to_payload(self) -> dict:
-        return {
-            "kind": _PAYLOAD_KIND,
-            "version": _PAYLOAD_VERSION,
-            "alpha": self.alpha,
-            "gamma": self.gamma,
-            "q_hat": self.q_hat,
-            "n_calibration": self.n_calibration,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ConformalCalibrator":
-        if payload.get("kind") != _PAYLOAD_KIND:
-            raise ValueError(
-                f"not a conformal calibrator payload: {payload.get('kind')!r}"
-            )
-        calibrator = cls(alpha=payload["alpha"], gamma=payload["gamma"])
-        q_hat = payload["q_hat"]
-        if q_hat is not None:
-            calibrator.q_hat = float(q_hat)
-        calibrator.n_calibration = int(payload["n_calibration"])
-        return calibrator
-
-    def save(self, path, journal=None) -> None:
-        """Atomically persist as a checksummed envelope; journal if asked.
-
-        ``inf`` cannot ride through strict JSON, so an uncalibrated-by-
-        sample-size ``q_hat`` round-trips as the string ``"inf"``.
-        """
-        payload = self.to_payload()
-        if payload["q_hat"] == math.inf:
-            payload["q_hat"] = "inf"
-        blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-        atomic_write_bytes(path, wrap(blob))
-        if journal is not None:
-            journal.append(
-                {
-                    "event": "conformal_calibrator_saved",
-                    "path": str(path),
-                    "alpha": self.alpha,
-                    "q_hat": self.q_hat,
-                    "n_calibration": self.n_calibration,
-                }
-            )
-
-    @classmethod
-    def load(cls, path) -> "ConformalCalibrator":
-        """Verified read; raises ``CorruptArtifactError`` on tampering."""
-        payload = json.loads(read_envelope(path).decode("utf-8"))
-        if payload.get("q_hat") == "inf":
-            payload["q_hat"] = math.inf
-        return cls.from_payload(payload)
 
     def report(self) -> dict:
         """Human-facing calibration summary (CLI table rows)."""

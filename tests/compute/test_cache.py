@@ -9,7 +9,7 @@ import pytest
 from repro.compute import ArtifactCache, canonical_blob, canonical_key
 from repro.compute.cache import get_or_compute, get_or_compute_row
 from repro.observability.runtime import scoped
-from repro.storage.integrity import write_envelope
+from repro.storage.integrity import wrap
 
 
 def _arrays(seed=0, size=64):
@@ -204,7 +204,7 @@ def _write_parent_entry(path, arrays, meta):
     blob = json.dumps(meta).encode("utf-8")
     buffer = io.BytesIO()
     np.savez(buffer, __meta__=np.frombuffer(blob, dtype=np.uint8), **arrays)
-    write_envelope(path, buffer.getvalue())
+    path.write_bytes(wrap(buffer.getvalue()))
 
 
 class TestParentLayout:

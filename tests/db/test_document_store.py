@@ -2,11 +2,17 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.db.document_store import Collection, DocumentStore
 from repro.reliability.storage_faults import StorageFaultInjector
-from repro.storage.integrity import MAGIC
+from repro.storage.integrity import (
+    CorruptArtifactError,
+    SimulatedCrash,
+    read_archive,
+    write_archive,
+)
 
 
 class TestInsert:
@@ -267,6 +273,18 @@ class TestRoundTripFidelity:
         # No save(): recovery must come purely from the journal.
         self._assert_doc(DocumentStore(tmp_path / "store.db").collection("x").get(1))
 
+    @pytest.mark.parametrize("snapshot", [False, True], ids=["journal", "snapshot"])
+    def test_numpy_values_keep_their_python_type(self, tmp_path, snapshot):
+        store = DocumentStore(tmp_path / "store.db")
+        store.collection("x").insert({"n": np.int64(3), "w": np.arange(2.0)})
+        if snapshot:
+            store.save()
+        reopened = DocumentStore(tmp_path / "store.db")
+        assert reopened.last_recovery["replayed"] == (0 if snapshot else 1)
+        doc = reopened.collection("x").get(1)
+        assert doc == {"_id": 1, "n": 3, "w": [0.0, 1.0]}
+        assert type(doc["n"]) is int
+
 
 class TestAtomicSave:
     def test_snapshot_is_enveloped(self, tmp_path):
@@ -274,7 +292,8 @@ class TestAtomicSave:
         store = DocumentStore(path)
         store.collection("x").insert({"a": 1})
         store.save()
-        assert path.read_bytes()[: len(MAGIC)] == MAGIC
+        _, docs = read_archive(path)
+        assert docs["store"]["x"]["documents"] == [{"_id": 1, "a": 1}]
 
     def test_torn_write_during_save_keeps_previous_snapshot(self, tmp_path):
         """Regression: the old ``open(target, "w")`` save corrupted the
@@ -371,11 +390,64 @@ class TestJournalRecovery:
         assert store._journal is None
         assert list(tmp_path.iterdir()) == []
 
-    def test_legacy_plain_json_snapshot_still_loads(self, tmp_path):
+    def test_plain_json_snapshot_is_refused(self, tmp_path):
         path = tmp_path / "store.json"
         path.write_text(
             '{"x": {"name": "x", "next_id": 2, '
             '"documents": [{"_id": 1, "a": 1}]}}'
         )
-        store = DocumentStore(path)
-        assert store.collection("x").get(1)["a"] == 1
+        with pytest.raises(CorruptArtifactError, match="magic"):
+            DocumentStore(path)
+
+    def test_archive_without_store_document_is_refused(self, tmp_path):
+        path = tmp_path / "store.db"
+        write_archive(path, {}, {"meta": {"a": 1}})
+        with pytest.raises(CorruptArtifactError, match="no store document"):
+            DocumentStore(path)
+
+
+class TestJournalBeforeApply:
+    """A mutation the journal refuses leaves the store unchanged, in
+    memory as on disk."""
+
+    def _store(self, tmp_path):
+        return DocumentStore(tmp_path / "store.db")
+
+    def test_refused_insert_changes_nothing(self, tmp_path):
+        coll = self._store(tmp_path).collection("x")
+        with pytest.raises(TypeError):
+            coll.insert({"tags": {"a", "b"}})  # a set is not JSON
+        assert coll.count() == 0
+        assert coll.insert({"a": 1}) == 1
+        reopened = DocumentStore(tmp_path / "store.db").collection("x")
+        assert reopened.find() == coll.find()
+
+    def test_refused_update_changes_nothing(self, tmp_path):
+        coll = self._store(tmp_path).collection("x")
+        coll.insert({"a": 1})
+        with pytest.raises(TypeError):
+            coll.update_one({"a": 1}, {"a": 2, "tags": {"a", "b"}})
+        with pytest.raises(ValueError):
+            coll.update_one({"a": 1}, {"a": 2, "_id": 9})
+        assert coll.find() == [{"_id": 1, "a": 1}]
+        reopened = DocumentStore(tmp_path / "store.db").collection("x")
+        assert reopened.find() == coll.find()
+
+    def test_crashed_delete_changes_nothing(self, tmp_path):
+        coll = self._store(tmp_path).collection("x")
+        coll.insert_many([{"a": 1}, {"a": 2}])
+        with StorageFaultInjector(torn_append_at=5, match=".journal"):
+            with pytest.raises(SimulatedCrash):
+                coll.delete({"a": 1})
+        assert coll.count() == 2
+        reopened = DocumentStore(tmp_path / "store.db").collection("x")
+        assert reopened.find() == coll.find()
+
+    def test_crashed_drop_changes_nothing(self, tmp_path):
+        store = self._store(tmp_path)
+        store.collection("x").insert({"a": 1})
+        with StorageFaultInjector(torn_append_at=5, match=".journal"):
+            with pytest.raises(SimulatedCrash):
+                store.drop("x")
+        assert store.collection_names == ["x"]
+        assert store.collection("x").count() == 1

@@ -18,6 +18,8 @@ from repro.inference import (
     load_plan,
     verify_plan,
 )
+from repro.reliability.storage_faults import StorageFaultInjector
+from repro.storage.integrity import SimulatedCrash
 
 
 def _model():
@@ -115,6 +117,17 @@ class TestExport:
         paths = export_for_embedded(_model(), tmp_path / "pkg")
         report = verify_plan(paths["plan"])
         assert report["ok"] and report["dtype"] == "float32"
+
+    def test_torn_manifest_write_publishes_nothing(self, tmp_path):
+        pkg = tmp_path / "pkg"
+        with StorageFaultInjector(torn_write_at=40, match="manifest.json"):
+            with pytest.raises(SimulatedCrash):
+                export_for_embedded(_model(), pkg)
+        # The plan was published; the manifest is only temp-file debris.
+        assert not (pkg / "manifest.json").exists()
+        assert verify_plan(pkg / "model.plan")["ok"]
+        debris = [p for p in pkg.iterdir() if p.name.startswith(".tmp-")]
+        assert [p.stat().st_size for p in debris] == [40]
 
     def test_model_without_fused_kernel_rejected(self, tmp_path):
         model = nn.Sequential([nn.Reshape((-1, 1)), nn.LSTM(4), nn.Dense(2)])

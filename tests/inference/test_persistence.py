@@ -1,8 +1,5 @@
 """Plan persistence: envelope round-trips, corruption, introspection."""
 
-import io
-import json
-
 import numpy as np
 import pytest
 
@@ -18,8 +15,8 @@ from repro.inference import (
 )
 from repro.storage.integrity import (
     CorruptArtifactError,
-    read_envelope,
-    write_envelope,
+    read_archive,
+    write_archive,
 )
 
 
@@ -108,18 +105,10 @@ class TestCorruption:
 
     @staticmethod
     def _resave_with_meta(path, edit):
-        """Re-envelope a saved plan after ``edit`` changes its meta."""
-        archive = np.load(io.BytesIO(read_envelope(path)))
-        arrays = {key: archive[key] for key in archive.files}
-        meta = json.loads(bytes(arrays.pop("__meta__")).decode("utf-8"))
-        edit(meta)
-        buffer = io.BytesIO()
-        np.savez(
-            buffer,
-            __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), np.uint8),
-            **arrays,
-        )
-        write_envelope(path, buffer.getvalue(), fsync=False)
+        """Re-save a saved plan after ``edit`` changes its meta."""
+        arrays, docs = read_archive(path)
+        edit(docs["meta"])
+        write_archive(path, arrays, docs, fsync=False)
 
     def test_other_format_refused_naming_both_versions(self, model, tmp_path):
         path = tmp_path / "v1.plan"

@@ -8,7 +8,7 @@ import pytest
 
 from repro import nn
 from repro.nn.serialization import model_from_dict, model_to_dict
-from repro.storage.integrity import CorruptArtifactError, write_envelope
+from repro.storage.integrity import CorruptArtifactError, wrap
 
 
 def _model():
@@ -111,7 +111,7 @@ def _write_parent_layout(path, model, state, optimizer):
             arrays[f"opt:{slot}:{layer}:{param}"] = value
     buffer = io.BytesIO()
     np.savez(buffer, **arrays)
-    write_envelope(path, buffer.getvalue())
+    path.write_bytes(wrap(buffer.getvalue()))
 
 
 class TestParentLayout:

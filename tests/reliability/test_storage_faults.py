@@ -14,8 +14,8 @@ from repro.storage.integrity import (
     SimulatedCrash,
     active_injector,
     atomic_write_bytes,
-    read_envelope,
-    write_envelope,
+    read_archive,
+    write_archive,
 )
 from repro.storage.journal import Journal
 
@@ -41,13 +41,13 @@ class TestInstallation:
 class TestTornWrite:
     def test_target_untouched_debris_left(self, tmp_path):
         target = tmp_path / "artifact.bin"
-        write_envelope(target, b"previous generation")
+        write_archive(target, {}, {"generation": "previous"})
         with StorageFaultInjector(torn_write_at=10) as injector:
             with pytest.raises(SimulatedCrash):
-                write_envelope(target, b"next generation " * 10)
+                write_archive(target, {}, {"generation": "next " * 10})
             assert injector.fault_counts == {"torn_write": 1}
         # The published artifact is the old one, intact and verified.
-        assert read_envelope(target) == b"previous generation"
+        assert read_archive(target) == ({}, {"generation": "previous"})
         # kill -9 realism: the torn temp file is left behind as debris.
         debris = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
         assert len(debris) == 1
@@ -89,49 +89,49 @@ class TestBitFlip:
     def test_flip_breaks_checksum(self, tmp_path):
         target = tmp_path / "artifact.bin"
         with StorageFaultInjector(bit_flip=True) as injector:
-            write_envelope(target, b"payload bytes here")
+            write_archive(target, {}, {"payload": "bytes here"})
         assert injector.fault_counts == {"bit_flip": 1}
         with pytest.raises(CorruptArtifactError):
-            read_envelope(target)
+            read_archive(target)
 
     def test_direct_helper(self, tmp_path):
         target = tmp_path / "artifact.bin"
-        write_envelope(target, b"payload bytes here")
+        write_archive(target, {}, {"payload": "bytes here"})
         bit_flip_file(os.fspath(target), seed=3)
         with pytest.raises(CorruptArtifactError):
-            read_envelope(target)
+            read_archive(target)
 
 
 class TestLostDurability:
     def test_stale_rename_keeps_previous_version(self, tmp_path):
         target = tmp_path / "artifact.bin"
-        write_envelope(target, b"old")
+        write_archive(target, {}, {"generation": "old"})
         with StorageFaultInjector(stale_rename=True) as injector:
-            write_envelope(target, b"new")
+            write_archive(target, {}, {"generation": "new"})
         assert injector.fault_counts == {"stale_rename": 1}
-        assert read_envelope(target) == b"old"
+        assert read_archive(target) == ({}, {"generation": "old"})
         # The lost write's temp file is not left as debris.
         assert [p.name for p in tmp_path.iterdir()] == ["artifact.bin"]
 
     def test_vanish_removes_published_file(self, tmp_path):
         target = tmp_path / "artifact.bin"
         with StorageFaultInjector(vanish=True):
-            write_envelope(target, b"gone")
+            write_archive(target, {}, {"payload": "gone"})
         assert not target.exists()
 
     def test_skip_fsync_still_atomic(self, tmp_path):
         target = tmp_path / "artifact.bin"
         with StorageFaultInjector(skip_fsync=True) as injector:
-            write_envelope(target, b"payload")
+            write_archive(target, {}, {"payload": "kept"})
         assert injector.fault_counts == {"skip_fsync": 1}
-        assert read_envelope(target) == b"payload"
+        assert read_archive(target) == ({}, {"payload": "kept"})
 
 
 class TestDirectCorruption:
     def test_truncate_file(self, tmp_path):
         target = tmp_path / "artifact.bin"
-        write_envelope(target, b"payload bytes")
+        write_archive(target, {}, {"payload": "bytes"})
         truncate_file(os.fspath(target), 20)
         assert target.stat().st_size == 20
         with pytest.raises(CorruptArtifactError):
-            read_envelope(target)
+            read_archive(target)

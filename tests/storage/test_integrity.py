@@ -1,5 +1,8 @@
-"""Unit tests for the checksummed envelope format, the archive codec,
-quarantine and atomic writes."""
+"""Unit tests for the archive format (checksummed envelope + codec),
+quarantine and atomic writes.
+
+Damaged files are written as ``path.write_bytes(wrap(payload))``: ``wrap``
+is the in-memory reference framing that ``write_archive`` streams."""
 
 import hashlib
 import io
@@ -24,92 +27,125 @@ from repro.storage.integrity import (
     atomic_write_bytes,
     quarantine,
     read_archive,
-    read_envelope,
-    unwrap,
-    verify_envelope,
     wrap,
     write_archive,
-    write_envelope,
 )
 
 
+def _npz(**entries):
+    buffer = io.BytesIO()
+    np.savez(buffer, **entries)
+    return buffer.getvalue()
+
+
+def _doc(text):
+    return np.frombuffer(text, dtype=np.uint8)
+
+
+_PAYLOAD = _npz(x=np.arange(4.0))
+
+
 class TestEnvelope:
-    def test_round_trip(self):
-        payload = b"spectra" * 100
-        assert unwrap(wrap(payload)) == payload
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "a.env"
+        write_archive(path, {"spectra": np.arange(700.0)}, {"meta": {"n": 7}})
+        arrays, docs = read_archive(path)
+        assert arrays["spectra"].tobytes() == np.arange(700.0).tobytes()
+        assert docs == {"meta": {"n": 7}}
 
-    def test_empty_payload_round_trips(self):
-        assert unwrap(wrap(b"")) == b""
+    def test_empty_payload_round_trips(self, tmp_path):
+        path = tmp_path / "a.env"
+        write_archive(path, {}, {})
+        assert read_archive(path) == ({}, {})
 
-    def test_header_layout(self):
-        blob = wrap(b"x")
+    def test_header_layout(self, tmp_path):
+        path = tmp_path / "a.env"
+        size = write_archive(path, {"x": np.zeros(1)}, {})
+        blob = path.read_bytes()
         assert blob[: len(MAGIC)] == MAGIC
-        assert len(blob) == HEADER_SIZE + 1
+        assert len(blob) == HEADER_SIZE + size
 
-    def test_bad_magic(self):
-        blob = b"NOTANENV" + wrap(b"x")[8:]
+    def test_bad_magic(self, tmp_path):
+        path = tmp_path / "a.env"
+        path.write_bytes(b"NOTANENV" + wrap(_PAYLOAD)[8:])
         with pytest.raises(CorruptArtifactError, match="magic"):
-            unwrap(blob)
+            read_archive(path)
 
-    def test_short_blob_is_truncation(self):
+    def test_short_blob_is_truncation(self, tmp_path):
+        path = tmp_path / "a.env"
+        path.write_bytes(wrap(_PAYLOAD)[: HEADER_SIZE - 3])
         with pytest.raises(CorruptArtifactError, match="truncated"):
-            unwrap(wrap(b"payload")[: HEADER_SIZE - 3])
+            read_archive(path)
 
-    def test_truncated_payload(self):
+    def test_truncated_payload(self, tmp_path):
+        path = tmp_path / "a.env"
+        path.write_bytes(wrap(_PAYLOAD)[:-2])
         with pytest.raises(CorruptArtifactError, match="truncated"):
-            unwrap(wrap(b"payload")[:-2])
+            read_archive(path)
 
-    def test_flipped_payload_bit_fails_checksum(self):
-        blob = bytearray(wrap(b"payload"))
+    def test_flipped_payload_bit_fails_checksum(self, tmp_path):
+        path = tmp_path / "a.env"
+        blob = bytearray(wrap(_PAYLOAD))
         blob[-1] ^= 0x01
+        path.write_bytes(bytes(blob))
         with pytest.raises(CorruptArtifactError, match="checksum"):
-            unwrap(bytes(blob))
+            read_archive(path)
 
-    def test_unsupported_version(self):
-        blob = wrap(b"payload", version=FORMAT_VERSION + 7)
+    def test_unsupported_version(self, tmp_path):
+        path = tmp_path / "a.env"
+        path.write_bytes(wrap(_PAYLOAD, version=FORMAT_VERSION + 7))
         with pytest.raises(SchemaVersionError, match="version"):
-            unwrap(blob)
+            read_archive(path)
 
-    def test_error_names_source(self):
+    def test_error_names_source(self, tmp_path):
+        path = tmp_path / "here.bin"
+        path.write_bytes(b"")
         with pytest.raises(CorruptArtifactError, match="here.bin"):
-            unwrap(b"", source="here.bin")
+            read_archive(path)
 
 
 class TestEnvelopeFiles:
     def test_write_read_verify(self, tmp_path):
         target = tmp_path / "artifact.bin"
-        write_envelope(target, b"abc123")
-        assert read_envelope(target) == b"abc123"
-        assert verify_envelope(target) == 6
+        size = write_archive(target, {"x": np.arange(6)}, {})
+        assert size == target.stat().st_size - HEADER_SIZE
+        assert read_archive(target)[0]["x"].tolist() == list(range(6))
 
     def test_corrupt_file_detected(self, tmp_path):
         target = tmp_path / "artifact.bin"
-        write_envelope(target, b"abc123")
+        write_archive(target, {"x": np.arange(6)}, {})
         with open(target, "r+b") as handle:
             handle.seek(-1, os.SEEK_END)
             handle.write(b"\xff")
         with pytest.raises(CorruptArtifactError):
-            read_envelope(target)
+            read_archive(target)
+
+
+class _Unsaveable:
+    """An array-like that dies when ``np.savez`` converts it."""
+
+    def __array__(self, *args, **kwargs):
+        raise TypeError("cannot be saved")
 
 
 class TestAtomicWrite:
     def test_overwrites_atomically(self, tmp_path):
         target = tmp_path / "file.bin"
-        atomic_write_bytes(target, b"one")
-        atomic_write_bytes(target, b"two")
-        assert target.read_bytes() == b"two"
+        write_archive(target, {}, {"n": 1})
+        write_archive(target, {}, {"n": 2})
+        assert read_archive(target) == ({}, {"n": 2})
         # No temp debris after a clean write.
         assert [p.name for p in tmp_path.iterdir()] == ["file.bin"]
 
     def test_failure_leaves_previous_content(self, tmp_path):
         target = tmp_path / "file.bin"
-        atomic_write_bytes(target, b"good")
+        write_archive(target, {}, {"n": 1})
 
         with pytest.raises(TypeError):
-            # A non-bytes payload dies inside write(); the cleanup path
-            # must remove the temp file and leave the target untouched.
-            atomic_write_bytes(target, object())
-        assert target.read_bytes() == b"good"
+            # The array dies inside the write; the cleanup path must
+            # remove the temp file and leave the target untouched.
+            write_archive(target, {"x": _Unsaveable()}, {})
+        assert read_archive(target) == ({}, {"n": 1})
         assert [p.name for p in tmp_path.iterdir()] == ["file.bin"]
 
 
@@ -143,16 +179,6 @@ class TestPublishedMode:
         assert self._mode(target) == 0o666 & ~umask
 
 
-def _npz(**entries):
-    buffer = io.BytesIO()
-    np.savez(buffer, **entries)
-    return buffer.getvalue()
-
-
-def _doc(text):
-    return np.frombuffer(text, dtype=np.uint8)
-
-
 class TestArchive:
     def test_arrays_and_docs_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -167,7 +193,7 @@ class TestArchive:
         }
         path = tmp_path / "entry.npz.env"
         size = write_archive(path, arrays, docs, fsync=False)
-        assert size == verify_envelope(path)
+        assert size == path.stat().st_size - HEADER_SIZE
         loaded, loaded_docs = read_archive(path)
         assert set(loaded) == set(arrays)
         for name, array in arrays.items():
@@ -180,7 +206,7 @@ class TestArchive:
     def test_docs_are_uint8_entries_beside_the_arrays(self, tmp_path):
         path = tmp_path / "a.env"
         write_archive(path, {"x": np.zeros(2)}, {"meta": {"b": 1, "a": 2}})
-        with np.load(io.BytesIO(read_envelope(path))) as archive:
+        with np.load(io.BytesIO(path.read_bytes()[HEADER_SIZE:])) as archive:
             assert sorted(archive.files) == ["__meta__", "x"]
             assert archive["__meta__"].dtype == np.uint8
             assert archive["__meta__"].tobytes() == b'{"a": 2, "b": 1}'
@@ -207,7 +233,7 @@ class TestArchive:
     )
     def test_damaged_payload_is_typed(self, tmp_path, payload):
         path = tmp_path / "a.env"
-        write_envelope(path, payload)
+        path.write_bytes(wrap(payload))
         with pytest.raises(CorruptArtifactError, match="a.env"):
             read_archive(path)
 
@@ -285,7 +311,9 @@ class TestStreamedFormat:
     def test_zero_size_array(self, tmp_path):
         arrays = {"empty": np.zeros((0, 7)), "x": np.ones(0, dtype=np.int8)}
         path = tmp_path / "a.env"
-        assert write_archive(path, arrays, {}) == verify_envelope(path)
+        assert write_archive(path, arrays, {}) == (
+            path.stat().st_size - HEADER_SIZE
+        )
         assert path.read_bytes() == _reference_bytes(arrays, {})
         loaded, _ = read_archive(path)
         assert loaded["empty"].shape == (0, 7)
