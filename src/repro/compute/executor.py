@@ -125,12 +125,14 @@ def _execute_chunk(fn, items, chaos):
 
 
 def _warm_worker(delay_s: float) -> int:
-    """No-op task used to force worker spin-up at pool creation time.
+    """No-op task that brings the pool up at creation time.
 
-    The tiny sleep keeps early workers busy long enough that the pool's
-    on-demand spawning brings up the full complement, so spawn cost is
-    paid (and measured) once, at startup, instead of leaking into the
-    first wave's dispatch.
+    A ``fork`` pool starts every worker at its first submission, so one
+    round trip with no delay suffices.  Under ``spawn`` or ``forkserver``
+    the pool starts workers on demand; there the tiny sleep keeps early
+    workers busy long enough that the full complement comes up.  Either
+    way startup cost is paid (and measured) once, at startup, instead of
+    leaking into the first wave's dispatch.
     """
     time.sleep(delay_s)
     return os.getpid()
@@ -217,16 +219,23 @@ class ParallelExecutor:
                 max_workers=self.max_workers
             )
         else:
+            import multiprocessing  # loaded with the process pool anyway
+
+            context = multiprocessing.get_context()
             pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.max_workers
+                max_workers=self.max_workers, mp_context=context
             )
-            # Force the full worker complement up-front: queued warm-up
-            # tasks keep early workers busy so on-demand spawning starts
-            # the rest, and spawn+import cost is attributed to startup.
-            concurrent.futures.wait([
-                pool.submit(_warm_worker, 0.02)
-                for _ in range(self.max_workers)
-            ])
+            # Bring every worker up now (see _warm_worker): a fork pool
+            # forks them all at the first submit, other start methods
+            # spawn on demand while queued warm-ups keep early ones busy.
+            if context.get_start_method() == "fork":
+                warm_ups = [pool.submit(_warm_worker, 0.0)]
+            else:
+                warm_ups = [
+                    pool.submit(_warm_worker, 0.02)
+                    for _ in range(self.max_workers)
+                ]
+            concurrent.futures.wait(warm_ups)
         self._pool = pool
         self.pool_starts += 1
         self._m_pool_starts.inc(backend=self.backend)

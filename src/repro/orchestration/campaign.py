@@ -90,8 +90,13 @@ class CampaignSpec:
         if not self.compounds:
             raise ValueError("compounds must be non-empty")
         for label in ("activations", "sample_sizes", "topologies"):
-            if not getattr(self, label):
+            values = getattr(self, label)
+            if not values:
                 raise ValueError(f"{label} must be non-empty")
+            # A repeated value would plan cells sharing one id and key.
+            for index, value in enumerate(values):
+                if value in values[:index]:
+                    raise ValueError(f"{label} repeats {value!r}")
         for pair in self.activations:
             if len(pair) != 2:
                 raise ValueError(
@@ -189,6 +194,23 @@ def eval_dataset_seed(spec: CampaignSpec) -> int:
     return derived_seed("campaign_eval", spec.dataset_surface())
 
 
+def _campaign_dataset(
+    spec: CampaignSpec,
+    n: int,
+    seed: int,
+    cache: Optional[ArtifactCache],
+):
+    """Hydrate (or generate) one dataset artifact: ``(x, y, info)``."""
+    from repro.ms.simulator import MassSpectrometerSimulator
+
+    simulator = MassSpectrometerSimulator.from_spec(
+        spec.axis, spec.characteristics
+    )
+    return generate_ms_dataset(
+        simulator, list(spec.compounds), n, seed, cache=cache
+    )
+
+
 def campaign_datasets(
     spec: CampaignSpec,
     n_train: int,
@@ -196,26 +218,48 @@ def campaign_datasets(
 ):
     """Hydrate (or generate) the train/eval datasets for one column.
 
-    This is the ArtifactCache-backed dataset handoff: the orchestrator
-    pre-warms these entries in-parent, so workers reload the arrays from
-    the content-addressed store instead of shipping them pickled through
-    the task pipe — and every cell that shares ``n_train`` shares one
-    artifact.
+    This is the ArtifactCache-backed dataset handoff: the orchestrator's
+    prewarm publishes these entries before the cells run, so cell tasks
+    reload the arrays from the content-addressed store instead of
+    shipping them pickled through the task pipe — and every cell that
+    shares ``n_train`` shares one artifact.
     """
-    from repro.ms.simulator import MassSpectrometerSimulator
+    return (
+        _campaign_dataset(
+            spec, n_train, train_dataset_seed(spec, n_train), cache
+        ),
+        _campaign_dataset(spec, spec.n_eval, eval_dataset_seed(spec), cache),
+    )
 
-    simulator = MassSpectrometerSimulator.from_spec(
-        spec.axis, spec.characteristics
+
+def dataset_artifacts(spec: CampaignSpec) -> List[Tuple[str, int, int]]:
+    """``(name, n, seed)`` of every distinct dataset artifact, largest first.
+
+    One training set per sample-size column plus the single evaluation
+    set every cell scores against.  Largest first, so the longest
+    generation starts first when prewarm fans out.
+    """
+    artifacts = [
+        (f"train/n{n}", int(n), train_dataset_seed(spec, n))
+        for n in spec.sample_sizes
+    ]
+    artifacts.append(
+        (f"eval/n{spec.n_eval}", int(spec.n_eval), eval_dataset_seed(spec))
     )
-    train_x, train_y, train_info = generate_ms_dataset(
-        simulator, list(spec.compounds), n_train,
-        train_dataset_seed(spec, n_train), cache=cache,
+    return sorted(artifacts, key=lambda artifact: -artifact[1])
+
+
+def prewarm_campaign_dataset(payload: dict) -> bool:
+    """Generate and publish one dataset artifact; module-level for pickling.
+
+    Returns only whether the entry was already a verified cache hit: the
+    arrays stay in the cache and never travel back through the task pipe.
+    """
+    _x, _y, info = _campaign_dataset(
+        payload["spec"], payload["n"], payload["seed"],
+        ArtifactCache(payload["cache_root"]),
     )
-    eval_x, eval_y, eval_info = generate_ms_dataset(
-        simulator, list(spec.compounds), spec.n_eval,
-        eval_dataset_seed(spec), cache=cache,
-    )
-    return (train_x, train_y, train_info), (eval_x, eval_y, eval_info)
+    return bool(info["hit"])
 
 
 def run_campaign_cell(payload: dict) -> dict:

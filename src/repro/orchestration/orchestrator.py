@@ -8,12 +8,17 @@ into a supervised run:
   key, so the operator sees exactly what a run will cost before paying.
   A cell counts as cached only when its entry passes a verified read; a
   corrupt entry is quarantined and the cell is pending again;
-* **run** — pre-warm the shared dataset artifacts in-parent (one
-  generation per sample-size column, not one per worker), fan pending
-  cells out over a :class:`~repro.compute.executor.ParallelExecutor` in
-  waves of ``executor.max_workers``, and append a journal record as each
-  cell commits.  A failed cell is journaled and left pending: running
-  again with ``resume=True`` is the retry;
+* **prewarm** — publish the shared dataset artifacts (one per
+  sample-size column plus the shared evaluation set, not one per
+  worker) before any cell runs: one task per artifact, largest first,
+  fanned out over the executor's pool, or generated in the parent when
+  the executor is serial.  ``run()`` does not prewarm; a cell whose
+  datasets are not cached generates them itself;
+* **run** — fan pending cells out over a
+  :class:`~repro.compute.executor.ParallelExecutor` in waves of
+  ``executor.max_workers``, and append a journal record as each cell
+  commits.  A failed cell is journaled and left pending: running again
+  with ``resume=True`` is the retry;
 * **resume** — an interrupted campaign leaves a ``campaign_started``
   journal record without its ``campaign_completed``; reopening with
   ``resume=True`` replays the journal, re-plans against the cache (the
@@ -45,8 +50,9 @@ from repro.orchestration.campaign import (
     CampaignCell,
     CampaignReport,
     CampaignSpec,
-    campaign_datasets,
     cell_config,
+    dataset_artifacts,
+    prewarm_campaign_dataset,
     run_campaign_cell,
 )
 from repro.storage.journal import Journal
@@ -328,20 +334,34 @@ class SweepOrchestrator:
     # -- reporting -----------------------------------------------------------
 
     def prewarm_datasets(self) -> int:
-        """Generate the shared dataset artifacts in-parent.
+        """Generate the shared dataset artifacts before the cells fan out.
 
         One training set per sample-size column plus the single shared
         evaluation set; returns how many artifacts were cache misses.
         Running this before fan-out stops N concurrent cold workers all
-        generating the same spectra.
+        generating the same spectra.  Each artifact is one executor task,
+        largest first, that publishes its entry to the cache and returns
+        only hit or miss; with no executor, or a serial one, the tasks
+        run in the parent.  ``run()`` does not call this.
         """
-        misses = 0
-        for n_train in self.spec.sample_sizes:
-            (_, _, train_info), (_, _, eval_info) = campaign_datasets(
-                self.spec, n_train, self.cache
-            )
-            misses += (not train_info["hit"]) + (not eval_info["hit"])
-        return misses
+        artifacts = dataset_artifacts(self.spec)
+        executor = self.executor if self.executor is not None else ParallelExecutor()
+        hits = executor.map_tasks(
+            prewarm_campaign_dataset,
+            [
+                {"spec": self.spec, "n": n, "seed": seed,
+                 "cache_root": str(self.cache.root)}
+                for _name, n, seed in artifacts
+            ],
+            label="prewarm",
+        )
+        for (name, _n, _seed), hit in zip(artifacts, hits):
+            if isinstance(hit, TaskFailure):
+                raise RuntimeError(
+                    f"prewarm of dataset {name} failed: "
+                    f"{hit.error_type}: {hit.message}"
+                )
+        return sum(not hit for hit in hits)
 
     def report(self, strict: bool = True) -> CampaignReport:
         """The aggregated surface of whatever the cache holds.

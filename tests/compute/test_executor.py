@@ -134,6 +134,18 @@ class TestWarmPool:
             assert executor.pool_starts == 1
             assert executor.last_map_stats["pool_startup_s"] == 0.0
 
+    def test_warm_up_brings_up_every_worker(self):
+        # Counted before any task is dispatched: a pool that started one
+        # worker and spawned the rest on demand would show fewer.
+        with ParallelExecutor(backend="process", max_workers=2) as executor:
+            pool, _startup_s = executor._ensure_pool()
+            workers = list(pool._processes.values())
+            assert len(workers) == 2
+            assert all(worker.is_alive() for worker in workers)
+            executor.map_tasks(_draw, [1.0, 2.0])
+            assert executor.pool_starts == 1
+            assert set(pool._processes.values()) == set(workers)
+
     def test_workers_are_reused_across_calls(self):
         with ParallelExecutor(backend="process", max_workers=2) as executor:
             first = set(executor.map_tasks(_pid_task, [0, 1, 2, 3]))

@@ -263,6 +263,23 @@ class TestSweep:
         assert not (tmp_path / "cache").exists()
         assert not (tmp_path / "campaign.journal").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--activations", "relu:softmax,relu:softmax"),
+        ("--sample-sizes", "48,48"),
+        ("--topologies", "6,6"),
+    ])
+    @pytest.mark.parametrize("action", ["plan", "run"])
+    def test_repeated_grid_values_refused(self, action, flag, value,
+                                          tmp_path, capsys):
+        code = self._invoke(action, tmp_path, flag, value)
+        assert code != 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid sweep spec: ")
+        assert "repeats" in captured.err
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "cache").exists()
+
     def test_report_renders_surfaces(self, tmp_path, capsys):
         self._invoke("run", tmp_path)
         capsys.readouterr()

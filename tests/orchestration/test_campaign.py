@@ -84,6 +84,21 @@ class TestSpec:
             _spec(activations=(("relu", "softmax"), pair))
         assert repr(pair) in str(info.value)
 
+    @pytest.mark.parametrize(
+        "overrides, axis, value",
+        [
+            ({"activations": (("relu", "softmax"),) * 2},
+             "activations", ("relu", "softmax")),
+            ({"sample_sizes": (64, 128, 64)}, "sample_sizes", 64),
+            ({"topologies": ((8,), (16, 8), (8,))}, "topologies", (8,)),
+        ],
+    )
+    def test_repeated_grid_values_rejected(self, overrides, axis, value):
+        # A repeated value would plan cells sharing one id and cache key.
+        with pytest.raises(ValueError, match=f"^{axis} repeats") as info:
+            _spec(**overrides)
+        assert repr(value) in str(info.value)
+
     def test_activation_aliases_accepted_as_given(self):
         spec = _spec(activations=(("RELU", "sftm"), ("selu", "lin")))
         # The spec keeps the strings it was given: they are its key.

@@ -1,5 +1,7 @@
 """Unit tests for the sweep orchestrator: plan, run, journal, resume."""
 
+import dataclasses
+
 import pytest
 
 from repro.compute import BACKENDS, ArtifactCache, ParallelExecutor
@@ -163,6 +165,61 @@ class TestReport:
         orchestrator = _orchestrator(cache, tmp_path)
         run_report = orchestrator.run().report
         assert report_json(orchestrator.report()) == report_json(run_report)
+
+
+class TestPrewarm:
+    """Prewarm fans out over a pool and publishes what a serial one does."""
+
+    SPEC = dataclasses.replace(SPEC, sample_sizes=(48, 96))
+
+    def _prewarmed(self, backend, root):
+        cache = ArtifactCache(root)
+        with ParallelExecutor(backend, max_workers=2) as executor:
+            orchestrator = SweepOrchestrator(
+                self.SPEC, cache, executor=executor
+            )
+            misses = (
+                orchestrator.prewarm_datasets(),
+                orchestrator.prewarm_datasets(),
+            )
+            stats = dict(executor.last_map_stats)
+            entries = {
+                path.name: path.read_bytes()
+                for path in sorted(root.iterdir()) if path.is_file()
+            }
+            report = report_json(orchestrator.run().report)
+        return {"misses": misses, "stats": stats, "entries": entries,
+                "report": report}
+
+    def test_process_prewarm_matches_serial(self, tmp_path):
+        serial = self._prewarmed("serial", tmp_path / "serial")
+        process = self._prewarmed("process", tmp_path / "process")
+        # Two training sets plus the shared eval set, then all hits.
+        assert serial["misses"] == process["misses"] == (3, 0)
+        # One task per artifact; the process pool was built by the first
+        # prewarm, so the second paid no startup.
+        for run in (serial, process):
+            assert run["stats"]["label"] == "prewarm"
+            assert run["stats"]["tasks"] == 3
+        assert process["stats"]["pool_startup_s"] == 0.0
+        assert len(serial["entries"]) == 3
+        assert process["entries"] == serial["entries"]
+        assert process["report"] == serial["report"]
+
+    def test_failed_task_raises_naming_the_dataset(self, tmp_path):
+        def fail_first(index):
+            if index == 0:
+                raise OSError("disk full")
+
+        with ParallelExecutor("thread", max_workers=2,
+                              chaos=fail_first) as executor:
+            orchestrator = SweepOrchestrator(
+                self.SPEC, ArtifactCache(tmp_path / "cache"),
+                executor=executor,
+            )
+            with pytest.raises(RuntimeError,
+                               match="dataset train/n96 .*OSError: disk full"):
+                orchestrator.prewarm_datasets()
 
 
 def _corrupt_first_cell(orchestrator):
