@@ -67,11 +67,11 @@ def make_network(rng):
         ]
     )
     model.build((LENGTH,), seed=0)
-    model.compile(nn.Adam(0.01), "mae")
+    model.compile(nn.Adam(0.01, clipnorm=5.0), "mae")
     x = rng.random((256, LENGTH))
     y = np.abs(x[:, : len(COMPOUNDS)]) + 0.1
     y = y / y.sum(axis=1, keepdims=True)
-    model.fit(x, y, epochs=3, batch_size=32, seed=0, clip_norm=5.0)
+    model.fit(x, y, epochs=3, batch_size=32, seed=0)
     return model
 
 

@@ -19,7 +19,7 @@ Run:  python examples/process_monitoring_lifecycle.py
 import numpy as np
 
 from repro.core import MSToolchain, table1_topology
-from repro.core.lifecycle import DriftMonitor, recalibrate
+from repro.core.lifecycle import DriftMonitor
 from repro.ms import (
     MassFlowControllerRig,
     PlausibilityChecker,
@@ -95,8 +95,8 @@ def main():
         print("\nrecalibrating with fresh reference measurements ...")
         eval_plan = default_mixture_plan(task, len(task), seed=9)
         eval_meas = rig.measure_plan(eval_plan, 3)
-        result = recalibrate(chain, rig, eval_meas, samples_per_mixture=15,
-                             n_training_spectra=5000, epochs=12)
+        result = chain.run(rig, eval_meas, samples_per_mixture=15,
+                           n_training_spectra=5000, epochs=12)
         print(f"  new network: simulated MAE {100 * result.validation_mae:.2f} %, "
               f"measured MAE {100 * result.measured_mae:.2f} %")
         fresh_monitor = DriftMonitor(result.simulator, task, alarm_factor=2.0,

@@ -12,10 +12,10 @@ paths scale with the hardware:
   :class:`TaskFailure` containment — a sweep recovers by running again;
 * :mod:`repro.compute.cache` — :class:`ArtifactCache`, artifacts keyed by
   a canonical SHA-256 of their generating config, stored as
-  :mod:`repro.storage.integrity` envelopes with verify-on-read, corrupt
-  entry quarantine and a size-bounded LRU evict;
-* :mod:`repro.compute.datasets` — cache-aware wrappers deriving the
-  canonical generating configs of the MS and NMR bulk dataset generators;
+  :mod:`repro.storage.integrity` envelopes with verify-on-read and corrupt
+  entry quarantine (nothing is evicted);
+* :mod:`repro.compute.datasets` — the cache-aware wrapper deriving the
+  canonical generating config of the MS bulk dataset generator;
 * :mod:`repro.compute.sharing` — publish-once / map-many dataset handoff
   for the process backend: arrays published as content-addressed ``.npy``
   files, carried through payloads as tiny :class:`SharedArrayRef` handles
@@ -32,12 +32,7 @@ from repro.compute.cache import (
     canonical_blob,
     canonical_key,
 )
-from repro.compute.datasets import (
-    generate_ms_dataset,
-    generate_nmr_dataset,
-    ms_dataset_config,
-    nmr_dataset_config,
-)
+from repro.compute.datasets import generate_ms_dataset, ms_dataset_config
 from repro.compute.executor import (
     BACKENDS,
     ParallelExecutor,
@@ -60,9 +55,7 @@ __all__ = [
     "canonical_blob",
     "canonical_key",
     "generate_ms_dataset",
-    "generate_nmr_dataset",
     "ms_dataset_config",
-    "nmr_dataset_config",
     "resolve_refs",
     "share_array",
     "share_arrays",

@@ -204,55 +204,6 @@ class ArtifactCache:
             raise ValueError("arrays must be non-empty")
         return self._write(key, arrays, {"meta": meta or {}})
 
-    def get_or_create(
-        self,
-        config: Mapping,
-        producer: Callable[[], Mapping[str, np.ndarray]],
-        meta: Optional[dict] = None,
-    ) -> Tuple[Dict[str, np.ndarray], str, bool]:
-        """The main API: ``(arrays, key, hit)`` for a generating config.
-
-        On a miss (or a quarantined corrupt entry) ``producer()`` runs and
-        its arrays are stored under the config's canonical key.
-        """
-        key = canonical_key(config)
-        cached = self.get(key)
-        if cached is not None:
-            return cached[0], key, True
-        arrays = {name: np.asarray(value) for name, value in producer().items()}
-        self.put(key, arrays, _entry_meta(config, meta))
-        return arrays, key, False
-
-    def get_or_create_json(
-        self,
-        config: Mapping,
-        producer: Callable[[], dict],
-        meta: Optional[dict] = None,
-    ) -> Tuple[dict, str, bool]:
-        """:meth:`get_or_create` for small JSON payloads (scalar cells).
-
-        Campaign cells (a drift-matrix MAE, a sweep score) are dicts, not
-        arrays; they ride the same entry format as a ``json`` document
-        next to ``meta``, so they get verify-on-read and
-        quarantine-and-regenerate for free.  A fresh
-        payload is returned as it reads back.  Returns
-        ``(payload, key, hit)``.
-        """
-        key = canonical_key(config)
-        cached = self.get_json(key)
-        if cached is not None:
-            return cached, key, True
-        payload = producer()
-        if not isinstance(payload, dict):
-            raise TypeError(
-                f"JSON cell producer must return a dict, "
-                f"got {type(payload).__name__}"
-            )
-        payload = _jsonable(payload)
-        docs = {"meta": _entry_meta(config, meta), "json": payload}
-        self._write(key, {}, docs)
-        return payload, key, False
-
     # -- maintenance ---------------------------------------------------------
 
     def verify(self) -> Dict[str, str]:
@@ -337,14 +288,22 @@ def get_or_compute(
     config: Mapping,
     producer: Callable[[], Mapping[str, np.ndarray]],
 ) -> Tuple[Dict[str, np.ndarray], str, bool]:
-    """:meth:`ArtifactCache.get_or_create` that also takes no cache.
+    """``(arrays, key, hit)`` for a generating config.
 
+    On a miss (or a quarantined corrupt entry) ``producer()`` runs and
+    its arrays are stored under the config's canonical key.
     ``cache=None`` runs ``producer()`` directly and reports ``hit=False``;
     the key is the config's canonical key either way.
     """
+    key = canonical_key(config)
     if cache is None:
-        return dict(producer()), canonical_key(config), False
-    return cache.get_or_create(config, producer)
+        return dict(producer()), key, False
+    cached = cache.get(key)
+    if cached is not None:
+        return cached[0], key, True
+    arrays = {name: np.asarray(value) for name, value in producer().items()}
+    cache.put(key, arrays, {"config": _jsonable(config)})
+    return arrays, key, False
 
 
 def get_or_compute_row(
@@ -354,12 +313,29 @@ def get_or_compute_row(
 ) -> dict:
     """One cell's JSON result row, tagged with where it came from.
 
+    Campaign cells (a drift-matrix MAE, a sweep score) are dicts, not
+    arrays; they ride the same entry format as a ``json`` document next
+    to ``meta``, so they get verify-on-read and quarantine-and-regenerate
+    for free.  A fresh payload is returned as it reads back; a producer
+    that returns anything but a dict raises ``TypeError``.
+
     The row gains ``cache_hit`` and, when cached, ``cache_key``;
     ``cache=None`` computes it directly.
     """
     if cache is None:
         return {**producer(), "cache_hit": False}
-    row, key, hit = cache.get_or_create_json(config, producer)
+    key = canonical_key(config)
+    row = cache.get_json(key)
+    hit = row is not None
+    if not hit:
+        row = producer()
+        if not isinstance(row, dict):
+            raise TypeError(
+                f"JSON cell producer must return a dict, "
+                f"got {type(row).__name__}"
+            )
+        row = _jsonable(row)
+        cache._write(key, {}, {"meta": {"config": _jsonable(config)}, "json": row})
     return {**row, "cache_key": key, "cache_hit": hit}
 
 
@@ -368,8 +344,3 @@ def _jsonable(value: Mapping) -> dict:
     return json.loads(
         json.dumps(value, sort_keys=True, default=_canonical_default)
     )
-
-
-def _entry_meta(config: Mapping, meta: Optional[dict]) -> dict:
-    """An entry's ``meta`` document: its config plus caller metadata."""
-    return {"config": _jsonable(config), **(meta or {})}

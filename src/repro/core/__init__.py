@@ -39,7 +39,7 @@ from repro.core.evaluation import (
     measurements_to_arrays,
     plateau_standard_deviation,
 )
-from repro.core.lifecycle import DriftMonitor, DriftStatus, recalibrate
+from repro.core.lifecycle import DriftMonitor, DriftStatus
 from repro.core.closed_loop import (
     ClosedLoopSimulation,
     ControlStep,
@@ -71,7 +71,6 @@ __all__ = [
     "nmr_lstm_topology",
     "plateau_standard_deviation",
     "plateau_time_series",
-    "recalibrate",
     "resnet_topology",
     "sliding_windows",
     "table1_topology",

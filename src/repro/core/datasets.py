@@ -1,9 +1,9 @@
-"""Labelled spectra datasets with splitting and normalization."""
+"""Labelled spectra datasets with a shuffled train/test row split."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -66,79 +66,3 @@ class SpectraDataset:
                 f"split of {n} samples at {train_fraction} leaves an empty side"
             )
         return order[:cut], order[cut:]
-
-    def split(
-        self, train_fraction: float = 0.8, rng: Optional[np.random.Generator] = None
-    ) -> Tuple["SpectraDataset", "SpectraDataset"]:
-        """The rows of :meth:`split_rows` as two datasets."""
-        train_rows, test_rows = self.split_rows(train_fraction, rng)
-        cut = len(train_rows)
-        # One shuffled copy, cut into two row views, so the split is one
-        # allocation.  Two copies (80 % and 20 %) fall under glibc's 32 MiB
-        # mmap ceiling for 20 000 x 246 spectra; freeing them raises malloc's
-        # mmap threshold, the next split lands on the heap and how much of
-        # it stays resident depends on thread timing.
-        order = np.concatenate((train_rows, test_rows))
-        x, y = self.x[order], self.y[order]
-        return (
-            SpectraDataset(x[:cut], y[:cut], self.output_names,
-                           dict(self.metadata, subset="train")),
-            SpectraDataset(x[cut:], y[cut:], self.output_names,
-                           dict(self.metadata, subset="test")),
-        )
-
-    def subset(self, indices: Sequence[int], label: str = "subset") -> "SpectraDataset":
-        """Rows at ``indices`` as a new dataset.
-
-        ``indices`` may be an integer sequence/array or a boolean mask of
-        length ``len(self)``.  Negative integers follow Python semantics
-        (``-1`` is the last sample) and are normalized before selection;
-        anything outside ``[-len(self), len(self))`` raises ``IndexError``
-        naming the offending values instead of silently aliasing.
-        """
-        indices = np.asarray(indices)
-        n = len(self)
-        if indices.dtype == np.bool_:
-            if indices.shape != (n,):
-                raise IndexError(
-                    f"boolean mask of shape {indices.shape} cannot index "
-                    f"{n} samples (need ({n},))"
-                )
-            indices = np.flatnonzero(indices)
-        else:
-            if indices.size and not np.issubdtype(indices.dtype, np.integer):
-                raise IndexError(
-                    f"indices must be integers or a boolean mask, "
-                    f"got dtype {indices.dtype}"
-                )
-            if indices.ndim > 1:
-                raise IndexError(
-                    f"indices must be 1-D, got shape {indices.shape}"
-                )
-            indices = indices.astype(np.intp, copy=True).reshape(-1)
-            bad = (indices < -n) | (indices >= n)
-            if np.any(bad):
-                offending = indices[bad][:5].tolist()
-                raise IndexError(
-                    f"indices {offending} out of range for {n} samples "
-                    f"(valid: [-{n}, {n}))"
-                )
-            indices[indices < 0] += n
-        metadata = dict(self.metadata)
-        metadata["subset"] = label
-        return SpectraDataset(
-            self.x[indices], self.y[indices], self.output_names, metadata
-        )
-
-    def labels_as_dicts(self) -> list:
-        """Rows of y as {name: value} dicts (for reports)."""
-        return [
-            {name: float(v) for name, v in zip(self.output_names, row)}
-            for row in self.y
-        ]
-
-    def label_ranges(self) -> Dict[str, Tuple[float, float]]:
-        return {
-            name: (float(self.y[:, j].min()), float(self.y[:, j].max()))
-            for j, name in enumerate(self.output_names)
-        }

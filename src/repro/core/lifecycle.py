@@ -10,8 +10,11 @@ plausibility checker's unexplained-residual statistic: against a baseline
 established on simulated training data, an exponentially weighted moving
 average of the residual fraction rising above an alarm factor signals that
 the instrument has drifted away from the state the simulator (and hence
-the network) was built for.  :func:`recalibrate` then re-runs the
-characterize-simulate-train loop to produce a fresh network.
+the network) was built for.  Recalibration is deliberately just
+:meth:`~repro.core.pipeline.MSToolchain.run` again, with fresh reference
+measurements: the paper's point is that the *same* automated flow that
+commissioned the system also re-adapts it to the instrument's current
+state.
 """
 
 from __future__ import annotations
@@ -21,14 +24,12 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.pipeline import MSToolchain, ToolchainResult
-from repro.ms.mixtures import MassFlowControllerRig
 from repro.ms.plausibility import PlausibilityChecker
 from repro.ms.simulator import MassSpectrometerSimulator
 from repro.ms.spectrum import MassSpectrum
 from repro.observability.runtime import get_registry
 
-__all__ = ["DriftStatus", "DriftMonitor", "recalibrate"]
+__all__ = ["DriftStatus", "DriftMonitor"]
 
 
 @dataclass(frozen=True)
@@ -173,31 +174,3 @@ class DriftMonitor:
         self._count = 0
         self.skipped_nonfinite = 0
         self._alarmed = False
-
-
-def recalibrate(
-    chain: MSToolchain,
-    rig: MassFlowControllerRig,
-    evaluation_measurements,
-    samples_per_mixture: int = 25,
-    n_training_spectra: int = 10_000,
-    epochs: int = 15,
-    seed: int = 0,
-    topology=None,
-) -> ToolchainResult:
-    """Re-run the characterize-simulate-train loop after a drift alarm.
-
-    This is deliberately just the standard toolchain run — the paper's
-    point is that the *same* automated flow that commissioned the system
-    also re-adapts it, with fresh reference measurements reflecting the
-    instrument's current state.
-    """
-    return chain.run(
-        rig,
-        evaluation_measurements,
-        samples_per_mixture=samples_per_mixture,
-        n_training_spectra=n_training_spectra,
-        topology=topology,
-        epochs=epochs,
-        seed=seed,
-    )

@@ -22,7 +22,6 @@ Factory functions provide every architecture the paper uses:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -67,21 +66,6 @@ class TopologySpec:
             model.add(LAYER_REGISTRY[entry["class"]](**entry["config"]))
         model.build(input_shape, seed=seed)
         return model
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"name": self.name, "description": self.description, "layers": self.layers}
-        )
-
-    @classmethod
-    def from_json(cls, payload: str) -> "TopologySpec":
-        data = json.loads(payload)
-        spec = cls(name=data["name"], description=data.get("description", ""))
-        for entry in data["layers"]:
-            spec.add(entry["class"], **entry["config"])
-        return spec
 
     def __len__(self) -> int:
         return len(self.layers)

@@ -54,7 +54,7 @@ from repro.core.topologies import TopologySpec
 from repro.db.provenance import ProvenanceTracker
 from repro.nn.metrics import mean_absolute_error, mean_squared_error, r2_score
 from repro.nn.model import Sequential
-from repro.nn.optimizers import get_optimizer
+from repro.nn.optimizers import Adam, get_optimizer
 from repro.nn.sentinel import DivergenceSentinel
 from repro.nn.serialization import weights_from_arrays, weights_to_arrays
 from repro.nn.training import EarlyStopping, predict_rows
@@ -68,10 +68,11 @@ __all__ = ["TrainingConfig", "TrainingRun", "FailedRun", "TrainingService"]
 class TrainingConfig:
     """Hyperparameters shared by every run of a service invocation.
 
-    Every run trains with Adam.  ``clip_norm`` enables global
-    gradient-norm clipping in every run.  ``sentinel=True`` (the default)
-    attaches a :class:`~repro.nn.sentinel.DivergenceSentinel` to every
-    run, so a topology whose training goes non-finite is rolled back to its
+    Every run trains with ``Adam(clipnorm=clip_norm)``, so ``clip_norm``
+    enables global gradient-norm clipping in every run.
+    ``sentinel=True`` (the default) attaches a
+    :class:`~repro.nn.sentinel.DivergenceSentinel` to every run, so a
+    topology whose training goes non-finite is rolled back to its
     last-good state with a halved learning rate instead of finishing the
     sweep with NaN weights; ``sentinel_max_rollbacks`` bounds how often
     before the run is abandoned as diverged.
@@ -94,7 +95,7 @@ class TrainingConfig:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
-        if self.clip_norm is not None and self.clip_norm <= 0:
+        if self.clip_norm is not None and not self.clip_norm > 0:
             raise ValueError("clip_norm must be positive")
         if self.sentinel_max_rollbacks < 1:
             raise ValueError("sentinel_max_rollbacks must be >= 1")
@@ -132,7 +133,7 @@ def _train_topology(payload: dict) -> dict:
     config: TrainingConfig = payload["config"]
     x, y, val_rows = payload["x"], payload["y"], payload["val_rows"]
     model = payload["topology"].build(x.shape[1:], seed=config.seed)
-    model.compile("adam", config.loss)
+    model.compile(Adam(clipnorm=config.clip_norm), config.loss)
     callbacks = []
     if config.patience is not None:
         callbacks.append(
@@ -150,7 +151,6 @@ def _train_topology(payload: dict) -> dict:
         rows=(payload["train_rows"], val_rows),
         callbacks=callbacks,
         seed=config.seed,
-        clip_norm=config.clip_norm,
     )
     predictions = predict_rows(model, x, val_rows)
     val_y = y[val_rows]

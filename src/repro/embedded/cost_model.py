@@ -37,14 +37,6 @@ class CostEstimate:
     energy_j: float
     per_layer_seconds: Dict[str, float]
 
-    @property
-    def latency_per_sample_ms(self) -> float:
-        return 1000.0 * self.execution_time_s / self.n_samples
-
-    @property
-    def throughput_samples_per_s(self) -> float:
-        return self.n_samples / self.execution_time_s
-
     def row(self) -> Dict[str, float]:
         """A Table-2-style result row."""
         return {

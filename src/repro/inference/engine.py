@@ -275,9 +275,6 @@ class InferenceEngine:
                 out[start:stop] = workspace.result[:n]  # float32 -> float64
         return out
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.predict(x)
-
     # -- introspection and contracts ---------------------------------------
 
     def stats(self) -> Dict[str, object]:

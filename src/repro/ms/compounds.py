@@ -93,9 +93,6 @@ class CompoundLibrary:
     def names(self) -> List[str]:
         return [c.name for c in self._compounds.values()]
 
-    def subset(self, names: Sequence[str]) -> "CompoundLibrary":
-        return CompoundLibrary([self.get(name) for name in names])
-
 
 def _c(name, formula, mw, lines) -> Compound:
     return Compound(name, formula, mw, tuple(lines))

@@ -43,9 +43,6 @@ class MzAxis:
         idx = int(np.round((mz - self.start) / self.step))
         return int(np.clip(idx, 0, self.size - 1))
 
-    def contains(self, mz: float) -> bool:
-        return self.start <= mz <= self.stop
-
 
 @dataclass
 class MassSpectrum:
@@ -84,14 +81,6 @@ class MassSpectrum:
         if denom == 0.0:
             return MassSpectrum(self.axis, self.intensities.copy(), dict(self.metadata))
         return MassSpectrum(self.axis, self.intensities / denom, dict(self.metadata))
-
-    def peak_intensity_at(self, mz: float, window: float = 0.5) -> float:
-        """Maximum intensity within ±window of an m/z position."""
-        values = self.mz
-        mask = np.abs(values - mz) <= window
-        if not np.any(mask):
-            raise ValueError(f"m/z {mz} (±{window}) is outside the axis")
-        return float(np.max(self.intensities[mask]))
 
     def __len__(self) -> int:
         return self.intensities.size

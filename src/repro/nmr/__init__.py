@@ -19,9 +19,12 @@ Modules:
 * :mod:`repro.nmr.ihm` — IHM mixture fitting, the state-of-the-art analysis
   baseline the ANNs are compared against;
 * :mod:`repro.nmr.reaction` — lithiation kinetics, DoE and the virtual
-  flow reactor (substitute for the laboratory experiment);
+  flow reactor (substitute for the laboratory experiment); its reference
+  labels are the true outlet concentrations with a small multiplicative
+  error, not a simulated high-field analysis;
 * :mod:`repro.nmr.acquisition` — virtual benchtop (43 MHz) and high-field
-  (500 MHz) spectrometers.
+  (500 MHz) spectrometers; only the benchtop acquires campaign spectra, the
+  high-field one is a clean-spectrum source for the quantification tests.
 """
 
 from repro.nmr.lineshapes import gaussian, lorentzian, pseudo_voigt

@@ -8,8 +8,11 @@ are modelled here:
   instrument: broad lines, visible noise, peak-position jitter,
   concentration-dependent matrix shifts and a weak baseline roll;
 * :meth:`VirtualNMRSpectrometer.highfield` — a 500 MHz instrument with
-  narrow lines and very low noise, whose spectra feed the *reference
-  analysis* the ANNs are validated against.
+  narrow lines and very low noise.  No campaign runs it: the reference
+  labels the ANNs are validated against are true concentrations with a
+  small multiplicative error
+  (:class:`~repro.nmr.reaction.FlowReactorExperiment`).  It remains as a
+  clean-spectrum source for the quantification tests.
 """
 
 from __future__ import annotations
@@ -109,7 +112,7 @@ class VirtualNMRSpectrometer:
 
     @classmethod
     def highfield(cls, models: HardModelSet, seed: int = 0) -> "VirtualNMRSpectrometer":
-        """A 500 MHz laboratory instrument (the paper's reference method)."""
+        """A 500 MHz laboratory instrument (clean spectra; not used for labels)."""
         return cls(
             models,
             field_mhz=500.0,

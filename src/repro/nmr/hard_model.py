@@ -17,7 +17,7 @@ approximate 1H chemical shifts as seen on a 43 MHz benchtop instrument
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -141,13 +141,6 @@ class PureComponentModel:
     @property
     def total_area(self) -> float:
         return float(sum(peak.area for peak in self.peaks))
-
-    def shifted(self, delta: float) -> "PureComponentModel":
-        """A copy with all line positions moved by ``delta`` ppm."""
-        return PureComponentModel(
-            self.name,
-            tuple(replace(peak, center=peak.center + delta) for peak in self.peaks),
-        )
 
 
 class HardModelSet:

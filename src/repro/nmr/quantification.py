@@ -103,12 +103,6 @@ class IntegralQuantification:
                 regions.append(best[1])
         return regions
 
-    def region_for(self, component: str) -> IntegrationRegion:
-        for region in self.regions:
-            if region.component == component:
-                return region
-        raise KeyError(f"no region for component {component!r}")
-
     def analyze(
         self, spectrum: Union[NMRSpectrum, np.ndarray]
     ) -> Dict[str, float]:

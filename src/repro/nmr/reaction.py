@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -204,7 +204,6 @@ class FlowReactorExperiment:
         self,
         kinetics: ReactionKinetics,
         benchtop: VirtualNMRSpectrometer,
-        highfield: Optional[VirtualNMRSpectrometer] = None,
         reference_error: float = 0.005,
         seed: int = 0,
     ):
@@ -212,7 +211,6 @@ class FlowReactorExperiment:
             raise ValueError("reference_error must be non-negative")
         self.kinetics = kinetics
         self.benchtop = benchtop
-        self.highfield = highfield
         self.reference_error = float(reference_error)
         self._rng = np.random.default_rng(seed)
 
@@ -254,12 +252,11 @@ class FlowReactorExperiment:
         )
 
     def _reference_analysis(self, truth: np.ndarray) -> np.ndarray:
-        """High-field reference concentrations: truth + small analysis error.
+        """Reference labels: true outlet concentrations x N(1, reference_error).
 
-        (The reference method itself — acquisition on the 500 MHz virtual
-        instrument followed by integration — is exercised in the IHM
-        module; for labelling purposes its residual error is modelled as a
-        small multiplicative noise.)
+        No spectrum is acquired or integrated for a label: the paper's
+        high-field reference analysis is modelled only by its residual
+        error, a small multiplicative noise on the true concentrations.
         """
         noise = self._rng.normal(1.0, self.reference_error, size=truth.shape)
         return np.clip(truth * noise, 0.0, None)

@@ -67,7 +67,7 @@ from repro.nn.optimizers import Adam, Optimizer, get_optimizer
 from repro.nn.serialization import load_model, save_model
 from repro.nn.sentinel import DivergenceError, DivergenceSentinel, SentinelEvent
 from repro.nn.training import Callback, EarlyStopping, History
-from repro.nn.flops import count_model_flops, count_model_params, layer_flops
+from repro.nn.flops import count_model_flops, layer_flops
 
 __all__ = [
     "Activation",
@@ -104,7 +104,6 @@ __all__ = [
     "Sequential",
     "Zeros",
     "count_model_flops",
-    "count_model_params",
     "get_activation",
     "get_initializer",
     "get_loss",

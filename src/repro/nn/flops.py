@@ -28,7 +28,7 @@ from repro.nn.layers import (
 )
 from repro.nn.model import Sequential
 
-__all__ = ["LayerCost", "layer_flops", "count_model_flops", "count_model_params"]
+__all__ = ["LayerCost", "layer_flops", "count_model_flops"]
 
 # Cost in FLOPs per element for each activation, approximating the mix of
 # exp/div instructions they lower to.
@@ -122,8 +122,3 @@ def count_model_flops(model: Sequential) -> List[LayerCost]:
     if not model.built:
         raise ValueError("model must be built before counting FLOPs")
     return [layer_flops(layer) for layer in model.layers]
-
-
-def count_model_params(model: Sequential) -> int:
-    """Total trainable parameters of a built model."""
-    return model.count_params()

@@ -120,33 +120,6 @@ class Sequential:
         ]
         return np.concatenate(chunks, axis=0)
 
-    def freeze(
-        self,
-        dtype: str = "float32",
-        per_channel: bool = False,
-        calibration: Optional[np.ndarray] = None,
-        contract: Optional[float] = None,
-    ):
-        """Compile this built model into an immutable inference plan.
-
-        Returns an :class:`~repro.inference.plan.InferencePlan` — fused
-        conv/dense + bias + activation ops with precomputed im2col index
-        plans, float32 weights by default or calibrated symmetric int8
-        (``dtype="int8"``, optionally ``per_channel=True``).  Execute it
-        with :class:`~repro.inference.engine.InferenceEngine`; raises
-        :class:`~repro.inference.plan.UnsupportedLayerError` if a layer
-        has no fused kernel (LSTM, composite blocks).
-        """
-        from repro.inference import freeze as freeze_plan
-
-        return freeze_plan(
-            self,
-            dtype=dtype,
-            per_channel=per_channel,
-            calibration=calibration,
-            contract=contract,
-        )
-
     def train_on_batch(self, x: np.ndarray, y: np.ndarray) -> float:
         """One optimizer step on a single batch; returns the batch loss."""
         self._require_compiled()
@@ -168,7 +141,6 @@ class Sequential:
         callbacks: Optional[Sequence[Callback]] = None,
         seed: Optional[int] = None,
         verbose: bool = False,
-        clip_norm: Optional[float] = None,
         rows: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> History:
         """Standard epoch/mini-batch training loop; returns a History.
@@ -182,19 +154,8 @@ class Sequential:
         bit-equal to fitting the gathered subsets.  Both index arrays must
         be non-empty (else ``ValueError``) and in ``[0, len(x))`` (else
         ``IndexError``).
-
-        ``clip_norm`` enables global gradient-norm clipping: it sets the
-        compiled optimizer's ``clipnorm`` so every batch's gradients are
-        rescaled when their global L2 norm exceeds it — the first line of
-        defence against training divergence.  The setting stays on the
-        optimizer after this call returns, so later ``fit`` and
-        ``train_on_batch`` calls clip too until ``clipnorm`` is reset.
         """
         self._require_compiled()
-        if clip_norm is not None:
-            if clip_norm <= 0:
-                raise ValueError(f"clip_norm must be positive, got {clip_norm}")
-            self.optimizer.clipnorm = float(clip_norm)
         return run_training_loop(
             self,
             np.asarray(x, dtype=np.float64),

@@ -23,6 +23,8 @@ class Optimizer:
     def __init__(self, learning_rate: float = 0.001, clipnorm: float = None):
         if learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {learning_rate}")
+        if clipnorm is not None and not clipnorm > 0:
+            raise ValueError(f"clipnorm must be positive, got {clipnorm}")
         self.learning_rate = float(learning_rate)
         self.clipnorm = float(clipnorm) if clipnorm is not None else None
         self.iterations = 0

@@ -123,10 +123,6 @@ class DivergenceSentinel(Callback):
         self._snapshot = None
         self._abort_epoch = False
 
-    @property
-    def triggered(self) -> bool:
-        return bool(self.events)
-
     # -- callback hooks ----------------------------------------------------
 
     def on_train_begin(self):

@@ -56,30 +56,25 @@ class BatchingPolicy:
 
     ``max_batch`` bounds one dispatch; ``max_wait_s`` is the longest a
     worker holds the first dequeued request open for batchmates, and the
-    effective wait decays linearly to ``min_wait_s`` as the queue fills
-    (see :meth:`wait_for`).
+    effective wait decays linearly to zero as the queue fills (see
+    :meth:`wait_for`).
     """
 
     max_batch: int = 32
     max_wait_s: float = 0.002
-    min_wait_s: float = 0.0
 
     def __post_init__(self):
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.max_wait_s < 0 or self.min_wait_s < 0:
-            raise ValueError("waits must be non-negative")
-        if self.min_wait_s > self.max_wait_s:
-            raise ValueError("min_wait_s must not exceed max_wait_s")
+        if self.max_wait_s < 0:
+            raise ValueError("max_wait_s must be non-negative")
 
     def wait_for(self, queue_depth: int, queue_size: int) -> float:
-        """Adaptive hold time: shrinks toward ``min_wait_s`` under load."""
+        """Adaptive hold time: shrinks toward zero under load."""
         if queue_size <= 0:
             return self.max_wait_s
         fill = min(max(queue_depth / queue_size, 0.0), 1.0)
-        return self.min_wait_s + (self.max_wait_s - self.min_wait_s) * (
-            1.0 - fill
-        )
+        return self.max_wait_s * (1.0 - fill)
 
     def cap_for(self, growth: float = 1.0) -> int:
         """Batch-size cap under a brownout growth factor (>= 1 request)."""

@@ -77,8 +77,8 @@ class TestGetOrCreate:
             return _arrays(seed=1)
 
         config = {"kind": "demo", "seed": 1}
-        first, key1, hit1 = cache.get_or_create(config, produce)
-        second, key2, hit2 = cache.get_or_create(config, produce)
+        first, key1, hit1 = get_or_compute(cache, config, produce)
+        second, key2, hit2 = get_or_compute(cache, config, produce)
         assert (hit1, hit2) == (False, True)
         assert key1 == key2 == canonical_key(config)
         assert len(calls) == 1
@@ -92,18 +92,15 @@ class TestGetOrCreate:
             calls.append(1)
             return _arrays(seed=len(calls))
 
-        cache.get_or_create({"seed": 1}, produce)
-        cache.get_or_create({"seed": 2}, produce)
+        get_or_compute(cache, {"seed": 1}, produce)
+        get_or_compute(cache, {"seed": 2}, produce)
         assert len(calls) == 2
 
     def test_entry_meta_records_config(self, tmp_path):
         cache = ArtifactCache(tmp_path / "cache")
-        _, key, _ = cache.get_or_create(
-            {"kind": "demo", "n": 4}, lambda: _arrays(), meta={"source": "test"}
-        )
+        _, key, _ = get_or_compute(cache, {"kind": "demo", "n": 4}, lambda: _arrays())
         _, meta = cache.get(key)
-        assert meta["config"] == {"kind": "demo", "n": 4}
-        assert meta["source"] == "test"
+        assert meta == {"config": {"kind": "demo", "n": 4}}
 
 
 class TestCacheOptional:
@@ -146,20 +143,20 @@ class TestCorruption:
     def test_corrupt_entry_quarantined_and_regenerated(self, tmp_path):
         cache = ArtifactCache(tmp_path / "cache")
         config = {"kind": "demo"}
-        cache.get_or_create(config, lambda: _arrays(seed=3))
+        get_or_compute(cache, config, lambda: _arrays(seed=3))
         entry = cache.path_for(canonical_key(config))
         blob = bytearray(entry.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         entry.write_bytes(bytes(blob))
 
-        arrays, _, hit = cache.get_or_create(config, lambda: _arrays(seed=3))
+        arrays, _, hit = get_or_compute(cache, config, lambda: _arrays(seed=3))
         assert hit is False  # corrupt entry must not serve
         np.testing.assert_array_equal(arrays["x"], _arrays(seed=3)["x"])
         assert cache.corrupt == 1
         quarantined = list(cache.quarantine_dir.iterdir())
         assert len(quarantined) == 1
         # The healed entry is readable again.
-        _, _, hit = cache.get_or_create(config, lambda: _arrays(seed=3))
+        _, _, hit = get_or_compute(cache, config, lambda: _arrays(seed=3))
         assert hit is True
 
     def test_truncated_entry_is_miss(self, tmp_path):
@@ -215,7 +212,7 @@ class TestParentLayout:
         meta = {"config": config, "source": "parent"}
         _write_parent_entry(cache.path_for(canonical_key(config)), arrays, meta)
 
-        loaded, key, hit = cache.get_or_create(config, lambda: {})
+        loaded, key, hit = get_or_compute(cache, config, lambda: {})
         assert hit is True
         assert set(loaded) == set(arrays)
         for name, array in arrays.items():
@@ -237,8 +234,9 @@ class TestParentLayout:
         def fail():
             raise AssertionError("a parent-written cell must not recompute")
 
-        row, _, hit = cache.get_or_create_json(config, fail)
-        assert hit is True
+        row = get_or_compute_row(cache, config, fail)
+        assert row.pop("cache_hit") is True
+        assert row.pop("cache_key") == canonical_key(config)
         assert row == payload
         assert json.dumps(row, sort_keys=True).encode("utf-8") == cell
         assert cache.stats()["entries"] == 1
@@ -273,8 +271,8 @@ class TestMaintenance:
     def test_metrics_on_registry(self, tmp_path):
         with scoped() as (registry, _):
             cache = ArtifactCache(tmp_path / "cache")
-            cache.get_or_create({"k": 1}, lambda: _arrays())
-            cache.get_or_create({"k": 1}, lambda: _arrays())
+            get_or_compute(cache, {"k": 1}, lambda: _arrays())
+            get_or_compute(cache, {"k": 1}, lambda: _arrays())
             requests = registry.counter("compute_cache_requests_total")
             assert requests.value(outcome="miss") == 1
             assert requests.value(outcome="hit") == 1

@@ -1,41 +1,24 @@
-"""Cache-aware dataset generation: wrappers, simulators, pipeline wiring."""
+"""Cache-aware dataset generation: the MS wrapper and pipeline wiring."""
 
 import numpy as np
 import pytest
 
 from repro.compute import ArtifactCache
-from repro.compute.datasets import (
-    generate_ms_dataset,
-    generate_nmr_dataset,
-    ms_dataset_config,
-    nmr_dataset_config,
-)
+from repro.compute.datasets import generate_ms_dataset, ms_dataset_config
 from repro.ms import (
     InstrumentCharacteristics,
     MassSpectrometerSimulator,
     MzAxis,
     default_library,
 )
-from repro.nmr.hard_model import mndpa_reaction_models
-from repro.nmr.simulator import NMRSpectrumSimulator
 
 COMPOUNDS = ["N2", "O2", "Ar"]
-NMR_RANGES = {
-    "p-toluidine": (0.0, 0.5),
-    "Li-toluidide": (0.0, 0.5),
-    "o-FNB": (0.0, 0.6),
-    "MNDPA": (0.0, 0.45),
-}
 
 
 def _ms_simulator():
     return MassSpectrometerSimulator(
         InstrumentCharacteristics(), MzAxis(1.0, 50.0, 0.5), default_library()
     )
-
-
-def _nmr_simulator():
-    return NMRSpectrumSimulator(mndpa_reaction_models(), NMR_RANGES)
 
 
 class TestMsWrapper:
@@ -86,35 +69,6 @@ class TestMsWrapper:
         x, y, info = generate_ms_dataset(_ms_simulator(), COMPOUNDS, 5, seed=1)
         assert x.shape[0] == 5
         assert info["hit"] is False
-
-
-class TestNmrWrapper:
-    def test_cold_then_warm_identical(self, tmp_path):
-        simulator = _nmr_simulator()
-        cache = ArtifactCache(tmp_path / "cache")
-        x1, y1, info1 = generate_nmr_dataset(simulator, 6, seed=2, cache=cache)
-        x2, y2, info2 = generate_nmr_dataset(simulator, 6, seed=2, cache=cache)
-        assert (info1["hit"], info2["hit"]) == (False, True)
-        np.testing.assert_array_equal(x1, x2)
-        np.testing.assert_array_equal(y1, y2)
-
-    def test_matches_direct_generation(self, tmp_path):
-        simulator = _nmr_simulator()
-        cache = ArtifactCache(tmp_path / "cache")
-        x_cached, y_cached, _ = generate_nmr_dataset(
-            simulator, 5, seed=4, cache=cache
-        )
-        x_direct, y_direct = simulator.generate_dataset(
-            5, np.random.default_rng(4)
-        )
-        np.testing.assert_array_equal(x_cached, x_direct)
-        np.testing.assert_array_equal(y_cached, y_direct)
-
-    def test_chunk_size_part_of_key(self):
-        simulator = _nmr_simulator()
-        assert nmr_dataset_config(simulator, 10, 0, chunk_size=8) != (
-            nmr_dataset_config(simulator, 10, 0, chunk_size=16)
-        )
 
 
 class TestPipelineWiring:

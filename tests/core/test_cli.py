@@ -113,10 +113,11 @@ class TestCache:
     @pytest.fixture()
     def cache_dir(self, tmp_path):
         from repro.compute import ArtifactCache
+        from repro.compute.cache import get_or_compute
 
         root = tmp_path / "cache"
-        cache = ArtifactCache(root)
-        cache.get_or_create(
+        get_or_compute(
+            ArtifactCache(root),
             {"kind": "demo", "n": 4, "seed": 0},
             lambda: {"x": np.arange(4.0), "y": np.ones((4, 1))},
         )

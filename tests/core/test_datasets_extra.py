@@ -1,4 +1,4 @@
-"""Additional SpectraDataset coverage: windows datasets and metadata flow."""
+"""Additional SpectraDataset coverage: windowed datasets and split statistics."""
 
 import numpy as np
 import pytest
@@ -16,26 +16,9 @@ class TestWindowedDatasets:
         x_windows, y_windows = sliding_windows(x_seq, y_seq, 5)
         dataset = SpectraDataset(x_windows, y_windows, ("a", "b"))
         assert dataset.input_shape == (5, 16)
-        train, test = dataset.split(0.75, rng)
-        assert train.x.shape[1:] == (5, 16)
+        train, test = dataset.split_rows(0.75, rng)
+        assert dataset.x[train].shape[1:] == (5, 16)
         assert len(train) + len(test) == len(dataset)
-
-    def test_metadata_propagates_through_subset(self):
-        dataset = SpectraDataset(
-            np.zeros((10, 4)), np.zeros((10, 2)), ("a", "b"),
-            metadata={"source": "simulated"},
-        )
-        subset = dataset.subset([0, 1, 2], "calibration")
-        assert subset.metadata["source"] == "simulated"
-        assert subset.metadata["subset"] == "calibration"
-
-    def test_original_metadata_not_mutated_by_subset(self):
-        dataset = SpectraDataset(
-            np.zeros((10, 4)), np.zeros((10, 2)), ("a", "b"),
-            metadata={"source": "simulated"},
-        )
-        dataset.subset([0], "x")
-        assert "subset" not in dataset.metadata
 
 
 class TestSplitStatistics:
@@ -45,7 +28,7 @@ class TestSplitStatistics:
             dataset = SpectraDataset(
                 rng.random((n, 3)), rng.random((n, 2)), ("a", "b")
             )
-            train, test = dataset.split(fraction, rng)
+            train, test = dataset.split_rows(fraction, rng)
             assert len(train) == int(round(fraction * n))
             assert len(test) == n - len(train)
 
@@ -55,6 +38,6 @@ class TestSplitStatistics:
         x = np.arange(n, dtype=float)[:, None] * np.ones((n, 3))
         y = np.arange(n, dtype=float)[:, None] * np.ones((n, 2))
         dataset = SpectraDataset(x, y, ("a", "b"))
-        train, test = dataset.split(0.7, np.random.default_rng(5))
-        for part in (train, test):
-            np.testing.assert_array_equal(part.x[:, 0], part.y[:, 0])
+        train, test = dataset.split_rows(0.7, np.random.default_rng(5))
+        for rows in (train, test):
+            np.testing.assert_array_equal(dataset.x[rows, 0], dataset.y[rows, 0])

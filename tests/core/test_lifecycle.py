@@ -94,7 +94,6 @@ class TestObservation:
 
 class TestRecalibrate:
     def test_recalibration_returns_fresh_toolchain_result(self, simulator):
-        from repro.core.lifecycle import recalibrate
         from repro.core.pipeline import MSToolchain
         from repro.core.topologies import mlp_topology
         from repro.ms.mixtures import MassFlowControllerRig, default_mixture_plan
@@ -107,8 +106,8 @@ class TestRecalibrate:
         eval_measurements = rig.measure_plan(
             default_mixture_plan(TASK, len(TASK), seed=4), 2
         )
-        result = recalibrate(
-            chain, rig, eval_measurements,
+        result = chain.run(
+            rig, eval_measurements,
             samples_per_mixture=5, n_training_spectra=400, epochs=2,
             topology=mlp_topology(len(TASK), hidden_units=(16,)),
         )

@@ -101,8 +101,8 @@ class TestSteps:
             patience=patience,
             learning_rate=0.1,
         )
-        _, validation = dataset.split(0.8, np.random.default_rng(3))
-        assert val_mae == model.evaluate(validation.x, validation.y)
+        _, validation = dataset.split_rows(0.8, np.random.default_rng(3))
+        assert val_mae == model.evaluate(dataset.x[validation], dataset.y[validation])
         if patience is None:
             assert val_mae == history["val_loss"][-1]
         else:

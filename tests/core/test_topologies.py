@@ -32,15 +32,6 @@ class TestTopologySpec:
         with pytest.raises(ValueError, match="no layers"):
             TopologySpec("x").build((4,))
 
-    def test_json_roundtrip(self):
-        spec = table1_topology(7)
-        restored = TopologySpec.from_json(spec.to_json())
-        assert restored.name == spec.name
-        assert restored.layers == spec.layers
-        a = spec.build((500,), seed=1)
-        b = restored.build((500,), seed=1)
-        assert a.count_params() == b.count_params()
-
     def test_build_seeded_determinism(self):
         spec = mlp_topology(3, hidden_units=(16,))
         x = np.random.default_rng(0).random((4, 10))

@@ -259,6 +259,8 @@ class TestConfigRobustnessFields:
             TrainingConfig(clip_norm=0.0)
         with pytest.raises(ValueError):
             TrainingConfig(clip_norm=-1.0)
+        with pytest.raises(ValueError):
+            TrainingConfig(clip_norm=float("nan"))
 
     def test_sentinel_max_rollbacks_must_be_positive(self):
         with pytest.raises(ValueError):

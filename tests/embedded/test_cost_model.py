@@ -61,15 +61,6 @@ class TestEstimate:
             est.execution_time_s
         )
 
-    def test_derived_metrics(self):
-        est = InferenceCostModel(TABLE2_PLATFORMS["nano_cpu"]).estimate(NET, 21_600)
-        assert est.latency_per_sample_ms == pytest.approx(
-            1000 * est.execution_time_s / 21_600
-        )
-        assert est.throughput_samples_per_s == pytest.approx(
-            21_600 / est.execution_time_s
-        )
-
     def test_validation(self):
         model = InferenceCostModel(TABLE2_PLATFORMS["nano_cpu"])
         with pytest.raises(ValueError):

@@ -45,11 +45,6 @@ class TestCorrectness:
         assert out.dtype == np.float64
         assert np.max(np.abs(out - reference)) < 1e-6
 
-    def test_call_alias(self, setup):
-        _, plan, x = setup
-        engine = InferenceEngine(plan)
-        np.testing.assert_array_equal(engine(x), engine.predict(x))
-
     def test_chunked_equals_one_shot(self, setup):
         _, plan, x = setup
         engine = InferenceEngine(plan)

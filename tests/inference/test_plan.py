@@ -7,7 +7,6 @@ from repro import nn
 from repro.inference import (
     DEFAULT_CONTRACTS,
     InferenceEngine,
-    InferencePlan,
     UnsupportedLayerError,
     freeze,
 )
@@ -99,11 +98,6 @@ class TestFreezeStructure:
             freeze(model)
         assert excinfo.value.position == 1
         assert "reference path" in str(excinfo.value)
-
-    def test_sequential_freeze_delegates(self):
-        plan = _mlp().freeze(dtype="int8")
-        assert isinstance(plan, InferencePlan)
-        assert plan.dtype == "int8"
 
 
 class TestPlanImmutability:

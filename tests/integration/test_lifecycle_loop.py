@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import MSToolchain, mlp_topology
-from repro.core.lifecycle import DriftMonitor, recalibrate
+from repro.core.lifecycle import DriftMonitor
 from repro.ms import (
     MassFlowControllerRig,
     PlausibilityChecker,
@@ -88,8 +88,8 @@ class TestDriftAndRecalibration:
         eval_measurements = rig.measure_plan(
             default_mixture_plan(TASK, len(TASK), seed=11), 2
         )
-        result = recalibrate(
-            chain, rig, eval_measurements, samples_per_mixture=10,
+        result = chain.run(
+            rig, eval_measurements, samples_per_mixture=10,
             n_training_spectra=800, epochs=4,
             topology=mlp_topology(len(TASK), hidden_units=(32,)),
         )

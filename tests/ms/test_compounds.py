@@ -62,11 +62,6 @@ class TestLibrary:
         with pytest.raises(ValueError, match="already registered"):
             library.add(Compound("N2", "N2", 28.0, ((28.0, 100.0),)))
 
-    def test_subset(self):
-        library = default_library().subset(["N2", "O2"])
-        assert len(library) == 2
-        assert "Ar" not in library
-
     def test_iteration_yields_compounds(self):
         names = {c.name for c in default_library()}
         assert "Ar" in names

@@ -27,11 +27,6 @@ class TestMzAxis:
         assert axis.index_of(-5.0) == 0
         assert axis.index_of(99.0) == axis.size - 1
 
-    def test_contains(self):
-        axis = MzAxis(2.0, 8.0, 1.0)
-        assert axis.contains(2.0) and axis.contains(8.0)
-        assert not axis.contains(1.9)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             MzAxis(1.0, 5.0, 0.0)
@@ -74,13 +69,6 @@ class TestMassSpectrum:
         before = spectrum.intensities.copy()
         spectrum.normalized()
         np.testing.assert_array_equal(spectrum.intensities, before)
-
-    def test_peak_intensity_at(self):
-        assert self._spectrum().peak_intensity_at(7.0, window=1.0) == 8.0
-
-    def test_peak_intensity_outside_axis_raises(self):
-        with pytest.raises(ValueError, match="outside"):
-            self._spectrum().peak_intensity_at(50.0, window=0.5)
 
     def test_len(self):
         assert len(self._spectrum()) == 10

@@ -92,10 +92,6 @@ class TestPureComponentModel:
         with pytest.raises(ValueError):
             self._model().evaluate(ChemicalShiftAxis(), broadening=0.0)
 
-    def test_shifted_copy(self):
-        shifted = self._model().shifted(0.3)
-        assert shifted.peaks[0].center == pytest.approx(2.3)
-
 
 class TestHardModelSet:
     def test_duplicate_names_rejected(self):

@@ -38,12 +38,6 @@ class TestRegionSelection:
         with pytest.raises(ValueError):
             IntegrationRegion("x", 1.0, 2.0, 0.0)
 
-    def test_region_for_lookup(self):
-        iq = IntegralQuantification(MODELS)
-        assert iq.region_for("MNDPA").component == "MNDPA"
-        with pytest.raises(KeyError):
-            iq.region_for("caffeine")
-
 
 class TestQuantification:
     def test_highfield_spectrum_quantified_accurately(self):

@@ -108,3 +108,14 @@ class TestOptimizers:
             Adam(beta_1=1.0)
         with pytest.raises(ValueError):
             Adam(beta_2=1.5)
+
+    @pytest.mark.parametrize("clipnorm", [-1.0, 0.0, float("nan")])
+    def test_clipnorm_must_be_positive(self, clipnorm):
+        # A negative clip norm negates every gradient (ascent), zero freezes
+        # training and NaN silently disables clipping.
+        with pytest.raises(ValueError, match="clipnorm"):
+            Adam(clipnorm=clipnorm)
+
+    def test_registry_refuses_a_negative_clipnorm(self):
+        with pytest.raises(ValueError, match="clipnorm"):
+            get_optimizer({"name": "adam", "clipnorm": -1})

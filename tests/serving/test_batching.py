@@ -70,11 +70,9 @@ class TestBatchingPolicy:
             BatchingPolicy(max_batch=0)
         with pytest.raises(ValueError):
             BatchingPolicy(max_wait_s=-1.0)
-        with pytest.raises(ValueError):
-            BatchingPolicy(max_wait_s=0.001, min_wait_s=0.002)
 
     def test_wait_shrinks_under_load(self):
-        policy = BatchingPolicy(max_batch=8, max_wait_s=0.01, min_wait_s=0.0)
+        policy = BatchingPolicy(max_batch=8, max_wait_s=0.01)
         idle = policy.wait_for(0, 16)
         half = policy.wait_for(8, 16)
         full = policy.wait_for(16, 16)

@@ -16,6 +16,7 @@ import pytest
 
 from repro import nn
 from repro.compute import ArtifactCache
+from repro.compute.cache import get_or_compute_row
 from repro.inference import freeze, save_plan
 from repro.nn.serialization import model_archive
 from repro.storage.integrity import (
@@ -300,10 +301,9 @@ class TestStreamedFormat:
 
     def test_json_cell_entry(self, tmp_path):
         cache = ArtifactCache(tmp_path)
-        payload, key, _ = cache.get_or_create_json(
-            {"cell": 1}, lambda: {"mae": 0.125, "n": 4}
-        )
-        path = cache.path_for(key)
+        payload = get_or_compute_row(cache, {"cell": 1}, lambda: {"mae": 0.125, "n": 4})
+        path = cache.path_for(payload.pop("cache_key"))
+        payload.pop("cache_hit")
         arrays, docs = read_archive(path)
         assert arrays == {} and docs["json"] == payload
         assert path.read_bytes() == _reference_bytes({}, docs)
