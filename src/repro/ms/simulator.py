@@ -4,7 +4,10 @@ Takes instrument characteristics (typically *fitted* ones from Tool 2) and
 renders ideal line spectra into continuous, noisy spectra "matching the
 characteristics of the real measuring device".  Its main job is the bulk
 generation of labelled training data: with a precomputed per-compound
-response matrix, a 100 000-spectrum dataset takes seconds.
+response matrix, a 100 000-spectrum dataset takes seconds.  A dataset of
+more than one row block draws its shot noise on a helper thread while the
+calling thread draws the additive noise from a copy of the generator; the
+output bytes and the generator's end state are those of a serial draw.
 
 As the paper notes, "the simulator only considers a static system state" —
 no per-shot peak jitter, no contamination, no drift.  Those omissions are
@@ -14,7 +17,11 @@ deliberate: they are what separates simulated from measured accuracy.
 from __future__ import annotations
 
 import copy
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+import queue
+import threading
+from contextlib import nullcontext
+from itertools import repeat
+from typing import Callable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +38,8 @@ __all__ = ["MassSpectrometerSimulator"]
 # a constant instead of several times the dataset.  It changes no output
 # byte.
 _BLOCK_ROWS = 64
+# Shot-noise blocks the helper thread may draw ahead of the main thread.
+_RING_BLOCKS = 3
 
 
 class MassSpectrometerSimulator:
@@ -150,28 +159,42 @@ class MassSpectrometerSimulator:
         Adds the ignition-gas signal and, with noise, a baseline and the
         additive and shot noise, then clips and normalises, ``_BLOCK_ROWS``
         rows at a time.  Draw order: baseline phases, baseline slopes,
-        every additive normal, every shot normal.
+        every additive normal, every shot normal.  A copy of ``rng`` draws
+        the additive normals on this thread while ``rng`` itself runs
+        :func:`_shot_normals`: on a helper thread when there is more than
+        one block, inline otherwise.
         """
         n = spectra.shape[0]
+        blocks = [spectra[start : start + _BLOCK_ROWS] for start in range(0, n, _BLOCK_ROWS)]
         ignition = self._ignition_gas_signal()
+        baselines, ahead = None, nullcontext(repeat(None))
         if with_noise:
             baselines = self._draw_baselines(n, rng)
-            noise_rng, shot_rng = self._split_noise_streams(spectra.shape, rng)
-        for start in range(0, n, _BLOCK_ROWS):
-            rows = slice(start, min(start + _BLOCK_ROWS, n))
-            block = spectra[rows]
-            block += ignition
-            if with_noise:
+            noise_rng = copy.deepcopy(rng)
+            ring = [np.empty(blocks[0].shape) for _ in blocks[:_RING_BLOCKS]]
+            shots = _shot_normals(rng, n, ring)
+            ahead = _DrawAhead(shots, len(ring)) if len(blocks) > 1 else nullcontext(shots)
+        with ahead as shots:
+            for start, block in zip(range(0, n, _BLOCK_ROWS), blocks):
+                block += ignition
                 if baselines is not None:
+                    rows = slice(start, start + len(block))
                     block += self._baselines(baselines[0][rows], baselines[1][rows])
-                self._add_noise(block, noise_rng, shot_rng)
-            if normalize != "none":
-                if normalize == "max":
-                    scale = np.max(block, axis=1, keepdims=True)
-                else:
-                    scale = np.sum(block, axis=1, keepdims=True) * self.axis.step
-                np.clip(scale, 1e-12, None, out=scale)
-                block /= scale
+            ch = self.characteristics
+            for block, shot in zip(blocks, shots):
+                if shot is not None:
+                    noise = noise_rng.normal(0.0, ch.noise_sigma, size=block.shape)
+                    shot *= ch.shot_noise_factor * np.sqrt(np.abs(block))
+                    block += noise
+                    block += shot
+                    np.clip(block, 0.0, None, out=block)
+                if normalize != "none":
+                    if normalize == "max":
+                        scale = np.max(block, axis=1, keepdims=True)
+                    else:
+                        scale = np.sum(block, axis=1, keepdims=True) * self.axis.step
+                    np.clip(scale, 1e-12, None, out=scale)
+                    block /= scale
 
     def _ignition_gas_signal(self) -> np.ndarray:
         ch = self.characteristics
@@ -199,36 +222,68 @@ class MassSpectrometerSimulator:
         wave = np.sin(2.0 * np.pi * grid[None, :] / ch.baseline_period + phases)
         return ch.baseline_amplitude * 0.5 * (wave + 1.0) * slopes
 
-    @staticmethod
-    def _split_noise_streams(
-        shape: Tuple[int, int], rng: np.random.Generator
-    ) -> Tuple[np.random.Generator, np.random.Generator]:
-        """Generators for the additive and the shot normals of a dataset.
 
-        The stream draws every additive normal of the dataset before any
-        shot normal.  A copy of ``rng`` yields the additive normals; ``rng``
-        itself is advanced past them, a block at a time, and then yields
-        the shot normals, so it ends where one whole-dataset draw leaves it.
-        """
-        noise_rng = copy.deepcopy(rng)
-        n, points = shape
-        discard = np.empty((min(_BLOCK_ROWS, n), points))
-        for start in range(0, n, _BLOCK_ROWS):
-            rng.standard_normal(out=discard[: min(_BLOCK_ROWS, n - start)])
-        return noise_rng, rng
+def _shot_normals(rng: np.random.Generator, n: int, ring: List[np.ndarray]) -> Iterator[np.ndarray]:
+    """The shot normals of an ``n``-row pass, block by block.
 
-    def _add_noise(
-        self,
-        signal: np.ndarray,
-        noise_rng: np.random.Generator,
-        shot_rng: np.random.Generator,
-    ) -> None:
-        """Add additive and shot noise to ``signal`` in place, then clip at 0."""
-        ch = self.characteristics
-        noise = noise_rng.normal(0.0, ch.noise_sigma, size=signal.shape)
-        shot = shot_rng.normal(0.0, 1.0, size=signal.shape) * (
-            ch.shot_noise_factor * np.sqrt(np.abs(signal))
-        )
-        signal += noise
-        signal += shot
-        np.clip(signal, 0.0, None, out=signal)
+    Advances ``rng`` past the pass's additive normals (``n × grid``
+    standard normals, drawn into ``ring[0]`` and discarded), then draws
+    each block's shot normals into the next slot of ``ring`` and yields
+    it.  ``rng`` ends where one whole-pass draw leaves it.
+    """
+    rows = ring[0].shape[0]
+    starts = range(0, n, rows)
+    for start in starts:
+        rng.standard_normal(out=ring[0][: min(rows, n - start)])
+    for index, start in enumerate(starts):
+        shot = ring[index % len(ring)][: min(rows, n - start)]
+        rng.standard_normal(out=shot)
+        yield shot
+
+
+class _DrawAhead:
+    """Drive a producer on a helper thread, at most ``depth`` items ahead.
+
+    Iterating yields the producer's items in order; the helper resumes
+    the producer only when the item ``depth`` back has been consumed, so
+    a producer that writes into a ring of ``depth`` buffers never
+    overwrites one still in use.  Leaving the ``with`` block stops and
+    joins the thread, and an exception inside the producer is re-raised
+    on the iterating thread.
+    """
+
+    def __init__(self, producer: Iterator, depth: int):
+        self._producer = producer
+        self._free = threading.Semaphore(depth)
+        self._ready = queue.SimpleQueue()
+        self._stopped = False
+        self._thread = threading.Thread(target=self._drive, daemon=True)
+
+    def __enter__(self) -> "_DrawAhead":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._stopped = True
+        self._free.release()
+        self._thread.join()
+
+    def __iter__(self) -> Iterator:
+        while True:
+            item = self._ready.get()
+            if isinstance(item, StopIteration):
+                return
+            if isinstance(item, BaseException):
+                raise item
+            yield item
+            self._free.release()
+
+    def _drive(self) -> None:
+        try:
+            while True:
+                self._free.acquire()
+                if self._stopped:
+                    return
+                self._ready.put(next(self._producer))
+        except BaseException as exc:  # StopIteration included: the end
+            self._ready.put(exc)

@@ -62,6 +62,13 @@ class TestTrainEvaluate:
         assert "MAE" in output
         assert "N2" in output
 
+    def test_non_finite_learning_rate_rejected(self, ms_dataset, tmp_path):
+        model_path = tmp_path / "m.npz"
+        with pytest.raises(ValueError, match="learning_rate"):
+            main(["train", "--data", str(ms_dataset), "--topology", "mlp",
+                  "--learning-rate", "nan", "--epochs", "1", "--out", str(model_path)])
+        assert not model_path.exists()
+
     def test_unknown_topology_rejected(self, ms_dataset, tmp_path):
         with pytest.raises(SystemExit):
             main(["train", "--data", str(ms_dataset),

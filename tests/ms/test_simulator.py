@@ -1,6 +1,8 @@
 """Unit tests for Tool 3 (the mass-spectrometer simulator)."""
 
 import hashlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from repro.ms.compounds import DEFAULT_TASK_COMPOUNDS, default_library
 from repro.ms.instrument import InstrumentCharacteristics
 from repro.ms.line_spectra import ideal_mixture_spectrum
+from repro.ms import simulator as simulator_module
 from repro.ms.simulator import _BLOCK_ROWS, MassSpectrometerSimulator
 from repro.ms.spectrum import MzAxis
 
@@ -246,3 +249,84 @@ class TestGenerateDatasetBytes:
             tracemalloc.stop()
         assert x.shape == (20_000, 246)
         assert peak <= 1.5 * (x.nbytes + y.nbytes)
+
+
+class TestShotNoiseThread:
+    """A pass of several blocks draws its shot normals on a helper thread;
+    whatever happens, the thread is gone when the call returns."""
+
+    AXIS = MzAxis(1.0, 50.0, 0.2)
+
+    def _sim(self):
+        return MassSpectrometerSimulator(InstrumentCharacteristics(), self.AXIS, LIB)
+
+    @pytest.fixture
+    def thread_starts(self, monkeypatch):
+        starts = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            starts.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        return starts
+
+    def test_a_multi_block_pass_uses_one_thread_and_joins_it(self, thread_starts):
+        before = threading.active_count()
+        self._sim().generate_dataset(TASK, 3 * _BLOCK_ROWS, np.random.default_rng(0))
+        assert len(thread_starts) == 1
+        assert threading.active_count() == before
+
+    def test_one_row_render_starts_no_thread(self, thread_starts):
+        lines = ideal_mixture_spectrum({"N2": 0.7, "O2": 0.3}, LIB)
+        self._sim().render(lines, rng=np.random.default_rng(8))
+        self._sim().generate_dataset(TASK, _BLOCK_ROWS, np.random.default_rng(0))
+        assert thread_starts == []
+
+    def test_thread_switches_move_no_byte(self, monkeypatch):
+        """One-slot ring and a switch every microsecond: the helper and the
+        main thread interleave as finely as they can, and the pinned bytes
+        and stream end state still come out."""
+        config, x_sha, y_sha, next_draw = TestGenerateDatasetBytes.PINNED["rows_not_a_block_multiple"]
+        monkeypatch.setattr(simulator_module, "_RING_BLOCKS", 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rng = np.random.default_rng(config["seed"])
+            x, y = self._sim().generate_dataset(TASK, config["n"], rng)
+        finally:
+            sys.setswitchinterval(interval)
+        assert hashlib.sha256(x.tobytes()).hexdigest() == x_sha
+        assert hashlib.sha256(y.tobytes()).hexdigest() == y_sha
+        assert rng.random() == next_draw
+
+    def test_main_thread_error_propagates_and_joins(self, monkeypatch):
+        baselines = MassSpectrometerSimulator._baselines
+        calls = []
+
+        def failing_baselines(sim, phases, slopes):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("baseline failed")
+            return baselines(sim, phases, slopes)
+
+        monkeypatch.setattr(MassSpectrometerSimulator, "_baselines", failing_baselines)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="baseline failed"):
+            self._sim().generate_dataset(TASK, 10 * _BLOCK_ROWS, np.random.default_rng(0))
+        assert threading.active_count() == before
+
+    def test_producer_error_propagates_and_joins(self, monkeypatch):
+        shot_normals = simulator_module._shot_normals
+
+        def failing_shot_normals(rng, n, ring):
+            blocks = shot_normals(rng, n, ring)
+            yield next(blocks)
+            raise RuntimeError("shot draw failed")
+
+        monkeypatch.setattr(simulator_module, "_shot_normals", failing_shot_normals)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="shot draw failed"):
+            self._sim().generate_dataset(TASK, 10 * _BLOCK_ROWS, np.random.default_rng(0))
+        assert threading.active_count() == before

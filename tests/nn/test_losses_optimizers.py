@@ -116,6 +116,26 @@ class TestOptimizers:
         with pytest.raises(ValueError, match="clipnorm"):
             Adam(clipnorm=clipnorm)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("learning_rate", float("nan")),
+            ("learning_rate", float("inf")),
+            ("epsilon", float("nan")),
+            ("epsilon", float("inf")),
+            ("epsilon", 0.0),
+            ("epsilon", -1e-8),
+        ],
+    )
+    def test_rate_and_epsilon_must_be_positive_and_finite(self, field, value):
+        # Each of these trains an MLP to all-NaN weights without an error.
+        with pytest.raises(ValueError, match=field):
+            Adam(**{field: value})
+
+    def test_registry_refuses_a_zero_epsilon(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            get_optimizer({"name": "adam", "epsilon": 0.0})
+
     def test_registry_refuses_a_negative_clipnorm(self):
         with pytest.raises(ValueError, match="clipnorm"):
             get_optimizer({"name": "adam", "clipnorm": -1})
