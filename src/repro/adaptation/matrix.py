@@ -37,10 +37,13 @@ from repro.adaptation.strategies import (
 )
 from repro.compute.cache import (
     ArtifactCache,
+    canonical_key,
     derived_seed,
     get_or_compute,
     get_or_compute_row,
+    read_row,
 )
+from repro.ms.compounds import check_compounds
 from repro.nn.serialization import weights_from_arrays, weights_to_arrays
 
 __all__ = [
@@ -73,6 +76,7 @@ class MatrixSpec:
     def __post_init__(self):
         if not self.compounds:
             raise ValueError("compounds must be non-empty")
+        check_compounds(self.compounds)
         for label in ("n_train", "n_small", "n_eval", "epochs"):
             if getattr(self, label) < 1:
                 raise ValueError(f"{label} must be >= 1")
@@ -314,17 +318,23 @@ class DriftMatrix:
         """Execute (or resume) every cell; returns the surface.
 
         The base model is pre-warmed in-parent so concurrent cold cells
-        do not all train it; with a cache, completed cells are verified
-        reads and only missing cells cost compute.
+        do not all train it; cells run through
+        :func:`~repro.compute.executor.run_grid`.
         """
-        from repro.compute.executor import ParallelExecutor, TaskFailure
+        from repro.compute.executor import ParallelExecutor, run_grid
         from repro.observability.runtime import get_tracer
 
         executor = (
             self.executor if self.executor is not None else ParallelExecutor()
         )
+        payloads = self.payloads()
+        keys = [None] * len(payloads)
         if self.cache is not None:
             _train_model(self.spec, None, self.cache)
+            keys = [
+                canonical_key(cell_config(p["spec"], p["scenario"], p["strategy"]))
+                for p in payloads
+            ]
         with get_tracer().start_span(
             "adaptation.matrix",
             attributes={
@@ -333,15 +343,14 @@ class DriftMatrix:
                 "cached": self.cache is not None,
             },
         ) as span:
-            outcomes = executor.map_tasks(
-                run_cell, self.payloads(), label="drift_matrix"
+            grid = run_grid(
+                executor, run_cell, keys, lambda i: payloads[i],
+                lambda key: read_row(self.cache, key), label="drift_matrix",
             )
-            rows = [o for o in outcomes if not isinstance(o, TaskFailure)]
-            failures = [o for o in outcomes if isinstance(o, TaskFailure)]
-            span.set_attribute("failures", len(failures))
+            span.set_attribute("failures", grid.failed)
         return MatrixResult(
             scenarios=[scenario.name for scenario in self.scenarios],
             strategies=list(self.strategies),
-            rows=rows,
-            failures=failures,
+            rows=[row for row in grid.values if row is not None],
+            failures=grid.failures,
         )

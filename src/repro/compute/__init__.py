@@ -6,10 +6,11 @@ whole topology tables swept over them.  This package makes those two hot
 paths scale with the hardware:
 
 * :mod:`repro.compute.executor` — :class:`ParallelExecutor`, one
-  ``map_tasks()`` API running ``fn(payload)`` over ``serial``/``thread``/
-  ``process`` backends: results in payload order, seeds carried by the
-  payloads (byte-identical results on every backend), and typed
-  :class:`TaskFailure` containment — a sweep recovers by running again;
+  ``map_tasks()`` API over ``serial``/``thread``/``process`` backends
+  (results in payload order, byte-identical on every backend, typed
+  :class:`TaskFailure` containment), and :func:`run_grid`, the one
+  runner of every seeded fan-out: cache reads in the parent, only the
+  misses mapped, in waves;
 * :mod:`repro.compute.cache` — :class:`ArtifactCache`, artifacts keyed by
   a canonical SHA-256 of their generating config, stored as
   :mod:`repro.storage.integrity` envelopes with verify-on-read and corrupt
@@ -17,9 +18,8 @@ paths scale with the hardware:
 * :mod:`repro.compute.datasets` — the cache-aware wrapper deriving the
   canonical generating config of the MS bulk dataset generator;
 * :mod:`repro.compute.sharing` — publish-once / map-many dataset handoff
-  for the process backend: arrays published as content-addressed ``.npy``
-  files, carried through payloads as tiny :class:`SharedArrayRef` handles
-  and resolved into per-worker read-only memory maps.
+  for the process backend (content-addressed ``.npy`` files resolved into
+  per-worker read-only memory maps).
 
 Layering: ``compute`` sits beside ``reliability``/``storage``/
 ``observability`` (it imports all three) and below ``core``, which fans
@@ -35,8 +35,10 @@ from repro.compute.cache import (
 from repro.compute.datasets import generate_ms_dataset, ms_dataset_config
 from repro.compute.executor import (
     BACKENDS,
+    GridResult,
     ParallelExecutor,
     TaskFailure,
+    run_grid,
 )
 from repro.compute.sharing import (
     SharedArrayRef,
@@ -49,6 +51,7 @@ __all__ = [
     "ArtifactCache",
     "BACKENDS",
     "CACHE_FORMAT_VERSION",
+    "GridResult",
     "ParallelExecutor",
     "SharedArrayRef",
     "TaskFailure",
@@ -56,6 +59,7 @@ __all__ = [
     "canonical_key",
     "generate_ms_dataset",
     "ms_dataset_config",
+    "run_grid",
     "resolve_refs",
     "share_array",
     "share_arrays",

@@ -51,7 +51,7 @@ from repro.storage.integrity import (
 
 __all__ = [
     "CACHE_FORMAT_VERSION", "canonical_blob", "canonical_key", "derived_seed",
-    "ArtifactCache", "get_or_compute", "get_or_compute_row",
+    "ArtifactCache", "get_or_compute", "get_or_compute_row", "read_row",
 ]
 
 # Bump when the on-disk entry layout (not the envelope) changes; part of
@@ -325,18 +325,25 @@ def get_or_compute_row(
     if cache is None:
         return {**producer(), "cache_hit": False}
     key = canonical_key(config)
+    cached = read_row(cache, key)
+    if cached is not None:
+        return cached
+    row = producer()
+    if not isinstance(row, dict):
+        raise TypeError(
+            f"JSON cell producer must return a dict, "
+            f"got {type(row).__name__}"
+        )
+    row = _jsonable(row)
+    cache._write(key, {}, {"meta": {"config": _jsonable(config)}, "json": row})
+    return {**row, "cache_key": key, "cache_hit": False}
+
+
+def read_row(cache: ArtifactCache, key: str) -> Optional[dict]:
+    """The verified row under ``key`` tagged as a hit, or None: the one
+    read :func:`get_or_compute_row` and a grid's parent-side scan share."""
     row = cache.get_json(key)
-    hit = row is not None
-    if not hit:
-        row = producer()
-        if not isinstance(row, dict):
-            raise TypeError(
-                f"JSON cell producer must return a dict, "
-                f"got {type(row).__name__}"
-            )
-        row = _jsonable(row)
-        cache._write(key, {}, {"meta": {"config": _jsonable(config)}, "json": row})
-    return {**row, "cache_key": key, "cache_hit": hit}
+    return None if row is None else {**row, "cache_key": key, "cache_hit": True}
 
 
 def _jsonable(value: Mapping) -> dict:

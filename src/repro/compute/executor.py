@@ -1,52 +1,43 @@
 """Pluggable parallel execution engine for offline sweeps.
 
-The paper's offline workloads — bulk dataset generation and multi-topology
-training sweeps — are embarrassingly parallel, yet until now every candidate
-ran strictly serially.  :class:`ParallelExecutor` puts one ``map_tasks()``
-API in front of three interchangeable backends (``serial``, ``thread``,
-``process``) with four guarantees the sweeps depend on:
+The paper's offline workloads — bulk dataset generation and seeded grids
+of training runs — are embarrassingly parallel.  :class:`ParallelExecutor`
+puts one ``map_tasks()`` API in front of three interchangeable backends
+(``serial``, ``thread``, ``process``) with four guarantees:
 
 * **Determinism** — results come back in payload order, and the
   executor hands tasks no randomness of its own: every seed a task uses
-  is in its payload (sweeps derive them from their configs), so all
-  three backends produce byte-identical results.  Scheduling order can
-  never leak into the data.
-* **Containment** — a task that raises is converted into a typed
-  :class:`TaskFailure` in its result slot instead of killing the sweep;
-  a hard worker death (e.g. a SIGKILL'd process breaking the pool) fails
-  the affected tasks the same way and the broken pool is rebuilt on the
-  next call.  Nothing is re-attempted in the parent: a sweep recovers by
-  running again, which re-runs only its missing or failed tasks (a
-  cache-resumed training sweep, campaign, matrix or ensemble).
+  is in its payload, so all three backends produce byte-identical
+  results.  Scheduling order can never leak into the data.
+* **Containment** — a task that raises an ``Exception`` is converted
+  into a typed :class:`TaskFailure` in its result slot instead of
+  killing the sweep; a hard worker death (e.g. a SIGKILL'd process
+  breaking the pool) fails the affected tasks the same way and the
+  broken pool is rebuilt on the next call.  ``KeyboardInterrupt`` and
+  ``SystemExit`` are not contained.  Nothing is re-attempted: a sweep
+  recovers by running again.
 * **Warm reuse** — the worker pool is built once per executor lifetime
-  and reused across ``map_tasks`` calls, so a campaign of many waves pays
-  process spawn-up exactly once (:attr:`pool_starts` counts rebuilds; the
-  regression contract is that a second call on the same executor records
-  zero pool-startup time).  ``close()`` — or the context-manager exit —
-  releases the pool and any scattered arrays.  Tasks are dispatched in
-  chunks (several tasks per pool submission) to amortize per-future
-  overhead; chunking never changes a payload, so it is invisible in the
-  results.
+  and reused across ``map_tasks`` calls (:attr:`pool_starts` counts
+  builds); ``close()`` — or the context-manager exit — releases it and
+  any scattered arrays.  Tasks are dispatched in chunks to amortize
+  per-future overhead; chunking never changes a payload.
 * **Observability** — each ``map_tasks`` call opens a ``compute.map`` span,
   feeds per-task timing histograms and outcome counters, and records a
   per-phase breakdown (pool startup / dispatch / task compute / result
-  wait) in :attr:`last_map_stats`, so a scaling regression is diagnosable
-  instead of a single opaque ratio.
+  wait) in :attr:`last_map_stats`.
 
-Large inputs shared by every task should be published once with
-:meth:`ParallelExecutor.scatter` instead of being embedded per payload:
-on the ``process`` backend the arrays are written to the executor's
-scratch directory and replaced by tiny :class:`~repro.compute.sharing.SharedArrayRef`
-handles that workers resolve into read-only memory maps (mapped once per
-worker, not once per task); on ``serial``/``thread`` the same call is a
-pass-through, so calling code stays backend-agnostic.
+:func:`run_grid` is the one runner every seeded fan-out goes through (a
+training sweep, a campaign, the drift matrix, an ensemble).  Its rule:
+the parent does each task's verified cache read, only the misses reach
+``map_tasks``, in waves of ``max_workers``, and the caller commits each
+wave's results in task order before the next wave goes out.  So a fully
+cached grid starts no pool, and re-running an interrupted grid is its
+resume.
 
-Worker functions must have the signature ``fn(payload)`` and — for the
-``process`` backend — be importable module-level callables with
-picklable payloads and results.  An optional ``chaos`` hook (typically a
-:class:`~repro.reliability.faults.FaultInjector` wrapping a no-op source)
-is invoked with the task index before each task runs, which is how the
-chaos suite kills workers mid-sweep deterministically.
+Worker functions have the signature ``fn(payload)`` and — for
+``process`` — are importable module-level callables with picklable
+payloads and results.  An optional ``chaos`` hook is invoked with the
+task's index in its ``map_tasks`` call before the task runs.
 """
 
 from __future__ import annotations
@@ -56,7 +47,7 @@ import os
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -64,7 +55,9 @@ import numpy as np
 from repro.compute.sharing import resolve_refs, share_arrays
 from repro.observability.runtime import get_registry, get_tracer
 
-__all__ = ["BACKENDS", "TaskFailure", "ParallelExecutor"]
+__all__ = [
+    "BACKENDS", "TaskFailure", "ParallelExecutor", "GridResult", "run_grid",
+]
 
 BACKENDS = ("serial", "thread", "process")
 
@@ -102,22 +95,13 @@ def _execute_task(fn, payload, index, chaos):
         result = fn(resolve_refs(payload))
         return True, result, None, None, time.perf_counter() - start
     except Exception as error:  # noqa: BLE001 — containment is the contract
-        return (
-            False,
-            None,
-            type(error).__name__,
-            str(error),
-            time.perf_counter() - start,
-        )
+        elapsed = time.perf_counter() - start
+        return False, None, type(error).__name__, str(error), elapsed
 
 
 def _execute_chunk(fn, items, chaos):
-    """Run one chunk of tasks back-to-back in a single worker dispatch.
-
-    ``items`` is ``[(index, payload), ...]``; one outcome tuple comes
-    back per item, index-tagged so the parent can reassemble the wave in
-    payload order regardless of chunking.
-    """
+    """Run ``[(index, payload), ...]`` back-to-back in one dispatch;
+    outcomes come back index-tagged, so chunking never reorders them."""
     return [
         (index, _execute_task(fn, payload, index, chaos))
         for index, payload in items
@@ -127,12 +111,9 @@ def _execute_chunk(fn, items, chaos):
 def _warm_worker(delay_s: float) -> int:
     """No-op task that brings the pool up at creation time.
 
-    A ``fork`` pool starts every worker at its first submission, so one
-    round trip with no delay suffices.  Under ``spawn`` or ``forkserver``
-    the pool starts workers on demand; there the tiny sleep keeps early
-    workers busy long enough that the full complement comes up.  Either
-    way startup cost is paid (and measured) once, at startup, instead of
-    leaking into the first wave's dispatch.
+    A ``fork`` pool starts every worker at its first submission; under
+    ``spawn``/``forkserver`` the tiny sleep keeps early workers busy until
+    the full complement is up.  Startup is paid (and measured) once.
     """
     time.sleep(delay_s)
     return os.getpid()
@@ -252,13 +233,11 @@ class ParallelExecutor:
     def scatter(self, arrays: Mapping[str, np.ndarray]) -> Dict[str, object]:
         """Publish large arrays once for every task of a sweep.
 
-        On the ``process`` backend each array is written to the
-        executor's scratch directory and replaced by a picklable
-        :class:`~repro.compute.sharing.SharedArrayRef`; task payloads
-        carry the handle and workers resolve it into a read-only memory
-        map (once per worker, cached).  On ``serial``/``thread`` the
-        arrays are returned as-is — same calling code, no copies, no
-        disk round-trip.  Scattered files live until :meth:`close`.
+        On ``process`` each array is written to the executor's scratch
+        directory (until :meth:`close`) and replaced by a picklable
+        :class:`~repro.compute.sharing.SharedArrayRef` that workers
+        resolve into a read-only memory map; on ``serial``/``thread`` the
+        arrays pass through as-is.
         """
         if self.backend != "process":
             return {name: np.asarray(value) for name, value in arrays.items()}
@@ -334,10 +313,8 @@ class ParallelExecutor:
     def _run_wave(self, fn, payloads):
         """One parallel pass over all payloads.
 
-        Returns ``(outcomes, phases)`` where ``outcomes[i]`` is task
-        ``i``'s outcome tuple and ``phases`` carries the per-phase wall
-        times (``task_compute_s`` is accumulated by the caller from the
-        per-task durations).
+        Returns ``(outcomes, phases)``: task ``i``'s outcome tuple and
+        the per-phase wall times (the caller adds ``task_compute_s``).
         """
         phases = {phase: 0.0 for phase in _PHASES}
         if self.backend == "serial" or len(payloads) <= 1:
@@ -360,7 +337,7 @@ class ParallelExecutor:
             try:
                 for index, outcome in future.result():
                     outcomes[index] = outcome
-            except BaseException as error:  # noqa: BLE001
+            except Exception as error:  # noqa: BLE001
                 # A hard worker death (broken pool, unpicklable result)
                 # must cost its chunk's tasks, not the sweep: report each
                 # like an in-task failure.
@@ -381,3 +358,55 @@ class ParallelExecutor:
             f"max_workers={self.max_workers} "
             f"pool={'warm' if self._pool is not None else 'cold'}>"
         )
+
+
+@dataclass
+class GridResult:
+    """``values[i]``: task ``i``'s cached or computed value, else None;
+    each failure's ``index`` is its task's grid position."""
+
+    values: List[object]
+    failures: List[TaskFailure]
+    cached: int
+    computed: int
+    failed: int
+    paused: bool
+
+
+def run_grid(
+    executor: ParallelExecutor,
+    fn: Callable,
+    keys: Sequence[Optional[str]],
+    payload: Callable[[int], object],
+    read: Callable[[str], object],
+    label: str,
+    max_new: Optional[int] = None,
+    on_result: Optional[Callable[[int, object], None]] = None,
+) -> GridResult:
+    """Map ``fn`` over the tasks whose cache read misses, in waves.
+
+    In the parent: ``read(keys[i])`` for every task (a ``None`` key or
+    a ``None`` read is a miss); ``payload(i)`` just before task ``i``'s
+    wave goes out; ``on_result(i, value_or_failure)`` after each wave, in
+    task order.  Scheduling stops after ``max_new`` misses (``paused``).
+    """
+    values = [None if key is None else read(key) for key in keys]
+    misses = [i for i, value in enumerate(values) if value is None]
+    scheduled = misses if max_new is None else misses[:max_new]
+    failures: List[TaskFailure] = []
+    for start in range(0, len(scheduled), executor.max_workers):
+        wave = scheduled[start:start + executor.max_workers]
+        outcomes = executor.map_tasks(fn, [payload(i) for i in wave], label)
+        for i, outcome in zip(wave, outcomes):
+            if isinstance(outcome, TaskFailure):
+                outcome = replace(outcome, index=i)
+                failures.append(outcome)
+            else:
+                values[i] = outcome
+            if on_result is not None:
+                on_result(i, outcome)
+    return GridResult(
+        values, failures, cached=len(keys) - len(misses),
+        computed=len(scheduled) - len(failures), failed=len(failures),
+        paused=len(scheduled) < len(misses),
+    )

@@ -8,32 +8,26 @@ trained networks ..., the selection of the best-performing networks, based
 on selectable quality criteria and the export of analysis data to
 spreadsheet applications."
 
-Every topology trains as one :func:`_train_topology` task on the service's
-:class:`~repro.compute.executor.ParallelExecutor` — one serial worker
-unless another executor is given: build, attach early stopping and the
-divergence sentinel, fit, score.  Tasks run in waves of
-``executor.max_workers``.  One reuse decision runs before the waves and
-one finish step after each task (rollback provenance, cache entry,
-``network`` record), so serial/thread/process sweeps produce
-byte-identical models, optimizer state, metrics and
-:meth:`TrainingService.select_best` outcomes.  A task that dies (worker
-crash, injected fault, an exception in training) becomes a typed
-:class:`FailedRun` in :attr:`TrainingService.failures` — recorded in
-provenance and metrics, never fatal to the sweep.
+Every topology trains as one :func:`_train_topology` task — build, attach
+early stopping and the divergence sentinel, fit, score — through
+:func:`~repro.compute.executor.run_grid` on the service's executor (one
+serial worker unless another is given).  The parent reuses each topology
+whose cache entry verifies and finishes each trained one after its wave
+(rollback provenance, cache entry, ``network`` record), so
+serial/thread/process sweeps produce byte-identical models, optimizer
+state, metrics and :meth:`TrainingService.select_best` outcomes.  A task
+that dies becomes a typed :class:`FailedRun` in
+:attr:`TrainingService.failures` — recorded in provenance and metrics,
+never fatal to the sweep.
 
 Because the process runs without user interaction, it must also survive
-without one.  Given an :class:`~repro.compute.cache.ArtifactCache` — the
-store campaign cells, drift-matrix models and ensemble members resume
-from — each wave's finished topologies are written before the next wave
-starts, keyed by content: the topology's name and layers, the
+without one.  Given an :class:`~repro.compute.cache.ArtifactCache`,
+entries are keyed by content — the topology's name and layers, the
 :class:`TrainingConfig` and a digest of the training (and evaluation)
-data.  Every later sweep reuses each topology whose entry reads back
-verified and trains the rest, so re-running a killed sweep is the resume
-and ends with exactly the metrics and weights of an uninterrupted one.
-Other data or another config is another key: a finished result is only
+data — so re-running a killed sweep is the resume and ends with exactly
+the metrics and weights of an uninterrupted one, and a result is only
 ever reused for the inputs that produced it.  A corrupt entry is
 quarantined by the cache and its topology retrains to the same bytes.
-
 Every resume, rollback and failure is recorded in the
 :class:`ProvenanceTracker`.
 """
@@ -48,7 +42,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.compute.cache import ArtifactCache, canonical_key
-from repro.compute.executor import ParallelExecutor, TaskFailure
+from repro.compute.executor import ParallelExecutor, TaskFailure, run_grid
 from repro.core.datasets import SpectraDataset
 from repro.core.topologies import TopologySpec
 from repro.db.provenance import ProvenanceTracker
@@ -187,11 +181,7 @@ class TrainingService:
     """Trains a list of topologies on one dataset, records, ranks, exports.
 
     Topologies train as tasks on ``executor`` (default: one serial
-    worker), in waves of its ``max_workers``; failed tasks land in
-    :attr:`failures` instead of aborting the sweep.
-
-    With ``cache`` set, every finished topology is stored as its wave
-    completes and every sweep reuses the topologies it finds there, so
+    worker); failed tasks land in :attr:`failures`.  With ``cache`` set,
     running a killed sweep again resumes it.
     """
 
@@ -241,22 +231,59 @@ class TrainingService:
         if evaluation_data is not None:
             data["eval_x"] = evaluation_data.x
             data["eval_y"] = evaluation_data.y
-        keys: Dict[str, str] = {}
+        keys: List[Optional[str]] = [None] * len(topologies)
         if self.cache is not None:
             inputs = {
                 "kind": "training_run",
                 "config": config,
                 "data": _data_digest(data),
             }
-            keys = {
-                t.name: canonical_key(
+            keys = [
+                canonical_key(
                     {**inputs, "topology": {"name": t.name, "layers": t.layers}}
                 )
                 for t in topologies
-            }
-        topologies_counter = _counter(
+            ]
+        by_key = dict(zip(keys, topologies))
+        counter = _counter(
             "training_topologies_total", "topology runs by disposition"
         )
+        shared: Dict[str, object] = {}
+
+        def reuse(key: str) -> Optional[TrainingRun]:
+            run = self._reuse(
+                by_key[key], key, dataset.input_shape, dataset_artifact,
+                progress,
+            )
+            if run is not None:
+                counter.inc(disposition="reloaded")
+                self.runs.append(run)
+            return run
+
+        def payload(index: int) -> dict:
+            if not shared:
+                # Publish the dataset once per sweep, at its first miss:
+                # on the process backend payloads carry tiny
+                # SharedArrayRef handles that workers resolve into
+                # read-only memory maps; on serial/thread it passes through.
+                shared.update(eval_x=None, eval_y=None)
+                shared.update(executor.scatter(
+                    {**data, "train_rows": train_rows, "val_rows": val_rows}
+                ))
+            if progress is not None:
+                progress(f"training {topologies[index].name}")
+            return {"topology": topologies[index], "config": config, **shared}
+
+        def on_result(index: int, result) -> None:
+            if isinstance(result, TaskFailure):
+                counter.inc(disposition="failed")
+                self._fail(topologies[index], result, dataset_artifact, progress)
+            else:
+                self._finish(
+                    topologies[index], result, dataset.input_shape,
+                    keys[index], dataset_artifact,
+                )
+                counter.inc(disposition="trained")
 
         with get_tracer().start_span(
             "train.sweep",
@@ -266,57 +293,11 @@ class TrainingService:
                 "backend": executor.backend,
             },
         ) as sweep_span:
-            queued: List[TopologySpec] = []
-            for topology in topologies:
-                run = self._reuse(
-                    topology, keys.get(topology.name), dataset.input_shape,
-                    dataset_artifact, progress,
-                )
-                if run is None:
-                    queued.append(topology)
-                    continue
-                topologies_counter.inc(disposition="reloaded")
-                self.runs.append(run)
-            if not queued:
-                return self.runs
-            # Publish the dataset once per sweep instead of once per payload:
-            # on the process backend every payload carries tiny
-            # SharedArrayRef handles that workers resolve into read-only
-            # memory maps; on serial/thread this is a pass-through.
-            shared = {
-                "eval_x": None,
-                "eval_y": None,
-                **executor.scatter(
-                    {**data, "train_rows": train_rows, "val_rows": val_rows}
-                ),
-            }
-            n_failed = 0
-            wave_size = executor.max_workers
-            for start in range(0, len(queued), wave_size):
-                wave = queued[start:start + wave_size]
-                if progress is not None:
-                    for topology in wave:
-                        progress(f"training {topology.name}")
-                results = executor.map_tasks(
-                    _train_topology,
-                    [
-                        {"topology": topology, "config": config, **shared}
-                        for topology in wave
-                    ],
-                    label=f"train.{sweep_name}",
-                )
-                for topology, result in zip(wave, results):
-                    if isinstance(result, TaskFailure):
-                        n_failed += 1
-                        topologies_counter.inc(disposition="failed")
-                        self._fail(topology, result, dataset_artifact, progress)
-                    else:
-                        self._finish(
-                            topology, result, dataset.input_shape,
-                            keys.get(topology.name), dataset_artifact,
-                        )
-                        topologies_counter.inc(disposition="trained")
-            sweep_span.set_attribute("failed", n_failed)
+            grid = run_grid(
+                executor, _train_topology, keys, payload, reuse,
+                label=f"train.{sweep_name}", on_result=on_result,
+            )
+            sweep_span.set_attribute("failed", grid.failed)
         return self.runs
 
     # -- one topology ------------------------------------------------------
@@ -324,7 +305,7 @@ class TrainingService:
     def _reuse(
         self,
         topology: TopologySpec,
-        key: Optional[str],
+        key: str,
         input_shape,
         dataset_artifact: Optional[int],
         progress: Optional[Callable[[str], None]],
@@ -332,8 +313,6 @@ class TrainingService:
         """The run an earlier sweep finished on these inputs, or None to
         train it.  An entry that fails verification is quarantined by the
         cache and trains from scratch."""
-        if key is None:
-            return None
         corrupt = self.cache.corrupt
         entry = self.cache.get(key)
         if self.cache.corrupt > corrupt:
@@ -358,8 +337,9 @@ class TrainingService:
             model=model,
             metrics=metrics,
             epochs_run=int(meta["epochs_run"]),
-            artifact_id=self._record_network(
-                topology.name, metrics, dataset_artifact
+            artifact_id=self._record_event(
+                "network", {"topology": topology.name, **metrics},
+                dataset_artifact,
             ),
             resumed=True,
         )
@@ -403,8 +383,9 @@ class TrainingService:
                 model=model,
                 metrics=metrics,
                 epochs_run=epochs_run,
-                artifact_id=self._record_network(
-                    topology.name, metrics, dataset_artifact
+                artifact_id=self._record_event(
+                    "network", {"topology": topology.name, **metrics},
+                    dataset_artifact,
                 ),
                 rollbacks=len(result["rollback_events"]),
             )
@@ -442,24 +423,13 @@ class TrainingService:
 
     # -- provenance --------------------------------------------------------
 
-    def _record_network(
-        self, topology_name: str, metrics: Dict[str, float],
-        dataset_artifact: Optional[int],
+    def _record_event(
+        self, kind: str, metadata: dict, dataset_artifact: Optional[int]
     ) -> Optional[int]:
         if self.provenance is None:
             return None
         parents = [dataset_artifact] if dataset_artifact is not None else []
-        return self.provenance.record(
-            "network", {"topology": topology_name, **metrics}, parents=parents
-        )
-
-    def _record_event(
-        self, kind: str, metadata: dict, dataset_artifact: Optional[int]
-    ) -> None:
-        if self.provenance is None:
-            return
-        parents = [dataset_artifact] if dataset_artifact is not None else []
-        self.provenance.record(kind, metadata, parents=parents)
+        return self.provenance.record(kind, metadata, parents=parents)
 
     # -- selection & export ------------------------------------------------
 

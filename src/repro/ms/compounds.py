@@ -19,7 +19,8 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Compound", "CompoundLibrary", "default_library", "DEFAULT_TASK_COMPOUNDS"]
+__all__ = ["Compound", "CompoundLibrary", "default_library", "check_compounds",
+           "DEFAULT_TASK_COMPOUNDS"]
 
 
 @dataclass(frozen=True)
@@ -124,6 +125,14 @@ _DEFAULT_COMPOUNDS = [
 def default_library() -> CompoundLibrary:
     """The built-in gas library (18 compounds)."""
     return CompoundLibrary(_DEFAULT_COMPOUNDS)
+
+
+def check_compounds(names: Sequence[str]) -> None:
+    """Raise ``ValueError`` on the first name the default library lacks."""
+    library = default_library()
+    for name in names:
+        if name not in library:
+            raise ValueError(f"unknown compound {name!r}; known: {sorted(library.names)}")
 
 
 # The paper's measurement task mixes a fixed, pre-defined set of substances

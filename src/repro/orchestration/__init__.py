@@ -13,10 +13,9 @@ turns that grid into a single supervised unit of experimentation:
   Fig-5/Fig-6 surfaces from rows in canonical grid order.
 * :mod:`repro.orchestration.orchestrator` — :class:`SweepOrchestrator`
   plans cells against the :class:`~repro.compute.cache.ArtifactCache`,
-  pre-warms the shared dataset artifacts as one task each over a
-  warm-pooled :class:`~repro.compute.executor.ParallelExecutor`, fans
-  pending cells out over the same pool in waves of ``max_workers``,
-  journals per-cell progress through the
+  pre-warms the shared dataset artifacts, runs the grid through
+  :func:`~repro.compute.executor.run_grid`, journals per-cell progress
+  through the
   :class:`~repro.storage.journal.Journal` WAL, and resumes a killed or
   partly failed campaign to a byte-identical report — re-running is the
   only retry.

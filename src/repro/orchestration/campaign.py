@@ -85,10 +85,12 @@ class CampaignSpec:
     seed: int = 0
 
     def __post_init__(self):
+        from repro.ms.compounds import check_compounds
         from repro.nn.activations import get_activation
 
         if not self.compounds:
             raise ValueError("compounds must be non-empty")
+        check_compounds(self.compounds)
         for label in ("activations", "sample_sizes", "topologies"):
             values = getattr(self, label)
             if not values:

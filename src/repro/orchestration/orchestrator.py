@@ -3,38 +3,28 @@
 :class:`SweepOrchestrator` turns a :class:`~repro.orchestration.campaign.CampaignSpec`
 into a supervised run:
 
-* **plan** — enumerate the grid in canonical order and probe the
-  :class:`~repro.compute.cache.ArtifactCache` for each cell's canonical
-  key, so the operator sees exactly what a run will cost before paying.
-  A cell counts as cached only when its entry passes a verified read; a
-  corrupt entry is quarantined and the cell is pending again;
+* **plan** — the grid in canonical order with each cell's canonical key
+  and whether its entry passes a verified read (a corrupt entry is
+  quarantined and its cell is pending again), so the operator sees what
+  a run will cost before paying;
 * **prewarm** — publish the shared dataset artifacts (one per
-  sample-size column plus the shared evaluation set, not one per
-  worker) before any cell runs: one task per artifact, largest first,
-  fanned out over the executor's pool, or generated in the parent when
-  the executor is serial.  ``run()`` does not prewarm; a cell whose
-  datasets are not cached generates them itself;
-* **run** — fan pending cells out over a
-  :class:`~repro.compute.executor.ParallelExecutor` in waves of
-  ``executor.max_workers``, and append a journal record as each cell
-  commits.  A failed cell is journaled and left pending: running again
-  with ``resume=True`` is the retry;
-* **resume** — an interrupted campaign leaves a ``campaign_started``
-  journal record without its ``campaign_completed``; reopening with
-  ``resume=True`` replays the journal, re-plans against the cache (the
-  cache, not the journal, is the source of truth for completed work —
-  a cell that committed its row before the kill replays as a verified
-  cache hit even if its journal append was torn), and runs only what is
-  missing.  Reopening *without* ``resume=True`` raises
-  :class:`CampaignInProgressError` so two operators cannot silently
-  interleave runs.
+  sample-size column plus the evaluation set) before any cell runs, one
+  executor task each, largest first.  ``run()`` does not prewarm; a cell
+  whose datasets are not cached generates them itself;
+* **run** — the grid through :func:`~repro.compute.executor.run_grid`,
+  with a journal record as each cell commits.  A failed cell is
+  journaled and left pending: running again is the retry;
+* **resume** — reopening an interrupted campaign (a ``campaign_started``
+  record without its ``campaign_completed``) needs ``resume=True``, so
+  two operators cannot silently interleave runs.  The cache, not the
+  journal, is the source of truth for completed work: a cell whose
+  journal append was torn still replays as a verified hit.
 
-The final :class:`~repro.orchestration.campaign.CampaignReport` is built
-from the verified cached rows plus the rows this run computed (each
-exactly as it reads back from the cache), in canonical grid order, so a
-killed-and-resumed campaign serializes byte-identically to an
-uninterrupted one — the acceptance contract the resume tests pin.  The
-report never trains: a cell without a verified row is pending.
+The :class:`~repro.orchestration.campaign.CampaignReport` is built from
+the verified cached rows plus the rows this run computed, in canonical
+grid order, so a killed-and-resumed campaign serializes byte-identically
+to an uninterrupted one.  The report never trains: a cell without a
+verified row is pending.
 """
 
 from __future__ import annotations
@@ -44,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from repro.compute.cache import ArtifactCache, canonical_key
-from repro.compute.executor import ParallelExecutor, TaskFailure
+from repro.compute.executor import ParallelExecutor, TaskFailure, run_grid
 from repro.observability.runtime import get_registry, get_tracer
 from repro.orchestration.campaign import (
     CampaignCell,
@@ -132,22 +122,24 @@ class SweepOrchestrator:
             for cell, key, row in self._scan()
         ]
 
-    def _scan(self) -> List[Tuple[CampaignCell, str, Optional[dict]]]:
-        """``(cell, canonical key, verified cached row or None)`` per cell.
+    def _keys(self) -> List[str]:
+        return [
+            canonical_key(cell_config(self.spec, cell)) for cell in self.cells()
+        ]
 
-        A cell is cached only if its entry reads back verified; a corrupt
-        entry is quarantined by that read, so the cell is pending and the
-        next run computes and journals it.  Cells with no entry are not
-        read.
-        """
-        scanned = []
-        for cell in self.cells():
-            key = canonical_key(cell_config(self.spec, cell))
-            exists = self.cache.path_for(key).exists()
-            scanned.append(
-                (cell, key, self.cache.get_json(key) if exists else None)
-            )
-        return scanned
+    def _read_row(self, key: str) -> Optional[dict]:
+        """The verified cached row under ``key``, or None (a corrupt entry
+        is quarantined by the read; a key with no entry is not read)."""
+        if not self.cache.path_for(key).exists():
+            return None
+        return self.cache.get_json(key)
+
+    def _scan(self) -> List[Tuple[CampaignCell, str, Optional[dict]]]:
+        """``(cell, canonical key, verified cached row or None)`` per cell."""
+        return [
+            (cell, key, self._read_row(key))
+            for cell, key in zip(self.cells(), self._keys())
+        ]
 
     # -- journal -------------------------------------------------------------
 
@@ -182,12 +174,12 @@ class SweepOrchestrator:
 
     # -- execution -----------------------------------------------------------
 
-    def _payload(self, cell: CampaignCell) -> dict:
-        return {
-            "spec": self.spec,
-            "cell": cell,
-            "cache_root": str(self.cache.root),
-        }
+    def _record(self, journal: Optional[Journal], event: str, **fields) -> None:
+        if journal is not None:
+            journal.append(
+                {"event": event, "campaign_key": self.spec.campaign_key(),
+                 **fields}
+            )
 
     def run(
         self,
@@ -214,20 +206,14 @@ class SweepOrchestrator:
                         f"campaign; pass resume=True (CLI: --resume) to "
                         f"continue it"
                     )
-                event = (
-                    "campaign_resumed" if state == "in_progress"
-                    else "campaign_started"
-                )
-                journal.append(
-                    {
-                        "event": event,
-                        "campaign_key": self.spec.campaign_key(),
-                        "cells": len(self.cells()),
-                    }
+                resumed = state == "in_progress"
+                self._record(
+                    journal,
+                    "campaign_resumed" if resumed else "campaign_started",
+                    cells=len(self.cells()),
                 )
                 self._m_runs.inc(
-                    disposition="resumed" if event == "campaign_resumed"
-                    else "started"
+                    disposition="resumed" if resumed else "started"
                 )
             else:
                 self._m_runs.inc(disposition="unjournaled")
@@ -239,94 +225,66 @@ class SweepOrchestrator:
     def _run_cells(
         self, journal: Optional[Journal], max_cells: Optional[int]
     ) -> CampaignRunResult:
-        scanned = self._scan()
-        report_rows = [row for _cell, _key, row in scanned if row is not None]
-        pending = [
-            (index, cell)
-            for index, (cell, _key, row) in enumerate(scanned)
-            if row is None
-        ]
+        cells = self.cells()
         executor = self.executor if self.executor is not None else ParallelExecutor()
-        result = CampaignRunResult(
-            report=None, cached=len(scanned) - len(pending)
-        )
-        for _ in range(result.cached):
-            self._m_cells.inc(outcome="cached")
-        budget = max_cells if max_cells is not None else len(pending)
+        result = CampaignRunResult(report=None)
+
+        def on_result(index: int, row) -> None:
+            cell = cells[index]
+            if isinstance(row, TaskFailure):
+                self._m_cells.inc(outcome="failed")
+                failure = {
+                    "cell_id": cell.cell_id,
+                    "error_type": row.error_type,
+                    "message": row.message,
+                }
+                result.failures.append(failure)
+                self._record(journal, "cell_failed", **failure)
+                return
+            self._m_cells.inc(outcome="computed")
+            self._record(
+                journal, "cell_completed", cell_id=cell.cell_id,
+                cell_index=index, cache_key=row.get("cache_key"),
+            )
+            if self.on_cell is not None:
+                self.on_cell(index, cell, row)
+
         with get_tracer().start_span(
             "orchestration.campaign",
-            attributes={
-                "cells": len(scanned),
-                "cached": result.cached,
-                "pending": len(pending),
-                "backend": executor.backend,
-            },
+            attributes={"cells": len(cells), "backend": executor.backend},
         ) as span:
-            scheduled = pending[:budget]
-            wave_size = executor.max_workers
-            for start in range(0, len(scheduled), wave_size):
-                wave = scheduled[start:start + wave_size]
-                rows = executor.map_tasks(
-                    run_campaign_cell,
-                    [self._payload(cell) for _index, cell in wave],
-                    label="campaign",
-                )
-                for (index, cell), row in zip(wave, rows):
-                    if isinstance(row, TaskFailure):
-                        result.failed += 1
-                        self._m_cells.inc(outcome="failed")
-                        failure = {
-                            "cell_id": cell.cell_id,
-                            "error_type": row.error_type,
-                            "message": row.message,
-                        }
-                        result.failures.append(failure)
-                        if journal is not None:
-                            journal.append(
-                                {
-                                    "event": "cell_failed",
-                                    "campaign_key": self.spec.campaign_key(),
-                                    **failure,
-                                }
-                            )
-                        continue
-                    result.computed += 1
-                    report_rows.append(row)
-                    self._m_cells.inc(outcome="computed")
-                    if journal is not None:
-                        journal.append(
-                            {
-                                "event": "cell_completed",
-                                "campaign_key": self.spec.campaign_key(),
-                                "cell_id": cell.cell_id,
-                                "cell_index": index,
-                                "cache_key": row.get("cache_key"),
-                            }
-                        )
-                    if self.on_cell is not None:
-                        self.on_cell(index, cell, row)
-            result.paused = (
-                result.computed + result.failed < len(pending)
+            grid = run_grid(
+                executor,
+                run_campaign_cell,
+                self._keys(),
+                lambda index: {
+                    "spec": self.spec,
+                    "cell": cells[index],
+                    "cache_root": str(self.cache.root),
+                },
+                self._read_row,
+                label="campaign",
+                max_new=max_cells,
+                on_result=on_result,
             )
-            span.set_attribute("computed", result.computed)
-            span.set_attribute("failed", result.failed)
-            span.set_attribute("paused", result.paused)
+            result.cached, result.computed = grid.cached, grid.computed
+            result.failed, result.paused = grid.failed, grid.paused
+            for _ in range(grid.cached):
+                self._m_cells.inc(outcome="cached")
+            for name in ("cached", "computed", "failed", "paused"):
+                span.set_attribute(name, getattr(result, name))
             if result.paused:
                 self._m_runs.inc(disposition="paused")
                 return result
             result.report = CampaignReport.from_rows(
-                self.spec, report_rows, result.failures
+                self.spec,
+                [row for row in grid.values if row is not None],
+                result.failures,
             )
             if journal is not None and result.failed == 0:
-                journal.append(
-                    {
-                        "event": "campaign_completed",
-                        "campaign_key": self.spec.campaign_key(),
-                        "cells": len(scanned),
-                        "report_digest": canonical_key(
-                            result.report.to_payload()
-                        ),
-                    }
+                self._record(
+                    journal, "campaign_completed", cells=len(cells),
+                    report_digest=canonical_key(result.report.to_payload()),
                 )
                 self._m_runs.inc(disposition="completed")
         return result

@@ -27,7 +27,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.compute.cache import ArtifactCache, derived_seed, get_or_compute
+from repro.compute.cache import (
+    ArtifactCache, canonical_key, derived_seed, get_or_compute,
+)
 from repro.nn.serialization import weights_from_arrays, weights_to_arrays
 
 __all__ = [
@@ -179,6 +181,12 @@ def _train_member_weights(spec: EnsembleSpec, member: int) -> List[np.ndarray]:
     return model.get_weights()
 
 
+def _member_weights(arrays) -> List[np.ndarray]:
+    return [
+        np.asarray(w, dtype=np.float64) for w in weights_from_arrays(arrays)
+    ]
+
+
 def train_member(payload: dict) -> dict:
     """Train (or reload) one ensemble member; module-level for pickling.
 
@@ -197,9 +205,7 @@ def train_member(payload: dict) -> dict:
     )
     return {
         "member": member,
-        "weights": [
-            np.asarray(w, dtype=np.float64) for w in weights_from_arrays(arrays)
-        ],
+        "weights": _member_weights(arrays),
         "cache_hit": hit,
     }
 
@@ -211,32 +217,35 @@ def train_ensemble(
 ) -> EnsemblePredictor:
     """Train every member of ``spec`` and assemble the predictor.
 
-    Members fan out through ``executor`` (serial if ``None``) and each
-    caches its weights under its own content-addressed key, so an
-    interrupted campaign resumes and a repeated one is all verified
-    reads.  Any member that fails every permitted attempt aborts the
-    campaign — a silently smaller ensemble would change the spread.
+    Members run through :func:`~repro.compute.executor.run_grid` on
+    ``executor`` (serial if ``None``), each cached under its own
+    content-addressed key, so an interrupted campaign resumes.  Any
+    member that fails aborts the campaign — a silently smaller ensemble
+    would change the spread.
     """
-    from repro.compute.executor import ParallelExecutor, TaskFailure
+    from repro.compute.executor import ParallelExecutor, run_grid
 
     executor = executor if executor is not None else ParallelExecutor()
     cache_root = str(cache.root) if cache is not None else None
-    payloads = [
-        {"spec": spec, "member": i, "cache_root": cache_root}
-        for i in range(spec.n_members)
-    ]
-    outcomes = executor.map_tasks(
-        train_member, payloads, label="uncertainty_ensemble"
+    configs = [member_config(spec, i) for i in range(spec.n_members)]
+
+    def read(key: str) -> Optional[dict]:
+        entry = cache.get(key)
+        return None if entry is None else {"weights": _member_weights(entry[0])}
+
+    grid = run_grid(
+        executor, train_member,
+        [canonical_key(c) if cache is not None else None for c in configs],
+        lambda i: {"spec": spec, "member": i, "cache_root": cache_root},
+        read, label="uncertainty_ensemble",
     )
-    failures = [o for o in outcomes if isinstance(o, TaskFailure)]
-    if failures:
+    if grid.failures:
         raise RuntimeError(
-            f"{len(failures)}/{spec.n_members} ensemble members failed: "
-            + "; ".join(f"{f.error_type}: {f.message}" for f in failures)
+            f"{len(grid.failures)}/{spec.n_members} ensemble members failed: "
+            + "; ".join(f"{f.error_type}: {f.message}" for f in grid.failures)
         )
     members = []
-    for outcome in outcomes:
-        config = member_config(spec, outcome["member"])
+    for config, outcome in zip(configs, grid.values):
         model = _build_member(spec, derived_seed("member", config))
         model.set_weights(outcome["weights"])
         members.append(model)

@@ -63,6 +63,11 @@ class TestSpec:
             MatrixSpec(**{"compounds": ("H2",), **overrides})
 
 
+def test_unknown_compound_refused_at_construction():
+    with pytest.raises(ValueError, match="unknown compound 'XX'"):
+        MatrixSpec(compounds=("H2", "XX"))
+
+
 class TestConstruction:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="unknown strategy"):

@@ -20,6 +20,12 @@ def _boom_on_marker(payload):
     return payload
 
 
+def _raise_classes(payload):
+    if isinstance(payload, type):
+        raise payload()
+    return payload
+
+
 def _unpicklable_result(payload):
     return lambda: payload  # lambdas cannot cross a process boundary
 
@@ -84,6 +90,15 @@ class TestContainment:
         assert isinstance(results[1], TaskFailure)
         assert sorted(dispatched) == [0, 1, 2]
         executor.close()
+
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
+    def test_interrupts_are_not_contained(self, backend, interrupt):
+        """Only Exceptions become TaskFailures; an interrupt stops the map."""
+        with ParallelExecutor(backend, 2) as executor:
+            with pytest.raises(interrupt):
+                executor.map_tasks(_raise_classes, [0, interrupt, 2])
 
 
 class TestValidation:

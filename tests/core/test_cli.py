@@ -288,6 +288,16 @@ class TestSweep:
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "cache").exists()
 
+    @pytest.mark.parametrize("action", ["plan", "run"])
+    def test_unknown_compound_refused(self, action, tmp_path, capsys):
+        code = self._invoke(action, tmp_path, "--compounds", "N2,XX")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid sweep spec: unknown compound")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "cache").exists()
+
     def test_report_renders_surfaces(self, tmp_path, capsys):
         self._invoke("run", tmp_path)
         capsys.readouterr()
