@@ -79,10 +79,11 @@ class VirtualNMRSpectrometer:
         peak_jitter: float = 0.004,
         seed: int = 0,
     ):
-        if field_mhz <= 0:
-            raise ValueError("field_mhz must be positive")
-        if broadening_factor <= 0:
-            raise ValueError("broadening_factor must be positive")
+        # Written so that NaN fails each check too.
+        if not 0.0 < field_mhz < np.inf:
+            raise ValueError("field_mhz must be finite and positive")
+        if not 0.0 < broadening_factor < np.inf:
+            raise ValueError("broadening_factor must be finite and positive")
         for label, value in (
             ("noise_sigma", noise_sigma),
             ("shift_jitter", shift_jitter),
@@ -91,8 +92,10 @@ class VirtualNMRSpectrometer:
             ("phase_error_sigma", phase_error_sigma),
             ("peak_jitter", peak_jitter),
         ):
-            if value < 0:
-                raise ValueError(f"{label} must be non-negative")
+            if not 0.0 <= value < np.inf:
+                raise ValueError(f"{label} must be finite and non-negative")
+        if not np.isfinite(matrix_shift_coeff):
+            raise ValueError("matrix_shift_coeff must be finite")
         self.models = models
         self.field_mhz = float(field_mhz)
         self.noise_sigma = float(noise_sigma)

@@ -66,13 +66,28 @@ class IHMAnalysis:
         broadening_bounds: tuple = (0.5, 2.0),
         max_concentration: float = 10.0,
     ):
-        if max_shift < 0:
+        # least_squares needs each lower bound strictly below its upper
+        # bound, with the start (zero shift, unit broadening, a warm start
+        # clipped to [0, max_concentration]) inside them.  Every check is
+        # written so that NaN fails it.
+        if not max_shift >= 0:
             raise ValueError("max_shift must be non-negative")
+        if fit_shifts and not max_shift > 0:
+            raise ValueError("max_shift must be positive when fit_shifts is set")
         low, high = broadening_bounds
         if not 0 < low <= 1.0 <= high:
             raise ValueError(
                 f"broadening_bounds must bracket 1.0 with a positive lower "
                 f"bound, got {broadening_bounds}"
+            )
+        if fit_broadening and not low < high:
+            raise ValueError(
+                f"broadening_bounds must be a non-empty interval when "
+                f"fit_broadening is set, got {broadening_bounds}"
+            )
+        if not max_concentration > 0:
+            raise ValueError(
+                f"max_concentration must be positive, got {max_concentration}"
             )
         self.models = models
         self.fit_shifts = bool(fit_shifts)

@@ -52,15 +52,15 @@ class NMRSpectrumSimulator:
             ("phase_sigma", phase_sigma),
             ("peak_jitter", peak_jitter),
         ):
-            if value < 0:
-                raise ValueError(f"{label} must be non-negative")
+            if not 0.0 <= value < np.inf:  # NaN fails too
+                raise ValueError(f"{label} must be finite and non-negative")
         self.models = models
         self.ranges: Dict[str, Tuple[float, float]] = {}
         for name in models.names:
             if name not in concentration_ranges:
                 raise ValueError(f"no concentration range for component {name!r}")
             low, high = concentration_ranges[name]
-            if low < 0 or high < low:
+            if not 0.0 <= low <= high < np.inf:  # NaN fails too
                 raise ValueError(
                     f"invalid range for {name}: ({low}, {high})"
                 )
@@ -84,8 +84,8 @@ class NMRSpectrumSimulator:
         dataset (plus padding), the paper's recommended practice of
         training "over the full range of concentrations, not just the ones
         available in our experimental ... dataset"."""
-        if range_padding < 0:
-            raise ValueError("range_padding must be non-negative")
+        if not 0.0 <= range_padding < np.inf:  # NaN fails too
+            raise ValueError("range_padding must be finite and non-negative")
         ranges = {}
         for name, (low, high) in dataset.concentration_ranges().items():
             span = max(high - low, 1e-6)

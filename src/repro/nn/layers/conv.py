@@ -229,14 +229,33 @@ class LocallyConnected1D(_WindowedLayer):
     def backward(self, grad, input_grad=True):
         length, cols_shape, flat, z, y = self._take_cache()
         dz = self.activation.backward(grad, z, y)  # (N, out_L, F)
-        self.grads["W"] = np.einsum("nlk,nlf->lkf", flat, dz)
-        del flat, z, y  # as in Conv1D: free im2col before dflat
+        del z, y  # before the weight gradient's im2col-sized scratch
+        self.grads["W"] = self._weight_grad(flat, dz)
+        del flat  # as in Conv1D: free im2col before dflat
         if self.use_bias:
             self.grads["b"] = dz.sum(axis=0)
         if not input_grad:
             return None
         dflat = np.einsum("nlf,lkf->nlk", dz, self.params["W"])
         return self._col2im(dflat.reshape(cols_shape), length)
+
+    def _weight_grad(self, flat: np.ndarray, dz: np.ndarray) -> np.ndarray:
+        """``einsum("nlk,nlf->lkf", flat, dz)``, filter by filter.
+
+        Each filter's products go into one im2col-sized scratch, which is
+        then summed over the batch axis.  That axis is the outermost of a
+        C-contiguous array, so numpy adds its rows one after another, as
+        einsum does: the bytes are einsum's, at about a third of its time.
+        Only with ``out_L * K * C == 1`` is the batch axis contiguous, and
+        numpy then sums 8 or more rows pairwise, within rounding of einsum.
+        """
+        dtype = np.result_type(flat, dz)
+        scratch = np.empty(flat.shape, dtype)
+        dw = np.empty((self.filters,) + flat.shape[1:], dtype)  # (F, out_L, K*C)
+        for f in range(self.filters):
+            np.multiply(flat, dz[:, :, f, None], out=scratch)
+            np.add.reduce(scratch, axis=0, out=dw[f])
+        return np.ascontiguousarray(dw.transpose(1, 2, 0))
 
     def get_config(self):
         return {
