@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.ms.compounds import CompoundLibrary
 from repro.ms.instrument import InstrumentCharacteristics
-from repro.ms.spectrum import MassSpectrum
+from repro.ms.spectrum import MassSpectrum, MzAxis
 
 __all__ = [
     "CharacterizationResult",
@@ -89,12 +89,21 @@ def _isolated_strong_lines(
     return isolated
 
 
-def _quiet_mask(spectrum: MassSpectrum, task_lines, margin: float = 1.2) -> np.ndarray:
+def _quiet_mask(spectrum: MassSpectrum, task_lines, margin: float) -> np.ndarray:
     grid = spectrum.mz
     mask = np.ones(grid.size, dtype=bool)
     for _, mz, _ in task_lines:
         mask &= np.abs(grid - mz) > margin
     return mask
+
+
+def _quiet_masks(measurements, task_lines, margin: float) -> List[np.ndarray]:
+    """``_quiet_mask`` of each measurement, built once per distinct axis."""
+    masks: Dict[MzAxis, np.ndarray] = {}
+    for spectrum, _ in measurements:
+        if spectrum.axis not in masks:
+            masks[spectrum.axis] = _quiet_mask(spectrum, task_lines, margin)
+    return [masks[spectrum.axis] for spectrum, _ in measurements]
 
 
 def _peak_statistics(
@@ -208,7 +217,8 @@ def characterize_instrument(
     quiet_values: List[np.ndarray] = []
     peak_tops: Dict[Tuple[str, float], List[float]] = {}
 
-    for spectrum, concentrations in measurements:
+    quiet_masks = _quiet_masks(measurements, task_lines, margin=1.2)
+    for (spectrum, concentrations), quiet_mask in zip(measurements, quiet_masks):
         conc = {k.lower(): float(v) for k, v in concentrations.items()}
         for name, mz, rel in isolated:
             c = conc.get(name.lower(), 0.0)
@@ -225,7 +235,7 @@ def characterize_instrument(
             # the same mixture share a group, so within-group variance is a
             # clean repeat-to-repeat statistic.
             peak_tops.setdefault((name, mz, round(c, 4)), []).append(height)
-        quiet = spectrum.intensities[_quiet_mask(spectrum, task_lines)]
+        quiet = spectrum.intensities[quiet_mask]
         if quiet.size:
             quiet_values.append(quiet)
 
@@ -354,9 +364,9 @@ def _estimate_ignition_gas(
     """Find a consistent peak not explained by the sample's compounds."""
     positions: List[float] = []
     intensities: List[float] = []
-    for spectrum, _ in measurements:
+    masks = _quiet_masks(measurements, task_lines, margin=1.0)
+    for (spectrum, _), mask in zip(measurements, masks):
         grid = spectrum.mz
-        mask = _quiet_mask(spectrum, task_lines, margin=1.0)
         if not np.any(mask):
             continue
         values = np.where(mask, spectrum.intensities, 0.0)

@@ -83,14 +83,22 @@ class SELU(Activation):
     name = "selu"
 
     def forward(self, x):
-        return _SELU_SCALE * np.where(
-            x > 0.0, x, _SELU_ALPHA * np.expm1(np.minimum(x, 0.0))
-        )
+        # scale * (max(x, 0) + alpha * expm1(min(x, 0))), in place.  For
+        # x > 0 the second term is +0.0; for x <= 0 the first is a zero and
+        # the second is never -0.0 (min(-0.0, 0.0) is +0.0).  So the sum
+        # has the bytes of the two-branch select (DESIGN §16).
+        y = np.minimum(x, 0.0)
+        np.expm1(y, out=y)
+        y *= _SELU_ALPHA
+        y += np.maximum(x, 0.0)
+        y *= _SELU_SCALE
+        return y
 
     def backward(self, grad, x, y):
         # For x <= 0, y = scale*alpha*(exp(x)-1) so dy/dx = y + scale*alpha.
-        deriv = np.where(x > 0.0, _SELU_SCALE, y + _SELU_SCALE * _SELU_ALPHA)
-        return grad * deriv
+        deriv = y + _SELU_SCALE * _SELU_ALPHA
+        np.putmask(deriv, x > 0.0, _SELU_SCALE)
+        return np.multiply(grad, deriv, out=deriv)
 
 
 class Sigmoid(Activation):

@@ -16,11 +16,26 @@ gradient.
 
 from __future__ import annotations
 
+import numbers
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 __all__ = ["Layer"]
+
+
+def _positive_int(name: str, value) -> int:
+    """``value`` as an int: a fractional, NaN or infinite number is
+    refused rather than truncated, and so is anything below 1."""
+    if (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, numbers.Integral)
+        and not float(value).is_integer()
+    ):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return int(value)
 
 
 class Layer:

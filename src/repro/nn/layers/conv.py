@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.nn.activations import get_activation
 from repro.nn.initializers import get_initializer
-from repro.nn.layers.base import Layer
+from repro.nn.layers.base import Layer, _positive_int
 from repro.nn.layers.windows import col2im, im2col
 
 __all__ = ["Conv1D", "LocallyConnected1D"]
@@ -47,14 +47,10 @@ class _WindowedLayer(Layer):
 
     def __init__(self, kernel_size: int, strides: int, padding: str):
         super().__init__()
-        if kernel_size <= 0:
-            raise ValueError(f"kernel_size must be positive, got {kernel_size}")
-        if strides <= 0:
-            raise ValueError(f"strides must be positive, got {strides}")
+        self.kernel_size = _positive_int("kernel_size", kernel_size)
+        self.strides = _positive_int("strides", strides)
         if padding not in ("valid", "same"):
             raise ValueError(f"padding must be 'valid' or 'same', got {padding!r}")
-        self.kernel_size = int(kernel_size)
-        self.strides = int(strides)
         self.padding = padding
         self._pad = (0, 0)
 
@@ -92,9 +88,7 @@ class Conv1D(_WindowedLayer):
         use_bias: bool = True,
     ):
         super().__init__(kernel_size, strides, padding)
-        if filters <= 0:
-            raise ValueError(f"filters must be positive, got {filters}")
-        self.filters = int(filters)
+        self.filters = _positive_int("filters", filters)
         self.activation = get_activation(activation)
         self.kernel_initializer = get_initializer(kernel_initializer)
         self.bias_initializer = get_initializer(bias_initializer)
@@ -185,9 +179,7 @@ class LocallyConnected1D(_WindowedLayer):
     ):
         # Keras only supports 'valid' padding for locally connected layers.
         super().__init__(kernel_size, strides, padding="valid")
-        if filters <= 0:
-            raise ValueError(f"filters must be positive, got {filters}")
-        self.filters = int(filters)
+        self.filters = _positive_int("filters", filters)
         self.activation = get_activation(activation)
         self.kernel_initializer = get_initializer(kernel_initializer)
         self.bias_initializer = get_initializer(bias_initializer)

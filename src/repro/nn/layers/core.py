@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.nn.activations import get_activation
 from repro.nn.initializers import get_initializer
-from repro.nn.layers.base import Layer
+from repro.nn.layers.base import Layer, _positive_int
 
 __all__ = ["Dense", "Flatten", "Reshape", "ActivationLayer"]
 
@@ -28,9 +28,7 @@ class Dense(Layer):
         use_bias: bool = True,
     ):
         super().__init__()
-        if units <= 0:
-            raise ValueError(f"units must be positive, got {units}")
-        self.units = int(units)
+        self.units = _positive_int("units", units)
         self.activation = get_activation(activation)
         self.kernel_initializer = get_initializer(kernel_initializer)
         self.bias_initializer = get_initializer(bias_initializer)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers.base import Layer
+from repro.nn.layers.base import Layer, _positive_int
 from repro.nn.layers.windows import col2im, im2col
 
 __all__ = ["MaxPool1D", "AvgPool1D", "GlobalAvgPool1D"]
@@ -13,12 +13,10 @@ __all__ = ["MaxPool1D", "AvgPool1D", "GlobalAvgPool1D"]
 class _Pool1D(Layer):
     def __init__(self, pool_size: int = 2, strides: int = None):
         super().__init__()
-        if pool_size <= 0:
-            raise ValueError(f"pool_size must be positive, got {pool_size}")
-        self.pool_size = int(pool_size)
-        self.strides = int(strides) if strides is not None else self.pool_size
-        if self.strides <= 0:
-            raise ValueError(f"strides must be positive, got {self.strides}")
+        self.pool_size = _positive_int("pool_size", pool_size)
+        self.strides = (
+            _positive_int("strides", strides) if strides is not None else self.pool_size
+        )
 
     def compute_output_shape(self, input_shape):
         if len(input_shape) != 2:

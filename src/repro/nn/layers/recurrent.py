@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.nn.activations import sigmoid, tanh
 from repro.nn.initializers import get_initializer
-from repro.nn.layers.base import Layer
+from repro.nn.layers.base import Layer, _positive_int
 
 __all__ = ["LSTM"]
 
@@ -37,9 +37,7 @@ class LSTM(Layer):
         unit_forget_bias: bool = True,
     ):
         super().__init__()
-        if units <= 0:
-            raise ValueError(f"units must be positive, got {units}")
-        self.units = int(units)
+        self.units = _positive_int("units", units)
         self.return_sequences = bool(return_sequences)
         self.kernel_initializer = get_initializer(kernel_initializer)
         self.recurrent_initializer = get_initializer(recurrent_initializer)

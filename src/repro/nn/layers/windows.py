@@ -10,10 +10,15 @@ so does the frozen :class:`~repro.inference.engine.InferenceEngine`.
   view, not a second copy.  (An advanced-index gather ``x[:, idx, :]``
   lays its result out as (out_L, K, N, C) in memory, so that reshape
   silently copied the whole im2col again.)
-* :func:`col2im` scatter-adds the window gradients back with one in-place
-  add per kernel offset into a basic strided slice.  For a fixed offset
-  the window rows do not overlap, so every input row receives its adds in
-  offset order, exactly as the earlier fancy-index ``+=`` passes did.
+* :func:`col2im` scatter-adds the window gradients back with in-place
+  adds into basic slices.  For a fixed offset the window rows do not
+  overlap, and for ``stride > 1`` the ``stride`` offsets ``k … k+stride-1``
+  write disjoint rows that tile the slab ``k … k + out_L·stride - 1``.
+  So each group of ``stride`` offsets is one add into that slab viewed as
+  (N, out_L, stride, C), taken in ascending ``k``; offsets whose slab
+  would run off the input go one at a time.  Every input row still
+  receives exactly its adds, in offset order, as the earlier fancy-index
+  ``+=`` passes did, so the bytes are unchanged (DESIGN §16).
 """
 
 from __future__ import annotations
@@ -52,6 +57,14 @@ def col2im(dcols: np.ndarray, length: int, stride: int) -> np.ndarray:
     n, out_length, kernel, channels = dcols.shape
     dx = np.zeros((n, length, channels), dtype=dcols.dtype)
     span = (out_length - 1) * stride + 1
-    for offset in range(kernel):
-        dx[:, offset : offset + span : stride, :] += dcols[:, :, offset, :]
+    slab = out_length * stride
+    group = stride if 1 < stride <= kernel else 1
+    for start in range(0, kernel, group):
+        width = min(group, kernel - start)
+        if width > 1 and start + slab <= length:
+            rows = dx[:, start : start + slab].reshape(n, out_length, stride, channels)
+            rows[:, :, :width] += dcols[:, :, start : start + width]
+            continue
+        for offset in range(start, start + width):
+            dx[:, offset : offset + span : stride, :] += dcols[:, :, offset, :]
     return dx

@@ -106,6 +106,8 @@ class Sequential:
         raised instead of silently propagating NaNs into the prediction.
         """
         self._require_built()
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if validate:
             from repro.reliability.validation import validate_batch
 

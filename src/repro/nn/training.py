@@ -189,6 +189,8 @@ def predict_rows(
     turn, the chunks ``predict`` itself forwards, so the result is
     bit-equal to predicting the gathered rows.  ``rows`` must be non-empty.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     return np.concatenate([
         model.predict(x[rows[i : i + batch_size]], batch_size=batch_size)
         for i in range(0, len(rows), batch_size)

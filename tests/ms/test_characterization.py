@@ -1,8 +1,11 @@
 """Unit tests for Tool 2 (instrument characterization from measurements)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.ms import characterization
 from repro.ms.characterization import (
     characterize_instrument,
     expected_task_lines,
@@ -10,6 +13,7 @@ from repro.ms.characterization import (
 from repro.ms.compounds import DEFAULT_TASK_COMPOUNDS, default_library
 from repro.ms.instrument import VirtualMassSpectrometer
 from repro.ms.mixtures import MassFlowControllerRig, default_mixture_plan
+from repro.ms.spectrum import MzAxis
 
 LIB = default_library()
 TASK = DEFAULT_TASK_COMPOUNDS
@@ -113,3 +117,46 @@ class TestCharacterization:
         _, measurements = _reference_measurements(contamination={"H2O": 0.03})
         result = characterize_instrument(measurements, TASK, LIB)
         assert result.characteristics.gain > 0
+
+
+class TestQuietMasks:
+    """The quiet-region masks are built once per distinct m/z axis, and the
+    fit reads exactly what a mask per measurement gave."""
+
+    @staticmethod
+    def _two_axis_measurements():
+        _, coarse = _reference_measurements(3, seed=1, axis=MzAxis(1.0, 50.0, 0.2))
+        _, fine = _reference_measurements(3, seed=2)
+        return coarse + fine + coarse[:5]
+
+    @staticmethod
+    def _fit_bits(measurements):
+        fitted = characterize_instrument(measurements, TASK, LIB).characteristics
+        return {k: float(v).hex() for k, v in dataclasses.asdict(fitted).items()}
+
+    def test_one_mask_per_axis_and_margin(self, monkeypatch):
+        built = []
+
+        def counting(spectrum, task_lines, margin):
+            built.append((spectrum.axis, margin))
+            return quiet_mask(spectrum, task_lines, margin)
+
+        quiet_mask = characterization._quiet_mask
+        monkeypatch.setattr(characterization, "_quiet_mask", counting)
+        measurements = self._two_axis_measurements()
+        characterize_instrument(measurements, TASK, LIB)
+        assert len(built) == len(set(built)) == 4
+
+    def test_fit_is_bit_equal_to_a_mask_per_measurement(self, monkeypatch):
+        measurements = self._two_axis_measurements()
+        shared = self._fit_bits(measurements)
+        monkeypatch.setattr(
+            characterization,
+            "_quiet_masks",
+            lambda measurements, task_lines, margin: [
+                characterization._quiet_mask(spectrum, task_lines, margin)
+                for spectrum, _ in measurements
+            ],
+        )
+        assert self._fit_bits(measurements) == shared
+

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.nn import activations as act
 from tests.nn.gradcheck import numeric_grad
@@ -110,3 +113,75 @@ class TestRegistry:
     def test_bad_type_raises(self):
         with pytest.raises(TypeError):
             act.get_activation(3.14)
+
+
+# The two-branch SELU that the in-place kernel replaced, kept as the byte
+# reference.
+def _selu_where(x):
+    return act._SELU_SCALE * np.where(
+        x > 0.0, x, act._SELU_ALPHA * np.expm1(np.minimum(x, 0.0))
+    )
+
+
+def _selu_where_backward(grad, x, y):
+    deriv = np.where(x > 0.0, act._SELU_SCALE, y + act._SELU_SCALE * act._SELU_ALPHA)
+    return grad * deriv
+
+
+def _edge_values(dtype):
+    info = np.finfo(dtype)
+    values = [
+        0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0,
+        info.smallest_subnormal, -info.smallest_subnormal,
+        info.smallest_normal, -info.smallest_normal,
+        info.smallest_normal / 3, -info.smallest_normal / 3,
+        info.max, -info.max, info.eps, -info.eps, 1.0, -1.0, 1e-8, -1e-8,
+    ]
+    return np.array(values, dtype=dtype)
+
+
+def _assert_selu_bytes(x, grad):
+    with np.errstate(all="ignore"):
+        y, ref_y = act.selu.forward(x), _selu_where(x)
+        dx = act.selu.backward(grad, x, y)
+        ref_dx = _selu_where_backward(grad, x, ref_y)
+    assert y.dtype == ref_y.dtype and dx.dtype == ref_dx.dtype
+    assert y.tobytes() == ref_y.tobytes()
+    assert dx.tobytes() == ref_dx.tobytes()
+
+
+class TestSELUBytes:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_edge_values(self, dtype):
+        x = _edge_values(dtype)
+        # Every input against every upstream gradient, NaN and signed
+        # zeros included.
+        xs, grads = np.meshgrid(x, x, indexing="ij")
+        _assert_selu_bytes(xs, grads)
+
+    def test_signed_zero_inputs_give_positive_zero(self):
+        y = act.selu.forward(np.array([0.0, -0.0]))
+        assert not np.signbit(y).any()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_table1_sized_batch(self, dtype):
+        rng = np.random.default_rng(0)
+        x = (3.0 * rng.standard_normal((8, 481, 25))).astype(dtype)
+        x[:, ::7] = -0.0
+        grad = rng.standard_normal(x.shape).astype(dtype)
+        _assert_selu_bytes(x, grad)
+
+    def test_input_is_not_written(self):
+        x = np.array([-1.0, 0.0, 2.0])
+        act.selu.forward(x)
+        np.testing.assert_array_equal(x, [-1.0, 0.0, 2.0])
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_any_floats(self, data):
+        dtype = data.draw(st.sampled_from([np.float64, np.float32]))
+        shape = data.draw(hnp.array_shapes(max_dims=3, max_side=6))
+        x = data.draw(hnp.arrays(dtype, shape))
+        grad = data.draw(hnp.arrays(dtype, shape))
+        _assert_selu_bytes(x, grad)
+

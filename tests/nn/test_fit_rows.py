@@ -11,6 +11,7 @@ import pytest
 from repro import nn
 from repro.core import mlp_topology, nmr_conv_topology, table1_topology
 from repro.nn.sentinel import DivergenceSentinel
+from repro.nn.training import predict_rows
 from tests.nn.test_sentinel import PoisonWeights
 
 MODELS = {
@@ -115,3 +116,10 @@ class TestRowsAreChecked:
         x, y, tr, va = data
         with pytest.raises(ValueError, match="not both"):
             _fit("mlp", x, y, rows=(tr, va), validation_data=(x[va], y[va]))
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_predict_rows_refuses_batch_size_below_one(self, data, batch_size):
+        x, _, _, va = data
+        model = MODELS["mlp"][0]().build((32,), seed=0)
+        with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
+            predict_rows(model, x, va, batch_size=batch_size)

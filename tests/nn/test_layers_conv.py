@@ -59,6 +59,24 @@ class TestConv1D:
         with pytest.raises(ValueError):
             Conv1D(2, 3, padding="full")
 
+    @pytest.mark.parametrize("bad", [4.7, 0.5, float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("arg", ["filters", "kernel_size", "strides"])
+    def test_rejects_non_integral_sizes(self, arg, bad):
+        kwargs = {"filters": 4, "kernel_size": 3, "strides": 1, arg: bad}
+        with pytest.raises(ValueError, match=f"{arg} must be a whole number"):
+            Conv1D(**kwargs)
+
+    def test_integral_floats_and_numpy_ints_accepted(self):
+        layer = Conv1D(np.float64(4.0), np.int32(3), strides=2.0)
+        sizes = (layer.filters, layer.kernel_size, layer.strides)
+        assert sizes == (4, 3, 2) and all(type(v) is int for v in sizes)
+
+    @pytest.mark.parametrize("arg", ["filters", "kernel_size", "strides"])
+    def test_nonpositive_message_kept(self, arg):
+        kwargs = {"filters": 4, "kernel_size": 3, "strides": 1, arg: -2}
+        with pytest.raises(ValueError, match=f"{arg} must be positive, got -2"):
+            Conv1D(**kwargs)
+
     @pytest.mark.parametrize("stride", [1, 2, 3])
     def test_gradients_valid(self, stride):
         check_layer_gradients(
@@ -122,3 +140,10 @@ class TestLocallyConnected1D:
     def test_rejects_nonpositive_filters(self):
         with pytest.raises(ValueError):
             LocallyConnected1D(0, 3)
+
+    @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("arg", ["filters", "kernel_size", "strides"])
+    def test_rejects_non_integral_sizes(self, arg, bad):
+        kwargs = {"filters": 4, "kernel_size": 3, "strides": 1, arg: bad}
+        with pytest.raises(ValueError, match=f"{arg} must be a whole number"):
+            LocallyConnected1D(**kwargs)

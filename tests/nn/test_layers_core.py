@@ -49,6 +49,15 @@ class TestDense:
         with pytest.raises(ValueError):
             Dense(0)
 
+    @pytest.mark.parametrize("bad", [4.7, float("nan"), float("inf")])
+    def test_rejects_non_integral_units(self, bad):
+        with pytest.raises(ValueError, match="units must be a whole number"):
+            Dense(bad)
+
+    def test_integral_float_units_accepted(self):
+        layer = Dense(4.0)
+        assert layer.units == 4 and type(layer.units) is int
+
     def test_unbuilt_forward_raises(self):
         with pytest.raises(RuntimeError, match="before build"):
             Dense(3).forward(np.zeros((1, 4)))

@@ -46,6 +46,25 @@ class TestMaxPool1D:
         with pytest.raises(ValueError):
             layer.build((5, 1), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("pool", [MaxPool1D, AvgPool1D])
+    @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("arg", ["pool_size", "strides"])
+    def test_rejects_non_integral_sizes(self, pool, arg, bad):
+        kwargs = {"pool_size": 2, arg: bad}
+        with pytest.raises(ValueError, match=f"{arg} must be a whole number"):
+            pool(**kwargs)
+
+    @pytest.mark.parametrize("arg", ["pool_size", "strides"])
+    def test_nonpositive_message_kept(self, arg):
+        kwargs = {"pool_size": 2, arg: 0}
+        with pytest.raises(ValueError, match=f"{arg} must be positive, got 0"):
+            MaxPool1D(**kwargs)
+
+    def test_integral_float_sizes_accepted(self):
+        layer = AvgPool1D(pool_size=3.0, strides=np.float64(2.0))
+        assert (layer.pool_size, layer.strides) == (3, 2)
+        assert type(layer.pool_size) is int and type(layer.strides) is int
+
 
 class TestAvgPool1D:
     def test_forward_values(self):

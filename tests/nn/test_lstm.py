@@ -98,6 +98,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             LSTM(0)
 
+    @pytest.mark.parametrize("bad", [4.7, float("nan"), float("inf")])
+    def test_rejects_non_integral_units(self, bad):
+        with pytest.raises(ValueError, match="units must be a whole number"):
+            LSTM(bad)
+
     def test_rejects_2d_input_shape(self):
         layer = LSTM(4)
         with pytest.raises(ValueError, match="timesteps"):

@@ -118,6 +118,18 @@ class TestExecution:
         with pytest.raises(RuntimeError, match="not compiled"):
             model.fit(np.zeros((4, 3)), np.zeros((4, 2)))
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    @pytest.mark.parametrize("rows", [0, 7, 300])
+    def test_predict_and_evaluate_refuse_batch_size_below_one(self, batch_size, rows):
+        model = _small_model()
+        rng = np.random.default_rng(5)
+        x = rng.random((rows, 20))
+        y = rng.dirichlet(np.ones(3), size=rows)
+        with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
+            model.predict(x, batch_size=batch_size)
+        with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
+            model.evaluate(x, y, batch_size=batch_size)
+
 
 class TestWeights:
     def test_get_set_roundtrip(self):

@@ -3,6 +3,8 @@ replaced: same bytes, and a C-contiguous im2col whose GEMM reshape is a view.
 
 The references below are the earlier implementation: ``x[:, idx, :]`` for
 the gather and one unbuffered add per kernel offset for the scatter.
+``col2im`` adds a group of ``stride`` offsets at once; the references keep
+it to the bytes of one add per offset, in offset order.
 """
 
 import itertools
@@ -14,12 +16,14 @@ from repro import nn
 from repro.nn.layers.windows import col2im, im2col, window_indices
 
 # (length, kernel, stride) with stride in {1, 2, 3, kernel, > kernel};
-# (5, 5, *) and stride 7 over length 5 give one window.
+# (5, 5, *) and stride 7 over length 5 give one window.  Then the Table-1
+# MS CNN's four convolutions at a 500-point input: k20/s1, k20/s3 (six full
+# stride groups and a partial one), k15/s2 and k15/s4.
 CASES = [
     (length, kernel, stride)
     for length, kernel in itertools.product((5, 12, 40), (1, 3, 5))
     for stride in sorted({1, 2, 3, kernel, kernel + 2})
-]
+] + [(500, 20, 1), (481, 20, 3), (154, 15, 2), (70, 15, 4)]
 
 
 def _add_at_scatter(dcols, idx, length):
@@ -68,8 +72,12 @@ class TestKernel:
             )
             idx = window_indices(out_length, kernel, stride)
             dcols = rng.standard_normal((n, out_length, kernel, channels))
-            dx = col2im(dcols, xp.shape[1], stride)
-            assert dx.tobytes() == _add_at_scatter(dcols, idx, xp.shape[1]).tobytes()
+            # A row whose every add is -0.0 reads 0.0 + -0.0 = +0.0; a
+            # scatter that stored its first add would keep -0.0.
+            signed_zeros = np.where(dcols < 0.5, -0.0, dcols)
+            for d in (dcols, signed_zeros):
+                dx = col2im(d, xp.shape[1], stride)
+                assert dx.tobytes() == _add_at_scatter(d, idx, xp.shape[1]).tobytes()
 
 
 class TestKernelEdges:
@@ -81,6 +89,19 @@ class TestKernelEdges:
     def test_kernel_longer_than_input_rejected(self):
         with pytest.raises(ValueError):
             im2col(np.zeros((2, 4, 1)), 5, 1)
+
+    def test_scatter_every_small_geometry(self):
+        # Every (length, kernel, stride) up to length 24 and stride 9: full
+        # and partial stride groups, slabs that fit and slabs that would
+        # run off the input, and stride > kernel.
+        rng = np.random.default_rng(3)
+        for length in range(1, 25):
+            for kernel, stride in itertools.product(range(1, length + 1), range(1, 10)):
+                out_length = (length - kernel) // stride + 1
+                idx = window_indices(out_length, kernel, stride)
+                dcols = rng.standard_normal((2, out_length, kernel, 2))
+                dx = col2im(dcols, length, stride)
+                assert dx.tobytes() == _add_at_scatter(dcols, idx, length).tobytes()
 
     def test_writes_into_out(self):
         x = np.arange(24.0).reshape(2, 6, 2)
