@@ -447,6 +447,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"invalid sweep spec: {error}", file=sys.stderr)
         return 2
+    # Refused before the cache, the pool or the prewarm exists.
+    for flag, value, floor in (
+        ("--workers", args.workers, 1), ("--max-cells", args.max_cells, 0)
+    ):
+        if value is not None and value < floor:
+            print(f"invalid sweep option: {flag} must be >= {floor}, "
+                  f"got {value}", file=sys.stderr)
+            return 2
     cache = ArtifactCache(args.cache_dir)
     orchestrator = SweepOrchestrator(
         spec, cache, journal_path=args.journal

@@ -16,14 +16,12 @@ paths scale with the hardware:
   :mod:`repro.storage.integrity` envelopes with verify-on-read and corrupt
   entry quarantine (nothing is evicted);
 * :mod:`repro.compute.datasets` — the cache-aware wrapper deriving the
-  canonical generating config of the MS bulk dataset generator;
-* :mod:`repro.compute.sharing` — publish-once / map-many dataset handoff
-  for the process backend (content-addressed ``.npy`` files resolved into
-  per-worker read-only memory maps).
+  canonical generating config of the MS bulk dataset generator.
 
 Layering: ``compute`` sits beside ``reliability``/``storage``/
 ``observability`` (it imports all three) and below ``core``, which fans
-training sweeps out over the executor.
+training sweeps out over the executor and hands their arrays to process
+workers itself.
 """
 
 from repro.compute.cache import (
@@ -40,12 +38,6 @@ from repro.compute.executor import (
     TaskFailure,
     run_grid,
 )
-from repro.compute.sharing import (
-    SharedArrayRef,
-    resolve_refs,
-    share_array,
-    share_arrays,
-)
 
 __all__ = [
     "ArtifactCache",
@@ -53,14 +45,10 @@ __all__ = [
     "CACHE_FORMAT_VERSION",
     "GridResult",
     "ParallelExecutor",
-    "SharedArrayRef",
     "TaskFailure",
     "canonical_blob",
     "canonical_key",
     "generate_ms_dataset",
     "ms_dataset_config",
     "run_grid",
-    "resolve_refs",
-    "share_array",
-    "share_arrays",
 ]

@@ -18,9 +18,9 @@ puts one ``map_tasks()`` API in front of three interchangeable backends
   recovers by running again.
 * **Warm reuse** — the worker pool is built once per executor lifetime
   and reused across ``map_tasks`` calls (:attr:`pool_starts` counts
-  builds); ``close()`` — or the context-manager exit — releases it and
-  any scattered arrays.  Tasks are dispatched in chunks to amortize
-  per-future overhead; chunking never changes a payload.
+  builds); ``close()`` — or the context-manager exit — releases it.
+  Tasks are dispatched in chunks to amortize per-future overhead;
+  chunking never changes a payload.
 * **Observability** — each ``map_tasks`` call opens a ``compute.map`` span,
   feeds per-task timing histograms and outcome counters, and records a
   per-phase breakdown (pool startup / dispatch / task compute / result
@@ -36,7 +36,9 @@ resume.
 
 Worker functions have the signature ``fn(payload)`` and — for
 ``process`` — are importable module-level callables with picklable
-payloads and results.  An optional ``chaos`` hook is invoked with the
+payloads and results.  A payload reaches its task as given: a caller
+with large arrays hands them over itself (a process training sweep
+passes the paths of ``.npy`` files its tasks map).  An optional ``chaos`` hook is invoked with the
 task's index in its ``map_tasks`` call before the task runs.
 """
 
@@ -44,15 +46,10 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
-import shutil
-import tempfile
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
-import numpy as np
-
-from repro.compute.sharing import resolve_refs, share_arrays
 from repro.observability.runtime import get_registry, get_tracer
 
 __all__ = [
@@ -83,16 +80,15 @@ class TaskFailure:
 def _execute_task(fn, payload, index, chaos):
     """Run one task; never raises (returns a tagged outcome).
 
-    Module-level so the process backend can pickle it.  Scattered array
-    handles are resolved into memory maps here, in the worker, inside the
-    containment boundary.  Exceptions are captured and re-packaged — a
-    raising task must cost one result slot, never the pool.
+    Module-level so the process backend can pickle it.  Exceptions are
+    captured and re-packaged — a raising task must cost one result slot,
+    never the pool.
     """
     start = time.perf_counter()
     try:
         if chaos is not None:
             chaos(index)
-        result = fn(resolve_refs(payload))
+        result = fn(payload)
         return True, result, None, None, time.perf_counter() - start
     except Exception as error:  # noqa: BLE001 — containment is the contract
         elapsed = time.perf_counter() - start
@@ -130,8 +126,13 @@ class ParallelExecutor:
     ):
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
+        if max_workers is not None:
+            if not float(max_workers).is_integer():
+                raise ValueError(
+                    f"max_workers must be a whole number, got {max_workers!r}"
+                )
+            if max_workers < 1:
+                raise ValueError("max_workers must be >= 1")
         self.backend = backend
         self.max_workers = (
             int(max_workers) if max_workers is not None
@@ -141,7 +142,6 @@ class ParallelExecutor:
         # Warm-pool state: one pool per executor lifetime, rebuilt only
         # after close() or a hard break.
         self._pool: Optional[concurrent.futures.Executor] = None
-        self._scratch: Optional[str] = None
         self.pool_starts = 0
         self.last_map_stats: Dict[str, object] = {}
         registry = get_registry()
@@ -161,7 +161,7 @@ class ParallelExecutor:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Release the warm pool and any scattered arrays.
+        """Release the warm pool.
 
         Idempotent; the executor stays usable — the next ``map_tasks``
         simply pays pool startup again.
@@ -169,9 +169,6 @@ class ParallelExecutor:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        if self._scratch is not None:
-            shutil.rmtree(self._scratch, ignore_errors=True)
-            self._scratch = None
 
     def __enter__(self) -> "ParallelExecutor":
         return self
@@ -185,8 +182,6 @@ class ParallelExecutor:
         try:
             if self._pool is not None:
                 self._pool.shutdown(wait=False)
-            if self._scratch is not None:
-                shutil.rmtree(self._scratch, ignore_errors=True)
         except Exception:  # noqa: BLE001 — interpreter may be tearing down
             pass
 
@@ -227,23 +222,6 @@ class ParallelExecutor:
         if self._pool is not None:
             self._pool.shutdown(wait=False)
             self._pool = None
-
-    # -- shared-memory handoff ----------------------------------------------
-
-    def scatter(self, arrays: Mapping[str, np.ndarray]) -> Dict[str, object]:
-        """Publish large arrays once for every task of a sweep.
-
-        On ``process`` each array is written to the executor's scratch
-        directory (until :meth:`close`) and replaced by a picklable
-        :class:`~repro.compute.sharing.SharedArrayRef` that workers
-        resolve into a read-only memory map; on ``serial``/``thread`` the
-        arrays pass through as-is.
-        """
-        if self.backend != "process":
-            return {name: np.asarray(value) for name, value in arrays.items()}
-        if self._scratch is None:
-            self._scratch = tempfile.mkdtemp(prefix="repro-scatter-")
-        return share_arrays(arrays, self._scratch)
 
     # -- the one API ---------------------------------------------------------
 

@@ -20,6 +20,13 @@ that dies becomes a typed :class:`FailedRun` in
 :attr:`TrainingService.failures` — recorded in provenance and metrics,
 never fatal to the sweep.
 
+On the ``process`` backend the sweep saves its arrays once, at its first
+cache miss, as ``.npy`` files in a temporary directory that lives exactly as
+long as the sweep; each task maps them read-only
+(``np.load(mmap_mode="r")``), so every worker shares one page-cache copy
+and computes on the same bytes as a serial run.  Serial and thread tasks
+get the caller's arrays.
+
 Because the process runs without user interaction, it must also survive
 without one.  Given an :class:`~repro.compute.cache.ArtifactCache`,
 entries are keyed by content — the topology's name and layers, the
@@ -34,8 +41,11 @@ Every resume, rollback and failure is recorded in the
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
+import tempfile
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
@@ -46,6 +56,7 @@ from repro.compute.executor import ParallelExecutor, TaskFailure, run_grid
 from repro.core.datasets import SpectraDataset
 from repro.core.topologies import TopologySpec
 from repro.db.provenance import ProvenanceTracker
+from repro.nn.layers.base import _positive_int
 from repro.nn.metrics import mean_absolute_error, mean_squared_error, r2_score
 from repro.nn.model import Sequential
 from repro.nn.optimizers import Adam, get_optimizer
@@ -69,7 +80,9 @@ class TrainingConfig:
     topology whose training goes non-finite is rolled back to its
     last-good state with a halved learning rate instead of finishing the
     sweep with NaN weights; ``sentinel_max_rollbacks`` bounds how often
-    before the run is abandoned as diverged.
+    before the run is abandoned as diverged.  ``epochs``, ``batch_size``
+    and ``sentinel_max_rollbacks`` must be whole numbers >= 1, and
+    ``patience``, if set, >= 0.
     """
 
     epochs: int = 30
@@ -83,16 +96,14 @@ class TrainingConfig:
     sentinel_max_rollbacks: int = 5
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name in ("epochs", "batch_size", "sentinel_max_rollbacks"):
+            _positive_int(name, getattr(self, name))
+        if self.patience is not None and not self.patience >= 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
         if self.clip_norm is not None and not self.clip_norm > 0:
             raise ValueError("clip_norm must be positive")
-        if self.sentinel_max_rollbacks < 1:
-            raise ValueError("sentinel_max_rollbacks must be >= 1")
 
 
 @dataclass
@@ -117,6 +128,16 @@ class FailedRun:
     message: str
 
 
+# The arrays every task reads, in _train_topology's unpacking order.
+_ARRAYS = ("x", "y", "train_rows", "val_rows", "eval_x", "eval_y")
+
+
+def _mapped(value):
+    """A process task gets each array as a ``.npy`` path: map it
+    read-only.  Arrays (serial, thread) and ``None`` pass through."""
+    return np.load(value, mmap_mode="r") if isinstance(value, str) else value
+
+
 def _train_topology(payload: dict) -> dict:
     """Build, train and score one topology; the only training path.
 
@@ -125,7 +146,9 @@ def _train_topology(payload: dict) -> dict:
     config seed on every backend.
     """
     config: TrainingConfig = payload["config"]
-    x, y, val_rows = payload["x"], payload["y"], payload["val_rows"]
+    x, y, train_rows, val_rows, eval_x, eval_y = (
+        _mapped(payload[name]) for name in _ARRAYS
+    )
     model = payload["topology"].build(x.shape[1:], seed=config.seed)
     model.compile(Adam(clipnorm=config.clip_norm), config.loss)
     callbacks = []
@@ -142,7 +165,7 @@ def _train_topology(payload: dict) -> dict:
         y,
         epochs=config.epochs,
         batch_size=config.batch_size,
-        rows=(payload["train_rows"], val_rows),
+        rows=(train_rows, val_rows),
         callbacks=callbacks,
         seed=config.seed,
     )
@@ -153,10 +176,10 @@ def _train_topology(payload: dict) -> dict:
         "val_mse": mean_squared_error(predictions, val_y),
         "val_r2": r2_score(predictions, val_y),
     }
-    if payload["eval_x"] is not None:
-        measured = model.predict(payload["eval_x"])
-        metrics["measured_mae"] = mean_absolute_error(measured, payload["eval_y"])
-        metrics["measured_mse"] = mean_squared_error(measured, payload["eval_y"])
+    if eval_x is not None:
+        measured = model.predict(eval_x)
+        metrics["measured_mae"] = mean_absolute_error(measured, eval_y)
+        metrics["measured_mse"] = mean_squared_error(measured, eval_y)
     return {
         "weights": model.get_weights(),
         "optimizer": model.optimizer.get_config(),
@@ -248,7 +271,13 @@ class TrainingService:
         counter = _counter(
             "training_topologies_total", "topology runs by disposition"
         )
-        shared: Dict[str, object] = {}
+        arrays = {
+            "eval_x": None, "eval_y": None, **data,
+            "train_rows": train_rows, "val_rows": val_rows,
+        }
+        # Owns the process backend's scratch directory, if the sweep
+        # makes one: it goes when run_grid returns or raises.
+        scratch = contextlib.ExitStack()
 
         def reuse(key: str) -> Optional[TrainingRun]:
             run = self._reuse(
@@ -261,18 +290,23 @@ class TrainingService:
             return run
 
         def payload(index: int) -> dict:
-            if not shared:
-                # Publish the dataset once per sweep, at its first miss:
-                # on the process backend payloads carry tiny
-                # SharedArrayRef handles that workers resolve into
-                # read-only memory maps; on serial/thread it passes through.
-                shared.update(eval_x=None, eval_y=None)
-                shared.update(executor.scatter(
-                    {**data, "train_rows": train_rows, "val_rows": val_rows}
-                ))
+            if executor.backend == "process" and not isinstance(
+                arrays["x"], str
+            ):
+                # Save each array once, at the sweep's first miss, so a
+                # fully cached sweep writes nothing.  A .npy file's data
+                # is 64-byte aligned, so mapped arrays compute the bytes
+                # the caller's arrays would.
+                directory = scratch.enter_context(
+                    tempfile.TemporaryDirectory(prefix="repro-sweep-")
+                )
+                for name, array in arrays.items():
+                    if array is not None:
+                        arrays[name] = os.path.join(directory, f"{name}.npy")
+                        np.save(arrays[name], array)
             if progress is not None:
                 progress(f"training {topologies[index].name}")
-            return {"topology": topologies[index], "config": config, **shared}
+            return {"topology": topologies[index], "config": config, **arrays}
 
         def on_result(index: int, result) -> None:
             if isinstance(result, TaskFailure):
@@ -285,7 +319,7 @@ class TrainingService:
                 )
                 counter.inc(disposition="trained")
 
-        with get_tracer().start_span(
+        with scratch, get_tracer().start_span(
             "train.sweep",
             attributes={
                 "sweep": sweep_name,

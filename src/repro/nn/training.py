@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.nn.layers.base import _positive_int
 from repro.observability.runtime import get_registry, get_tracer
 
 __all__ = [
@@ -229,8 +230,7 @@ def run_training_loop(
     rows: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> History:
     """Drive epochs/batches for ``Sequential.fit`` (see it for ``rows``)."""
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    _positive_int("epochs", epochs)
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if x.shape[0] != y.shape[0]:

@@ -107,8 +107,13 @@ class TestValidation:
             ParallelExecutor(backend="mpi")
 
     def test_bad_worker_count_rejected(self):
-        with pytest.raises(ValueError, match="max_workers"):
+        with pytest.raises(ValueError, match="max_workers must be >= 1"):
             ParallelExecutor(max_workers=0)
+
+    @pytest.mark.parametrize("workers", [2.5, float("nan"), float("inf")])
+    def test_non_whole_worker_count_rejected(self, workers):
+        with pytest.raises(ValueError, match="max_workers must be a whole number"):
+            ParallelExecutor(max_workers=workers)
 
 
 class TestObservability:

@@ -288,6 +288,25 @@ class TestSweep:
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "cache").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--workers", "0"),
+        ("--max-cells", "-1"),
+    ])
+    def test_out_of_range_run_counts_refused(self, flag, value, tmp_path,
+                                             capsys):
+        code = self._invoke("run", tmp_path, "--backend", "process", flag,
+                            value)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"invalid sweep option: {flag} must be >= "
+            f"{1 if flag == '--workers' else 0}, got {value}\n"
+        )
+        # Refused before the prewarm wrote any dataset entry.
+        assert not (tmp_path / "cache").exists()
+        assert not (tmp_path / "campaign.journal").exists()
+
     @pytest.mark.parametrize("action", ["plan", "run"])
     def test_unknown_compound_refused(self, action, tmp_path, capsys):
         code = self._invoke(action, tmp_path, "--compounds", "N2,XX")

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tempfile
 
 import numpy as np
 import pytest
@@ -253,6 +254,134 @@ class TestDivergenceSentinelInSweep:
         )
 
 
+class WritingTopology(TopologySpec):
+    """A topology whose training first writes into its input ``x``."""
+
+    def build(self, input_shape, seed=0):
+        model = super().build(input_shape, seed=seed)
+        fit = model.fit
+
+        def fit_after_writing(x, y, **kwargs):
+            x[0, 0] = x[0, 0]
+            return fit(x, y, **kwargs)
+
+        model.fit = fit_after_writing
+        return model
+
+
+def _writing_spec():
+    base = mlp_topology(3, hidden_units=(4,))
+    spec = WritingTopology(name="mlp_writing", description=base.description)
+    spec.layers = base.layers
+    return spec
+
+
+@pytest.fixture
+def scratch_root(tmp_path, monkeypatch):
+    """Point ``tempfile`` at an empty directory the test can watch."""
+    root = tmp_path / "tmp"
+    root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(root))
+    return root
+
+
+class TestProcessHandoff:
+    """A process sweep saves its arrays once, maps them read-only in the
+    workers, and leaves no file behind once ``train_all`` returns."""
+
+    CONFIG = TrainingConfig(epochs=2, batch_size=16, patience=None)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_only_a_process_sweep_saves_files_and_they_go_with_it(
+        self, backend, scratch_root
+    ):
+        seen = []
+
+        def watch(message):
+            seen.append(sorted(p.name for p in scratch_root.rglob("*.npy")))
+
+        with ParallelExecutor(backend=backend, max_workers=2) as executor:
+            service = TrainingService(self.CONFIG, executor=executor)
+            service.train_all(
+                _specs() + [_writing_spec()], _dataset(),
+                evaluation_data=_dataset(seed=9), progress=watch,
+            )
+            # Also when a task raises: the writing topology's does.
+            assert [f.topology_name for f in service.failures] == (
+                ["mlp_writing"] if backend == "process" else []
+            )
+            assert list(scratch_root.iterdir()) == []
+        expected = [
+            "eval_x.npy", "eval_y.npy", "train_rows.npy", "val_rows.npy",
+            "x.npy", "y.npy",
+        ] if backend == "process" else []
+        assert seen and all(names == expected for names in seen)
+
+    def test_a_parent_exception_removes_the_files(self, scratch_root):
+        class Stop(RuntimeError):
+            pass
+
+        def stop_at_second(message):
+            if "mlp_8x8" in message:
+                raise Stop(message)
+
+        with ParallelExecutor(backend="process", max_workers=1) as executor:
+            with pytest.raises(Stop) as stopped:
+                TrainingService(self.CONFIG, executor=executor).train_all(
+                    _specs(), _dataset(), progress=stop_at_second
+                )
+            # The live traceback keeps the sweep's frames, so no garbage
+            # collection can have removed the files: the sweep did.
+            assert stopped.traceback
+            assert list(scratch_root.iterdir()) == []
+
+    def test_sweeps_on_one_warm_executor_leave_nothing(self, scratch_root):
+        with ParallelExecutor(backend="process", max_workers=2) as executor:
+            for seed in (0, 1):
+                service = TrainingService(self.CONFIG, executor=executor)
+                service.train_all(_specs(), _dataset(seed=seed))
+                assert service.failures == []
+                assert list(scratch_root.iterdir()) == []
+            assert executor.pool_starts == 1
+
+    def test_process_tasks_get_read_only_arrays(self):
+        dataset = _dataset()
+        x = dataset.x.copy()
+        with ParallelExecutor(backend="process", max_workers=2) as executor:
+            service = TrainingService(self.CONFIG, executor=executor)
+            service.train_all([_writing_spec()] + _specs(), dataset)
+        (failure,) = service.failures
+        assert failure.error_type == "ValueError"
+        assert "read-only" in failure.message
+        assert dataset.x.tobytes() == x.tobytes()
+
+    def test_a_fully_cached_sweep_writes_nothing(
+        self, tmp_path, scratch_root, monkeypatch
+    ):
+        from repro.compute import ArtifactCache
+
+        cache = ArtifactCache(tmp_path / "cache")
+        TrainingService(self.CONFIG, cache=cache).train_all(
+            _specs(), _dataset()
+        )
+        made = []
+        mkdtemp = tempfile.mkdtemp
+
+        def recording_mkdtemp(*args, **kwargs):
+            made.append(args)
+            return mkdtemp(*args, **kwargs)
+
+        monkeypatch.setattr(tempfile, "mkdtemp", recording_mkdtemp)
+        with ParallelExecutor(backend="process", max_workers=2) as executor:
+            runs = TrainingService(
+                self.CONFIG, cache=cache, executor=executor
+            ).train_all(_specs(), _dataset())
+            assert executor.pool_starts == 0
+        assert all(run.resumed for run in runs)
+        assert made == []
+        assert list(scratch_root.iterdir()) == []
+
+
 class TestConfigRobustnessFields:
     def test_clip_norm_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -265,6 +394,22 @@ class TestConfigRobustnessFields:
     def test_sentinel_max_rollbacks_must_be_positive(self):
         with pytest.raises(ValueError):
             TrainingConfig(sentinel_max_rollbacks=0)
+
+    @pytest.mark.parametrize(
+        "field", ["epochs", "batch_size", "sentinel_max_rollbacks"]
+    )
+    @pytest.mark.parametrize("value", [2.5, float("nan"), float("inf")])
+    def test_counts_must_be_whole_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a whole number"):
+            TrainingConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [-3, float("nan")])
+    def test_patience_must_not_be_negative(self, value):
+        with pytest.raises(ValueError, match="patience must be >= 0"):
+            TrainingConfig(patience=value)
+
+    def test_whole_counts_and_zero_patience_pass(self):
+        TrainingConfig(epochs=3.0, batch_size=16, patience=0)
 
 
 class TestSelectBestEmpty:

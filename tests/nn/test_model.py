@@ -130,6 +130,18 @@ class TestExecution:
         with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
             model.evaluate(x, y, batch_size=batch_size)
 
+    @pytest.mark.parametrize("epochs", [2.5, float("nan")])
+    def test_fit_refuses_a_non_whole_epoch_count(self, epochs):
+        model = _small_model()
+        with pytest.raises(ValueError, match="epochs must be a whole number"):
+            model.fit(np.zeros((4, 20)), np.zeros((4, 3)), epochs=epochs)
+
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_fit_refuses_epochs_below_one(self, epochs):
+        model = _small_model()
+        with pytest.raises(ValueError, match=f"epochs must be positive, got {epochs}"):
+            model.fit(np.zeros((4, 20)), np.zeros((4, 3)), epochs=epochs)
+
 
 class TestWeights:
     def test_get_set_roundtrip(self):
