@@ -44,6 +44,7 @@ from repro.compute.cache import (
     read_row,
 )
 from repro.ms.compounds import check_compounds
+from repro.nn.layers.base import _positive_int, _positive_rate
 from repro.nn.serialization import weights_from_arrays, weights_to_arrays
 
 __all__ = [
@@ -77,9 +78,9 @@ class MatrixSpec:
         if not self.compounds:
             raise ValueError("compounds must be non-empty")
         check_compounds(self.compounds)
-        for label in ("n_train", "n_small", "n_eval", "epochs"):
-            if getattr(self, label) < 1:
-                raise ValueError(f"{label} must be >= 1")
+        for label in ("n_train", "n_small", "n_eval", "epochs", "fine_tune_epochs"):
+            _positive_int(label, getattr(self, label))
+        _positive_rate("fine_tune_lr", self.fine_tune_lr)
         if not self.hidden_units or any(u < 1 for u in self.hidden_units):
             raise ValueError(
                 f"hidden_units must be a non-empty positive unit stack, "
@@ -142,23 +143,20 @@ def _train_model(
     topology = mlp_topology(len(spec.compounds), hidden_units=spec.hidden_units)
     input_shape = (MzAxis(*spec.axis).size,)
 
-    def train() -> List[np.ndarray]:
-        from repro.nn.optimizers import Adam
+    def train() -> Dict[str, np.ndarray]:
+        from repro.core.training_service import TrainingConfig, train_cell
 
         simulator = _simulator(spec, scenario)
         rng = np.random.default_rng(derived_seed("train", config))
         x, y = simulator.generate_dataset(spec.compounds, spec.n_train, rng)
-        model = topology.build(input_shape, seed=spec.seed)
-        model.compile(Adam(0.006), "mae")
-        model.fit(
-            x, y, epochs=spec.epochs, batch_size=64, seed=spec.seed,
-            verbose=False,
+        training = TrainingConfig(
+            epochs=spec.epochs, batch_size=64, patience=None, seed=spec.seed,
+            sentinel=False, learning_rate=0.006,
         )
-        return model.get_weights()
+        model = train_cell(training, topology, x, y)[0]
+        return weights_to_arrays(model.get_weights())
 
-    arrays, _, _ = get_or_compute(
-        cache, config, lambda: weights_to_arrays(train())
-    )
+    arrays, _, _ = get_or_compute(cache, config, train)
     model = topology.build(input_shape, seed=spec.seed)
     model.set_weights(weights_from_arrays(arrays))
     return model

@@ -81,32 +81,28 @@ def _cmd_ms_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    from repro import nn
-    from repro.core import (
-        mlp_topology,
-        nmr_conv_topology,
-        table1_topology,
-    )
+    from repro import core, nn
+    from repro.core.training_service import TrainingConfig, train_cell
 
-    x, y, meta = _load_dataset(args.data)
-    n_outputs = y.shape[1]
-    if args.topology == "table1":
-        topology = table1_topology(n_outputs)
-    elif args.topology == "nmr_conv":
-        topology = nmr_conv_topology(n_outputs)
-    elif args.topology == "mlp":
-        topology = mlp_topology(n_outputs)
-    else:
-        raise SystemExit(f"unknown topology {args.topology!r}")
-
-    model = topology.build(x.shape[1:], seed=args.seed)
-    model.compile(nn.Adam(args.learning_rate), args.loss)
-    split = int(0.8 * x.shape[0])
-    history = model.fit(
-        x[:split], y[:split],
-        epochs=args.epochs, batch_size=args.batch_size,
-        validation_data=(x[split:], y[split:]),
-        seed=args.seed, verbose=args.verbose,
+    try:
+        config = TrainingConfig(
+            epochs=args.epochs, batch_size=args.batch_size, loss=args.loss,
+            patience=None, seed=args.seed, sentinel=False,
+            learning_rate=args.learning_rate,
+        )
+    except ValueError as error:
+        print(f"invalid training option: {error}", file=sys.stderr)
+        return 2
+    x, y, _ = _load_dataset(args.data)
+    topology = {
+        "table1": core.table1_topology,
+        "nmr_conv": core.nmr_conv_topology,
+        "mlp": core.mlp_topology,
+    }[args.topology](y.shape[1])
+    split = int(config.train_fraction * x.shape[0])
+    rows = (np.arange(split), np.arange(split, x.shape[0]))
+    model, history, _ = train_cell(
+        config, topology, x, y, rows, verbose=args.verbose
     )
     val = history["val_loss"][-1]
     path = nn.save_model(model, args.out)
@@ -300,11 +296,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"verified {len(report)} entries, {corrupt} corrupt "
               f"({'quarantined' if corrupt else 'nothing quarantined'})")
         return 1 if corrupt else 0
-    if args.action == "clear":
-        removed = cache.clear()
-        print(f"removed {removed} entries from {cache.root}")
-        return 0
-    raise SystemExit(f"unknown cache action {args.action!r}")
+    removed = cache.clear()
+    print(f"removed {removed} entries from {cache.root}")
+    return 0
 
 
 def _cmd_uncertainty(args: argparse.Namespace) -> int:
@@ -499,42 +493,37 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(f"best cell: {best['cell_id']}  mae {best['mae']:.6f}")
         return 1 if result.failed else 0
 
-    if args.sweep_action == "report":
-        try:
-            report = orchestrator.report(strict=not args.partial)
-        except IncompleteCampaignError as error:
-            print(f"incomplete: {error}")
-            return 1
-        payload = report.to_payload()
-        print(f"campaign {payload['campaign_key'][:16]}...  "
-              f"{payload['cells_completed']}/{payload['cells_total']} cells")
-        sizes = payload["sample_sizes"]
-        header = "".join(f"{f'n={n}':>12}" for n in sizes)
-        print(f"{'activation (mean mae)':26s}{header}")
-        for activation_id, row in sorted(
-            payload["accuracy_vs_samples"].items()
-        ):
-            cells = "".join(
-                f"{value:12.6f}" if value is not None else f"{'-':>12}"
-                for value in row
-            )
-            print(f"  {activation_id:24s}{cells}")
-        print(f"{'topology (mean mae)':26s}{header}")
-        for topology_id, row in sorted(payload["topology_surface"].items()):
-            cells = "".join(
-                f"{value:12.6f}" if value is not None else f"{'-':>12}"
-                for value in row
-            )
-            print(f"  {topology_id:24s}{cells}")
-        if report.rows:
-            best = report.best_cell()
-            print(f"best cell: {best['cell_id']}  mae {best['mae']:.6f}")
-        if args.out:
-            atomic_write_bytes(args.out, report_json(report).encode("utf-8"))
-            print(f"wrote campaign report to {args.out}")
-        return 0
-
-    raise SystemExit(f"unknown sweep action {args.sweep_action!r}")
+    try:
+        report = orchestrator.report(strict=not args.partial)
+    except IncompleteCampaignError as error:
+        print(f"incomplete: {error}")
+        return 1
+    payload = report.to_payload()
+    print(f"campaign {payload['campaign_key'][:16]}...  "
+          f"{payload['cells_completed']}/{payload['cells_total']} cells")
+    sizes = payload["sample_sizes"]
+    header = "".join(f"{f'n={n}':>12}" for n in sizes)
+    print(f"{'activation (mean mae)':26s}{header}")
+    for activation_id, row in sorted(payload["accuracy_vs_samples"].items()):
+        cells = "".join(
+            f"{value:12.6f}" if value is not None else f"{'-':>12}"
+            for value in row
+        )
+        print(f"  {activation_id:24s}{cells}")
+    print(f"{'topology (mean mae)':26s}{header}")
+    for topology_id, row in sorted(payload["topology_surface"].items()):
+        cells = "".join(
+            f"{value:12.6f}" if value is not None else f"{'-':>12}"
+            for value in row
+        )
+        print(f"  {topology_id:24s}{cells}")
+    if report.rows:
+        best = report.best_cell()
+        print(f"best cell: {best['cell_id']}  mae {best['mae']:.6f}")
+    if args.out:
+        atomic_write_bytes(args.out, report_json(report).encode("utf-8"))
+        print(f"wrote campaign report to {args.out}")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,6 +22,7 @@ import numpy as np
 from repro.core.datasets import SpectraDataset
 from repro.core.evaluation import evaluate_per_compound, measurements_to_arrays
 from repro.core.topologies import TopologySpec, table1_topology
+from repro.core.training_service import TrainingConfig, train_cell
 from repro.db.provenance import ProvenanceTracker
 from repro.ms.characterization import CharacterizationResult, characterize_instrument
 from repro.ms.compounds import CompoundLibrary, default_library
@@ -29,7 +30,7 @@ from repro.ms.mixtures import MassFlowControllerRig, MixturePlan, default_mixtur
 from repro.ms.simulator import MassSpectrometerSimulator
 from repro.ms.spectrum import MassSpectrum, MzAxis
 from repro.nn.model import Sequential
-from repro.nn.training import EarlyStopping, History
+from repro.nn.training import History
 from repro.reliability.retry import (
     RetryPolicy,
     acquire_with_retry,
@@ -223,31 +224,20 @@ class MSToolchain:
         topology = topology if topology is not None else table1_topology(
             len(self.task_compounds)
         )
+        config = TrainingConfig(
+            epochs=epochs, batch_size=batch_size, train_fraction=train_fraction,
+            patience=patience, seed=seed, sentinel=False,
+            learning_rate=learning_rate,
+        )
         rows = dataset.split_rows(train_fraction, np.random.default_rng(seed))
-        model = topology.build(dataset.input_shape, seed=seed)
-        from repro.nn.optimizers import Adam
-
-        model.compile(Adam(learning_rate), "mae")
-        stopper = (
-            EarlyStopping(patience=patience, restore_best_weights=True)
-            if patience is not None else None
+        model, history, _ = train_cell(config, topology, dataset.x, dataset.y, rows)
+        # Early stopping restored the epoch with the lowest finite
+        # validation loss, if any; else the last epoch's weights stand.
+        improved = [v for v in history["val_loss"] if v < np.inf]
+        validation_mae = (
+            min(improved) if patience is not None and improved
+            else history["val_loss"][-1]
         )
-        history = model.fit(
-            dataset.x,
-            dataset.y,
-            epochs=epochs,
-            batch_size=batch_size,
-            rows=rows,
-            callbacks=[stopper] if stopper is not None else [],
-            seed=seed,
-        )
-        # fit already evaluated the validation rows after every epoch; the
-        # model ends with the best epoch's weights when they were restored,
-        # else with the last epoch's.
-        if stopper is not None and stopper.best_epoch > 0:
-            validation_mae = stopper.best_value
-        else:
-            validation_mae = history["val_loss"][-1]
         parents = [dataset_artifact] if dataset_artifact is not None else []
         artifact = self.provenance.record(
             "network",

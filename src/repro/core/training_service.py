@@ -8,13 +8,19 @@ trained networks ..., the selection of the best-performing networks, based
 on selectable quality criteria and the export of analysis data to
 spreadsheet applications."
 
-Every topology trains as one :func:`_train_topology` task — build, attach
-early stopping and the divergence sentinel, fit, score — through
-:func:`~repro.compute.executor.run_grid` on the service's executor (one
-serial worker unless another is given).  The parent reuses each topology
-whose cache entry verifies and finishes each trained one after its wave
-(rollback provenance, cache entry, ``network`` record), so
-serial/thread/process sweeps produce byte-identical models, optimizer
+Every model the package trains from scratch is built, compiled and fitted
+by :func:`train_cell` from one :class:`TrainingConfig`.  Its callers
+differ only in the config they build and in how they score the model:
+:class:`TrainingService`, ``MSToolchain.train_network``, campaign cells,
+drift-matrix models, ensemble members and ``repro train``.  The drift
+matrix's fine-tune strategy stays apart: it continues training a clone of
+an already-trained model, so there is no topology to build at a seed.
+
+Every topology trains as one :func:`_train_topology` task on the service's
+executor through :func:`~repro.compute.executor.run_grid`.  The parent
+reuses each topology whose cache entry verifies and finishes each trained
+one after its wave (rollback provenance, cache entry, ``network`` record),
+so serial/thread/process sweeps produce byte-identical models, optimizer
 state, metrics and :meth:`TrainingService.select_best` outcomes.  A task
 that dies becomes a typed :class:`FailedRun` in
 :attr:`TrainingService.failures` — recorded in provenance and metrics,
@@ -47,7 +53,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,33 +62,34 @@ from repro.compute.executor import ParallelExecutor, TaskFailure, run_grid
 from repro.core.datasets import SpectraDataset
 from repro.core.topologies import TopologySpec
 from repro.db.provenance import ProvenanceTracker
-from repro.nn.layers.base import _positive_int
+from repro.nn.layers.base import _positive_int, _positive_rate
 from repro.nn.metrics import mean_absolute_error, mean_squared_error, r2_score
 from repro.nn.model import Sequential
 from repro.nn.optimizers import Adam, get_optimizer
-from repro.nn.sentinel import DivergenceSentinel
+from repro.nn.sentinel import DivergenceSentinel, SentinelEvent
 from repro.nn.serialization import weights_from_arrays, weights_to_arrays
-from repro.nn.training import EarlyStopping, predict_rows
+from repro.nn.training import EarlyStopping, History, predict_rows
 from repro.observability.runtime import counter as _counter
 from repro.observability.runtime import get_tracer
 
-__all__ = ["TrainingConfig", "TrainingRun", "FailedRun", "TrainingService"]
+__all__ = [
+    "TrainingConfig", "TrainingRun", "FailedRun", "TrainingService",
+    "train_cell", "training_run_config",
+]
 
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    """Hyperparameters shared by every run of a service invocation.
+    """How :func:`train_cell` trains one model.
 
-    Every run trains with ``Adam(clipnorm=clip_norm)``, so ``clip_norm``
-    enables global gradient-norm clipping in every run.
-    ``sentinel=True`` (the default) attaches a
-    :class:`~repro.nn.sentinel.DivergenceSentinel` to every run, so a
-    topology whose training goes non-finite is rolled back to its
-    last-good state with a halved learning rate instead of finishing the
-    sweep with NaN weights; ``sentinel_max_rollbacks`` bounds how often
-    before the run is abandoned as diverged.  ``epochs``, ``batch_size``
-    and ``sentinel_max_rollbacks`` must be whole numbers >= 1, and
-    ``patience``, if set, >= 0.
+    ``Adam(learning_rate, clipnorm=clip_norm)`` on ``loss``; early stopping
+    that restores the best epoch's weights if ``patience`` is set; and, if
+    ``sentinel`` (the default), a :class:`~repro.nn.sentinel.DivergenceSentinel`
+    that rolls a run going non-finite back to its last-good state with a
+    halved learning rate, at most ``sentinel_max_rollbacks`` times.
+    ``epochs``, ``batch_size`` and ``sentinel_max_rollbacks`` must be whole
+    numbers >= 1, ``patience``, if set, >= 0, and ``learning_rate``
+    positive and finite.
     """
 
     epochs: int = 30
@@ -94,16 +101,46 @@ class TrainingConfig:
     clip_norm: Optional[float] = None
     sentinel: bool = True
     sentinel_max_rollbacks: int = 5
+    learning_rate: float = 0.001
 
     def __post_init__(self):
         for name in ("epochs", "batch_size", "sentinel_max_rollbacks"):
             _positive_int(name, getattr(self, name))
+        _positive_rate("learning_rate", self.learning_rate)
         if self.patience is not None and not self.patience >= 0:
             raise ValueError(f"patience must be >= 0, got {self.patience}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
         if self.clip_norm is not None and not self.clip_norm > 0:
             raise ValueError("clip_norm must be positive")
+
+
+def train_cell(
+    config: TrainingConfig, topology: TopologySpec, x: np.ndarray,
+    y: np.ndarray, rows: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    verbose: bool = False,
+) -> Tuple[Sequential, History, List[SentinelEvent]]:
+    """Build ``topology`` at ``config.seed``, compile and fit it on
+    ``rows=(train_rows, validation_rows)`` as in ``Sequential.fit`` (None:
+    every row trains).  Returns the model, its history and the divergence
+    sentinel's rollback events (empty without a sentinel)."""
+    model = topology.build(x.shape[1:], seed=config.seed)
+    optimizer = Adam(config.learning_rate, clipnorm=config.clip_norm)
+    model.compile(optimizer, config.loss)
+    callbacks = []
+    if config.patience is not None:
+        callbacks.append(
+            EarlyStopping(patience=config.patience, restore_best_weights=True)
+        )
+    sentinel: Optional[DivergenceSentinel] = None
+    if config.sentinel:
+        sentinel = DivergenceSentinel(max_rollbacks=config.sentinel_max_rollbacks)
+        callbacks.append(sentinel)
+    history = model.fit(
+        x, y, epochs=config.epochs, batch_size=config.batch_size, rows=rows,
+        callbacks=callbacks, seed=config.seed, verbose=verbose,
+    )
+    return model, history, sentinel.events if sentinel is not None else []
 
 
 @dataclass
@@ -139,35 +176,17 @@ def _mapped(value):
 
 
 def _train_topology(payload: dict) -> dict:
-    """Build, train and score one topology; the only training path.
+    """Train one topology with :func:`train_cell` and score it.
 
     Module-level, with a picklable payload and result, so the process
     backend can run it in a worker.  Training determinism comes from the
     config seed on every backend.
     """
-    config: TrainingConfig = payload["config"]
     x, y, train_rows, val_rows, eval_x, eval_y = (
         _mapped(payload[name]) for name in _ARRAYS
     )
-    model = payload["topology"].build(x.shape[1:], seed=config.seed)
-    model.compile(Adam(clipnorm=config.clip_norm), config.loss)
-    callbacks = []
-    if config.patience is not None:
-        callbacks.append(
-            EarlyStopping(patience=config.patience, restore_best_weights=True)
-        )
-    sentinel: Optional[DivergenceSentinel] = None
-    if config.sentinel:
-        sentinel = DivergenceSentinel(max_rollbacks=config.sentinel_max_rollbacks)
-        callbacks.append(sentinel)
-    history = model.fit(
-        x,
-        y,
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        rows=(train_rows, val_rows),
-        callbacks=callbacks,
-        seed=config.seed,
+    model, history, events = train_cell(
+        payload["config"], payload["topology"], x, y, (train_rows, val_rows)
     )
     predictions = predict_rows(model, x, val_rows)
     val_y = y[val_rows]
@@ -186,8 +205,14 @@ def _train_topology(payload: dict) -> dict:
         "optimizer_state": model.optimizer.get_state(),
         "metrics": metrics,
         "epochs_run": len(history.epochs),
-        "rollback_events": sentinel.events if sentinel is not None else [],
+        "rollback_events": events,
     }
+
+
+def training_run_config(config: TrainingConfig, data: str, topology) -> dict:
+    """The canonical config one topology's cached run is keyed by."""
+    return {"kind": "training_run", "config": config, "data": data,
+            "topology": {"name": topology.name, "layers": topology.layers}}
 
 
 def _data_digest(arrays: Mapping[str, np.ndarray]) -> str:
@@ -256,17 +281,9 @@ class TrainingService:
             data["eval_y"] = evaluation_data.y
         keys: List[Optional[str]] = [None] * len(topologies)
         if self.cache is not None:
-            inputs = {
-                "kind": "training_run",
-                "config": config,
-                "data": _data_digest(data),
-            }
-            keys = [
-                canonical_key(
-                    {**inputs, "topology": {"name": t.name, "layers": t.layers}}
-                )
-                for t in topologies
-            ]
+            digest = _data_digest(data)
+            keys = [canonical_key(training_run_config(config, digest, t))
+                    for t in topologies]
         by_key = dict(zip(keys, topologies))
         counter = _counter(
             "training_topologies_total", "topology runs by disposition"
@@ -286,7 +303,6 @@ class TrainingService:
             )
             if run is not None:
                 counter.inc(disposition="reloaded")
-                self.runs.append(run)
             return run
 
         def payload(index: int) -> dict:
@@ -366,16 +382,9 @@ class TrainingService:
         )
         model = topology.build(input_shape, seed=self.config.seed)
         model.set_weights(weights_from_arrays(arrays))
-        return TrainingRun(
-            topology_name=topology.name,
-            model=model,
-            metrics=metrics,
-            epochs_run=int(meta["epochs_run"]),
-            artifact_id=self._record_event(
-                "network", {"topology": topology.name, **metrics},
-                dataset_artifact,
-            ),
-            resumed=True,
+        return self._keep(
+            topology, model, metrics, int(meta["epochs_run"]),
+            dataset_artifact, resumed=True,
         )
 
     def _finish(
@@ -411,19 +420,25 @@ class TrainingService:
                 weights_to_arrays(result["weights"]),
                 {"metrics": metrics, "epochs_run": epochs_run},
             )
-        self.runs.append(
-            TrainingRun(
-                topology_name=topology.name,
-                model=model,
-                metrics=metrics,
-                epochs_run=epochs_run,
-                artifact_id=self._record_event(
-                    "network", {"topology": topology.name, **metrics},
-                    dataset_artifact,
-                ),
-                rollbacks=len(result["rollback_events"]),
-            )
+        self._keep(
+            topology, model, metrics, epochs_run, dataset_artifact,
+            rollbacks=len(result["rollback_events"]),
         )
+
+    def _keep(
+        self, topology, model, metrics, epochs_run, dataset_artifact, **status
+    ) -> TrainingRun:
+        """Record a run as a ``network`` artifact and keep it."""
+        run = TrainingRun(
+            topology.name, model, metrics, epochs_run,
+            artifact_id=self._record_event(
+                "network", {"topology": topology.name, **metrics},
+                dataset_artifact,
+            ),
+            **status,
+        )
+        self.runs.append(run)
+        return run
 
     def _fail(
         self,

@@ -16,6 +16,7 @@ gradient.
 
 from __future__ import annotations
 
+import math
 import numbers
 from typing import Dict, Optional, Tuple
 
@@ -36,6 +37,13 @@ def _positive_int(name: str, value) -> int:
     if value <= 0:
         raise ValueError(f"{name} must be positive, got {value}")
     return int(value)
+
+
+def _positive_rate(name: str, value) -> float:
+    """``value`` as a float; NaN, infinite and non-positive are refused."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return float(value)
 
 
 class Layer:

@@ -15,6 +15,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.nn.layers.base import _positive_rate
+
 __all__ = ["Optimizer", "Adam", "get_optimizer"]
 
 ParamKey = Tuple[int, str]
@@ -28,12 +30,9 @@ class Optimizer:
     name = "optimizer"
 
     def __init__(self, learning_rate: float = 0.001, clipnorm: float = None):
-        # Written so that NaN fails too: every comparison with NaN is false.
-        if not 0.0 < learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
+        self.learning_rate = _positive_rate("learning_rate", learning_rate)
         if clipnorm is not None and not clipnorm > 0:
             raise ValueError(f"clipnorm must be positive, got {clipnorm}")
-        self.learning_rate = float(learning_rate)
         self.clipnorm = float(clipnorm) if clipnorm is not None else None
         self.iterations = 0
 

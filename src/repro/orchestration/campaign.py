@@ -48,6 +48,7 @@ from repro.compute.cache import (
     get_or_compute_row,
 )
 from repro.compute.datasets import generate_ms_dataset
+from repro.nn.layers.base import _positive_int, _positive_rate
 
 __all__ = [
     "CampaignSpec",
@@ -121,8 +122,9 @@ class CampaignSpec:
                     f"topologies entries must be non-empty positive "
                     f"unit stacks, got {stack!r}"
                 )
-        if self.n_eval < 1 or self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("n_eval, epochs and batch_size must be >= 1")
+        for name in ("n_eval", "epochs", "batch_size"):
+            _positive_int(name, getattr(self, name))
+        _positive_rate("learning_rate", self.learning_rate)
 
     def campaign_key(self) -> str:
         """Canonical identity of the whole campaign (journal guard)."""
@@ -280,7 +282,7 @@ def run_campaign_cell(payload: dict) -> dict:
 
     def compute() -> dict:
         from repro.core.topologies import mlp_topology
-        from repro.nn.optimizers import Adam
+        from repro.core.training_service import TrainingConfig, train_cell
 
         (train_x, train_y, train_info), (eval_x, eval_y, _) = (
             campaign_datasets(spec, cell.n_train, cache)
@@ -291,13 +293,12 @@ def run_campaign_cell(payload: dict) -> dict:
             activation=cell.activation,
             output_activation=cell.output_activation,
         )
-        model = topology.build(train_x.shape[1:], seed=spec.seed)
-        model.compile(Adam(spec.learning_rate), spec.loss)
-        history = model.fit(
-            train_x, train_y,
-            epochs=spec.epochs, batch_size=spec.batch_size,
-            seed=spec.seed, verbose=False,
+        config = TrainingConfig(
+            epochs=spec.epochs, batch_size=spec.batch_size, loss=spec.loss,
+            patience=None, seed=spec.seed, sentinel=False,
+            learning_rate=spec.learning_rate,
         )
+        model, history, _ = train_cell(config, topology, train_x, train_y)
         predictions = model.predict(eval_x)
         error = predictions - eval_y
         return {

@@ -30,6 +30,7 @@ import numpy as np
 from repro.compute.cache import (
     ArtifactCache, canonical_key, derived_seed, get_or_compute,
 )
+from repro.nn.layers.base import _positive_int, _positive_rate
 from repro.nn.serialization import weights_from_arrays, weights_to_arrays
 
 __all__ = [
@@ -128,8 +129,8 @@ class EnsembleSpec:
         if self.n_members < 2:
             raise ValueError(f"n_members must be >= 2, got {self.n_members}")
         for label in ("n_train", "epochs", "batch_size"):
-            if getattr(self, label) < 1:
-                raise ValueError(f"{label} must be >= 1")
+            _positive_int(label, getattr(self, label))
+        _positive_rate("learning_rate", self.learning_rate)
         if not self.hidden_units or any(u < 1 for u in self.hidden_units):
             raise ValueError(
                 f"hidden_units must be a non-empty positive unit stack, "
@@ -152,33 +153,28 @@ def member_config(spec: EnsembleSpec, member: int) -> dict:
     }
 
 
-def _build_member(spec: EnsembleSpec, member_seed: int):
+def _topology(spec: EnsembleSpec):
     from repro.core.topologies import mlp_topology
 
-    topology = mlp_topology(
-        len(spec.compounds), hidden_units=spec.hidden_units
-    )
-    return topology.build((spec.input_length(),), seed=member_seed)
+    return mlp_topology(len(spec.compounds), hidden_units=spec.hidden_units)
 
 
 def _train_member_weights(spec: EnsembleSpec, member: int) -> List[np.ndarray]:
+    from repro.core.training_service import TrainingConfig, train_cell
     from repro.ms.simulator import MassSpectrometerSimulator
-    from repro.nn.optimizers import Adam
 
     config = member_config(spec, member)
-    member_seed = derived_seed("member", config)
     simulator = MassSpectrometerSimulator.from_spec(
         spec.axis, spec.characteristics
     )
     rng = np.random.default_rng(derived_seed("dataset", config))
     x, y = simulator.generate_dataset(spec.compounds, spec.n_train, rng)
-    model = _build_member(spec, member_seed)
-    model.compile(Adam(spec.learning_rate), "mae")
-    model.fit(
-        x, y, epochs=spec.epochs, batch_size=spec.batch_size,
-        seed=member_seed, verbose=False,
+    training = TrainingConfig(
+        epochs=spec.epochs, batch_size=spec.batch_size, patience=None,
+        seed=derived_seed("member", config), sentinel=False,
+        learning_rate=spec.learning_rate,
     )
-    return model.get_weights()
+    return train_cell(training, _topology(spec), x, y)[0].get_weights()
 
 
 def _member_weights(arrays) -> List[np.ndarray]:
@@ -246,7 +242,9 @@ def train_ensemble(
         )
     members = []
     for config, outcome in zip(configs, grid.values):
-        model = _build_member(spec, derived_seed("member", config))
+        model = _topology(spec).build(
+            (spec.input_length(),), seed=derived_seed("member", config)
+        )
         model.set_weights(outcome["weights"])
         members.append(model)
     return EnsemblePredictor(members)

@@ -68,6 +68,19 @@ def test_unknown_compound_refused_at_construction():
         MatrixSpec(compounds=("H2", "XX"))
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("fine_tune_lr", float("inf"), "fine_tune_lr must be positive and finite"),
+        ("fine_tune_epochs", 0, "fine_tune_epochs must be positive"),
+    ],
+)
+def test_bad_fine_tune_values_refused_at_construction(field, value, message):
+    # Refused here, not later inside a worker's fine-tune cell.
+    with pytest.raises(ValueError, match=message):
+        MatrixSpec(compounds=("H2",), **{field: value})
+
+
 class TestConstruction:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="unknown strategy"):

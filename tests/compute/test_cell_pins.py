@@ -3,7 +3,8 @@
 Campaign cells, drift-matrix cells/models and ensemble members are pure
 functions of their canonical configs: every random stream comes from
 :func:`~repro.compute.cache.derived_seed` and every cached result lives
-under a :func:`~repro.compute.cache.canonical_key`.  The values below are
+under a :func:`~repro.compute.cache.canonical_key`, as does every
+``TrainingService`` run.  The values below are
 pure SHA-256 hashes of canonical JSON, so they do not depend on host,
 BLAS or numpy version.  If one moves, every existing cache misses and
 every result is drawn from a different stream: bump
@@ -11,6 +12,7 @@ every result is drawn from a different stream: bump
 """
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -23,6 +25,8 @@ from repro.compute.cache import (
     derived_seed,
 )
 from repro.compute.datasets import ms_dataset_config
+from repro.core.topologies import mlp_topology
+from repro.core.training_service import TrainingConfig, training_run_config
 from repro.ms.simulator import MassSpectrometerSimulator
 from repro.orchestration.campaign import (
     CampaignSpec,
@@ -121,6 +125,14 @@ KEYS = {
     "ms_dataset_eval": (
         _campaign_dataset_config(CAMPAIGN.n_eval, SEEDS["campaign_eval"][1]),
         "a2a10ac6f40542294bbdfa691ba8d3f5b239a1478fb4899105e7c3d661ba279d",
+    ),
+    "training_run": (
+        training_run_config(
+            TrainingConfig(),
+            hashlib.sha256(b"").hexdigest(),
+            mlp_topology(2, hidden_units=(8,)),
+        ),
+        "eeb3dc2e26cc8c85a1f4cc483775695c05b0d9c9cc942f010a86dc586bc524f1",
     ),
 }
 

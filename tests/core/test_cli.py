@@ -62,11 +62,35 @@ class TestTrainEvaluate:
         assert "MAE" in output
         assert "N2" in output
 
-    def test_non_finite_learning_rate_rejected(self, ms_dataset, tmp_path):
+    def test_non_finite_learning_rate_rejected(self, ms_dataset, tmp_path,
+                                               capsys):
         model_path = tmp_path / "m.npz"
-        with pytest.raises(ValueError, match="learning_rate"):
-            main(["train", "--data", str(ms_dataset), "--topology", "mlp",
-                  "--learning-rate", "nan", "--epochs", "1", "--out", str(model_path)])
+        code = main(["train", "--data", str(ms_dataset), "--topology", "mlp",
+                     "--learning-rate", "nan", "--epochs", "1",
+                     "--out", str(model_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "invalid training option: learning_rate must be positive and "
+            "finite, got nan\n"
+        )
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--epochs", "0", "epochs must be positive, got 0"),
+        ("--batch-size", "0", "batch_size must be positive, got 0"),
+        ("--learning-rate", "-1",
+         "learning_rate must be positive and finite, got -1.0"),
+    ])
+    def test_bad_training_option_refused(self, flag, value, message,
+                                         tmp_path, capsys):
+        # Refused before the dataset is read: the file does not exist.
+        model_path = tmp_path / "m.npz"
+        code = main(["train", "--data", str(tmp_path / "missing.npz"),
+                     flag, value, "--out", str(model_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid training option: {message}\n"
         assert not model_path.exists()
 
     def test_unknown_topology_rejected(self, ms_dataset, tmp_path):

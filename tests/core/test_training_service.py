@@ -411,6 +411,18 @@ class TestConfigRobustnessFields:
     def test_whole_counts_and_zero_patience_pass(self):
         TrainingConfig(epochs=3.0, batch_size=16, patience=0)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_learning_rate_must_be_positive_and_finite(self, value):
+        with pytest.raises(
+            ValueError, match="learning_rate must be positive and finite"
+        ):
+            TrainingConfig(learning_rate=value)
+
+    def test_default_learning_rate_is_adams(self):
+        from repro.nn.optimizers import Adam
+
+        assert TrainingConfig().learning_rate == Adam().learning_rate
+
 
 class TestSelectBestEmpty:
     def test_empty_run_set_raises_clear_runtime_error(self):

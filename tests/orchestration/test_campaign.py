@@ -77,6 +77,21 @@ class TestSpec:
             _spec(**overrides)
 
     @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("learning_rate", float("nan"), "learning_rate must be positive and finite"),
+            ("epochs", 2.5, "epochs must be a whole number"),
+            ("batch_size", 1.5, "batch_size must be a whole number"),
+        ],
+    )
+    def test_bad_training_values_refused_at_construction(
+        self, field, value, message
+    ):
+        # Refused here, not later inside a worker's training task.
+        with pytest.raises(ValueError, match=message):
+            _spec(**{field: value})
+
+    @pytest.mark.parametrize(
         "pair", [("foo", "softmax"), ("relu", "bogus"), ("relu", 3)]
     )
     def test_unknown_activation_rejected_naming_the_entry(self, pair):

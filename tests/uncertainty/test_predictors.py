@@ -95,6 +95,13 @@ class TestEnsembleSpec:
         with pytest.raises(ValueError):
             EnsembleSpec(**{"compounds": ("H2",), **overrides})
 
+    def test_zero_learning_rate_refused_at_construction(self):
+        # Refused here, not later inside a member's training task.
+        with pytest.raises(
+            ValueError, match="learning_rate must be positive and finite"
+        ):
+            EnsembleSpec(compounds=("H2",), learning_rate=0.0)
+
     def test_config_round_trip(self):
         # Payloads pickle the spec itself; its canonical form is asdict.
         assert pickle.loads(pickle.dumps(SPEC)) == SPEC
