@@ -17,6 +17,7 @@ deliberate: they are what separates simulated from measured accuracy.
 from __future__ import annotations
 
 import copy
+import numbers
 import queue
 import threading
 from contextlib import nullcontext
@@ -40,6 +41,20 @@ __all__ = ["MassSpectrometerSimulator"]
 _BLOCK_ROWS = 64
 # Shot-noise blocks the helper thread may draw ahead of the main thread.
 _RING_BLOCKS = 3
+
+
+def _positive_int(name: str, value) -> int:
+    """``value`` as an int: a fractional, NaN or infinite number is
+    refused rather than truncated, and so is anything below 1."""
+    if (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, numbers.Integral)
+        and not float(value).is_integer()
+    ):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return int(value)
 
 
 class MassSpectrometerSimulator:
@@ -124,8 +139,7 @@ class MassSpectrometerSimulator:
         ignition signal, baseline, noise, clipping and normalisation then
         run on it in place, ``_BLOCK_ROWS`` rows at a time.
         """
-        if n <= 0:
-            raise ValueError("n must be positive")
+        n = _positive_int("n", n)
         if not compound_names:
             raise ValueError("compound_names must not be empty")
         if normalize not in ("max", "area", "none"):

@@ -30,6 +30,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.nmr.acquisition import NMRSpectrum, VirtualNMRSpectrometer
+from repro.nmr.simulator import _positive_int
 
 __all__ = [
     "ReactionKinetics",
@@ -216,8 +217,7 @@ class FlowReactorExperiment:
 
     def run(self, plan: DoEPlan, spectra_per_plateau: int = 11) -> ReactionDataset:
         """Execute the campaign; defaults give ~300 spectra for a 27-point DoE."""
-        if spectra_per_plateau <= 0:
-            raise ValueError("spectra_per_plateau must be positive")
+        spectra_per_plateau = _positive_int("spectra_per_plateau", spectra_per_plateau)
         if len(plan) == 0:
             raise ValueError("the DoE plan is empty")
         plateaus: List[PlateauRecord] = []

@@ -11,11 +11,19 @@ The generator samples concentrations from per-component ranges (typically
 the padded ranges of the experimental campaign, since an ANN cannot
 extrapolate beyond its training label range), then renders each spectrum
 with random shift/broadening/noise/baseline realizations.
+
+Only the calling thread draws from the generator.  Once a chunk's
+parameters are drawn, its row blocks render on the calling thread and
+one helper thread; the calling thread then adds each block's noise in
+block order.  The output bytes and the generator's end state are those
+of a serial render.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+import numbers
+import threading
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -28,6 +36,20 @@ __all__ = ["NMRSpectrumSimulator"]
 # the dozen temporaries of one block stay in a 4 MiB L2 cache and peak
 # memory does not grow with ``chunk_size``.  It changes no output byte.
 _BLOCK_ROWS = 32
+
+
+def _positive_int(name: str, value) -> int:
+    """``value`` as an int: a fractional, NaN or infinite number is
+    refused rather than truncated, and so is anything below 1."""
+    if (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, numbers.Integral)
+        and not float(value).is_integer()
+    ):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return int(value)
 
 
 class NMRSpectrumSimulator:
@@ -104,8 +126,7 @@ class NMRSpectrumSimulator:
         could never produce — the network should learn spectroscopy, not
         the reaction manifold.
         """
-        if n <= 0:
-            raise ValueError("n must be positive")
+        n = _positive_int("n", n)
         columns = []
         for name in self.models.names:
             low, high = self.ranges[name]
@@ -128,6 +149,8 @@ class NMRSpectrumSimulator:
         ``chunk_size`` sets how many spectra share one draw of each random
         parameter array, so it is part of the generating config.
         """
+        n = _positive_int("n", n)
+        chunk_size = _positive_int("chunk_size", chunk_size)
         if concentrations is None:
             labels = self.sample_concentrations(n, rng)
         else:
@@ -139,8 +162,6 @@ class NMRSpectrumSimulator:
                 )
             if not np.all(np.isfinite(labels)) or np.any(labels < 0):
                 raise ValueError("concentrations must be finite and non-negative")
-        if chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
         out = np.empty((n, self.models.axis.points))
         for start in range(0, n, chunk_size):
             stop = min(start + chunk_size, n)
@@ -156,11 +177,13 @@ class NMRSpectrumSimulator:
     ) -> None:
         """Render the spectra of ``labels`` into ``out``.
 
-        Every random number of the chunk is drawn first, in a fixed order:
-        phases; per component its shifts, broadenings and per-peak jitter;
-        baseline phases.  The chunk is then rendered ``_BLOCK_ROWS`` rows
-        at a time.  The noise, drawn last, is drawn block by block, which
-        is the same stream as one draw for the whole chunk.
+        Every random number of the chunk is drawn first, on this thread, in
+        a fixed order: phases; per component its shifts, broadenings and
+        per-peak jitter; baseline phases.  Each ``_BLOCK_ROWS``-row block's
+        lines, label scaling and baseline then depend only on those draws
+        and render on this thread or the helper of :func:`_on_two_threads`.
+        The noise, drawn last, is drawn here block by block in block order,
+        which is the same stream as one draw for the whole chunk.
         """
         n = labels.shape[0]
         grid = self.models.axis.values()
@@ -186,8 +209,7 @@ class NMRSpectrumSimulator:
             else None
         )
 
-        for start in range(0, n, _BLOCK_ROWS):
-            rows = slice(start, min(start + _BLOCK_ROWS, n))
+        def render(rows: slice) -> None:
             block = out[rows]
             block[...] = 0.0
             for j, peaks in enumerate(lines):
@@ -200,10 +222,16 @@ class NMRSpectrumSimulator:
                     component += table
                 component *= labels[rows, j : j + 1]
                 block += component
+            if baseline_phases is not None:
+                block += self._baselines(grid, baseline_phases[rows])
+
+        def add_noise(rows: slice) -> None:
             if with_noise:
-                if baseline_phases is not None:
-                    block += self._baselines(grid, baseline_phases[rows])
+                block = out[rows]
                 block += rng.normal(0.0, self.noise_sigma, size=block.shape)
+
+        blocks = [slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS)]
+        _on_two_threads(render, blocks, add_noise)
 
     def _baselines(self, grid: np.ndarray, phases: np.ndarray) -> np.ndarray:
         """Slow sinusoidal baseline drift, one phase per row."""
@@ -212,3 +240,63 @@ class NMRSpectrumSimulator:
         return self.baseline_amplitude * np.sin(
             2.0 * np.pi * (grid[None, :] - axis.start) / (2.0 * span) + phases
         )
+
+
+def _on_two_threads(
+    render: Callable[[slice], None],
+    blocks: List[slice],
+    finish: Callable[[slice], None],
+) -> None:
+    """Call ``render`` on every block, on this thread and one helper
+    thread, and ``finish`` on every block, on this thread in block order.
+
+    Each thread renders the lowest block not yet claimed until none is
+    left.  After each block it renders, this thread finishes every block
+    whose predecessors are all rendered, so the helper's blocks are
+    finished while it renders on.  One block starts no thread.  The helper
+    lives for this call only: it is joined before this returns or raises,
+    and an exception it raised is re-raised here.
+    """
+    unclaimed = list(reversed(range(len(blocks))))
+    rendered = [threading.Event() for _ in blocks]
+    claims = threading.Lock()
+    failures: List[BaseException] = []
+    finished = 0
+
+    def render_claimed(after: Callable[[], None]) -> None:
+        while True:
+            with claims:
+                if not unclaimed:
+                    return
+                index = unclaimed.pop()
+            render(blocks[index])
+            rendered[index].set()
+            after()
+
+    def finish_rendered() -> None:
+        nonlocal finished
+        while finished < len(blocks) and rendered[finished].is_set():
+            finish(blocks[finished])
+            finished += 1
+
+    def helper() -> None:
+        try:
+            render_claimed(lambda: None)
+        except BaseException as exc:  # re-raised on the calling thread
+            failures.append(exc)
+            with claims:
+                unclaimed.clear()
+
+    thread = threading.Thread(target=helper, daemon=True) if len(blocks) > 1 else None
+    if thread is not None:
+        thread.start()
+    try:
+        render_claimed(finish_rendered)
+    finally:
+        with claims:
+            unclaimed.clear()
+        if thread is not None:
+            thread.join()
+    if failures:
+        raise failures[0]
+    finish_rendered()

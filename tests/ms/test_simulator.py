@@ -102,6 +102,11 @@ class TestGenerateDataset:
         # Rejected before anything is drawn: the caller's stream is intact.
         assert rng.random() == np.random.default_rng(0).random()
 
+    @pytest.mark.parametrize("bad", [2.5, np.nan, np.inf])
+    def test_fractional_or_non_finite_n_refused(self, bad):
+        with pytest.raises(ValueError, match="n must be a whole number"):
+            _simulator().generate_dataset(TASK, bad, np.random.default_rng(0))
+
     def test_reproducible_with_seeded_rng(self):
         sim = _simulator()
         x1, y1 = sim.generate_dataset(TASK, 8, np.random.default_rng(5))

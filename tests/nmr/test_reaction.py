@@ -151,6 +151,13 @@ class TestExperiment:
                 reference_error=-0.1,
             )
 
+    @pytest.mark.parametrize("bad", [1.5, np.nan, np.inf])
+    def test_fractional_or_non_finite_spectra_per_plateau_refused(self, bad):
+        with pytest.raises(
+            ValueError, match="spectra_per_plateau must be a whole number"
+        ):
+            self._experiment().run(DoEPlan.full_factorial(), bad)
+
     def test_seeded_reproducibility(self):
         plan = DoEPlan.full_factorial(residence_times_s=(30.0,),
                                       temperatures_c=(25.0,),
