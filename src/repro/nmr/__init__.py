@@ -22,9 +22,8 @@ Modules:
   flow reactor (substitute for the laboratory experiment); its reference
   labels are the true outlet concentrations with a small multiplicative
   error, not a simulated high-field analysis;
-* :mod:`repro.nmr.acquisition` — virtual benchtop (43 MHz) and high-field
-  (500 MHz) spectrometers; only the benchtop acquires campaign spectra, the
-  high-field one is a clean-spectrum source for the quantification tests.
+* :mod:`repro.nmr.acquisition` — the virtual 43 MHz benchtop spectrometer
+  that acquires every campaign spectrum.
 """
 
 from repro.nmr.lineshapes import gaussian, lorentzian, pseudo_voigt
@@ -44,20 +43,14 @@ from repro.nmr.reaction import (
     ReactionKinetics,
 )
 from repro.nmr.acquisition import NMRSpectrum, VirtualNMRSpectrometer
-from repro.nmr.quantification import IntegralQuantification, IntegrationRegion
-from repro.nmr.fid import AcquisitionParameters, FIDSynthesizer, fid_to_spectrum
 
 __all__ = [
-    "AcquisitionParameters",
     "ChemicalShiftAxis",
     "DoEPlan",
-    "FIDSynthesizer",
     "FlowReactorExperiment",
     "HardModelSet",
     "IHMAnalysis",
     "IHMResult",
-    "IntegralQuantification",
-    "IntegrationRegion",
     "NMRSpectrum",
     "NMRSpectrumSimulator",
     "Peak",
@@ -65,7 +58,6 @@ __all__ = [
     "ReactionConditions",
     "ReactionKinetics",
     "VirtualNMRSpectrometer",
-    "fid_to_spectrum",
     "gaussian",
     "lorentzian",
     "mndpa_reaction_models",

@@ -31,8 +31,6 @@ ALLOWED = {
     # Reference sources that tests compare against.
     "repro.nmr.hard_model.HardModelSet.mixture_spectrum": _REFERENCE_SOURCE,
     "repro.nmr.hard_model.PureComponentModel.total_area": _REFERENCE_SOURCE,
-    "repro.nmr.acquisition.VirtualNMRSpectrometer.highfield":
-        "clean-spectrum source for the quantification tests",
     "repro.nmr.lineshapes.gaussian": _REFERENCE_SOURCE,
     "repro.nmr.lineshapes.lorentzian": _REFERENCE_SOURCE,
     "repro.nmr.lineshapes.pseudo_voigt": _REFERENCE_SOURCE,
