@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.nn.activations import get_activation
@@ -87,7 +89,7 @@ class Flatten(Layer):
         self._check_built()
         if training:
             self._cache = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], math.prod(x.shape[1:]))
 
     def backward(self, grad):
         return grad.reshape(self._take_cache())
